@@ -40,8 +40,7 @@ USAGE:
       --no-mirror; all fault decisions derive from the seed (PMR_SEED).
 
   pmr serve [--fields F1,F2,... --devices M] [--records N] [--nodes K]
-            [--seed S] [--deadline-ms D] [--queries Q] [--cache P]
-            [--json]
+            [--seed S] [--deadline-ms D] [--queries Q] [--json]
       Boot a sharded in-process cluster — K nodes, each a resident
       executor over a contiguous device subrange behind the pmr-net wire
       protocol — run a seeded smoke batch through the scatter/gather
@@ -50,7 +49,7 @@ USAGE:
   pmr loadgen [--fields F1,F2,... --devices M] [--records N] [--nodes K]
               [--queries Q] [--batch B] [--concurrency C] [--spread U]
               [--seed S] [--deadline-ms D] [--drop P] [--kill-node I]
-              [--kill-at Q] [--watch MS] [--cache P] [--check] [--json]
+              [--kill-at Q] [--watch MS] [--check] [--json]
       Drive a seeded query mix through the cluster closed-loop and
       report queries/sec with p50/p99 latency in wall and simulated
       time, degradation tallies, an order-independent checksum, and a
@@ -116,10 +115,11 @@ OPTIONS:
   --kill-node loadgen: node index to kill mid-run
   --kill-at   loadgen: query index at which the kill fires (default half)
   --watch     loadgen: stream per-node telemetry JSON to stderr every MS
-  --cache     simulate/throughput/chaos/serve/loadgen: decoded-page
-              cache capacity per device, in pages (0 disables; default
-              1024). Purely a wall-clock knob — results are bit-equal
-              at any setting
+  --cache     simulate/throughput/chaos: decoded-page cache capacity
+              per device, in pages (0 disables; default 1024). Purely a
+              wall-clock knob — results are bit-equal at any setting.
+              serve/loadgen refuse it: nodes ship stored page bytes and
+              never read the cache
   --check     loadgen: verify the checksum against a single-process run
   --cluster   stats: render the merged node{N}.* telemetry per node
   --outage    chaos: additionally kill device D at every swept rate

@@ -1087,6 +1087,14 @@ fn build_cluster(
         } else {
             (vec![8; 6], 32)
         };
+    if flags.get("cache").is_some() {
+        return Err(
+            "--cache does not apply to serve/loadgen: nodes ship stored page \
+                    bytes and never read the decoded-page cache (use it with \
+                    simulate, throughput or chaos)"
+                .into(),
+        );
+    }
     let sys = SystemConfig::new(&fields, devices).map_err(|e| e.to_string())?;
     let seed = flags.u64_or("seed", pmr_rt::seed_from_env_or(42))?;
     let records = flags.u64_or("records", 5_000)?;
@@ -1132,11 +1140,6 @@ fn build_cluster(
         })
         .collect();
     file.insert_all_parallel(recs).map_err(|e| e.to_string())?;
-    if let Some(capacity) = parse_cache(flags)? {
-        // Nodes share the devices by `Arc`, so one device-level setting
-        // covers every node in the cluster.
-        file.set_cache_capacity(capacity);
-    }
 
     let cfg = pmr_net::ClusterConfig {
         nodes,

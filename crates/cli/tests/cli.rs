@@ -40,6 +40,21 @@ fn unknown_command_fails() {
     assert!(stderr(&out).contains("unknown command"));
 }
 
+/// Nodes never read the decoded-page cache, so the cluster commands
+/// refuse the flag instead of silently resizing only the reference.
+#[test]
+fn serve_and_loadgen_refuse_cache() {
+    for command in ["serve", "loadgen"] {
+        let out = pmr(&[command, "--cache", "0"]);
+        assert!(!out.status.success(), "{command} accepted --cache");
+        assert!(
+            stderr(&out).contains("--cache does not apply"),
+            "{command}: {}",
+            stderr(&out)
+        );
+    }
+}
+
 #[test]
 fn distribute_prints_table_1_system() {
     let out = pmr(&["distribute", "--fields", "2,8", "--devices", "4"]);

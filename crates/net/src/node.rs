@@ -4,10 +4,14 @@
 //! and wraps a [`pmr_storage::exec::Executor`] whose resident workers
 //! cover exactly that range. Its serve loop is request-at-a-time: decode
 //! a [`ScatterRequest`](crate::wire::ScatterRequest), rebuild the
-//! frontend's plans against the local system, execute, and ship the raw
-//! per-device yields back. A node never merges — merging is the
-//! frontend's job, which is what keeps gathered reports bit-equal to a
-//! single-process execution.
+//! frontend's plans against the local system, execute, and ship the
+//! per-device yields back. A node never decodes a page: each served
+//! page's stored bytes pass a validation walk and are copied into the
+//! response frame as they lie
+//! ([`Executor::execute_planned_raw`](pmr_storage::exec::Executor::execute_planned_raw)),
+//! so the frontend's decode is the only one. A node never merges —
+//! merging is the frontend's job, which is what keeps gathered reports
+//! bit-equal to a single-process execution.
 //!
 //! Failure modes are silent by design: a killed node keeps draining its
 //! mailbox without answering (exactly what a crashed process looks like
@@ -16,7 +20,7 @@
 
 use crate::chaos::NetFaultPlan;
 use crate::transport::Duplex;
-use crate::wire::{self, GatherResponse, Message, Telemetry, TraceContext};
+use crate::wire::{self, Message, Telemetry, TraceContext};
 use pmr_core::method::DistributionMethod;
 use pmr_core::SystemConfig;
 use pmr_rt::obs;
@@ -81,7 +85,9 @@ pub fn serve<D: DistributionMethod + Clone + Send + Sync + 'static>(
             }
         };
         let policy = req.policy.to_policy();
-        let queries = exec.execute_planned(&planned, &policy);
+        // Raw yields: the validated stored bytes of every served page,
+        // never decoded here — the frontend's decode is the only one.
+        let queries = exec.execute_planned_raw(&planned, &policy);
         let busy_us = started.elapsed().as_micros() as u64;
         obs::observe_us("net.node.busy_us", busy_us as f64);
         // v1.1 telemetry: accumulated **node-locally** per request, not
@@ -106,14 +112,10 @@ pub fn serve<D: DistributionMethod + Clone + Send + Sync + 'static>(
                 metrics: m,
             }
         });
-        let resp = Message::Response(GatherResponse {
-            request_id: req.request_id,
-            node: id,
-            busy_us,
-            queries,
-            telemetry,
-        });
-        if tx.send_frame(&wire::encode_message(&resp)).is_err() {
+        // Byte-identical to `encode_message` over the decoded yields.
+        let frame =
+            wire::encode_response(req.request_id, id, busy_us, &queries, telemetry.as_ref());
+        if tx.send_frame(&frame).is_err() {
             break;
         }
     }

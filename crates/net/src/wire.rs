@@ -40,12 +40,12 @@
 //! unchanged.
 
 use pmr_core::{PartialMatchQuery, SystemConfig};
-use pmr_rt::buf::{BufMut, Bytes, BytesMut};
+use pmr_rt::buf::{BufMut, BytesMut};
 use pmr_rt::fault::RetryPolicy;
 use pmr_rt::obs::snapshot::MetricsSnapshot;
-use pmr_storage::encode::{decode_all, encode_record, DecodeError};
+use pmr_storage::encode::{decode_all_bytes, encode_record, encoded_len, DecodeError};
 use pmr_storage::exec::{
-    DeviceOutcome, DeviceReport, DeviceYield, ExecPolicy, PlannedQuery, Redundancy,
+    DeviceOutcome, DeviceReport, DeviceYield, ExecPolicy, PlannedQuery, RawYield, Redundancy,
 };
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -344,79 +344,174 @@ fn put_header(buf: &mut BytesMut, kind: u8) {
 /// Encodes one message into a frame payload (no length prefix — the
 /// transport adds it, see [`write_frame`]).
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    let mut buf = BytesMut::new();
     match msg {
-        Message::Request(req) => {
-            put_header(&mut buf, KIND_REQUEST);
-            buf.put_u64_le(req.request_id);
-            buf.put_u32_le(req.policy.max_attempts);
-            buf.put_u64_le(req.policy.base_us);
-            buf.put_u64_le(req.policy.cap_us);
-            buf.put_u64_le(req.policy.budget_us);
-            buf.put_u8(req.policy.failover as u8);
-            match req.policy.redundancy {
-                Redundancy::None => {
-                    buf.put_u8(0);
-                    buf.put_u8(0);
-                    buf.put_u8(0);
-                }
-                Redundancy::Mirror => {
-                    buf.put_u8(1);
-                    buf.put_u8(0);
-                    buf.put_u8(0);
-                }
-                Redundancy::Parity { k, r } => {
-                    buf.put_u8(2);
-                    buf.put_u8(k);
-                    buf.put_u8(r);
-                }
-            }
-            buf.put_u64_le(req.policy.seed);
-            buf.put_u32_le(req.queries.len() as u32);
-            for q in &req.queries {
-                buf.put_u8(q.values.len() as u8);
-                for v in &q.values {
-                    match v {
-                        Some(x) => {
-                            buf.put_u8(1);
-                            buf.put_u64_le(*x);
-                        }
-                        None => buf.put_u8(0),
-                    }
-                }
-                buf.put_u8(q.fast_path as u8);
-                buf.put_u64_le(q.free_combos);
-                buf.put_u64_le(q.total_qualified);
-            }
-            if let Some(trace) = &req.trace {
-                buf.put_u8(TAG_TRACE);
-                buf.put_u64_le(trace.trace_id);
-                buf.put_u64_le(trace.parent_span);
-            }
+        Message::Request(req) => encode_request(req),
+        Message::Response(resp) => encode_response(
+            resp.request_id,
+            resp.node,
+            resp.busy_us,
+            &resp.queries,
+            resp.telemetry.as_ref(),
+        ),
+        Message::Shutdown => {
+            let mut buf = BytesMut::new();
+            put_header(&mut buf, KIND_SHUTDOWN);
+            buf.into_vec()
         }
-        Message::Response(resp) => {
-            put_header(&mut buf, KIND_RESPONSE);
-            buf.put_u64_le(resp.request_id);
-            buf.put_u32_le(resp.node);
-            buf.put_u64_le(resp.busy_us);
-            buf.put_u32_le(resp.queries.len() as u32);
-            // One scratch buffer for every record region in the
-            // response — the encode hot path allocates nothing per
-            // yield.
-            let mut region = BytesMut::new();
-            for yields in &resp.queries {
-                buf.put_u32_le(yields.len() as u32);
-                for y in yields {
-                    encode_yield(&mut buf, y, &mut region);
-                }
-            }
-            if let Some(telemetry) = &resp.telemetry {
-                encode_telemetry(&mut buf, telemetry);
-            }
-        }
-        Message::Shutdown => put_header(&mut buf, KIND_SHUTDOWN),
     }
-    buf.to_vec()
+}
+
+fn encode_request(req: &ScatterRequest) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    put_header(&mut buf, KIND_REQUEST);
+    buf.put_u64_le(req.request_id);
+    buf.put_u32_le(req.policy.max_attempts);
+    buf.put_u64_le(req.policy.base_us);
+    buf.put_u64_le(req.policy.cap_us);
+    buf.put_u64_le(req.policy.budget_us);
+    buf.put_u8(req.policy.failover as u8);
+    match req.policy.redundancy {
+        Redundancy::None => {
+            buf.put_u8(0);
+            buf.put_u8(0);
+            buf.put_u8(0);
+        }
+        Redundancy::Mirror => {
+            buf.put_u8(1);
+            buf.put_u8(0);
+            buf.put_u8(0);
+        }
+        Redundancy::Parity { k, r } => {
+            buf.put_u8(2);
+            buf.put_u8(k);
+            buf.put_u8(r);
+        }
+    }
+    buf.put_u64_le(req.policy.seed);
+    buf.put_u32_le(req.queries.len() as u32);
+    for q in &req.queries {
+        buf.put_u8(q.values.len() as u8);
+        for v in &q.values {
+            match v {
+                Some(x) => {
+                    buf.put_u8(1);
+                    buf.put_u64_le(*x);
+                }
+                None => buf.put_u8(0),
+            }
+        }
+        buf.put_u8(q.fast_path as u8);
+        buf.put_u64_le(q.free_combos);
+        buf.put_u64_le(q.total_qualified);
+    }
+    if let Some(trace) = &req.trace {
+        buf.put_u8(TAG_TRACE);
+        buf.put_u64_le(trace.trace_id);
+        buf.put_u64_le(trace.parent_span);
+    }
+    buf.into_vec()
+}
+
+/// A device yield as a response frame carries it: a report, lost codes,
+/// and the records as one encoded region. The decoded [`DeviceYield`]
+/// encodes its records as it is framed; a node's [`RawYield`] already
+/// holds the region as stored and is copied verbatim. Both frame to the
+/// same bytes through [`encode_response`].
+pub trait YieldFrame {
+    /// The per-device report.
+    fn report(&self) -> &DeviceReport;
+    /// Packed codes of the buckets the device could not serve.
+    fn lost(&self) -> &[u64];
+    /// Records in the region.
+    fn record_count(&self) -> u32;
+    /// Exact byte length of the region.
+    fn region_len(&self) -> usize;
+    /// Appends the region to `buf`.
+    fn put_region(&self, buf: &mut BytesMut);
+}
+
+impl YieldFrame for DeviceYield {
+    fn report(&self) -> &DeviceReport {
+        &self.report
+    }
+    fn lost(&self) -> &[u64] {
+        &self.lost
+    }
+    fn record_count(&self) -> u32 {
+        self.records.len() as u32
+    }
+    fn region_len(&self) -> usize {
+        self.records.iter().map(encoded_len).sum()
+    }
+    fn put_region(&self, buf: &mut BytesMut) {
+        for rec in &self.records {
+            encode_record(rec, buf);
+        }
+    }
+}
+
+impl YieldFrame for RawYield {
+    fn report(&self) -> &DeviceReport {
+        &self.report
+    }
+    fn lost(&self) -> &[u64] {
+        &self.lost
+    }
+    fn record_count(&self) -> u32 {
+        self.report.records as u32
+    }
+    fn region_len(&self) -> usize {
+        self.region.len()
+    }
+    fn put_region(&self, buf: &mut BytesMut) {
+        buf.put_slice(&self.region);
+    }
+}
+
+/// Fixed bytes of a response before its queries: header, request id,
+/// node, busy time, query count.
+const RESPONSE_HEAD_BYTES: usize = 6 + 8 + 4 + 8 + 4;
+/// A [`SHAPE_TRIVIAL`] yield's bytes.
+const TRIVIAL_YIELD_BYTES: usize = 25;
+/// A [`SHAPE_FULL`] yield's bytes besides its region and lost codes.
+const FULL_YIELD_BYTES: usize = 1 + 5 * 8 + 1 + 4 + 4 + 4 + 4 + 4;
+
+/// Encodes a response frame — the bytes of
+/// `encode_message(&Message::Response(..))` — from yields in either
+/// form. The one response writer: [`encode_message`] calls it with
+/// decoded yields and a node with the [`RawYield`]s it served. The
+/// buffer is sized from the yields' region lengths up front, so framing
+/// never reallocates (bar a telemetry section) and the finished buffer
+/// is handed over without a copy.
+pub fn encode_response<Y: YieldFrame>(
+    request_id: u64,
+    node: u32,
+    busy_us: u64,
+    queries: &[Vec<Y>],
+    telemetry: Option<&Telemetry>,
+) -> Vec<u8> {
+    let len = RESPONSE_HEAD_BYTES
+        + queries
+            .iter()
+            .map(|yields| 4 + yields.iter().map(yield_len).sum::<usize>())
+            .sum::<usize>();
+    let mut buf = BytesMut::with_capacity(len);
+    put_header(&mut buf, KIND_RESPONSE);
+    buf.put_u64_le(request_id);
+    buf.put_u32_le(node);
+    buf.put_u64_le(busy_us);
+    buf.put_u32_le(queries.len() as u32);
+    for yields in queries {
+        buf.put_u32_le(yields.len() as u32);
+        for y in yields {
+            put_yield(&mut buf, y);
+        }
+    }
+    debug_assert_eq!(buf.len(), len, "response size estimate is exact");
+    if let Some(telemetry) = telemetry {
+        encode_telemetry(&mut buf, telemetry);
+    }
+    buf.into_vec()
 }
 
 fn put_name(buf: &mut BytesMut, name: &str) {
@@ -462,15 +557,29 @@ fn encode_telemetry(buf: &mut BytesMut, t: &Telemetry) {
 const SHAPE_TRIVIAL: u8 = 1;
 const SHAPE_FULL: u8 = 0;
 
-fn encode_yield(buf: &mut BytesMut, y: &DeviceYield, region: &mut BytesMut) {
-    let r = &y.report;
-    if r.qualified_buckets == 0
+/// Whether `y` travels in the 25-byte [`SHAPE_TRIVIAL`] form.
+fn is_trivial<Y: YieldFrame>(y: &Y) -> bool {
+    let r = y.report();
+    r.qualified_buckets == 0
         && r.records == 0
         && r.reconstructions == 0
-        && y.records.is_empty()
-        && y.lost.is_empty()
+        && y.record_count() == 0
+        && y.lost().is_empty()
         && r.outcome == DeviceOutcome::Ok
-    {
+}
+
+/// Bytes [`put_yield`] appends for `y`.
+fn yield_len<Y: YieldFrame>(y: &Y) -> usize {
+    if is_trivial(y) {
+        TRIVIAL_YIELD_BYTES
+    } else {
+        FULL_YIELD_BYTES + y.region_len() + 8 * y.lost().len()
+    }
+}
+
+fn put_yield<Y: YieldFrame>(buf: &mut BytesMut, y: &Y) {
+    let r = y.report();
+    if is_trivial(y) {
         buf.put_u8(SHAPE_TRIVIAL);
         buf.put_u64_le(r.device);
         buf.put_u64_le(r.addresses_computed);
@@ -493,15 +602,17 @@ fn encode_yield(buf: &mut BytesMut, y: &DeviceYield, region: &mut BytesMut) {
     buf.put_u8(outcome);
     buf.put_u32_le(retries);
     buf.put_u32_le(r.reconstructions);
-    buf.put_u32_le(y.records.len() as u32);
-    region.clear();
-    for rec in &y.records {
-        encode_record(rec, region);
-    }
-    buf.put_u32_le(region.len() as u32);
-    buf.put_slice(region);
-    buf.put_u32_le(y.lost.len() as u32);
-    for &code in &y.lost {
+    buf.put_u32_le(y.record_count());
+    // The region's length prefix is patched in after the region, so a
+    // decoded yield's records are walked to encode them, not again to
+    // measure them.
+    let len_at = buf.len();
+    buf.put_u32_le(0);
+    y.put_region(buf);
+    let region_len = (buf.len() - len_at - 4) as u32;
+    buf[len_at..len_at + 4].copy_from_slice(&region_len.to_le_bytes());
+    buf.put_u32_le(y.lost().len() as u32);
+    for &code in y.lost() {
         buf.put_u64_le(code);
     }
 }
@@ -817,7 +928,7 @@ fn decode_yield(r: &mut Reader<'_>) -> Result<DeviceYield, WireError> {
         });
     }
     let region = r.take(region_len as usize, "yield.record_region")?;
-    let records = decode_all(Bytes::copy_from_slice(region)).map_err(WireError::Record)?;
+    let records = decode_all_bytes(region).map_err(WireError::Record)?;
     if records.len() != nrecords as usize {
         return Err(WireError::RecordCount {
             want: nrecords,

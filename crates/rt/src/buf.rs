@@ -10,7 +10,7 @@
 //! The [`Buf`]/[`BufMut`] traits carry the read/write-integer vocabulary
 //! so codec code can stay generic over the concrete buffer.
 
-use std::ops::{Deref, Range};
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
 
 /// Read-side cursor vocabulary: consuming little-endian integers and byte
@@ -116,6 +116,11 @@ impl BytesMut {
         self.data.clone()
     }
 
+    /// Unwraps into the plain vector it appended to — no copy.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.data
+    }
+
     /// Freezes into an immutable, cheaply sliceable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
@@ -126,6 +131,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -357,6 +368,11 @@ mod tests {
         m.extend_from_slice(&[9]);
         m.clear();
         assert!(m.is_empty());
+        let mut m = BytesMut::with_capacity(64);
+        m.put_u8(3);
+        let v = m.into_vec();
+        assert_eq!(v, vec![3]);
+        assert!(v.capacity() >= 64, "the buffer itself is handed over");
     }
 
     #[test]

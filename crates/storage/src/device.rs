@@ -13,7 +13,7 @@ use pmr_rt::buf::BytesMut;
 use pmr_rt::fault::{FaultKind, FaultPlan};
 use pmr_rt::obs;
 use pmr_rt::sync::RwLock;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,6 +53,16 @@ pub struct BucketRead {
     pub injected_latency_us: u64,
 }
 
+/// A successful read that appended a validated page's stored bytes to
+/// a caller's buffer ([`Device::copy_bucket_attempt`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CopiedRead {
+    /// Records in the appended bytes (0 when the bucket holds no data).
+    pub records: u64,
+    /// Simulated microseconds of injected latency spike (0 when none).
+    pub injected_latency_us: u64,
+}
+
 /// A successful raw (undecoded) page or parity-shard read plus any
 /// injected latency to charge to the simulated clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,17 +77,20 @@ pub struct RawRead {
 #[derive(Debug)]
 pub struct Device {
     id: u64,
-    /// Bucket index → encoded records. BTreeMap keeps bucket scans in
-    /// address order, mirroring a physical layout.
-    store: RwLock<BTreeMap<u64, BytesMut>>,
+    /// Bucket index → encoded records. Hashed: every read is a point
+    /// lookup, and the listings that need address order
+    /// ([`Device::resident_buckets`], [`Device::drain`]) sort on the way
+    /// out. (An ordered map made the node's raw page read a tree walk
+    /// that cost more than the decoded-page cache hit it replaced.)
+    store: RwLock<HashMap<u64, BytesMut>>,
     /// Mirror pages this device holds *for its buddy* — kept apart from
     /// `store` so occupancy counts, persistence snapshots, and
     /// redistribution drains only ever see primary data.
-    mirror_store: RwLock<BTreeMap<u64, BytesMut>>,
+    mirror_store: RwLock<HashMap<u64, BytesMut>>,
     /// Reed–Solomon parity shards this device holds for other devices'
     /// stripes, keyed by stripe id. Derived data like the mirror store:
     /// never persisted, dropped on clear/drain, rebuilt by re-encoding.
-    parity_store: RwLock<BTreeMap<u64, Vec<u8>>>,
+    parity_store: RwLock<HashMap<u64, Vec<u8>>>,
     /// Number of bucket reads served (lifetime).
     bucket_reads: AtomicU64,
     /// Number of records appended (lifetime).
@@ -97,9 +110,9 @@ impl Device {
     pub fn new(id: u64) -> Self {
         Device {
             id,
-            store: RwLock::new(BTreeMap::new()),
-            mirror_store: RwLock::new(BTreeMap::new()),
-            parity_store: RwLock::new(BTreeMap::new()),
+            store: RwLock::new(HashMap::new()),
+            mirror_store: RwLock::new(HashMap::new()),
+            parity_store: RwLock::new(HashMap::new()),
             bucket_reads: AtomicU64::new(0),
             records_written: AtomicU64::new(0),
             faults_on: AtomicBool::new(false),
@@ -152,11 +165,17 @@ impl Device {
     /// it generation-guarded.
     pub fn read_bucket(&self, bucket_index: u64) -> Result<Arc<[Record]>, DecodeError> {
         self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-        let key = PageKey::Primary(bucket_index);
+        self.decode_page(PageKey::Primary(bucket_index))
+    }
+
+    /// The decoded records of a primary or mirror page, through the
+    /// cache. Counts no access — callers charge it.
+    fn decode_page(&self, key: PageKey) -> Result<Arc<[Record]>, DecodeError> {
         if let Some(records) = self.cache.get(key) {
             return Ok(records);
         }
-        let store = self.store.read();
+        let (store, bucket_index) = self.store_of(key);
+        let store = store.read();
         let gen = self.cache.generation(key);
         let records: Arc<[Record]> = match store.get(&bucket_index) {
             None => Vec::new().into(),
@@ -169,6 +188,29 @@ impl Device {
         Ok(records)
     }
 
+    /// Appends a primary or mirror page's stored bytes to `out`, after a
+    /// validation walk under the store read lock: the bytes shipped are
+    /// the bytes checked, and a page corrupt at rest fails with the
+    /// error a decode would raise, leaving `out` untouched. Returns the
+    /// page's record count. Never touches the decoded-page cache.
+    fn copy_page(&self, key: PageKey, out: &mut Vec<u8>) -> Result<u64, DecodeError> {
+        let (store, bucket_index) = self.store_of(key);
+        let store = store.read();
+        let Some(page) = store.get(&bucket_index) else {
+            return Ok(0);
+        };
+        let records = encode::validate_region(page)?;
+        out.extend_from_slice(page);
+        Ok(records)
+    }
+
+    fn store_of(&self, key: PageKey) -> (&RwLock<HashMap<u64, BytesMut>>, u64) {
+        match key {
+            PageKey::Primary(bucket_index) => (&self.store, bucket_index),
+            PageKey::Mirror(bucket_index) => (&self.mirror_store, bucket_index),
+        }
+    }
+
     /// Installs (or removes, with `None`) the fault plan consulted by
     /// [`Device::read_bucket_attempt`]. A plan with no active rates is
     /// treated as absent, keeping the hot path on its fast branch.
@@ -178,17 +220,39 @@ impl Device {
         self.faults_on.store(active, Ordering::Release);
     }
 
-    /// The fault decision for this read attempt, if a plan is installed.
-    /// Disabled path: one relaxed load plus a branch.
+    /// The fault decision for one read attempt of `key` (a bucket index
+    /// or stripe id), charged to the access counter like any issued
+    /// read. An outage issues no read; a read error or a transient
+    /// corruption fails the attempt; otherwise the read proceeds and the
+    /// injected latency (0 when none) is returned. Disabled path: one
+    /// relaxed load plus a branch.
     #[inline]
-    fn consult_faults(&self, bucket_index: u64, attempt: u32) -> Option<FaultKind> {
-        if !self.faults_on.load(Ordering::Relaxed) {
-            return None;
+    fn admit(&self, key: u64, attempt: u32) -> Result<u64, ReadFault> {
+        let decided = if self.faults_on.load(Ordering::Relaxed) {
+            let guard = self.fault_plan.read();
+            guard
+                .as_ref()
+                .and_then(|plan| plan.decide(self.id, key, attempt))
+        } else {
+            None
+        };
+        if decided.is_some() {
+            obs::counter_add("fault.injected", 1);
         }
-        let guard = self.fault_plan.read();
-        let kind = guard.as_ref()?.decide(self.id, bucket_index, attempt)?;
-        obs::counter_add("fault.injected", 1);
-        Some(kind)
+        let injected_latency_us = match decided {
+            Some(FaultKind::Outage) => return Err(ReadFault::Outage),
+            Some(FaultKind::LatencySpike(us)) => us,
+            _ => 0,
+        };
+        // The access was issued, whether or not it returns clean data.
+        self.bucket_reads.fetch_add(1, Ordering::Relaxed);
+        match decided {
+            Some(FaultKind::ReadError) => Err(ReadFault::Io),
+            // Transient bus/DMA corruption: the page *read* garbage but
+            // the bytes at rest are intact, so a retry re-rolls.
+            Some(FaultKind::Corruption) => Err(ReadFault::Decode(DecodeError::Truncated)),
+            _ => Ok(injected_latency_us),
+        }
     }
 
     /// One fault-aware read attempt against the **primary** store.
@@ -206,24 +270,10 @@ impl Device {
         bucket_index: u64,
         attempt: u32,
     ) -> Result<BucketRead, ReadFault> {
-        let mut injected_latency_us = 0;
-        match self.consult_faults(bucket_index, attempt) {
-            Some(FaultKind::Outage) => return Err(ReadFault::Outage),
-            Some(FaultKind::ReadError) => {
-                // The access was still issued: charge it to the counter.
-                self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-                return Err(ReadFault::Io);
-            }
-            Some(FaultKind::Corruption) => {
-                self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-                // Transient bus/DMA corruption: the page *read* garbage
-                // but the bytes at rest are intact, so a retry re-rolls.
-                return Err(ReadFault::Decode(DecodeError::Truncated));
-            }
-            Some(FaultKind::LatencySpike(us)) => injected_latency_us = us,
-            None => {}
-        }
-        let records = self.read_bucket(bucket_index).map_err(ReadFault::Decode)?;
+        let injected_latency_us = self.admit(bucket_index, attempt)?;
+        let records = self
+            .decode_page(PageKey::Primary(bucket_index))
+            .map_err(ReadFault::Decode)?;
         Ok(BucketRead {
             records,
             injected_latency_us,
@@ -238,39 +288,49 @@ impl Device {
         bucket_index: u64,
         attempt: u32,
     ) -> Result<BucketRead, ReadFault> {
-        let mut injected_latency_us = 0;
-        match self.consult_faults(bucket_index, attempt) {
-            Some(FaultKind::Outage) => return Err(ReadFault::Outage),
-            Some(FaultKind::ReadError) => {
-                self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-                return Err(ReadFault::Io);
-            }
-            Some(FaultKind::Corruption) => {
-                self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-                return Err(ReadFault::Decode(DecodeError::Truncated));
-            }
-            Some(FaultKind::LatencySpike(us)) => injected_latency_us = us,
-            None => {}
-        }
-        self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-        let key = PageKey::Mirror(bucket_index);
-        if let Some(records) = self.cache.get(key) {
-            return Ok(BucketRead {
-                records,
-                injected_latency_us,
-            });
-        }
-        let store = self.mirror_store.read();
-        let gen = self.cache.generation(key);
-        let records: Arc<[Record]> = match store.get(&bucket_index) {
-            None => Vec::new().into(),
-            Some(region) => encode::decode_all_bytes(region)
-                .map_err(ReadFault::Decode)?
-                .into(),
-        };
-        drop(store);
-        self.cache.insert_if(key, gen, records.clone());
+        let injected_latency_us = self.admit(bucket_index, attempt)?;
+        let records = self
+            .decode_page(PageKey::Mirror(bucket_index))
+            .map_err(ReadFault::Decode)?;
         Ok(BucketRead {
+            records,
+            injected_latency_us,
+        })
+    }
+
+    /// [`Device::read_bucket_attempt`] without the decode: the same
+    /// fault decision, then the primary page's stored bytes, validated,
+    /// appended to `out`. Fails exactly when `read_bucket_attempt` does,
+    /// with the same fault, and then appends nothing.
+    pub fn copy_bucket_attempt(
+        &self,
+        bucket_index: u64,
+        attempt: u32,
+        out: &mut Vec<u8>,
+    ) -> Result<CopiedRead, ReadFault> {
+        let injected_latency_us = self.admit(bucket_index, attempt)?;
+        let records = self
+            .copy_page(PageKey::Primary(bucket_index), out)
+            .map_err(ReadFault::Decode)?;
+        Ok(CopiedRead {
+            records,
+            injected_latency_us,
+        })
+    }
+
+    /// [`Device::read_mirror_attempt`] without the decode, as
+    /// [`Device::copy_bucket_attempt`] is to the primary read.
+    pub fn copy_mirror_attempt(
+        &self,
+        bucket_index: u64,
+        attempt: u32,
+        out: &mut Vec<u8>,
+    ) -> Result<CopiedRead, ReadFault> {
+        let injected_latency_us = self.admit(bucket_index, attempt)?;
+        let records = self
+            .copy_page(PageKey::Mirror(bucket_index), out)
+            .map_err(ReadFault::Decode)?;
+        Ok(CopiedRead {
             records,
             injected_latency_us,
         })
@@ -286,21 +346,7 @@ impl Device {
         bucket_index: u64,
         attempt: u32,
     ) -> Result<RawRead, ReadFault> {
-        let mut injected_latency_us = 0;
-        match self.consult_faults(bucket_index, attempt) {
-            Some(FaultKind::Outage) => return Err(ReadFault::Outage),
-            Some(FaultKind::ReadError) => {
-                self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-                return Err(ReadFault::Io);
-            }
-            Some(FaultKind::Corruption) => {
-                self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-                return Err(ReadFault::Decode(DecodeError::Truncated));
-            }
-            Some(FaultKind::LatencySpike(us)) => injected_latency_us = us,
-            None => {}
-        }
-        self.bucket_reads.fetch_add(1, Ordering::Relaxed);
+        let injected_latency_us = self.admit(bucket_index, attempt)?;
         let bytes = self
             .store
             .read()
@@ -317,21 +363,7 @@ impl Device {
     /// stream as bucket reads, keyed by the stripe id. `Ok(None)` means
     /// this device holds no shard for that stripe.
     pub fn read_parity_attempt(&self, stripe_id: u64, attempt: u32) -> Result<RawRead, ReadFault> {
-        let mut injected_latency_us = 0;
-        match self.consult_faults(stripe_id, attempt) {
-            Some(FaultKind::Outage) => return Err(ReadFault::Outage),
-            Some(FaultKind::ReadError) => {
-                self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-                return Err(ReadFault::Io);
-            }
-            Some(FaultKind::Corruption) => {
-                self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-                return Err(ReadFault::Decode(DecodeError::Truncated));
-            }
-            Some(FaultKind::LatencySpike(us)) => injected_latency_us = us,
-            None => {}
-        }
-        self.bucket_reads.fetch_add(1, Ordering::Relaxed);
+        let injected_latency_us = self.admit(stripe_id, attempt)?;
         let bytes = self.parity_store.read().get(&stripe_id).cloned();
         Ok(RawRead {
             bytes,
@@ -384,7 +416,7 @@ impl Device {
 
     /// Indices of the mirror buckets this device holds, in address order.
     pub fn mirror_buckets(&self) -> Vec<u64> {
-        self.mirror_store.read().keys().copied().collect()
+        sorted_keys(&self.mirror_store.read())
     }
 
     /// Number of resident mirror pages.
@@ -401,7 +433,7 @@ impl Device {
 
     /// Indices of the buckets with resident data, in address order.
     pub fn resident_buckets(&self) -> Vec<u64> {
-        self.store.read().keys().copied().collect()
+        sorted_keys(&self.store.read())
     }
 
     /// Number of resident (non-empty) buckets.
@@ -466,21 +498,29 @@ impl Device {
         self.records_written.store(0, Ordering::Relaxed);
     }
 
-    /// Drains all resident (bucket, records) pairs, leaving the device
-    /// empty. Used for redistribution: mirror and parity pages are
-    /// derived data, so they are dropped rather than returned
-    /// (re-mirroring / re-encoding rebuilds them).
+    /// Drains all resident (bucket, records) pairs in address order,
+    /// leaving the device empty. Used for redistribution: mirror and
+    /// parity pages are derived data, so they are dropped rather than
+    /// returned (re-mirroring / re-encoding rebuilds them).
     pub fn drain(&self) -> Result<Vec<(u64, Vec<Record>)>, DecodeError> {
         self.mirror_store.write().clear();
         self.parity_store.write().clear();
         let mut store = self.store.write();
-        let drained = std::mem::take(&mut *store);
+        let mut drained: Vec<(u64, BytesMut)> = std::mem::take(&mut *store).into_iter().collect();
         self.cache.invalidate_all();
+        drained.sort_unstable_by_key(|&(idx, _)| idx);
         drained
             .into_iter()
-            .map(|(idx, region)| Ok((idx, encode::decode_all(region.freeze())?)))
+            .map(|(idx, region)| Ok((idx, encode::decode_all_bytes(&region)?)))
             .collect()
     }
+}
+
+/// A page store's bucket indices in address order.
+fn sorted_keys<V>(store: &HashMap<u64, V>) -> Vec<u64> {
+    let mut keys: Vec<u64> = store.keys().copied().collect();
+    keys.sort_unstable();
+    keys
 }
 
 #[cfg(test)]
@@ -698,6 +738,41 @@ mod tests {
             &[rec(1)][..]
         );
         assert_eq!(d.cached_pages(), 1);
+    }
+
+    #[test]
+    fn copied_reads_ship_the_stored_bytes_or_the_decode_fault() {
+        let d = Device::new(0);
+        d.set_cache_capacity(0);
+        d.append(3, &rec(1));
+        d.append(3, &rec(2));
+        d.append_mirror(4, &rec(5));
+        let mut out = vec![0xaa];
+        let got = d.copy_bucket_attempt(3, 0, &mut out).unwrap();
+        assert_eq!(got.records, 2);
+        assert_eq!(out[1..], d.raw_page(3).unwrap()[..]);
+        out.clear();
+        assert_eq!(d.copy_mirror_attempt(4, 0, &mut out).unwrap().records, 1);
+        assert_eq!(encode::decode_all_bytes(&out).unwrap(), vec![rec(5)]);
+        assert_eq!(d.copy_bucket_attempt(9, 0, &mut out).unwrap().records, 0);
+        assert_eq!(d.bucket_reads(), 3);
+        // Corrupt at rest: the decode's own error, and nothing appended.
+        d.inject_corruption(3, &[0x01, 0, 0, 0, 0x7f]);
+        out.clear();
+        assert_eq!(
+            d.copy_bucket_attempt(3, 0, &mut out),
+            Err(ReadFault::Decode(DecodeError::BadTag(0x7f)))
+        );
+        assert_eq!(
+            d.read_bucket_attempt(3, 0).map(|r| r.records.len()),
+            Err(ReadFault::Decode(DecodeError::BadTag(0x7f)))
+        );
+        assert!(out.is_empty());
+        d.set_fault_plan(Some(Arc::new(FaultPlan::new(1).with_dead_device(0))));
+        assert_eq!(
+            d.copy_bucket_attempt(4, 0, &mut out),
+            Err(ReadFault::Outage)
+        );
     }
 
     #[test]

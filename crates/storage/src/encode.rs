@@ -96,6 +96,37 @@ pub fn decode_record(buf: &mut Bytes) -> Result<Record, DecodeError> {
     Ok(record)
 }
 
+/// Checks a region produced by repeated [`encode_record`] calls without
+/// decoding it: the walk allocates nothing and returns the record count,
+/// or exactly the error [`decode_all_bytes`] would return on the same
+/// bytes. A node uses it to ship a stored page verbatim while still
+/// failing a page that is corrupt at rest the way a decode would.
+pub fn validate_region(region: &[u8]) -> Result<u64, DecodeError> {
+    let mut cursor = region;
+    let mut records = 0u64;
+    while !cursor.is_empty() {
+        let arity = take_u32(&mut cursor)?;
+        for _ in 0..arity {
+            next_value(&mut cursor)?;
+        }
+        records += 1;
+    }
+    Ok(records)
+}
+
+/// Bytes [`encode_record`] appends for `record`.
+pub fn encoded_len(record: &Record) -> usize {
+    4 + record
+        .values()
+        .iter()
+        .map(|v| match v {
+            Value::Int(_) => 9,
+            Value::Str(s) => 5 + s.len(),
+            Value::Bytes(b) => 5 + b.len(),
+        })
+        .sum::<usize>()
+}
+
 fn take<'a>(cursor: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
     if cursor.len() < n {
         return Err(DecodeError::Truncated);
@@ -105,33 +136,62 @@ fn take<'a>(cursor: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
     Ok(head)
 }
 
+fn take_u32(cursor: &mut &[u8]) -> Result<u32, DecodeError> {
+    let bytes = take(cursor, 4)?;
+    Ok(u32::from_le_bytes(
+        bytes.try_into().expect("take yields 4 bytes"),
+    ))
+}
+
+/// One value as it lies in the region, checked but not copied.
+enum ValueRef<'a> {
+    Int(i64),
+    Str(&'a str),
+    Bytes(&'a [u8]),
+}
+
+/// Reads one tagged value from the front of `cursor`: the one grammar
+/// both [`decode_record_from`] and [`validate_region`] walk, so their
+/// errors agree byte for byte.
+fn next_value<'a>(cursor: &mut &'a [u8]) -> Result<ValueRef<'a>, DecodeError> {
+    match take(cursor, 1)?[0] {
+        TAG_INT => {
+            let bytes = take(cursor, 8)?;
+            Ok(ValueRef::Int(i64::from_le_bytes(
+                bytes.try_into().expect("take yields 8 bytes"),
+            )))
+        }
+        tag @ (TAG_STR | TAG_BYTES) => {
+            let len = take_u32(cursor)? as usize;
+            let payload = take(cursor, len)?;
+            if tag == TAG_STR {
+                std::str::from_utf8(payload)
+                    .map(ValueRef::Str)
+                    .map_err(|_| DecodeError::BadUtf8)
+            } else {
+                Ok(ValueRef::Bytes(payload))
+            }
+        }
+        other => Err(DecodeError::BadTag(other)),
+    }
+}
+
 /// Decodes a single record from the front of a borrowed cursor,
 /// advancing it past the consumed bytes. Each `Str`/`Bytes` payload is
 /// copied exactly once, straight from the region into its `Value`.
 pub fn decode_record_from(cursor: &mut &[u8]) -> Result<Record, DecodeError> {
-    let arity = u32::from_le_bytes(take(cursor, 4)?.try_into().unwrap()) as usize;
+    let arity = take_u32(cursor)? as usize;
     // Never trust the wire for preallocation: a corrupted arity must fail
     // with `Truncated` below, not abort on a giant allocation. Every value
     // costs at least 5 encoded bytes (tag + u32 length), bounding the
     // plausible arity by the remaining region.
     let mut values = Vec::with_capacity(arity.min(cursor.len() / 5 + 1));
     for _ in 0..arity {
-        let tag = take(cursor, 1)?[0];
-        let value = match tag {
-            TAG_INT => Value::Int(i64::from_le_bytes(take(cursor, 8)?.try_into().unwrap())),
-            TAG_STR | TAG_BYTES => {
-                let len = u32::from_le_bytes(take(cursor, 4)?.try_into().unwrap()) as usize;
-                let payload = take(cursor, len)?;
-                if tag == TAG_STR {
-                    let s = std::str::from_utf8(payload).map_err(|_| DecodeError::BadUtf8)?;
-                    Value::Str(s.to_owned())
-                } else {
-                    Value::Bytes(payload.to_vec())
-                }
-            }
-            other => return Err(DecodeError::BadTag(other)),
-        };
-        values.push(value);
+        values.push(match next_value(cursor)? {
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
+        });
     }
     Ok(Record::new(values))
 }
@@ -203,5 +263,29 @@ mod tests {
     #[test]
     fn empty_region_is_empty() {
         assert_eq!(decode_all(Bytes::new()).unwrap(), vec![]);
+        assert_eq!(validate_region(&[]), Ok(0));
+    }
+
+    #[test]
+    fn validator_counts_and_encoded_len_matches() {
+        let records = [
+            sample(),
+            Record::new(vec![]),
+            Record::new(vec![Value::Int(1)]),
+        ];
+        let mut buf = BytesMut::new();
+        for r in &records {
+            let before = buf.len();
+            encode_record(r, &mut buf);
+            assert_eq!(buf.len() - before, encoded_len(r));
+        }
+        assert_eq!(validate_region(&buf), Ok(3));
+        for cut in 0..buf.len() {
+            assert_eq!(
+                validate_region(&buf[..cut]),
+                decode_all_bytes(&buf[..cut]).map(|r| r.len() as u64),
+                "cut at {cut}"
+            );
+        }
     }
 }

@@ -31,6 +31,7 @@
 
 use crate::cost::CostModel;
 use crate::device::{Device, ReadFault};
+use crate::encode::{self, DecodeError};
 use crate::file::{DeclusteredFile, FileError};
 use crate::mirror::Mirroring;
 use crate::parity::ParityStore;
@@ -357,6 +358,23 @@ pub struct DeviceYield {
     pub report: DeviceReport,
     /// Records retrieved from this device, in bucket-enumeration order.
     pub records: Vec<Record>,
+    /// Packed codes of qualified buckets this device could not serve.
+    pub lost: Vec<u64>,
+}
+
+/// One device's yield with its records left as stored bytes: the
+/// node-side twin of [`DeviceYield`], produced by
+/// [`Executor::execute_planned_raw`]. `region` is the served pages'
+/// bytes exactly as stored, concatenated in bucket-enumeration order —
+/// the [`crate::encode`] format a response frame carries — and
+/// `report.records` counts the records in it. Decoding `region` gives
+/// the `records` of the matching [`DeviceYield`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawYield {
+    /// The per-device report, identical to the decoded path's.
+    pub report: DeviceReport,
+    /// The served pages' stored bytes, validated.
+    pub region: Vec<u8>,
     /// Packed codes of qualified buckets this device could not serve.
     pub lost: Vec<u64>,
 }
@@ -723,7 +741,7 @@ pub fn execute_parallel_with<D: DistributionMethod>(
         } else {
             total_qualified
         };
-        Ok(resilient_device_read(
+        Ok(resilient_device_read::<Decoded>(
             devices,
             device,
             &codes,
@@ -751,11 +769,113 @@ struct FailoverPath<'a> {
     parity: Option<&'a ParityStore>,
 }
 
+/// Where a device worker puts the pages it serves: decoded records for
+/// single-process reports ([`Decoded`]), or the stored bytes themselves
+/// for a node's response frame ([`Copied`]). Both take the same pages
+/// through the same retry → mirror → parity chain
+/// ([`resilient_device_read`]) and fail on exactly the same pages, so
+/// the two paths' reports are identical.
+trait PageSink: Default {
+    /// What one device's share of one query becomes.
+    type Yield: Send + 'static;
+    /// One read attempt of `dev`'s primary page for `code` into the
+    /// sink; the injected latency on success. A failed attempt leaves
+    /// the sink untouched.
+    fn primary(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault>;
+    /// [`PageSink::primary`] against the mirror copy `dev` holds.
+    fn mirror(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault>;
+    /// A page rebuilt from its parity stripe; on error the sink is
+    /// untouched.
+    fn rebuilt(&mut self, page: &[u8]) -> Result<(), DecodeError>;
+    /// Records taken in so far.
+    fn records(&self) -> u64;
+    /// Closes the device's share into its yield.
+    fn finish(self, report: DeviceReport, lost: Vec<u64>) -> Self::Yield;
+}
+
+/// The decoded sink: records through the device's page cache.
+#[derive(Default)]
+struct Decoded(Vec<Record>);
+
+impl PageSink for Decoded {
+    type Yield = DeviceYield;
+
+    fn primary(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault> {
+        let read = dev.read_bucket_attempt(code, attempt)?;
+        self.0.extend_from_slice(&read.records);
+        Ok(read.injected_latency_us)
+    }
+
+    fn mirror(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault> {
+        let read = dev.read_mirror_attempt(code, attempt)?;
+        self.0.extend_from_slice(&read.records);
+        Ok(read.injected_latency_us)
+    }
+
+    fn rebuilt(&mut self, page: &[u8]) -> Result<(), DecodeError> {
+        self.0.extend(encode::decode_all_bytes(page)?);
+        Ok(())
+    }
+
+    fn records(&self) -> u64 {
+        self.0.len() as u64
+    }
+
+    fn finish(self, report: DeviceReport, lost: Vec<u64>) -> DeviceYield {
+        DeviceYield {
+            report,
+            records: self.0,
+            lost,
+        }
+    }
+}
+
+/// The raw sink: validated stored bytes appended to one region, never
+/// decoded and never through the page cache.
+#[derive(Default)]
+struct Copied {
+    region: Vec<u8>,
+    records: u64,
+}
+
+impl PageSink for Copied {
+    type Yield = RawYield;
+
+    fn primary(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault> {
+        let read = dev.copy_bucket_attempt(code, attempt, &mut self.region)?;
+        self.records += read.records;
+        Ok(read.injected_latency_us)
+    }
+
+    fn mirror(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault> {
+        let read = dev.copy_mirror_attempt(code, attempt, &mut self.region)?;
+        self.records += read.records;
+        Ok(read.injected_latency_us)
+    }
+
+    fn rebuilt(&mut self, page: &[u8]) -> Result<(), DecodeError> {
+        self.records += encode::validate_region(page)?;
+        self.region.extend_from_slice(page);
+        Ok(())
+    }
+
+    fn records(&self) -> u64 {
+        self.records
+    }
+
+    fn finish(self, report: DeviceReport, lost: Vec<u64>) -> RawYield {
+        RawYield {
+            report,
+            region: self.region,
+            lost,
+        }
+    }
+}
+
 /// Reads every code on one device under the policy: retry → failover
 /// (mirror buddy *or* parity reconstruction, per the effective
-/// redundancy) → lose. Returns the device report, its records, and the
-/// lost codes.
-fn resilient_device_read(
+/// redundancy) → lose. Returns the device's yield in the sink's form.
+fn resilient_device_read<S: PageSink>(
     devices: &[Arc<Device>],
     device: u64,
     codes: &[u64],
@@ -763,40 +883,38 @@ fn resilient_device_read(
     cost: &CostModel,
     policy: &ExecPolicy,
     addresses_computed: u64,
-) -> DeviceYield {
+) -> S::Yield {
     let FailoverPath { buddy, parity } = failover;
     let dev = &devices[device as usize];
-    let mut records = Vec::new();
+    let mut sink = S::default();
     let mut lost = Vec::new();
     let mut extra_us = 0.0f64;
     let mut retries_total = 0u32;
     let mut failed_over = false;
     let mut reconstructions = 0u32;
     for &code in codes {
-        let (primary, primary_us, primary_retries) =
+        let (served, primary_us, primary_retries) =
             read_with_retry(policy, device, code, |attempt| {
-                dev.read_bucket_attempt(code, attempt)
+                sink.primary(dev, code, attempt)
             });
         extra_us += primary_us;
         retries_total += primary_retries;
-        if let Some(recs) = primary {
-            records.extend_from_slice(&recs);
+        if served {
             continue;
         }
         if let Some(buddy_id) = buddy {
             let buddy_dev = &devices[buddy_id as usize];
-            let (mirror, mirror_us, mirror_retries) =
+            let (served, mirror_us, mirror_retries) =
                 read_with_retry(policy, buddy_id, code, |attempt| {
-                    buddy_dev.read_mirror_attempt(code, attempt)
+                    sink.mirror(buddy_dev, code, attempt)
                 });
             // The failover read and its backoff are charged to the home
             // worker — it is the one waiting on the bucket.
             extra_us += mirror_us + cost.device_time_us(1, 0);
             retries_total += mirror_retries;
-            if let Some(recs) = mirror {
+            if served {
                 obs::counter_add("exec.failover", 1);
                 failed_over = true;
-                records.extend_from_slice(&recs);
                 continue;
             }
         }
@@ -804,15 +922,16 @@ fn resilient_device_read(
             // Degraded read: rebuild the page from its stripe's surviving
             // shards. The shard reads and their injected latency are
             // charged to the home worker, like the mirror failover.
-            if let Ok(page) = store.reconstruct(devices, code, 0) {
-                let charge = cost.device_time_us(u64::from(page.shard_reads), 0)
-                    + page.injected_latency_us as f64;
-                extra_us += charge;
-                obs::counter_add("exec.reconstructions", 1);
-                obs::observe_us("exec.reconstruct_us", charge);
-                reconstructions += 1;
-                records.extend(page.records);
-                continue;
+            if let Ok(page) = store.rebuild(devices, code, 0) {
+                if sink.rebuilt(&page.bytes).is_ok() {
+                    let charge = cost.device_time_us(u64::from(page.shard_reads), 0)
+                        + page.injected_latency_us as f64;
+                    extra_us += charge;
+                    obs::counter_add("exec.reconstructions", 1);
+                    obs::observe_us("exec.reconstruct_us", charge);
+                    reconstructions += 1;
+                    continue;
+                }
             }
         }
         lost.push(code);
@@ -831,34 +950,27 @@ fn resilient_device_read(
     } else {
         DeviceOutcome::Ok
     };
-    DeviceYield {
-        report: DeviceReport {
-            device,
-            qualified_buckets,
-            records: records.len() as u64,
-            addresses_computed,
-            simulated_us,
-            reconstructions,
-            outcome,
-        },
-        records,
-        lost,
-    }
+    let report = DeviceReport {
+        device,
+        qualified_buckets,
+        records: sink.records(),
+        addresses_computed,
+        simulated_us,
+        reconstructions,
+        outcome,
+    };
+    sink.finish(report, lost)
 }
 
 /// One copy's retry loop: attempts `read(attempt)` up to
 /// `policy.retry.max_attempts` times, charging jittered backoff between
 /// attempts to the simulated clock, bounded by the policy's backoff
 /// budget. Outages short-circuit (retrying a dead device cannot help).
-/// Returns `(records-or-None, simulated µs charged, retries performed)`.
-fn read_with_retry<F>(
-    policy: &ExecPolicy,
-    device: u64,
-    code: u64,
-    mut read: F,
-) -> (Option<std::sync::Arc<[Record]>>, f64, u32)
+/// `read` returns the attempt's injected latency on success. Returns
+/// `(served, simulated µs charged, retries performed)`.
+fn read_with_retry<F>(policy: &ExecPolicy, device: u64, code: u64, mut read: F) -> (bool, f64, u32)
 where
-    F: FnMut(u32) -> Result<crate::device::BucketRead, ReadFault>,
+    F: FnMut(u32) -> Result<u64, ReadFault>,
 {
     let mut charged_us = 0.0f64;
     let mut backoff_spent = 0u64;
@@ -866,22 +978,22 @@ where
     let mut attempt = 0u32;
     loop {
         match read(attempt) {
-            Ok(read) => {
-                charged_us += read.injected_latency_us as f64;
-                return (Some(read.records), charged_us, retries);
+            Ok(injected_latency_us) => {
+                charged_us += injected_latency_us as f64;
+                return (true, charged_us, retries);
             }
-            Err(ReadFault::Outage) => return (None, charged_us, retries),
+            Err(ReadFault::Outage) => return (false, charged_us, retries),
             Err(_) => {
                 let next = attempt + 1;
                 if next >= policy.retry.max_attempts {
-                    return (None, charged_us, retries);
+                    return (false, charged_us, retries);
                 }
                 let backoff = policy.retry.backoff_us(next, policy.seed, device, code);
                 if policy.retry.budget_us > 0
                     && backoff_spent.saturating_add(backoff) > policy.retry.budget_us
                 {
                     // Budget exhausted: forfeit the remaining attempts.
-                    return (None, charged_us, retries);
+                    return (false, charged_us, retries);
                 }
                 backoff_spent += backoff;
                 charged_us += backoff as f64;
@@ -1092,7 +1204,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
     }
 
     /// Executes pre-planned queries over this executor's device range and
-    /// returns the raw per-device yields: one `Vec` per query, in query
+    /// returns the unmerged per-device yields: one `Vec` per query, in query
     /// order, each sorted by device.
     ///
     /// This is the node half of the scatter/gather split: a frontend
@@ -1111,14 +1223,41 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         planned: &[PlannedQuery],
         policy: &ExecPolicy,
     ) -> Vec<Vec<DeviceYield>> {
+        self.run_planned::<Decoded>(planned, policy)
+    }
+
+    /// [`Executor::execute_planned`] with each yield's records left as
+    /// the stored page bytes ([`RawYield`]): the same reads, retries,
+    /// failovers and reconstructions, the same reports, but no decode,
+    /// no record clone and no page cache. Every page shipped passed a
+    /// validation walk, so a page corrupt at rest fails over exactly as
+    /// on the decoded path. A node serves its response frames from this.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a worker panic on the calling thread.
+    pub fn execute_planned_raw(
+        &self,
+        planned: &[PlannedQuery],
+        policy: &ExecPolicy,
+    ) -> Vec<Vec<RawYield>> {
+        self.run_planned::<Copied>(planned, policy)
+    }
+
+    /// The one batch pipeline behind both sinks.
+    fn run_planned<S: PageSink>(
+        &self,
+        planned: &[PlannedQuery],
+        policy: &ExecPolicy,
+    ) -> Vec<Vec<S::Yield>> {
         if planned.is_empty() {
             return Vec::new();
         }
-        let workers = self.workers();
+        let workers = self.workers() as usize;
         let _span = pmr_rt::span!(
             "exec.batch",
             queries = planned.len() as u64,
-            devices = workers
+            devices = workers as u64
         );
         obs::counter_add("exec.batch.queries", planned.len() as u64);
         if let Some(capacity) = policy.cache {
@@ -1176,57 +1315,62 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
             policy: policy.clone(),
             plans,
         });
-        let (tx, rx) = mpsc::channel::<Vec<(usize, DeviceYield)>>();
-        for device in self.range.clone() {
+        let (tx, rx) = mpsc::channel::<(usize, Vec<S::Yield>)>();
+        for worker in 0..workers {
             let ctx = Arc::clone(&ctx);
             let tx = tx.clone();
-            self.pool
-                .submit((device - self.range.start) as usize, move |scratch| {
-                    batch_worker(&ctx, device, scratch, &tx)
-                });
+            let device = self.range.start + worker as u64;
+            self.pool.submit(worker, move |scratch| {
+                let yields = batch_worker::<D, S>(&ctx, device, scratch);
+                // Collector gone (batch abandoned) is fine to ignore.
+                let _ = tx.send((worker, yields));
+            });
         }
         drop(tx);
-        let mut yields: Vec<Vec<DeviceYield>> = (0..queries_in_batch)
-            .map(|_| Vec::with_capacity(workers as usize))
-            .collect();
-        for worker_yields in rx {
-            for (query_index, yielded) in worker_yields {
-                yields[query_index].push(yielded);
-            }
+        let mut by_worker: Vec<Option<Vec<S::Yield>>> = (0..workers).map(|_| None).collect();
+        for (worker, yields) in rx {
+            by_worker[worker] = Some(yields);
         }
-        if yields.iter().any(|q| q.len() != workers as usize) {
+        let Some(columns) = by_worker.into_iter().collect::<Option<Vec<_>>>() else {
             // A worker died mid-batch; surface its panic like the scoped
             // executors would.
             if let Some(payload) = self.pool.take_panic() {
                 std::panic::resume_unwind(payload);
             }
             panic!("resident worker stopped without reporting a panic");
-        }
-        for q in &mut yields {
-            q.sort_by_key(|y| y.report.device);
-        }
-        yields
+        };
+        // Workers run the range in device order, so reading one yield
+        // off each worker's column gives a query's yields sorted by
+        // device.
+        let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+        (0..queries_in_batch)
+            .map(|_| {
+                columns
+                    .iter_mut()
+                    .map(|c| c.next().expect("one yield per query per worker"))
+                    .collect()
+            })
+            .collect()
     }
 }
 
 /// One resident worker's share of a batch: for each query, enumerate the
 /// codes this device owns (fast inverse or generic scan, per the
-/// caller-computed plan), read them under the policy, and accumulate the
-/// yield tagged with its query index. All yields post back in **one**
-/// message per worker per batch — per-yield sends would wake the
-/// collector up to `queries × M` times, which on loaded (or few-core)
-/// hosts costs more in futex traffic than the reads themselves. The
-/// codes buffer lives in the worker's scratch — allocated once per
-/// worker lifetime, not once per query.
-fn batch_worker<D: DistributionMethod>(
+/// caller-computed plan), read them under the policy, and return the
+/// yields in query order. The caller posts them back in **one** message
+/// per worker per batch — per-yield sends would wake the collector up to
+/// `queries × M` times, which on loaded (or few-core) hosts costs more
+/// in futex traffic than the reads themselves. The codes buffer lives in
+/// the worker's scratch — allocated once per worker lifetime, not once
+/// per query.
+fn batch_worker<D: DistributionMethod, S: PageSink>(
     ctx: &BatchCtx<D>,
     device: u64,
     scratch: &mut WorkerScratch,
-    results: &mpsc::Sender<Vec<(usize, DeviceYield)>>,
-) {
+) -> Vec<S::Yield> {
     let buddy = ctx.buddies.map(|p| p.buddy_of(device));
     let mut out = Vec::with_capacity(ctx.plans.len());
-    for (query_index, plan) in ctx.plans.iter().enumerate() {
+    for plan in &ctx.plans {
         let _span = pmr_rt::span!("exec.device", device = device);
         let codes: &mut Vec<u64> = scratch.get_or_default();
         codes.clear();
@@ -1244,7 +1388,7 @@ fn batch_worker<D: DistributionMethod>(
             });
             plan.total_qualified
         };
-        let yielded = resilient_device_read(
+        out.push(resilient_device_read::<S>(
             &ctx.devices,
             device,
             codes,
@@ -1255,11 +1399,9 @@ fn batch_worker<D: DistributionMethod>(
             &ctx.cost,
             &ctx.policy,
             addresses_computed,
-        );
-        out.push((query_index, yielded));
+        ));
     }
-    // Collector gone (batch abandoned) is fine to ignore.
-    let _ = results.send(out);
+    out
 }
 
 /// The generic per-device worker: packed inverse scan + bucket reads.

@@ -124,12 +124,24 @@ pub struct ReconstructedPage {
     pub injected_latency_us: u64,
 }
 
+/// A page's stored bytes rebuilt from parity, CRC-verified against the
+/// directory but not decoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RebuiltPage {
+    /// The bucket's page bytes, bit-equal to the last-encoded page.
+    pub bytes: Vec<u8>,
+    /// Stripe-mate and parity reads issued (cost-model accounting).
+    pub shard_reads: u32,
+    /// Injected latency accumulated across shard reads, simulated µs.
+    pub injected_latency_us: u64,
+}
+
 /// The erasure-coded redundancy tier for one device array.
 ///
 /// Construction picks the geometry; [`ParityStore::note_append`] (or
 /// [`ParityStore::note_appends`] for bulk) keeps parity consistent as
-/// records land; [`ParityStore::reconstruct`] serves the degraded read
-/// path.
+/// records land; [`ParityStore::reconstruct`] (or [`ParityStore::rebuild`]
+/// for the undecoded bytes) serves the degraded read path.
 #[derive(Debug)]
 pub struct ParityStore {
     k: usize,
@@ -242,12 +254,35 @@ impl ParityStore {
     }
 
     /// Serves bucket `code` from its stripe when the home device cannot:
-    /// gathers the stripe's other shards (faulted or CRC-dirty shards
-    /// count as erasures, absent members as known zeros), interpolates
-    /// the missing page, CRC-verifies it against the directory, and
-    /// decodes it into records.
+    /// [`ParityStore::rebuild`], then the rebuilt page decoded into
+    /// records.
     ///
-    /// A code with **no stripe** decodes trivially: the directory
+    /// # Errors
+    ///
+    /// [`ReconstructError`] when more than `r` shards are unusable, the
+    /// rebuilt page fails verification, or it does not decode.
+    pub fn reconstruct(
+        &self,
+        devices: &[Arc<Device>],
+        code: u64,
+        attempt: u32,
+    ) -> Result<ReconstructedPage, ReconstructError> {
+        let page = self.rebuild(devices, code, attempt)?;
+        let records = encode::decode_all_bytes(&page.bytes).map_err(ReconstructError::Decode)?;
+        Ok(ReconstructedPage {
+            records,
+            shard_reads: page.shard_reads,
+            injected_latency_us: page.injected_latency_us,
+        })
+    }
+
+    /// Rebuilds bucket `code`'s stored bytes from its stripe: gathers
+    /// the stripe's other shards (faulted or CRC-dirty shards count as
+    /// erasures, absent members as known zeros), interpolates the
+    /// missing page, and CRC-verifies it against the directory. The
+    /// bytes are not decoded.
+    ///
+    /// A code with **no stripe** rebuilds trivially: the directory
     /// enrolls every inserted bucket, so an unenrolled code never held
     /// records and yields the empty page.
     ///
@@ -255,16 +290,16 @@ impl ParityStore {
     ///
     /// [`ReconstructError`] when more than `r` shards are unusable or
     /// the rebuilt page fails verification.
-    pub fn reconstruct(
+    pub fn rebuild(
         &self,
         devices: &[Arc<Device>],
         code: u64,
         attempt: u32,
-    ) -> Result<ReconstructedPage, ReconstructError> {
+    ) -> Result<RebuiltPage, ReconstructError> {
         let dir = self.dir.read();
         let Some(&(s, slot)) = dir.by_code.get(&code) else {
-            return Ok(ReconstructedPage {
-                records: Vec::new(),
+            return Ok(RebuiltPage {
+                bytes: Vec::new(),
                 shard_reads: 0,
                 injected_latency_us: 0,
             });
@@ -336,10 +371,8 @@ impl ParityStore {
         if crc32(&page) != target.crc {
             return Err(ReconstructError::PageCrc);
         }
-        let records = encode::decode_all(pmr_rt::buf::Bytes::copy_from_slice(&page))
-            .map_err(ReconstructError::Decode)?;
-        Ok(ReconstructedPage {
-            records,
+        Ok(RebuiltPage {
+            bytes: page,
             shard_reads,
             injected_latency_us,
         })

@@ -199,10 +199,10 @@ pub fn load<D: DistributionMethod>(
                 PersistError::BadFrame(format!("bucket {bucket}: short page ({e})"))
             })?;
             // Validate the page decodes before installing it.
-            let records = crate::encode::decode_all(pmr_rt::buf::Bytes::from(page.clone()))
+            let records = crate::encode::validate_region(&page)
                 .map_err(|e| PersistError::BadFrame(format!("bucket {bucket}: {e}")))?;
-            loaded_records += records.len() as u64;
-            device.install_page(bucket, &page, records.len() as u64);
+            loaded_records += records;
+            device.install_page(bucket, &page, records);
         }
     }
     if loaded_records != record_count {

@@ -111,6 +111,97 @@ rt_proptest! {
         let _ = encode::decode_all(Bytes::from(bytes));
     }
 
+    /// The validation walk a node runs before shipping a stored page
+    /// agrees with a full decode on every input: the record count on a
+    /// clean page, and the same `DecodeError` variant on a page mutated
+    /// by bit flips, splices, arity and length-field edits, tag edits or
+    /// invalid UTF-8.
+    fn validator_agrees_with_decode_on_mutated_pages(src) {
+        let records = src.vec_of(0..=8, gen_record);
+        let mut page = Vec::new();
+        // Offsets of every arity field, tag byte, length field and
+        // string payload, for targeted edits.
+        let (mut arities, mut tags, mut lens, mut strs) = (vec![], vec![], vec![], vec![]);
+        for r in &records {
+            let mut buf = BytesMut::new();
+            encode::encode_record(r, &mut buf);
+            assert_eq!(buf.len(), encode::encoded_len(r));
+            arities.push(page.len());
+            let mut at = page.len() + 4;
+            for v in r.values() {
+                tags.push(at);
+                at += match v {
+                    Value::Int(_) => 9,
+                    Value::Str(s) => {
+                        lens.push(at + 1);
+                        if !s.is_empty() {
+                            strs.push((at + 5, s.len()));
+                        }
+                        5 + s.len()
+                    }
+                    Value::Bytes(b) => {
+                        lens.push(at + 1);
+                        5 + b.len()
+                    }
+                };
+            }
+            page.extend_from_slice(&buf);
+        }
+        let check = |bytes: &[u8]| {
+            assert_eq!(
+                encode::validate_region(bytes),
+                encode::decode_all_bytes(bytes).map(|r| r.len() as u64),
+                "validator and decode disagree on {bytes:02x?}"
+            );
+        };
+        check(&page);
+        assert_eq!(encode::validate_region(&page), Ok(records.len() as u64));
+        for _ in 0..src.int_in(1, 6) {
+            let mut bytes = page.clone();
+            let pick = |s: &mut Source, xs: &[usize]| xs[s.usize_in(0..=xs.len() - 1)];
+            match src.arm(7) {
+                0 if !bytes.is_empty() => {
+                    for _ in 0..src.int_in(1, 3) {
+                        let at = src.usize_in(0..=bytes.len() - 1);
+                        bytes[at] ^= 1 << src.int_in(0, 7);
+                    }
+                }
+                1 if !bytes.is_empty() => {
+                    // Splice: cut a range, or insert random bytes.
+                    let from = src.usize_in(0..=bytes.len() - 1);
+                    let to = src.usize_in(from..=bytes.len());
+                    let inserted = src.vec_of(0..=8, |s| s.any_u8());
+                    bytes.splice(from..to, inserted);
+                }
+                2 if !arities.is_empty() => {
+                    let at = pick(src, &arities);
+                    let arity = match src.arm(3) {
+                        0 => u32::MAX,
+                        1 => src.u32_in(0..=12),
+                        _ => u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+                            .wrapping_add(1),
+                    };
+                    bytes[at..at + 4].copy_from_slice(&arity.to_le_bytes());
+                }
+                3 if !lens.is_empty() => {
+                    let at = pick(src, &lens);
+                    let len = if src.weighted(0.5) { src.u32_in(0..=64) } else { u32::MAX };
+                    bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                }
+                4 if !tags.is_empty() => {
+                    let at = pick(src, &tags);
+                    bytes[at] = src.any_u8();
+                }
+                5 if !strs.is_empty() => {
+                    let (at, len) = strs[src.usize_in(0..=strs.len() - 1)];
+                    bytes[at + src.usize_in(0..=len - 1)] = 0xff;
+                }
+                _ => bytes.truncate(src.usize_in(0..=bytes.len())),
+            }
+            check(&bytes);
+        }
+    }
+
     /// End-to-end conservation: N inserted records are split across
     /// devices summing to N, and a full-scan query retrieves all of them,
     /// identically under the generic and FX-specialised executors.

@@ -6,12 +6,12 @@
 
 use pmr_bench::suite::{run_all, write_baselines, SuiteOpts};
 
-/// The `pmr loadgen --check --cache` replay contract, in-process: a
-/// 4-node cluster answers a seeded query mix with the identical
-/// order-independent checksum whether the decoded-page cache is at its
-/// default, disabled, or re-enabled at a small capacity — and every
-/// variant matches the single-process batch executor over the same
-/// queries.
+/// The `pmr loadgen --check` replay contract, in-process: a 4-node
+/// cluster answers a seeded query mix with the identical
+/// order-independent checksum whether the devices' decoded-page cache is
+/// at its default, disabled, or re-enabled at a small capacity (nodes
+/// ship stored page bytes and never read it) — and every variant
+/// matches the single-process batch executor over the same queries.
 #[test]
 fn loadgen_replay_checksum_is_cache_invariant() {
     use pmr_core::{FxDistribution, SystemConfig};
