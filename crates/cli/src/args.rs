@@ -15,7 +15,7 @@ USAGE:
 
   pmr simulate --fields F1,F2,... --devices M --records N [--seed K]
                [--trace T] [--json] [--faults SPEC] [--retry POLICY]
-               [--mirror] [--batch B] [--cache P]
+               [--mirror] [--redundancy R] [--batch B] [--cache P]
       Build a synthetic declustered file and execute sample queries in
       parallel, reporting balance and simulated speedup. With --faults /
       --retry / --mirror the fault-aware executor runs instead: injected
@@ -33,7 +33,7 @@ USAGE:
 
   pmr chaos [--fields F1,F2,... --devices M] [--records N] [--seed K]
             [--rates R1,R2,...] [--queries Q] [--retry POLICY]
-            [--outage D] [--no-mirror] [--cache P] [--json]
+            [--outage D] [--redundancy R] [--no-mirror] [--cache P] [--json]
       Sweep fault-injection rates over a system (default: the paper's
       Table 7 system, F = 8^6, M = 32) and print a coverage /
       response-time-inflation table. Mirroring + failover are on unless
@@ -123,7 +123,25 @@ OPTIONS:
   --check     loadgen: verify the checksum against a single-process run
   --cluster   stats: render the merged node{N}.* telemetry per node
   --outage    chaos: additionally kill device D at every swept rate
-  --no-mirror chaos: disable mirroring/failover (shows degradation)";
+  --redundancy  simulate/chaos: none | mirror | parity | parity:K,R
+              (chaos default mirror; simulate default none, or mirror
+              with --mirror)
+  --no-mirror chaos: disable mirroring/failover (shows degradation)
+  --max-fields   verify: largest field count in the grid (default 3)
+  --max-buckets  verify: largest bucket count in the grid (default 512)
+
+Every flag is accepted at most once; a name missing from this list is
+an error.";
+
+/// `true` when `name` is one of the flags listed under `OPTIONS:` in
+/// [`USAGE`] — the help text is the one list of accepted flags.
+fn documented(name: &str) -> bool {
+    let options = USAGE.split_once("\nOPTIONS:\n").map_or("", |(_, o)| o);
+    options
+        .lines()
+        .filter_map(|line| line.strip_prefix("  --"))
+        .any(|line| line.split_whitespace().next() == Some(name))
+}
 
 /// Parsed `--flag value` pairs.
 pub struct Flags<'a> {
@@ -135,14 +153,21 @@ const BOOLEAN_FLAGS: [&str; 5] = ["json", "mirror", "no-mirror", "check", "clust
 
 impl<'a> Flags<'a> {
     /// Parses `--name value` pairs (and bare boolean flags like
-    /// `--json`); rejects stray arguments.
+    /// `--json`); rejects stray arguments, names missing from the
+    /// `OPTIONS` list of [`USAGE`], and repeated names.
     pub fn parse(args: &'a [String]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(format!("unexpected argument {flag:?}"));
             };
+            if !documented(name) {
+                return Err(format!("unknown flag --{name} (see pmr --help)"));
+            }
+            if pairs.iter().any(|(n, _)| *n == name) {
+                return Err(format!("flag --{name} given more than once"));
+            }
             if BOOLEAN_FLAGS.contains(&name) {
                 pairs.push((name, "true"));
                 continue;
@@ -258,5 +283,65 @@ mod tests {
         assert!(Flags::parse(&bad_strategy).unwrap().strategy().is_err());
         let empty = argv(&[]);
         assert!(Flags::parse(&empty).unwrap().require("fields").is_err());
+    }
+
+    /// A misspelt flag is an error, not a silent default.
+    #[test]
+    fn rejects_unknown_flags() {
+        let err = Flags::parse(&argv(&["--recods", "10"])).err().unwrap();
+        assert!(err.contains("--recods"), "{err}");
+        assert!(Flags::parse(&argv(&["--seed", "1", "--verbose"])).is_err());
+        assert!(Flags::parse(&argv(&["--", "1"])).is_err());
+    }
+
+    /// A flag given twice is an error, not first-one-wins.
+    #[test]
+    fn rejects_repeated_flags() {
+        let err = Flags::parse(&argv(&["--seed", "1", "--seed", "2"]))
+            .err()
+            .unwrap();
+        assert!(err.contains("--seed"), "{err}");
+        assert!(Flags::parse(&argv(&["--json", "--json"])).is_err());
+    }
+
+    /// Every flag a command reads is documented, so it parses; the
+    /// OPTIONS scan picks up names at every indentation the list uses.
+    #[test]
+    fn accepts_every_documented_flag() {
+        for name in [
+            "fields",
+            "devices",
+            "strategy",
+            "records",
+            "seed",
+            "steps",
+            "probs",
+            "bits",
+            "trace",
+            "faults",
+            "retry",
+            "batch",
+            "rates",
+            "queries",
+            "nodes",
+            "concurrency",
+            "spread",
+            "deadline-ms",
+            "drop",
+            "kill-node",
+            "kill-at",
+            "watch",
+            "cache",
+            "outage",
+            "redundancy",
+            "max-fields",
+            "max-buckets",
+        ] {
+            let args = argv(&[&format!("--{name}"), "1"]);
+            assert!(Flags::parse(&args).is_ok(), "--{name}");
+        }
+        for name in BOOLEAN_FLAGS {
+            assert!(documented(name), "--{name}");
+        }
     }
 }

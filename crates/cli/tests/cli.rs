@@ -55,6 +55,38 @@ fn serve_and_loadgen_refuse_cache() {
     }
 }
 
+/// A misspelt or repeated flag fails the command instead of running it
+/// with defaults (or with the first of two values).
+#[test]
+fn unknown_and_repeated_flags_fail() {
+    let out = pmr(&["simulate", "--recods", "10"]);
+    assert!(!out.status.success(), "misspelt flag ran");
+    assert!(
+        stderr(&out).contains("unknown flag --recods"),
+        "{}",
+        stderr(&out)
+    );
+    let out = pmr(&[
+        "simulate",
+        "--fields",
+        "8,8",
+        "--devices",
+        "4",
+        "--records",
+        "10",
+        "--seed",
+        "1",
+        "--seed",
+        "2",
+    ]);
+    assert!(!out.status.success(), "repeated flag ran");
+    assert!(
+        stderr(&out).contains("--seed given more than once"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 #[test]
 fn distribute_prints_table_1_system() {
     let out = pmr(&["distribute", "--fields", "2,8", "--devices", "4"]);

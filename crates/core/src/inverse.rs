@@ -19,11 +19,18 @@
 //!   Cost `O(|R(q)| / M)` amortised per device (output-sensitive): each
 //!   device enumerates only what it owns, so the `M` devices collectively
 //!   do `O(|R(q)|)` work.
+//!
+//! Both also come **routed** ([`for_each_routed_code`],
+//! [`FxInverse::for_each_routed_code`]): one enumeration serves a whole
+//! contiguous device range and hands each code to its device, so a
+//! thread carrying several devices scans `R(q)` once, not once per
+//! device. The per-device forms are the one-device case.
 
 use crate::fx::FxDistribution;
 use crate::method::DistributionMethod;
 use crate::query::{PartialMatchQuery, Pattern};
 use crate::system::SystemConfig;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Generic inverse mapping: qualified buckets of `query` on `device`,
@@ -69,7 +76,8 @@ pub fn for_each_device_bucket<D, F>(
 /// qualified bucket of `query` on `device`, in query-odometer order.
 ///
 /// Codes are linear indices ([`SystemConfig::packed_layout`]), so they key
-/// device stores directly; the whole scan touches no tuple at all.
+/// device stores directly; the whole scan touches no tuple at all. This
+/// is the one-device case of [`for_each_routed_code`].
 pub fn for_each_device_code<D, F>(
     method: &D,
     sys: &SystemConfig,
@@ -79,6 +87,26 @@ pub fn for_each_device_code<D, F>(
 ) where
     D: DistributionMethod + ?Sized,
     F: FnMut(u64),
+{
+    for_each_routed_code(method, sys, query, device..device + 1, |_, code| f(code));
+}
+
+/// Routed generic inverse mapping: scans `R(q)` **once** and hands every
+/// qualified code whose device lies in `devices` to `f(device, code)`.
+///
+/// Codes arrive in query-odometer order, so each device receives exactly
+/// the codes [`for_each_device_code`] visits for it, in the same order.
+/// One scan serves a whole contiguous device range: `|R(q)|` address
+/// computations in total, instead of `|R(q)|` per device.
+pub fn for_each_routed_code<D, F>(
+    method: &D,
+    sys: &SystemConfig,
+    query: &PartialMatchQuery,
+    devices: Range<u64>,
+    mut f: F,
+) where
+    D: DistributionMethod + ?Sized,
+    F: FnMut(u64, u64),
 {
     // Odometer codes are drained into a reusable stack buffer and scored
     // in bulk through `device_of_batch`, so the per-code cost is one lane
@@ -106,9 +134,9 @@ pub fn for_each_device_code<D, F>(
         }
         method.device_of_batch(&codes[..n], &mut devs[..n]);
         for i in 0..n {
-            if devs[i] == device {
+            if devices.contains(&devs[i]) {
                 owned += 1;
-                f(codes[i]);
+                f(devs[i], codes[i]);
             }
         }
         if n < BATCH {
@@ -306,23 +334,33 @@ impl<'a> FxInverse<'a> {
 
     /// Visits the packed code of every qualified bucket on `device` —
     /// the allocation-free hot path. Codes are linear indices, directly
-    /// usable as device-store keys.
+    /// usable as device-store keys. The one-device case of
+    /// [`FxInverse::for_each_routed_code`].
     ///
     /// Cost: `O(|R(q)| / F_pivot)` free-field odometer settings, each
     /// emitting exactly its share of owned buckets — `O(|R(q)| / M)`
     /// amortised per device, `O(|R(q)|)` across all `M` devices, versus
     /// `O(M · |R(q)|)` for the generic per-device scan.
     pub fn for_each_code_on<F: FnMut(u64)>(&self, device: u64, mut f: F) {
+        self.for_each_routed_code(device..device + 1, |_, code| f(code));
+    }
+
+    /// Visits every qualified bucket on the devices in `devices` as
+    /// `f(device, code)`, walking the free-field odometer **once** for
+    /// the whole range. Each device receives exactly the codes
+    /// [`FxInverse::for_each_code_on`] visits for it, in the same order.
+    pub fn for_each_routed_code<F: FnMut(u64, u64)>(&self, devices: Range<u64>, mut f: F) {
         let sys = self.fx.system();
         let m = sys.devices();
-        debug_assert!(device < m);
+        debug_assert!(devices.end <= m);
         let plan = &*self.plan;
 
         if plan.pivot.is_none() {
-            // Exact-match query: single bucket, on the device iff the
-            // device address matches.
-            if crate::bits::t_m(self.h, m) == device {
-                f(self.base_code);
+            // Exact-match query: single bucket, on the device its
+            // address names.
+            let device = crate::bits::t_m(self.h, m);
+            if devices.contains(&device) {
+                f(device, self.base_code);
                 pmr_rt::obs::counter_add("inverse.codes_enumerated", 1);
             }
             return;
@@ -334,20 +372,22 @@ impl<'a> FxInverse<'a> {
         // must satisfy
         //   T_M(h ⊕ acc ⊕ X_p(J_p)) = device
         // ⇔ T_M(X_p(J_p)) = device ⊕ T_M(h ⊕ acc),
-        // so the candidates are exactly one residue class, pre-shifted
-        // into packed position.
+        // so each device's candidates are exactly one residue class,
+        // pre-shifted into packed position.
         let mut code = self.base_code;
         loop {
             let mut acc = self.h;
             for ff in &plan.free_fields {
                 acc ^= self.fx.apply_field(ff.field, (code >> ff.shift) & ff.mask);
             }
-            let class = device ^ crate::bits::t_m(acc, m);
-            let class_codes = &plan.pivot_class_codes[class as usize];
-            emitted += class_codes.len() as u64;
-            for &jcode in class_codes {
-                debug_assert_eq!(self.fx.device_of_packed(code | jcode), device);
-                f(code | jcode);
+            let rotation = crate::bits::t_m(acc, m);
+            for device in devices.clone() {
+                let class_codes = &plan.pivot_class_codes[(device ^ rotation) as usize];
+                emitted += class_codes.len() as u64;
+                for &jcode in class_codes {
+                    debug_assert_eq!(self.fx.device_of_packed(code | jcode), device);
+                    f(device, code | jcode);
+                }
             }
             // Advance the free-field odometer (last field fastest).
             let mut advanced = false;
@@ -370,34 +410,6 @@ impl<'a> FxInverse<'a> {
     #[inline]
     pub fn plan(&self) -> &InversePlan {
         &self.plan
-    }
-
-    /// Decomposes the mapping into its query-level parts: the XOR
-    /// constant `h`, the packed base code, and the shared pattern plan.
-    /// Together with [`FxInverse::from_parts`] this lets a batch executor
-    /// derive the parts once per query and rebuild the mapping on every
-    /// per-device worker without re-entering the plan cache.
-    #[inline]
-    pub fn into_parts(self) -> (u64, u64, Arc<InversePlan>) {
-        (self.h, self.base_code, self.plan)
-    }
-
-    /// Rebuilds a mapping from parts produced by
-    /// [`FxInverse::into_parts`] under the same distribution and query —
-    /// no transforms applied, no plan-cache lookup, just an `Arc` clone.
-    #[inline]
-    pub fn from_parts(
-        fx: &'a FxDistribution,
-        h: u64,
-        base_code: u64,
-        plan: Arc<InversePlan>,
-    ) -> Self {
-        FxInverse {
-            fx,
-            h,
-            base_code,
-            plan,
-        }
     }
 }
 
@@ -524,6 +536,32 @@ mod tests {
                     from_buckets.sort_unstable();
                     assert_eq!(fast_codes, scan_codes, "{sys} query {q} device {device}");
                     assert_eq!(fast_codes, from_buckets, "{sys} query {q} device {device}");
+                }
+            }
+        }
+    }
+
+    /// The routed FX walk gives every device of every range exactly the
+    /// codes `for_each_code_on` gives it, in the same order.
+    #[test]
+    fn routed_fx_walk_matches_per_device_walk() {
+        let sys = SystemConfig::new(&[2, 4, 2], 8).unwrap();
+        let fx = FxDistribution::with_strategy(sys.clone(), AssignmentStrategy::CycleIu1).unwrap();
+        let m = sys.devices();
+        for q in all_queries(&sys) {
+            let inv = FxInverse::new(&fx, &q);
+            for (start, end) in [(0, m), (0, 1), (2, 5), (m - 1, m)] {
+                let mut routed = vec![Vec::new(); m as usize];
+                inv.for_each_routed_code(start..end, |d, c| routed[d as usize].push(c));
+                for device in 0..m {
+                    let mut want = Vec::new();
+                    if (start..end).contains(&device) {
+                        inv.for_each_code_on(device, |c| want.push(c));
+                    }
+                    assert_eq!(
+                        routed[device as usize], want,
+                        "{q} {start}..{end} d{device}"
+                    );
                 }
             }
         }

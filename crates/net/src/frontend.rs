@@ -51,14 +51,13 @@ use crate::transport::{Duplex, FrameRx, FrameTx};
 use crate::wire::{
     self, GatherResponse, Message, ScatterRequest, TraceContext, WirePolicy, WireQuery,
 };
-use pmr_core::inverse::{for_each_device_code, FxInverse};
 use pmr_core::method::DistributionMethod;
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_rt::obs;
 use pmr_rt::obs::snapshot::{absorb, MetricsSnapshot, HIST_BUCKETS};
 use pmr_storage::exec::{
-    merge_device_yields, plan_query, DeviceOutcome, DeviceReport, DeviceYield, ExecPolicy,
-    ExecutionReport, PlannedQuery,
+    merge_device_yields, plan_query, route_planned, DeviceOutcome, DeviceReport, DeviceYield,
+    ExecPolicy, ExecutionReport, PlannedQuery,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -577,11 +576,13 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                 for (i, link) in self.nodes.iter().enumerate() {
                     match per_node[i].as_mut().and_then(Iterator::next) {
                         Some(node_yields) => yields.extend(node_yields),
-                        None => {
-                            for device in link.range.clone() {
-                                yields.push(lost_yield(&self.sys, &*self.method, p, device));
-                            }
-                        }
+                        None => lost_yields(
+                            &self.sys,
+                            &*self.method,
+                            p,
+                            link.range.clone(),
+                            &mut yields,
+                        ),
                     }
                 }
                 merge_device_yields(yields, policy.effective_redundancy())
@@ -636,40 +637,34 @@ fn spawn_collector(
         .expect("spawn collector thread")
 }
 
-/// The degraded stand-in for one device of a node that never answered:
-/// the frontend enumerates the device's qualified buckets itself (it has
-/// the plan) and reports them all lost. `simulated_us` stays `0` — wall
-/// deadlines are not simulated device time.
-fn lost_yield<D: DistributionMethod>(
+/// The degraded stand-ins for the devices of a node that never
+/// answered: the frontend routes the query's qualified buckets over the
+/// node's whole range once (it has the plan) and reports each device's
+/// share lost. `simulated_us` stays `0` — wall deadlines are not
+/// simulated device time.
+fn lost_yields<D: DistributionMethod>(
     sys: &SystemConfig,
     method: &D,
     planned: &PlannedQuery,
-    device: u64,
-) -> DeviceYield {
-    let mut codes = Vec::new();
-    if planned.fast_path {
-        let fx = method.as_fx().expect("a fast plan implies an FX method");
-        FxInverse::new(fx, &planned.query).for_each_code_on(device, |code| codes.push(code));
-    } else {
-        for_each_device_code(method, sys, &planned.query, device, |code| codes.push(code));
-    }
-    let qualified_buckets = codes.len() as u64;
-    let addresses_computed = if planned.fast_path {
-        planned.free_combos + qualified_buckets
-    } else {
-        planned.total_qualified
-    };
-    DeviceYield {
-        report: DeviceReport {
-            device,
-            qualified_buckets,
-            records: 0,
-            addresses_computed,
-            simulated_us: 0.0,
-            reconstructions: 0,
-            outcome: DeviceOutcome::Lost,
-        },
-        records: Vec::new(),
-        lost: codes,
-    }
+    range: Range<u64>,
+    out: &mut Vec<DeviceYield>,
+) {
+    let mut codes = vec![Vec::new(); (range.end - range.start) as usize];
+    route_planned(sys, method, planned, range.clone(), &mut codes);
+    out.extend(range.zip(codes).map(|(device, lost)| {
+        let qualified_buckets = lost.len() as u64;
+        DeviceYield {
+            report: DeviceReport {
+                device,
+                qualified_buckets,
+                records: 0,
+                addresses_computed: planned.addresses_computed(qualified_buckets),
+                simulated_us: 0.0,
+                reconstructions: 0,
+                outcome: DeviceOutcome::Lost,
+            },
+            records: Vec::new(),
+            lost,
+        }
+    }));
 }

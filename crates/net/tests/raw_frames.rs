@@ -6,7 +6,8 @@
 //! `encode_message` over the decoded yields of the same planned batch,
 //! across every redundancy tier, every fault kind (outage, transient
 //! I/O, transient corruption, corruption at rest) and the page cache on
-//! or off — so the frontend cannot tell the paths apart.
+//! or off, and at every chunk count the executor splits its range
+//! into — so the frontend cannot tell the paths apart.
 
 use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
 use pmr_mkh::{FieldType, Record, Schema, Value};
@@ -109,7 +110,11 @@ rt_proptest! {
 
         let start = src.int_in(0, m - 1);
         let end = src.int_in(start + 1, m);
-        let exec = Executor::for_device_range(&file, CostModel::main_memory(), start..end);
+        // Every chunk count the executor can split the range into: one
+        // chunk, two, three, one per device.
+        let chunks = [1, 2, 3, (end - start) as usize][src.arm(4)];
+        let exec = Executor::for_device_range(&file, CostModel::main_memory(), start..end)
+            .with_chunks(chunks);
         let planned: Vec<PlannedQuery> = src
             .vec_of(1..=6, |s| gen_query(s, &sys))
             .iter()
@@ -134,6 +139,13 @@ rt_proptest! {
         let raw = exec.execute_planned_raw(&planned, &policy);
         let warm = exec.execute_planned(&planned, &policy);
         assert_eq!(decoded, warm, "decoded path is deterministic");
+        let one_chunk = Executor::for_device_range(&file, CostModel::main_memory(), start..end)
+            .with_chunks(1);
+        assert_eq!(
+            one_chunk.execute_planned(&planned, &policy),
+            decoded,
+            "{chunks} chunks diverged from one"
+        );
 
         let (request_id, busy_us) = (src.any_u64(), src.any_u64());
         let node = src.u32_in(0..=7);
@@ -145,6 +157,6 @@ rt_proptest! {
             telemetry: telemetry.clone(),
         }));
         let got = wire::encode_response(request_id, node, busy_us, &raw, telemetry.as_ref());
-        assert_eq!(got, want, "raw frame diverged under {redundancy}");
+        assert_eq!(got, want, "raw frame diverged under {redundancy}, {chunks} chunks");
     }
 }

@@ -5,10 +5,11 @@
 //! call — the right shape for a one-shot query, and measurably the wrong
 //! one for a query *stream*: on the recorded baselines the spawn/join
 //! overhead alone made the parallel executor slower than a serial scan.
-//! [`ResidentPool`] keeps `M` workers alive across calls instead (the
-//! paper's symmetric-device model: worker `i` *is* device `i`), so
-//! steady-state dispatch is one mailbox push and one `unpark` — no
-//! thread creation anywhere on the hot path.
+//! [`ResidentPool`] keeps its workers alive across calls instead (the
+//! batch executor starts one per core beyond the caller's, each carrying
+//! a contiguous chunk of devices), so steady-state dispatch is one
+//! mailbox push and one `unpark` — no thread creation anywhere on the
+//! hot path.
 //!
 //! Design, std primitives only (hermetic — no crossbeam):
 //!
@@ -21,9 +22,6 @@
 //!   pushing. `unpark` on a not-yet-parked thread stores a token that
 //!   makes the next `park` return immediately, so the push→park race is
 //!   benign; spurious wakeups just re-check the queue.
-//! * **Scratch** — every worker owns a [`WorkerScratch`]: typed,
-//!   lazily-created slots that jobs on that worker reuse across calls
-//!   (e.g. a codes buffer reused across every query of a batch).
 //! * **Panics** — a panicking job is caught, counted
 //!   (`pool.resident.job_panics`), and stored; the worker survives.
 //!   Callers that need propagation take the payload with
@@ -43,7 +41,7 @@
 //! let (tx, rx) = mpsc::channel();
 //! for w in 0..4 {
 //!     let tx = tx.clone();
-//!     pool.submit(w, move |_scratch| tx.send(w * 10).unwrap());
+//!     pool.submit(w, move || tx.send(w * 10).unwrap());
 //! }
 //! drop(tx);
 //! let mut out: Vec<usize> = rx.iter().collect();
@@ -61,33 +59,7 @@ use std::thread::JoinHandle;
 
 /// A job queued onto one worker. Jobs are `'static`: a resident worker
 /// outlives any caller's stack frame, so shared state crosses by `Arc`.
-type Job = Box<dyn FnOnce(&mut WorkerScratch) + Send + 'static>;
-
-/// Per-worker reusable state: typed slots created on first use and kept
-/// alive for the worker's lifetime, so jobs running on the same worker
-/// can reuse allocations (buffers, caches) across calls.
-#[derive(Default)]
-pub struct WorkerScratch {
-    slots: Vec<Box<dyn Any + Send>>,
-}
-
-impl WorkerScratch {
-    /// The worker's slot of type `T`, created via `Default` on first
-    /// request. At most one slot per type exists per worker.
-    pub fn get_or_default<T: Any + Send + Default>(&mut self) -> &mut T {
-        if let Some(pos) = self.slots.iter().position(|s| s.is::<T>()) {
-            return self.slots[pos]
-                .downcast_mut()
-                .expect("slot position was type-checked");
-        }
-        self.slots.push(Box::new(T::default()));
-        self.slots
-            .last_mut()
-            .expect("just pushed")
-            .downcast_mut()
-            .expect("slot was just created with type T")
-    }
-}
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// State shared between the pool handle and its workers.
 struct Shared {
@@ -143,7 +115,7 @@ impl ResidentPool {
     /// If `worker` is out of range.
     pub fn submit<F>(&self, worker: usize, job: F)
     where
-        F: FnOnce(&mut WorkerScratch) + Send + 'static,
+        F: FnOnce() + Send + 'static,
     {
         let depth = {
             let mut mailbox = self.shared.mailboxes[worker].lock();
@@ -185,7 +157,6 @@ impl Drop for ResidentPool {
 }
 
 fn worker_loop(shared: &Shared, index: usize) {
-    let mut scratch = WorkerScratch::default();
     let mut executed = 0u64;
     let mut parks = 0u64;
     loop {
@@ -193,7 +164,7 @@ fn worker_loop(shared: &Shared, index: usize) {
         match job {
             Some(job) => {
                 executed += 1;
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(&mut scratch))) {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
                     crate::obs::counter_add("pool.resident.job_panics", 1);
                     let mut slot = shared.panic.lock();
                     if slot.is_none() {
@@ -229,7 +200,7 @@ mod tests {
         for round in 0..5u64 {
             for w in 0..3usize {
                 let tx = tx.clone();
-                pool.submit(w, move |_| tx.send((w, round)).unwrap());
+                pool.submit(w, move || tx.send((w, round)).unwrap());
             }
         }
         drop(tx);
@@ -245,40 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn scratch_persists_across_jobs_on_one_worker() {
-        let pool = ResidentPool::new(2);
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..4 {
-            let tx = tx.clone();
-            pool.submit(0, move |scratch| {
-                let buf: &mut Vec<u64> = scratch.get_or_default();
-                buf.push(buf.len() as u64);
-                tx.send(buf.clone()).unwrap();
-            });
-        }
-        drop(tx);
-        let lengths: Vec<usize> = rx.iter().map(|v| v.len()).collect();
-        // The same Vec grew across all four jobs: reuse, not re-creation.
-        assert_eq!(lengths, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn scratch_slots_are_typed() {
-        let mut scratch = WorkerScratch::default();
-        scratch.get_or_default::<Vec<u64>>().push(7);
-        *scratch.get_or_default::<u64>() += 3;
-        assert_eq!(scratch.get_or_default::<Vec<u64>>(), &vec![7]);
-        assert_eq!(*scratch.get_or_default::<u64>(), 3);
-    }
-
-    #[test]
     fn drop_drains_pending_jobs() {
         let counter = Arc::new(AtomicU64::new(0));
         {
             let pool = ResidentPool::new(2);
             for i in 0..64u64 {
                 let counter = counter.clone();
-                pool.submit((i % 2) as usize, move |_| {
+                pool.submit((i % 2) as usize, move || {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -290,8 +234,8 @@ mod tests {
     fn panicking_job_is_contained_and_reported() {
         let pool = ResidentPool::new(1);
         let (tx, rx) = mpsc::channel();
-        pool.submit(0, |_| panic!("job exploded"));
-        pool.submit(0, move |_| tx.send(42u64).unwrap());
+        pool.submit(0, || panic!("job exploded"));
+        pool.submit(0, move || tx.send(42u64).unwrap());
         // The worker survived the panic and ran the next job.
         assert_eq!(rx.recv().unwrap(), 42);
         let payload = pool.take_panic().expect("panic payload stored");
@@ -305,7 +249,7 @@ mod tests {
         let pool = ResidentPool::new(0);
         assert_eq!(pool.workers(), 1);
         let (tx, rx) = mpsc::channel();
-        pool.submit(0, move |_| tx.send(1u8).unwrap());
+        pool.submit(0, move || tx.send(1u8).unwrap());
         assert_eq!(rx.recv().unwrap(), 1);
     }
 }

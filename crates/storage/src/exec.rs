@@ -25,9 +25,11 @@
 //! those fall back to the scan. Results are identical either way — only
 //! `addresses_computed` differs.
 //!
-//! For query *streams*, [`Executor`] keeps the device workers resident
-//! ([`pmr_rt::pool::resident`]) and pipelines whole batches through them
-//! with no per-query thread spawn/join ([`Executor::execute_batch`]).
+//! For query *streams*, [`Executor`] pipelines whole batches with no
+//! per-query thread spawn/join ([`Executor::execute_batch`]): its devices
+//! run in at most one contiguous chunk per core, the first on the calling
+//! thread and the rest on resident workers ([`pmr_rt::pool::resident`]),
+//! and each chunk enumerates a query once for all of its devices.
 
 use crate::cost::CostModel;
 use crate::device::{Device, ReadFault};
@@ -35,14 +37,15 @@ use crate::encode::{self, DecodeError};
 use crate::file::{DeclusteredFile, FileError};
 use crate::mirror::Mirroring;
 use crate::parity::ParityStore;
-use pmr_core::inverse::{for_each_device_code, FxInverse, InversePlan};
+use pmr_core::inverse::{for_each_device_code, for_each_routed_code, FxInverse};
 use pmr_core::method::DistributionMethod;
 use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
 use pmr_mkh::Record;
 use pmr_rt::fault::RetryPolicy;
 use pmr_rt::obs::{self, TraceSummary};
-use pmr_rt::pool::resident::{ResidentPool, WorkerScratch};
+use pmr_rt::pool::resident::ResidentPool;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{mpsc, Arc};
 
 /// How one device's share of a query was ultimately served.
@@ -421,8 +424,8 @@ fn assemble(
 ) -> ExecutionReport {
     yields.sort_by_key(|y| y.report.device);
     let mut per_device = Vec::with_capacity(yields.len());
-    let mut records = Vec::new();
-    let mut lost_buckets = Vec::new();
+    let mut records = Vec::with_capacity(yields.iter().map(|y| y.records.len()).sum());
+    let mut lost_buckets = Vec::with_capacity(yields.iter().map(|y| y.lost.len()).sum());
     for DeviceYield {
         report,
         records: mut recs,
@@ -1006,24 +1009,48 @@ where
     }
 }
 
-/// A resident query executor: `M` long-lived pinned workers (one per
-/// device — the paper's symmetric-device model) fed through per-device
-/// mailboxes, so a stream of queries pays zero thread spawn/join.
+/// Break-even for fanning a batch out across threads, in qualified
+/// buckets per batch (the executor's expected share of `Σ |R(q)|`).
+/// Below it the whole device range runs as one chunk on the calling
+/// thread: waking a resident worker and collecting its result costs
+/// about as much as serving this many buckets inline. Calibrated like
+/// [`FAST_PATH_SETUP_ADDR`]: on a 2-core x86-64 host, batches of 1–256
+/// queries with 0–3 open fields on the Table 7 file (20k records,
+/// mirrored) ran one chunk against two. Two chunks lost on every mix
+/// below ~1,000 qualified buckets and won or tied on every mix from
+/// 2,048 on.
+const FAN_OUT_BREAK_EVEN: u64 = 2048;
+
+/// A resident query executor: the paper's `M` per-device workers, carried
+/// by at most one thread per core and fed whole batches, so a stream of
+/// queries pays no thread spawn/join.
 ///
 /// [`Executor::new`] snapshots the file's devices, method, mirroring
 /// pairing, and a cost model; [`Executor::execute_batch`] then pipelines
-/// any number of queries through the workers. Devices are shared by
+/// any number of queries through the devices. Devices are shared by
 /// `Arc`, so a [`pmr_rt::fault::FaultPlan`] installed on the file *after*
-/// construction is honoured by the resident workers. The mirroring
-/// pairing, by contrast, is snapshotted — construct the executor after
+/// construction is honoured. The mirroring pairing, by contrast, is
+/// snapshotted — construct the executor after
 /// [`DeclusteredFile::enable_mirroring`].
+///
+/// **Threads.** The device range splits into `min(cores, devices)`
+/// contiguous *chunks* (`cores` is `available_parallelism`, read once at
+/// construction). Chunk 0 runs on the calling thread; the others run on
+/// resident workers ([`pmr_rt::pool::resident`]), so a pinned or
+/// single-core process starts no worker at all. A batch qualifying fewer
+/// buckets than `FAN_OUT_BREAK_EVEN` runs as one chunk on the caller:
+/// there the hand-off costs more than the reads it would spread. Within
+/// a chunk each query is enumerated **once** and its codes routed to the
+/// chunk's devices ([`for_each_routed_code`],
+/// [`FxInverse::for_each_routed_code`]); every device then reads its
+/// codes through the same policy path as [`execute_parallel_with`].
 ///
 /// Fault-free batch reports are bit-equal to per-query
 /// [`execute_parallel_with`] (which itself matches the strict
-/// [`execute_parallel`]): same records in the same order, same
-/// per-device reports, same simulated times. The one exception is
-/// `trace`, always `None` on batch reports — per-query trace capture
-/// would serialise the pipeline.
+/// [`execute_parallel`]) at every chunk count: same records in the same
+/// order, same per-device reports, same simulated times. The one
+/// exception is `trace`, always `None` on batch reports — per-query trace
+/// capture would serialise the pipeline.
 ///
 /// An executor can also serve a contiguous *subrange* of the device set
 /// ([`Executor::for_device_range`]) — one node's share of a
@@ -1032,17 +1059,28 @@ where
 /// ([`merge_device_yields`]) are exposed separately so the split-out
 /// pipeline reproduces `execute_batch` bit-for-bit.
 pub struct Executor<D> {
+    shared: Arc<Shared<D>>,
+    /// Devices this executor serves. `shared.devices` always spans the
+    /// full system — buddy failover may read another device's mirror
+    /// pages even when that device executes elsewhere.
+    range: Range<u64>,
+    /// Contiguous chunks a wide batch splits the range into.
+    chunks: usize,
+    /// Batches below this many expected qualified buckets run as one
+    /// chunk ([`FAN_OUT_BREAK_EVEN`]; `0` under [`Executor::with_chunks`]).
+    break_even: u64,
+    /// Resident workers for chunks `1..chunks`; `None` with one chunk.
+    pool: Option<ResidentPool>,
+}
+
+/// The executor's immutable snapshot, shared with its resident workers.
+struct Shared<D> {
     devices: Vec<Arc<Device>>,
     sys: SystemConfig,
-    method: Arc<D>,
+    method: D,
     mirroring: Option<Mirroring>,
     parity: Option<Arc<ParityStore>>,
     cost: CostModel,
-    /// Devices this executor runs workers for. `devices` always spans the
-    /// full system — buddy failover may read another device's mirror
-    /// pages even when that device executes elsewhere.
-    range: std::ops::Range<u64>,
-    pool: ResidentPool,
 }
 
 /// A query plus the batch executor's dispatch decision, computed once on
@@ -1066,6 +1104,19 @@ pub struct PlannedQuery {
     pub free_combos: u64,
     /// `|R(q)|` — the generic scan's per-device address charge.
     pub total_qualified: u64,
+}
+
+impl PlannedQuery {
+    /// `addresses_computed` charged to a device that owns `owned` of the
+    /// query's qualified buckets: the fast inverse's residue lookups plus
+    /// its owned buckets, or the generic scan's full `|R(q)|`.
+    pub fn addresses_computed(&self, owned: u64) -> u64 {
+        if self.fast_path {
+            self.free_combos + owned
+        } else {
+            self.total_qualified
+        }
+    }
 }
 
 /// Plans one query for `method`: the dispatch decision
@@ -1093,45 +1144,42 @@ pub fn plan_query<D: DistributionMethod>(
     }
 }
 
-/// Per-query dispatch decision, computed once on the caller thread and
-/// shared by all `M` workers.
-struct QueryPlan {
-    query: PartialMatchQuery,
-    /// Fast-path inverse, pre-decomposed (`h`, base code, pattern plan):
-    /// workers rebuild their [`FxInverse`] from these with one `Arc`
-    /// clone instead of re-deriving the transforms and re-entering the
-    /// plan cache per device. `None` dispatches the generic scan.
-    inverse: Option<(u64, u64, Arc<InversePlan>)>,
-    total_qualified: u64,
-    free_combos: u64,
-}
-
-/// Everything a resident worker needs for one batch, crossing into the
-/// `'static` jobs behind a single `Arc`.
-struct BatchCtx<D> {
-    devices: Vec<Arc<Device>>,
-    sys: SystemConfig,
-    method: Arc<D>,
-    /// Buddy pairing, already gated on the policy's effective redundancy.
-    buddies: Option<Mirroring>,
-    /// Parity store, already gated on the policy's effective redundancy.
-    parity: Option<Arc<ParityStore>>,
-    cost: CostModel,
-    policy: ExecPolicy,
-    plans: Vec<QueryPlan>,
+/// Enumerates `planned`'s qualified buckets on the devices in `devices`
+/// **once** — the FX fast inverse or the generic scan, as planned — and
+/// routes each code to `codes[device - devices.start]`, in the order the
+/// per-device enumeration visits them. `codes` must hold one buffer per
+/// device of the range; they are cleared first.
+pub fn route_planned<D: DistributionMethod + ?Sized>(
+    sys: &SystemConfig,
+    method: &D,
+    planned: &PlannedQuery,
+    devices: Range<u64>,
+    codes: &mut [Vec<u64>],
+) {
+    debug_assert_eq!(codes.len() as u64, devices.end - devices.start);
+    for c in codes.iter_mut() {
+        c.clear();
+    }
+    let start = devices.start;
+    let route = |device: u64, code: u64| codes[(device - start) as usize].push(code);
+    if planned.fast_path {
+        let fx = method.as_fx().expect("a fast plan implies an FX method");
+        FxInverse::new(fx, &planned.query).for_each_routed_code(devices, route);
+    } else {
+        for_each_routed_code(method, sys, &planned.query, devices, route);
+    }
 }
 
 impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
-    /// Starts `M` resident workers for `file`'s system and snapshots the
-    /// execution context (see the type docs for what is shared vs
-    /// snapshotted).
+    /// Builds an executor over all `M` devices of `file`'s system (see
+    /// the type docs for what is shared vs snapshotted).
     pub fn new(file: &DeclusteredFile<D>, cost: CostModel) -> Executor<D> {
         let m = file.system().devices();
         Self::for_device_range(file, cost, 0..m)
     }
 
-    /// Starts resident workers for the devices in `range` only — one
-    /// node's share of a scatter/gather deployment. The executor still
+    /// Builds an executor for the devices in `range` only — one node's
+    /// share of a scatter/gather deployment. The executor still
     /// snapshots every device (buddy failover reads mirror pages that may
     /// live outside the range), but only `range`'s devices execute, so
     /// [`Executor::execute_planned`] yields exactly that subrange.
@@ -1142,7 +1190,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
     pub fn for_device_range(
         file: &DeclusteredFile<D>,
         cost: CostModel,
-        range: std::ops::Range<u64>,
+        range: Range<u64>,
     ) -> Executor<D> {
         let sys = file.system().clone();
         assert!(
@@ -1150,35 +1198,61 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
             "device range {range:?} invalid for M = {}",
             sys.devices()
         );
-        Executor {
-            devices: file.devices().to_vec(),
-            sys,
-            method: Arc::new(file.method().clone()),
-            mirroring: file.mirroring().copied(),
-            parity: file.parity().cloned(),
-            cost,
-            pool: ResidentPool::new((range.end - range.start) as usize),
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let exec = Executor {
+            shared: Arc::new(Shared {
+                devices: file.devices().to_vec(),
+                sys,
+                method: file.method().clone(),
+                mirroring: file.mirroring().copied(),
+                parity: file.parity().cloned(),
+                cost,
+            }),
             range,
+            chunks: 1,
+            break_even: FAN_OUT_BREAK_EVEN,
+            pool: None,
+        };
+        exec.chunked(cores)
+    }
+
+    /// Test seam: splits every batch into `chunks` contiguous chunks
+    /// (clamped to `1..=devices`), whatever its size — the batch ≡ serial
+    /// properties run each chunk count through this.
+    #[doc(hidden)]
+    pub fn with_chunks(self, chunks: usize) -> Executor<D> {
+        Executor {
+            break_even: 0,
+            ..self.chunked(chunks)
         }
     }
 
-    /// Number of resident device workers (`M`, or the subrange length).
+    /// Re-sizes the chunking to `min(chunks, devices)` and starts the
+    /// resident workers the extra chunks need.
+    fn chunked(mut self, chunks: usize) -> Executor<D> {
+        self.chunks = chunks.clamp(1, self.workers() as usize);
+        self.pool = (self.chunks > 1).then(|| ResidentPool::new(self.chunks - 1));
+        self
+    }
+
+    /// Number of devices this executor serves (`M`, or the subrange
+    /// length) — the paper's per-device workers, however many threads
+    /// carry them.
     pub fn workers(&self) -> u64 {
         self.range.end - self.range.start
     }
 
     /// The contiguous device subrange this executor serves.
-    pub fn device_range(&self) -> std::ops::Range<u64> {
+    pub fn device_range(&self) -> Range<u64> {
         self.range.clone()
     }
 
-    /// Executes a batch of queries, pipelined: each worker receives one
-    /// job per batch and loops over every query for its device, reusing
-    /// its scratch codes buffer and the per-`Pattern` plan cache across
-    /// the whole batch. Reports come back in query order.
+    /// Executes a batch of queries, pipelined: each chunk of devices
+    /// receives the whole batch at once and enumerates every query once
+    /// for all of its devices. Reports come back in query order.
     ///
     /// Fault handling is [`execute_parallel_with`]'s policy path running
-    /// unchanged on resident workers — degraded coverage, never an error.
+    /// unchanged per device — degraded coverage, never an error.
     ///
     /// # Panics
     ///
@@ -1194,7 +1268,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         }
         let planned: Vec<PlannedQuery> = queries
             .iter()
-            .map(|q| plan_query(&self.sys, &*self.method, q))
+            .map(|q| plan_query(&self.shared.sys, &self.shared.method, q))
             .collect();
         let effective = policy.effective_redundancy();
         self.execute_planned(&planned, policy)
@@ -1244,7 +1318,9 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         self.run_planned::<Copied>(planned, policy)
     }
 
-    /// The one batch pipeline behind both sinks.
+    /// The one batch pipeline behind both sinks: split the range into
+    /// chunks, run chunk 0 here and the rest on resident workers, and
+    /// stitch each query's yields back together in device order.
     fn run_planned<S: PageSink>(
         &self,
         planned: &[PlannedQuery],
@@ -1253,155 +1329,125 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         if planned.is_empty() {
             return Vec::new();
         }
-        let workers = self.workers() as usize;
+        let devices = self.workers();
         let _span = pmr_rt::span!(
             "exec.batch",
             queries = planned.len() as u64,
-            devices = workers as u64
+            devices = devices
         );
         obs::counter_add("exec.batch.queries", planned.len() as u64);
+        let fast = planned.iter().filter(|p| p.fast_path).count() as u64;
+        if fast > 0 {
+            obs::counter_add("exec.fast_path.dispatched", fast);
+        }
+        if fast < planned.len() as u64 {
+            obs::counter_add("exec.scan.dispatched", planned.len() as u64 - fast);
+        }
         if let Some(capacity) = policy.cache {
             // All devices, not just the range: buddy failover reads (and
             // their mirror cache lines) may live outside it.
-            for dev in &self.devices {
+            for dev in &self.shared.devices {
                 dev.set_cache_capacity(capacity);
             }
         }
-        let plans: Vec<QueryPlan> = planned
-            .iter()
-            .map(|p| {
-                let inverse = if p.fast_path {
-                    let fx = self
-                        .method
-                        .as_fx()
-                        .expect("a fast plan implies an FX method");
-                    Some(FxInverse::new(fx, &p.query).into_parts())
-                } else {
-                    None
-                };
-                obs::counter_add(
-                    if inverse.is_some() {
-                        "exec.fast_path.dispatched"
-                    } else {
-                        "exec.scan.dispatched"
-                    },
-                    1,
-                );
-                QueryPlan {
-                    query: p.query.clone(),
-                    inverse,
-                    total_qualified: p.total_qualified,
-                    free_combos: p.free_combos,
-                }
-            })
-            .collect();
-        let queries_in_batch = plans.len();
-        let effective = policy.effective_redundancy();
-        let ctx = Arc::new(BatchCtx {
-            devices: self.devices.clone(),
-            sys: self.sys.clone(),
-            method: self.method.clone(),
-            buddies: if effective == Redundancy::Mirror {
-                self.mirroring
-            } else {
-                None
-            },
-            parity: if matches!(effective, Redundancy::Parity { .. }) {
-                self.parity.clone()
-            } else {
-                None
-            },
-            cost: self.cost,
-            policy: policy.clone(),
-            plans,
-        });
-        let (tx, rx) = mpsc::channel::<(usize, Vec<S::Yield>)>();
-        for worker in 0..workers {
-            let ctx = Arc::clone(&ctx);
-            let tx = tx.clone();
-            let device = self.range.start + worker as u64;
-            self.pool.submit(worker, move |scratch| {
-                let yields = batch_worker::<D, S>(&ctx, device, scratch);
+        // The range's expected share of the batch's qualified buckets.
+        let qualified = planned.iter().map(|p| p.total_qualified).sum::<u64>() * devices
+            / self.shared.sys.devices();
+        let pool = match &self.pool {
+            Some(pool) if qualified >= self.break_even => pool,
+            _ => return run_chunk::<D, S>(&self.shared, policy, planned, self.range.clone()),
+        };
+        let chunk = |i: usize| {
+            let at = |i: usize| self.range.start + devices * i as u64 / self.chunks as u64;
+            at(i)..at(i + 1)
+        };
+        let batch = Arc::new((policy.clone(), planned.to_vec()));
+        let (tx, rx) = mpsc::channel::<(usize, Vec<Vec<S::Yield>>)>();
+        for i in 1..self.chunks {
+            let (shared, batch, tx, range) = (
+                Arc::clone(&self.shared),
+                Arc::clone(&batch),
+                tx.clone(),
+                chunk(i),
+            );
+            pool.submit(i - 1, move || {
+                let yields = run_chunk::<D, S>(&shared, &batch.0, &batch.1, range);
                 // Collector gone (batch abandoned) is fine to ignore.
-                let _ = tx.send((worker, yields));
+                let _ = tx.send((i, yields));
             });
         }
         drop(tx);
-        let mut by_worker: Vec<Option<Vec<S::Yield>>> = (0..workers).map(|_| None).collect();
-        for (worker, yields) in rx {
-            by_worker[worker] = Some(yields);
+        let mut by_chunk: Vec<Option<Vec<Vec<S::Yield>>>> =
+            (0..self.chunks).map(|_| None).collect();
+        by_chunk[0] = Some(run_chunk::<D, S>(&self.shared, policy, planned, chunk(0)));
+        for (i, yields) in rx {
+            by_chunk[i] = Some(yields);
         }
-        let Some(columns) = by_worker.into_iter().collect::<Option<Vec<_>>>() else {
+        let Some(chunks) = by_chunk.into_iter().collect::<Option<Vec<_>>>() else {
             // A worker died mid-batch; surface its panic like the scoped
             // executors would.
-            if let Some(payload) = self.pool.take_panic() {
+            if let Some(payload) = pool.take_panic() {
                 std::panic::resume_unwind(payload);
             }
             panic!("resident worker stopped without reporting a panic");
         };
-        // Workers run the range in device order, so reading one yield
-        // off each worker's column gives a query's yields sorted by
-        // device.
-        let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
-        (0..queries_in_batch)
+        // Chunks are contiguous and in device order, so appending each
+        // chunk's share of a query gives its yields sorted by device.
+        let mut chunks: Vec<_> = chunks.into_iter().map(Vec::into_iter).collect();
+        (0..planned.len())
             .map(|_| {
-                columns
-                    .iter_mut()
-                    .map(|c| c.next().expect("one yield per query per worker"))
-                    .collect()
+                let mut yields = Vec::with_capacity(devices as usize);
+                for c in &mut chunks {
+                    yields.extend(c.next().expect("one share per query per chunk"));
+                }
+                yields
             })
             .collect()
     }
 }
 
-/// One resident worker's share of a batch: for each query, enumerate the
-/// codes this device owns (fast inverse or generic scan, per the
-/// caller-computed plan), read them under the policy, and return the
-/// yields in query order. The caller posts them back in **one** message
-/// per worker per batch — per-yield sends would wake the collector up to
-/// `queries × M` times, which on loaded (or few-core) hosts costs more
-/// in futex traffic than the reads themselves. The codes buffer lives in
-/// the worker's scratch — allocated once per worker lifetime, not once
-/// per query.
-fn batch_worker<D: DistributionMethod, S: PageSink>(
-    ctx: &BatchCtx<D>,
-    device: u64,
-    scratch: &mut WorkerScratch,
-) -> Vec<S::Yield> {
-    let buddy = ctx.buddies.map(|p| p.buddy_of(device));
-    let mut out = Vec::with_capacity(ctx.plans.len());
-    for plan in &ctx.plans {
-        let _span = pmr_rt::span!("exec.device", device = device);
-        let codes: &mut Vec<u64> = scratch.get_or_default();
-        codes.clear();
-        let addresses_computed = if let Some((h, base_code, inv_plan)) = &plan.inverse {
-            let fx = ctx
-                .method
-                .as_fx()
-                .expect("a fast plan implies an FX method");
-            let inverse = FxInverse::from_parts(fx, *h, *base_code, Arc::clone(inv_plan));
-            inverse.for_each_code_on(device, |code| codes.push(code));
-            plan.free_combos + codes.len() as u64
-        } else {
-            for_each_device_code(&*ctx.method, &ctx.sys, &plan.query, device, |code| {
-                codes.push(code)
-            });
-            plan.total_qualified
-        };
-        out.push(resilient_device_read::<S>(
-            &ctx.devices,
-            device,
-            codes,
-            FailoverPath {
-                buddy,
-                parity: ctx.parity.as_deref(),
-            },
-            &ctx.cost,
-            &ctx.policy,
-            addresses_computed,
-        ));
-    }
-    out
+/// One chunk's share of a batch: for each query, enumerate its qualified
+/// buckets once for the whole chunk ([`route_planned`]), then read each
+/// device's codes under the policy. Returns, per query, the chunk's
+/// yields in device order. The code buffers live for the whole batch.
+fn run_chunk<D: DistributionMethod, S: PageSink>(
+    shared: &Shared<D>,
+    policy: &ExecPolicy,
+    planned: &[PlannedQuery],
+    devices: Range<u64>,
+) -> Vec<Vec<S::Yield>> {
+    let effective = policy.effective_redundancy();
+    let buddies = shared.mirroring.filter(|_| effective == Redundancy::Mirror);
+    let parity = shared
+        .parity
+        .as_deref()
+        .filter(|_| matches!(effective, Redundancy::Parity { .. }));
+    let mut codes = vec![Vec::new(); (devices.end - devices.start) as usize];
+    planned
+        .iter()
+        .map(|p| {
+            route_planned(&shared.sys, &shared.method, p, devices.clone(), &mut codes);
+            devices
+                .clone()
+                .zip(&codes)
+                .map(|(device, device_codes)| {
+                    let _span = pmr_rt::span!("exec.device", device = device);
+                    resilient_device_read::<S>(
+                        &shared.devices,
+                        device,
+                        device_codes,
+                        FailoverPath {
+                            buddy: buddies.map(|b| b.buddy_of(device)),
+                            parity,
+                        },
+                        &shared.cost,
+                        policy,
+                        p.addresses_computed(device_codes.len() as u64),
+                    )
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The generic per-device worker: packed inverse scan + bucket reads.

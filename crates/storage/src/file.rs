@@ -346,7 +346,7 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
                 let codes = Arc::clone(&codes);
                 let runs = Arc::clone(&runs);
                 let tx = tx.clone();
-                pool.submit(d % workers, move |_scratch| {
+                pool.submit(d % workers, move || {
                     let (offsets, order) = &*runs;
                     for &i in &order[offsets[d]..offsets[d + 1]] {
                         device.append(codes[i as usize], &records[i as usize]);

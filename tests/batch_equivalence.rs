@@ -9,7 +9,8 @@
 //! the `trace` slot, which is always `None` on batch reports. This must
 //! hold on fault-free runs *and* under an installed [`FaultPlan`] with
 //! mirroring, where the retry/failover/lose policy runs on the resident
-//! workers.
+//! workers — and at every chunk count the executor splits its devices
+//! into (1, 2, 3 and M, forced through the `with_chunks` test seam).
 //!
 //! The property samples random Table 7 query mixes, batch sizes, policy
 //! seeds, and fault plans under the [`pmr_rt::check`] harness
@@ -37,15 +38,21 @@ fn plan_gate() -> &'static Mutex<()> {
 }
 
 /// The paper's Table 7 system (6 fields of 8 buckets, M = 32), mirrored,
-/// built once: the resident executor's 32 workers are shared by every
-/// case, which is exactly the deployment model under test.
+/// built once, with executors that split the 32 devices into every
+/// chunk count under test: the host's default, then 1, 2, 3 and M
+/// chunks (forced whatever the batch size). The resident workers are
+/// shared by every case, which is exactly the deployment model under
+/// test.
 fn table7() -> (
     &'static DeclusteredFile<FxDistribution>,
-    &'static Executor<FxDistribution>,
+    &'static [Executor<FxDistribution>],
 ) {
-    static STATE: OnceLock<(DeclusteredFile<FxDistribution>, Executor<FxDistribution>)> =
-        OnceLock::new();
-    let (file, exec) = STATE.get_or_init(|| {
+    type State = (
+        DeclusteredFile<FxDistribution>,
+        Vec<Executor<FxDistribution>>,
+    );
+    static STATE: OnceLock<State> = OnceLock::new();
+    let (file, execs) = STATE.get_or_init(|| {
         let sys = SystemConfig::new(&[8; 6], 32).unwrap();
         let mut builder = Schema::builder();
         for (i, &size) in sys.field_sizes().iter().enumerate() {
@@ -67,10 +74,14 @@ fn table7() -> (
         }
         // Mirroring is enabled before construction: the executor
         // snapshots the buddy pairing.
-        let exec = Executor::new(&file, CostModel::main_memory());
-        (file, exec)
+        let cost = CostModel::main_memory();
+        let mut execs = vec![Executor::new(&file, cost)];
+        for chunks in [1, 2, 3, sys.devices() as usize] {
+            execs.push(Executor::new(&file, cost).with_chunks(chunks));
+        }
+        (file, execs)
     });
-    (file, exec)
+    (file, execs)
 }
 
 /// Parity twin of [`table7`]: the same system and load, protected by
@@ -132,12 +143,12 @@ fn gen_query(src: &mut Source, sys: &SystemConfig) -> PartialMatchQuery {
 }
 
 rt_proptest! {
-    /// ISSUE acceptance property: `execute_batch` ≡ per-query
-    /// `execute_parallel_with`, bit-for-bit, across random query mixes,
-    /// batch sizes, seeds, and fault plans (including none), with
-    /// mirroring enabled throughout.
+    /// `execute_batch` ≡ per-query `execute_parallel_with`, bit-for-bit,
+    /// across random query mixes, batch sizes, seeds, and fault plans
+    /// (including none), with mirroring enabled throughout — at every
+    /// chunk count the executor can split its devices into.
     fn batch_is_bit_equal_to_per_query_execution(src) {
-        let (file, exec) = table7();
+        let (file, execs) = table7();
         let sys = file.system().clone();
         let cost = CostModel::main_memory();
 
@@ -172,7 +183,7 @@ rt_proptest! {
 
         let _gate = plan_gate().lock().unwrap_or_else(|e| e.into_inner());
         file.install_fault_plan(plan.clone());
-        let batch = exec.execute_batch(&queries, &policy);
+        let batches: Vec<_> = execs.iter().map(|e| e.execute_batch(&queries, &policy)).collect();
         let serial: Vec<_> = queries
             .iter()
             .map(|q| {
@@ -184,14 +195,16 @@ rt_proptest! {
             .collect();
         file.install_fault_plan(None);
 
-        assert_eq!(batch.len(), serial.len());
-        for (i, (got, want)) in batch.iter().zip(&serial).enumerate() {
-            assert_eq!(
-                got, want,
-                "query {i}/{batch_size} ({}) diverged under plan {:?}",
-                queries[i],
-                plan.is_some()
-            );
+        for (e, batch) in batches.iter().enumerate() {
+            assert_eq!(batch.len(), serial.len());
+            for (i, (got, want)) in batch.iter().zip(&serial).enumerate() {
+                assert_eq!(
+                    got, want,
+                    "executor {e}: query {i}/{batch_size} ({}) diverged under plan {:?}",
+                    queries[i],
+                    plan.is_some()
+                );
+            }
         }
     }
 
@@ -203,7 +216,7 @@ rt_proptest! {
     fn cache_on_and_off_reports_are_bit_equal(src) {
         let cost = CostModel::main_memory();
         let parity = src.weighted(0.3);
-        let (file, exec) = if parity { table7_parity() } else { table7() };
+        let (file, exec) = if parity { table7_parity() } else { (table7().0, &table7().1[0]) };
         let sys = file.system().clone();
 
         let batch_size = src.int_in(1, 4) as usize;

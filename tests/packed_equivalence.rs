@@ -16,7 +16,9 @@ use pmr_baselines::{
     BinaryWeightedDistribution, GdmDistribution, GrayCodeDistribution, ModuloDistribution,
     RandomDistribution, SpanningPathDistribution,
 };
-use pmr_core::inverse::{for_each_device_code, scan_device_buckets, FxInverse};
+use pmr_core::inverse::{
+    for_each_device_code, for_each_routed_code, scan_device_buckets, FxInverse,
+};
 use pmr_core::method::DistributionMethod;
 use pmr_core::optimality::response_histogram;
 use pmr_core::{
@@ -157,6 +159,54 @@ rt_proptest! {
                     method.name()
                 );
                 assert_eq!(codes.len() as u64, packed_hist[device as usize]);
+            }
+        }
+    }
+
+    /// The routed scan over a random device range gives every device of
+    /// the range exactly `for_each_device_code`'s codes, in the same
+    /// order, for every method — and both match a plain filter over the
+    /// query odometer. The FX fast walk routes the same way.
+    fn routed_scan_matches_per_device_scan(src) {
+        let sys = gen_system(src);
+        let query = gen_query(src, &sys);
+        let m = sys.devices();
+        let start = src.int_in(0, m - 1);
+        let end = src.int_in(start + 1, m);
+        for method in all_methods(src, &sys) {
+            let mut routed = vec![Vec::new(); m as usize];
+            for_each_routed_code(method.as_ref(), &sys, &query, start..end, |d, c| {
+                assert!((start..end).contains(&d), "{} routed device {d}", method.name());
+                routed[d as usize].push(c);
+            });
+            for device in 0..m {
+                let mut want = Vec::new();
+                if (start..end).contains(&device) {
+                    for_each_device_code(method.as_ref(), &sys, &query, device, |c| want.push(c));
+                    let mut filtered = Vec::new();
+                    let mut it = query.qualified_buckets(&sys);
+                    while let Some(code) = it.next_code() {
+                        if method.device_of_packed(code) == device {
+                            filtered.push(code);
+                        }
+                    }
+                    assert_eq!(want, filtered, "{} on {sys} query {query}", method.name());
+                }
+                assert_eq!(
+                    routed[device as usize], want,
+                    "{} on {sys} query {query} range {start}..{end} device {device}",
+                    method.name()
+                );
+            }
+            if let Some(fx) = method.as_fx() {
+                let inv = FxInverse::new(fx, &query);
+                let mut routed = vec![Vec::new(); m as usize];
+                inv.for_each_routed_code(start..end, |d, c| routed[d as usize].push(c));
+                for device in start..end {
+                    let mut want = Vec::new();
+                    inv.for_each_code_on(device, |c| want.push(c));
+                    assert_eq!(routed[device as usize], want, "fx walk {sys} query {query}");
+                }
             }
         }
     }
