@@ -18,10 +18,11 @@
 
 use crate::assign::{Assignment, AssignmentStrategy};
 use crate::bits::t_m;
+use crate::device_set::DeviceSet;
 use crate::error::Result;
 use crate::inverse::InversePlan;
 use crate::method::DistributionMethod;
-use crate::query::Pattern;
+use crate::query::{PartialMatchQuery, Pattern};
 use crate::system::SystemConfig;
 use crate::transform::Transform;
 use std::collections::HashMap;
@@ -377,6 +378,32 @@ impl FxDistribution {
             .enumerate()
             .filter_map(|(i, v)| v.map(|val| self.kernel.apply_field(i, val)))
             .fold(0, |acc, t| acc ^ t)
+    }
+
+    /// The devices `query`'s qualified buckets land on, in closed form:
+    /// `T_M(h)` ([`FxDistribution::specified_xor`]) XOR the span of
+    /// `T_M(X_i(2^b))` over every bit `b` of every unspecified field `i`.
+    /// Every transform is GF(2)-linear, so that span is exactly the set of
+    /// `T_M(⨁ X_i(J_i))` over all free values (see [`DeviceSet`]). Costs
+    /// one transform per free bit, never a bucket enumeration; it equals
+    /// the set of devices the inverse mapping routes at least one code to
+    /// (property-tested in `tests/packed_equivalence.rs`).
+    pub fn device_set(&self, query: &PartialMatchQuery) -> DeviceSet {
+        let sys = self.assignment.system();
+        let m = sys.devices();
+        let mut set = DeviceSet::single(t_m(self.specified_xor(query.values()), m));
+        for (i, value) in query.values().iter().enumerate() {
+            if value.is_some() {
+                continue;
+            }
+            for b in 0..sys.field_bits(i) {
+                if set.dim() == sys.device_bits() {
+                    return set;
+                }
+                set.insert(t_m(self.kernel.apply_field(i, 1 << b), m));
+            }
+        }
+        set
     }
 
     /// Applies field `i`'s transformation `X_i` to one value through the

@@ -68,6 +68,7 @@
 pub mod assign;
 pub mod bits;
 pub mod conditions;
+pub mod device_set;
 pub mod error;
 pub mod fx;
 pub mod general;
@@ -81,6 +82,7 @@ pub mod theory;
 pub mod transform;
 
 pub use assign::{Assignment, AssignmentStrategy};
+pub use device_set::DeviceSet;
 pub use error::{Error, Result};
 pub use fx::FxDistribution;
 pub use general::GeneralFxDistribution;

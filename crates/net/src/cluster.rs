@@ -85,7 +85,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Cluster<D> {
             links.push((frontend_end, range));
         }
         let method = Arc::new(file.method().clone());
-        let frontend = Arc::new(Frontend::new(sys, method, links, cfg.frontend));
+        let frontend = Arc::new(Frontend::new(sys, method, cost, links, cfg.frontend));
         Cluster {
             frontend,
             kills,
@@ -132,7 +132,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Cluster<D> {
             links.push((transport::tcp::connect(addr)?, range));
         }
         let method = Arc::new(file.method().clone());
-        let frontend = Arc::new(Frontend::new(sys, method, links, cfg.frontend));
+        let frontend = Arc::new(Frontend::new(sys, method, cost, links, cfg.frontend));
         Ok(Cluster {
             frontend,
             kills,

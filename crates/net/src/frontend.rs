@@ -1,35 +1,53 @@
 //! The scatter/gather frontend.
 //!
 //! The frontend plans each query **once** ([`pmr_storage::exec::plan_query`]
-//! — the same cost heuristic the single-process executor uses), encodes
-//! the batch into **one** request frame, and broadcasts it to every
-//! live node; each node executes its device subrange and ships raw
-//! per-device yields back. Gathering merges the yields with
-//! [`pmr_storage::exec::merge_device_yields`], so a fully-answered
-//! request is bit-equal to a single-process
+//! — the same cost heuristic the single-process executor uses) and sends
+//! each live node one request frame holding only the queries that touch
+//! the node's device subrange, in batch order; each node executes its
+//! subrange and ships raw per-device yields back. Gathering merges the
+//! yields with [`pmr_storage::exec::merge_device_yields`], so a
+//! fully-answered request is bit-equal to a single-process
 //! [`Executor::execute_batch`](pmr_storage::exec::Executor::execute_batch)
 //! over the same file.
+//!
+//! ## Targeted scatter
+//!
+//! Under FX a query's device set has a closed form
+//! ([`pmr_core::FxDistribution::device_set`]: an affine subspace of
+//! `Z_M`, no bucket enumerated), so the frontend knows which nodes own
+//! at least one of its qualified buckets. A node none of whose devices a
+//! query touches is not asked about it; the frontend fills in each of
+//! those devices' *idle yield* ([`pmr_storage::exec::idle_yield`]: `Ok`,
+//! no buckets, the plan's address charge), which is exactly what the
+//! node would have answered. A node no query of the batch touches gets
+//! no frame at all — no pending slot, no deadline wait, no timeout. Nodes
+//! that every query touches share one frame, encoded once. Other
+//! distribution methods have no closed form and broadcast the whole
+//! batch to every live node.
 //!
 //! ## Deadlines and node failure
 //!
 //! Gathering waits at most [`FrontendConfig::deadline`] (wall clock) per
 //! request. A node that misses the deadline — dead, killed, or dropped
 //! by a [`crate::chaos::NetFaultPlan`] — does not fail the request:
-//! the frontend synthesizes `Lost` yields for every device in that
-//! node's range (it can enumerate their qualified buckets itself, from
-//! the plan), and the merged report degrades exactly like a device
-//! outage does — `coverage < 1`, lost codes listed. After
-//! [`FrontendConfig::down_after`] consecutive timeouts a node is marked
-//! **down** and skipped entirely, so a dead node costs one deadline a
-//! few times, not one per request forever. Simulated time is never
-//! charged for wall-clock waits: a timed-out node's devices report
-//! `simulated_us = 0` and `outcome = Lost`.
+//! for each query it was asked, the frontend routes the query's
+//! qualified buckets over that node's range itself (it has the plan) and
+//! reports every device holding some as `Lost`; devices holding none
+//! report their idle yield, as in a single process. The merged report
+//! degrades exactly like a device outage does — `coverage < 1`, lost
+//! codes listed. After [`FrontendConfig::down_after`] consecutive
+//! timeouts a node is marked **down** and skipped entirely, so a dead
+//! node costs one deadline a few times, not one per request forever.
+//! Simulated time is never charged for wall-clock waits: a timed-out
+//! node's `Lost` devices report `simulated_us = 0`. A query that touches
+//! no dead or down node is unaffected by it, bit for bit.
 //!
 //! Responses are routed by one collector thread per node into a shared
 //! pending table keyed by request id, so any number of callers may have
 //! requests in flight concurrently (the closed-loop `loadgen` drives
 //! this). A response that arrives after its deadline is counted
-//! (`net.late_responses`) and discarded.
+//! (`net.late_responses`) and discarded. `net.request_bytes` and
+//! `net.response_bytes` count the frame bytes sent and gathered.
 //!
 //! ## Cluster telemetry and critical-path attribution
 //!
@@ -48,16 +66,15 @@
 //! [`Frontend::watch_json`].
 
 use crate::transport::{Duplex, FrameRx, FrameTx};
-use crate::wire::{
-    self, GatherResponse, Message, ScatterRequest, TraceContext, WirePolicy, WireQuery,
-};
+use crate::wire::{self, GatherResponse, Message, TraceContext, WirePolicy, WireQuery};
 use pmr_core::method::DistributionMethod;
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_rt::obs;
 use pmr_rt::obs::snapshot::{absorb, MetricsSnapshot, HIST_BUCKETS};
+use pmr_storage::cost::CostModel;
 use pmr_storage::exec::{
-    merge_device_yields, plan_query, route_planned, DeviceOutcome, DeviceReport, DeviceYield,
-    ExecPolicy, ExecutionReport, PlannedQuery,
+    idle_yield, merge_device_yields, plan_query, route_planned, DeviceOutcome, DeviceReport,
+    DeviceYield, ExecPolicy, ExecutionReport, PlannedQuery,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -184,6 +201,8 @@ struct Pending {
 pub struct Frontend<D> {
     sys: SystemConfig,
     method: Arc<D>,
+    /// The nodes' cost model, for the idle yields of unasked devices.
+    cost: CostModel,
     nodes: Vec<NodeLink>,
     pending: Arc<Pending>,
     next_id: AtomicU64,
@@ -344,11 +363,12 @@ impl<D> Frontend<D> {
 
 impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
     /// Wires a frontend to its nodes: one `(connection, device range)`
-    /// per node, in node-index order. Spawns one collector thread per
-    /// node.
+    /// per node, in node-index order. `cost` must be the model the nodes
+    /// execute under. Spawns one collector thread per node.
     pub fn new(
         sys: SystemConfig,
         method: Arc<D>,
+        cost: CostModel,
         links: Vec<(Duplex, Range<u64>)>,
         cfg: FrontendConfig,
     ) -> Frontend<D> {
@@ -380,6 +400,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
         Frontend {
             sys,
             method,
+            cost,
             nodes,
             pending,
             next_id: AtomicU64::new(1),
@@ -391,10 +412,11 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
     }
 
     /// Plans, scatters, gathers, and merges one batch. The distributed
-    /// equivalent of [`Executor::execute_batch`]: with every node
-    /// answering, reports are bit-equal to the single-process batch
-    /// (trace slot `None` included); with nodes missing, their devices
-    /// degrade to `Lost` instead of erroring.
+    /// equivalent of [`Executor::execute_batch`]: with every node a query
+    /// touches answering, its report is bit-equal to the single-process
+    /// batch's (trace slot `None` included); with such a node missing,
+    /// the devices holding the query's buckets there degrade to `Lost`
+    /// instead of erroring.
     ///
     /// [`Executor::execute_batch`]: pmr_storage::exec::Executor::execute_batch
     pub fn execute_batch(
@@ -429,7 +451,13 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
             .unwrap()
             .insert(id, (0..n).map(|_| None).collect());
 
-        // Scatter: encode once, broadcast to every live node.
+        // Scatter: each live node gets the queries that touch it, in
+        // batch order; nodes that every query touches share one frame.
+        let touched = self.route(planned);
+        let touches = |q: usize, node: usize| match &touched {
+            Some(t) => t[q * n + node],
+            None => true,
+        };
         let mut scattered = vec![false; n];
         {
             let span = pmr_rt::span!(
@@ -443,20 +471,37 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                 trace_id: id,
                 parent_span,
             });
-            let request = Message::Request(ScatterRequest {
-                request_id: id,
-                policy: WirePolicy::from_policy(policy),
-                queries: planned.iter().map(WireQuery::from_planned).collect(),
-                trace,
-            });
-            let frame = wire::encode_message(&request);
+            let wire_policy = WirePolicy::from_policy(policy);
+            let queries: Vec<WireQuery> = planned.iter().map(WireQuery::from_planned).collect();
+            let mut broadcast: Option<Vec<u8>> = None;
+            let mut subset = Vec::with_capacity(planned.len());
             for (i, link) in self.nodes.iter().enumerate() {
                 if link.state.down.load(Ordering::Relaxed) {
                     continue;
                 }
+                subset.clear();
+                subset.extend((0..planned.len()).filter(|&q| touches(q, i)));
+                if subset.is_empty() {
+                    continue;
+                }
+                let own;
+                let frame: &[u8] = if subset.len() == planned.len() {
+                    broadcast.get_or_insert_with(|| {
+                        wire::encode_scatter(id, &wire_policy, queries.iter(), trace.as_ref())
+                    })
+                } else {
+                    own = wire::encode_scatter(
+                        id,
+                        &wire_policy,
+                        subset.iter().map(|&q| &queries[q]),
+                        trace.as_ref(),
+                    );
+                    &own
+                };
                 link.state.requests.fetch_add(1, Ordering::Relaxed);
                 obs::counter_add("net.requests", 1);
-                match link.tx.lock().unwrap().send_frame(&frame) {
+                obs::counter_add("net.request_bytes", frame.len() as u64);
+                match link.tx.lock().unwrap().send_frame(frame) {
                     Ok(()) => scattered[i] = true,
                     Err(_) => self.mark_down(i),
                 }
@@ -563,22 +608,29 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
         }
         drop(gather_span);
 
-        // Merge: answered nodes contribute their yields; missing nodes
-        // degrade to synthesized Lost yields for their whole range.
+        // Merge: a node a query does not touch contributes idle yields;
+        // an answering node contributes its next query's yields, and a
+        // missing one degrades to synthesized Lost yields.
         let mut per_node: Vec<Option<std::vec::IntoIter<Vec<DeviceYield>>>> = responses
             .into_iter()
             .map(|r| r.map(|resp| resp.queries.into_iter()))
             .collect();
         planned
             .iter()
-            .map(|p| {
+            .enumerate()
+            .map(|(q, p)| {
                 let mut yields = Vec::with_capacity(self.sys.devices() as usize);
                 for (i, link) in self.nodes.iter().enumerate() {
+                    if !touches(q, i) {
+                        yields.extend(link.range.clone().map(|d| idle_yield(p, d, &self.cost)));
+                        continue;
+                    }
                     match per_node[i].as_mut().and_then(Iterator::next) {
                         Some(node_yields) => yields.extend(node_yields),
                         None => lost_yields(
                             &self.sys,
                             &*self.method,
+                            &self.cost,
                             p,
                             link.range.clone(),
                             &mut yields,
@@ -588,6 +640,20 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                 merge_device_yields(yields, policy.effective_redundancy())
             })
             .collect()
+    }
+
+    /// Which nodes each query must ask: entry `q · nodes + i` says whether
+    /// query `q` qualifies a bucket on a device of node `i`, from the FX
+    /// closed-form device set. `None` for methods without one: every
+    /// query asks every node.
+    fn route(&self, planned: &[PlannedQuery]) -> Option<Vec<bool>> {
+        let fx = self.method.as_fx()?;
+        let mut touched = Vec::with_capacity(planned.len() * self.nodes.len());
+        for p in planned {
+            let set = fx.device_set(&p.query);
+            touched.extend(self.nodes.iter().map(|link| set.meets(link.range.clone())));
+        }
+        Some(touched)
     }
 }
 
@@ -622,6 +688,7 @@ fn spawn_collector(
                         let (request_id, slot) = (resp.request_id, resp.node as usize);
                         match slots.get_mut(&request_id) {
                             Some(filled) if slot < filled.len() => {
+                                obs::counter_add("net.response_bytes", frame.len() as u64);
                                 filled[slot] = Some(resp);
                                 pending.ready.notify_all();
                             }
@@ -641,10 +708,12 @@ fn spawn_collector(
 /// answered: the frontend routes the query's qualified buckets over the
 /// node's whole range once (it has the plan) and reports each device's
 /// share lost. `simulated_us` stays `0` — wall deadlines are not
-/// simulated device time.
+/// simulated device time. A device holding none of the query's buckets
+/// had nothing to lose and reports its idle yield, as in one process.
 fn lost_yields<D: DistributionMethod>(
     sys: &SystemConfig,
     method: &D,
+    cost: &CostModel,
     planned: &PlannedQuery,
     range: Range<u64>,
     out: &mut Vec<DeviceYield>,
@@ -652,6 +721,9 @@ fn lost_yields<D: DistributionMethod>(
     let mut codes = vec![Vec::new(); (range.end - range.start) as usize];
     route_planned(sys, method, planned, range.clone(), &mut codes);
     out.extend(range.zip(codes).map(|(device, lost)| {
+        if lost.is_empty() {
+            return idle_yield(planned, device, cost);
+        }
         let qualified_buckets = lost.len() as u64;
         DeviceYield {
             report: DeviceReport {

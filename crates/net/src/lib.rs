@@ -8,7 +8,10 @@
 //! plans to N [`node`]s — each a resident executor over a contiguous
 //! device subrange (see [`partition`]) — over a length-prefixed binary
 //! [`wire`] protocol, and gathers the raw per-device yields back into
-//! per-query [`pmr_storage::exec::ExecutionReport`]s.
+//! per-query [`pmr_storage::exec::ExecutionReport`]s. Under FX the
+//! scatter is targeted: a node is sent only the queries whose
+//! closed-form device set ([`pmr_core::FxDistribution::device_set`])
+//! meets its range.
 //!
 //! Two invariants anchor the design:
 //!
@@ -19,9 +22,11 @@
 //!   are bit-for-bit identical to running everything in one process.
 //! - **Degrade, don't fail.** A node that misses the gather deadline
 //!   (crashed, killed, or a seeded [`chaos::NetFaultPlan`] drop) costs
-//!   coverage on exactly its devices — the frontend synthesizes `Lost`
-//!   yields for them, per query — and repeated misses trip a circuit
-//!   breaker. Queries keep answering from the surviving nodes.
+//!   coverage on exactly its devices that hold qualified buckets — the
+//!   frontend synthesizes `Lost` yields for them, per query — and
+//!   repeated misses trip a circuit breaker. Queries keep answering from
+//!   the surviving nodes; a query that touches no dead node is
+//!   unaffected.
 //!
 //! Transport is in-memory channels by default ([`transport::mem_pair`])
 //! and loopback TCP behind the `tcp` feature — both speak the identical

@@ -236,9 +236,10 @@ pub struct Telemetry {
     pub metrics: MetricsSnapshot,
 }
 
-/// A scatter request: one batch of planned queries under one execution
-/// policy. The frontend broadcasts the identical encoded frame to every
-/// node — each node executes its own device subrange.
+/// A scatter request: planned queries under one execution policy. The
+/// frontend sends each node the queries of its batch that touch the
+/// node's device subrange, in batch order — the whole batch, as one
+/// shared frame, when every query does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScatterRequest {
     /// Correlates gathered responses with their scatter.
@@ -362,15 +363,33 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 }
 
 fn encode_request(req: &ScatterRequest) -> Vec<u8> {
+    encode_scatter(
+        req.request_id,
+        &req.policy,
+        req.queries.iter(),
+        req.trace.as_ref(),
+    )
+}
+
+/// Encodes a scatter request straight from its parts: the frame
+/// [`encode_message`] gives for a [`ScatterRequest`] holding `queries`,
+/// without cloning them into one. The frontend encodes each node's
+/// subset of a batch this way.
+pub fn encode_scatter<'a>(
+    request_id: u64,
+    policy: &WirePolicy,
+    queries: impl ExactSizeIterator<Item = &'a WireQuery>,
+    trace: Option<&TraceContext>,
+) -> Vec<u8> {
     let mut buf = BytesMut::new();
     put_header(&mut buf, KIND_REQUEST);
-    buf.put_u64_le(req.request_id);
-    buf.put_u32_le(req.policy.max_attempts);
-    buf.put_u64_le(req.policy.base_us);
-    buf.put_u64_le(req.policy.cap_us);
-    buf.put_u64_le(req.policy.budget_us);
-    buf.put_u8(req.policy.failover as u8);
-    match req.policy.redundancy {
+    buf.put_u64_le(request_id);
+    buf.put_u32_le(policy.max_attempts);
+    buf.put_u64_le(policy.base_us);
+    buf.put_u64_le(policy.cap_us);
+    buf.put_u64_le(policy.budget_us);
+    buf.put_u8(policy.failover as u8);
+    match policy.redundancy {
         Redundancy::None => {
             buf.put_u8(0);
             buf.put_u8(0);
@@ -387,9 +406,9 @@ fn encode_request(req: &ScatterRequest) -> Vec<u8> {
             buf.put_u8(r);
         }
     }
-    buf.put_u64_le(req.policy.seed);
-    buf.put_u32_le(req.queries.len() as u32);
-    for q in &req.queries {
+    buf.put_u64_le(policy.seed);
+    buf.put_u32_le(queries.len() as u32);
+    for q in queries {
         buf.put_u8(q.values.len() as u8);
         for v in &q.values {
             match v {
@@ -404,7 +423,7 @@ fn encode_request(req: &ScatterRequest) -> Vec<u8> {
         buf.put_u64_le(q.free_combos);
         buf.put_u64_le(q.total_qualified);
     }
-    if let Some(trace) = &req.trace {
+    if let Some(trace) = trace {
         buf.put_u8(TAG_TRACE);
         buf.put_u64_le(trace.trace_id);
         buf.put_u64_le(trace.parent_span);

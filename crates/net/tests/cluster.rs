@@ -15,7 +15,7 @@ use pmr_net::{Cluster, ClusterConfig, FrontendConfig, NetFaultPlan};
 use pmr_rt::check::Source;
 use pmr_rt::fault::{FaultPlan, RetryPolicy};
 use pmr_rt::rt_proptest;
-use pmr_storage::exec::{ExecPolicy, Executor, Redundancy};
+use pmr_storage::exec::{DeviceOutcome, ExecPolicy, Executor, Redundancy};
 use pmr_storage::{CostModel, DeclusteredFile};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -71,8 +71,8 @@ fn table7_file() -> DeclusteredFile<FxDistribution> {
     file
 }
 
-fn gen_query(src: &mut Source, sys: &SystemConfig) -> PartialMatchQuery {
-    let unspecified = src.int_in(0, 3) as usize;
+fn gen_query(src: &mut Source, sys: &SystemConfig, max_open: u64) -> PartialMatchQuery {
+    let unspecified = src.int_in(0, max_open) as usize;
     let n = sys.num_fields();
     let mut free: Vec<usize> = Vec::new();
     while free.len() < unspecified {
@@ -117,17 +117,26 @@ rt_proptest! {
 }
 
 rt_proptest! {
-    /// ISSUE acceptance property: scatter/gather over 4 nodes ≡
+    /// ISSUE acceptance property: scatter/gather over 1..=M nodes ≡
     /// single-process `execute_batch`, bit-for-bit, across random query
     /// mixes, policies, and fault plans (including none), with
-    /// mirroring enabled throughout.
+    /// mirroring enabled throughout. Narrow batches (0–1 open fields)
+    /// leave most nodes untouched, so targeted scatter sends partial node
+    /// sets and the frontend fills in the rest.
     fn gather_is_bit_equal_to_single_process(src) {
         let fx = fixture();
         let sys = fx.file.system().clone();
 
+        let nodes = src.int_in(1, sys.devices()) as usize;
+        let cluster = Cluster::new(
+            &fx.file,
+            CostModel::main_memory(),
+            ClusterConfig { nodes, ..ClusterConfig::default() },
+        );
         let batch_size = src.int_in(1, 6) as usize;
+        let max_open = if src.weighted(0.5) { 1 } else { 3 };
         let queries: Vec<PartialMatchQuery> =
-            (0..batch_size).map(|_| gen_query(src, &sys)).collect();
+            (0..batch_size).map(|_| gen_query(src, &sys, max_open)).collect();
         let policy = ExecPolicy {
             retry: RetryPolicy { max_attempts: 4, base_us: 10, cap_us: 1_000, budget_us: 100_000 },
             failover: src.weighted(0.8),
@@ -156,7 +165,7 @@ rt_proptest! {
 
         let _gate = fx.plan_gate.lock().unwrap();
         fx.file.install_fault_plan(plan.clone());
-        let gathered = fx.cluster.frontend().execute_batch(&queries, &policy);
+        let gathered = cluster.frontend().execute_batch(&queries, &policy);
         let local = fx.exec.execute_batch(&queries, &policy);
         fx.file.install_fault_plan(None);
 
@@ -164,7 +173,7 @@ rt_proptest! {
         for (i, (got, want)) in gathered.iter().zip(&local).enumerate() {
             assert_eq!(
                 got, want,
-                "query {i}/{batch_size} ({}) diverged under plan {:?}",
+                "query {i}/{batch_size} ({}) on {nodes} nodes diverged under plan {:?}",
                 queries[i],
                 plan.is_some()
             );
@@ -365,6 +374,108 @@ fn killed_node_degrades_instead_of_failing() {
     assert_eq!(cluster.frontend().node_stats()[2].requests, before);
 }
 
+/// A dead node that no query of the batch touches costs the batch
+/// nothing: it is never asked (its request and timeout counters stay
+/// still, and no gather deadline is waited), and every report is
+/// bit-equal to the single-process one.
+#[test]
+fn dead_node_the_batch_does_not_touch_costs_nothing() {
+    let fx = fixture();
+    // No fault plan may land on the shared file mid-test.
+    let _gate = fx.plan_gate.lock().unwrap_or_else(|e| e.into_inner());
+    let sys = fx.file.system().clone();
+    let cfg = ClusterConfig {
+        nodes: 4,
+        frontend: FrontendConfig {
+            // Long enough that a wait on the dead node would stall the
+            // test visibly; the counters below catch it outright.
+            deadline: Duration::from_secs(10),
+            down_after: 0,
+        },
+        net_faults: None,
+    };
+    let cluster = Cluster::new(&fx.file, CostModel::main_memory(), cfg);
+    let dead = 2;
+    let dead_range = 16..24;
+    // Exact matches and 1-open queries on I fields stay inside one node;
+    // keep those that miss the dead node's devices.
+    let queries: Vec<PartialMatchQuery> = loadgen::query_mix(&sys, 200, 41, 1)
+        .into_iter()
+        .filter(|q| !fx.file.method().device_set(q).meets(dead_range.clone()))
+        .take(24)
+        .collect();
+    assert!(
+        queries.iter().any(|q| q.unspecified_count() == 1),
+        "the batch holds 1-open queries too"
+    );
+    assert_eq!(queries.len(), 24);
+
+    cluster.kill_node(dead);
+    let before = cluster.frontend().node_stats()[dead].clone();
+    let gathered = cluster
+        .frontend()
+        .execute_batch(&queries, &ExecPolicy::default());
+    let after = cluster.frontend().node_stats()[dead].clone();
+    let local = fx.exec.execute_batch(&queries, &ExecPolicy::default());
+
+    assert_eq!(gathered, local, "untouched dead node: gathered ≡ local");
+    assert_eq!(
+        after.requests, before.requests,
+        "the dead node is not asked"
+    );
+    assert_eq!(after.timeouts, before.timeouts, "and costs no deadline");
+    assert!(!after.down);
+}
+
+/// A query that touches only some of a dead node's devices loses exactly
+/// those devices: the others had nothing to lose and report their idle
+/// yield, bit-equal to the single-process report.
+#[test]
+fn dead_node_loses_only_devices_with_qualified_buckets() {
+    let fx = fixture();
+    // No fault plan may land on the shared file mid-test.
+    let _gate = fx.plan_gate.lock().unwrap_or_else(|e| e.into_inner());
+    let sys = fx.file.system().clone();
+    let cfg = ClusterConfig {
+        nodes: 4,
+        frontend: FrontendConfig {
+            deadline: Duration::from_millis(100),
+            down_after: 0,
+        },
+        net_faults: None,
+    };
+    let cluster = Cluster::new(&fx.file, CostModel::main_memory(), cfg);
+    let dead_range = 16..24u64;
+    // A query whose devices meet the dead node's range without covering it.
+    let query = loadgen::query_mix(&sys, 200, 43, 1)
+        .into_iter()
+        .rev()
+        .find(|q| {
+            let set = fx.file.method().device_set(q);
+            set.meets(dead_range.clone()) && dead_range.clone().any(|d| !set.contains(d))
+        })
+        .expect("the mix holds a query touching part of node 2");
+    let set = fx.file.method().device_set(&query);
+
+    cluster.kill_node(2);
+    let policy = ExecPolicy::default();
+    let gathered = cluster
+        .frontend()
+        .execute_batch(std::slice::from_ref(&query), &policy);
+    let local = fx.exec.execute_batch(std::slice::from_ref(&query), &policy);
+    let (got, want) = (&gathered[0], &local[0]);
+    assert!(got.coverage < 1.0, "the touched devices are lost");
+    for (g, w) in got.per_device.iter().zip(&want.per_device) {
+        if dead_range.contains(&g.device) && set.contains(g.device) {
+            assert_eq!(g.outcome, DeviceOutcome::Lost, "device {}", g.device);
+            assert_eq!(g.qualified_buckets, w.qualified_buckets);
+            assert_eq!(g.simulated_us, 0.0);
+        } else {
+            assert_eq!(g, w, "device {} had nothing on the dead node", g.device);
+        }
+    }
+}
+
 /// Seeded net-fault drops degrade deterministically: same seed, same
 /// drops, same lost devices — and zero drop probability is a no-op.
 #[test]
@@ -398,7 +509,8 @@ fn net_fault_drops_are_seed_deterministic() {
 }
 
 /// `down_after = 0` disables the circuit breaker: a dead node keeps
-/// costing deadlines but is still asked.
+/// costing deadlines but is still asked — by every query that touches
+/// it.
 #[test]
 fn breaker_disabled_keeps_asking() {
     let file = table7_file();
@@ -412,7 +524,11 @@ fn breaker_disabled_keeps_asking() {
     };
     let cluster = Cluster::new(&file, CostModel::main_memory(), cfg);
     let sys = file.system().clone();
-    let queries = loadgen::query_mix(&sys, 1, 3, 0);
+    // Three unspecified fields put buckets on every device, so the query
+    // touches node 0 (devices 0..16) and the frontend must ask it.
+    let values: Vec<Option<u64>> = vec![Some(1), None, Some(2), None, Some(3), None];
+    let queries = vec![PartialMatchQuery::new(&sys, &values).unwrap()];
+    assert!(file.method().device_set(&queries[0]).meets(0..16));
     cluster.kill_node(0);
     for _ in 0..3 {
         let _ = cluster

@@ -1119,6 +1119,28 @@ impl PlannedQuery {
     }
 }
 
+/// The yield of a device on which `planned` qualifies no bucket: `Ok`,
+/// no buckets, no records, and only the plan's address charge for an
+/// owner of nothing. Exactly what the executor's read path returns for an
+/// empty code list, so a scatter/gather frontend can fill in the devices
+/// it never asked without changing a bit of the merged report.
+pub fn idle_yield(planned: &PlannedQuery, device: u64, cost: &CostModel) -> DeviceYield {
+    let addresses_computed = planned.addresses_computed(0);
+    DeviceYield {
+        report: DeviceReport {
+            device,
+            qualified_buckets: 0,
+            records: 0,
+            addresses_computed,
+            simulated_us: cost.device_time_us(0, addresses_computed),
+            reconstructions: 0,
+            outcome: DeviceOutcome::Ok,
+        },
+        records: Vec::new(),
+        lost: Vec::new(),
+    }
+}
+
 /// Plans one query for `method`: the dispatch decision
 /// ([`fx_fast_path_pays_off`]) and the address-accounting inputs, without
 /// executing anything. Cheap on repeated patterns — the inverse built for
@@ -1728,6 +1750,46 @@ mod tests {
         assert_eq!(batch[0].per_device[1].outcome, DeviceOutcome::FailedOver);
         assert_eq!(batch[0].coverage, 1.0);
         file.install_fault_plan(None);
+    }
+
+    /// `idle_yield` is the executor's own yield for a device on which the
+    /// query qualifies nothing — on both dispatch paths, fault-free and
+    /// with that very device dead (no read, so nothing to fail).
+    #[test]
+    fn idle_yield_matches_an_empty_device_read() {
+        let mut file = build_file(300);
+        assert!(file.enable_mirroring());
+        let cost = CostModel::main_memory();
+        let exec = Executor::new(&file, cost);
+        let q = file
+            .query(&[("k", Value::Int(2)), ("cat", Value::Int(5))])
+            .unwrap();
+        let planned = plan_query(file.system(), file.method(), &q);
+        let policy = ExecPolicy::default();
+        for fast_path in [false, true] {
+            let p = PlannedQuery {
+                fast_path,
+                ..planned.clone()
+            };
+            let clean = exec.execute_planned(std::slice::from_ref(&p), &policy);
+            let home = clean[0]
+                .iter()
+                .find(|y| y.report.qualified_buckets > 0)
+                .expect("an exact match owns one bucket")
+                .report
+                .device;
+            let idle = (home + 1) % 4;
+            file.install_fault_plan(Some(Arc::new(
+                pmr_rt::fault::FaultPlan::new(3).with_dead_device(idle),
+            )));
+            let degraded = exec.execute_planned(std::slice::from_ref(&p), &policy);
+            file.install_fault_plan(None);
+            for yields in [&clean[0], &degraded[0]] {
+                for y in yields.iter().filter(|y| y.report.device != home) {
+                    assert_eq!(y, &idle_yield(&p, y.report.device, &cost));
+                }
+            }
+        }
     }
 
     /// One executor serves many batches; identical queries yield

@@ -92,6 +92,9 @@ pub struct DeclusteredFile<D: DistributionMethod> {
     /// ([`DeclusteredFile::enable_parity`]). Shared with executors by
     /// `Arc` — the store interior-mutates its stripe directory.
     parity: Option<Arc<ParityStore>>,
+    /// The host's available parallelism, read once at construction: the
+    /// probe costs tens of µs, too much to pay per insert batch.
+    cores: usize,
 }
 
 impl<D: DistributionMethod> DeclusteredFile<D> {
@@ -118,6 +121,7 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
             hash_seed,
             mirroring: None,
             parity: None,
+            cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
         })
     }
 
@@ -287,9 +291,7 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
         let mirroring = self.mirroring;
         let records = Arc::new(records);
         let codes = Arc::new(codes);
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(m);
+        let workers = self.cores.min(m);
         let pool = (workers > 1).then(|| pmr_rt::pool::resident::ResidentPool::new(workers));
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let mut jobs = 0usize;

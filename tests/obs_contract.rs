@@ -13,7 +13,7 @@
 use pmr_mkh::{FieldType, Record, Schema, Value};
 use pmr_net::{loadgen, Cluster, ClusterConfig, FrontendConfig};
 use pmr_rt::obs::{self, agg::TraceStats, Event, TraceConfig};
-use pmr_storage::exec::{execute_parallel, ExecPolicy};
+use pmr_storage::exec::{execute_parallel, plan_query, route_planned, ExecPolicy};
 use pmr_storage::{CostModel, DeclusteredFile};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -347,7 +347,9 @@ fn append_invalidates_the_cached_page() {
 /// lands under its `node{N}.` prefix, and the merged per-node `busy_us`
 /// histograms reconcile bucket-for-bucket with the frontend's own
 /// `net.node_rt_us` observations — both sides bucket the identical wire
-/// value with the identical bounds.
+/// value with the identical bounds. Scatter is targeted: a node is asked
+/// exactly the queries with a qualified bucket in its device range,
+/// counted here independently by routing each query over each range.
 #[test]
 fn cluster_round_trip_merges_node_telemetry() {
     let _guard = lock();
@@ -362,6 +364,22 @@ fn cluster_round_trip_merges_node_telemetry() {
     let queries = loadgen::query_mix(&sys, 3, 3, 2);
     let batches = 4u64;
     let nodes = cluster.nodes() as u64;
+    // Per node, how many of the batch's queries own a bucket in its range.
+    let asked: Vec<u64> = pmr_net::partition::contiguous(DEVICES, cluster.nodes())
+        .into_iter()
+        .map(|range| {
+            let mut codes = vec![Vec::new(); (range.end - range.start) as usize];
+            queries
+                .iter()
+                .filter(|q| {
+                    let planned = plan_query(&sys, file.method(), q);
+                    route_planned(&sys, file.method(), &planned, range.clone(), &mut codes);
+                    codes.iter().any(|c| !c.is_empty())
+                })
+                .count() as u64
+        })
+        .collect();
+    let scattered_nodes = asked.iter().filter(|&&a| a > 0).count() as u64;
     for _ in 0..batches {
         let _ = cluster.frontend().execute_batch(&queries, &policy);
     }
@@ -386,7 +404,11 @@ fn cluster_round_trip_merges_node_telemetry() {
     obs::install(TraceConfig::Off).unwrap();
     obs::reset();
 
-    assert_eq!(requests, batches * nodes, "one scatter per node per batch");
+    assert_eq!(
+        requests,
+        batches * scattered_nodes,
+        "one scatter per batch to each node the batch touches"
+    );
     assert_eq!(
         responses, requests,
         "a healthy cluster answers every scatter"
@@ -397,21 +419,23 @@ fn cluster_round_trip_merges_node_telemetry() {
 
     let mut merged_busy_total = vec![0u64; frontend_rt.1.len()];
     for (i, (node_requests, node_queries, busy)) in merged.iter().enumerate() {
+        let node_batches = if asked[i] > 0 { batches } else { 0 };
         assert_eq!(
-            *node_requests, batches,
+            *node_requests, node_batches,
             "node{i}.requests counts its scatters"
         );
-        assert_eq!(
-            *node_queries,
-            batches * queries.len() as u64,
-            "node{i}.queries"
-        );
+        assert_eq!(*node_queries, batches * asked[i], "node{i}.queries");
+        if node_batches == 0 {
+            assert!(busy.is_none(), "node{i} was never asked");
+            assert_eq!(attribution[i].responses, 0);
+            continue;
+        }
         let busy = busy
             .as_ref()
             .unwrap_or_else(|| panic!("node{i}.busy_us hist merged"));
         assert_eq!(
             busy.iter().sum::<u64>(),
-            batches,
+            node_batches,
             "one busy_us sample per response"
         );
         // The merged wire histogram IS the frontend's local attribution
@@ -420,7 +444,7 @@ fn cluster_round_trip_merges_node_telemetry() {
             busy, &attribution[i].busy_hist,
             "node{i} busy_us reconciles"
         );
-        assert_eq!(attribution[i].merged_requests, batches);
+        assert_eq!(attribution[i].merged_requests, node_batches);
         for (acc, b) in merged_busy_total.iter_mut().zip(busy) {
             *acc += b;
         }
@@ -428,6 +452,78 @@ fn cluster_round_trip_merges_node_telemetry() {
     assert_eq!(
         merged_busy_total, frontend_rt.1,
         "summed node{{N}}.busy_us must equal the frontend's net.node_rt_us histogram"
+    );
+}
+
+/// `net.request_bytes` counts the scatter frames actually sent. A batch
+/// of exact-match queries (each on one device, so one node) sends less
+/// than one whole-batch frame per node; a batch of full scans touches
+/// every node, so each node gets the whole-batch frame, byte for byte.
+/// `net.response_bytes` counts the gathered frames.
+#[test]
+fn request_bytes_follow_targeted_scatter() {
+    use pmr_net::wire::{
+        encode_message, Message, ScatterRequest, TraceContext, WirePolicy, WireQuery,
+    };
+
+    let _guard = lock();
+    let file = fixture();
+    let cluster = Cluster::new(&file, CostModel::main_memory(), ClusterConfig::default());
+    let sys = file.system().clone();
+    let nodes = cluster.nodes() as u64;
+    let policy = ExecPolicy::default();
+    let exact: Vec<_> = (0..8i64)
+        .map(|i| {
+            file.query(&[
+                ("a", Value::Int(i)),
+                ("b", Value::Int(i * 3)),
+                ("c", Value::Int(i * 5)),
+            ])
+            .unwrap()
+        })
+        .collect();
+    let scans = vec![file.query(&[]).unwrap(); 2];
+
+    let sent = |queries: &[pmr_core::PartialMatchQuery]| {
+        obs::install(TraceConfig::Memory).unwrap();
+        obs::reset();
+        let _ = cluster.frontend().execute_batch(queries, &policy);
+        let bytes = (
+            obs::counter_total("net.request_bytes"),
+            obs::counter_total("net.response_bytes"),
+        );
+        obs::install(TraceConfig::Off).unwrap();
+        obs::reset();
+        // A traced scatter carries a fixed-size trace context; its ids do
+        // not change the frame length.
+        let whole = encode_message(&Message::Request(ScatterRequest {
+            request_id: 1,
+            policy: WirePolicy::from_policy(&policy),
+            queries: queries
+                .iter()
+                .map(|q| WireQuery::from_planned(&plan_query(&sys, file.method(), q)))
+                .collect(),
+            trace: Some(TraceContext {
+                trace_id: 1,
+                parent_span: 1,
+            }),
+        }));
+        (bytes, whole.len() as u64)
+    };
+
+    let ((exact_sent, exact_gathered), exact_frame) = sent(&exact);
+    assert!(exact_gathered > 0, "responses are counted");
+    assert!(
+        exact_sent < nodes * exact_frame,
+        "exact matches: {exact_sent} bytes sent, broadcast would send {}",
+        nodes * exact_frame
+    );
+    let ((scan_sent, scan_gathered), scan_frame) = sent(&scans);
+    assert!(scan_gathered > 0, "responses are counted");
+    assert_eq!(
+        scan_sent,
+        nodes * scan_frame,
+        "full scans touch every node: each gets the whole batch"
     );
 }
 

@@ -22,13 +22,15 @@ use pmr_core::inverse::{
 use pmr_core::method::DistributionMethod;
 use pmr_core::optimality::response_histogram;
 use pmr_core::{
-    AssignmentStrategy, FxDistribution, GeneralFxDistribution, PartialMatchQuery, SystemConfig,
+    Assignment, AssignmentStrategy, FxDistribution, GeneralFxDistribution, PartialMatchQuery,
+    SystemConfig, TransformKind,
 };
 use pmr_mkh::{FieldType, Record, Schema, Value};
 use pmr_rt::check::Source;
 use pmr_rt::rt_proptest;
 use pmr_storage::exec::{
     execute_parallel, execute_parallel_fx, execute_parallel_scan, fx_fast_path_pays_off,
+    plan_query, route_planned,
 };
 use pmr_storage::{CostModel, DeclusteredFile};
 
@@ -286,5 +288,69 @@ rt_proptest! {
             assert_eq!(total(&auto), total(&scan));
         }
         assert_eq!(total(&scan), sys.devices() * query.qualified_count_in(&sys));
+    }
+
+    /// FX's closed-form device set is exactly the set of devices the
+    /// inverse mapping routes at least one code to — over random systems
+    /// (fields both smaller and larger than `M`, `M` from 1 to 64), every
+    /// assignment strategy plus random explicit kinds (I, U, IU1, IU2),
+    /// and random queries. Its range test agrees with the routed devices
+    /// on a random range.
+    fn fx_device_set_matches_routed_devices(src) {
+        let m_bits = src.u32_in(0..=6);
+        let mut field_bits = src.vec_of(1..=5, |s| s.u32_in(0..=8));
+        // Keep a full scan enumerable.
+        while field_bits.iter().sum::<u32>() > 16 {
+            field_bits.pop();
+        }
+        let sizes: Vec<u64> = field_bits.iter().map(|&b| 1u64 << b).collect();
+        let sys = SystemConfig::new(&sizes, 1 << m_bits).expect("powers of two are valid");
+        let m = sys.devices();
+        let fx = match src.arm(5) {
+            4 => {
+                let kinds: Vec<TransformKind> = (0..sys.num_fields())
+                    .map(|i| {
+                        if sys.field_size(i) < m {
+                            TransformKind::ALL[src.arm(4)]
+                        } else {
+                            TransformKind::Identity
+                        }
+                    })
+                    .collect();
+                FxDistribution::with_assignment(
+                    Assignment::from_kinds(&sys, &kinds).expect("small fields take any kind"),
+                )
+            }
+            arm => {
+                let strategy = [
+                    AssignmentStrategy::Basic,
+                    AssignmentStrategy::CycleIu1,
+                    AssignmentStrategy::CycleIu2,
+                    AssignmentStrategy::TheoremNine,
+                ][arm];
+                FxDistribution::with_strategy(sys.clone(), strategy).unwrap_or_else(|_| {
+                    FxDistribution::auto(sys.clone()).expect("auto always assigns")
+                })
+            }
+        };
+        let query = gen_query(src, &sys);
+        let planned = plan_query(&sys, &fx, &query);
+        let mut codes = vec![Vec::new(); m as usize];
+        route_planned(&sys, &fx, &planned, 0..m, &mut codes);
+        let routed: Vec<u64> = (0..m).filter(|&d| !codes[d as usize].is_empty()).collect();
+
+        let set = fx.device_set(&query);
+        let what = format!("{} on {sys} query {query}", fx.name());
+        assert_eq!(set.iter().collect::<Vec<_>>(), routed, "{what}");
+        for device in 0..m {
+            assert_eq!(set.contains(device), routed.contains(&device), "{what} device {device}");
+        }
+        let start = src.int_in(0, m - 1);
+        let end = src.int_in(start, m);
+        assert_eq!(
+            set.meets(start..end),
+            routed.iter().any(|d| (start..end).contains(d)),
+            "{what} range {start}..{end}"
+        );
     }
 }
