@@ -4,7 +4,7 @@
 //! believe are OCR-damaged — flagged so comparisons can distinguish
 //! "mismatch against a legible cell" from "mismatch against a damaged
 //! cell"). [`compare`] produces a cell-by-cell diff of the paper against
-//! a fresh computation; the `all_experiments` run and EXPERIMENTS.md are
+//! a fresh computation; the `pmr experiment all` run and EXPERIMENTS.md are
 //! generated from the same data, and an integration test asserts that no
 //! *legible* cell drifts by more than rounding.
 

@@ -1,7 +1,7 @@
 //! End-to-end query execution through the storage stack: parallel
-//! retrieval latency per method, generic vs FX-specialised executors,
-//! the `execute_parallel` fast-path dispatcher, and the fault-hook
-//! overhead on the bucket-read hot path.
+//! retrieval latency per method, the forced scan vs the forced FX fast
+//! inverse, the `execute_parallel` fast-path dispatcher, and the
+//! fault-hook overhead on the bucket-read hot path.
 //!
 //! Run with `cargo bench -p pmr-bench --bench query_exec`.
 

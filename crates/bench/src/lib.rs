@@ -1,7 +1,8 @@
-//! # pmr-bench — benchmark harness and experiment regenerators
+//! # pmr-bench — benchmark harness and experiment tools
 //!
-//! One binary per paper table/figure (`table1` … `table9`,
-//! `figure1` … `figure4`, `cpu_time`, `all_experiments`) plus
+//! Experiment binaries beyond the paper's tables and figures (which
+//! `pmr experiment` regenerates): `cpu_time` for §5.2.2, theorem
+//! verification, ablations, GDM and table searches, plus
 //! [`pmr_rt::bench`] micro-benches (`addr_compute`, `distribution`,
 //! `inverse`) reproducing the paper's §5.2.2 CPU-time comparison on the
 //! host CPU. Benches emit JSON lines with deterministic checksums; see

@@ -20,7 +20,10 @@ use pmr_core::transform::{Transform, TransformKind};
 use pmr_core::{AssignmentStrategy, FxDistribution, PartialMatchQuery};
 use pmr_mkh::{FieldType, Record, Schema, Value};
 use pmr_rt::bench::{black_box, Group, Stats};
-use pmr_storage::exec::{execute_parallel, execute_parallel_fx, execute_parallel_scan};
+use pmr_storage::exec::{
+    execute_parallel, execute_parallel_with, merge_device_yields, plan_query, ExecPolicy, Executor,
+    PlannedQuery, Redundancy,
+};
 use pmr_storage::{CostModel, DeclusteredFile};
 use std::io::Write as _;
 use std::path::Path;
@@ -335,8 +338,28 @@ fn exec_filled<D: DistributionMethod>(method: D, records: i64) -> DeclusteredFil
     file
 }
 
+/// `query` on `file` under a forced inverse mapping (`fast_path`), as a
+/// closure that runs it through `exec` and returns the largest response
+/// — the forced twin of `execute_parallel`'s dispatch.
+fn forced<'a, D: DistributionMethod + Clone + Send + Sync + 'static>(
+    exec: &'a Executor<D>,
+    file: &DeclusteredFile<D>,
+    query: &PartialMatchQuery,
+    fast_path: bool,
+) -> impl FnMut() -> u64 + 'a {
+    let planned = [PlannedQuery {
+        fast_path,
+        ..plan_query(file.system(), file.method(), query)
+    }];
+    let policy = ExecPolicy::default();
+    move || {
+        let yields = exec.execute_planned(&planned, &policy).remove(0);
+        merge_device_yields(yields, policy.effective_redundancy()).largest_response
+    }
+}
+
 /// End-to-end query execution through the storage stack: forced generic
-/// scan vs FX-specialised executor, plus a Modulo file and a serial
+/// scan vs forced FX fast inverse, plus a Modulo file and a serial
 /// reference.
 pub fn query_exec(opts: &SuiteOpts) -> Group {
     let records = opts.scaled(20_000, 1000) as i64;
@@ -347,17 +370,13 @@ pub fn query_exec(opts: &SuiteOpts) -> Group {
     let query = fx_file.query(&[("b", Value::Int(7))]).unwrap();
     let dm_query = dm_file.query(&[("b", Value::Int(7))]).unwrap();
 
+    let exec = Executor::new(&fx_file, cost);
     let mut group = opts.group("query_exec");
-    group.bench("fx_generic_executor", || {
-        execute_parallel_scan(&fx_file, &query, &cost)
-            .unwrap()
-            .largest_response
-    });
-    group.bench("fx_fast_executor", || {
-        execute_parallel_fx(&fx_file, &query, &cost)
-            .unwrap()
-            .largest_response
-    });
+    group.bench(
+        "fx_generic_executor",
+        forced(&exec, &fx_file, &query, false),
+    );
+    group.bench("fx_fast_executor", forced(&exec, &fx_file, &query, true));
     group.bench("modulo_generic_executor", || {
         execute_parallel(&dm_file, &dm_query, &cost)
             .unwrap()
@@ -370,8 +389,8 @@ pub fn query_exec(opts: &SuiteOpts) -> Group {
 }
 
 /// The dispatcher's fast path end-to-end: `execute_parallel` on an FX
-/// file (auto-dispatches onto [`FxInverse`]) vs the forced generic scan
-/// on the same file, at two selectivities.
+/// file (dispatches onto [`FxInverse`] when the plan says it pays) vs the
+/// forced generic scan on the same file, at two selectivities.
 pub fn exec_fast_path(opts: &SuiteOpts) -> Group {
     let records = opts.scaled(20_000, 1000) as i64;
     let sys = exec_schema().system().clone();
@@ -381,6 +400,7 @@ pub fn exec_fast_path(opts: &SuiteOpts) -> Group {
         .query(&[("a", Value::Int(11)), ("b", Value::Int(7))])
         .unwrap();
     let wide = file.query(&[("b", Value::Int(7))]).unwrap();
+    let exec = Executor::new(&file, cost);
 
     let mut group = opts.group("exec_fast_path");
     group.bench("dispatch_narrow", || {
@@ -388,21 +408,13 @@ pub fn exec_fast_path(opts: &SuiteOpts) -> Group {
             .unwrap()
             .largest_response
     });
-    group.bench("scan_narrow", || {
-        execute_parallel_scan(&file, &narrow, &cost)
-            .unwrap()
-            .largest_response
-    });
+    group.bench("scan_narrow", forced(&exec, &file, &narrow, false));
     group.bench("dispatch_wide", || {
         execute_parallel(&file, &wide, &cost)
             .unwrap()
             .largest_response
     });
-    group.bench("scan_wide", || {
-        execute_parallel_scan(&file, &wide, &cost)
-            .unwrap()
-            .largest_response
-    });
+    group.bench("scan_wide", forced(&exec, &file, &wide, false));
     group
 }
 
@@ -472,7 +484,6 @@ pub fn obs_overhead(opts: &SuiteOpts) -> Group {
 /// tracks the strict dispatcher.
 pub fn fault_overhead(opts: &SuiteOpts) -> Group {
     use pmr_rt::fault::{FaultPlan, RetryPolicy};
-    use pmr_storage::exec::{execute_parallel_with, ExecPolicy, Redundancy};
     use std::sync::Arc;
 
     let records = opts.scaled(20_000, 1000) as i64;
@@ -656,18 +667,17 @@ pub fn ec_codec(opts: &SuiteOpts) -> Group {
 
 /// Sustained multi-query throughput on the paper's Table 7 system
 /// (`F = (8,…,8)`, `M = 32`): the resident batch executor
-/// ([`Executor::execute_batch`]) vs the spawn-per-query policy path vs a
-/// serial reference, at batch sizes 1/16/256 over a fixed seeded query
-/// mix (2–4 unspecified fields, `|R(q)|` 64–4096). Each bench's
+/// ([`Executor::execute_batch`]) vs the one-query-at-a-time policy path
+/// (`execute_parallel_with`) vs a serial reference, at batch sizes
+/// 1/16/256 over a fixed seeded query mix (2–4 unspecified fields,
+/// `|R(q)|` 64–4096). Each bench's
 /// checksum is the total record count over its batch, so the three
 /// variants at one batch size pin the same answer.
 ///
 /// This is the resident executor's acceptance bench: one timed iteration
 /// of `resident_batch_N` answers the same N queries as one iteration of
-/// `spawn_per_query_N`, so the median ratio *is* the queries/sec ratio.
+/// `per_query_N`, so the median ratio *is* the queries/sec ratio.
 pub fn throughput(opts: &SuiteOpts) -> Group {
-    use pmr_storage::exec::{execute_parallel_with, ExecPolicy, Executor};
-
     let sys = cpu_time_system();
     let mut builder = Schema::builder();
     for (i, &size) in sys.field_sizes().iter().enumerate() {
@@ -710,8 +720,8 @@ pub fn throughput(opts: &SuiteOpts) -> Group {
     let policy = ExecPolicy::default();
     let exec = Executor::new(&file, cost);
 
-    // Full batches of 256 spawn 8192 threads per spawn-per-query
-    // iteration, so this group caps its default iteration counts; the
+    // A full iteration answers 256 wide queries three times over, so
+    // this group caps its default iteration counts; the
     // `PMR_BENCH_ITERS`/`PMR_BENCH_WARMUP` knobs still override.
     let mut group = opts.group("throughput");
     if opts.iters.is_none() && std::env::var("PMR_BENCH_ITERS").is_err() {
@@ -731,7 +741,7 @@ pub fn throughput(opts: &SuiteOpts) -> Group {
                 .map(|r| r.records.len() as u64)
                 .sum()
         });
-        group.bench(&format!("spawn_per_query_{batch}"), || {
+        group.bench(&format!("per_query_{batch}"), || {
             slice
                 .iter()
                 .map(|q| {
@@ -763,7 +773,6 @@ pub fn throughput(opts: &SuiteOpts) -> Group {
 pub fn serve(opts: &SuiteOpts) -> Group {
     use pmr_net::wire::{decode_message, encode_message, GatherResponse, Message};
     use pmr_net::{loadgen, Cluster, ClusterConfig};
-    use pmr_storage::exec::{ExecPolicy, Executor};
 
     let sys = cpu_time_system();
     let mut builder = Schema::builder();

@@ -27,7 +27,7 @@ USAGE:
   pmr throughput [--fields F1,F2,... --devices M] [--records N]
                  [--batch B] [--seed K] [--cache P] [--json]
       Time one query batch (default: the paper's Table 7 system, 64
-      queries) through the resident batch executor, spawn-per-query
+      queries) through the resident batch executor, one-query-at-a-time
       execution, and the serial reference; all variants must return the
       same records, and queries/sec are reported for each.
 
@@ -63,7 +63,10 @@ USAGE:
       visible as its recent share drains to zero.
 
   pmr experiment <table1..table9|figure1..figure4|all> [--trace T]
-      Regenerate a table/figure of the paper's evaluation.
+                 [--csv] [--empirical]
+      Regenerate a table/figure of the paper's evaluation. On one figure,
+      --csv prints its curves as CSV and --empirical adds ground-truth
+      curves measured exhaustively on scaled-down systems.
 
   pmr stats <trace.jsonl> [--cluster]
       Aggregate a JSON-lines trace (recorded via --trace or PMR_TRACE)
@@ -121,6 +124,8 @@ OPTIONS:
               serve/loadgen refuse it: nodes ship stored page bytes and
               never read the cache
   --check     loadgen: verify the checksum against a single-process run
+  --csv       experiment: print a figure's curves as CSV
+  --empirical experiment: add a figure's exhaustively measured curves
   --cluster   stats: render the merged node{N}.* telemetry per node
   --outage    chaos: additionally kill device D at every swept rate
   --redundancy  simulate/chaos: none | mirror | parity | parity:K,R
@@ -149,7 +154,15 @@ pub struct Flags<'a> {
 }
 
 /// Flags that take no value; present means `true`.
-const BOOLEAN_FLAGS: [&str; 5] = ["json", "mirror", "no-mirror", "check", "cluster"];
+const BOOLEAN_FLAGS: [&str; 7] = [
+    "json",
+    "mirror",
+    "no-mirror",
+    "check",
+    "cluster",
+    "csv",
+    "empirical",
+];
 
 impl<'a> Flags<'a> {
     /// Parses `--name value` pairs (and bare boolean flags like

@@ -315,7 +315,8 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
 }
 
 /// `pmr throughput` — compare the resident batch executor against
-/// spawn-per-query and serial execution on one batch of sample queries.
+/// one-query-at-a-time and serial execution on one batch of sample
+/// queries.
 ///
 /// Defaults to the paper's Table 7 system (six 8-ary fields on M = 32).
 /// All three variants answer the identical query batch; the command
@@ -404,7 +405,7 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
             .map(|r| r.records.len() as u64)
             .sum()
     })?;
-    let (spawn_s, spawn_n) = time(&|| {
+    let (per_query_s, per_query_n) = time(&|| {
         queries
             .iter()
             .map(|q| {
@@ -420,9 +421,10 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
             .map(|q| file.retrieve_serial(q).map(|r| r.len() as u64).unwrap_or(0))
             .sum()
     })?;
-    if resident_n != spawn_n || resident_n != serial_n {
+    if resident_n != per_query_n || resident_n != serial_n {
         return Err(format!(
-            "variants disagree: resident {resident_n}, spawn {spawn_n}, serial {serial_n} records"
+            "variants disagree: resident {resident_n}, per query {per_query_n}, \
+             serial {serial_n} records"
         ));
     }
 
@@ -430,20 +432,20 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
     if json {
         println!(
             "{{\"system\":\"{sys}\",\"batch\":{batch},\"records_returned\":{resident_n},\
-             \"resident_qps\":{:.0},\"spawn_qps\":{:.0},\"serial_qps\":{:.0}}}",
+             \"resident_qps\":{:.0},\"per_query_qps\":{:.0},\"serial_qps\":{:.0}}}",
             qps(resident_s),
-            qps(spawn_s),
+            qps(per_query_s),
             qps(serial_s)
         );
     } else {
         println!("{sys}: {batch} queries, {resident_n} records returned by every variant");
         println!(
-            "  resident batch   {:>10.0} queries/sec ({:.2}x vs spawn, {:.2}x vs serial)",
+            "  resident batch   {:>10.0} queries/sec ({:.2}x vs per query, {:.2}x vs serial)",
             qps(resident_s),
-            spawn_s / resident_s,
+            per_query_s / resident_s,
             serial_s / resident_s
         );
-        println!("  spawn per query  {:>10.0} queries/sec", qps(spawn_s));
+        println!("  per query        {:>10.0} queries/sec", qps(per_query_s));
         println!("  serial reference {:>10.0} queries/sec", qps(serial_s));
     }
     Ok(())
@@ -1014,12 +1016,19 @@ pub fn verify(args: &[String]) -> Result<(), String> {
 /// `pmr experiment` — regenerate a paper table/figure.
 ///
 /// `--trace <path|stderr>` records the run's spans and metrics so the
-/// cost of regenerating a table can be inspected with `pmr stats`.
+/// cost of regenerating a table can be inspected with `pmr stats`. On a
+/// single figure, `--csv` prints its curves as CSV and `--empirical`
+/// adds the ground-truth curves measured by exhaustive checking on
+/// scaled-down systems.
 pub fn experiment(args: &[String]) -> Result<(), String> {
     let Some(which) = args.first() else {
         return Err("experiment needs a name (table1..table9, figure1..figure4, all)".into());
     };
     let flags = Flags::parse(&args[1..])?;
+    let (csv, empirical) = (flags.has("csv"), flags.has("empirical"));
+    if (csv || empirical) && !which.starts_with("figure") {
+        return Err("--csv and --empirical apply to figure1..figure4 only".into());
+    }
     let traced = install_trace(&flags)?;
     let run_one = |exp: Experiment| -> Result<(), String> {
         let _span = pmr_rt::span!("cli.experiment");
@@ -1033,7 +1042,7 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
             Experiment::Table7 | Experiment::Table8 | Experiment::Table9 => {
                 experiments::render_table_response(exp)
             }
-            _ => experiments::render_figure_experiment(exp),
+            _ => return print_figure(exp, csv, empirical).map_err(|e| e.to_string()),
         }
         .map_err(|e| e.to_string())?;
         println!("{out}");
@@ -1059,6 +1068,38 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
         obs::flush();
     }
     result
+}
+
+/// Prints one of Figures 1–4: its certified curves as a text table or
+/// CSV, then, with `empirical`, the exhaustively measured curves.
+fn print_figure(exp: Experiment, csv: bool, empirical: bool) -> pmr_core::Result<()> {
+    let print_csv = |header: &str, curves: &probability::FigureCurves| {
+        println!("{header}");
+        for (i, l) in curves.l_values.iter().enumerate() {
+            println!(
+                "{l},{:.4},{:.4}",
+                curves.md_percent[i], curves.fd_percent[i]
+            );
+        }
+    };
+    if csv {
+        print_csv("l,md_percent,fd_percent", &experiments::figure(exp)?);
+    } else {
+        println!("{}", experiments::render_figure_experiment(exp)?);
+    }
+    if empirical {
+        let curves = probability::empirical_curves(&experiments::figure_config(exp))?;
+        if csv {
+            print_csv("l,md_empirical_percent,fd_empirical_percent", &curves);
+        } else {
+            let title = format!(
+                "{} (empirical ground truth, scaled-down sizes)",
+                exp.label()
+            );
+            println!("{}", pmr_analysis::tables::render_figure(&curves, &title));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //! pmr loadgen    [--nodes K] [--queries Q] [--batch B] [--concurrency C]
 //!                [--kill-node I --kill-at Q] [--drop P] [--check] [--json]
 //! pmr chaos      [--rates R1,R2,...] [--outage D] [--no-mirror] [--json]
-//! pmr experiment <table1..table9|figure1..figure4|all> [--trace T]
+//! pmr experiment <table1..table9|figure1..figure4|all> [--trace T] [--csv] [--empirical]
 //! pmr stats      <trace.jsonl>
 //! ```
 

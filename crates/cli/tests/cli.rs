@@ -188,7 +188,7 @@ fn throughput_compares_variants_on_default_system() {
     let text = stdout(&out);
     assert!(text.contains("records returned by every variant"), "{text}");
     assert!(text.contains("resident batch"), "{text}");
-    assert!(text.contains("spawn per query"), "{text}");
+    assert!(text.contains("\n  per query "), "{text}");
     assert!(text.contains("serial reference"), "{text}");
 }
 
@@ -308,6 +308,18 @@ fn experiment_table1_matches_regenerator() {
     let out = pmr(&["experiment", "table1"]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("Table 1"));
+}
+
+#[test]
+fn experiment_figure_csv_prints_curves() {
+    let out = pmr(&["experiment", "figure1", "--csv"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(
+        text.lines().next(),
+        Some("l,md_percent,fd_percent"),
+        "{text}"
+    );
 }
 
 #[test]

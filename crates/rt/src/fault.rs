@@ -337,7 +337,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// No retries at all: one attempt, zero backoff.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
             base_us: 0,

@@ -7,10 +7,9 @@
 //!   shuffling, byte filling, and reproducible stream-splitting. Every
 //!   experiment seed in the workspace flows through this generator, which
 //!   is what makes the paper-table regenerators byte-for-byte replayable.
-//! * [`pool`] — scoped worker pool over `std::thread::scope` and channels,
-//!   plus resident pinned workers ([`pool::resident`]) for query streams
-//!   with ordered results and panic propagation; the parallel query
-//!   executor's one-worker-per-device model.
+//! * [`pool`] — resident pinned workers ([`pool::resident`]) with
+//!   per-worker mailboxes and panic hand-back, which carry the batch
+//!   query executor's device chunks beyond the calling thread's.
 //! * [`buf`] — append buffer / frozen sliceable region pair with
 //!   little-endian integer vocabulary ([`buf::Buf`]/[`buf::BufMut`]) for
 //!   the bucket-page wire format.

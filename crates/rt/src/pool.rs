@@ -1,218 +1,5 @@
-//! Scoped worker pool over `std::thread::scope` and channels.
-//!
-//! Two shapes cover the workspace's parallelism:
-//!
-//! * [`scope_map`] — one worker per item, results returned in item order.
-//!   This is the per-device executor shape: the paper's symmetric system
-//!   has one independent device per worker, so a thread per item *is* the
-//!   model.
-//! * [`Pool::run`] — a fixed number of workers draining a channel of
-//!   tasks, for work lists longer than the device count. Results are
-//!   returned in task order regardless of which worker ran them.
-//! * [`resident::ResidentPool`] — long-lived pinned workers with
-//!   per-worker mailboxes, for query *streams* where per-call spawn/join
-//!   overhead dominates (see the submodule docs).
-//!
-//! Both propagate panics: a panicking worker aborts the whole operation
-//! by re-raising the panic on the calling thread (after every worker has
-//! been joined), so a failed assertion inside a worker is never silently
-//! swallowed.
+//! Worker threads for the query executor: [`resident::ResidentPool`],
+//! long-lived pinned workers with per-worker mailboxes, which carry a
+//! batch's device chunks beyond the caller's own (see the submodule docs).
 
 pub mod resident;
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Mutex;
-
-/// Runs `f` on every item, one scoped worker per item, returning results
-/// in item order.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic on the calling thread.
-///
-/// # Examples
-///
-/// ```
-/// let squares = pmr_rt::pool::scope_map(0..4u64, |x| x * x);
-/// assert_eq!(squares, vec![0, 1, 4, 9]);
-/// ```
-pub fn scope_map<I, T, F>(items: I, f: F) -> Vec<T>
-where
-    I: IntoIterator,
-    I::Item: Send,
-    T: Send,
-    F: Fn(I::Item) -> T + Sync,
-{
-    let items: Vec<I::Item> = items.into_iter().collect();
-    let _span = crate::span!("pool.scope_map", items = items.len() as u64);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| scope.spawn(move || f(item)))
-            .collect();
-        let results: Vec<Result<T, _>> = handles.into_iter().map(|h| h.join()).collect();
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    })
-}
-
-/// A fixed-width worker pool for task lists longer than the worker count.
-#[derive(Debug, Clone, Copy)]
-pub struct Pool {
-    workers: usize,
-}
-
-impl Pool {
-    /// A pool with an explicit worker count (at least 1).
-    pub fn new(workers: usize) -> Self {
-        Pool {
-            workers: workers.max(1),
-        }
-    }
-
-    /// A pool sized to available CPU parallelism.
-    pub fn per_cpu() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Pool::new(n)
-    }
-
-    /// Runs every task, distributing them over the pool's workers through
-    /// a shared channel. Results are returned in task order.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first task panic on the calling thread, after all
-    /// workers have stopped.
-    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = tasks.len();
-        let _span = crate::span!("pool.run", tasks = n as u64, workers = self.workers as u64);
-        let (task_tx, task_rx) = mpsc::channel::<(usize, F)>();
-        let task_rx = Mutex::new(task_rx);
-        {
-            let _queue_span = crate::span!("pool.queue", tasks = n as u64);
-            for pair in tasks.into_iter().enumerate() {
-                task_tx.send(pair).expect("receiver alive until scope ends");
-            }
-        }
-        drop(task_tx);
-
-        let (out_tx, out_rx) = mpsc::channel::<(usize, Result<T, Box<dyn std::any::Any + Send>>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n.max(1)) {
-                let task_rx = &task_rx;
-                let out_tx = out_tx.clone();
-                scope.spawn(move || {
-                    let _drain_span = crate::span!("pool.drain");
-                    let mut executed = 0u64;
-                    loop {
-                        // Hold the lock only to pull the next task, not to
-                        // run it.
-                        let next = task_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                        match next {
-                            Ok((index, task)) => {
-                                let result = catch_unwind(AssertUnwindSafe(task));
-                                executed += 1;
-                                if out_tx.send((index, result)).is_err() {
-                                    break; // collector gone: a peer panicked
-                                }
-                            }
-                            Err(_) => break, // queue drained
-                        }
-                    }
-                    crate::obs::counter_add("pool.tasks_executed", executed);
-                });
-            }
-            drop(out_tx);
-
-            let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for (index, result) in out_rx {
-                match result {
-                    Ok(v) => slots[index] = Some(v),
-                    Err(payload) => panic = panic.or(Some(payload)),
-                }
-            }
-            if let Some(payload) = panic {
-                resume_unwind(payload);
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every task reported a result"))
-                .collect()
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scope_map_preserves_order() {
-        let out = scope_map(0..16u64, |x| x * 2);
-        assert_eq!(out, (0..16u64).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scope_map_handles_empty_and_borrowed_state() {
-        let out: Vec<u64> = scope_map(std::iter::empty::<u64>(), |x| x);
-        assert!(out.is_empty());
-        let shared = AtomicUsize::new(0);
-        scope_map(0..8, |_| shared.fetch_add(1, Ordering::Relaxed));
-        assert_eq!(shared.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker 3 exploded")]
-    fn scope_map_propagates_panics() {
-        scope_map(0..8u64, |x| {
-            if x == 3 {
-                panic!("worker 3 exploded");
-            }
-            x
-        });
-    }
-
-    #[test]
-    fn pool_runs_more_tasks_than_workers() {
-        let pool = Pool::new(3);
-        let tasks: Vec<_> = (0..50u64).map(|i| move || i * i).collect();
-        let out = pool.run(tasks);
-        assert_eq!(out, (0..50u64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "task 17 exploded")]
-    fn pool_propagates_panics() {
-        let pool = Pool::new(4);
-        let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..32u64)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 17 {
-                        panic!("task 17 exploded");
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> u64 + Send>
-            })
-            .collect();
-        pool.run(tasks);
-    }
-
-    #[test]
-    fn pool_with_zero_tasks() {
-        let pool = Pool::per_cpu();
-        let out: Vec<u64> = pool.run(Vec::<fn() -> u64>::new());
-        assert!(out.is_empty());
-    }
-}

@@ -1,15 +1,14 @@
 //! A resident worker pool: long-lived pinned threads with per-worker
 //! mailboxes and park/unpark signalling.
 //!
-//! [`super::scope_map`] spawns and joins one OS thread per item on every
-//! call — the right shape for a one-shot query, and measurably the wrong
-//! one for a query *stream*: on the recorded baselines the spawn/join
-//! overhead alone made the parallel executor slower than a serial scan.
-//! [`ResidentPool`] keeps its workers alive across calls instead (the
-//! batch executor starts one per core beyond the caller's, each carrying
-//! a contiguous chunk of devices), so steady-state dispatch is one
-//! mailbox push and one `unpark` — no thread creation anywhere on the
-//! hot path.
+//! Spawning and joining a thread per device on every query costs more
+//! than the query for a *stream*: on the recorded baselines the
+//! spawn/join overhead alone made a per-device-thread executor slower
+//! than a serial scan. [`ResidentPool`] keeps its workers alive across
+//! calls instead (the batch executor starts one per core beyond the
+//! caller's, each carrying a contiguous chunk of devices), so
+//! steady-state dispatch is one mailbox push and one `unpark` — no
+//! thread creation anywhere on the hot path.
 //!
 //! Design, std primitives only (hermetic — no crossbeam):
 //!

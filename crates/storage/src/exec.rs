@@ -1,35 +1,34 @@
 //! Parallel query execution over simulated devices.
 //!
-//! One [`pmr_rt::pool`] worker per device: each worker enumerates the
-//! query's qualified buckets *resident on its device* (inverse mapping),
-//! reads them, and reports its response size. The simulated response time
-//! is the maximum per-device time — the paper's symmetric-topology
-//! assumption (§5.2.1): "the response time for a partial match query is
-//! determined by the device which has the largest number of qualified
-//! buckets". Worker panics propagate to the caller through the pool.
+//! Every execution runs one pipeline: [`plan_query`] fixes the inverse
+//! mapping, a chunk of devices enumerates the qualified buckets **once**
+//! and routes each code to its device ([`route_planned`]), each device
+//! reads its codes through one policy path (retry → mirror or parity
+//! failover → lose), and the per-device yields merge into an
+//! [`ExecutionReport`]. The simulated response time is the maximum
+//! per-device time — the paper's symmetric-topology assumption (§5.2.1):
+//! "the response time for a partial match query is determined by the
+//! device which has the largest number of qualified buckets". The
+//! [`CostModel`] computes it, so a device needs no thread of its own.
 //!
-//! Two inverse mappings back the executor:
+//! Two inverse mappings back the pipeline: the **generic scan** charges
+//! every device `|R(q)|` address computations (`O(M · |R(q)|)` in total)
+//! and works for any [`DistributionMethod`]; the **FX fast path**
+//! ([`FxInverse`]) walks only the codes each device owns, `O(|R(q)|)` in
+//! total. [`plan_query`] takes the fast path on FX files (detected via
+//! [`DistributionMethod::as_fx`]) when the cost heuristic says its setup
+//! pays. Results are identical either way — only `addresses_computed`
+//! differs. Benches and tests that measure one mapping override
+//! [`PlannedQuery::fast_path`] and run the plan through
+//! [`Executor::execute_planned`].
 //!
-//! * the **generic scan** ([`execute_parallel_scan`]) — every device
-//!   enumerates all of `R(q)` by packed code and keeps its own buckets:
-//!   `O(M · |R(q)|)` address computations in total, for any
-//!   [`DistributionMethod`];
-//! * the **FX fast path** ([`execute_parallel_fx`]) — each device asks
-//!   [`FxInverse`] for exactly the codes it owns: `O(|R(q)|)` in total.
-//!
-//! [`execute_parallel`] picks automatically: files declustered by an
-//! [`FxDistribution`] (detected via
-//! [`DistributionMethod::as_fx`]) take the fast path *when the cost
-//! heuristic says it pays* ([`fx_fast_path_pays_off`]) — on narrow
-//! queries the fast inverse's setup cost exceeds the scan it avoids, so
-//! those fall back to the scan. Results are identical either way — only
-//! `addresses_computed` differs.
-//!
-//! For query *streams*, [`Executor`] pipelines whole batches with no
-//! per-query thread spawn/join ([`Executor::execute_batch`]): its devices
-//! run in at most one contiguous chunk per core, the first on the calling
-//! thread and the rest on resident workers ([`pmr_rt::pool::resident`]),
-//! and each chunk enumerates a query once for all of its devices.
+//! [`execute_parallel`] (strict: a lost bucket is an error) and
+//! [`execute_parallel_with`] (under an [`ExecPolicy`]: faults degrade
+//! coverage) run one query on the calling thread. [`Executor`] pipelines
+//! whole batches in at most one contiguous device chunk per core, the
+//! first on the calling thread and the rest on resident workers
+//! ([`pmr_rt::pool::resident`]); it also serves one node's device
+//! subrange in a scatter/gather deployment.
 
 use crate::cost::CostModel;
 use crate::device::{Device, ReadFault};
@@ -37,9 +36,9 @@ use crate::encode::{self, DecodeError};
 use crate::file::{DeclusteredFile, FileError};
 use crate::mirror::Mirroring;
 use crate::parity::ParityStore;
-use pmr_core::inverse::{for_each_device_code, for_each_routed_code, FxInverse};
+use pmr_core::inverse::{for_each_routed_code, FxInverse};
 use pmr_core::method::DistributionMethod;
-use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
+use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_mkh::Record;
 use pmr_rt::fault::RetryPolicy;
 use pmr_rt::obs::{self, TraceSummary};
@@ -382,22 +381,6 @@ pub struct RawYield {
     pub lost: Vec<u64>,
 }
 
-/// Assembles per-worker results into an [`ExecutionReport`], closing the
-/// trace capture (if tracing is on) and batching the per-device tallies
-/// into the metrics registry.
-fn collect_report(
-    results: Vec<Result<DeviceYield, FileError>>,
-    m: u64,
-    redundancy: Redundancy,
-    capture: Option<obs::TraceCapture>,
-) -> Result<ExecutionReport, FileError> {
-    let mut yields = Vec::with_capacity(m as usize);
-    for r in results {
-        yields.push(r?);
-    }
-    Ok(assemble(yields, redundancy, capture))
-}
-
 /// Merges per-device yields into a full [`ExecutionReport`] — the public
 /// face of [`assemble`] for callers that gathered the yields themselves
 /// (the `pmr-net` frontend, after collecting each node's subrange).
@@ -411,9 +394,8 @@ pub fn merge_device_yields(yields: Vec<DeviceYield>, redundancy: Redundancy) -> 
     assemble(yields, redundancy, None)
 }
 
-/// Core aggregation shared by the scoped executors (via
-/// [`collect_report`]) and the resident batch executor: orders yields by
-/// device, concatenates records in device order (so every path reports
+/// Core aggregation shared by the one-shot entry points and the batch
+/// executor: orders yields by device, concatenates records in device order (so every path reports
 /// records in the same order), and derives the report-level aggregates.
 /// The `f64` folds run in device order — part of the bit-equality
 /// contract between the executors.
@@ -486,189 +468,39 @@ fn assemble(
 /// under the brute scan and wide ones under the fast inverse.
 const FAST_PATH_SETUP_ADDR: u64 = 96;
 
-/// The cost heuristic shared by every dispatching executor: take the FX
-/// fast inverse only when its estimated address work undercuts the
-/// generic scan's `M · |R(q)|`.
-///
-/// Fast-path work is `|R(q)|` (each qualified bucket enumerated exactly
-/// once across all devices) plus `M` residue-class lookups per
-/// free-field combination, plus a fixed setup charge
-/// ([`FAST_PATH_SETUP_ADDR`]). On narrow queries the setup dominates and
-/// the scan wins — dispatching those onto the fast path anyway was the
-/// `exec_fast_path/dispatch_narrow` regression.
-pub fn fx_fast_path_pays_off(
-    sys: &SystemConfig,
-    fx: &FxDistribution,
-    query: &PartialMatchQuery,
-) -> bool {
-    fast_path_plan(sys, fx, query, query.qualified_count_in(sys)).0
-}
+/// The strict contract as a policy: one attempt per bucket, no failover.
+/// With no fault plan installed — strict callers install none — a bucket
+/// is lost only when its page is corrupt at rest.
+const STRICT: ExecPolicy = ExecPolicy {
+    retry: RetryPolicy::none(),
+    failover: false,
+    redundancy: Redundancy::None,
+    seed: 0,
+    cache: None,
+};
 
-/// `(take_fast_path, free_combos, inverse)` for one query. `free_combos`
-/// is the per-device residue-lookup count the fast path's
-/// `addresses_computed` accounting charges (`|R(q)| / F_pivot`). The
-/// inverse built for the decision is returned so fast-path callers never
-/// derive it twice. Cheap when the query's pattern has been seen before:
-/// the plan lookup hits the per-`Pattern` cache on the
-/// [`FxDistribution`].
-fn fast_path_plan<'a>(
-    sys: &SystemConfig,
-    fx: &'a FxDistribution,
-    query: &'a PartialMatchQuery,
-    total_qualified: u64,
-) -> (bool, u64, FxInverse<'a>) {
-    let inverse = FxInverse::new(fx, query);
-    let free_combos = match inverse.plan().pivot() {
-        Some(p) => total_qualified / sys.field_size(p),
-        None => 1,
-    };
-    let m = sys.devices();
-    let fast = FAST_PATH_SETUP_ADDR + total_qualified + m * free_combos < m * total_qualified;
-    (fast, free_combos, inverse)
-}
-
-/// Executes `query` against `file` with one worker per device, using the
-/// cheapest inverse mapping the file's method supports.
+/// Executes `query` against `file`, strictly: every qualified bucket must
+/// decode. Runs the batch pipeline for one query on the calling thread,
+/// with the inverse mapping [`plan_query`] picks (the FX fast inverse or
+/// the generic packed scan). Strict callers install no fault plan;
+/// under one, an injected fault loses its bucket (one attempt, no
+/// failover) and degrades the report instead of erroring.
 ///
-/// FX-declustered files (any method whose
-/// [`DistributionMethod::as_fx`] returns `Some`) are dispatched onto the
-/// residue-indexed fast inverse ([`FxInverse`]) when the cost heuristic
-/// says the setup pays for itself ([`fx_fast_path_pays_off`]); narrow
-/// queries and non-FX methods use the generic packed scan. The two paths
-/// return identical reports apart from `addresses_computed` — the
-/// equivalence property suite pins this.
+/// # Errors
+///
+/// [`FileError::Decode`] for the first bucket, in device order, whose
+/// page is corrupt at rest — the error a plain
+/// [`Device::read_bucket`] of that page raises.
 pub fn execute_parallel<D: DistributionMethod>(
     file: &DeclusteredFile<D>,
     query: &PartialMatchQuery,
     cost: &CostModel,
 ) -> Result<ExecutionReport, FileError> {
-    match file.method().as_fx() {
-        Some(fx) if fx_fast_path_pays_off(file.system(), fx, query) => {
-            run_fx(file.devices(), file.system(), fx, query, cost)
-        }
-        _ => execute_parallel_scan(file, query, cost),
-    }
-}
-
-/// Executes `query` with the generic per-device scan over `R(q)`,
-/// regardless of the file's method — correct for every
-/// [`DistributionMethod`], at `O(M · |R(q)|)` total address computations.
-///
-/// [`execute_parallel`] already picks the cheapest path; this entry point
-/// exists so benchmarks and equivalence tests can measure the scan on
-/// files whose method *would* qualify for the fast path.
-pub fn execute_parallel_scan<D: DistributionMethod>(
-    file: &DeclusteredFile<D>,
-    query: &PartialMatchQuery,
-    cost: &CostModel,
-) -> Result<ExecutionReport, FileError> {
-    let sys = file.system();
-    let m = sys.devices();
-    let total_qualified = query.qualified_count_in(sys);
-    let capture = obs::capture();
-    obs::counter_add("exec.scan.dispatched", 1);
-    let _span = pmr_rt::span!("exec.query", devices = m, qualified = total_qualified);
-
-    let results: Vec<Result<DeviceYield, FileError>> =
-        pmr_rt::pool::scope_map(0..m, |device| device_worker(file, query, device, cost));
-
-    let report = collect_report(results, m, Redundancy::None, capture)?;
-    debug_assert_eq!(
-        report
-            .per_device
-            .iter()
-            .map(|d| d.qualified_buckets)
-            .sum::<u64>(),
-        total_qualified
-    );
-    Ok(report)
-}
-
-/// Executes `query` against an FX-declustered file using the
-/// residue-indexed fast inverse mapping ([`FxInverse`]).
-///
-/// Functionally identical to [`execute_parallel_scan`], but each device
-/// worker enumerates only the buckets it owns: the per-device address work
-/// drops from `|R(q)|` to `|R(q)|/F_pivot + r_i(q)` — the difference the
-/// paper's "complexity of distribution method should be an important
-/// criterion for main memory database systems" remark is about. The
-/// reported `addresses_computed` reflects the cheaper path.
-pub fn execute_parallel_fx(
-    file: &DeclusteredFile<FxDistribution>,
-    query: &PartialMatchQuery,
-    cost: &CostModel,
-) -> Result<ExecutionReport, FileError> {
-    run_fx(file.devices(), file.system(), file.method(), query, cost)
-}
-
-/// The FX fast path, shared by [`execute_parallel_fx`] and the
-/// [`execute_parallel`] dispatcher.
-fn run_fx(
-    devices: &[Arc<Device>],
-    sys: &SystemConfig,
-    fx: &FxDistribution,
-    query: &PartialMatchQuery,
-    cost: &CostModel,
-) -> Result<ExecutionReport, FileError> {
-    let m = sys.devices();
-    let capture = obs::capture();
-    obs::counter_add("exec.fast_path.dispatched", 1);
-    let _span = pmr_rt::span!(
-        "exec.query",
-        devices = m,
-        qualified = query.qualified_count_in(sys)
-    );
-    let inverse = FxInverse::new(fx, query);
-    let inverse = &inverse;
-    // Address work per device: one residue-class lookup per free-field
-    // combination, plus each owned bucket.
-    let free_combos = match inverse.plan().pivot() {
-        Some(p) => query.qualified_count_in(sys) / sys.field_size(p),
-        None => 1,
-    };
-
-    let results: Vec<Result<DeviceYield, FileError>> = pmr_rt::pool::scope_map(0..m, |device| {
-        let _span = pmr_rt::span!("exec.device", device = device);
-        let dev = &devices[device as usize];
-        let mut records = Vec::new();
-        let mut qualified_buckets = 0u64;
-        let mut decode_error = None;
-        inverse.for_each_code_on(device, |code| {
-            if decode_error.is_some() {
-                return;
-            }
-            qualified_buckets += 1;
-            match dev.read_bucket(code) {
-                Ok(recs) => records.extend_from_slice(&recs),
-                Err(e) => decode_error = Some(e),
-            }
-        });
-        if let Some(e) = decode_error {
-            return Err(FileError::Decode(e));
-        }
-        let addresses_computed = free_combos + qualified_buckets;
-        let simulated_us = cost.device_time_us(qualified_buckets, addresses_computed);
-        obs::observe_us("exec.device.simulated_us", simulated_us);
-        Ok(DeviceYield {
-            report: DeviceReport {
-                device,
-                qualified_buckets,
-                records: records.len() as u64,
-                addresses_computed,
-                simulated_us,
-                reconstructions: 0,
-                outcome: DeviceOutcome::Ok,
-            },
-            records,
-            lost: Vec::new(),
-        })
-    });
-
-    collect_report(results, m, Redundancy::None, capture)
+    execute_one(file, query, cost, &STRICT, true)
 }
 
 /// Executes `query` under an [`ExecPolicy`]: the fault-aware, gracefully
-/// degrading path.
+/// degrading path, one query on the calling thread.
 ///
 /// Each qualified bucket is read with per-attempt fault decisions from
 /// the devices' installed [`pmr_rt::fault::FaultPlan`] (none installed →
@@ -676,89 +508,90 @@ fn run_fx(
 /// capped exponential backoff charged to the *simulated* clock. When the
 /// primary copy is exhausted and `policy.failover` is on, the read fails
 /// over to the buddy's mirror copy (requires
-/// [`DeclusteredFile::enable_mirroring`]). Buckets lost from both copies
-/// degrade the report — `coverage < 1.0` and their codes land in
-/// `lost_buckets` — instead of erroring: a partial answer with an honest
-/// account beats no answer.
+/// [`DeclusteredFile::enable_mirroring`]) or rebuilds the page from its
+/// parity stripe (requires [`DeclusteredFile::enable_parity`]). Buckets
+/// no copy can serve degrade the report — `coverage < 1.0` and their
+/// codes land in `lost_buckets` — instead of erroring: a partial answer
+/// with an honest account beats no answer.
 ///
-/// With no fault plan and no mirroring this produces the same report as
+/// With no fault plan and no redundancy this produces the same report as
 /// [`execute_parallel`] (outcomes all [`DeviceOutcome::Ok`]), except that
 /// a genuinely corrupt page at rest is *lost* (degrading coverage) rather
 /// than failing the whole execution.
 ///
 /// # Errors
 ///
-/// Only from query validation; faults never error this path.
+/// None today: faults never error this path.
 pub fn execute_parallel_with<D: DistributionMethod>(
     file: &DeclusteredFile<D>,
     query: &PartialMatchQuery,
     cost: &CostModel,
     policy: &ExecPolicy,
 ) -> Result<ExecutionReport, FileError> {
+    execute_one(file, query, cost, policy, false)
+}
+
+/// The one-shot front end to the batch pipeline: plan, run the whole
+/// device range as one chunk here, merge. `strict` turns the first lost
+/// bucket into its decode error.
+fn execute_one<D: DistributionMethod>(
+    file: &DeclusteredFile<D>,
+    query: &PartialMatchQuery,
+    cost: &CostModel,
+    policy: &ExecPolicy,
+    strict: bool,
+) -> Result<ExecutionReport, FileError> {
     let sys = file.system();
     let m = sys.devices();
-    let total_qualified = query.qualified_count_in(sys);
     let capture = obs::capture();
-    let _span = pmr_rt::span!("exec.query", devices = m, qualified = total_qualified);
-    let devices = file.devices();
+    let planned = [plan_query(sys, file.method(), query)];
+    let _span = pmr_rt::span!(
+        "exec.query",
+        devices = m,
+        qualified = planned[0].total_qualified
+    );
+    count_dispatch(&planned);
     if let Some(capacity) = policy.cache {
         // Idempotent per device: an unchanged capacity is one lock
         // round-trip, never a flush.
-        for dev in devices {
+        for dev in file.devices() {
             dev.set_cache_capacity(capacity);
         }
     }
-    let effective = policy.effective_redundancy();
-    let pairing = if effective == Redundancy::Mirror {
-        file.mirroring().copied()
-    } else {
-        None
+    let inputs = Inputs {
+        devices: file.devices(),
+        sys,
+        method: file.method(),
+        mirroring: file.mirroring().copied(),
+        parity: file.parity().map(|p| p.as_ref()),
+        cost,
     };
-    let parity = if matches!(effective, Redundancy::Parity { .. }) {
-        file.parity().map(|p| p.as_ref())
-    } else {
-        None
-    };
-    // Same dispatch heuristic as the strict paths, so the policy path and
-    // [`Executor::execute_batch`] stay bit-equal to them when fault-free.
-    let inverse = file.method().as_fx().and_then(|fx| {
-        let (fast, _, inverse) = fast_path_plan(sys, fx, query, total_qualified);
-        fast.then_some(inverse)
-    });
-    let free_combos = match inverse.as_ref().and_then(|inv| inv.plan().pivot()) {
-        Some(p) => total_qualified / sys.field_size(p),
-        None => 1,
-    };
-
-    let results: Vec<Result<DeviceYield, FileError>> = pmr_rt::pool::scope_map(0..m, |device| {
-        let _span = pmr_rt::span!("exec.device", device = device);
-        let mut codes = Vec::new();
-        match &inverse {
-            Some(inv) => inv.for_each_code_on(device, |code| codes.push(code)),
-            None => {
-                for_each_device_code(file.method(), sys, query, device, |code| codes.push(code))
+    let yields = run_chunk::<D, Decoded>(&inputs, policy, &planned, 0..m)
+        .pop()
+        .expect("one share per query");
+    if strict {
+        // Strict installs no fault plan, so a lost bucket's page is
+        // corrupt at rest: re-reading it raises the error to report.
+        for y in &yields {
+            for &code in &y.lost {
+                file.devices()[y.report.device as usize]
+                    .read_bucket(code)
+                    .map_err(FileError::Decode)?;
             }
         }
-        let addresses_computed = if inverse.is_some() {
-            free_combos + codes.len() as u64
-        } else {
-            total_qualified
-        };
-        Ok(resilient_device_read::<Decoded>(
-            devices,
-            device,
-            &codes,
-            FailoverPath {
-                buddy: pairing.as_ref().map(|p| p.buddy_of(device)),
-                parity,
-            },
-            cost,
-            policy,
-            addresses_computed,
-        ))
-    });
+    }
+    Ok(assemble(yields, policy.effective_redundancy(), capture))
+}
 
-    collect_report(results, m, effective, capture)
+/// Counts each planned query under the inverse mapping it dispatches.
+fn count_dispatch(planned: &[PlannedQuery]) {
+    let fast = planned.iter().filter(|p| p.fast_path).count() as u64;
+    if fast > 0 {
+        obs::counter_add("exec.fast_path.dispatched", fast);
+    }
+    if fast < planned.len() as u64 {
+        obs::counter_add("exec.scan.dispatched", planned.len() as u64 - fast);
+    }
 }
 
 /// The failover targets one device's degraded read may fall back to,
@@ -1046,9 +879,10 @@ const FAN_OUT_BREAK_EVEN: u64 = 2048;
 /// codes through the same policy path as [`execute_parallel_with`].
 ///
 /// Fault-free batch reports are bit-equal to per-query
-/// [`execute_parallel_with`] (which itself matches the strict
-/// [`execute_parallel`]) at every chunk count: same records in the same
-/// order, same per-device reports, same simulated times. The one
+/// [`execute_parallel_with`] (the same pipeline run as one chunk, which
+/// itself matches the strict [`execute_parallel`]) at every chunk count:
+/// same records in the same order, same per-device reports, same
+/// simulated times. The one
 /// exception is `trace`, always `None` on batch reports — per-query trace
 /// capture would serialise the pipeline.
 ///
@@ -1141,10 +975,19 @@ pub fn idle_yield(planned: &PlannedQuery, device: u64, cost: &CostModel) -> Devi
     }
 }
 
-/// Plans one query for `method`: the dispatch decision
-/// ([`fx_fast_path_pays_off`]) and the address-accounting inputs, without
-/// executing anything. Cheap on repeated patterns — the inverse built for
-/// the decision hits the per-`Pattern` plan cache.
+/// Plans one query for `method`: the dispatch decision and the
+/// address-accounting inputs, without executing anything.
+///
+/// The FX fast inverse is taken only when its estimated address work
+/// undercuts the generic scan's `M · |R(q)|`: `|R(q)|` (each qualified
+/// bucket enumerated exactly once across all devices) plus `M`
+/// residue-class lookups per free-field combination (`free_combos =
+/// |R(q)| / F_pivot`), plus a fixed setup charge
+/// (`FAST_PATH_SETUP_ADDR`). On narrow queries the setup dominates and
+/// the scan wins — dispatching those onto the fast path anyway was the
+/// `exec_fast_path/dispatch_narrow` regression. Cheap on repeated
+/// patterns: the inverse built for the decision hits the per-`Pattern`
+/// plan cache on the [`FxDistribution`](pmr_core::FxDistribution).
 pub fn plan_query<D: DistributionMethod>(
     sys: &SystemConfig,
     method: &D,
@@ -1153,7 +996,13 @@ pub fn plan_query<D: DistributionMethod>(
     let total_qualified = query.qualified_count_in(sys);
     let (fast_path, free_combos) = match method.as_fx() {
         Some(fx) => {
-            let (fast, free_combos, _) = fast_path_plan(sys, fx, query, total_qualified);
+            let free_combos = match FxInverse::new(fx, query).plan().pivot() {
+                Some(p) => total_qualified / sys.field_size(p),
+                None => 1,
+            };
+            let m = sys.devices();
+            let fast =
+                FAST_PATH_SETUP_ADDR + total_qualified + m * free_combos < m * total_qualified;
             (fast, free_combos)
         }
         None => (false, 1),
@@ -1278,8 +1127,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
     ///
     /// # Panics
     ///
-    /// Re-raises a worker panic on the calling thread, like the scoped
-    /// executors do.
+    /// Re-raises a resident worker's panic on the calling thread.
     pub fn execute_batch(
         &self,
         queries: &[PartialMatchQuery],
@@ -1358,13 +1206,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
             devices = devices
         );
         obs::counter_add("exec.batch.queries", planned.len() as u64);
-        let fast = planned.iter().filter(|p| p.fast_path).count() as u64;
-        if fast > 0 {
-            obs::counter_add("exec.fast_path.dispatched", fast);
-        }
-        if fast < planned.len() as u64 {
-            obs::counter_add("exec.scan.dispatched", planned.len() as u64 - fast);
-        }
+        count_dispatch(planned);
         if let Some(capacity) = policy.cache {
             // All devices, not just the range: buddy failover reads (and
             // their mirror cache lines) may live outside it.
@@ -1375,9 +1217,10 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         // The range's expected share of the batch's qualified buckets.
         let qualified = planned.iter().map(|p| p.total_qualified).sum::<u64>() * devices
             / self.shared.sys.devices();
+        let inputs = self.shared.inputs();
         let pool = match &self.pool {
             Some(pool) if qualified >= self.break_even => pool,
-            _ => return run_chunk::<D, S>(&self.shared, policy, planned, self.range.clone()),
+            _ => return run_chunk::<D, S>(&inputs, policy, planned, self.range.clone()),
         };
         let chunk = |i: usize| {
             let at = |i: usize| self.range.start + devices * i as u64 / self.chunks as u64;
@@ -1393,7 +1236,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
                 chunk(i),
             );
             pool.submit(i - 1, move || {
-                let yields = run_chunk::<D, S>(&shared, &batch.0, &batch.1, range);
+                let yields = run_chunk::<D, S>(&shared.inputs(), &batch.0, &batch.1, range);
                 // Collector gone (batch abandoned) is fine to ignore.
                 let _ = tx.send((i, yields));
             });
@@ -1401,13 +1244,12 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         drop(tx);
         let mut by_chunk: Vec<Option<Vec<Vec<S::Yield>>>> =
             (0..self.chunks).map(|_| None).collect();
-        by_chunk[0] = Some(run_chunk::<D, S>(&self.shared, policy, planned, chunk(0)));
+        by_chunk[0] = Some(run_chunk::<D, S>(&inputs, policy, planned, chunk(0)));
         for (i, yields) in rx {
             by_chunk[i] = Some(yields);
         }
         let Some(chunks) = by_chunk.into_iter().collect::<Option<Vec<_>>>() else {
-            // A worker died mid-batch; surface its panic like the scoped
-            // executors would.
+            // A worker died mid-batch; surface its panic here.
             if let Some(payload) = pool.take_panic() {
                 std::panic::resume_unwind(payload);
             }
@@ -1428,41 +1270,64 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
     }
 }
 
+/// What a chunk reads with, borrowed from a file ([`execute_parallel`])
+/// or from an executor's [`Shared`] snapshot: nothing is cloned per call.
+struct Inputs<'a, D> {
+    devices: &'a [Arc<Device>],
+    sys: &'a SystemConfig,
+    method: &'a D,
+    mirroring: Option<Mirroring>,
+    parity: Option<&'a ParityStore>,
+    cost: &'a CostModel,
+}
+
+impl<D> Shared<D> {
+    fn inputs(&self) -> Inputs<'_, D> {
+        Inputs {
+            devices: &self.devices,
+            sys: &self.sys,
+            method: &self.method,
+            mirroring: self.mirroring,
+            parity: self.parity.as_deref(),
+            cost: &self.cost,
+        }
+    }
+}
+
 /// One chunk's share of a batch: for each query, enumerate its qualified
 /// buckets once for the whole chunk ([`route_planned`]), then read each
 /// device's codes under the policy. Returns, per query, the chunk's
 /// yields in device order. The code buffers live for the whole batch.
 fn run_chunk<D: DistributionMethod, S: PageSink>(
-    shared: &Shared<D>,
+    inputs: &Inputs<'_, D>,
     policy: &ExecPolicy,
     planned: &[PlannedQuery],
     devices: Range<u64>,
 ) -> Vec<Vec<S::Yield>> {
     let effective = policy.effective_redundancy();
-    let buddies = shared.mirroring.filter(|_| effective == Redundancy::Mirror);
-    let parity = shared
+    let buddies = inputs.mirroring.filter(|_| effective == Redundancy::Mirror);
+    let parity = inputs
         .parity
-        .as_deref()
         .filter(|_| matches!(effective, Redundancy::Parity { .. }));
     let mut codes = vec![Vec::new(); (devices.end - devices.start) as usize];
     planned
         .iter()
         .map(|p| {
-            route_planned(&shared.sys, &shared.method, p, devices.clone(), &mut codes);
+            route_planned(inputs.sys, inputs.method, p, devices.clone(), &mut codes);
             devices
                 .clone()
                 .zip(&codes)
                 .map(|(device, device_codes)| {
                     let _span = pmr_rt::span!("exec.device", device = device);
                     resilient_device_read::<S>(
-                        &shared.devices,
+                        inputs.devices,
                         device,
                         device_codes,
                         FailoverPath {
                             buddy: buddies.map(|b| b.buddy_of(device)),
                             parity,
                         },
-                        &shared.cost,
+                        inputs.cost,
                         policy,
                         p.addresses_computed(device_codes.len() as u64),
                     )
@@ -1470,55 +1335,6 @@ fn run_chunk<D: DistributionMethod, S: PageSink>(
                 .collect()
         })
         .collect()
-}
-
-/// The generic per-device worker: packed inverse scan + bucket reads.
-/// Allocation-free enumeration — qualified buckets stream through as
-/// packed codes (which are the device page keys), no tuple `Vec`s.
-fn device_worker<D: DistributionMethod>(
-    file: &DeclusteredFile<D>,
-    query: &PartialMatchQuery,
-    device: u64,
-    cost: &CostModel,
-) -> Result<DeviceYield, FileError> {
-    let _span = pmr_rt::span!("exec.device", device = device);
-    let sys = file.system();
-    // Generic inverse mapping: evaluate every qualified bucket's address
-    // and keep ours. (|R(q)| address computations per device — exactly the
-    // inverse-mapping cost the paper's §5.2.2 worries about.)
-    let addresses_computed = query.qualified_count_in(sys);
-    let dev = &file.devices()[device as usize];
-    let mut records = Vec::new();
-    let mut qualified_buckets = 0u64;
-    let mut decode_error = None;
-    for_each_device_code(file.method(), sys, query, device, |code| {
-        if decode_error.is_some() {
-            return;
-        }
-        qualified_buckets += 1;
-        match dev.read_bucket(code) {
-            Ok(recs) => records.extend_from_slice(&recs),
-            Err(e) => decode_error = Some(e),
-        }
-    });
-    if let Some(e) = decode_error {
-        return Err(FileError::Decode(e));
-    }
-    let simulated_us = cost.device_time_us(qualified_buckets, addresses_computed);
-    obs::observe_us("exec.device.simulated_us", simulated_us);
-    Ok(DeviceYield {
-        report: DeviceReport {
-            device,
-            qualified_buckets,
-            records: records.len() as u64,
-            addresses_computed,
-            simulated_us,
-            reconstructions: 0,
-            outcome: DeviceOutcome::Ok,
-        },
-        records,
-        lost: Vec::new(),
-    })
 }
 
 #[cfg(test)]
@@ -1541,6 +1357,22 @@ mod tests {
                 .unwrap();
         }
         file
+    }
+
+    /// `q` under a forced inverse mapping, run through the batch
+    /// executor — how benches and tests pin one mapping.
+    fn forced(
+        file: &DeclusteredFile<FxDistribution>,
+        q: &PartialMatchQuery,
+        fast_path: bool,
+    ) -> ExecutionReport {
+        let planned = PlannedQuery {
+            fast_path,
+            ..plan_query(file.system(), file.method(), q)
+        };
+        let exec = Executor::new(file, CostModel::main_memory());
+        let yields = exec.execute_planned(&[planned], &STRICT).remove(0);
+        merge_device_yields(yields, Redundancy::None)
     }
 
     #[test]
@@ -1580,7 +1412,7 @@ mod tests {
             transfer_us_per_bucket: 1.0,
             cpu_us_per_address: 0.0,
         };
-        let report = execute_parallel_scan(&file, &q, &cost).unwrap();
+        let report = execute_parallel(&file, &q, &cost).unwrap();
         // Perfectly balanced 64 buckets over 4 devices: speedup 4.
         assert!(
             (report.speedup() - 4.0).abs() < 1e-9,
@@ -1634,8 +1466,8 @@ mod tests {
             vec![("k", Value::Int(2))],
         ] {
             let q = file.query(&specs).unwrap();
-            let generic = execute_parallel_scan(&file, &q, &CostModel::main_memory()).unwrap();
-            let fx_exec = execute_parallel_fx(&file, &q, &CostModel::main_memory()).unwrap();
+            let generic = forced(&file, &q, false);
+            let fx_exec = forced(&file, &q, true);
             assert_eq!(generic.histogram(), fx_exec.histogram());
             assert_eq!(generic.largest_response, fx_exec.largest_response);
             let mut a = generic.records.clone();
@@ -1670,7 +1502,7 @@ mod tests {
         let sys = file.system();
         let m = sys.devices();
         let wide = file.query(&[]).unwrap();
-        assert!(fx_fast_path_pays_off(sys, file.method(), &wide));
+        assert!(plan_query(sys, file.method(), &wide).fast_path);
         let rq = wide.qualified_count_in(sys);
         let auto = execute_parallel(&file, &wide, &CostModel::main_memory()).unwrap();
         let auto_addr: u64 = auto.per_device.iter().map(|d| d.addresses_computed).sum();
@@ -1680,10 +1512,10 @@ mod tests {
         );
         for specs in [vec![("cat", Value::Int(5))], vec![("k", Value::Int(2))]] {
             let q = file.query(&specs).unwrap();
-            assert!(!fx_fast_path_pays_off(sys, file.method(), &q));
+            assert!(!plan_query(sys, file.method(), &q).fast_path);
             let rq = q.qualified_count_in(sys);
             let auto = execute_parallel(&file, &q, &CostModel::main_memory()).unwrap();
-            let scan = execute_parallel_scan(&file, &q, &CostModel::main_memory()).unwrap();
+            let scan = forced(&file, &q, false);
             let auto_addr: u64 = auto.per_device.iter().map(|d| d.addresses_computed).sum();
             assert_eq!(auto_addr, m * rq, "narrow query must take the generic scan");
             assert_eq!(auto.histogram(), scan.histogram());
@@ -1695,7 +1527,7 @@ mod tests {
         let fully_specified = file
             .query(&[("k", Value::Int(1)), ("cat", Value::Int(2))])
             .unwrap();
-        assert!(!fx_fast_path_pays_off(sys, file.method(), &fully_specified));
+        assert!(!plan_query(sys, file.method(), &fully_specified).fast_path);
     }
 
     /// `execute_batch` on a resident [`Executor`] is bit-equal to the
@@ -1808,8 +1640,8 @@ mod tests {
         assert!(exec.execute_batch(&[], &policy).is_empty());
     }
 
-    /// A corrupted resident page fails the whole execution with a decode
-    /// error, under both executors.
+    /// A corrupted resident page fails the whole strict execution with a
+    /// decode error, under both inverse mappings.
     #[test]
     fn corruption_fails_execution() {
         let mut file = build_file(0);
@@ -1822,15 +1654,20 @@ mod tests {
         };
         let index = file.system().linear_index(&bucket);
         file.devices()[device as usize].inject_corruption(index, &[0xff; 7]);
-        let q = file.query(&[]).unwrap();
-        assert!(matches!(
-            execute_parallel_scan(&file, &q, &CostModel::main_memory()),
-            Err(crate::file::FileError::Decode(_))
-        ));
-        assert!(matches!(
-            execute_parallel_fx(&file, &q, &CostModel::main_memory()),
-            Err(crate::file::FileError::Decode(_))
-        ));
+        let full = file.query(&[]).unwrap();
+        let exact = file
+            .query(&[("k", Value::Int(1)), ("cat", Value::Int(2))])
+            .unwrap();
+        for (q, fast_path) in [(full, true), (exact, false)] {
+            assert_eq!(
+                plan_query(file.system(), file.method(), &q).fast_path,
+                fast_path
+            );
+            assert!(matches!(
+                execute_parallel(&file, &q, &CostModel::main_memory()),
+                Err(FileError::Decode(_))
+            ));
+        }
     }
 
     #[test]
@@ -2096,6 +1933,18 @@ mod tests {
         got.sort_by_key(|r| format!("{r}"));
         want.sort_by_key(|r| format!("{r}"));
         assert_eq!(got, want);
+
+        // The strict path reads generic methods through the same scan: a
+        // page corrupt at rest fails it, mirror copy or not.
+        let r = Record::new(vec![Value::Int(1), Value::Int(1)]);
+        let bucket = file.mkh().bucket_of(&r).unwrap();
+        let device = file.method().device_of(&bucket);
+        let index = file.system().linear_index(&bucket);
+        file.devices()[device as usize].inject_corruption(index, &[0xff; 7]);
+        assert!(matches!(
+            execute_parallel(&file, &q, &CostModel::main_memory()),
+            Err(FileError::Decode(_))
+        ));
     }
 
     #[test]

@@ -7,7 +7,10 @@ use pmr_rt::buf::{Bytes, BytesMut};
 use pmr_rt::check::Source;
 use pmr_rt::rt_proptest;
 use pmr_storage::encode;
-use pmr_storage::exec::{execute_parallel, execute_parallel_fx};
+use pmr_storage::exec::{
+    execute_parallel, merge_device_yields, plan_query, ExecPolicy, Executor, PlannedQuery,
+    Redundancy,
+};
 use pmr_storage::{CostModel, DeclusteredFile};
 
 fn gen_record(src: &mut Source) -> Record {
@@ -224,7 +227,14 @@ rt_proptest! {
 
         let q = file.query(&[]).unwrap();
         let generic = execute_parallel(&file, &q, &CostModel::main_memory()).unwrap();
-        let fx_exec = execute_parallel_fx(&file, &q, &CostModel::main_memory()).unwrap();
+        let fast = PlannedQuery {
+            fast_path: true,
+            ..plan_query(file.system(), file.method(), &q)
+        };
+        let fx_exec = Executor::new(&file, CostModel::main_memory())
+            .execute_planned(&[fast], &ExecPolicy::default())
+            .remove(0);
+        let fx_exec = merge_device_yields(fx_exec, Redundancy::Mirror);
         assert_eq!(generic.records.len(), keys.len());
         assert_eq!(fx_exec.records.len(), keys.len());
         assert_eq!(generic.histogram(), fx_exec.histogram());

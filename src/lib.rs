@@ -17,7 +17,7 @@
 //!   model, declustered files, parallel executors, persistence.
 //! * [`analysis`] — the experiment engine regenerating every table and
 //!   figure of the paper's evaluation, plus the annealing optimizer.
-//! * [`rt`] — the hermetic runtime: seedable PRNG, scoped worker pool,
+//! * [`rt`] — the hermetic runtime: seedable PRNG, resident worker pool,
 //!   zero-copy buffers, property-test and micro-benchmark harnesses. The
 //!   workspace has **zero external dependencies**; everything that would
 //!   otherwise come from a registry crate lives here.
@@ -27,7 +27,7 @@
 //! ```
 //! use pmr::core::{FxDistribution, method::DistributionMethod, optimality};
 //! use pmr::mkh::{FieldType, Record, Schema, Value};
-//! use pmr::storage::{exec::execute_parallel_fx, CostModel, DeclusteredFile};
+//! use pmr::storage::{exec::execute_parallel, CostModel, DeclusteredFile};
 //!
 //! // Schema with power-of-two hash-class counts, over 8 devices.
 //! let schema = Schema::builder()
@@ -53,7 +53,7 @@
 //!     .unwrap();
 //! }
 //! let q = file.query(&[("author", "author3".into())]).unwrap();
-//! let report = execute_parallel_fx(&file, &q, &CostModel::main_memory()).unwrap();
+//! let report = execute_parallel(&file, &q, &CostModel::main_memory()).unwrap();
 //! assert_eq!(
 //!     report.histogram().iter().sum::<u64>(),
 //!     q.qualified_count_in(file.system())

@@ -159,13 +159,13 @@ fn bench_all_fast_mode_produces_every_group() {
         "read_path/cold",
         "read_path/cache_off",
         "throughput/resident_batch_1",
-        "throughput/spawn_per_query_1",
+        "throughput/per_query_1",
         "throughput/serial_1",
         "throughput/resident_batch_16",
-        "throughput/spawn_per_query_16",
+        "throughput/per_query_16",
         "throughput/serial_16",
         "throughput/resident_batch_256",
-        "throughput/spawn_per_query_256",
+        "throughput/per_query_256",
         "throughput/serial_256",
         // smoke mode scales the serve batch from 256 down to 8
         "serve/cluster4_batch_8",
@@ -268,7 +268,7 @@ fn bench_all_fast_mode_produces_every_group() {
     };
     assert_eq!(ec("decode_4_2"), ec("reconstruct_4_2"));
 
-    // At each batch size the resident batch, spawn-per-query, and serial
+    // At each batch size the resident batch, per-query, and serial
     // throughput variants answer the same queries: identical record
     // totals (ISSUE: batch path is a pure throughput optimisation).
     let tp = |name: &str| -> u64 {
@@ -281,11 +281,7 @@ fn bench_all_fast_mode_produces_every_group() {
     };
     for batch in [1, 16, 256] {
         let resident = tp(&format!("resident_batch_{batch}"));
-        assert_eq!(
-            resident,
-            tp(&format!("spawn_per_query_{batch}")),
-            "batch {batch}"
-        );
+        assert_eq!(resident, tp(&format!("per_query_{batch}")), "batch {batch}");
         assert_eq!(resident, tp(&format!("serial_{batch}")), "batch {batch}");
     }
 

@@ -4,7 +4,10 @@
 use pmr::core::FxDistribution;
 use pmr::mkh::directory::DynamicDirectory;
 use pmr::mkh::{FieldType, Record, Schema, Value};
-use pmr::storage::exec::{execute_parallel, execute_parallel_fx};
+use pmr::storage::exec::{
+    execute_parallel, merge_device_yields, plan_query, ExecPolicy, Executor, PlannedQuery,
+    Redundancy,
+};
 use pmr::storage::persist;
 use pmr::storage::{CostModel, DeclusteredFile};
 
@@ -46,7 +49,14 @@ fn full_lifecycle() {
     // 2. Query (both executors agree).
     let q = file.query(&[("status", "err".into())]).unwrap();
     let generic = execute_parallel(&file, &q, &CostModel::main_memory()).unwrap();
-    let fast = execute_parallel_fx(&file, &q, &CostModel::main_memory()).unwrap();
+    let fast = PlannedQuery {
+        fast_path: true,
+        ..plan_query(file.system(), file.method(), &q)
+    };
+    let fast = Executor::new(&file, CostModel::main_memory())
+        .execute_planned(&[fast], &ExecPolicy::default())
+        .remove(0);
+    let fast = merge_device_yields(fast, Redundancy::Mirror);
     assert_eq!(generic.histogram(), fast.histogram());
     let err_count = file
         .retrieve_exact(&[("status", "err".into())])

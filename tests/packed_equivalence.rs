@@ -29,8 +29,8 @@ use pmr_mkh::{FieldType, Record, Schema, Value};
 use pmr_rt::check::Source;
 use pmr_rt::rt_proptest;
 use pmr_storage::exec::{
-    execute_parallel, execute_parallel_fx, execute_parallel_scan, fx_fast_path_pays_off,
-    plan_query, route_planned,
+    execute_parallel, merge_device_yields, plan_query, route_planned, ExecPolicy, Executor,
+    PlannedQuery, Redundancy,
 };
 use pmr_storage::{CostModel, DeclusteredFile};
 
@@ -262,8 +262,15 @@ rt_proptest! {
         let cost = CostModel::main_memory();
 
         let auto = execute_parallel(&file, &query, &cost).expect("no corruption");
-        let scan = execute_parallel_scan(&file, &query, &cost).expect("no corruption");
-        let fx_exec = execute_parallel_fx(&file, &query, &cost).expect("no corruption");
+        let planned = plan_query(&sys, file.method(), &query);
+        let exec = Executor::new(&file, cost);
+        let forced = |fast_path: bool| {
+            let plan = PlannedQuery { fast_path, ..planned.clone() };
+            let yields = exec.execute_planned(&[plan], &ExecPolicy::default()).remove(0);
+            merge_device_yields(yields, Redundancy::Mirror)
+        };
+        let scan = forced(false);
+        let fx_exec = forced(true);
 
         for other in [&scan, &fx_exec] {
             assert_eq!(auto.histogram(), other.histogram(), "{sys} query {query}");
@@ -282,7 +289,7 @@ rt_proptest! {
         let total = |r: &pmr_storage::exec::ExecutionReport| {
             r.per_device.iter().map(|d| d.addresses_computed).sum::<u64>()
         };
-        if fx_fast_path_pays_off(&sys, file.method(), &query) {
+        if planned.fast_path {
             assert_eq!(total(&auto), total(&fx_exec));
         } else {
             assert_eq!(total(&auto), total(&scan));
