@@ -538,7 +538,6 @@ pub fn fault_overhead(opts: &SuiteOpts) -> Group {
         failover: false,
         redundancy: Redundancy::None,
         seed: 9,
-        cache: None,
     };
     group.bench("policy_no_faults", || {
         execute_parallel_with(&file, &query, &cost, &policy)
@@ -557,7 +556,6 @@ pub fn fault_overhead(opts: &SuiteOpts) -> Group {
         failover: true,
         redundancy: Redundancy::Parity { k: 4, r: 2 },
         seed: 9,
-        cache: None,
     };
     group.bench("read_parity_no_fault", || {
         execute_parallel_with(&parity_file, &parity_query, &cost, &parity_policy)

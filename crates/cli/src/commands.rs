@@ -129,6 +129,9 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let fx = FxDistribution::with_strategy(sys.clone(), strategy).map_err(|e| e.to_string())?;
     let mut file = DeclusteredFile::new(schema, fx, seed).map_err(|e| e.to_string())?;
+    if let Some(capacity) = cache {
+        file.set_cache_capacity(capacity);
+    }
     if redundancy == Redundancy::Mirror && !file.enable_mirroring() {
         return Err("--mirror needs at least 2 devices".into());
     }
@@ -174,10 +177,6 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         let plan = FaultPlan::parse(spec, seed)?;
         file.install_fault_plan(Some(Arc::new(plan)));
     }
-    if let Some(capacity) = cache {
-        // Apply directly so the strict (non-fault-mode) loop sees it too.
-        file.set_cache_capacity(capacity);
-    }
     let policy = ExecPolicy {
         retry: match retry_spec {
             Some(spec) => RetryPolicy::parse(spec)?,
@@ -186,7 +185,6 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         failover: redundancy != Redundancy::None,
         redundancy,
         seed,
-        cache,
     };
 
     // Execute one query per unspecified-field count (k = 1 … n−1).
@@ -488,6 +486,7 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
     let seed = flags.u64_or("seed", pmr_rt::seed_from_env_or(42))?;
     let queries = flags.u64_or("queries", 8)? as usize;
     let json = flags.has("json");
+    let cache = parse_cache(&flags)?;
     let redundancy = match flags.get("redundancy") {
         Some(spec) => Redundancy::parse(spec)?,
         None if flags.has("no-mirror") => Redundancy::None,
@@ -547,6 +546,9 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let fx = FxDistribution::with_strategy(sys.clone(), strategy).map_err(|e| e.to_string())?;
     let mut file = DeclusteredFile::new(schema, fx, seed).map_err(|e| e.to_string())?;
+    if let Some(capacity) = cache {
+        file.set_cache_capacity(capacity);
+    }
     if redundancy == Redundancy::Mirror && !file.enable_mirroring() {
         return Err("mirroring needs at least 2 devices (or pass --no-mirror)".into());
     }
@@ -595,7 +597,6 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         failover: redundancy != Redundancy::None,
         redundancy,
         seed,
-        cache: parse_cache(&flags)?,
     };
     let cost = CostModel::disk_1988();
     let baseline_total: f64 = {

@@ -40,7 +40,7 @@
 //! unchanged.
 
 use pmr_core::{PartialMatchQuery, SystemConfig};
-use pmr_rt::buf::{BufMut, BytesMut};
+use pmr_rt::buf::BufMut;
 use pmr_rt::fault::RetryPolicy;
 use pmr_rt::obs::snapshot::MetricsSnapshot;
 use pmr_storage::encode::{decode_all_bytes, encode_record, encoded_len, DecodeError};
@@ -124,10 +124,11 @@ pub enum WireError {
     },
     /// A record region failed to decode.
     Record(DecodeError),
-    /// A record region decoded to the wrong number of records.
+    /// A record region decoded to a record count other than one its
+    /// yield declares (the region's own count or the report's).
     RecordCount {
         /// Count declared on the wire.
-        want: u32,
+        want: u64,
         /// Records actually decoded.
         got: usize,
     },
@@ -297,9 +298,6 @@ impl WirePolicy {
             failover: self.failover,
             redundancy: self.redundancy,
             seed: self.seed,
-            // The cache knob is node-local: frames never carry it, and a
-            // rebuilt policy leaves each node's device config alone.
-            cache: None,
         }
     }
 }
@@ -336,7 +334,7 @@ pub enum Message {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_header(buf: &mut BytesMut, kind: u8) {
+fn put_header(buf: &mut Vec<u8>, kind: u8) {
     buf.put_u32_le(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(kind);
@@ -355,9 +353,9 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             resp.telemetry.as_ref(),
         ),
         Message::Shutdown => {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_header(&mut buf, KIND_SHUTDOWN);
-            buf.into_vec()
+            buf
         }
     }
 }
@@ -381,7 +379,7 @@ pub fn encode_scatter<'a>(
     queries: impl ExactSizeIterator<Item = &'a WireQuery>,
     trace: Option<&TraceContext>,
 ) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     put_header(&mut buf, KIND_REQUEST);
     buf.put_u64_le(request_id);
     buf.put_u32_le(policy.max_attempts);
@@ -428,7 +426,7 @@ pub fn encode_scatter<'a>(
         buf.put_u64_le(trace.trace_id);
         buf.put_u64_le(trace.parent_span);
     }
-    buf.into_vec()
+    buf
 }
 
 /// A device yield as a response frame carries it: a report, lost codes,
@@ -446,7 +444,7 @@ pub trait YieldFrame {
     /// Exact byte length of the region.
     fn region_len(&self) -> usize;
     /// Appends the region to `buf`.
-    fn put_region(&self, buf: &mut BytesMut);
+    fn put_region(&self, buf: &mut Vec<u8>);
 }
 
 impl YieldFrame for DeviceYield {
@@ -462,7 +460,7 @@ impl YieldFrame for DeviceYield {
     fn region_len(&self) -> usize {
         self.records.iter().map(encoded_len).sum()
     }
-    fn put_region(&self, buf: &mut BytesMut) {
+    fn put_region(&self, buf: &mut Vec<u8>) {
         for rec in &self.records {
             encode_record(rec, buf);
         }
@@ -482,7 +480,7 @@ impl YieldFrame for RawYield {
     fn region_len(&self) -> usize {
         self.region.len()
     }
-    fn put_region(&self, buf: &mut BytesMut) {
+    fn put_region(&self, buf: &mut Vec<u8>) {
         buf.put_slice(&self.region);
     }
 }
@@ -514,7 +512,7 @@ pub fn encode_response<Y: YieldFrame>(
             .iter()
             .map(|yields| 4 + yields.iter().map(yield_len).sum::<usize>())
             .sum::<usize>();
-    let mut buf = BytesMut::with_capacity(len);
+    let mut buf = Vec::with_capacity(len);
     put_header(&mut buf, KIND_RESPONSE);
     buf.put_u64_le(request_id);
     buf.put_u32_le(node);
@@ -530,10 +528,10 @@ pub fn encode_response<Y: YieldFrame>(
     if let Some(telemetry) = telemetry {
         encode_telemetry(&mut buf, telemetry);
     }
-    buf.into_vec()
+    buf
 }
 
-fn put_name(buf: &mut BytesMut, name: &str) {
+fn put_name(buf: &mut Vec<u8>, name: &str) {
     // Metric names are short dotted identifiers; clamp defensively so an
     // oversized name truncates at the sender instead of poisoning the
     // frame for the receiver.
@@ -542,7 +540,7 @@ fn put_name(buf: &mut BytesMut, name: &str) {
     buf.put_slice(bytes);
 }
 
-fn encode_telemetry(buf: &mut BytesMut, t: &Telemetry) {
+fn encode_telemetry(buf: &mut Vec<u8>, t: &Telemetry) {
     buf.put_u8(TAG_TELEMETRY);
     buf.put_u64_le(t.span_id);
     let counters = &t.metrics.counters[..t
@@ -596,7 +594,7 @@ fn yield_len<Y: YieldFrame>(y: &Y) -> usize {
     }
 }
 
-fn put_yield<Y: YieldFrame>(buf: &mut BytesMut, y: &Y) {
+fn put_yield<Y: YieldFrame>(buf: &mut Vec<u8>, y: &Y) {
     let r = y.report();
     if is_trivial(y) {
         buf.put_u8(SHAPE_TRIVIAL);
@@ -948,11 +946,13 @@ fn decode_yield(r: &mut Reader<'_>) -> Result<DeviceYield, WireError> {
     }
     let region = r.take(region_len as usize, "yield.record_region")?;
     let records = decode_all_bytes(region).map_err(WireError::Record)?;
-    if records.len() != nrecords as usize {
-        return Err(WireError::RecordCount {
-            want: nrecords,
-            got: records.len(),
-        });
+    for want in [nrecords as u64, records_count] {
+        if records.len() as u64 != want {
+            return Err(WireError::RecordCount {
+                want,
+                got: records.len(),
+            });
+        }
     }
     let nlost = r.len("yield.lost", MAX_LOST, 8)?;
     let mut lost = Vec::with_capacity(nlost);

@@ -24,8 +24,8 @@ const SEED: u64 = 0xBA7C;
 
 /// Table 7 (6 fields of 8, M = 32), mirrored, 2000 records — the same
 /// fixture as the repo's batch-equivalence suite, plus a 4-node cluster
-/// over the same file. The mutex serialises fault-plan installs across
-/// property cases.
+/// over the same file. The mutex serialises fault-plan installs and
+/// cache-capacity changes against every test that reads the file.
 struct Fixture {
     file: DeclusteredFile<FxDistribution>,
     exec: Executor<FxDistribution>,
@@ -142,13 +142,13 @@ rt_proptest! {
             failover: src.weighted(0.8),
             redundancy: Redundancy::Mirror,
             seed: src.any_u64(),
-            // Random cache capacity, including disabled: gathered reports
-            // must be bit-equal at any setting.
-            cache: match src.arm(3) {
-                0 => None,
-                1 => Some(0),
-                _ => Some(src.int_in(1, 128) as usize),
-            },
+        };
+        // Random cache capacity, including disabled and left as it was:
+        // gathered reports must be bit-equal at any setting.
+        let capacity = match src.arm(3) {
+            0 => None,
+            1 => Some(0),
+            _ => Some(src.int_in(1, 128) as usize),
         };
         let plan = if src.weighted(0.5) {
             let mut plan = FaultPlan::new(src.any_u64());
@@ -164,6 +164,9 @@ rt_proptest! {
         };
 
         let _gate = fx.plan_gate.lock().unwrap();
+        if let Some(capacity) = capacity {
+            fx.file.set_cache_capacity(capacity);
+        }
         fx.file.install_fault_plan(plan.clone());
         let gathered = cluster.frontend().execute_batch(&queries, &policy);
         let local = fx.exec.execute_batch(&queries, &policy);
@@ -217,7 +220,6 @@ fn double_outage_with_parity_on_cluster_is_invisible() {
         failover: true,
         redundancy: Redundancy::Parity { k: 4, r: 2 },
         seed: SEED,
-        cache: None,
     };
 
     // Wide query (3 unspecified fields → 512 buckets over all devices),
@@ -267,6 +269,9 @@ fn double_outage_with_parity_on_cluster_is_invisible() {
 #[test]
 fn loadgen_checksum_matches_single_process() {
     let fx = fixture();
+    // The gather property installs fault plans on the same file: hold
+    // them off so both runs read fault-free.
+    let _gate = fx.plan_gate.lock().unwrap_or_else(|e| e.into_inner());
     let queries = loadgen::query_mix(fx.file.system(), 300, SEED, 2);
     let policy = ExecPolicy::default();
 

@@ -125,7 +125,6 @@ rt_proptest! {
             failover: src.weighted(0.8),
             redundancy,
             seed: src.any_u64(),
-            cache: None,
         };
         let telemetry = src.weighted(0.3).then(|| {
             let mut metrics = MetricsSnapshot::default();

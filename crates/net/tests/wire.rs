@@ -415,6 +415,15 @@ fn record_count_mismatch_is_typed() {
         decode_message(&bad),
         Err(WireError::RecordCount { want: 1, got: 2 })
     );
+    // The report's own record count (u64, after shape + device +
+    // qualified_buckets) must agree with the region too.
+    let offset = 6 + 20 + 4 + 4 + 1 + 16;
+    let mut bad = full.clone();
+    bad[offset..offset + 8].copy_from_slice(&5u64.to_le_bytes());
+    assert_eq!(
+        decode_message(&bad),
+        Err(WireError::RecordCount { want: 5, got: 2 })
+    );
 }
 
 // -----------------------------------------------------------------

@@ -10,9 +10,9 @@
 //! * [`pool`] — resident pinned workers ([`pool::resident`]) with
 //!   per-worker mailboxes and panic hand-back, which carry the batch
 //!   query executor's device chunks beyond the calling thread's.
-//! * [`buf`] — append buffer / frozen sliceable region pair with
-//!   little-endian integer vocabulary ([`buf::Buf`]/[`buf::BufMut`]) for
-//!   the bucket-page wire format.
+//! * [`buf`] — the little-endian append trait [`buf::BufMut`], implemented
+//!   for `Vec<u8>`: the bucket-page and wire formats write plain byte
+//!   vectors and read borrowed slices.
 //! * [`check`] — a property-testing harness: seeded case generation,
 //!   shrinking by halving, failure-seed replay. See
 //!   [`rt_proptest!`].

@@ -6,17 +6,12 @@
 //! each bucket's decoded records as an [`Arc<[Record]>`] so a hot read
 //! is one map lookup plus an `Arc` clone.
 //!
-//! Staleness is impossible by construction, not by discipline:
-//!
-//! * Every cached entry carries the bucket's **generation** at decode
-//!   time. Writers bump the generation (and drop the entry) *inside the
-//!   device's store write-lock critical section*; readers snapshot the
-//!   generation and decode *under the store read lock*. The `RwLock`'s
-//!   mutual exclusion therefore makes each `(generation, bytes)` pair
-//!   atomic, and [`PageCache::insert_if`] refuses any entry whose
-//!   generation moved — a stale insert can never win a race.
-//! * `clear`/`drain` bump a device-wide **epoch** instead of touching
-//!   per-bucket counters, so wholesale invalidation is O(entries).
+//! Staleness is impossible by construction, not by discipline: a miss
+//! decodes the page *and installs it* while holding the device's store
+//! read lock, and every writer drops the page's entry while holding the
+//! store write lock. A write therefore either finished before the decode
+//! (and the decode saw its bytes) or waits for the install to finish and
+//! then drops the entry — a stale page can never outlive a write.
 //!
 //! Capacity is bounded by a hermetic CLOCK (second-chance) policy: hits
 //! set a reference bit, the eviction hand sweeps slots clearing bits and
@@ -34,8 +29,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which store a cached page was decoded from. Primary and mirror pages
-/// of the same bucket index are distinct cache lines with independent
-/// generations.
+/// of the same bucket index are distinct cache lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageKey {
     /// A primary-store bucket page.
@@ -44,19 +38,10 @@ pub enum PageKey {
     Mirror(u64),
 }
 
-/// A page's version: the device-wide epoch plus the per-page generation.
-/// Both must match for a pending insert to be accepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageGen {
-    epoch: u64,
-    gen: u64,
-}
-
 #[derive(Debug)]
 struct Entry {
     key: PageKey,
     records: Arc<[Record]>,
-    gen: PageGen,
     referenced: bool,
 }
 
@@ -70,16 +55,12 @@ struct Inner {
     slots: Vec<Option<Entry>>,
     /// CLOCK hand: next slot the eviction sweep examines.
     hand: usize,
-    /// Per-page generation counters. Present only for pages written to
-    /// since the last epoch bump; absent means generation 0.
-    gens: HashMap<PageKey, u64>,
-    /// Device-wide epoch; bumped by wholesale invalidation.
-    epoch: u64,
 }
 
 /// The per-device decoded-page cache. All state sits behind one `Mutex`
 /// — a leaf lock, always acquired after (or without) the device's store
-/// lock, never before.
+/// lock, never before. It holds nothing but its resident entries, so its
+/// memory is bounded by its capacity.
 #[derive(Debug)]
 pub struct PageCache {
     inner: Mutex<Inner>,
@@ -101,22 +82,14 @@ impl PageCache {
         }
     }
 
-    /// Whether lookups can ever hit (capacity > 0). One lock round-trip;
-    /// callers on the read path use the result of [`PageCache::get`]
-    /// directly instead.
-    pub fn enabled(&self) -> bool {
-        self.inner.lock().capacity > 0
-    }
-
     /// Current capacity in decoded pages.
     pub fn capacity(&self) -> usize {
         self.inner.lock().capacity
     }
 
     /// Resizes the cache. A no-op when the capacity is unchanged;
-    /// otherwise resident entries are dropped (generations and the epoch
-    /// persist, so re-inserts still validate). Passing 0 turns the cache
-    /// off without touching generation bookkeeping.
+    /// otherwise resident entries are dropped. Passing 0 turns the cache
+    /// off.
     pub fn set_capacity(&self, capacity: usize) {
         let mut inner = self.inner.lock();
         if inner.capacity == capacity {
@@ -131,8 +104,8 @@ impl PageCache {
     /// Cache lookup. `Some` is a hit (counts `cache.hit`, sets the
     /// CLOCK reference bit); `None` with the cache enabled is a miss
     /// (counts `cache.miss`); `None` with the cache off is silent. On a
-    /// miss, callers snapshot [`PageCache::generation`] under the store
-    /// lock before decoding for [`PageCache::insert_if`].
+    /// miss, callers decode and [`PageCache::insert`] under the store
+    /// read lock.
     pub fn get(&self, key: PageKey) -> Option<Arc<[Record]>> {
         let mut inner = self.inner.lock();
         if inner.capacity == 0 {
@@ -151,39 +124,24 @@ impl PageCache {
         None
     }
 
-    /// The page's current version. Call under the device's store lock so
-    /// the snapshot pairs atomically with the bytes about to be decoded.
-    pub fn generation(&self, key: PageKey) -> PageGen {
-        let inner = self.inner.lock();
-        PageGen {
-            epoch: inner.epoch,
-            gen: inner.gens.get(&key).copied().unwrap_or(0),
-        }
-    }
-
-    /// Installs a decoded page if its generation still matches, evicting
-    /// via CLOCK when full. Rejects silently when the cache is off or
-    /// the page was written between snapshot and insert.
-    pub fn insert_if(&self, key: PageKey, gen: PageGen, records: Arc<[Record]>) {
+    /// Installs a decoded page, evicting via CLOCK when full; a no-op
+    /// when the cache is off. Call under the store read lock the page was
+    /// decoded under, so no write can land between decode and install.
+    pub fn insert(&self, key: PageKey, records: Arc<[Record]>) {
         let mut inner = self.inner.lock();
         if inner.capacity == 0 {
             return;
         }
-        if inner.epoch != gen.epoch || inner.gens.get(&key).copied().unwrap_or(0) != gen.gen {
-            return;
-        }
         if let Some(&slot) = inner.map.get(&key) {
-            // Same-generation re-decode (two concurrent misses): refresh.
+            // Two concurrent misses decoded the same bytes: refresh.
             let entry = inner.slots[slot].as_mut().expect("mapped slot is occupied");
             entry.records = records;
-            entry.gen = gen;
             entry.referenced = true;
             return;
         }
         let entry = Entry {
             key,
             records,
-            gen,
             referenced: false,
         };
         if inner.slots.len() < inner.capacity {
@@ -219,40 +177,28 @@ impl PageCache {
         }
     }
 
-    /// Marks one page written: bumps its generation and drops any
-    /// resident entry. Call inside the store write-lock critical section
-    /// of the mutation it covers. Counts `cache.invalidated` when an
-    /// entry was actually dropped.
+    /// Marks one page written: drops any resident entry. Call inside the
+    /// store write-lock critical section of the mutation it covers.
+    /// Counts `cache.invalidated` when an entry was actually dropped.
     pub fn invalidate(&self, key: PageKey) {
         let mut inner = self.inner.lock();
-        *inner.gens.entry(key).or_insert(0) += 1;
-        let dropped = match inner.map.remove(&key) {
-            Some(slot) => {
-                inner.slots[slot] = None;
-                true
-            }
-            None => false,
+        let Some(slot) = inner.map.remove(&key) else {
+            return;
         };
-        let silent = inner.capacity == 0;
+        inner.slots[slot] = None;
         drop(inner);
-        if dropped && !silent {
-            obs::counter_add("cache.invalidated", 1);
-        }
+        obs::counter_add("cache.invalidated", 1);
     }
 
-    /// Invalidates every page at once (`clear`/`drain`): bumps the
-    /// epoch, resets per-page generations, and drops all entries.
+    /// Invalidates every page at once (`clear`/`drain`).
     pub fn invalidate_all(&self) {
         let mut inner = self.inner.lock();
-        inner.epoch += 1;
-        inner.gens.clear();
         let dropped = inner.map.len() as u64;
         inner.map.clear();
         inner.slots.clear();
         inner.hand = 0;
-        let silent = inner.capacity == 0;
         drop(inner);
-        if dropped > 0 && !silent {
+        if dropped > 0 {
             obs::counter_add("cache.invalidated", dropped);
         }
     }
@@ -260,24 +206,18 @@ impl PageCache {
     /// Invalidates every mirror-store page (`clear_mirror`).
     pub fn invalidate_mirrors(&self) {
         let mut inner = self.inner.lock();
-        let mirror_keys: Vec<PageKey> = inner
-            .gens
-            .keys()
-            .chain(inner.map.keys())
-            .filter(|k| matches!(k, PageKey::Mirror(_)))
-            .copied()
-            .collect();
+        let Inner { map, slots, .. } = &mut *inner;
         let mut dropped = 0u64;
-        for key in mirror_keys {
-            *inner.gens.entry(key).or_insert(0) += 1;
-            if let Some(slot) = inner.map.remove(&key) {
-                inner.slots[slot] = None;
+        map.retain(|key, &mut slot| {
+            let mirror = matches!(key, PageKey::Mirror(_));
+            if mirror {
+                slots[slot] = None;
                 dropped += 1;
             }
-        }
-        let silent = inner.capacity == 0;
+            !mirror
+        });
         drop(inner);
-        if dropped > 0 && !silent {
+        if dropped > 0 {
             obs::counter_add("cache.invalidated", dropped);
         }
     }
@@ -307,39 +247,25 @@ mod tests {
         let c = PageCache::new(4);
         let k = PageKey::Primary(7);
         assert!(c.get(k).is_none());
-        let g = c.generation(k);
-        c.insert_if(k, g, page(1));
+        c.insert(k, page(1));
         assert_eq!(c.get(k).as_deref(), Some(&*page(1)));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
-    fn generation_bump_rejects_stale_insert() {
+    fn invalidate_drops_resident_entries() {
         let c = PageCache::new(4);
-        let k = PageKey::Primary(3);
-        let stale = c.generation(k);
-        c.invalidate(k); // a write happened between snapshot and insert
-        c.insert_if(k, stale, page(1));
-        assert!(c.get(k).is_none(), "stale insert must be refused");
-        let fresh = c.generation(k);
-        c.insert_if(k, fresh, page(2));
-        assert_eq!(c.get(k).as_deref(), Some(&*page(2)));
-    }
-
-    #[test]
-    fn invalidate_drops_entry_and_epoch_rejects_old_world() {
-        let c = PageCache::new(4);
-        let k = PageKey::Primary(0);
-        let g = c.generation(k);
-        c.insert_if(k, g, page(1));
-        c.invalidate(k);
-        assert!(c.get(k).is_none());
-        // Epoch bump: generations snapshotted before invalidate_all
-        // never validate again, even though gens reset to 0.
-        let pre = c.generation(k);
+        let (a, b) = (PageKey::Primary(0), PageKey::Primary(1));
+        c.insert(a, page(1));
+        c.insert(b, page(2));
+        c.invalidate(a);
+        assert!(c.get(a).is_none());
+        assert!(c.get(b).is_some(), "other pages stay resident");
+        c.invalidate(a); // absent: a no-op
         c.invalidate_all();
-        c.insert_if(k, pre, page(9));
-        assert!(c.get(k).is_none());
+        assert!(c.is_empty());
+        c.insert(a, page(3));
+        assert_eq!(c.get(a).as_deref(), Some(&*page(3)));
     }
 
     #[test]
@@ -350,11 +276,11 @@ mod tests {
             PageKey::Primary(2),
             PageKey::Primary(3),
         );
-        c.insert_if(a, c.generation(a), page(1));
-        c.insert_if(b, c.generation(b), page(2));
+        c.insert(a, page(1));
+        c.insert(b, page(2));
         // Touch `a` so its reference bit protects it for one sweep.
         assert!(c.get(a).is_some());
-        c.insert_if(d, c.generation(d), page(3));
+        c.insert(d, page(3));
         assert_eq!(c.len(), 2);
         assert!(c.get(a).is_some(), "referenced entry survives the sweep");
         assert!(c.get(b).is_none(), "unreferenced entry was evicted");
@@ -366,23 +292,17 @@ mod tests {
         let c = PageCache::new(0);
         let k = PageKey::Primary(1);
         assert!(c.get(k).is_none());
-        c.insert_if(k, c.generation(k), page(1));
+        c.insert(k, page(1));
         assert!(c.get(k).is_none());
-        assert!(!c.enabled());
-        // Generations still advance while off, so turning the cache on
-        // later never resurrects pre-off snapshots.
-        let stale = c.generation(k);
-        c.invalidate(k);
-        c.set_capacity(4);
-        c.insert_if(k, stale, page(1));
-        assert!(c.get(k).is_none());
+        assert!(c.is_empty());
+        assert_eq!(c.capacity(), 0);
     }
 
     #[test]
     fn set_capacity_same_value_keeps_entries() {
         let c = PageCache::new(4);
         let k = PageKey::Primary(1);
-        c.insert_if(k, c.generation(k), page(1));
+        c.insert(k, page(1));
         c.set_capacity(4);
         assert!(c.get(k).is_some(), "unchanged capacity must not flush");
         c.set_capacity(8);
@@ -393,10 +313,11 @@ mod tests {
     fn mirror_and_primary_lines_are_independent() {
         let c = PageCache::new(4);
         let (p, m) = (PageKey::Primary(5), PageKey::Mirror(5));
-        c.insert_if(p, c.generation(p), page(1));
-        c.insert_if(m, c.generation(m), page(2));
+        c.insert(p, page(1));
+        c.insert(m, page(2));
         c.invalidate_mirrors();
         assert!(c.get(p).is_some());
         assert!(c.get(m).is_none());
+        assert_eq!(c.len(), 1);
     }
 }

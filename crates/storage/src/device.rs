@@ -9,7 +9,6 @@
 use crate::cache::{PageCache, PageKey};
 use crate::encode::{self, DecodeError};
 use pmr_mkh::Record;
-use pmr_rt::buf::BytesMut;
 use pmr_rt::fault::{FaultKind, FaultPlan};
 use pmr_rt::obs;
 use pmr_rt::sync::RwLock;
@@ -82,11 +81,11 @@ pub struct Device {
     /// ([`Device::resident_buckets`], [`Device::drain`]) sort on the way
     /// out. (An ordered map made the node's raw page read a tree walk
     /// that cost more than the decoded-page cache hit it replaced.)
-    store: RwLock<HashMap<u64, BytesMut>>,
+    store: RwLock<HashMap<u64, Vec<u8>>>,
     /// Mirror pages this device holds *for its buddy* — kept apart from
     /// `store` so occupancy counts, persistence snapshots, and
     /// redistribution drains only ever see primary data.
-    mirror_store: RwLock<HashMap<u64, BytesMut>>,
+    mirror_store: RwLock<HashMap<u64, Vec<u8>>>,
     /// Reed–Solomon parity shards this device holds for other devices'
     /// stripes, keyed by stripe id. Derived data like the mirror store:
     /// never persisted, dropped on clear/drain, rebuilt by re-encoding.
@@ -100,8 +99,8 @@ pub struct Device {
     faults_on: AtomicBool,
     /// The installed fault plan, if any.
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
-    /// Decoded bucket pages keyed by (store, bucket), generation-guarded
-    /// against every mutation path. See [`crate::cache`].
+    /// Decoded bucket pages keyed by (store, bucket), kept coherent by
+    /// the store locks. See [`crate::cache`].
     cache: PageCache,
 }
 
@@ -126,9 +125,8 @@ impl Device {
         self.id
     }
 
-    /// Resizes the decoded-page cache (0 disables it). Idempotent on an
-    /// unchanged capacity, so per-execution policy application costs one
-    /// lock round-trip and never flushes a warm cache.
+    /// Resizes the decoded-page cache (0 disables it). An unchanged
+    /// capacity is a no-op that keeps the cache warm.
     pub fn set_cache_capacity(&self, capacity: usize) {
         self.cache.set_capacity(capacity);
     }
@@ -149,10 +147,9 @@ impl Device {
         let mut store = self.store.write();
         let region = store.entry(bucket_index).or_default();
         encode::encode_record(record, region);
-        // Inside the write-lock critical section: the generation bump and
-        // the byte change are atomic w.r.t. readers, so a reader that
-        // snapshotted the old generation can never install the old page
-        // after this write.
+        // Inside the write-lock critical section: a reader installs its
+        // decode under the read lock, so no decode of the old bytes can
+        // land after this drop.
         self.cache.invalidate(PageKey::Primary(bucket_index));
         self.records_written.fetch_add(1, Ordering::Relaxed);
     }
@@ -162,7 +159,7 @@ impl Device {
     /// bucket-access cost model). A cache hit skips the store lock and
     /// the decode entirely; a miss decodes the page borrowed under the
     /// read lock (one copy per payload, none for the page) and installs
-    /// it generation-guarded.
+    /// it before releasing that lock.
     pub fn read_bucket(&self, bucket_index: u64) -> Result<Arc<[Record]>, DecodeError> {
         self.bucket_reads.fetch_add(1, Ordering::Relaxed);
         self.decode_page(PageKey::Primary(bucket_index))
@@ -176,15 +173,13 @@ impl Device {
         }
         let (store, bucket_index) = self.store_of(key);
         let store = store.read();
-        let gen = self.cache.generation(key);
         let records: Arc<[Record]> = match store.get(&bucket_index) {
             None => Vec::new().into(),
             Some(region) => encode::decode_all_bytes(region)?.into(),
         };
-        drop(store);
-        // The generation was snapshotted while the read lock pinned the
-        // bytes; any write since then bumped it and this insert no-ops.
-        self.cache.insert_if(key, gen, records.clone());
+        // Installed while the read lock still pins the bytes: a writer
+        // waits for it, then drops the entry under its write lock.
+        self.cache.insert(key, records.clone());
         Ok(records)
     }
 
@@ -204,7 +199,7 @@ impl Device {
         Ok(records)
     }
 
-    fn store_of(&self, key: PageKey) -> (&RwLock<HashMap<u64, BytesMut>>, u64) {
+    fn store_of(&self, key: PageKey) -> (&RwLock<HashMap<u64, Vec<u8>>>, u64) {
         match key {
             PageKey::Primary(bucket_index) => (&self.store, bucket_index),
             PageKey::Mirror(bucket_index) => (&self.mirror_store, bucket_index),
@@ -347,11 +342,7 @@ impl Device {
         attempt: u32,
     ) -> Result<RawRead, ReadFault> {
         let injected_latency_us = self.admit(bucket_index, attempt)?;
-        let bytes = self
-            .store
-            .read()
-            .get(&bucket_index)
-            .map(|region| region.to_vec());
+        let bytes = self.store.read().get(&bucket_index).cloned();
         Ok(RawRead {
             bytes,
             injected_latency_us,
@@ -408,9 +399,7 @@ impl Device {
     /// re-mirroring path), replacing any previous mirror page.
     pub fn install_mirror_page(&self, bucket_index: u64, page: &[u8]) {
         let mut store = self.mirror_store.write();
-        let region = store.entry(bucket_index).or_default();
-        region.clear();
-        region.extend_from_slice(page);
+        store.insert(bucket_index, page.to_vec());
         self.cache.invalidate(PageKey::Mirror(bucket_index));
     }
 
@@ -454,19 +443,14 @@ impl Device {
     /// Raw page bytes of a resident bucket (for persistence snapshots);
     /// `None` when the bucket holds no data.
     pub fn raw_page(&self, bucket_index: u64) -> Option<Vec<u8>> {
-        self.store
-            .read()
-            .get(&bucket_index)
-            .map(|region| region.to_vec())
+        self.store.read().get(&bucket_index).cloned()
     }
 
     /// Installs a pre-encoded page (persistence load path). `records` is
     /// the number of records the page holds, for the write counter.
     pub fn install_page(&self, bucket_index: u64, page: &[u8], records: u64) {
         let mut store = self.store.write();
-        let region = store.entry(bucket_index).or_default();
-        region.clear();
-        region.extend_from_slice(page);
+        store.insert(bucket_index, page.to_vec());
         self.cache.invalidate(PageKey::Primary(bucket_index));
         self.records_written.fetch_add(records, Ordering::Relaxed);
     }
@@ -478,9 +462,7 @@ impl Device {
     /// [`DecodeError`] rather than panic or silently drop records.
     pub fn inject_corruption(&self, bucket_index: u64, bytes: &[u8]) {
         let mut store = self.store.write();
-        let region = store.entry(bucket_index).or_default();
-        region.clear();
-        region.extend_from_slice(bytes);
+        store.insert(bucket_index, bytes.to_vec());
         // At-rest corruption is a write like any other: invalidate so the
         // next read surfaces the DecodeError instead of a stale hit.
         self.cache.invalidate(PageKey::Primary(bucket_index));
@@ -506,7 +488,7 @@ impl Device {
         self.mirror_store.write().clear();
         self.parity_store.write().clear();
         let mut store = self.store.write();
-        let mut drained: Vec<(u64, BytesMut)> = std::mem::take(&mut *store).into_iter().collect();
+        let mut drained: Vec<(u64, Vec<u8>)> = std::mem::take(&mut *store).into_iter().collect();
         self.cache.invalidate_all();
         drained.sort_unstable_by_key(|&(idx, _)| idx);
         drained
@@ -773,6 +755,48 @@ mod tests {
             d.copy_bucket_attempt(4, 0, &mut out),
             Err(ReadFault::Outage)
         );
+    }
+
+    #[test]
+    fn cached_reads_stay_coherent_with_a_concurrent_writer() {
+        const APPENDS: u64 = 3_000;
+        let d = Device::new(0);
+        let finished = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..APPENDS {
+                    d.append(0, &rec(i as i64));
+                    finished.store(i + 1, Ordering::Release);
+                }
+            });
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let mut seen = 0;
+                    loop {
+                        let before = finished.load(Ordering::Acquire);
+                        let page = d.read_bucket(0).unwrap();
+                        assert!(
+                            page.len() as u64 >= before,
+                            "stale read: {} records after {before} appends finished",
+                            page.len()
+                        );
+                        assert!(
+                            page.len() >= seen,
+                            "read shrank from {seen} to {}",
+                            page.len()
+                        );
+                        // Earlier records were checked by an earlier read.
+                        for (i, r) in page.iter().enumerate().skip(seen) {
+                            assert_eq!(*r, rec(i as i64), "not a prefix of the appends");
+                        }
+                        seen = page.len();
+                        if before == APPENDS {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Records are stored inside buckets as length-delimited, type-tagged
 //! byte strings. The format is deliberately simple — one byte of type tag,
 //! a little-endian `u32` length for variable-width variants, then the
-//! payload — so a bucket page is a flat `Bytes` region a device can hand
-//! back without touching per-record allocations until decode time.
+//! payload — so a bucket page is a flat `Vec<u8>` a device can hand back
+//! without touching per-record allocations until decode time.
 
 use pmr_mkh::{Record, Value};
-use pmr_rt::buf::{Buf, BufMut, Bytes, BytesMut};
+use pmr_rt::buf::BufMut;
 use std::fmt;
 
 /// Errors raised while decoding a record region.
@@ -38,7 +38,7 @@ const TAG_STR: u8 = 0x02;
 const TAG_BYTES: u8 = 0x03;
 
 /// Appends one record to `buf`: a `u32` value count, then each value.
-pub fn encode_record(record: &Record, buf: &mut BytesMut) {
+pub fn encode_record(record: &Record, buf: &mut Vec<u8>) {
     buf.put_u32_le(record.arity() as u32);
     for v in record.values() {
         match v {
@@ -61,22 +61,16 @@ pub fn encode_record(record: &Record, buf: &mut BytesMut) {
 }
 
 /// Encodes one record into a standalone buffer.
-pub fn encode_one(record: &Record) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16);
+pub fn encode_one(record: &Record) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(encoded_len(record));
     encode_record(record, &mut buf);
-    buf.freeze()
+    buf
 }
 
 /// Decodes every record from a region produced by repeated
-/// [`encode_record`] calls.
-pub fn decode_all(region: Bytes) -> Result<Vec<Record>, DecodeError> {
-    decode_all_bytes(&region)
-}
-
-/// Decodes every record from a borrowed region — the zero-snapshot path:
-/// callers holding a lock over the page bytes decode in place, paying
-/// exactly one copy per `Str`/`Bytes` payload (into the owned `Value`)
-/// and none for the page itself.
+/// [`encode_record`] calls. Callers holding a lock over the page bytes
+/// decode in place, paying exactly one copy per `Str`/`Bytes` payload
+/// (into the owned `Value`) and none for the page itself.
 pub fn decode_all_bytes(region: &[u8]) -> Result<Vec<Record>, DecodeError> {
     let mut cursor = region;
     let mut out = Vec::new();
@@ -84,16 +78,6 @@ pub fn decode_all_bytes(region: &[u8]) -> Result<Vec<Record>, DecodeError> {
         out.push(decode_record_from(&mut cursor)?);
     }
     Ok(out)
-}
-
-/// Decodes a single record from the front of `buf`, advancing it past
-/// the consumed bytes.
-pub fn decode_record(buf: &mut Bytes) -> Result<Record, DecodeError> {
-    let mut cursor: &[u8] = buf;
-    let record = decode_record_from(&mut cursor)?;
-    let consumed = buf.remaining() - cursor.len();
-    let _ = buf.split_to(consumed);
-    Ok(record)
 }
 
 /// Checks a region produced by repeated [`encode_record`] calls without
@@ -211,10 +195,11 @@ mod tests {
     #[test]
     fn round_trip_single() {
         let r = sample();
-        let mut bytes = encode_one(&r);
-        let back = decode_record(&mut bytes).unwrap();
+        let bytes = encode_one(&r);
+        let mut cursor = &bytes[..];
+        let back = decode_record_from(&mut cursor).unwrap();
         assert_eq!(back, r);
-        assert!(!bytes.has_remaining());
+        assert!(cursor.is_empty());
     }
 
     #[test]
@@ -222,11 +207,11 @@ mod tests {
         let records: Vec<Record> = (0..20)
             .map(|i| Record::new(vec![Value::Int(i), format!("s{i}").into()]))
             .collect();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for r in &records {
             encode_record(r, &mut buf);
         }
-        let back = decode_all(buf.freeze()).unwrap();
+        let back = decode_all_bytes(&buf).unwrap();
         assert_eq!(back, records);
     }
 
@@ -234,9 +219,8 @@ mod tests {
     fn truncation_detected() {
         let bytes = encode_one(&sample());
         for cut in 1..bytes.len() {
-            let partial = bytes.slice(0..cut);
             assert!(
-                decode_all(partial).is_err(),
+                decode_all_bytes(&bytes[..cut]).is_err(),
                 "cut at {cut} should not decode cleanly"
             );
         }
@@ -244,25 +228,25 @@ mod tests {
 
     #[test]
     fn bad_tag_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u32_le(1);
         buf.put_u8(0x7f);
-        assert_eq!(decode_all(buf.freeze()), Err(DecodeError::BadTag(0x7f)));
+        assert_eq!(decode_all_bytes(&buf), Err(DecodeError::BadTag(0x7f)));
     }
 
     #[test]
     fn bad_utf8_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u32_le(1);
         buf.put_u8(TAG_STR);
         buf.put_u32_le(2);
         buf.put_slice(&[0xff, 0xfe]);
-        assert_eq!(decode_all(buf.freeze()), Err(DecodeError::BadUtf8));
+        assert_eq!(decode_all_bytes(&buf), Err(DecodeError::BadUtf8));
     }
 
     #[test]
     fn empty_region_is_empty() {
-        assert_eq!(decode_all(Bytes::new()).unwrap(), vec![]);
+        assert_eq!(decode_all_bytes(&[]).unwrap(), vec![]);
         assert_eq!(validate_region(&[]), Ok(0));
     }
 
@@ -273,7 +257,7 @@ mod tests {
             Record::new(vec![]),
             Record::new(vec![Value::Int(1)]),
         ];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for r in &records {
             let before = buf.len();
             encode_record(r, &mut buf);

@@ -163,24 +163,16 @@ pub struct ExecPolicy {
     /// Seed for backoff jitter — conventionally the run's `PMR_SEED`, so
     /// retry schedules replay with the fault decisions.
     pub seed: u64,
-    /// Decoded-page cache capacity to apply to every device before the
-    /// execution (`Some(0)` turns the cache off). `None` leaves each
-    /// device's current configuration alone — the default, since the
-    /// cache is a device property, not a per-query one. Purely a
-    /// wall-clock knob: reports are bit-equal at any setting.
-    pub cache: Option<usize>,
 }
 
 impl Default for ExecPolicy {
-    /// Default retry policy, failover on through buddy mirroring, seed 0,
-    /// device cache configuration untouched.
+    /// Default retry policy, failover on through buddy mirroring, seed 0.
     fn default() -> Self {
         ExecPolicy {
             retry: RetryPolicy::default(),
             failover: true,
             redundancy: Redundancy::Mirror,
             seed: 0,
-            cache: None,
         }
     }
 }
@@ -476,7 +468,6 @@ const STRICT: ExecPolicy = ExecPolicy {
     failover: false,
     redundancy: Redundancy::None,
     seed: 0,
-    cache: None,
 };
 
 /// Executes `query` against `file`, strictly: every qualified bucket must
@@ -551,13 +542,6 @@ fn execute_one<D: DistributionMethod>(
         qualified = planned[0].total_qualified
     );
     count_dispatch(&planned);
-    if let Some(capacity) = policy.cache {
-        // Idempotent per device: an unchanged capacity is one lock
-        // round-trip, never a flush.
-        for dev in file.devices() {
-            dev.set_cache_capacity(capacity);
-        }
-    }
     let inputs = Inputs {
         devices: file.devices(),
         sys,
@@ -1207,13 +1191,6 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         );
         obs::counter_add("exec.batch.queries", planned.len() as u64);
         count_dispatch(planned);
-        if let Some(capacity) = policy.cache {
-            // All devices, not just the range: buddy failover reads (and
-            // their mirror cache lines) may live outside it.
-            for dev in &self.shared.devices {
-                dev.set_cache_capacity(capacity);
-            }
-        }
         // The range's expected share of the batch's qualified buckets.
         let qualified = planned.iter().map(|p| p.total_qualified).sum::<u64>() * devices
             / self.shared.sys.devices();
@@ -1769,7 +1746,6 @@ mod tests {
             failover: false,
             redundancy: Redundancy::None,
             seed: 42,
-            cache: None,
         };
         let faulted = execute_parallel_with(&file, &q, &CostModel::main_memory(), &policy).unwrap();
         assert_eq!(faulted.coverage, 1.0, "lost {:?}", faulted.lost_buckets);
@@ -2026,7 +2002,6 @@ mod tests {
             failover: true,
             redundancy: Redundancy::Parity { k: 2, r: 1 },
             seed: 0,
-            cache: None,
         };
         let q = file.query(&[]).unwrap();
         file.install_fault_plan(Some(Arc::new(

@@ -10,12 +10,14 @@
 //! * [`cost`] — a parametric device cost model (seek + per-bucket
 //!   transfer + per-address CPU), with presets for disk-like and
 //!   main-memory-like devices.
-//! * [`encode`] — compact record encoding for bucket pages, built on the
-//!   [`pmr_rt::buf`] zero-copy buffers.
+//! * [`encode`] — compact record encoding for bucket pages: records
+//!   append to a plain `Vec<u8>` through [`pmr_rt::buf::BufMut`] and
+//!   decode from borrowed slices.
 //! * [`device`] — a simulated device: bucket-addressed store plus access
 //!   accounting, guarded by a [`pmr_rt::sync`] lock for parallel workers.
 //! * [`cache`] — the per-device decoded-page cache: `Arc`-shared hot
-//!   reads with generation invalidation and CLOCK eviction.
+//!   reads, kept coherent by the device's store lock, with CLOCK
+//!   eviction.
 //! * [`mod@file`] — [`DeclusteredFile`]: schema + multi-key hash + distribution
 //!   method + `M` devices; insertion and querying.
 //! * [`exec`] — the parallel query executor (one [`pmr_rt::pool`] worker

@@ -3,7 +3,6 @@
 
 use pmr_core::FxDistribution;
 use pmr_mkh::{FieldType, Record, Schema, Value};
-use pmr_rt::buf::{Bytes, BytesMut};
 use pmr_rt::check::Source;
 use pmr_rt::rt_proptest;
 use pmr_storage::encode;
@@ -41,11 +40,11 @@ rt_proptest! {
     /// records and empty payloads.
     fn encode_round_trip(src) {
         let records = src.vec_of(0..=19, gen_record);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for r in &records {
             encode::encode_record(r, &mut buf);
         }
-        let decoded = encode::decode_all(buf.freeze()).unwrap();
+        let decoded = encode::decode_all_bytes(&buf).unwrap();
         assert_eq!(decoded, records);
     }
 
@@ -54,18 +53,17 @@ rt_proptest! {
     /// decode and the one-record-at-a-time cursor decode.
     fn encode_round_trip_bulky_payloads(src) {
         let records = src.vec_of(0..=6, gen_bulky_record);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for r in &records {
             encode::encode_record(r, &mut buf);
         }
-        let region = buf.freeze();
-        assert_eq!(encode::decode_all(region.clone()).unwrap(), records);
+        assert_eq!(encode::decode_all_bytes(&buf).unwrap(), records);
 
         // Streaming decode consumes the same region record-by-record.
-        let mut cursor = region;
+        let mut cursor = &buf[..];
         let mut streamed = Vec::new();
         while !cursor.is_empty() {
-            streamed.push(encode::decode_record(&mut cursor).unwrap());
+            streamed.push(encode::decode_record_from(&mut cursor).unwrap());
         }
         assert_eq!(streamed, records);
     }
@@ -79,18 +77,16 @@ rt_proptest! {
         } else {
             src.vec_of(0..=4, gen_bulky_record)
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for r in &records {
             encode::encode_record(r, &mut buf);
         }
-        let original = buf.freeze();
-
-        let decoded = encode::decode_all(original.clone()).unwrap();
-        let mut again = BytesMut::new();
+        let decoded = encode::decode_all_bytes(&buf).unwrap();
+        let mut again = Vec::new();
         for r in &decoded {
             encode::encode_record(r, &mut again);
         }
-        assert_eq!(&again.freeze()[..], &original[..]);
+        assert_eq!(again, buf);
     }
 
     /// Any strict prefix of an encoded non-empty region fails to decode
@@ -103,7 +99,7 @@ rt_proptest! {
                 // Zero bytes decode to zero records — allowed.
                 continue;
             }
-            assert!(encode::decode_all(bytes.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(encode::decode_all_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -111,7 +107,7 @@ rt_proptest! {
     /// error (fuzz-shaped robustness for the page format).
     fn decode_never_panics(src) {
         let bytes = src.vec_of(0..=255, |s| s.any_u8());
-        let _ = encode::decode_all(Bytes::from(bytes));
+        let _ = encode::decode_all_bytes(&bytes);
     }
 
     /// The validation walk a node runs before shipping a stored page
@@ -126,7 +122,7 @@ rt_proptest! {
         // string payload, for targeted edits.
         let (mut arities, mut tags, mut lens, mut strs) = (vec![], vec![], vec![], vec![]);
         for r in &records {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode::encode_record(r, &mut buf);
             assert_eq!(buf.len(), encode::encoded_len(r));
             arities.push(page.len());
@@ -240,7 +236,7 @@ rt_proptest! {
         assert_eq!(generic.histogram(), fx_exec.histogram());
     }
 
-    /// Golden-bytes cross-check: a pmr-rt buffer filled through the
+    /// Golden-bytes cross-check: a buffer filled through the
     /// [`pmr_rt::buf::BufMut`] API byte-for-byte matches the storage
     /// encoder's output for the same record.
     fn buffer_matches_encoder_golden_bytes(src) {
@@ -251,13 +247,13 @@ rt_proptest! {
         let encoded = encode::encode_one(&record);
 
         // Hand-rolled frame: u32 arity, tagged int, tagged string.
-        let mut expected = BytesMut::new();
+        let mut expected = Vec::new();
         expected.put_u32_le(2);
         expected.put_u8(0x01);
         expected.put_i64_le(i);
         expected.put_u8(0x02);
         expected.put_u32_le(s.len() as u32);
         expected.put_slice(s.as_bytes());
-        assert_eq!(&encoded[..], &expected[..]);
+        assert_eq!(encoded, expected);
     }
 }

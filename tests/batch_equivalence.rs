@@ -160,13 +160,13 @@ rt_proptest! {
             failover: src.weighted(0.8),
             redundancy: Redundancy::Mirror,
             seed: src.any_u64(),
-            // Random cache capacity, including disabled: batch reports
-            // must be bit-equal at any setting.
-            cache: match src.arm(3) {
-                0 => None,
-                1 => Some(0),
-                _ => Some(src.int_in(1, 128) as usize),
-            },
+        };
+        // Random cache capacity, including disabled and left as it was:
+        // batch reports must be bit-equal at any setting.
+        let capacity = match src.arm(3) {
+            0 => None,
+            1 => Some(0),
+            _ => Some(src.int_in(1, 128) as usize),
         };
         let plan = if src.weighted(0.5) {
             let mut plan = FaultPlan::new(src.any_u64());
@@ -182,6 +182,9 @@ rt_proptest! {
         };
 
         let _gate = plan_gate().lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(capacity) = capacity {
+            file.set_cache_capacity(capacity);
+        }
         file.install_fault_plan(plan.clone());
         let batches: Vec<_> = execs.iter().map(|e| e.execute_batch(&queries, &policy)).collect();
         let serial: Vec<_> = queries
@@ -223,7 +226,7 @@ rt_proptest! {
         let queries: Vec<PartialMatchQuery> =
             (0..batch_size).map(|_| gen_query(src, &sys)).collect();
         let capacity = src.int_in(1, 256) as usize;
-        let on = ExecPolicy {
+        let policy = ExecPolicy {
             retry: RetryPolicy { max_attempts: 4, base_us: 10, cap_us: 1_000, budget_us: 100_000 },
             failover: true,
             redundancy: if parity {
@@ -232,9 +235,7 @@ rt_proptest! {
                 Redundancy::Mirror
             },
             seed: src.any_u64(),
-            cache: Some(capacity),
         };
-        let off = ExecPolicy { cache: Some(0), ..on };
         let plan = if src.weighted(0.6) {
             let mut plan = FaultPlan::new(src.any_u64());
             if src.weighted(0.6) {
@@ -253,19 +254,21 @@ rt_proptest! {
         for q in &queries {
             // Two cache-on passes: the first fills the cache, the second
             // reads through it hot. Both must match the disabled run.
-            let first = execute_parallel_with(file, q, &cost, &on).expect("policy path never errors");
-            let warm = execute_parallel_with(file, q, &cost, &on).expect("policy path never errors");
-            let cold = execute_parallel_with(file, q, &cost, &off).expect("policy path never errors");
+            file.set_cache_capacity(capacity);
+            let first = execute_parallel_with(file, q, &cost, &policy).expect("policy path never errors");
+            let warm = execute_parallel_with(file, q, &cost, &policy).expect("policy path never errors");
+            file.set_cache_capacity(0);
+            let cold = execute_parallel_with(file, q, &cost, &policy).expect("policy path never errors");
             assert_eq!(first, cold, "cold cache-on diverged ({q}, parity {parity})");
             assert_eq!(warm, cold, "warm cache-on diverged ({q}, parity {parity})");
         }
-        let batch_on = exec.execute_batch(&queries, &on);
-        let batch_off = exec.execute_batch(&queries, &off);
+        file.set_cache_capacity(capacity);
+        let batch_on = exec.execute_batch(&queries, &policy);
+        file.set_cache_capacity(0);
+        let batch_off = exec.execute_batch(&queries, &policy);
         assert_eq!(batch_on, batch_off, "batch path diverged (parity {parity})");
         file.install_fault_plan(None);
 
-        // The strict dispatcher takes no policy: toggle the device-level
-        // capacity directly.
         file.set_cache_capacity(capacity);
         let strict_first = execute_parallel(file, &queries[0], &cost).expect("no faults installed");
         let strict_warm = execute_parallel(file, &queries[0], &cost).expect("no faults installed");

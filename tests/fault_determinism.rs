@@ -40,7 +40,6 @@ fn faulted_run(seed: u64) -> u64 {
         failover: true,
         redundancy: Redundancy::Mirror,
         seed,
-        cache: None,
     };
     let cost = CostModel::main_memory();
     // A spread of query shapes so the counter aggregates many

@@ -89,7 +89,6 @@ fn run_matrix<D: DistributionMethod>(sys: &SystemConfig, make: impl Fn() -> D, l
             failover: mirror,
             redundancy: Redundancy::Mirror,
             seed: SEED,
-            cache: None,
         };
         let reference =
             execute_parallel_with(&file, &query, &cost, &policy).expect("fault-free run");
@@ -196,7 +195,6 @@ fn at_rest_corruption_round_trip() {
             failover: mirror,
             redundancy: Redundancy::Mirror,
             seed: SEED,
-            cache: None,
         };
         let reference = execute_parallel_with(&file, &query, &cost, &policy).unwrap();
         let victim_device = 3u64;
@@ -318,7 +316,6 @@ rt_proptest! {
             failover: true,
             redundancy: Redundancy::Mirror,
             seed: SEED,
-            cache: None,
         };
 
         file.install_fault_plan(None);
@@ -358,7 +355,6 @@ rt_proptest! {
             failover: true,
             redundancy: Redundancy::Mirror,
             seed: SEED,
-            cache: None,
         };
 
         file.install_fault_plan(None);
@@ -406,7 +402,6 @@ rt_proptest! {
             failover: true,
             redundancy: Redundancy::Parity { k: 4, r: 2 },
             seed: SEED,
-            cache: None,
         };
 
         file.install_fault_plan(None);
