@@ -663,6 +663,31 @@ pub fn ec_codec(opts: &SuiteOpts) -> Group {
     group
 }
 
+/// The file the `throughput` and `serve` groups query: the Table 7
+/// system under FX `auto` (seed 13), loaded with `i·131 + f·7` integer
+/// records.
+fn cpu_time_file(opts: &SuiteOpts) -> DeclusteredFile<FxDistribution> {
+    let sys = cpu_time_system();
+    let mut file = DeclusteredFile::new(
+        Schema::ints(&sys),
+        FxDistribution::auto(sys.clone()).unwrap(),
+        13,
+    )
+    .unwrap();
+    let records = opts.scaled(20_000, 300) as i64;
+    let recs: Vec<Record> = (0..records)
+        .map(|i| {
+            Record::new(
+                (0..sys.num_fields())
+                    .map(|f| Value::Int(i * 131 + f as i64 * 7))
+                    .collect(),
+            )
+        })
+        .collect();
+    file.insert_all_parallel(recs).unwrap();
+    file
+}
+
 /// Sustained multi-query throughput on the paper's Table 7 system
 /// (`F = (8,…,8)`, `M = 32`): the resident batch executor
 /// ([`Executor::execute_batch`]) vs the one-query-at-a-time policy path
@@ -676,25 +701,8 @@ pub fn ec_codec(opts: &SuiteOpts) -> Group {
 /// of `resident_batch_N` answers the same N queries as one iteration of
 /// `per_query_N`, so the median ratio *is* the queries/sec ratio.
 pub fn throughput(opts: &SuiteOpts) -> Group {
-    let sys = cpu_time_system();
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder.devices(sys.devices()).build().unwrap();
-    let mut file =
-        DeclusteredFile::new(schema, FxDistribution::auto(sys.clone()).unwrap(), 13).unwrap();
-    let records = opts.scaled(20_000, 300) as i64;
-    let recs: Vec<Record> = (0..records)
-        .map(|i| {
-            Record::new(
-                (0..sys.num_fields())
-                    .map(|f| Value::Int(i * 131 + f as i64 * 7))
-                    .collect(),
-            )
-        })
-        .collect();
-    file.insert_all_parallel(recs).unwrap();
+    let file = cpu_time_file(opts);
+    let sys = file.system().clone();
 
     let mut rng = pmr_rt::rng::Rng::seed_from_u64(pmr_rt::seed_from_env_or(42));
     let queries: Vec<PartialMatchQuery> = (0..256)
@@ -772,26 +780,9 @@ pub fn serve(opts: &SuiteOpts) -> Group {
     use pmr_net::wire::{decode_message, encode_message, GatherResponse, Message};
     use pmr_net::{loadgen, Cluster, ClusterConfig};
 
-    let sys = cpu_time_system();
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder.devices(sys.devices()).build().unwrap();
-    let mut file =
-        DeclusteredFile::new(schema, FxDistribution::auto(sys.clone()).unwrap(), 13).unwrap();
+    let mut file = cpu_time_file(opts);
     file.enable_mirroring();
-    let records = opts.scaled(20_000, 300) as i64;
-    let recs: Vec<Record> = (0..records)
-        .map(|i| {
-            Record::new(
-                (0..sys.num_fields())
-                    .map(|f| Value::Int(i * 131 + f as i64 * 7))
-                    .collect(),
-            )
-        })
-        .collect();
-    file.insert_all_parallel(recs).unwrap();
+    let sys = file.system().clone();
 
     let batch = opts.scaled(256, 8);
     let queries = loadgen::query_mix(&sys, batch, pmr_rt::seed_from_env_or(42), 2);

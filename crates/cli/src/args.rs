@@ -1,6 +1,6 @@
 //! Minimal flag parsing (no external dependencies).
 
-use pmr_core::AssignmentStrategy;
+use pmr_core::{AssignmentStrategy, SystemConfig};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -15,14 +15,14 @@ USAGE:
 
   pmr simulate --fields F1,F2,... --devices M --records N [--seed K]
                [--trace T] [--json] [--faults SPEC] [--retry POLICY]
-               [--mirror] [--redundancy R] [--batch B] [--cache P]
+               [--redundancy R] [--batch B] [--cache P]
       Build a synthetic declustered file and execute sample queries in
       parallel, reporting balance and simulated speedup. With --faults /
-      --retry / --mirror the fault-aware executor runs instead: injected
-      faults are retried, failed over to buddy mirrors, and reported as
-      coverage + per-device outcomes. --batch B additionally pushes B
-      sample queries through one resident executor batch and reports
-      throughput.
+      --retry / --redundancy the fault-aware executor runs instead:
+      injected faults are retried, failed over to buddy mirrors or
+      rebuilt from parity, and reported as coverage + per-device
+      outcomes. --batch B additionally pushes B sample queries through
+      one resident executor batch and reports throughput.
 
   pmr throughput [--fields F1,F2,... --devices M] [--records N]
                  [--batch B] [--seed K] [--cache P] [--json]
@@ -33,11 +33,12 @@ USAGE:
 
   pmr chaos [--fields F1,F2,... --devices M] [--records N] [--seed K]
             [--rates R1,R2,...] [--queries Q] [--retry POLICY]
-            [--outage D] [--redundancy R] [--no-mirror] [--cache P] [--json]
+            [--outage D] [--redundancy R] [--cache P] [--json]
       Sweep fault-injection rates over a system (default: the paper's
       Table 7 system, F = 8^6, M = 32) and print a coverage /
       response-time-inflation table. Mirroring + failover are on unless
-      --no-mirror; all fault decisions derive from the seed (PMR_SEED).
+      --redundancy none; all fault decisions derive from the seed
+      (PMR_SEED).
 
   pmr serve [--fields F1,F2,... --devices M] [--records N] [--nodes K]
             [--seed S] [--deadline-ms D] [--queries Q] [--json]
@@ -90,21 +91,22 @@ OPTIONS:
   --fields    comma-separated power-of-two field sizes (e.g. 8,8,8)
   --devices   power-of-two device count M
   --strategy  theorem-9 (default) | basic | cycle-iu1 | cycle-iu2
-  --records   number of synthetic records to insert (simulate)
-  --seed      RNG seed (simulate/optimize; default 42)
+  --records   number of synthetic records to insert (simulate default
+              10000, chaos 20000, throughput/serve/loadgen 5000)
+  --seed      RNG seed (simulate/optimize: default 42; throughput/chaos/
+              serve/loadgen: default PMR_SEED, else 42)
   --steps     annealing steps (optimize; default 2000)
   --probs     comma-separated per-field specification probabilities
   --bits      total directory bits (design; default 12)
   --trace     trace sink: a file path or 'stderr' (records spans/metrics
               as JSON lines; PMR_TRACE sets the same thing globally)
-  --json      machine-readable JSON-lines output (simulate/chaos)
+  --json      machine-readable JSON-lines output (simulate/throughput/
+              chaos/serve/loadgen)
   --faults    fault spec: comma-separated key=value of read=P, corrupt=P,
               latency=P:US or latency=P:LO..HI, outage=D, outage-rate=P
               (e.g. read=0.01,latency=0.1:200..2000,outage=3)
   --retry     retry policy: attempts=N,base=US,cap=US,budget=US (defaults
               3,100,10000,1000000) or the literal 'none'
-  --mirror    simulate: mirror each bucket onto its buddy device
-              (d XOR M/2) and fail reads over to the mirror copy
   --batch     simulate/throughput: queries per resident executor batch
   --rates     chaos: comma-separated fault rates to sweep
               (default 0,0.001,0.01,0.05,0.1)
@@ -129,9 +131,10 @@ OPTIONS:
   --cluster   stats: render the merged node{N}.* telemetry per node
   --outage    chaos: additionally kill device D at every swept rate
   --redundancy  simulate/chaos: none | mirror | parity | parity:K,R
-              (chaos default mirror; simulate default none, or mirror
-              with --mirror)
-  --no-mirror chaos: disable mirroring/failover (shows degradation)
+              (simulate default none, chaos default mirror). mirror
+              copies each bucket onto its buddy device (d XOR M/2) and
+              fails reads over to it; parity is Reed-Solomon K+R
+              (default 4+2); none shows undefended degradation
   --max-fields   verify: largest field count in the grid (default 3)
   --max-buckets  verify: largest bucket count in the grid (default 512)
 
@@ -154,15 +157,7 @@ pub struct Flags<'a> {
 }
 
 /// Flags that take no value; present means `true`.
-const BOOLEAN_FLAGS: [&str; 7] = [
-    "json",
-    "mirror",
-    "no-mirror",
-    "check",
-    "cluster",
-    "csv",
-    "empirical",
-];
+const BOOLEAN_FLAGS: [&str; 5] = ["json", "check", "cluster", "csv", "empirical"];
 
 impl<'a> Flags<'a> {
     /// Parses `--name value` pairs (and bare boolean flags like
@@ -228,6 +223,11 @@ impl<'a> Flags<'a> {
             .map_err(|e| format!("bad device count: {e}"))
     }
 
+    /// The system `--fields` and `--devices` describe (both required).
+    pub fn system(&self) -> Result<SystemConfig, String> {
+        SystemConfig::new(&self.fields()?, self.devices()?).map_err(|e| e.to_string())
+    }
+
     /// Parses a u64 flag with a default.
     pub fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
         match self.get(name) {
@@ -277,11 +277,11 @@ mod tests {
     /// after it still parse.
     #[test]
     fn parses_boolean_flags() {
-        let args = argv(&["--json", "--mirror", "--seed", "9", "--trace", "out.jsonl"]);
+        let args = argv(&["--json", "--check", "--seed", "9", "--trace", "out.jsonl"]);
         let f = Flags::parse(&args).unwrap();
         assert!(f.has("json"));
-        assert!(f.has("mirror"));
-        assert!(!f.has("no-mirror"));
+        assert!(f.has("check"));
+        assert!(!f.has("csv"));
         assert_eq!(f.u64_or("seed", 42).unwrap(), 9);
         assert_eq!(f.get("trace"), Some("out.jsonl"));
     }
@@ -305,6 +305,11 @@ mod tests {
         assert!(err.contains("--recods"), "{err}");
         assert!(Flags::parse(&argv(&["--seed", "1", "--verbose"])).is_err());
         assert!(Flags::parse(&argv(&["--", "1"])).is_err());
+        // The old redundancy aliases are gone: `--redundancy` says it.
+        for alias in ["--mirror", "--no-mirror"] {
+            let err = Flags::parse(&argv(&[alias])).err().unwrap();
+            assert!(err.contains("unknown flag"), "{err}");
+        }
     }
 
     /// A flag given twice is an error, not first-one-wins.

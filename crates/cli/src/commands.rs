@@ -1,13 +1,13 @@
 //! Command implementations.
 
 use crate::args::Flags;
+use crate::fixture::Synthetic;
 use pmr_analysis::experiments::{self, Experiment};
 use pmr_analysis::probability;
 use pmr_analysis::tables::distribution_table;
 use pmr_baselines::ModuloDistribution;
 use pmr_core::method::DistributionMethod;
-use pmr_core::{FxDistribution, SystemConfig};
-use pmr_mkh::{FieldType, Record, Schema, Value};
+use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
 use pmr_rt::fault::{FaultPlan, RetryPolicy};
 use pmr_rt::obs::{self, TraceConfig};
 use pmr_rt::Rng;
@@ -17,10 +17,6 @@ use pmr_storage::exec::{
 use pmr_storage::metrics::BalanceMetrics;
 use pmr_storage::{CostModel, DeclusteredFile};
 use std::sync::Arc;
-
-fn system_from(flags: &Flags<'_>) -> Result<SystemConfig, String> {
-    SystemConfig::new(&flags.fields()?, flags.devices()?).map_err(|e| e.to_string())
-}
 
 /// Installs the trace sink requested by `--trace` (a path, `stderr`, or
 /// `off`). Without the flag the ambient `PMR_TRACE` selection stands.
@@ -33,23 +29,50 @@ fn install_trace(flags: &Flags<'_>) -> Result<bool, String> {
     Ok(obs::enabled())
 }
 
-/// Parses `--cache <pages>`: the decoded-page cache capacity per device
-/// (0 disables). `None` when the flag is absent — devices keep their
-/// built-in default.
-fn parse_cache(flags: &Flags<'_>) -> Result<Option<usize>, String> {
-    match flags.get("cache") {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<usize>()
-            .map(Some)
-            .map_err(|e| format!("bad --cache {v:?}: {e}")),
-    }
+/// The fault-aware policy `simulate` and `chaos` run under: `--retry`
+/// (default [`RetryPolicy::default`]), failover whenever `redundancy` is
+/// on, and fault decisions seeded by `seed`.
+fn fault_policy(
+    flags: &Flags<'_>,
+    redundancy: Redundancy,
+    seed: u64,
+) -> Result<ExecPolicy, String> {
+    Ok(ExecPolicy {
+        retry: flags
+            .get("retry")
+            .map_or(Ok(RetryPolicy::default()), RetryPolicy::parse)?,
+        failover: redundancy != Redundancy::None,
+        redundancy,
+        seed,
+    })
+}
+
+/// A sample query: the first `n − k` fields fixed to values drawn from
+/// `rng`, the last `k` left open.
+fn trailing_open(sys: &SystemConfig, k: usize, rng: &mut Rng) -> Result<PartialMatchQuery, String> {
+    let n = sys.num_fields();
+    let values: Vec<Option<u64>> = (0..n)
+        .map(|i| (i < n - k).then(|| rng.gen_range(0..sys.field_size(i))))
+        .collect();
+    PartialMatchQuery::new(sys, &values).map_err(|e| e.to_string())
+}
+
+/// `count` sample queries cycling 1, 2, 3 open trailing fields (capped
+/// at the field count).
+fn sample_batch(
+    sys: &SystemConfig,
+    count: usize,
+    rng: &mut Rng,
+) -> Result<Vec<PartialMatchQuery>, String> {
+    (0..count)
+        .map(|j| trailing_open(sys, (1 + j % 3).min(sys.num_fields()), rng))
+        .collect()
 }
 
 /// `pmr distribute` — print the bucket map.
 pub fn distribute(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    let sys = system_from(&flags)?;
+    let sys = flags.system()?;
     if sys.total_buckets() > 4096 {
         return Err(format!(
             "{} buckets is too many to print; keep the space under 4096",
@@ -68,7 +91,7 @@ pub fn distribute(args: &[String]) -> Result<(), String> {
 /// `pmr analyze` — certified + measured optimality per k.
 pub fn analyze(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    let sys = system_from(&flags)?;
+    let sys = flags.system()?;
     if sys.num_fields() > 16 {
         return Err("analyze supports up to 16 fields".into());
     }
@@ -94,7 +117,7 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
 /// machine-readable JSON lines, one object per query, embedding each
 /// [`pmr_storage::exec::ExecutionReport`] and its trace summary.
 ///
-/// Any of `--faults <spec>` / `--retry <policy>` / `--mirror` /
+/// Any of `--faults <spec>` / `--retry <policy>` /
 /// `--redundancy <none|mirror|parity[:K,R]>` switches the query loop to
 /// the fault-aware executor ([`execute_parallel_with`]): injected
 /// faults are retried with simulated-time backoff, failed over through
@@ -103,59 +126,18 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
 /// coverage + per-device outcomes instead of errors.
 pub fn simulate(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    let sys = system_from(&flags)?;
-    let records = flags.u64_or("records", 10_000)?;
-    let seed = flags.u64_or("seed", 42)?;
-    let strategy = flags.strategy()?;
+    let spec = Synthetic::from_flags(&flags, false, 10_000, 42)?;
+    let (sys, records, seed) = (&spec.sys, spec.records, spec.seed);
     let json = flags.has("json");
     let fault_spec = flags.get("faults");
-    let retry_spec = flags.get("retry");
-    let redundancy = match flags.get("redundancy") {
-        Some(spec) => Redundancy::parse(spec)?,
-        None if flags.has("mirror") => Redundancy::Mirror,
-        None => Redundancy::None,
-    };
-    let fault_mode = fault_spec.is_some() || retry_spec.is_some() || redundancy != Redundancy::None;
-    let cache = parse_cache(&flags)?;
+    let redundancy = flags
+        .get("redundancy")
+        .map_or(Ok(Redundancy::None), Redundancy::parse)?;
+    let fault_mode = fault_spec.is_some() || flags.has("retry") || redundancy != Redundancy::None;
+    let policy = fault_policy(&flags, redundancy, seed)?;
     let traced = install_trace(&flags)?;
+    let (file, mut rng) = spec.build(&flags, redundancy)?;
 
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder
-        .devices(sys.devices())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let fx = FxDistribution::with_strategy(sys.clone(), strategy).map_err(|e| e.to_string())?;
-    let mut file = DeclusteredFile::new(schema, fx, seed).map_err(|e| e.to_string())?;
-    if let Some(capacity) = cache {
-        file.set_cache_capacity(capacity);
-    }
-    if redundancy == Redundancy::Mirror && !file.enable_mirroring() {
-        return Err("--mirror needs at least 2 devices".into());
-    }
-
-    let mut rng = Rng::seed_from_u64(seed);
-    {
-        let _span = pmr_rt::span!("cli.simulate.insert", records = records);
-        for _ in 0..records {
-            let values: Vec<Value> = (0..sys.num_fields())
-                .map(|_| Value::Int(rng.gen_range(0..1_000_000i64)))
-                .collect();
-            file.insert(Record::new(values))
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    if let Redundancy::Parity { k, r } = redundancy {
-        // Protect after the bulk load so each stripe encodes once.
-        if !file.enable_parity(k as usize, r as usize) {
-            return Err(format!(
-                "--redundancy parity:{k},{r} needs k + r <= {} devices",
-                sys.devices()
-            ));
-        }
-    }
     let occupancy = file.record_occupancy();
     let occ = BalanceMetrics::of(&occupancy);
     if json {
@@ -177,29 +159,11 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         let plan = FaultPlan::parse(spec, seed)?;
         file.install_fault_plan(Some(Arc::new(plan)));
     }
-    let policy = ExecPolicy {
-        retry: match retry_spec {
-            Some(spec) => RetryPolicy::parse(spec)?,
-            None => RetryPolicy::default(),
-        },
-        failover: redundancy != Redundancy::None,
-        redundancy,
-        seed,
-    };
 
     // Execute one query per unspecified-field count (k = 1 … n−1).
     let cost = CostModel::disk_1988();
     for k in 1..sys.num_fields() {
-        let values: Vec<Option<u64>> = (0..sys.num_fields())
-            .map(|i| {
-                if i < sys.num_fields() - k {
-                    Some(rng.gen_range(0..sys.field_size(i)))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let q = pmr_core::PartialMatchQuery::new(&sys, &values).map_err(|e| e.to_string())?;
+        let q = trailing_open(sys, k, &mut rng)?;
         let report = if fault_mode {
             execute_parallel_with(&file, &q, &cost, &policy).map_err(|e| e.to_string())?
         } else {
@@ -209,7 +173,7 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         if json {
             println!(
                 "{{\"query\":\"{q}\",\"qualified\":{},\"optimal\":{},\"report\":{}}}",
-                q.qualified_count_in(&sys),
+                q.qualified_count_in(sys),
                 metrics.optimal,
                 report.to_json()
             );
@@ -221,7 +185,7 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         println!(
             "query {q}: |R| = {}, largest response {} (optimal {}), \
              {addresses} addresses computed, simulated {:.1} ms, speedup {:.2}x",
-            q.qualified_count_in(&sys),
+            q.qualified_count_in(sys),
             report.largest_response,
             metrics.optimal,
             report.simulated_response_us / 1000.0,
@@ -265,21 +229,7 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         if batch == 0 {
             return Err("--batch needs at least one query".into());
         }
-        let queries: Vec<pmr_core::PartialMatchQuery> = (0..batch)
-            .map(|j| {
-                let k = (1 + j % 3).min(sys.num_fields());
-                let values: Vec<Option<u64>> = (0..sys.num_fields())
-                    .map(|i| {
-                        if i < sys.num_fields() - k {
-                            Some(rng.gen_range(0..sys.field_size(i)))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                pmr_core::PartialMatchQuery::new(&sys, &values).map_err(|e| e.to_string())
-            })
-            .collect::<Result<_, _>>()?;
+        let queries = sample_batch(sys, batch, &mut rng)?;
         let exec = pmr_storage::exec::Executor::new(&file, cost);
         let start = std::time::Instant::now();
         let reports = exec.execute_batch(&queries, &policy);
@@ -325,63 +275,15 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
     use std::time::Instant;
 
     let flags = Flags::parse(args)?;
-    let (fields, devices): (Vec<u64>, u64) =
-        if flags.get("fields").is_some() || flags.get("devices").is_some() {
-            (flags.fields()?, flags.devices()?)
-        } else {
-            (vec![8; 6], 32)
-        };
-    let sys = SystemConfig::new(&fields, devices).map_err(|e| e.to_string())?;
-    let records = flags.u64_or("records", 5_000)?;
+    let spec = Synthetic::from_flags(&flags, true, 5_000, pmr_rt::seed_from_env_or(42))?;
+    let sys = &spec.sys;
     let batch = flags.u64_or("batch", 64)? as usize;
     if batch == 0 {
         return Err("--batch needs at least one query".into());
     }
-    let seed = flags.u64_or("seed", pmr_rt::seed_from_env_or(42))?;
     let json = flags.has("json");
-    let cache = parse_cache(&flags)?;
-
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder
-        .devices(sys.devices())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let fx =
-        FxDistribution::with_strategy(sys.clone(), flags.strategy()?).map_err(|e| e.to_string())?;
-    let mut file = DeclusteredFile::new(schema, fx, seed).map_err(|e| e.to_string())?;
-    if let Some(capacity) = cache {
-        file.set_cache_capacity(capacity);
-    }
-    let mut rng = Rng::seed_from_u64(seed);
-    let recs: Vec<Record> = (0..records)
-        .map(|_| {
-            Record::new(
-                (0..sys.num_fields())
-                    .map(|_| Value::Int(rng.gen_range(0..1_000_000i64)))
-                    .collect(),
-            )
-        })
-        .collect();
-    file.insert_all_parallel(recs).map_err(|e| e.to_string())?;
-
-    let queries: Vec<pmr_core::PartialMatchQuery> = (0..batch)
-        .map(|j| {
-            let k = (1 + j % 3).min(sys.num_fields());
-            let values: Vec<Option<u64>> = (0..sys.num_fields())
-                .map(|i| {
-                    if i < sys.num_fields() - k {
-                        Some(rng.gen_range(0..sys.field_size(i)))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            pmr_core::PartialMatchQuery::new(&sys, &values).map_err(|e| e.to_string())
-        })
-        .collect::<Result<_, _>>()?;
+    let (file, mut rng) = spec.build(&flags, Redundancy::None)?;
+    let queries = sample_batch(sys, batch, &mut rng)?;
 
     let cost = CostModel::main_memory();
     let policy = ExecPolicy::default();
@@ -454,15 +356,14 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
 ///
 /// Defaults to the paper's Table 7 system (six 8-ary fields on M = 32)
 /// with buddy-device mirroring + failover on; `--redundancy
-/// none|mirror|parity[:K,R]` selects the redundancy tier instead
-/// (`--no-mirror` is shorthand for `none`). Each swept rate `r`
-/// installs a [`FaultPlan`] with read-error probability `r`, corruption
-/// `r/4`, and latency spikes at probability `r` in 200–2000 simulated
-/// µs; `--outage D[,D…]` additionally holds those devices dead at every
-/// rate. All fault decisions derive deterministically from the seed
-/// (`--seed`, default `PMR_SEED` or 42). Response-time inflation is
-/// relative to a fault-free run of the same query set, so `1.00x` means
-/// retries and failovers cost nothing.
+/// none|mirror|parity[:K,R]` selects the redundancy tier instead. Each
+/// swept rate `r` installs a [`FaultPlan`] with read-error probability
+/// `r`, corruption `r/4`, and latency spikes at probability `r` in
+/// 200–2000 simulated µs; `--outage D[,D…]` additionally holds those
+/// devices dead at every rate. All fault decisions derive
+/// deterministically from the seed (`--seed`, default `PMR_SEED` or 42).
+/// Response-time inflation is relative to a fault-free run of the same
+/// query set, so `1.00x` means retries and failovers cost nothing.
 ///
 /// When `--outage` lists devices, a *survivability* sweep precedes the
 /// rate table: for each outage-count prefix of the list (1 dead device,
@@ -473,30 +374,14 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
 /// `"event":"survivability"` objects under `--json`.
 pub fn chaos(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    // The paper's Table 7 system unless both --fields and --devices
-    // override it.
-    let (fields, devices): (Vec<u64>, u64) =
-        if flags.get("fields").is_some() || flags.get("devices").is_some() {
-            (flags.fields()?, flags.devices()?)
-        } else {
-            (vec![8; 6], 32)
-        };
-    let sys = SystemConfig::new(&fields, devices).map_err(|e| e.to_string())?;
-    let records = flags.u64_or("records", 20_000)?;
-    let seed = flags.u64_or("seed", pmr_rt::seed_from_env_or(42))?;
+    let spec = Synthetic::from_flags(&flags, true, 20_000, pmr_rt::seed_from_env_or(42))?;
+    let (sys, records, seed) = (&spec.sys, spec.records, spec.seed);
     let queries = flags.u64_or("queries", 8)? as usize;
     let json = flags.has("json");
-    let cache = parse_cache(&flags)?;
-    let redundancy = match flags.get("redundancy") {
-        Some(spec) => Redundancy::parse(spec)?,
-        None if flags.has("no-mirror") => Redundancy::None,
-        None => Redundancy::Mirror,
-    };
-    let strategy = flags.strategy()?;
-    let retry = match flags.get("retry") {
-        Some(spec) => RetryPolicy::parse(spec)?,
-        None => RetryPolicy::default(),
-    };
+    let redundancy = flags
+        .get("redundancy")
+        .map_or(Ok(Redundancy::Mirror), Redundancy::parse)?;
+    let policy = fault_policy(&flags, redundancy, seed)?;
     let dead_devices: Vec<u64> = match flags.get("outage") {
         None => Vec::new(),
         Some(list) => list
@@ -515,7 +400,7 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
     }
     let rates: Vec<f64> = match flags.get("rates") {
         None => vec![0.0, 0.001, 0.01, 0.05, 0.1],
-        Some(spec) => spec
+        Some(list) => list
             .split(',')
             .map(|s| {
                 let r = s
@@ -536,47 +421,12 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         obs::install(TraceConfig::Memory).map_err(|e| e.to_string())?;
     }
 
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder
-        .devices(sys.devices())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let fx = FxDistribution::with_strategy(sys.clone(), strategy).map_err(|e| e.to_string())?;
-    let mut file = DeclusteredFile::new(schema, fx, seed).map_err(|e| e.to_string())?;
-    if let Some(capacity) = cache {
-        file.set_cache_capacity(capacity);
-    }
-    if redundancy == Redundancy::Mirror && !file.enable_mirroring() {
-        return Err("mirroring needs at least 2 devices (or pass --no-mirror)".into());
-    }
-    let mut rng = Rng::seed_from_u64(seed);
-    {
-        let _span = pmr_rt::span!("cli.chaos.insert", records = records);
-        for _ in 0..records {
-            let values: Vec<Value> = (0..sys.num_fields())
-                .map(|_| Value::Int(rng.gen_range(0..1_000_000i64)))
-                .collect();
-            file.insert(Record::new(values))
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    if let Redundancy::Parity { k, r } = redundancy {
-        // Protect after the bulk load so each stripe encodes once.
-        if !file.enable_parity(k as usize, r as usize) {
-            return Err(format!(
-                "--redundancy parity:{k},{r} needs k + r <= {} devices",
-                sys.devices()
-            ));
-        }
-    }
+    let (file, mut rng) = spec.build(&flags, redundancy)?;
 
     // A fixed query set reused at every rate: unspecified-field count
     // cycles 1 … n−1, positions and values drawn from the seeded RNG.
     let n = sys.num_fields();
-    let queryset: Vec<pmr_core::PartialMatchQuery> = (0..queries)
+    let queryset: Vec<PartialMatchQuery> = (0..queries)
         .map(|i| {
             let k = 1 + (i % (n.max(2) - 1));
             let mut order: Vec<usize> = (0..n).collect();
@@ -588,16 +438,10 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
             let values: Vec<Option<u64>> = (0..n)
                 .map(|f| (!unspecified.contains(&f)).then(|| rng.gen_range(0..sys.field_size(f))))
                 .collect();
-            pmr_core::PartialMatchQuery::new(&sys, &values).map_err(|e| e.to_string())
+            PartialMatchQuery::new(sys, &values).map_err(|e| e.to_string())
         })
         .collect::<Result<_, _>>()?;
 
-    let policy = ExecPolicy {
-        retry,
-        failover: redundancy != Redundancy::None,
-        redundancy,
-        seed,
-    };
     let cost = CostModel::disk_1988();
     let baseline_total: f64 = {
         let mut total = 0.0;
@@ -623,7 +467,10 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         );
         println!(
             "retry attempts={} base={}µs cap={}µs budget={}µs; fault seed {seed}",
-            retry.max_attempts, retry.base_us, retry.cap_us, retry.budget_us
+            policy.retry.max_attempts,
+            policy.retry.base_us,
+            policy.retry.cap_us,
+            policy.retry.budget_us
         );
         if !dead_devices.is_empty() {
             println!("devices {dead_devices:?} held dead at every rate");
@@ -654,7 +501,7 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
             for q in &queryset {
                 let report =
                     execute_parallel_with(&file, q, &cost, &policy).map_err(|e| e.to_string())?;
-                qualified += q.qualified_count_in(&sys);
+                qualified += q.qualified_count_in(sys);
                 lost += report.lost_buckets.len() as u64;
             }
             let coverage = if qualified == 0 {
@@ -720,7 +567,7 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
             let report =
                 execute_parallel_with(&file, q, &cost, &policy).map_err(|e| e.to_string())?;
             total_us += report.simulated_response_us;
-            let rq = q.qualified_count_in(&sys);
+            let rq = q.qualified_count_in(sys);
             qualified += rq;
             lost += report.lost_buckets.len() as u64;
             served += rq - report.lost_buckets.len() as u64;
@@ -923,7 +770,7 @@ fn render_cluster_table(stats: &pmr_rt::obs::agg::TraceStats) -> String {
 /// `pmr optimize` — anneal generalized-FX tables for a system.
 pub fn optimize(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    let sys = system_from(&flags)?;
+    let sys = flags.system()?;
     if sys.num_fields() > 12 || sys.total_buckets() > 1 << 20 {
         return Err("optimize supports up to 12 fields / 2^20 buckets".into());
     }
@@ -1107,7 +954,7 @@ fn print_figure(exp: Experiment, csv: bool, empirical: bool) -> pmr_core::Result
 // Sharded multi-node service (pmr-net)
 // ---------------------------------------------------------------------
 
-/// Builds a mirrored declustered file plus an N-node in-process cluster
+/// Builds the mirrored synthetic file plus an N-node in-process cluster
 /// over it — the shared setup for `pmr serve` and `pmr loadgen`.
 ///
 /// Every random choice (record values, query mixes, fault plans)
@@ -1123,12 +970,6 @@ fn build_cluster(
     ),
     String,
 > {
-    let (fields, devices): (Vec<u64>, u64) =
-        if flags.get("fields").is_some() || flags.get("devices").is_some() {
-            (flags.fields()?, flags.devices()?)
-        } else {
-            (vec![8; 6], 32)
-        };
     if flags.get("cache").is_some() {
         return Err(
             "--cache does not apply to serve/loadgen: nodes ship stored page \
@@ -1137,9 +978,8 @@ fn build_cluster(
                 .into(),
         );
     }
-    let sys = SystemConfig::new(&fields, devices).map_err(|e| e.to_string())?;
-    let seed = flags.u64_or("seed", pmr_rt::seed_from_env_or(42))?;
-    let records = flags.u64_or("records", 5_000)?;
+    let spec = Synthetic::from_flags(flags, true, 5_000, pmr_rt::seed_from_env_or(42))?;
+    let (sys, seed) = (&spec.sys, spec.seed);
     let nodes = flags.u64_or("nodes", 4)? as usize;
     if nodes == 0 || nodes as u64 > sys.devices() {
         return Err(format!(
@@ -1159,29 +999,13 @@ fn build_cluster(
         }
     };
 
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder
-        .devices(sys.devices())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let fx =
-        FxDistribution::with_strategy(sys.clone(), flags.strategy()?).map_err(|e| e.to_string())?;
-    let mut file = DeclusteredFile::new(schema, fx, seed).map_err(|e| e.to_string())?;
-    file.enable_mirroring();
-    let mut rng = Rng::seed_from_u64(seed);
-    let recs: Vec<Record> = (0..records)
-        .map(|_| {
-            Record::new(
-                (0..sys.num_fields())
-                    .map(|_| Value::Int(rng.gen_range(0..1_000_000i64)))
-                    .collect(),
-            )
-        })
-        .collect();
-    file.insert_all_parallel(recs).map_err(|e| e.to_string())?;
+    // Mirror wherever the system can: a one-device cluster runs bare.
+    let redundancy = if sys.devices() > 1 {
+        Redundancy::Mirror
+    } else {
+        Redundancy::None
+    };
+    let (file, _) = spec.build(flags, redundancy)?;
 
     let cfg = pmr_net::ClusterConfig {
         nodes,
@@ -1226,19 +1050,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     if json {
         let nodes = stats
             .iter()
-            .map(|s| {
-                format!(
-                    "{{\"node\":{},\"devices\":[{},{}],\"requests\":{},\"responses\":{},\
-                     \"timeouts\":{},\"down\":{}}}",
-                    s.node,
-                    s.devices.start,
-                    s.devices.end,
-                    s.requests,
-                    s.responses,
-                    s.timeouts,
-                    s.down
-                )
-            })
+            .map(pmr_net::NodeStats::to_json)
             .collect::<Vec<_>>()
             .join(",");
         println!(

@@ -4,18 +4,19 @@
 //! pmr distribute --fields 2,8 --devices 4 [--strategy theorem-9|basic|cycle-iu1|cycle-iu2]
 //! pmr analyze    --fields 8,8,8,8,8,8 --devices 32 [--strategy …]
 //! pmr simulate   --fields 8,8,8 --devices 16 --records 10000 [--seed N] [--trace T] [--json]
-//!                [--faults SPEC] [--retry POLICY] [--mirror] [--batch B]
+//!                [--faults SPEC] [--retry POLICY] [--redundancy R] [--batch B]
 //! pmr throughput [--fields F1,... --devices M] [--records N] [--batch B] [--json]
 //! pmr serve      [--nodes K] [--deadline-ms D] [--queries Q] [--json]
 //! pmr loadgen    [--nodes K] [--queries Q] [--batch B] [--concurrency C]
 //!                [--kill-node I --kill-at Q] [--drop P] [--check] [--json]
-//! pmr chaos      [--rates R1,R2,...] [--outage D] [--no-mirror] [--json]
+//! pmr chaos      [--rates R1,R2,...] [--outage D] [--redundancy R] [--json]
 //! pmr experiment <table1..table9|figure1..figure4|all> [--trace T] [--csv] [--empirical]
 //! pmr stats      <trace.jsonl>
 //! ```
 
 mod args;
 mod commands;
+mod fixture;
 
 use std::process::ExitCode;
 

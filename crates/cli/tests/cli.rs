@@ -1,5 +1,6 @@
 //! Integration tests driving the `pmr` binary end to end.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn pmr(args: &[&str]) -> Output {
@@ -85,6 +86,105 @@ fn unknown_and_repeated_flags_fail() {
         "{}",
         stderr(&out)
     );
+}
+
+/// `--redundancy` is the one spelling of the redundancy tier; the old
+/// `--mirror` / `--no-mirror` aliases are unknown flags.
+#[test]
+fn redundancy_aliases_are_unknown_flags() {
+    for (command, alias) in [("simulate", "--mirror"), ("chaos", "--no-mirror")] {
+        let out = pmr(&[command, alias]);
+        assert!(!out.status.success(), "{command} accepted {alias}");
+        assert!(
+            stderr(&out).contains(&format!("unknown flag {alias}")),
+            "{}",
+            stderr(&out)
+        );
+    }
+}
+
+/// Fixed-seed `simulate` and `chaos` runs and the file under
+/// `tests/golden/` holding each one's exact stdout. To re-record a case
+/// after an intended output change, run `pmr <args> > tests/golden/<name>.txt`
+/// and review the diff.
+fn golden_cases() -> Vec<(&'static str, Vec<&'static str>)> {
+    let sim = [
+        "simulate",
+        "--fields",
+        "8,8,8,8",
+        "--devices",
+        "16",
+        "--records",
+        "5000",
+        "--seed",
+        "5",
+    ];
+    let chaos = [
+        "chaos",
+        "--fields",
+        "8,8,8",
+        "--devices",
+        "16",
+        "--records",
+        "4000",
+        "--queries",
+        "6",
+    ];
+    let with = |base: &[&'static str], extra: &[&'static str]| [base, extra].concat();
+    vec![
+        ("simulate", with(&sim, &[])),
+        ("simulate_json", with(&sim, &["--json"])),
+        (
+            "simulate_parity_faults",
+            with(
+                &sim,
+                &[
+                    "--faults",
+                    "read=0.05,corrupt=0.01,outage=3",
+                    "--redundancy",
+                    "parity",
+                ],
+            ),
+        ),
+        (
+            "simulate_mirror_outage",
+            with(&sim, &["--faults", "outage=3", "--redundancy", "mirror"]),
+        ),
+        ("chaos", with(&chaos, &[])),
+        ("chaos_outage_buddies", with(&chaos, &["--outage", "3,11"])),
+        (
+            "chaos_parity_outage",
+            with(&chaos, &["--redundancy", "parity", "--outage", "3,5"]),
+        ),
+        (
+            "chaos_none_outage",
+            with(&chaos, &["--redundancy", "none", "--outage", "3"]),
+        ),
+        ("chaos_json", with(&chaos, &["--json"])),
+    ]
+}
+
+/// Pinned determinism: every golden case prints exactly its recorded
+/// stdout, twice in a row.
+#[test]
+fn simulate_and_chaos_match_golden_output() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (name, args) in golden_cases() {
+        let path = dir.join(format!("{name}.txt"));
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for run in 1..=2 {
+            let out = pmr(&args);
+            assert!(out.status.success(), "{name}: {}", stderr(&out));
+            assert_eq!(
+                stdout(&out),
+                want,
+                "pmr {} (run {run}) differs from {}",
+                args.join(" "),
+                path.display()
+            );
+        }
+    }
 }
 
 #[test]

@@ -39,7 +39,8 @@
 //! * [`report`] — whole-system optimality reports (per-k certified vs
 //!   measured, clause histograms).
 //! * [`theory`] — the theorems as machine-checkable claims, with a
-//!   grid-sweep falsification harness (`verify_theorems` binary).
+//!   grid-sweep falsification harness (`pmr verify --max-fields 4
+//!   --max-buckets 1024`).
 //!
 //! ## Quick start
 //!

@@ -3,9 +3,9 @@
 //! Each theorem is packaged as a *claim* — a predicate picking out the
 //! (system, assignment, pattern) triples the theorem speaks about — plus
 //! the exhaustive check of its conclusion. [`verify_all`] sweeps a grid
-//! of systems and returns a per-theorem verification report; the
-//! `verify_theorems` binary in `pmr-bench` prints it, and the test suite
-//! asserts zero counterexamples.
+//! of systems and returns a per-theorem verification report;
+//! `pmr verify --max-fields 4 --max-buckets 1024` prints it, and the test
+//! suite asserts zero counterexamples.
 //!
 //! This is deliberately *not* a proof — it is the strongest falsification
 //! harness a finite machine can run: every claim instance inside the

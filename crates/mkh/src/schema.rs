@@ -91,6 +91,28 @@ impl Schema {
         }
     }
 
+    /// The synthetic all-integer schema over `system`: fields `f0 … f{n−1}`,
+    /// each [`FieldType::Int`] with the system's size, on its `M` devices.
+    ///
+    /// ```
+    /// use pmr_core::SystemConfig;
+    /// use pmr_mkh::Schema;
+    ///
+    /// let sys = SystemConfig::new(&[8, 4], 4).unwrap();
+    /// let schema = Schema::ints(&sys);
+    /// assert_eq!(schema.to_string(), "schema(f0: int [8], f1: int [4]; M = 4)");
+    /// assert_eq!(schema.system(), &sys);
+    /// ```
+    pub fn ints(system: &SystemConfig) -> Self {
+        let fields = (0..system.num_fields())
+            .map(|i| FieldDef::new(format!("f{i}"), FieldType::Int, system.field_size(i)))
+            .collect();
+        Schema {
+            fields,
+            system: system.clone(),
+        }
+    }
+
     /// Builds a schema from parts, validating sizes through
     /// [`SystemConfig`].
     pub fn new(fields: Vec<FieldDef>, devices: u64) -> Result<Self> {

@@ -120,6 +120,24 @@ pub struct NodeStats {
     pub down: bool,
 }
 
+impl NodeStats {
+    /// One flat JSON object (the workspace's JSON-lines vocabulary), as
+    /// `pmr serve --json` and [`crate::LoadgenSummary::to_json`] embed it.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"node\":{},\"devices\":[{},{}],\"requests\":{},\"responses\":{},\
+             \"timeouts\":{},\"down\":{}}}",
+            self.node,
+            self.devices.start,
+            self.devices.end,
+            self.requests,
+            self.responses,
+            self.timeouts,
+            self.down
+        )
+    }
+}
+
 /// Batches covered by the sliding recent-critical window in
 /// [`Frontend::attribution`]: long enough to smooth jitter, short enough
 /// that a killed node's recent share hits zero within a few seconds of

@@ -114,19 +114,7 @@ impl LoadgenSummary {
         let nodes = self
             .node_stats
             .iter()
-            .map(|s| {
-                format!(
-                    "{{\"node\":{},\"devices\":[{},{}],\"requests\":{},\"responses\":{},\
-                     \"timeouts\":{},\"down\":{}}}",
-                    s.node,
-                    s.devices.start,
-                    s.devices.end,
-                    s.requests,
-                    s.responses,
-                    s.timeouts,
-                    s.down
-                )
-            })
+            .map(NodeStats::to_json)
             .collect::<Vec<_>>()
             .join(",");
         let join_u64 = |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");

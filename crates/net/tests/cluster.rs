@@ -9,7 +9,7 @@
 //!   error) and eventually circuit-breaks the node.
 
 use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
-use pmr_mkh::{FieldType, Record, Schema, Value};
+use pmr_mkh::{Record, Schema, Value};
 use pmr_net::loadgen;
 use pmr_net::{Cluster, ClusterConfig, FrontendConfig, NetFaultPlan};
 use pmr_rt::check::Source;
@@ -50,14 +50,7 @@ fn fixture() -> &'static Fixture {
 
 fn table7_file() -> DeclusteredFile<FxDistribution> {
     let sys = SystemConfig::new(&[8; 6], 32).unwrap();
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder
-        .devices(sys.devices())
-        .build()
-        .expect("system is valid");
+    let schema = Schema::ints(&sys);
     let fx = FxDistribution::auto(sys.clone()).expect("auto always assigns");
     let mut file = DeclusteredFile::new(schema, fx, SEED).expect("schema matches system");
     assert!(file.enable_mirroring());
@@ -193,14 +186,7 @@ rt_proptest! {
 #[test]
 fn double_outage_with_parity_on_cluster_is_invisible() {
     let sys = SystemConfig::new(&[8; 6], 32).unwrap();
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder
-        .devices(sys.devices())
-        .build()
-        .expect("system is valid");
+    let schema = Schema::ints(&sys);
     let fx = FxDistribution::auto(sys.clone()).expect("auto always assigns");
     let mut file = DeclusteredFile::new(schema, fx, SEED).expect("schema matches system");
     for i in 0..2_000i64 {

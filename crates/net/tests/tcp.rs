@@ -4,7 +4,7 @@
 #![cfg(feature = "tcp")]
 
 use pmr_core::{FxDistribution, SystemConfig};
-use pmr_mkh::{FieldType, Record, Schema, Value};
+use pmr_mkh::{Record, Schema, Value};
 use pmr_net::{loadgen, Cluster, ClusterConfig};
 use pmr_storage::exec::{ExecPolicy, Executor};
 use pmr_storage::{CostModel, DeclusteredFile};
@@ -12,11 +12,7 @@ use pmr_storage::{CostModel, DeclusteredFile};
 #[test]
 fn tcp_cluster_is_bit_equal_to_single_process() {
     let sys = SystemConfig::new(&[8; 6], 32).unwrap();
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder.devices(sys.devices()).build().unwrap();
+    let schema = Schema::ints(&sys);
     let fx = FxDistribution::auto(sys.clone()).unwrap();
     let mut file = DeclusteredFile::new(schema, fx, 0xBA7C).unwrap();
     assert!(file.enable_mirroring());

@@ -32,11 +32,12 @@ pub mod emit;
 pub mod json;
 pub mod snapshot;
 
+use crate::sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Environment variable selecting the trace sink: `off` (default),
@@ -132,20 +133,12 @@ pub fn install(cfg: TraceConfig) -> std::io::Result<()> {
         TraceConfig::File(path) => Some(Sink::File(Mutex::new(std::fs::File::create(path)?))),
     };
     let enabled = sink.is_some();
-    *unpoison_write(&SINK) = sink.map(Arc::new);
+    *SINK.write() = sink.map(Arc::new);
     // Sink first, then the flag: a racing `enabled()` never sees an
     // enabled state without a sink.
     STATE.store(if enabled { 2 } else { 1 }, Ordering::Release);
     epoch(); // pin the time base no later than the first install
     Ok(())
-}
-
-fn unpoison_read<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn unpoison_write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One recorded event, as seen by the in-memory sink.
@@ -236,16 +229,16 @@ enum Sink {
 }
 
 fn emit(event: Event) {
-    let sink = unpoison_read(&SINK).clone();
+    let sink = SINK.read().clone();
     let Some(sink) = sink else { return };
     match &*sink {
         Sink::Stderr => eprintln!("{}", event.to_json()),
         Sink::File(file) => {
-            let mut f = file.lock().unwrap_or_else(|e| e.into_inner());
+            let mut f = file.lock();
             let _ = writeln!(f, "{}", event.to_json());
         }
         Sink::Memory(events) => {
-            events.lock().unwrap_or_else(|e| e.into_inner()).push(event);
+            events.lock().push(event);
         }
     }
 }
@@ -253,11 +246,9 @@ fn emit(event: Event) {
 /// Drains and returns the in-memory sink's events (empty unless a
 /// [`TraceConfig::Memory`] sink is installed).
 pub fn drain_events() -> Vec<Event> {
-    let sink = unpoison_read(&SINK).clone();
+    let sink = SINK.read().clone();
     match sink.as_deref() {
-        Some(Sink::Memory(events)) => {
-            std::mem::take(&mut events.lock().unwrap_or_else(|e| e.into_inner()))
-        }
+        Some(Sink::Memory(events)) => std::mem::take(&mut events.lock()),
         _ => Vec::new(),
     }
 }
@@ -285,20 +276,22 @@ fn registry() -> &'static Registry {
 
 impl Registry {
     fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some(c) = unpoison_read(&self.counters).get(name) {
+        if let Some(c) = self.counters.read().get(name) {
             return c.clone();
         }
-        unpoison_write(&self.counters)
+        self.counters
+            .write()
             .entry(name.to_string())
             .or_default()
             .clone()
     }
 
     fn hist(&self, name: &str) -> Arc<Hist> {
-        if let Some(h) = unpoison_read(&self.hists).get(name) {
+        if let Some(h) = self.hists.read().get(name) {
             return h.clone();
         }
-        unpoison_write(&self.hists)
+        self.hists
+            .write()
             .entry(name.to_string())
             .or_insert_with(|| {
                 Arc::new(Hist {
@@ -324,7 +317,9 @@ pub fn counter_add(name: &str, delta: u64) {
 
 /// The named counter's running total (0 if it was never touched).
 pub fn counter_total(name: &str) -> u64 {
-    unpoison_read(&registry().counters)
+    registry()
+        .counters
+        .read()
         .get(name)
         .map_or(0, |c| c.load(Ordering::Relaxed))
 }
@@ -346,7 +341,7 @@ pub fn observe_us(name: &str, us: f64) {
 
 /// The named histogram's `(bounds, counts)` state, if it exists.
 pub fn histogram_counts(name: &str) -> Option<(Vec<f64>, Vec<u64>)> {
-    unpoison_read(&registry().hists).get(name).map(|h| {
+    registry().hists.read().get(name).map(|h| {
         (
             h.bounds.clone(),
             h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
@@ -356,7 +351,9 @@ pub fn histogram_counts(name: &str) -> Option<(Vec<f64>, Vec<u64>)> {
 
 /// All counters with non-zero totals, name-sorted.
 pub fn counters_snapshot() -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = unpoison_read(&registry().counters)
+    let mut out: Vec<(String, u64)> = registry()
+        .counters
+        .read()
         .iter()
         .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
         .filter(|(_, v)| *v > 0)
@@ -381,7 +378,9 @@ pub fn flush() {
     for (name, total) in counters_snapshot() {
         emit(Event::Counter { name, total });
     }
-    let hists: Vec<(String, Arc<Hist>)> = unpoison_read(&registry().hists)
+    let hists: Vec<(String, Arc<Hist>)> = registry()
+        .hists
+        .read()
         .iter()
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect();
@@ -397,10 +396,10 @@ pub fn flush() {
 /// Zeroes every counter and histogram and the span count. Tests and the
 /// CLI use this to scope the registry to one run; the sink is untouched.
 pub fn reset() {
-    for c in unpoison_read(&registry().counters).values() {
+    for c in registry().counters.read().values() {
         c.store(0, Ordering::Relaxed);
     }
-    for h in unpoison_read(&registry().hists).values() {
+    for h in registry().hists.read().values() {
         for c in &h.counts {
             c.store(0, Ordering::Relaxed);
         }
@@ -616,7 +615,7 @@ mod tests {
     /// fight over the sink.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        LOCK.lock()
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the wire; the frontend [`absorb`]s them under `node{N}.`-prefixed
 //! names so one registry holds the whole cluster's state.
 
-use super::{registry, unpoison_read, DEFAULT_US_BOUNDS};
+use super::{registry, DEFAULT_US_BOUNDS};
 use std::sync::atomic::Ordering;
 
 /// Fixed bucket count of every registry histogram:
@@ -150,7 +150,9 @@ impl MetricsSnapshot {
 /// [`MetricsSnapshot::delta_since`] to scope a measurement.
 pub fn snapshot() -> MetricsSnapshot {
     let counters = super::counters_snapshot();
-    let mut hists: Vec<(String, Vec<u64>)> = unpoison_read(&registry().hists)
+    let mut hists: Vec<(String, Vec<u64>)> = registry()
+        .hists
+        .read()
         .iter()
         .map(|(name, h)| {
             (
@@ -203,8 +205,8 @@ mod tests {
     use super::*;
 
     fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        static LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
+        LOCK.lock()
     }
 
     #[test]

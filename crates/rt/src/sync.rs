@@ -18,8 +18,9 @@ fn unpoison<G>(result: LockResult<G>) -> G {
 }
 
 impl<T> RwLock<T> {
-    /// A new lock holding `value`.
-    pub fn new(value: T) -> Self {
+    /// A new lock holding `value` (`const`, so it can initialise a
+    /// `static`).
+    pub const fn new(value: T) -> Self {
         RwLock(sync::RwLock::new(value))
     }
 
@@ -49,8 +50,9 @@ impl<T> RwLock<T> {
 pub struct Mutex<T>(sync::Mutex<T>);
 
 impl<T> Mutex<T> {
-    /// A new mutex holding `value`.
-    pub fn new(value: T) -> Self {
+    /// A new mutex holding `value` (`const`, so it can initialise a
+    /// `static`).
+    pub const fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
 

@@ -17,7 +17,7 @@
 //! (`PMR_CHECK_SEED` replays a failure).
 
 use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
-use pmr_mkh::{FieldType, Record, Schema, Value};
+use pmr_mkh::{Record, Schema, Value};
 use pmr_rt::check::Source;
 use pmr_rt::fault::{FaultPlan, RetryPolicy};
 use pmr_rt::rt_proptest;
@@ -54,14 +54,7 @@ fn table7() -> (
     static STATE: OnceLock<State> = OnceLock::new();
     let (file, execs) = STATE.get_or_init(|| {
         let sys = SystemConfig::new(&[8; 6], 32).unwrap();
-        let mut builder = Schema::builder();
-        for (i, &size) in sys.field_sizes().iter().enumerate() {
-            builder = builder.field(format!("f{i}"), FieldType::Int, size);
-        }
-        let schema = builder
-            .devices(sys.devices())
-            .build()
-            .expect("system is valid");
+        let schema = Schema::ints(&sys);
         let fx = FxDistribution::auto(sys.clone()).expect("auto always assigns");
         let mut file = DeclusteredFile::new(schema, fx, SEED).expect("schema matches system");
         assert!(file.enable_mirroring());
@@ -94,14 +87,7 @@ fn table7_parity() -> (
         OnceLock::new();
     let (file, exec) = STATE.get_or_init(|| {
         let sys = SystemConfig::new(&[8; 6], 32).unwrap();
-        let mut builder = Schema::builder();
-        for (i, &size) in sys.field_sizes().iter().enumerate() {
-            builder = builder.field(format!("f{i}"), FieldType::Int, size);
-        }
-        let schema = builder
-            .devices(sys.devices())
-            .build()
-            .expect("system is valid");
+        let schema = Schema::ints(&sys);
         let fx = FxDistribution::auto(sys.clone()).expect("auto always assigns");
         let mut file = DeclusteredFile::new(schema, fx, SEED).expect("schema matches system");
         for i in 0..2_000i64 {

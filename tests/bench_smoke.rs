@@ -15,18 +15,14 @@ use pmr_bench::suite::{run_all, write_baselines, SuiteOpts};
 #[test]
 fn loadgen_replay_checksum_is_cache_invariant() {
     use pmr_core::{FxDistribution, SystemConfig};
-    use pmr_mkh::{FieldType, Record, Schema, Value};
+    use pmr_mkh::{Record, Schema, Value};
     use pmr_net::loadgen::{self, LoadgenOpts};
     use pmr_net::{Cluster, ClusterConfig};
     use pmr_storage::exec::{ExecPolicy, Executor};
     use pmr_storage::{CostModel, DeclusteredFile};
 
     let sys = SystemConfig::new(&[4; 4], 8).unwrap();
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder.devices(sys.devices()).build().unwrap();
+    let schema = Schema::ints(&sys);
     let mut file =
         DeclusteredFile::new(schema, FxDistribution::auto(sys.clone()).unwrap(), 7).unwrap();
     file.enable_mirroring();

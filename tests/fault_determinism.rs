@@ -8,7 +8,7 @@
 //! with any concurrently running traced test in the same process.
 
 use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
-use pmr_mkh::{FieldType, Record, Schema, Value};
+use pmr_mkh::{Record, Schema, Value};
 use pmr_rt::fault::{FaultPlan, RetryPolicy};
 use pmr_rt::obs::{self, TraceConfig};
 use pmr_storage::exec::{execute_parallel_with, ExecPolicy, Redundancy};
@@ -19,11 +19,7 @@ use std::sync::Arc;
 fn faulted_run(seed: u64) -> u64 {
     obs::reset();
     let sys = SystemConfig::new(&[4, 4, 4], 8).unwrap();
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder.devices(sys.devices()).build().unwrap();
+    let schema = Schema::ints(&sys);
     let mut file =
         DeclusteredFile::new(schema, FxDistribution::auto(sys.clone()).unwrap(), seed).unwrap();
     file.enable_mirroring();

@@ -19,7 +19,7 @@
 use pmr_baselines::ModuloDistribution;
 use pmr_core::method::DistributionMethod;
 use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
-use pmr_mkh::{FieldType, Record, Schema, Value};
+use pmr_mkh::{Record, Schema, Value};
 use pmr_rt::fault::{FaultPlan, RetryPolicy};
 use pmr_rt::rt_proptest;
 use pmr_storage::exec::{
@@ -48,14 +48,7 @@ fn build_file<D: DistributionMethod>(
     records: i64,
     mirror: bool,
 ) -> DeclusteredFile<D> {
-    let mut builder = Schema::builder();
-    for (i, &size) in sys.field_sizes().iter().enumerate() {
-        builder = builder.field(format!("f{i}"), FieldType::Int, size);
-    }
-    let schema = builder
-        .devices(sys.devices())
-        .build()
-        .expect("system is valid");
+    let schema = Schema::ints(sys);
     let mut file = DeclusteredFile::new(schema, method, SEED).expect("schema matches system");
     if mirror {
         assert!(file.enable_mirroring(), "M >= 2 systems mirror");

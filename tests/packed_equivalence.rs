@@ -25,7 +25,7 @@ use pmr_core::{
     Assignment, AssignmentStrategy, FxDistribution, GeneralFxDistribution, PartialMatchQuery,
     SystemConfig, TransformKind,
 };
-use pmr_mkh::{FieldType, Record, Schema, Value};
+use pmr_mkh::{Record, Schema, Value};
 use pmr_rt::check::Source;
 use pmr_rt::rt_proptest;
 use pmr_storage::exec::{
@@ -244,11 +244,7 @@ rt_proptest! {
         let sys = gen_system(src);
         // Keep the storage build small: re-draw oversized systems down to
         // a fixed shape would skew coverage, so just bound the records.
-        let mut builder = Schema::builder();
-        for (i, &size) in sys.field_sizes().iter().enumerate() {
-            builder = builder.field(format!("f{i}"), FieldType::Int, size);
-        }
-        let schema = builder.devices(sys.devices()).build().expect("system is valid");
+        let schema = Schema::ints(&sys);
         let fx = FxDistribution::auto(sys.clone()).expect("auto always assigns");
         let mut file = DeclusteredFile::new(schema, fx, src.int_in(0, 1 << 16))
             .expect("schema system matches");
