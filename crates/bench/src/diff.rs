@@ -5,8 +5,8 @@
 //! coarse gate: only benches in the [`GATED_PREFIXES`] groups
 //! (`query_exec`, `exec_fast_path`, `throughput`, `serve`,
 //! `addr_compute/batched_*`, `bulk_insert`, `ec`, `read_path`, and the
-//! parity no-fault read — the end-to-end and batched hot paths the perf
-//! PRs pin) are compared, and only a median more than
+//! parity no-fault and degraded reads — the end-to-end and batched hot
+//! paths the perf PRs pin) are compared, and only a median more than
 //! [`DEFAULT_THRESHOLD`]× the committed one counts as a regression. A
 //! gated bench that *disappears* from the fresh run also fails: renames
 //! must update the baselines in the same change. The `bench_diff` binary
@@ -26,6 +26,7 @@ pub const GATED_PREFIXES: &[&str] = &[
     "bulk_insert/",
     "ec/",
     "fault_overhead/read_parity_no_fault",
+    "fault_overhead/read_parity_degraded",
     "read_path/",
 ];
 

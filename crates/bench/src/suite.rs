@@ -465,10 +465,13 @@ pub fn obs_overhead(opts: &SuiteOpts) -> Group {
         acc
     });
     group.bench("counter_enabled_memory", || {
+        // The iteration's own delta: the counter is never reset, so its
+        // running total would depend on the iteration count.
+        let before = obs::counter_total("bench.obs.counter");
         for i in 0..per_iter as u64 {
             obs::counter_add("bench.obs.counter", black_box(i) & 1);
         }
-        obs::counter_total("bench.obs.counter")
+        obs::counter_total("bench.obs.counter") - before
     });
 
     // Leave tracing off so later groups time the production default.
@@ -477,11 +480,12 @@ pub fn obs_overhead(opts: &SuiteOpts) -> Group {
     group
 }
 
-/// Fault-hook overhead on the bucket-read hot path. The contract
-/// (ISSUE: "Deterministic fault injection") is that a device with no
-/// plan installed pays one relaxed atomic load + branch over the plain
-/// `read_bucket`, and that the fault-aware executor without faults
-/// tracks the strict dispatcher.
+/// Fault-hook overhead on the bucket-read hot path. A reader opened on
+/// a device with no plan installed snapshots none (one atomic load per
+/// reader, not per read), so an attempt read costs what the plain
+/// `read_bucket` does, and the fault-aware executor without faults
+/// tracks the strict dispatcher. `read_parity_degraded` times the
+/// parity failover path itself: stripe rebuilds behind one dead device.
 pub fn fault_overhead(opts: &SuiteOpts) -> Group {
     use pmr_rt::fault::{FaultPlan, RetryPolicy};
     use std::sync::Arc;
@@ -562,6 +566,22 @@ pub fn fault_overhead(opts: &SuiteOpts) -> Group {
             .unwrap()
             .largest_response
     });
+    // The same file with one device dead: a batch of eight `b = v`
+    // queries whose dead-device buckets (16 per query) are all rebuilt
+    // from their stripes. Checksum: records served plus rebuilds.
+    let degraded: Vec<PartialMatchQuery> = (0..8)
+        .map(|v| parity_file.query(&[("b", Value::Int(v))]).unwrap())
+        .collect();
+    let parity_exec = Executor::new(&parity_file, cost);
+    parity_file.install_fault_plan(Some(Arc::new(FaultPlan::new(9).with_dead_device(3))));
+    group.bench("read_parity_degraded", || {
+        parity_exec
+            .execute_batch(&degraded, &parity_policy)
+            .iter()
+            .map(|r| r.records.len() as u64 + r.reconstructions())
+            .sum()
+    });
+    parity_file.install_fault_plan(None);
     group
 }
 
@@ -572,7 +592,9 @@ pub fn fault_overhead(opts: &SuiteOpts) -> Group {
 /// pre-cache behaviour, a full page decode per read). All three benches
 /// return the identical record-count checksum — the cache is purely a
 /// wall-clock optimisation — and the `read_path/` gate in `bench_diff`
-/// holds the hot-over-off win (ISSUE target: ≥3x).
+/// holds the hot-over-off win (≥3x). `raw_share` times the undecoded
+/// node read path: one scan batch's share read through
+/// [`Executor::execute_planned_raw`].
 pub fn read_path(opts: &SuiteOpts) -> Group {
     let records = opts.scaled(20_000, 1000) as i64;
     let sys = exec_schema().system().clone();
@@ -623,6 +645,25 @@ pub fn read_path(opts: &SuiteOpts) -> Group {
     });
 
     dev.set_cache_capacity(pmr_storage::cache::DEFAULT_CAPACITY);
+
+    // One pmr-net node's share of a scan batch: 16 queries with 2–4
+    // open fields on the Table 7 file, read as stored page bytes over a
+    // quarter of the devices — the node path, where per-bucket read cost
+    // (not decode) sets the time. Checksum: records shipped.
+    let table7 = cpu_time_file(opts);
+    let planned: Vec<PlannedQuery> = scan_mix(table7.system(), opts.scaled(16, 4))
+        .iter()
+        .map(|q| plan_query(table7.system(), table7.method(), q))
+        .collect();
+    let node = Executor::for_device_range(&table7, CostModel::main_memory(), 0..8);
+    let policy = ExecPolicy::default();
+    group.bench("raw_share", || {
+        node.execute_planned_raw(&planned, &policy)
+            .iter()
+            .flatten()
+            .map(|y| y.report.records)
+            .sum()
+    });
     group
 }
 
@@ -688,6 +729,24 @@ fn cpu_time_file(opts: &SuiteOpts) -> DeclusteredFile<FxDistribution> {
     file
 }
 
+/// The seeded scan mix of the `throughput` group and
+/// `read_path/raw_share`: `count` queries, the `q`-th with its last
+/// `2 + q % 3` fields open and the others drawn at random (`PMR_SEED`,
+/// else 42). A shorter mix is a prefix of a longer one.
+fn scan_mix(sys: &pmr_core::SystemConfig, count: usize) -> Vec<PartialMatchQuery> {
+    let mut rng = pmr_rt::rng::Rng::seed_from_u64(pmr_rt::seed_from_env_or(42));
+    let n = sys.num_fields();
+    (0..count)
+        .map(|q| {
+            let unspecified = 2 + q % 3;
+            let values: Vec<Option<u64>> = (0..n)
+                .map(|i| (i < n - unspecified).then(|| rng.gen_range(0..sys.field_size(i))))
+                .collect();
+            PartialMatchQuery::new(sys, &values).unwrap()
+        })
+        .collect()
+}
+
 /// Sustained multi-query throughput on the paper's Table 7 system
 /// (`F = (8,…,8)`, `M = 32`): the resident batch executor
 /// ([`Executor::execute_batch`]) vs the one-query-at-a-time policy path
@@ -702,25 +761,7 @@ fn cpu_time_file(opts: &SuiteOpts) -> DeclusteredFile<FxDistribution> {
 /// `per_query_N`, so the median ratio *is* the queries/sec ratio.
 pub fn throughput(opts: &SuiteOpts) -> Group {
     let file = cpu_time_file(opts);
-    let sys = file.system().clone();
-
-    let mut rng = pmr_rt::rng::Rng::seed_from_u64(pmr_rt::seed_from_env_or(42));
-    let queries: Vec<PartialMatchQuery> = (0..256)
-        .map(|q| {
-            let unspecified = 2 + (q % 3) as usize;
-            let n = sys.num_fields();
-            let values: Vec<Option<u64>> = (0..n)
-                .map(|i| {
-                    if i < n - unspecified {
-                        Some(rng.gen_range(0..sys.field_size(i)))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            PartialMatchQuery::new(&sys, &values).unwrap()
-        })
-        .collect();
+    let queries = scan_mix(file.system(), 256);
 
     let cost = CostModel::main_memory();
     let policy = ExecPolicy::default();

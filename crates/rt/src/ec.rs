@@ -18,10 +18,11 @@
 //!
 //! Two API levels:
 //!
-//! * [`ReedSolomon::parity_of`] / [`ReedSolomon::reconstruct`] — raw
-//!   equal-length payloads, no framing. The storage layer's
-//!   `ParityStore` stripes bucket *pages* through these and keeps its
-//!   own per-member metadata.
+//! * [`ReedSolomon::parity_of`] / [`ReedSolomon::reconstruct`] /
+//!   [`ReedSolomon::interpolate_into`] — raw equal-length payloads, no
+//!   framing. The storage layer's `ParityStore` stripes bucket *pages*
+//!   through these, rebuilding one page with `interpolate_into`, and
+//!   keeps its own per-member metadata.
 //! * [`ReedSolomon::encode`] / [`ReedSolomon::decode`] — self-framing
 //!   shards in the `[data_len u32 LE][crc32 u32 LE][payload]` layout
 //!   (SNIPPETS.md snippet 2): each shard carries the original length and
@@ -151,6 +152,12 @@ pub enum EcError {
         /// The mismatched length.
         got: usize,
     },
+    /// A shard index outside `0..k + r`, or a source index not above
+    /// the one before it ([`ReedSolomon::interpolate_into`]).
+    ShardIndex {
+        /// The offending index.
+        index: usize,
+    },
     /// Fewer than `k` usable shards survived (losses plus CRC
     /// rejections exceeded `r`).
     TooFewShards {
@@ -173,6 +180,9 @@ impl std::fmt::Display for EcError {
             }
             EcError::ShardLen { expected, got } => {
                 write!(f, "shard payload length {got} != {expected}")
+            }
+            EcError::ShardIndex { index } => {
+                write!(f, "shard index {index} out of range or out of order")
             }
             EcError::TooFewShards { have, needed } => {
                 write!(f, "only {have} usable shards, need {needed} to decode")
@@ -270,7 +280,9 @@ impl ReedSolomon {
     }
 
     /// Fills in every missing shard of a `k + r` stripe in place, given
-    /// any `k` survivors (raw equal-length payloads, no framing).
+    /// any `k` survivors (raw equal-length payloads, no framing): each
+    /// missing shard is [`ReedSolomon::interpolate_into`] from the first
+    /// `k` survivors.
     ///
     /// # Errors
     ///
@@ -284,35 +296,93 @@ impl ReedSolomon {
                 got: shards.len(),
             });
         }
-        let present: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();
+        let present: Vec<(usize, &[u8])> = shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, shard)| Some((i, shard.as_deref()?)))
+            .collect();
         if present.len() < self.k {
             return Err(EcError::TooFewShards {
                 have: present.len(),
                 needed: self.k,
             });
         }
-        let len = shards[present[0]].as_ref().map(Vec::len).unwrap_or(0);
-        for &i in &present {
-            let got = shards[i].as_ref().map(Vec::len).unwrap_or(0);
-            if got != len {
-                return Err(EcError::ShardLen { expected: len, got });
-            }
+        let len = present[0].1.len();
+        if let Some(&(_, odd)) = present.iter().find(|(_, p)| p.len() != len) {
+            return Err(EcError::ShardLen {
+                expected: len,
+                got: odd.len(),
+            });
         }
-        // Interpolate from the first k survivors; their evaluation
-        // points are their shard indices.
-        let basis: Vec<usize> = present[..self.k].to_vec();
-        let points: Vec<u8> = basis.iter().map(|&i| i as u8).collect();
-        for target in 0..shards.len() {
-            if shards[target].is_some() {
-                continue;
-            }
-            let row = lagrange_row(&points, target as u8);
-            let mut out = vec![0u8; len];
-            for (&coeff, &src) in row.iter().zip(&basis) {
-                let payload = shards[src].as_ref().expect("basis shards are present");
-                mul_acc(&mut out, payload, coeff);
-            }
+        let basis = &present[..self.k];
+        let rebuilt = (0..shards.len())
+            .filter(|&target| shards[target].is_none())
+            .map(|target| {
+                let mut out = vec![0u8; len];
+                self.interpolate_into(basis, target, &mut out)?;
+                Ok((target, out))
+            })
+            .collect::<Result<Vec<_>, EcError>>()?;
+        for (target, out) in rebuilt {
             shards[target] = Some(out);
+        }
+        Ok(())
+    }
+
+    /// Computes the one shard at index `target` of a `k + r` stripe into
+    /// `out` from exactly `k` known shards, given as `(index, payload)`
+    /// with distinct indices in ascending order — a Lagrange
+    /// interpolation at the target's evaluation point. Only `target` is
+    /// computed; a `target` among the sources is copied.
+    ///
+    /// # Errors
+    ///
+    /// [`EcError::TooFewShards`] with fewer than `k` sources;
+    /// [`EcError::ShardCount`] with more than `k`;
+    /// [`EcError::ShardIndex`] for an index (source or target) outside
+    /// `0..k + r` or sources out of order; [`EcError::ShardLen`] when a
+    /// source's length differs from `out`'s.
+    pub fn interpolate_into(
+        &self,
+        sources: &[(usize, &[u8])],
+        target: usize,
+        out: &mut [u8],
+    ) -> Result<(), EcError> {
+        if sources.len() < self.k {
+            return Err(EcError::TooFewShards {
+                have: sources.len(),
+                needed: self.k,
+            });
+        }
+        if sources.len() > self.k {
+            return Err(EcError::ShardCount {
+                expected: self.k,
+                got: sources.len(),
+            });
+        }
+        let n = self.total_shards();
+        let mut floor = 0;
+        for &(index, _) in sources {
+            if index < floor || index >= n {
+                return Err(EcError::ShardIndex { index });
+            }
+            floor = index + 1;
+        }
+        if target >= n {
+            return Err(EcError::ShardIndex { index: target });
+        }
+        if let Some(&(_, odd)) = sources.iter().find(|(_, p)| p.len() != out.len()) {
+            return Err(EcError::ShardLen {
+                expected: out.len(),
+                got: odd.len(),
+            });
+        }
+        // Evaluation points are shard indices: below 256 by construction.
+        let points: Vec<u8> = sources.iter().map(|&(i, _)| i as u8).collect();
+        let row = lagrange_row(&points, target as u8);
+        out.fill(0);
+        for (&coeff, &(_, payload)) in row.iter().zip(sources) {
+            mul_acc(out, payload, coeff);
         }
         Ok(())
     }
@@ -630,6 +700,99 @@ mod tests {
             Err(EcError::ShardCount {
                 expected: 3,
                 got: 2
+            })
+        );
+    }
+
+    /// `interpolate_into` of one slot from the first `k` survivors is
+    /// bit-equal to what `reconstruct` fills that slot with, for every
+    /// loss pattern of at most `r` shards — and a surviving slot
+    /// interpolates to its own bytes.
+    #[test]
+    fn interpolate_into_matches_reconstruct_for_every_loss_pattern() {
+        for (k, r) in [(1, 1), (4, 2), (6, 3)] {
+            let rs = ReedSolomon::new(k, r).unwrap();
+            let n = k + r;
+            let data: Vec<Vec<u8>> = (0..k)
+                .map(|j| {
+                    (0..37u32)
+                        .map(|b| (b * 29 + j as u32 * 101) as u8)
+                        .collect()
+                })
+                .collect();
+            let views: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let whole: Vec<Vec<u8>> = data
+                .iter()
+                .cloned()
+                .chain(rs.parity_of(&views).unwrap())
+                .collect();
+            for lost_mask in 0u32..1 << n {
+                if lost_mask.count_ones() as usize > r {
+                    continue;
+                }
+                let mut shards: Vec<Option<Vec<u8>>> = whole
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (lost_mask & 1 << i == 0).then(|| s.clone()))
+                    .collect();
+                let sources: Vec<(usize, &[u8])> = (0..n)
+                    .filter(|&i| lost_mask & 1 << i == 0)
+                    .take(k)
+                    .map(|i| (i, whole[i].as_slice()))
+                    .collect();
+                let interpolated: Vec<Vec<u8>> = (0..n)
+                    .map(|target| {
+                        let mut out = vec![0xEE; 37];
+                        rs.interpolate_into(&sources, target, &mut out).unwrap();
+                        out
+                    })
+                    .collect();
+                rs.reconstruct(&mut shards).unwrap();
+                for target in 0..n {
+                    assert_eq!(
+                        shards[target].as_deref(),
+                        Some(interpolated[target].as_slice()),
+                        "k={k} r={r} lost={lost_mask:b} target={target}"
+                    );
+                    assert_eq!(interpolated[target], whole[target]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interpolate_into_rejects_malformed_sources() {
+        let rs = ReedSolomon::new(2, 1).unwrap();
+        let (a, b) = (vec![1u8, 2], vec![3u8, 4]);
+        let mut out = [0u8; 2];
+        assert_eq!(
+            rs.interpolate_into(&[(0, &a)], 2, &mut out),
+            Err(EcError::TooFewShards { have: 1, needed: 2 })
+        );
+        assert_eq!(
+            rs.interpolate_into(&[(0, &a), (1, &b), (2, &b)], 2, &mut out),
+            Err(EcError::ShardCount {
+                expected: 2,
+                got: 3
+            })
+        );
+        assert_eq!(
+            rs.interpolate_into(&[(1, &a), (1, &b)], 2, &mut out),
+            Err(EcError::ShardIndex { index: 1 })
+        );
+        assert_eq!(
+            rs.interpolate_into(&[(0, &a), (3, &b)], 2, &mut out),
+            Err(EcError::ShardIndex { index: 3 })
+        );
+        assert_eq!(
+            rs.interpolate_into(&[(0, &a), (1, &b)], 3, &mut out),
+            Err(EcError::ShardIndex { index: 3 })
+        );
+        assert_eq!(
+            rs.interpolate_into(&[(0, &a), (1, &b[..1])], 2, &mut out),
+            Err(EcError::ShardLen {
+                expected: 2,
+                got: 1
             })
         );
     }

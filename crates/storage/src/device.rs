@@ -1,20 +1,39 @@
 //! A simulated parallel device.
 //!
-//! Each device owns a bucket-addressed store (linear bucket index →
-//! encoded record region) plus access counters. The store is guarded by a
-//! per-device [`pmr_rt::sync::RwLock`], so the executor's per-device
-//! workers and concurrent readers coexist without contending on a global
-//! lock.
+//! Each device owns three page stores — primary bucket pages, the mirror
+//! pages it holds for its buddy, and the parity shards it holds for other
+//! devices' stripes — plus access counters. Each store is a map keyed by
+//! packed code under the keyed [`CodeHash`](crate::code_hash) and guarded
+//! by its own [`pmr_rt::sync::RwLock`], so the executor's device workers
+//! and concurrent writers coexist without a global lock.
+//!
+//! # Reads
+//!
+//! Every page read goes through a [`ShareReader`]: one per (store,
+//! device share of a query). It snapshots the fault plan once (an atomic
+//! load, plus one `Arc` clone when a plan is installed), takes the
+//! store's read guard lazily on the first admitted read that needs the
+//! bytes (a dead device never locks), holds it for the rest of the
+//! share, and adds its `bucket_reads` to the device once, on drop. A
+//! read therefore costs the page's own hash probe and cache misses, not
+//! a lock round trip and two atomic read-modify-writes.
+//!
+//! A thread holds **at most one** reader guard at a time: a reader must
+//! be dropped before its thread opens another (the executor drops the
+//! share's reader before any failover step). std's `RwLock` queues new
+//! readers behind a waiting writer, so a second read guard taken on a
+//! store the thread already reads — or a cross-device cycle between two
+//! threads — would deadlock against an appender.
 
 use crate::cache::{PageCache, PageKey};
+use crate::code_hash::CodeMap;
 use crate::encode::{self, DecodeError};
 use pmr_mkh::Record;
 use pmr_rt::fault::{FaultKind, FaultPlan};
 use pmr_rt::obs;
 use pmr_rt::sync::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard};
 
 /// A fault surfaced by a single bucket-read attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +72,7 @@ pub struct BucketRead {
 }
 
 /// A successful read that appended a validated page's stored bytes to
-/// a caller's buffer ([`Device::copy_bucket_attempt`]).
+/// a caller's buffer ([`ShareReader::copy_attempt`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopiedRead {
     /// Records in the appended bytes (0 when the bucket holds no data).
@@ -62,15 +81,33 @@ pub struct CopiedRead {
     pub injected_latency_us: u64,
 }
 
-/// A successful raw (undecoded) page or parity-shard read plus any
-/// injected latency to charge to the simulated clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawRead {
-    /// The bytes at rest, or `None` when nothing is resident there.
-    pub bytes: Option<Vec<u8>>,
-    /// Simulated microseconds of injected latency spike (0 when none).
-    pub injected_latency_us: u64,
+/// Which of a device's page stores a [`ShareReader`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageStore {
+    /// The device's own bucket pages, keyed by bucket index.
+    Primary,
+    /// Mirror pages the device holds for its buddy, keyed by bucket
+    /// index.
+    Mirror,
+    /// Reed–Solomon parity shards the device holds for other devices'
+    /// stripes, keyed by stripe id. Never decoded.
+    Parity,
 }
+
+impl PageStore {
+    /// The decoded-page cache line of `code` in this store; parity
+    /// shards have none.
+    fn cache_key(self, code: u64) -> Option<PageKey> {
+        match self {
+            PageStore::Primary => Some(PageKey::Primary(code)),
+            PageStore::Mirror => Some(PageKey::Mirror(code)),
+            PageStore::Parity => None,
+        }
+    }
+}
+
+/// Pages keyed by code: a bucket index, or a stripe id for parity.
+type Pages = CodeMap<Vec<u8>>;
 
 /// One simulated device: resident buckets plus access accounting.
 #[derive(Debug)]
@@ -81,21 +118,22 @@ pub struct Device {
     /// ([`Device::resident_buckets`], [`Device::drain`]) sort on the way
     /// out. (An ordered map made the node's raw page read a tree walk
     /// that cost more than the decoded-page cache hit it replaced.)
-    store: RwLock<HashMap<u64, Vec<u8>>>,
+    store: RwLock<Pages>,
     /// Mirror pages this device holds *for its buddy* — kept apart from
     /// `store` so occupancy counts, persistence snapshots, and
     /// redistribution drains only ever see primary data.
-    mirror_store: RwLock<HashMap<u64, Vec<u8>>>,
+    mirror_store: RwLock<Pages>,
     /// Reed–Solomon parity shards this device holds for other devices'
     /// stripes, keyed by stripe id. Derived data like the mirror store:
     /// never persisted, dropped on clear/drain, rebuilt by re-encoding.
-    parity_store: RwLock<HashMap<u64, Vec<u8>>>,
-    /// Number of bucket reads served (lifetime).
+    parity_store: RwLock<Pages>,
+    /// Number of bucket reads served (lifetime). Readers count locally
+    /// and add their total here when dropped.
     bucket_reads: AtomicU64,
     /// Number of records appended (lifetime).
     records_written: AtomicU64,
-    /// Fast flag mirroring `fault_plan.is_some()` — the disabled-path
-    /// cost of the fault hook is this one relaxed load plus a branch.
+    /// Fast flag mirroring `fault_plan.is_some()`: a reader opened with
+    /// it clear snapshots no plan.
     faults_on: AtomicBool,
     /// The installed fault plan, if any.
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
@@ -109,9 +147,9 @@ impl Device {
     pub fn new(id: u64) -> Self {
         Device {
             id,
-            store: RwLock::new(HashMap::new()),
-            mirror_store: RwLock::new(HashMap::new()),
-            parity_store: RwLock::new(HashMap::new()),
+            store: RwLock::new(Pages::default()),
+            mirror_store: RwLock::new(Pages::default()),
+            parity_store: RwLock::new(Pages::default()),
             bucket_reads: AtomicU64::new(0),
             records_written: AtomicU64::new(0),
             faults_on: AtomicBool::new(false),
@@ -154,125 +192,75 @@ impl Device {
         self.records_written.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Opens a reader for one device share of a query against `store`:
+    /// the fault plan installed now applies to every read through it.
+    /// Drop it before opening another reader on this thread (see the
+    /// module docs).
+    pub fn reader(&self, store: PageStore) -> ShareReader<'_> {
+        let plan = if self.faults_on.load(Ordering::Acquire) {
+            self.fault_plan.read().clone()
+        } else {
+            None
+        };
+        ShareReader {
+            device: self,
+            store,
+            pages: None,
+            plan,
+            reads: 0,
+        }
+    }
+
+    fn pages_of(&self, store: PageStore) -> &RwLock<Pages> {
+        match store {
+            PageStore::Primary => &self.store,
+            PageStore::Mirror => &self.mirror_store,
+            PageStore::Parity => &self.parity_store,
+        }
+    }
+
     /// Reads one bucket's records (empty when the bucket has no region —
     /// an empty bucket still counts as one access, matching the paper's
-    /// bucket-access cost model). A cache hit skips the store lock and
-    /// the decode entirely; a miss decodes the page borrowed under the
-    /// read lock (one copy per payload, none for the page) and installs
-    /// it before releasing that lock.
+    /// bucket-access cost model), ignoring any fault plan. A cache hit
+    /// skips the store lock and the decode entirely; a miss decodes the
+    /// page borrowed under the read lock (one copy per payload, none for
+    /// the page) and installs it before releasing that lock.
     pub fn read_bucket(&self, bucket_index: u64) -> Result<Arc<[Record]>, DecodeError> {
-        self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-        self.decode_page(PageKey::Primary(bucket_index))
-    }
-
-    /// The decoded records of a primary or mirror page, through the
-    /// cache. Counts no access — callers charge it.
-    fn decode_page(&self, key: PageKey) -> Result<Arc<[Record]>, DecodeError> {
-        if let Some(records) = self.cache.get(key) {
-            return Ok(records);
+        ShareReader {
+            device: self,
+            store: PageStore::Primary,
+            pages: None,
+            plan: None,
+            reads: 1,
         }
-        let (store, bucket_index) = self.store_of(key);
-        let store = store.read();
-        let records: Arc<[Record]> = match store.get(&bucket_index) {
-            None => Vec::new().into(),
-            Some(region) => encode::decode_all_bytes(region)?.into(),
-        };
-        // Installed while the read lock still pins the bytes: a writer
-        // waits for it, then drops the entry under its write lock.
-        self.cache.insert(key, records.clone());
-        Ok(records)
-    }
-
-    /// Appends a primary or mirror page's stored bytes to `out`, after a
-    /// validation walk under the store read lock: the bytes shipped are
-    /// the bytes checked, and a page corrupt at rest fails with the
-    /// error a decode would raise, leaving `out` untouched. Returns the
-    /// page's record count. Never touches the decoded-page cache.
-    fn copy_page(&self, key: PageKey, out: &mut Vec<u8>) -> Result<u64, DecodeError> {
-        let (store, bucket_index) = self.store_of(key);
-        let store = store.read();
-        let Some(page) = store.get(&bucket_index) else {
-            return Ok(0);
-        };
-        let records = encode::validate_region(page)?;
-        out.extend_from_slice(page);
-        Ok(records)
-    }
-
-    fn store_of(&self, key: PageKey) -> (&RwLock<HashMap<u64, Vec<u8>>>, u64) {
-        match key {
-            PageKey::Primary(bucket_index) => (&self.store, bucket_index),
-            PageKey::Mirror(bucket_index) => (&self.mirror_store, bucket_index),
-        }
+        .decode(bucket_index)
     }
 
     /// Installs (or removes, with `None`) the fault plan consulted by
-    /// [`Device::read_bucket_attempt`]. A plan with no active rates is
-    /// treated as absent, keeping the hot path on its fast branch.
+    /// readers opened from now on. A plan with no active rates is
+    /// treated as absent, keeping readers on their no-plan branch.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
         let active = plan.as_ref().is_some_and(|p| p.is_active());
         *self.fault_plan.write() = if active { plan } else { None };
         self.faults_on.store(active, Ordering::Release);
     }
 
-    /// The fault decision for one read attempt of `key` (a bucket index
-    /// or stripe id), charged to the access counter like any issued
-    /// read. An outage issues no read; a read error or a transient
-    /// corruption fails the attempt; otherwise the read proceeds and the
-    /// injected latency (0 when none) is returned. Disabled path: one
-    /// relaxed load plus a branch.
-    #[inline]
-    fn admit(&self, key: u64, attempt: u32) -> Result<u64, ReadFault> {
-        let decided = if self.faults_on.load(Ordering::Relaxed) {
-            let guard = self.fault_plan.read();
-            guard
-                .as_ref()
-                .and_then(|plan| plan.decide(self.id, key, attempt))
-        } else {
-            None
-        };
-        if decided.is_some() {
-            obs::counter_add("fault.injected", 1);
-        }
-        let injected_latency_us = match decided {
-            Some(FaultKind::Outage) => return Err(ReadFault::Outage),
-            Some(FaultKind::LatencySpike(us)) => us,
-            _ => 0,
-        };
-        // The access was issued, whether or not it returns clean data.
-        self.bucket_reads.fetch_add(1, Ordering::Relaxed);
-        match decided {
-            Some(FaultKind::ReadError) => Err(ReadFault::Io),
-            // Transient bus/DMA corruption: the page *read* garbage but
-            // the bytes at rest are intact, so a retry re-rolls.
-            Some(FaultKind::Corruption) => Err(ReadFault::Decode(DecodeError::Truncated)),
-            _ => Ok(injected_latency_us),
-        }
-    }
-
-    /// One fault-aware read attempt against the **primary** store.
+    /// One fault-aware read attempt against the **primary** store: a
+    /// one-read [`ShareReader::decode_attempt`].
     ///
-    /// With no plan installed this is [`Device::read_bucket`] plus one
-    /// relaxed atomic load. With a plan, the seeded per-(device, bucket,
-    /// attempt) decision may surface as [`ReadFault::Io`] /
-    /// [`ReadFault::Decode`] (both transient — a later attempt re-rolls),
-    /// [`ReadFault::Outage`] (permanent for the run), or an extra
-    /// simulated-µs latency charge on an otherwise clean read. Genuinely
-    /// corrupt pages at rest surface as [`ReadFault::Decode`] regardless
-    /// of the plan.
+    /// With a plan installed, the seeded per-(device, bucket, attempt)
+    /// decision may surface as [`ReadFault::Io`] / [`ReadFault::Decode`]
+    /// (both transient — a later attempt re-rolls), [`ReadFault::Outage`]
+    /// (permanent for the run), or an extra simulated-µs latency charge
+    /// on an otherwise clean read. Genuinely corrupt pages at rest
+    /// surface as [`ReadFault::Decode`] regardless of the plan.
     pub fn read_bucket_attempt(
         &self,
         bucket_index: u64,
         attempt: u32,
     ) -> Result<BucketRead, ReadFault> {
-        let injected_latency_us = self.admit(bucket_index, attempt)?;
-        let records = self
-            .decode_page(PageKey::Primary(bucket_index))
-            .map_err(ReadFault::Decode)?;
-        Ok(BucketRead {
-            records,
-            injected_latency_us,
-        })
+        self.reader(PageStore::Primary)
+            .decode_attempt(bucket_index, attempt)
     }
 
     /// One fault-aware read attempt against the **mirror** store — the
@@ -283,83 +271,8 @@ impl Device {
         bucket_index: u64,
         attempt: u32,
     ) -> Result<BucketRead, ReadFault> {
-        let injected_latency_us = self.admit(bucket_index, attempt)?;
-        let records = self
-            .decode_page(PageKey::Mirror(bucket_index))
-            .map_err(ReadFault::Decode)?;
-        Ok(BucketRead {
-            records,
-            injected_latency_us,
-        })
-    }
-
-    /// [`Device::read_bucket_attempt`] without the decode: the same
-    /// fault decision, then the primary page's stored bytes, validated,
-    /// appended to `out`. Fails exactly when `read_bucket_attempt` does,
-    /// with the same fault, and then appends nothing.
-    pub fn copy_bucket_attempt(
-        &self,
-        bucket_index: u64,
-        attempt: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<CopiedRead, ReadFault> {
-        let injected_latency_us = self.admit(bucket_index, attempt)?;
-        let records = self
-            .copy_page(PageKey::Primary(bucket_index), out)
-            .map_err(ReadFault::Decode)?;
-        Ok(CopiedRead {
-            records,
-            injected_latency_us,
-        })
-    }
-
-    /// [`Device::read_mirror_attempt`] without the decode, as
-    /// [`Device::copy_bucket_attempt`] is to the primary read.
-    pub fn copy_mirror_attempt(
-        &self,
-        bucket_index: u64,
-        attempt: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<CopiedRead, ReadFault> {
-        let injected_latency_us = self.admit(bucket_index, attempt)?;
-        let records = self
-            .copy_page(PageKey::Mirror(bucket_index), out)
-            .map_err(ReadFault::Decode)?;
-        Ok(CopiedRead {
-            records,
-            injected_latency_us,
-        })
-    }
-
-    /// One fault-aware **raw** read of a primary bucket page: the bytes
-    /// at rest, undecoded, for parity reconstruction (the stripe layer
-    /// CRC-checks them against its member metadata instead). The same
-    /// fault plan applies — a stripe-mate can be out or flaky too.
-    /// `Ok(None)` means the bucket holds no page.
-    pub fn read_raw_page_attempt(
-        &self,
-        bucket_index: u64,
-        attempt: u32,
-    ) -> Result<RawRead, ReadFault> {
-        let injected_latency_us = self.admit(bucket_index, attempt)?;
-        let bytes = self.store.read().get(&bucket_index).cloned();
-        Ok(RawRead {
-            bytes,
-            injected_latency_us,
-        })
-    }
-
-    /// One fault-aware read of a **parity** shard this device holds for
-    /// stripe `stripe_id`. Fault decisions draw from the same seeded
-    /// stream as bucket reads, keyed by the stripe id. `Ok(None)` means
-    /// this device holds no shard for that stripe.
-    pub fn read_parity_attempt(&self, stripe_id: u64, attempt: u32) -> Result<RawRead, ReadFault> {
-        let injected_latency_us = self.admit(stripe_id, attempt)?;
-        let bytes = self.parity_store.read().get(&stripe_id).cloned();
-        Ok(RawRead {
-            bytes,
-            injected_latency_us,
-        })
+        self.reader(PageStore::Mirror)
+            .decode_attempt(bucket_index, attempt)
     }
 
     /// Installs (replacing) the parity shard this device holds for
@@ -499,10 +412,150 @@ impl Device {
 }
 
 /// A page store's bucket indices in address order.
-fn sorted_keys<V>(store: &HashMap<u64, V>) -> Vec<u64> {
+fn sorted_keys(store: &Pages) -> Vec<u64> {
     let mut keys: Vec<u64> = store.keys().copied().collect();
     keys.sort_unstable();
     keys
+}
+
+/// One device share's reads from one page store ([`Device::reader`]).
+///
+/// Each read is first admitted against the fault plan snapshotted when
+/// the reader opened: an outage issues no read; a read error or a
+/// transient corruption fails the attempt after counting it; otherwise
+/// the read proceeds and carries the injected latency (0 when none). An
+/// admitted read that needs the stored bytes takes the store's read
+/// guard if this reader does not hold it yet, and keeps it until the
+/// reader drops. Reads are counted here and added to the device's
+/// `bucket_reads` on drop.
+pub struct ShareReader<'a> {
+    device: &'a Device,
+    store: PageStore,
+    /// The store's read guard, once a read has needed it.
+    pages: Option<RwLockReadGuard<'a, Pages>>,
+    /// The fault plan in force when the reader opened.
+    plan: Option<Arc<FaultPlan>>,
+    /// Reads issued, not yet added to `device.bucket_reads`.
+    reads: u64,
+}
+
+impl ShareReader<'_> {
+    /// Admits one read attempt of `code` (a bucket index or stripe id),
+    /// returning its injected latency.
+    #[inline]
+    fn admit(&mut self, code: u64, attempt: u32) -> Result<u64, ReadFault> {
+        let decided = self
+            .plan
+            .as_ref()
+            .and_then(|plan| plan.decide(self.device.id, code, attempt));
+        if decided.is_some() {
+            obs::counter_add("fault.injected", 1);
+        }
+        let injected_latency_us = match decided {
+            Some(FaultKind::Outage) => return Err(ReadFault::Outage),
+            Some(FaultKind::LatencySpike(us)) => us,
+            _ => 0,
+        };
+        // The access was issued, whether or not it returns clean data.
+        self.reads += 1;
+        match decided {
+            Some(FaultKind::ReadError) => Err(ReadFault::Io),
+            // Transient bus/DMA corruption: the page *read* garbage but
+            // the bytes at rest are intact, so a retry re-rolls.
+            Some(FaultKind::Corruption) => Err(ReadFault::Decode(DecodeError::Truncated)),
+            _ => Ok(injected_latency_us),
+        }
+    }
+
+    /// The store's pages, under the guard this reader holds from its
+    /// first call on.
+    fn pages(&mut self) -> &Pages {
+        let (device, store) = (self.device, self.store);
+        self.pages
+            .get_or_insert_with(|| device.pages_of(store).read())
+    }
+
+    /// One read attempt that appends the page's stored bytes to `out`,
+    /// after a validation walk under the guard: the bytes shipped are the
+    /// bytes checked, and a page corrupt at rest fails with the error a
+    /// decode would raise. Fails exactly when
+    /// [`ShareReader::decode_attempt`] does, with the same fault, and
+    /// then appends nothing. Never touches the decoded-page cache.
+    pub fn copy_attempt(
+        &mut self,
+        code: u64,
+        attempt: u32,
+        out: &mut Vec<u8>,
+    ) -> Result<CopiedRead, ReadFault> {
+        let injected_latency_us = self.admit(code, attempt)?;
+        let records = match self.pages().get(&code) {
+            None => 0,
+            Some(page) => {
+                let records = encode::validate_region(page).map_err(ReadFault::Decode)?;
+                out.extend_from_slice(page);
+                records
+            }
+        };
+        Ok(CopiedRead {
+            records,
+            injected_latency_us,
+        })
+    }
+
+    /// One read attempt that returns the page's decoded records through
+    /// the device's page cache.
+    pub fn decode_attempt(&mut self, code: u64, attempt: u32) -> Result<BucketRead, ReadFault> {
+        let injected_latency_us = self.admit(code, attempt)?;
+        let records = self.decode(code).map_err(ReadFault::Decode)?;
+        Ok(BucketRead {
+            records,
+            injected_latency_us,
+        })
+    }
+
+    /// The decoded page: a cache hit, or a decode of the bytes borrowed
+    /// under the guard, installed in the cache while the guard still
+    /// pins them (a writer waits for the guard, then drops the entry).
+    /// Counts no read.
+    fn decode(&mut self, code: u64) -> Result<Arc<[Record]>, DecodeError> {
+        let (cache, key) = (&self.device.cache, self.store.cache_key(code));
+        if let Some(records) = key.and_then(|key| cache.get(key)) {
+            return Ok(records);
+        }
+        let records: Arc<[Record]> = match self.pages().get(&code) {
+            None => Vec::new().into(),
+            Some(region) => encode::decode_all_bytes(region)?.into(),
+        };
+        if let Some(key) = key {
+            cache.insert(key, records.clone());
+        }
+        Ok(records)
+    }
+
+    /// One read attempt that lends the stored bytes (`None` when nothing
+    /// is resident under `code`) to `read`, returning its result and the
+    /// injected latency. Parity reconstruction gathers stripe shards
+    /// through this without copying a page out of the store.
+    pub fn with_page<R>(
+        &mut self,
+        code: u64,
+        attempt: u32,
+        read: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> Result<(R, u64), ReadFault> {
+        let injected_latency_us = self.admit(code, attempt)?;
+        let page = self.pages().get(&code).map(Vec::as_slice);
+        Ok((read(page), injected_latency_us))
+    }
+}
+
+impl Drop for ShareReader<'_> {
+    fn drop(&mut self) {
+        if self.reads > 0 {
+            self.device
+                .bucket_reads
+                .fetch_add(self.reads, Ordering::Relaxed);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -730,19 +783,25 @@ mod tests {
         d.append(3, &rec(2));
         d.append_mirror(4, &rec(5));
         let mut out = vec![0xaa];
-        let got = d.copy_bucket_attempt(3, 0, &mut out).unwrap();
+        let mut primary = d.reader(PageStore::Primary);
+        let got = primary.copy_attempt(3, 0, &mut out).unwrap();
         assert_eq!(got.records, 2);
         assert_eq!(out[1..], d.raw_page(3).unwrap()[..]);
         out.clear();
-        assert_eq!(d.copy_mirror_attempt(4, 0, &mut out).unwrap().records, 1);
+        assert_eq!(primary.copy_attempt(9, 0, &mut out).unwrap().records, 0);
+        let mut mirror = d.reader(PageStore::Mirror);
+        assert_eq!(mirror.copy_attempt(4, 0, &mut out).unwrap().records, 1);
         assert_eq!(encode::decode_all_bytes(&out).unwrap(), vec![rec(5)]);
-        assert_eq!(d.copy_bucket_attempt(9, 0, &mut out).unwrap().records, 0);
+        drop(mirror);
+        // Reads are counted on the reader and added when it drops.
+        assert_eq!(d.bucket_reads(), 1);
+        drop(primary);
         assert_eq!(d.bucket_reads(), 3);
         // Corrupt at rest: the decode's own error, and nothing appended.
         d.inject_corruption(3, &[0x01, 0, 0, 0, 0x7f]);
         out.clear();
         assert_eq!(
-            d.copy_bucket_attempt(3, 0, &mut out),
+            d.reader(PageStore::Primary).copy_attempt(3, 0, &mut out),
             Err(ReadFault::Decode(DecodeError::BadTag(0x7f)))
         );
         assert_eq!(
@@ -752,9 +811,55 @@ mod tests {
         assert!(out.is_empty());
         d.set_fault_plan(Some(Arc::new(FaultPlan::new(1).with_dead_device(0))));
         assert_eq!(
-            d.copy_bucket_attempt(4, 0, &mut out),
+            d.reader(PageStore::Primary).copy_attempt(4, 0, &mut out),
             Err(ReadFault::Outage)
         );
+    }
+
+    #[test]
+    fn readers_lend_pages_and_snapshot_the_fault_plan() {
+        let d = Device::new(0);
+        d.append(7, &rec(1));
+        d.install_parity_page(2, b"shard");
+        let mut parity = d.reader(PageStore::Parity);
+        assert_eq!(
+            parity.with_page(2, 0, |b| b.map(<[u8]>::to_vec)),
+            Ok((Some(b"shard".to_vec()), 0))
+        );
+        assert_eq!(parity.with_page(3, 0, |b| b.is_none()), Ok((true, 0)));
+        drop(parity);
+        // A plan installed after a reader opened does not reach it; the
+        // next reader sees it.
+        let mut before = d.reader(PageStore::Primary);
+        d.set_fault_plan(Some(Arc::new(FaultPlan::new(1).with_dead_device(0))));
+        assert_eq!(before.with_page(7, 0, |b| b.is_some()), Ok((true, 0)));
+        drop(before);
+        assert_eq!(
+            d.reader(PageStore::Primary)
+                .with_page(7, 0, |b| b.is_some()),
+            Err(ReadFault::Outage)
+        );
+        // Outages issue no read; the three above did.
+        assert_eq!(d.bucket_reads(), 3);
+    }
+
+    #[test]
+    fn a_reader_on_a_dead_device_never_locks_its_store() {
+        let d = Device::new(0);
+        d.append(1, &rec(1));
+        d.set_fault_plan(Some(Arc::new(FaultPlan::new(1).with_dead_device(0))));
+        let mut reader = d.reader(PageStore::Primary);
+        let mut out = Vec::new();
+        assert_eq!(reader.copy_attempt(1, 0, &mut out), Err(ReadFault::Outage));
+        assert_eq!(
+            reader.decode_attempt(1, 0).map(|r| r.records),
+            Err(ReadFault::Outage)
+        );
+        // The reader is still open, yet a writer gets through.
+        d.append(1, &rec(2));
+        drop(reader);
+        d.set_fault_plan(None);
+        assert_eq!(&*d.read_bucket(1).unwrap(), &[rec(1), rec(2)][..]);
     }
 
     #[test]

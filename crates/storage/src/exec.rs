@@ -5,7 +5,11 @@
 //! and routes each code to its device ([`route_planned`]), each device
 //! reads its codes through one policy path (retry → mirror or parity
 //! failover → lose), and the per-device yields merge into an
-//! [`ExecutionReport`]. The simulated response time is the maximum
+//! [`ExecutionReport`]. A device's share of a query is read through one
+//! [`ShareReader`]: one fault-plan snapshot and one store guard for the
+//! whole share instead of a lock round trip per bucket, dropped before
+//! any failover step so a thread never holds two device guards. The
+//! simulated response time is the maximum
 //! per-device time — the paper's symmetric-topology assumption (§5.2.1):
 //! "the response time for a partial match query is determined by the
 //! device which has the largest number of qualified buckets". The
@@ -31,7 +35,7 @@
 //! subrange in a scatter/gather deployment.
 
 use crate::cost::CostModel;
-use crate::device::{Device, ReadFault};
+use crate::device::{Device, PageStore, ReadFault, ShareReader};
 use crate::encode::{self, DecodeError};
 use crate::file::{DeclusteredFile, FileError};
 use crate::mirror::Mirroring;
@@ -598,12 +602,15 @@ struct FailoverPath<'a> {
 trait PageSink: Default {
     /// What one device's share of one query becomes.
     type Yield: Send + 'static;
-    /// One read attempt of `dev`'s primary page for `code` into the
-    /// sink; the injected latency on success. A failed attempt leaves
-    /// the sink untouched.
-    fn primary(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault>;
-    /// [`PageSink::primary`] against the mirror copy `dev` holds.
-    fn mirror(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault>;
+    /// One read attempt of page `code` through `reader` (a primary or
+    /// mirror store) into the sink; the injected latency on success. A
+    /// failed attempt leaves the sink untouched.
+    fn read(
+        &mut self,
+        reader: &mut ShareReader<'_>,
+        code: u64,
+        attempt: u32,
+    ) -> Result<u64, ReadFault>;
     /// A page rebuilt from its parity stripe; on error the sink is
     /// untouched.
     fn rebuilt(&mut self, page: &[u8]) -> Result<(), DecodeError>;
@@ -620,14 +627,13 @@ struct Decoded(Vec<Record>);
 impl PageSink for Decoded {
     type Yield = DeviceYield;
 
-    fn primary(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault> {
-        let read = dev.read_bucket_attempt(code, attempt)?;
-        self.0.extend_from_slice(&read.records);
-        Ok(read.injected_latency_us)
-    }
-
-    fn mirror(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault> {
-        let read = dev.read_mirror_attempt(code, attempt)?;
+    fn read(
+        &mut self,
+        reader: &mut ShareReader<'_>,
+        code: u64,
+        attempt: u32,
+    ) -> Result<u64, ReadFault> {
+        let read = reader.decode_attempt(code, attempt)?;
         self.0.extend_from_slice(&read.records);
         Ok(read.injected_latency_us)
     }
@@ -661,14 +667,13 @@ struct Copied {
 impl PageSink for Copied {
     type Yield = RawYield;
 
-    fn primary(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault> {
-        let read = dev.copy_bucket_attempt(code, attempt, &mut self.region)?;
-        self.records += read.records;
-        Ok(read.injected_latency_us)
-    }
-
-    fn mirror(&mut self, dev: &Device, code: u64, attempt: u32) -> Result<u64, ReadFault> {
-        let read = dev.copy_mirror_attempt(code, attempt, &mut self.region)?;
+    fn read(
+        &mut self,
+        reader: &mut ShareReader<'_>,
+        code: u64,
+        attempt: u32,
+    ) -> Result<u64, ReadFault> {
+        let read = reader.copy_attempt(code, attempt, &mut self.region)?;
         self.records += read.records;
         Ok(read.injected_latency_us)
     }
@@ -695,6 +700,12 @@ impl PageSink for Copied {
 /// Reads every code on one device under the policy: retry → failover
 /// (mirror buddy *or* parity reconstruction, per the effective
 /// redundancy) → lose. Returns the device's yield in the sink's form.
+///
+/// The primary pass reads through one [`ShareReader`] for the share. It
+/// is dropped before any failover step and re-opened after, so this
+/// thread never holds two device guards at once: a parity rebuild reads
+/// the home device's own store too, and re-entering a read lock this
+/// thread holds would deadlock behind a queued writer.
 fn resilient_device_read<S: PageSink>(
     devices: &[Arc<Device>],
     device: u64,
@@ -712,21 +723,24 @@ fn resilient_device_read<S: PageSink>(
     let mut retries_total = 0u32;
     let mut failed_over = false;
     let mut reconstructions = 0u32;
+    let mut primary = None;
     for &code in codes {
+        let reader = primary.get_or_insert_with(|| dev.reader(PageStore::Primary));
         let (served, primary_us, primary_retries) =
             read_with_retry(policy, device, code, |attempt| {
-                sink.primary(dev, code, attempt)
+                sink.read(reader, code, attempt)
             });
         extra_us += primary_us;
         retries_total += primary_retries;
         if served {
             continue;
         }
+        primary = None;
         if let Some(buddy_id) = buddy {
-            let buddy_dev = &devices[buddy_id as usize];
+            let mut mirror = devices[buddy_id as usize].reader(PageStore::Mirror);
             let (served, mirror_us, mirror_retries) =
                 read_with_retry(policy, buddy_id, code, |attempt| {
-                    sink.mirror(buddy_dev, code, attempt)
+                    sink.read(&mut mirror, code, attempt)
                 });
             // The failover read and its backoff are charged to the home
             // worker — it is the one waiting on the bucket.
@@ -1559,6 +1573,63 @@ mod tests {
         assert_eq!(batch[0].per_device[1].outcome, DeviceOutcome::FailedOver);
         assert_eq!(batch[0].coverage, 1.0);
         file.install_fault_plan(None);
+    }
+
+    /// Share readers count bucket reads locally and add them on drop:
+    /// after a batch, every device's `bucket_reads` has grown exactly as
+    /// much as reading the same codes one `read_bucket_attempt` at a time
+    /// grows it — on both sinks, with a dead device's outages (no read)
+    /// and its buddy's mirror reads in the count.
+    #[test]
+    fn share_readers_count_bucket_reads_like_per_bucket_reads() {
+        let mut file = build_file(500);
+        assert!(file.enable_mirroring());
+        file.install_fault_plan(Some(Arc::new(
+            pmr_rt::fault::FaultPlan::new(3).with_dead_device(2),
+        )));
+        let exec = Executor::new(&file, CostModel::main_memory()).with_chunks(2);
+        let planned: Vec<PlannedQuery> = [vec![], vec![("cat", Value::Int(5))]]
+            .iter()
+            .map(|specs| plan_query(file.system(), file.method(), &file.query(specs).unwrap()))
+            .collect();
+        let devices = file.devices();
+        let reads = || devices.iter().map(|d| d.bucket_reads()).collect::<Vec<_>>();
+        let grown = |before: Vec<u64>| -> Vec<u64> {
+            reads()
+                .iter()
+                .zip(before)
+                .map(|(after, b)| after - b)
+                .collect()
+        };
+
+        let before = reads();
+        exec.execute_planned(&planned, &ExecPolicy::default());
+        let decoded = grown(before);
+        let before = reads();
+        exec.execute_planned_raw(&planned, &ExecPolicy::default());
+        let raw = grown(before);
+
+        let before = reads();
+        let buddies = file.mirroring().copied().unwrap();
+        let mut codes = vec![Vec::new(); devices.len()];
+        for p in &planned {
+            route_planned(file.system(), file.method(), p, 0..4, &mut codes);
+            for (device, device_codes) in codes.iter().enumerate() {
+                for &code in device_codes {
+                    if devices[device].read_bucket_attempt(code, 0).is_err() {
+                        let buddy = buddies.buddy_of(device as u64) as usize;
+                        devices[buddy].read_mirror_attempt(code, 0).unwrap();
+                    }
+                }
+            }
+        }
+        let per_bucket = grown(before);
+        file.install_fault_plan(None);
+
+        assert_eq!(per_bucket[2], 0, "a dead device issues no read");
+        assert!(per_bucket.iter().sum::<u64>() > 0);
+        assert_eq!(decoded, per_bucket);
+        assert_eq!(raw, per_bucket);
     }
 
     /// `idle_yield` is the executor's own yield for a device on which the

@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+mod code_hash;
 pub mod cost;
 pub mod device;
 pub mod encode;
@@ -50,7 +51,7 @@ pub mod parity;
 pub mod persist;
 
 pub use cost::CostModel;
-pub use device::{BucketRead, Device, ReadFault};
+pub use device::{BucketRead, Device, PageStore, ReadFault, ShareReader};
 pub use exec::{
     DeviceOutcome, DeviceReport, DeviceYield, ExecPolicy, ExecutionReport, Executor, PlannedQuery,
     Redundancy,

@@ -34,12 +34,12 @@
 //! persisted, are dropped by clear/drain, and are rebuilt wholesale by
 //! [`ParityStore::reprotect_resident`].
 
-use crate::device::Device;
+use crate::code_hash::CodeMap;
+use crate::device::{Device, PageStore};
 use crate::encode::{self, DecodeError};
 use pmr_mkh::Record;
 use pmr_rt::ec::{crc32, ReedSolomon};
 use pmr_rt::sync::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One stripe member: a primary bucket page enrolled in the stripe.
@@ -74,11 +74,11 @@ struct Stripe {
 struct Directory {
     stripes: Vec<Stripe>,
     /// Bucket code → (stripe index, member slot).
-    by_code: HashMap<u64, (usize, usize)>,
+    by_code: CodeMap<(usize, usize)>,
     /// Home device → open (stripe index, slot) pairs that accept a
     /// bucket homed there (stripe `s` slot `j` accepts home
     /// `stripes[s].anchor ^ j`).
-    free_slots: HashMap<u64, Vec<(usize, usize)>>,
+    free_slots: CodeMap<Vec<(usize, usize)>>,
 }
 
 /// Why a parity reconstruction could not produce the page.
@@ -282,6 +282,12 @@ impl ParityStore {
     /// missing page, and CRC-verifies it against the directory. The
     /// bytes are not decoded.
     ///
+    /// The shards are gathered into one buffer, each CRC-checked while
+    /// borrowed from its device's store ([`ShareReader::with_page`]) and
+    /// copied once; only the target slot is interpolated. Each shard
+    /// read opens and drops its own reader, so this holds at most one
+    /// device guard at a time.
+    ///
     /// A code with **no stripe** rebuilds trivially: the directory
     /// enrolls every inserted bucket, so an unenrolled code never held
     /// records and yields the empty page.
@@ -290,6 +296,8 @@ impl ParityStore {
     ///
     /// [`ReconstructError`] when more than `r` shards are unusable or
     /// the rebuilt page fails verification.
+    ///
+    /// [`ShareReader::with_page`]: crate::device::ShareReader::with_page
     pub fn rebuild(
         &self,
         devices: &[Arc<Device>],
@@ -306,73 +314,88 @@ impl ParityStore {
         };
         let stripe = &dir.stripes[s];
         let target = stripe.members[slot].expect("enrolled code has a member entry");
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.k + self.r];
+        let len = stripe.shard_len;
+        // The rebuilt page first, then the k + r gathered shards: the
+        // page's bytes sit at the front, so truncating the buffer yields
+        // them without a copy. Zero-filled, so open slots and short
+        // member pages read as their zero padding.
+        let mut buf = vec![0u8; (1 + self.k + self.r) * len];
+        let (page, shards) = buf.split_at_mut(len);
+        let mut usable = vec![false; self.k + self.r];
         let mut shard_reads = 0u32;
         let mut injected_latency_us = 0u64;
         for (j, member) in stripe.members.iter().enumerate() {
             let Some(m) = member else {
                 // An open slot never held a page: a known-zero payload,
                 // not an erasure.
-                shards[j] = Some(vec![0u8; stripe.shard_len]);
+                usable[j] = true;
                 continue;
             };
             let device = &devices[(stripe.anchor ^ j as u64) as usize];
+            let shard = &mut shards[j * len..(j + 1) * len];
             shard_reads += 1;
-            let Ok(read) = device.read_raw_page_attempt(m.code, attempt) else {
-                continue; // erasure
-            };
-            injected_latency_us += read.injected_latency_us;
-            let bytes = match read.bytes {
-                Some(b) => b,
-                None if m.len == 0 => Vec::new(),
-                None => continue, // directory says a page existed: erasure
-            };
-            // Reject bytes that drifted from the encoded state (at-rest
-            // corruption of a stripe-mate) before they poison decode.
-            if bytes.len() != m.len as usize || crc32(&bytes) != m.crc {
-                continue;
+            let read = device
+                .reader(PageStore::Primary)
+                .with_page(m.code, attempt, |bytes| {
+                    // A missing page the directory recorded, or bytes
+                    // that drifted from the encoded state (at-rest
+                    // corruption of a stripe-mate), is an erasure, not
+                    // poison for the decode.
+                    let bytes = bytes.unwrap_or_default();
+                    let clean = bytes.len() == m.len as usize && crc32(bytes) == m.crc;
+                    if clean {
+                        shard[..bytes.len()].copy_from_slice(bytes);
+                    }
+                    clean
+                });
+            // A faulted read is an erasure.
+            if let Ok((clean, latency_us)) = read {
+                injected_latency_us += latency_us;
+                usable[j] = clean;
             }
-            let mut payload = bytes;
-            payload.resize(stripe.shard_len, 0);
-            shards[j] = Some(payload);
         }
         for i in 0..self.r {
-            let device = &devices[(stripe.anchor ^ (self.k + i) as u64) as usize];
+            let j = self.k + i;
+            let device = &devices[(stripe.anchor ^ j as u64) as usize];
+            let shard = &mut shards[j * len..(j + 1) * len];
             shard_reads += 1;
-            let Ok(read) = device.read_parity_attempt(s as u64, attempt) else {
-                continue;
-            };
-            injected_latency_us += read.injected_latency_us;
-            let Some(bytes) = read.bytes else { continue };
-            if bytes.len() != stripe.shard_len || crc32(&bytes) != stripe.parity_crcs[i] {
-                continue;
+            let read = device
+                .reader(PageStore::Parity)
+                .with_page(s as u64, attempt, |bytes| match bytes {
+                    Some(bytes) if bytes.len() == len && crc32(bytes) == stripe.parity_crcs[i] => {
+                        shard.copy_from_slice(bytes);
+                        true
+                    }
+                    _ => false,
+                });
+            if let Ok((clean, latency_us)) = read {
+                injected_latency_us += latency_us;
+                usable[j] = clean;
             }
-            shards[self.k + i] = Some(bytes);
         }
-        let have = shards.iter().flatten().count();
-        // The target's own shard may have survived (e.g. the home read
-        // failed transiently but the raw bytes are clean) — either way,
-        // interpolation needs k usable shards total.
-        if have < self.k {
-            return Err(ReconstructError::TooFewShards {
-                have,
-                needed: self.k,
-            });
-        }
-        shards[slot] = None; // rebuild the target from the others' span
+        let have = usable.iter().filter(|&&u| u).count();
+        // `have` counts the target's own shard when it survived (a home
+        // read that failed transiently leaves clean bytes at rest), but
+        // the page is interpolated from k usable shards other than it.
+        let sources: Vec<(usize, &[u8])> = usable
+            .iter()
+            .enumerate()
+            .filter(|&(j, &u)| u && j != slot)
+            .take(self.k)
+            .map(|(j, _)| (j, &shards[j * len..(j + 1) * len]))
+            .collect();
         self.rs
-            .reconstruct(&mut shards)
+            .interpolate_into(&sources, slot, page)
             .map_err(|_| ReconstructError::TooFewShards {
                 have,
                 needed: self.k,
             })?;
-        let mut page = shards[slot].take().expect("reconstruct fills every slot");
-        page.truncate(target.len as usize);
-        if crc32(&page) != target.crc {
+        buf.truncate(target.len as usize);
+        if crc32(&buf) != target.crc {
             return Err(ReconstructError::PageCrc);
         }
         Ok(RebuiltPage {
-            bytes: page,
+            bytes: buf,
             shard_reads,
             injected_latency_us,
         })
@@ -632,6 +655,101 @@ mod tests {
             store.reconstruct(&devices, 5, 0).unwrap().records,
             vec![rec(5)]
         );
+    }
+
+    fn kill(devices: &[Arc<Device>], dead: &[u64]) {
+        let plan = dead
+            .iter()
+            .fold(FaultPlan::new(1), |p, &d| p.with_dead_device(d));
+        let plan = Arc::new(plan);
+        for d in devices {
+            d.set_fault_plan(Some(Arc::clone(&plan)));
+        }
+    }
+
+    /// Pages of unequal lengths on every device of an `m`-device array,
+    /// one bucket per device (code = home), under `k + r` parity.
+    fn ragged(m: u64, k: usize, r: usize) -> (Vec<Arc<Device>>, ParityStore) {
+        let devices = array(m);
+        let store = ParityStore::new(k, r, m).unwrap();
+        for home in 0..m {
+            for n in 0..=home % 5 {
+                put(&store, &devices, home, home, &rec((home * 10 + n) as i64));
+            }
+        }
+        (devices, store)
+    }
+
+    #[test]
+    fn rebuild_with_the_target_shard_intact_returns_the_stored_bytes() {
+        // Nothing is faulted: the target's own shard is read clean too,
+        // and the page is still interpolated from its stripe-mates.
+        let (devices, store) = ragged(8, 4, 2);
+        for home in 0..8u64 {
+            let page = store.rebuild(&devices, home, 0).unwrap();
+            assert_eq!(page.bytes, devices[home as usize].raw_page(home).unwrap());
+            assert_eq!(page.shard_reads, 6);
+        }
+    }
+
+    #[test]
+    fn rebuild_through_open_slots_returns_the_stored_bytes() {
+        let devices = array(8);
+        let store = ParityStore::new(4, 2, 8).unwrap();
+        put(&store, &devices, 3, 42, &rec(7));
+        put(&store, &devices, 2, 43, &rec(8));
+        let stored = devices[3].raw_page(42).unwrap();
+        kill(&devices, &[3]);
+        let page = store.rebuild(&devices, 42, 0).unwrap();
+        assert_eq!(page.bytes, stored);
+        // Two open member slots are known zeros, not reads.
+        assert_eq!(page.shard_reads, 4);
+    }
+
+    #[test]
+    fn rebuild_around_a_crc_dirty_stripe_mate_returns_the_stored_bytes() {
+        let (devices, store) = ragged(8, 4, 2);
+        let ds = store.stripe_devices_of(0).unwrap();
+        let stored: Vec<Vec<u8>> = ds[..2]
+            .iter()
+            .map(|&d| devices[d as usize].raw_page(d).unwrap())
+            .collect();
+        devices[ds[1] as usize].inject_corruption(ds[1], b"\x00bitrot");
+        kill(&devices, &[ds[0]]);
+        assert_eq!(store.rebuild(&devices, ds[0], 0).unwrap().bytes, stored[0]);
+        kill(&devices, &[]);
+        assert_eq!(store.rebuild(&devices, ds[1], 0).unwrap().bytes, stored[1]);
+    }
+
+    /// The `degraded_parity` geometry: 32 devices, `k = 4, r = 2`, and
+    /// two dead devices that share stripes.
+    #[test]
+    fn rebuild_with_both_dead_devices_in_one_stripe_returns_the_stored_bytes() {
+        let (devices, store) = ragged(32, 4, 2);
+        for home in 0..32u64 {
+            put(&store, &devices, home, 100 + home, &rec(-(home as i64)));
+        }
+        let (a, b) = (5u64, 7u64);
+        let shared = [a, b, 100 + a, 100 + b]
+            .iter()
+            .filter(|&&code| {
+                let ds = store.stripe_devices_of(code).unwrap();
+                ds.contains(&a) && ds.contains(&b)
+            })
+            .count();
+        assert!(shared > 0, "no stripe holds both dead devices");
+        let stored: Vec<(u64, Vec<u8>)> = [a, b, 100 + a, 100 + b]
+            .iter()
+            .map(|&code| (code, devices[(code % 100) as usize].raw_page(code).unwrap()))
+            .collect();
+        kill(&devices, &[a, b]);
+        for (code, bytes) in stored {
+            assert_eq!(
+                store.rebuild(&devices, code, 0).unwrap().bytes,
+                bytes,
+                "code {code}"
+            );
+        }
     }
 
     /// k = 1 stripes are r plain copies: any member reconstructs with

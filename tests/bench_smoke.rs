@@ -151,9 +151,11 @@ fn bench_all_fast_mode_produces_every_group() {
         "fault_overhead/strict_dispatch",
         "fault_overhead/policy_no_faults",
         "fault_overhead/read_parity_no_fault",
+        "fault_overhead/read_parity_degraded",
         "read_path/hot_cached",
         "read_path/cold",
         "read_path/cache_off",
+        "read_path/raw_share",
         "throughput/resident_batch_1",
         "throughput/per_query_1",
         "throughput/serial_1",
