@@ -127,7 +127,7 @@ impl DistributionMethod for GdmDistribution {
     /// "Batched address computation").
     fn device_of_batch(&self, codes: &[u64], out: &mut [u64]) {
         assert_eq!(codes.len(), out.len(), "device_of_batch buffers must match");
-        pmr_rt::obs::counter_add("addr.batch_calls", 1);
+        pmr_rt::obs::ADDR_BATCH_CALLS.add(1);
         const LANES: usize = 16;
         let layout = self.sys.packed_layout();
         let m1 = self.sys.devices() - 1;

@@ -213,9 +213,8 @@ mod tests {
     /// (its micro-reads are sub-resolution on fast hosts).
     #[test]
     fn ec_and_parity_read_benches_are_gated() {
-        assert!(gated("ec/encode_4_2"));
-        assert!(gated("ec/decode_4_2"));
-        assert!(gated("ec/reconstruct_4_2"));
+        assert!(gated("ec/parity_4_2"));
+        assert!(gated("ec/interpolate_4_2"));
         assert!(gated("fault_overhead/read_parity_no_fault"));
         assert!(!gated("fault_overhead/read_bucket_baseline"));
         assert!(!gated("fault_overhead/policy_no_faults"));

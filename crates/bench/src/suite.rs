@@ -419,7 +419,7 @@ pub fn exec_fast_path(opts: &SuiteOpts) -> Group {
 }
 
 /// Observability overhead: the disabled-path cost of `span!` and
-/// `counter_add` (the contract is one relaxed atomic load + early
+/// `Counter::add` (the contract is one relaxed atomic load + early
 /// return), against the enabled memory-sink path and a raw atomic load
 /// floor for scale.
 pub fn obs_overhead(opts: &SuiteOpts) -> Group {
@@ -442,23 +442,23 @@ pub fn obs_overhead(opts: &SuiteOpts) -> Group {
     group.bench("span_disabled", || {
         let mut acc = 0u64;
         for i in 0..per_iter as u64 {
-            let span = pmr_rt::span!("bench.obs", i = black_box(i));
+            let span = pmr_rt::span!(obs::BENCH_OBS, i = black_box(i));
             acc += span.is_recording() as u64;
         }
         acc
     });
     group.bench("counter_disabled", || {
         for i in 0..per_iter as u64 {
-            obs::counter_add("bench.obs.counter", black_box(i) & 1);
+            obs::BENCH_OBS_COUNTER.add(black_box(i) & 1);
         }
-        obs::counter_total("bench.obs.counter")
+        obs::BENCH_OBS_COUNTER.total()
     });
 
     obs::install(TraceConfig::Memory).expect("memory sink installs");
     group.bench("span_enabled_memory", || {
         let mut acc = 0u64;
         for i in 0..per_iter as u64 {
-            let span = pmr_rt::span!("bench.obs", i = black_box(i));
+            let span = pmr_rt::span!(obs::BENCH_OBS, i = black_box(i));
             acc += span.is_recording() as u64;
         }
         obs::drain_events();
@@ -467,11 +467,11 @@ pub fn obs_overhead(opts: &SuiteOpts) -> Group {
     group.bench("counter_enabled_memory", || {
         // The iteration's own delta: the counter is never reset, so its
         // running total would depend on the iteration count.
-        let before = obs::counter_total("bench.obs.counter");
+        let before = obs::BENCH_OBS_COUNTER.total();
         for i in 0..per_iter as u64 {
-            obs::counter_add("bench.obs.counter", black_box(i) & 1);
+            obs::BENCH_OBS_COUNTER.add(black_box(i) & 1);
         }
-        obs::counter_total("bench.obs.counter") - before
+        obs::BENCH_OBS_COUNTER.total() - before
     });
 
     // Leave tracing off so later groups time the production default.
@@ -667,39 +667,41 @@ pub fn read_path(opts: &SuiteOpts) -> Group {
     group
 }
 
-/// Reed–Solomon codec kernels (`pmr_rt::ec`) at the parity tier's
-/// default `k = 4, r = 2` geometry: systematic encode of one page into
-/// `k + r` framed shards, the all-shards-present fast decode, and the
-/// worst-case reconstruct with `r` data shards lost. One timed iteration
-/// processes one page, so page-size / median-ns is the codec's
+/// Reed–Solomon kernels (`pmr_rt::ec`) at the parity tier's default
+/// `k = 4, r = 2` geometry, on the calls the storage tier runs: the
+/// parity of one stripe (`parity_of`, what every parity re-encode pays)
+/// and the rebuild of one lost data shard from `k` survivors
+/// (`interpolate_into`, what a degraded read pays). One timed iteration
+/// processes one stripe, so stripe-size / median-ns is the kernel's
 /// throughput in bytes/ns (GB/s).
 pub fn ec_codec(opts: &SuiteOpts) -> Group {
     use pmr_rt::ec::ReedSolomon;
 
     let rs = ReedSolomon::new(4, 2).expect("4 + 2 <= 256");
-    let page: Vec<u8> = (0..opts.scaled(1 << 20, 1 << 12))
+    let stripe: Vec<u8> = (0..opts.scaled(1 << 20, 1 << 12))
         .map(|i| (i * 31 % 251) as u8)
         .collect();
-    let shards = rs.encode(&page);
-    let full: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
-    let mut degraded = full.clone();
-    degraded[0] = None;
-    degraded[1] = None;
+    let data: Vec<&[u8]> = stripe.chunks(stripe.len() / 4).collect();
+    let parity = rs.parity_of(&data).expect("equal shards");
+    // Shard 0 lost: rebuild it from the next k = 4 survivors.
+    let sources: Vec<(usize, &[u8])> =
+        vec![(1, data[1]), (2, data[2]), (3, data[3]), (4, &parity[0])];
+    let mut rebuilt = vec![0u8; data[0].len()];
+    rs.interpolate_into(&sources, 0, &mut rebuilt)
+        .expect("k sources");
+    assert_eq!(rebuilt, data[0], "interpolation rebuilds the lost shard");
 
     let mut group = opts.group("ec");
-    group.bench("encode_4_2", || {
-        black_box(rs.encode(black_box(&page)))
+    group.bench("parity_4_2", || {
+        black_box(rs.parity_of(black_box(&data)).expect("equal shards"))
             .iter()
             .map(Vec::len)
             .sum::<usize>() as u64
     });
-    group.bench("decode_4_2", || {
-        rs.decode(black_box(&full)).expect("all present").len() as u64
-    });
-    group.bench("reconstruct_4_2", || {
-        rs.decode(black_box(&degraded))
-            .expect("2 lost of 4+2")
-            .len() as u64
+    group.bench("interpolate_4_2", || {
+        rs.interpolate_into(black_box(&sources), 0, &mut rebuilt)
+            .expect("k sources");
+        rebuilt.len() as u64
     });
     group
 }

@@ -216,9 +216,9 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
             println!(
                 "  trace: {} spans, plan cache {} hit / {} miss, {} codes enumerated",
                 trace.spans,
-                trace.counter("inverse.plan_cache.hit"),
-                trace.counter("inverse.plan_cache.miss"),
-                trace.counter("inverse.codes_enumerated"),
+                trace.counter(&obs::INVERSE_PLAN_CACHE_HIT),
+                trace.counter(&obs::INVERSE_PLAN_CACHE_MISS),
+                trace.counter(&obs::INVERSE_CODES_ENUMERATED),
             );
         }
     }
@@ -256,7 +256,7 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         }
     }
     if traced {
-        // Final registry state into the trace file, for `pmr stats`.
+        // Final metric state into the trace file, for `pmr stats`.
         obs::flush();
     }
     Ok(())
@@ -495,8 +495,8 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
                 plan = plan.with_dead_device(d);
             }
             file.install_fault_plan(Some(Arc::new(plan)));
-            let failovers0 = obs::counter_total("exec.failover");
-            let reconstructed0 = obs::counter_total("exec.reconstructions");
+            let failovers0 = obs::EXEC_FAILOVER.total();
+            let reconstructed0 = obs::EXEC_RECONSTRUCTIONS.total();
             let (mut qualified, mut lost) = (0u64, 0u64);
             for q in &queryset {
                 let report =
@@ -509,8 +509,8 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
             } else {
                 (qualified - lost) as f64 / qualified as f64
             };
-            let failovers = obs::counter_total("exec.failover") - failovers0;
-            let reconstructed = obs::counter_total("exec.reconstructions") - reconstructed0;
+            let failovers = obs::EXEC_FAILOVER.total() - failovers0;
+            let reconstructed = obs::EXEC_RECONSTRUCTIONS.total() - reconstructed0;
             if json {
                 println!(
                     "{{\"event\":\"survivability\",\"outages\":{count},\
@@ -558,10 +558,10 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
             plan = plan.with_dead_device(d);
         }
         file.install_fault_plan(Some(Arc::new(plan)));
-        let injected0 = obs::counter_total("fault.injected");
-        let retries0 = obs::counter_total("exec.retries");
-        let failovers0 = obs::counter_total("exec.failover");
-        let reconstructed0 = obs::counter_total("exec.reconstructions");
+        let injected0 = obs::FAULT_INJECTED.total();
+        let retries0 = obs::EXEC_RETRIES.total();
+        let failovers0 = obs::EXEC_FAILOVER.total();
+        let reconstructed0 = obs::EXEC_RECONSTRUCTIONS.total();
         let (mut total_us, mut qualified, mut served, mut lost) = (0.0f64, 0u64, 0u64, 0u64);
         for q in &queryset {
             let report =
@@ -600,10 +600,10 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         } else {
             1.0
         };
-        let injected = obs::counter_total("fault.injected") - injected0;
-        let retries = obs::counter_total("exec.retries") - retries0;
-        let failovers = obs::counter_total("exec.failover") - failovers0;
-        let reconstructed = obs::counter_total("exec.reconstructions") - reconstructed0;
+        let injected = obs::FAULT_INJECTED.total() - injected0;
+        let retries = obs::EXEC_RETRIES.total() - retries0;
+        let failovers = obs::EXEC_FAILOVER.total() - failovers0;
+        let reconstructed = obs::EXEC_RECONSTRUCTIONS.total() - reconstructed0;
         if json {
             println!(
                 "{{\"rate\":{rate},\"outages\":{},\"coverage\":{coverage:.6},\
@@ -879,7 +879,7 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
     }
     let traced = install_trace(&flags)?;
     let run_one = |exp: Experiment| -> Result<(), String> {
-        let _span = pmr_rt::span!("cli.experiment");
+        let _span = pmr_rt::span!(obs::CLI_EXPERIMENT);
         let out = match exp {
             Experiment::Table1
             | Experiment::Table2

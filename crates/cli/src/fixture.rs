@@ -77,7 +77,7 @@ impl Synthetic {
         }
         let mut rng = Rng::seed_from_u64(self.seed);
         {
-            let _span = pmr_rt::span!("cli.insert", records = self.records);
+            let _span = pmr_rt::span!(pmr_rt::obs::CLI_INSERT, records = self.records);
             let records: Vec<Record> = (0..self.records)
                 .map(|_| {
                     Record::new(

@@ -151,9 +151,12 @@ enum Kernel {
 impl Kernel {
     fn for_assignment(assignment: &Assignment) -> Kernel {
         let sys = assignment.system();
-        let _span = pmr_rt::span!("fx.kernel.build", fields = sys.num_fields() as u64);
+        let _span = pmr_rt::span!(
+            pmr_rt::obs::FX_KERNEL_BUILD,
+            fields = sys.num_fields() as u64
+        );
         if (0..sys.num_fields()).all(|i| sys.field_size(i) <= MAX_TABLE_SIZE) {
-            pmr_rt::obs::counter_add("fx.kernel.tables_built", sys.num_fields() as u64);
+            pmr_rt::obs::FX_KERNEL_TABLES_BUILT.add(sys.num_fields() as u64);
             let layout = sys.packed_layout();
             let tables: Vec<Box<[u64]>> = assignment
                 .transforms()
@@ -426,11 +429,11 @@ impl FxDistribution {
     /// shape pay the `O(F_pivot)` class construction once.
     pub fn inverse_plan(&self, pattern: Pattern) -> Arc<InversePlan> {
         if let Some(plan) = self.plans.get(pattern) {
-            pmr_rt::obs::counter_add("inverse.plan_cache.hit", 1);
+            pmr_rt::obs::INVERSE_PLAN_CACHE_HIT.add(1);
             return plan;
         }
-        pmr_rt::obs::counter_add("inverse.plan_cache.miss", 1);
-        let _span = pmr_rt::span!("inverse.plan.build", pattern = pattern.0 as u64);
+        pmr_rt::obs::INVERSE_PLAN_CACHE_MISS.add(1);
+        let _span = pmr_rt::span!(pmr_rt::obs::INVERSE_PLAN_BUILD, pattern = pattern.0 as u64);
         let plan = Arc::new(InversePlan::build(self, pattern));
         self.plans.insert(pattern, plan)
     }
@@ -452,7 +455,7 @@ impl DistributionMethod for FxDistribution {
 
     fn device_of_batch(&self, codes: &[u64], out: &mut [u64]) {
         assert_eq!(codes.len(), out.len(), "device_of_batch buffers must match");
-        pmr_rt::obs::counter_add("addr.batch_calls", 1);
+        pmr_rt::obs::ADDR_BATCH_CALLS.add(1);
         self.kernel
             .device_of_batch(codes, out, self.assignment.system());
     }

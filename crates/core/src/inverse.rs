@@ -143,8 +143,8 @@ pub fn for_each_routed_code<D, F>(
             break;
         }
     }
-    pmr_rt::obs::counter_add("inverse.codes_scanned", query.qualified_count_in(sys));
-    pmr_rt::obs::counter_add("inverse.codes_enumerated", owned);
+    pmr_rt::obs::INVERSE_CODES_SCANNED.add(query.qualified_count_in(sys));
+    pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(owned);
 }
 
 /// One free (non-pivot unspecified) field of an [`InversePlan`]: its index
@@ -361,7 +361,7 @@ impl<'a> FxInverse<'a> {
             let device = crate::bits::t_m(self.h, m);
             if devices.contains(&device) {
                 f(device, self.base_code);
-                pmr_rt::obs::counter_add("inverse.codes_enumerated", 1);
+                pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(1);
             }
             return;
         }
@@ -400,7 +400,7 @@ impl<'a> FxInverse<'a> {
                 code &= !(ff.mask << ff.shift);
             }
             if !advanced {
-                pmr_rt::obs::counter_add("inverse.codes_enumerated", emitted);
+                pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(emitted);
                 return;
             }
         }

@@ -66,7 +66,7 @@ pub trait DistributionMethod: Send + Sync {
     /// If `codes` and `out` differ in length.
     fn device_of_batch(&self, codes: &[u64], out: &mut [u64]) {
         assert_eq!(codes.len(), out.len(), "device_of_batch buffers must match");
-        pmr_rt::obs::counter_add("addr.batch_calls", 1);
+        pmr_rt::obs::ADDR_BATCH_CALLS.add(1);
         for (slot, &code) in out.iter_mut().zip(codes) {
             *slot = self.device_of_packed(code);
         }

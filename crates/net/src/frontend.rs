@@ -54,8 +54,8 @@
 //! When tracing is on, scatters carry a [`wire::TraceContext`] (request
 //! id + scatter span id) so node spans link back to this frontend, and
 //! gathered responses carry [`wire::Telemetry`] blocks the frontend
-//! [absorbs](pmr_rt::obs::snapshot::absorb) into its own registry under
-//! `node{N}.`-prefixed names — one registry then holds the whole
+//! [absorbs](pmr_rt::obs::snapshot::absorb) beside its own metric table
+//! under `node{N}.`-prefixed names — one process then holds the whole
 //! cluster's counters and same-bounds histograms. Independently of
 //! tracing, every gather attributes the batch's **critical path**: the
 //! answering node with the largest `busy_us` dominated the batch's wall
@@ -172,12 +172,13 @@ pub struct NodeAttribution {
     /// tracing), and per node it equals the merged `node{N}.busy_us` —
     /// both sides bucket the same wire value with the same bounds.
     pub busy_hist: Vec<u64>,
-    /// Merged `node{N}.requests` counter (0 unless tracing shipped
-    /// telemetry).
+    /// The `requests` counter summed over this node's shipped telemetry
+    /// (0 unless tracing shipped telemetry) — what lands as
+    /// `node{N}.requests`.
     pub merged_requests: u64,
-    /// Merged `node{N}.queries` counter.
+    /// The same sum of `queries`.
     pub merged_queries: u64,
-    /// Merged `node{N}.records` counter.
+    /// The same sum of `records`.
     pub merged_records: u64,
 }
 
@@ -196,7 +197,12 @@ struct NodeState {
     busy_total_us: AtomicU64,
     /// Batches this node's `busy_us` dominated.
     critical: AtomicU64,
+    /// Shipped telemetry's [`MERGED`] counters, summed.
+    merged: [AtomicU64; 3],
 }
+
+/// The node telemetry counters [`NodeAttribution`] reports per node.
+const MERGED: [&str; 3] = ["requests", "queries", "records"];
 
 struct NodeLink {
     tx: Mutex<Box<dyn FrameTx>>,
@@ -308,6 +314,11 @@ impl<D> Frontend<D> {
                     .map(<[u64]>::to_vec)
                     .unwrap_or_else(|| vec![0; HIST_BUCKETS]);
                 let critical_batches = link.state.critical.load(Ordering::Relaxed);
+                let [merged_requests, merged_queries, merged_records] = link
+                    .state
+                    .merged
+                    .each_ref()
+                    .map(|c| c.load(Ordering::Relaxed));
                 NodeAttribution {
                     node: i as u32,
                     responses: link.state.responses.load(Ordering::Relaxed),
@@ -322,9 +333,9 @@ impl<D> Frontend<D> {
                     },
                     recent_critical_share: recent.share_of(i as u32),
                     busy_hist,
-                    merged_requests: obs::counter_total(&format!("node{i}.requests")),
-                    merged_queries: obs::counter_total(&format!("node{i}.queries")),
-                    merged_records: obs::counter_total(&format!("node{i}.records")),
+                    merged_requests,
+                    merged_queries,
+                    merged_records,
                 }
             })
             .collect()
@@ -374,7 +385,7 @@ impl<D> Frontend<D> {
 
     fn mark_down(&self, node: usize) {
         if !self.nodes[node].state.down.swap(true, Ordering::Relaxed) {
-            obs::counter_add("net.node_down", 1);
+            obs::NET_NODE_DOWN.add(1);
         }
     }
 }
@@ -407,6 +418,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                 busy_samples: Mutex::new(Vec::new()),
                 busy_total_us: AtomicU64::new(0),
                 critical: AtomicU64::new(0),
+                merged: Default::default(),
             });
             collectors.push(spawn_collector(i as u32, rx, Arc::clone(&pending)));
             nodes.push(NodeLink {
@@ -479,7 +491,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
         let mut scattered = vec![false; n];
         {
             let span = pmr_rt::span!(
-                "net.scatter",
+                obs::NET_SCATTER,
                 queries = planned.len() as u64,
                 nodes = n as u64
             );
@@ -517,8 +529,8 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                     &own
                 };
                 link.state.requests.fetch_add(1, Ordering::Relaxed);
-                obs::counter_add("net.requests", 1);
-                obs::counter_add("net.request_bytes", frame.len() as u64);
+                obs::NET_REQUESTS.add(1);
+                obs::NET_REQUEST_BYTES.add(frame.len() as u64);
                 match link.tx.lock().unwrap().send_frame(frame) {
                     Ok(()) => scattered[i] = true,
                     Err(_) => self.mark_down(i),
@@ -531,7 +543,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
         // per-response `net.gather.link` spans parent beneath it.
         let deadline = Instant::now() + self.cfg.deadline;
         let gather_span = pmr_rt::span!(
-            "net.gather",
+            obs::NET_GATHER,
             nodes = scattered.iter().filter(|&&s| s).count() as u64
         );
         let responses: Vec<Option<GatherResponse>> = {
@@ -572,8 +584,8 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                 Some(resp) => {
                     link.state.consecutive_timeouts.store(0, Ordering::Relaxed);
                     link.state.responses.fetch_add(1, Ordering::Relaxed);
-                    obs::counter_add("net.responses", 1);
-                    obs::observe_us("net.node_rt_us", resp.busy_us as f64);
+                    obs::NET_RESPONSES.add(1);
+                    obs::NET_NODE_RT_US.observe_us(resp.busy_us as f64);
                     link.state
                         .busy_samples
                         .lock()
@@ -594,17 +606,20 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                         // the node's request span on the other side of
                         // the wire.
                         let _link = pmr_rt::span!(
-                            "net.gather.link",
+                            obs::NET_GATHER_LINK,
                             node = i as u64,
                             remote_span = t.span_id,
                             busy_us = resp.busy_us
                         );
+                        for (total, name) in link.state.merged.iter().zip(MERGED) {
+                            total.fetch_add(t.metrics.counter(name), Ordering::Relaxed);
+                        }
                         absorb(&format!("node{i}."), &t.metrics);
                     }
                 }
                 None => {
                     link.state.timeouts.fetch_add(1, Ordering::Relaxed);
-                    obs::counter_add("net.timeouts", 1);
+                    obs::NET_TIMEOUTS.add(1);
                     let consecutive = link
                         .state
                         .consecutive_timeouts
@@ -706,16 +721,16 @@ fn spawn_collector(
                         let (request_id, slot) = (resp.request_id, resp.node as usize);
                         match slots.get_mut(&request_id) {
                             Some(filled) if slot < filled.len() => {
-                                obs::counter_add("net.response_bytes", frame.len() as u64);
+                                obs::NET_RESPONSE_BYTES.add(frame.len() as u64);
                                 filled[slot] = Some(resp);
                                 pending.ready.notify_all();
                             }
                             // Deadline already expired and the entry is gone,
                             // or the node id is nonsense.
-                            _ => obs::counter_add("net.late_responses", 1),
+                            _ => obs::NET_LATE_RESPONSES.add(1),
                         }
                     }
-                    _ => obs::counter_add("net.decode_errors", 1),
+                    _ => obs::NET_DECODE_ERRORS.add(1),
                 }
             }
         })

@@ -41,7 +41,7 @@
 //! Protocol revision v1.1 adds cluster-wide telemetry: scatters carry an
 //! optional [`wire::TraceContext`], responses an optional
 //! [`wire::Telemetry`] block of mergeable counter/histogram deltas the
-//! frontend folds into its registry under `node{N}.` names, and every
+//! frontend folds beside its metric table under `node{N}.` names, and every
 //! gather feeds a per-node critical-path [attribution
 //! table](frontend::Frontend::attribution) (`loadgen --watch` streams it
 //! live). See the [`wire`] module docs for the compatibility story.

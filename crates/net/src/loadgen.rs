@@ -366,9 +366,7 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
     }
     let node_stats = frontend.node_stats();
     let attribution = frontend.attribution();
-    let node_rt_us_hist = obs::histogram_counts("net.node_rt_us")
-        .map(|(_, counts)| counts)
-        .unwrap_or_else(|| vec![0; pmr_rt::obs::snapshot::HIST_BUCKETS]);
+    let node_rt_us_hist = obs::NET_NODE_RT_US.counts().to_vec();
     LoadgenSummary {
         queries: queries.len(),
         batches: batches_total,

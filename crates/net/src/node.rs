@@ -48,7 +48,7 @@ pub fn serve<D: DistributionMethod + Clone + Send + Sync + 'static>(
             // A response frame here is a protocol violation; count and
             // drop it like any undecodable frame.
             Ok(Message::Response(_)) | Err(_) => {
-                obs::counter_add("net.node.decode_errors", 1);
+                obs::NET_NODE_DECODE_ERRORS.add(1);
                 continue;
             }
         };
@@ -58,7 +58,7 @@ pub fn serve<D: DistributionMethod + Clone + Send + Sync + 'static>(
             continue;
         }
         if faults.is_some_and(|f| f.drops(id, req.request_id)) {
-            obs::counter_add("net.node.dropped", 1);
+            obs::NET_NODE_DROPPED.add(1);
             continue;
         }
         let started = Instant::now();
@@ -70,7 +70,7 @@ pub fn serve<D: DistributionMethod + Clone + Send + Sync + 'static>(
             parent_span: 0,
         });
         let span = pmr_rt::span!(
-            "net.node.request",
+            obs::NET_NODE_REQUEST,
             node = id as u64,
             queries = req.queries.len() as u64,
             trace = trace.trace_id,
@@ -80,7 +80,7 @@ pub fn serve<D: DistributionMethod + Clone + Send + Sync + 'static>(
         let planned = match planned {
             Ok(planned) => planned,
             Err(_) => {
-                obs::counter_add("net.node.decode_errors", 1);
+                obs::NET_NODE_DECODE_ERRORS.add(1);
                 continue;
             }
         };
@@ -89,10 +89,10 @@ pub fn serve<D: DistributionMethod + Clone + Send + Sync + 'static>(
         // never decoded here — the frontend's decode is the only one.
         let queries = exec.execute_planned_raw(&planned, &policy);
         let busy_us = started.elapsed().as_micros() as u64;
-        obs::observe_us("net.node.busy_us", busy_us as f64);
+        obs::NET_NODE_BUSY_US.observe_us(busy_us as f64);
         // v1.1 telemetry: accumulated **node-locally** per request, not
-        // via registry deltas — in-process clusters share one global
-        // registry, so deltas would cross-contaminate between concurrent
+        // via metric-table deltas — in-process clusters share one global
+        // table, so deltas would cross-contaminate between concurrent
         // nodes. With tracing off this whole block is skipped and the
         // frame stays byte-identical to v1.
         let telemetry = obs::enabled().then(|| {

@@ -80,7 +80,7 @@ pub const MAX_TELEMETRY_COUNTERS: u32 = 256;
 pub const MAX_TELEMETRY_HISTS: u32 = 64;
 /// Cap on one telemetry metric name, in bytes.
 pub const MAX_TELEMETRY_NAME: u8 = 128;
-/// Cap on buckets per telemetry histogram (registry shape is 7).
+/// Cap on buckets per telemetry histogram (the metric table's shape is 7).
 pub const MAX_TELEMETRY_BUCKETS: u8 = 64;
 
 const KIND_REQUEST: u8 = 1;

@@ -16,28 +16,29 @@
 //! so the codec is pure `std` and allocation is confined to shard
 //! buffers.
 //!
-//! Two API levels:
-//!
-//! * [`ReedSolomon::parity_of`] / [`ReedSolomon::reconstruct`] /
-//!   [`ReedSolomon::interpolate_into`] — raw equal-length payloads, no
-//!   framing. The storage layer's `ParityStore` stripes bucket *pages*
-//!   through these, rebuilding one page with `interpolate_into`, and
-//!   keeps its own per-member metadata.
-//! * [`ReedSolomon::encode`] / [`ReedSolomon::decode`] — self-framing
-//!   shards in the `[data_len u32 LE][crc32 u32 LE][payload]` layout
-//!   (SNIPPETS.md snippet 2): each shard carries the original length and
-//!   a CRC over its length+payload, so corrupt shards are **rejected
-//!   before decode** and simply count as erasures.
+//! The API works on raw equal-length payloads, no framing:
+//! [`ReedSolomon::parity_of`] derives a stripe's parity shards,
+//! [`ReedSolomon::interpolate_into`] rebuilds one shard from any `k`
+//! survivors, and [`ReedSolomon::reconstruct`] fills every missing one.
+//! The storage layer's `ParityStore` stripes bucket *pages* through
+//! these, rebuilding one page with `interpolate_into`, and keeps its own
+//! per-member lengths and CRCs ([`crc32`]).
 //!
 //! ```
 //! use pmr_rt::ec::ReedSolomon;
 //!
 //! let rs = ReedSolomon::new(4, 2).unwrap();
-//! let mut shards: Vec<Option<Vec<u8>>> =
-//!     rs.encode(b"partial match retrieval").into_iter().map(Some).collect();
-//! shards[1] = None; // lose a data shard
-//! shards[4] = None; // and a parity shard
-//! assert_eq!(rs.decode(&shards).unwrap(), b"partial match retrieval");
+//! let data: [&[u8]; 4] = [b"part", b"ial ", b"matc", b"h rt"];
+//! let parity = rs.parity_of(&data).unwrap();
+//! let mut stripe: Vec<Option<Vec<u8>>> = data
+//!     .iter()
+//!     .map(|d| Some(d.to_vec()))
+//!     .chain(parity.into_iter().map(Some))
+//!     .collect();
+//! stripe[1] = None; // lose a data shard
+//! stripe[4] = None; // and a parity shard
+//! rs.reconstruct(&mut stripe).unwrap();
+//! assert_eq!(stripe[1].as_deref(), Some(&b"ial "[..]));
 //! ```
 
 /// The GF(2^8) reduction polynomial `x^8 + x^4 + x^3 + x^2 + 1`.
@@ -386,85 +387,6 @@ impl ReedSolomon {
         }
         Ok(())
     }
-
-    /// Encodes `data` into `k + r` self-framing shards, each laid out as
-    /// `[data_len u32 LE][crc32 u32 LE][payload]` where the CRC covers
-    /// the length prefix and the payload. Data payloads are
-    /// `data.len().div_ceil(k)` bytes (the tail shard zero-padded), so
-    /// empty input yields header-only shards.
-    pub fn encode(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let shard_len = data.len().div_ceil(self.k);
-        let payloads: Vec<Vec<u8>> = (0..self.k)
-            .map(|j| {
-                let start = (j * shard_len).min(data.len());
-                let end = ((j + 1) * shard_len).min(data.len());
-                let mut p = data[start..end].to_vec();
-                p.resize(shard_len, 0);
-                p
-            })
-            .collect();
-        let views: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let parity = self.parity_of(&views).expect("payloads match own geometry");
-        payloads
-            .into_iter()
-            .chain(parity)
-            .map(|payload| frame_shard(data.len() as u32, &payload))
-            .collect()
-    }
-
-    /// Decodes an [`ReedSolomon::encode`]-framed stripe with up to `r`
-    /// shards missing (`None`) **or corrupt** — any shard that is too
-    /// short, fails its CRC, or disagrees with the stripe's length
-    /// header is rejected before decoding and treated as one more
-    /// erasure.
-    ///
-    /// # Errors
-    ///
-    /// [`EcError::ShardCount`] unless `shards.len() == k + r`;
-    /// [`EcError::TooFewShards`] when fewer than `k` shards survive
-    /// CRC rejection.
-    pub fn decode(&self, shards: &[Option<Vec<u8>>]) -> Result<Vec<u8>, EcError> {
-        if shards.len() != self.total_shards() {
-            return Err(EcError::ShardCount {
-                expected: self.total_shards(),
-                got: shards.len(),
-            });
-        }
-        // Validate frames first: survivors must agree on the data
-        // length, and each must pass its own CRC.
-        let mut data_len: Option<u32> = None;
-        let mut stripe: Vec<Option<Vec<u8>>> = vec![None; shards.len()];
-        for (i, shard) in shards.iter().enumerate() {
-            let Some(bytes) = shard else { continue };
-            let Some((len, payload)) = unframe_shard(bytes) else {
-                continue;
-            };
-            if payload.len() != (len as usize).div_ceil(self.k) {
-                continue;
-            }
-            match data_len {
-                None => data_len = Some(len),
-                Some(expected) if expected != len => continue,
-                Some(_) => {}
-            }
-            stripe[i] = Some(payload.to_vec());
-        }
-        let have = stripe.iter().flatten().count();
-        if have < self.k {
-            return Err(EcError::TooFewShards {
-                have,
-                needed: self.k,
-            });
-        }
-        let data_len = data_len.expect("at least k validated shards") as usize;
-        self.reconstruct(&mut stripe)?;
-        let mut data = Vec::with_capacity(data_len);
-        for payload in stripe.into_iter().take(self.k).flatten() {
-            data.extend_from_slice(&payload);
-        }
-        data.truncate(data_len);
-        Ok(data)
-    }
 }
 
 /// `out[b] ^= coeff * src[b]` over GF(2^8), skipping the zero
@@ -513,35 +435,6 @@ fn lagrange_row(points: &[u8], target: u8) -> Vec<u8> {
         .collect()
 }
 
-/// Frames one payload as `[data_len u32 LE][crc32 u32 LE][payload]`,
-/// with the CRC over the length prefix plus the payload.
-fn frame_shard(data_len: u32, payload: &[u8]) -> Vec<u8> {
-    let mut shard = Vec::with_capacity(8 + payload.len());
-    shard.extend_from_slice(&data_len.to_le_bytes());
-    let mut crc = !0u32;
-    for &b in data_len.to_le_bytes().iter().chain(payload) {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    shard.extend_from_slice(&(!crc).to_le_bytes());
-    shard.extend_from_slice(payload);
-    shard
-}
-
-/// Parses and CRC-checks one framed shard; `None` on any mismatch.
-fn unframe_shard(shard: &[u8]) -> Option<(u32, &[u8])> {
-    if shard.len() < 8 {
-        return None;
-    }
-    let data_len = u32::from_le_bytes(shard[0..4].try_into().expect("4 bytes"));
-    let stored_crc = u32::from_le_bytes(shard[4..8].try_into().expect("4 bytes"));
-    let payload = &shard[8..];
-    let mut crc = !0u32;
-    for &b in shard[0..4].iter().chain(payload) {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    (!crc == stored_crc).then_some((data_len, payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,86 +480,86 @@ mod tests {
         );
     }
 
+    /// `k` data payloads plus their parity: one whole raw stripe.
+    fn stripe_of(rs: &ReedSolomon, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let views: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        data.iter()
+            .cloned()
+            .chain(rs.parity_of(&views).unwrap())
+            .collect()
+    }
+
     #[test]
     fn round_trip_all_loss_patterns_k4_r2() {
         let rs = ReedSolomon::new(4, 2).unwrap();
-        let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
-        let encoded = rs.encode(&data);
-        assert_eq!(encoded.len(), 6);
-        // Every way of losing exactly 2 of 6 shards still decodes.
+        let data: Vec<Vec<u8>> = (0..4u32)
+            .map(|j| {
+                (0..250u32)
+                    .map(|i| ((i + 250 * j) * 31 % 251) as u8)
+                    .collect()
+            })
+            .collect();
+        let whole = stripe_of(&rs, &data);
+        assert_eq!(whole.len(), 6);
+        // Every way of losing exactly 2 of 6 shards still reconstructs.
         for lose_a in 0..6 {
             for lose_b in (lose_a + 1)..6 {
-                let mut shards: Vec<Option<Vec<u8>>> = encoded.iter().cloned().map(Some).collect();
+                let mut shards: Vec<Option<Vec<u8>>> = whole.iter().cloned().map(Some).collect();
                 shards[lose_a] = None;
                 shards[lose_b] = None;
+                rs.reconstruct(&mut shards).unwrap();
                 assert_eq!(
-                    rs.decode(&shards).unwrap(),
-                    data,
+                    shards.into_iter().flatten().collect::<Vec<_>>(),
+                    whole,
                     "losing shards {lose_a} and {lose_b}"
                 );
             }
         }
         // Losing 3 is unrecoverable and typed.
-        let mut shards: Vec<Option<Vec<u8>>> = encoded.iter().cloned().map(Some).collect();
+        let mut shards: Vec<Option<Vec<u8>>> = whole.iter().cloned().map(Some).collect();
         shards[0] = None;
         shards[1] = None;
         shards[2] = None;
         assert_eq!(
-            rs.decode(&shards),
+            rs.reconstruct(&mut shards),
             Err(EcError::TooFewShards { have: 3, needed: 4 })
         );
     }
 
-    /// Satellite: k = 1 degenerates to r plain copies — parity payloads
-    /// are byte-identical to the data and any single survivor decodes.
+    /// k = 1 degenerates to r plain copies — parity payloads are
+    /// byte-identical to the data and any single survivor rebuilds it.
     #[test]
     fn k1_degenerate_stripes_are_plain_copies() {
         let rs = ReedSolomon::new(1, 3).unwrap();
         let data = b"lonely data shard".to_vec();
-        let encoded = rs.encode(&data);
-        assert_eq!(encoded.len(), 4);
-        for shard in &encoded[1..] {
-            assert_eq!(shard[8..], encoded[0][8..], "parity is a verbatim copy");
+        let whole = stripe_of(&rs, std::slice::from_ref(&data));
+        assert_eq!(whole.len(), 4);
+        for shard in &whole[1..] {
+            assert_eq!(*shard, data, "parity is a verbatim copy");
         }
         for survivor in 0..4 {
             let mut shards: Vec<Option<Vec<u8>>> = vec![None; 4];
-            shards[survivor] = Some(encoded[survivor].clone());
-            assert_eq!(rs.decode(&shards).unwrap(), data, "survivor {survivor}");
+            shards[survivor] = Some(whole[survivor].clone());
+            rs.reconstruct(&mut shards).unwrap();
+            assert_eq!(shards[0].as_deref(), Some(&data[..]), "survivor {survivor}");
         }
     }
 
-    /// Satellite: losing all r parity shards leaves the k data shards,
-    /// which decode verbatim (the systematic property).
+    /// Losing all r parity shards leaves the k data shards verbatim (the
+    /// systematic property) and rebuilds the parity from them.
     #[test]
     fn all_parity_lost_decodes_from_data_alone() {
         let rs = ReedSolomon::new(5, 3).unwrap();
-        let data: Vec<u8> = (0..997u32).map(|i| (i % 256) as u8).collect();
-        let mut shards: Vec<Option<Vec<u8>>> = rs.encode(&data).into_iter().map(Some).collect();
+        let data: Vec<Vec<u8>> = (0..5u32)
+            .map(|j| (0..200u32).map(|i| ((i + 200 * j) % 256) as u8).collect())
+            .collect();
+        let whole = stripe_of(&rs, &data);
+        let mut shards: Vec<Option<Vec<u8>>> = whole.iter().cloned().map(Some).collect();
         for parity in shards.iter_mut().skip(5) {
             *parity = None;
         }
-        assert_eq!(rs.decode(&shards).unwrap(), data);
-    }
-
-    /// Satellite: a corrupt shard is rejected by its CRC *before* decode
-    /// — it consumes one erasure rather than poisoning the output.
-    #[test]
-    fn corrupt_shard_crc_rejected_before_decode() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let data: Vec<u8> = (0..512u32).map(|i| (i * 7 % 256) as u8).collect();
-        let mut shards: Vec<Option<Vec<u8>>> = rs.encode(&data).into_iter().map(Some).collect();
-        // Flip a payload byte in shard 2: CRC rejects it, decode succeeds.
-        shards[2].as_mut().unwrap()[20] ^= 0xFF;
-        assert_eq!(rs.decode(&shards).unwrap(), data);
-        // Corrupt the length header of shard 0 too: still r = 2 erasures.
-        shards[0].as_mut().unwrap()[0] ^= 0x01;
-        assert_eq!(rs.decode(&shards).unwrap(), data);
-        // A third bad shard (truncated below the header) exceeds r.
-        shards[1] = Some(vec![1, 2, 3]);
-        assert_eq!(
-            rs.decode(&shards),
-            Err(EcError::TooFewShards { have: 3, needed: 4 })
-        );
+        rs.reconstruct(&mut shards).unwrap();
+        assert_eq!(shards.into_iter().flatten().collect::<Vec<_>>(), whole);
     }
 
     #[test]
@@ -798,18 +691,24 @@ mod tests {
     }
 
     rt_proptest! {
-        /// Satellite: encode → drop any r shards → decode is bit-equal,
-        /// over random geometries and page sizes including zero.
+        /// Encode parity → drop any r shards → reconstruct is bit-equal,
+        /// over random geometries and shard lengths including zero.
         fn encode_drop_r_decode_round_trips(src) {
             let k = src.int_in(1, 8) as usize;
             let r = src.int_in(1, 4) as usize;
-            let len = src.int_in(0, 4096) as usize;
+            let len = src.int_in(0, 1024) as usize;
             let seed = src.int_in(0, u32::MAX as u64);
-            let mut data = vec![0u8; len];
-            Rng::seed_from_u64(seed).fill_bytes(&mut data);
+            let mut rng = Rng::seed_from_u64(seed);
+            let data: Vec<Vec<u8>> = (0..k)
+                .map(|_| {
+                    let mut d = vec![0u8; len];
+                    rng.fill_bytes(&mut d);
+                    d
+                })
+                .collect();
             let rs = ReedSolomon::new(k, r).unwrap();
-            let mut shards: Vec<Option<Vec<u8>>> =
-                rs.encode(&data).into_iter().map(Some).collect();
+            let whole = stripe_of(&rs, &data);
+            let mut shards: Vec<Option<Vec<u8>>> = whole.iter().cloned().map(Some).collect();
             // Drop exactly r distinct shards, chosen by the source.
             let mut dropped = 0;
             let mut cursor = src.int_in(0, (k + r - 1) as u64) as usize;
@@ -819,7 +718,12 @@ mod tests {
                 }
                 cursor += 1;
             }
-            assert_eq!(rs.decode(&shards).unwrap(), data, "k={k} r={r} len={len}");
+            rs.reconstruct(&mut shards).unwrap();
+            assert_eq!(
+                shards.into_iter().flatten().collect::<Vec<_>>(),
+                whole,
+                "k={k} r={r} len={len}"
+            );
         }
     }
 }

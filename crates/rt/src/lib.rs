@@ -28,8 +28,8 @@
 //!   retry policy ([`fault::RetryPolicy`]): seeded per-(device, bucket,
 //!   attempt) decisions and capped exponential backoff in *simulated*
 //!   microseconds, so chaos experiments replay bit-for-bit.
-//! * [`obs`] — observability: structured spans ([`span!`]), a metrics
-//!   registry (counters + fixed-bucket histograms), mergeable snapshots
+//! * [`obs`] — observability: structured spans ([`span!`]), one static
+//!   metric table (counters + fixed-bucket histograms), mergeable snapshots
 //!   ([`obs::snapshot`]) for cluster telemetry, a periodic JSON-lines
 //!   emitter ([`obs::emit`]), and JSON-lines / in-memory trace sinks
 //!   selected via `PMR_TRACE`. Branch-cheap when disabled, so

@@ -1,26 +1,31 @@
-//! Hermetic observability: structured spans, a metrics registry, and
-//! pluggable trace sinks — zero dependencies, branch-cheap when off.
+//! Hermetic observability: structured spans, one static metric table,
+//! and pluggable trace sinks — zero dependencies, branch-cheap when off.
 //!
-//! The subsystem has three layers:
+//! The subsystem has these layers:
 //!
-//! * **Spans** — [`span!`](crate::span!) opens a [`SpanGuard`] with
-//!   monotonic timing, a process-unique id, and parent linkage through a
-//!   per-thread span stack; dropping the guard records the span.
-//! * **Metrics registry** — named [counters](counter_add) and
-//!   fixed-bucket [histograms](observe_us) accumulated in-process;
-//!   span durations feed a histogram named after the span.
+//! * **The metric table** — [`table`] declares every [`Counter`],
+//!   [`Histogram`] and [`Span`] the workspace emits, once, as a `static`
+//!   handle (`EXEC_FAILOVER.add(1)`,
+//!   `EXEC_RECONSTRUCT_US.observe_us(x)`). Each handle owns its atomics;
+//!   a span handle owns the duration histogram named after the span.
+//! * **Spans** — [`span!`](crate::span!) opens a [`SpanGuard`] on a span
+//!   handle with monotonic timing, a process-unique id, and parent
+//!   linkage through a per-thread span stack; dropping the guard records
+//!   the span.
 //! * **Sinks** — where recorded events go: a JSON-lines writer (a file
 //!   or stderr, one flat object per line in the [`crate::bench`] JSON
-//!   vocabulary) or an in-memory recorder for tests.
-//! * **Snapshots** — [`snapshot::MetricsSnapshot`] copies registry state
+//!   vocabulary) or a capped in-memory recorder.
+//! * **Snapshots** — [`snapshot::MetricsSnapshot`] copies metric state
 //!   into mergeable plain data (same-bounds histograms add per bucket),
-//!   the transport for cluster telemetry; [`emit::Emitter`] streams
-//!   periodic JSON-lines snapshots for live watch modes.
+//!   the transport for cluster telemetry; node telemetry absorbed from
+//!   the wire lands in one such snapshot beside the table.
+//!   [`emit::Emitter`] streams periodic JSON-lines snapshots for live
+//!   watch modes.
 //!
 //! The sink is selected once from `PMR_TRACE` (`off` — the default — a
 //! file path, or `stderr`) on first use, or programmatically via
 //! [`install`]. **The disabled path is one relaxed atomic load and an
-//! early return** — `span!`/[`counter_add`] cost single-digit
+//! early return** — `span!`/[`Counter::add`] cost single-digit
 //! nanoseconds when tracing is off (pinned by the `obs_overhead` bench
 //! group), so instrumentation stays compiled in everywhere.
 //!
@@ -31,9 +36,12 @@ pub mod agg;
 pub mod emit;
 pub mod json;
 pub mod snapshot;
+pub mod table;
+
+pub use table::*;
 
 use crate::sync::{Mutex, RwLock};
-use std::collections::HashMap;
+use snapshot::HIST_BUCKETS;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -44,9 +52,9 @@ use std::time::Instant;
 /// `stderr`, or a file path.
 pub const ENV_VAR: &str = "PMR_TRACE";
 
-/// Histogram bucket upper bounds, in microseconds, used for span
-/// durations and [`observe_us`]: 10µs … 1s in decades (plus an implicit
-/// overflow bucket).
+/// Histogram bucket upper bounds, in microseconds, shared by every
+/// [`Histogram`] and span duration: 10µs … 1s in decades (plus an
+/// implicit overflow bucket).
 pub const DEFAULT_US_BOUNDS: [f64; 6] = [10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
 
 /// Tracing state: 0 = uninitialised, 1 = off, 2 = on.
@@ -103,7 +111,9 @@ pub enum TraceConfig {
     Stderr,
     /// JSON lines appended to a file (created/truncated on install).
     File(PathBuf),
-    /// Events recorded in memory — for tests; read with [`drain_events`].
+    /// Events recorded in memory, at most [`MEMORY_SINK_CAP`] of them —
+    /// for tests and for runs that only need the metric totals; read
+    /// with [`drain_events`].
     Memory,
 }
 
@@ -123,7 +133,7 @@ impl TraceConfig {
 
 /// Installs a sink, replacing any previous one, and flips the global
 /// enable flag accordingly. Installing [`TraceConfig::Off`] disables
-/// tracing but keeps the registry's accumulated totals (use [`reset`] to
+/// tracing but keeps the metrics' accumulated totals (use [`reset`] to
 /// zero them).
 pub fn install(cfg: TraceConfig) -> std::io::Result<()> {
     let sink = match cfg {
@@ -153,13 +163,12 @@ pub enum Event {
         /// Total at the time of the flush.
         total: u64,
     },
-    /// A histogram's bucket state at flush time.
+    /// A histogram's bucket state at flush time, over
+    /// [`DEFAULT_US_BOUNDS`].
     Hist {
         /// Histogram name.
         name: String,
-        /// Bucket upper bounds (ascending).
-        bounds: Vec<f64>,
-        /// Per-bucket counts; one longer than `bounds` (overflow last).
+        /// Per-bucket counts; one longer than the bounds (overflow last).
         counts: Vec<u64>,
     },
 }
@@ -206,21 +215,24 @@ impl Event {
             Event::Counter { name, total } => {
                 format!("{{\"event\":\"counter\",\"name\":\"{name}\",\"total\":{total}}}")
             }
-            Event::Hist {
-                name,
-                bounds,
-                counts,
-            } => {
+            Event::Hist { name, counts } => {
                 let join = |xs: &[String]| xs.join(",");
                 format!(
                     "{{\"event\":\"hist\",\"name\":\"{name}\",\"bounds\":[{}],\"counts\":[{}]}}",
-                    join(&bounds.iter().map(|b| format!("{b}")).collect::<Vec<_>>()),
+                    join(&DEFAULT_US_BOUNDS.map(|b| format!("{b}"))),
                     join(&counts.iter().map(|c| c.to_string()).collect::<Vec<_>>()),
                 )
             }
         }
     }
 }
+
+/// Events the in-memory sink retains; later events are dropped and
+/// counted under [`OBS_MEMORY_SINK_DROPPED`] until [`drain_events`]
+/// empties it. An event is at most 512 bytes with its heap parts (a span
+/// event is 88 bytes inline plus a table name and at most five
+/// attributes), so a full sink holds at most 4 MiB.
+pub const MEMORY_SINK_CAP: usize = 8_192;
 
 enum Sink {
     Stderr,
@@ -238,7 +250,12 @@ fn emit(event: Event) {
             let _ = writeln!(f, "{}", event.to_json());
         }
         Sink::Memory(events) => {
-            events.lock().push(event);
+            let mut events = events.lock();
+            if events.len() < MEMORY_SINK_CAP {
+                events.push(event);
+            } else {
+                OBS_MEMORY_SINK_DROPPED.add(1);
+            }
         }
     }
 }
@@ -254,112 +271,190 @@ pub fn drain_events() -> Vec<Event> {
 }
 
 // ---------------------------------------------------------------------
-// Metrics registry
+// Metric handles
 // ---------------------------------------------------------------------
 
-struct Hist {
-    bounds: Vec<f64>,
-    /// `bounds.len() + 1` buckets; the last collects overflow.
-    counts: Vec<AtomicU64>,
+/// A named `u64` counter: one relaxed atomic, declared in [`table`].
+pub struct Counter {
+    name: &'static str,
+    total: AtomicU64,
 }
 
-#[derive(Default)]
-struct Registry {
-    counters: RwLock<HashMap<String, Arc<AtomicU64>>>,
-    hists: RwLock<HashMap<String, Arc<Hist>>>,
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
-
-impl Registry {
-    fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some(c) = self.counters.read().get(name) {
-            return c.clone();
+impl Counter {
+    const fn new(name: &'static str) -> Counter {
+        Counter {
+            name,
+            total: AtomicU64::new(0),
         }
-        self.counters
-            .write()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
     }
 
-    fn hist(&self, name: &str) -> Arc<Hist> {
-        if let Some(h) = self.hists.read().get(name) {
-            return h.clone();
+    /// Adds `delta`. No-op (atomic load + return) when tracing is off.
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        if !enabled() || delta == 0 {
+            return;
         }
-        self.hists
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                Arc::new(Hist {
-                    bounds: DEFAULT_US_BOUNDS.to_vec(),
-                    counts: (0..=DEFAULT_US_BOUNDS.len())
-                        .map(|_| AtomicU64::new(0))
-                        .collect(),
-                })
-            })
-            .clone()
+        self.total.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// The running total.
+    pub fn total(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
+    }
+
+    /// The counter's table name.
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 }
 
-/// Adds `delta` to the named counter. No-op (atomic load + return) when
-/// tracing is off.
-#[inline]
-pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() || delta == 0 {
-        return;
-    }
-    registry().counter(name).fetch_add(delta, Ordering::Relaxed);
+/// A named fixed-bucket microsecond histogram ([`DEFAULT_US_BOUNDS`]
+/// plus an overflow bucket), declared in [`table`].
+pub struct Histogram {
+    name: &'static str,
+    counts: [AtomicU64; HIST_BUCKETS],
 }
 
-/// The named counter's running total (0 if it was never touched).
-pub fn counter_total(name: &str) -> u64 {
-    registry()
-        .counters
-        .read()
-        .get(name)
-        .map_or(0, |c| c.load(Ordering::Relaxed))
+impl Histogram {
+    const fn new(name: &'static str) -> Histogram {
+        Histogram {
+            name,
+            counts: [const { AtomicU64::new(0) }; HIST_BUCKETS],
+        }
+    }
+
+    /// Records one microsecond observation. No-op when tracing is off.
+    #[inline]
+    pub fn observe_us(&self, us: f64) {
+        if !enabled() {
+            return;
+        }
+        self.counts[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The per-bucket counts, overflow last.
+    pub fn counts(&self) -> [u64; HIST_BUCKETS] {
+        std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
+    }
 }
 
-/// Records a microsecond observation into the named fixed-bucket
-/// histogram ([`DEFAULT_US_BOUNDS`]). No-op when tracing is off.
-pub fn observe_us(name: &str, us: f64) {
-    if !enabled() {
-        return;
-    }
-    let hist = registry().hist(name);
-    let bucket = hist
-        .bounds
+/// The bucket a microsecond observation falls in: the first bound it
+/// does not exceed, else the overflow bucket.
+fn bucket_of(us: f64) -> usize {
+    DEFAULT_US_BOUNDS
         .iter()
         .position(|&b| us <= b)
-        .unwrap_or(hist.bounds.len());
-    hist.counts[bucket].fetch_add(1, Ordering::Relaxed);
+        .unwrap_or(DEFAULT_US_BOUNDS.len())
 }
 
-/// The named histogram's `(bounds, counts)` state, if it exists.
+/// A named span, opened with [`span!`](crate::span!); its closed
+/// durations feed a histogram of the same name.
+pub struct Span {
+    hist: Histogram,
+}
+
+impl Span {
+    const fn new(name: &'static str) -> Span {
+        Span {
+            hist: Histogram::new(name),
+        }
+    }
+
+    /// The span's table name.
+    pub fn name(&self) -> &'static str {
+        self.hist.name
+    }
+}
+
+/// One [`TABLE`] entry.
+#[derive(Clone, Copy)]
+pub enum Metric {
+    /// A counter.
+    Counter(&'static Counter),
+    /// A histogram.
+    Histogram(&'static Histogram),
+    /// A span (and its duration histogram).
+    Span(&'static Span),
+}
+
+impl Metric {
+    /// The entry's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Metric::Counter(c) => c.name,
+            Metric::Histogram(h) => h.name,
+            Metric::Span(s) => s.name(),
+        }
+    }
+
+    /// The entry's kind as DESIGN §9 spells it: `counter`, `hist` or
+    /// `span`.
+    pub fn kind(self) -> &'static str {
+        match self {
+            Metric::Counter(_) => "counter",
+            Metric::Histogram(_) => "hist",
+            Metric::Span(_) => "span",
+        }
+    }
+
+    fn hist(self) -> Option<&'static Histogram> {
+        match self {
+            Metric::Counter(_) => None,
+            Metric::Histogram(h) => Some(h),
+            Metric::Span(s) => Some(&s.hist),
+        }
+    }
+
+    /// A counter's total; 0 for the other kinds.
+    fn total(self) -> u64 {
+        match self {
+            Metric::Counter(c) => c.total(),
+            _ => 0,
+        }
+    }
+
+    /// The entry's atomics: a counter's total or a histogram's buckets.
+    fn slots(self) -> &'static [AtomicU64] {
+        match self {
+            Metric::Counter(c) => std::slice::from_ref(&c.total),
+            Metric::Histogram(h) => &h.counts,
+            Metric::Span(s) => &s.hist.counts,
+        }
+    }
+}
+
+/// The table entry named `name`, if any.
+fn lookup(name: &str) -> Option<Metric> {
+    TABLE
+        .binary_search_by(|m| m.name().cmp(name))
+        .ok()
+        .map(|i| TABLE[i])
+}
+
+/// The named counter's running total — a table counter or an absorbed
+/// `node{N}.*` one (0 when neither exists). For reading metrics by name;
+/// emitters use the [`table`] handles.
+pub fn counter_total(name: &str) -> u64 {
+    match lookup(name) {
+        Some(m) => m.total(),
+        None => snapshot::ABSORBED.lock().counter(name),
+    }
+}
+
+/// The named histogram's `(bounds, counts)` state — a table histogram
+/// or span duration histogram, or an absorbed `node{N}.*` one.
 pub fn histogram_counts(name: &str) -> Option<(Vec<f64>, Vec<u64>)> {
-    registry().hists.read().get(name).map(|h| {
-        (
-            h.bounds.clone(),
-            h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        )
-    })
+    let counts = match lookup(name) {
+        Some(m) => m.hist()?.counts().to_vec(),
+        None => snapshot::ABSORBED.lock().hist(name)?.to_vec(),
+    };
+    Some((DEFAULT_US_BOUNDS.to_vec(), counts))
 }
 
-/// All counters with non-zero totals, name-sorted.
+/// All counters with non-zero totals, name-sorted: the table's and the
+/// absorbed ones.
 pub fn counters_snapshot() -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = registry()
-        .counters
-        .read()
-        .iter()
-        .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-        .filter(|(_, v)| *v > 0)
-        .collect();
-    out.sort();
-    out
+    snapshot::snapshot().counters
 }
 
 /// Spans recorded since process start (or the last [`reset`]).
@@ -367,43 +462,31 @@ pub fn spans_recorded() -> u64 {
     SPANS_RECORDED.load(Ordering::Relaxed)
 }
 
-/// Writes every counter total and histogram state to the sink as
-/// `counter` / `hist` events. Call once at the end of a traced run so
-/// the JSON-lines file carries the final registry state; `cli stats`
-/// reads the *last* total per name.
+/// Writes every non-zero counter total and histogram state to the sink
+/// as `counter` / `hist` events, name-sorted. Call once at the end of a
+/// traced run so the JSON-lines file carries the final metric state;
+/// `cli stats` reads the *last* total per name.
 pub fn flush() {
     if !enabled() {
         return;
     }
-    for (name, total) in counters_snapshot() {
+    let snap = snapshot::snapshot();
+    for (name, total) in snap.counters {
         emit(Event::Counter { name, total });
     }
-    let hists: Vec<(String, Arc<Hist>)> = registry()
-        .hists
-        .read()
-        .iter()
-        .map(|(k, v)| (k.clone(), v.clone()))
-        .collect();
-    for (name, h) in hists {
-        emit(Event::Hist {
-            name,
-            bounds: h.bounds.clone(),
-            counts: h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        });
+    for (name, counts) in snap.hists {
+        emit(Event::Hist { name, counts });
     }
 }
 
-/// Zeroes every counter and histogram and the span count. Tests and the
-/// CLI use this to scope the registry to one run; the sink is untouched.
+/// Zeroes every counter and histogram, the absorbed node telemetry and
+/// the span count. Tests and the CLI use this to scope metrics to one
+/// run; the sink is untouched.
 pub fn reset() {
-    for c in registry().counters.read().values() {
-        c.store(0, Ordering::Relaxed);
+    for slot in TABLE.iter().flat_map(|m| m.slots()) {
+        slot.store(0, Ordering::Relaxed);
     }
-    for h in registry().hists.read().values() {
-        for c in &h.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
+    *snapshot::ABSORBED.lock() = snapshot::MetricsSnapshot::default();
     SPANS_RECORDED.store(0, Ordering::Relaxed);
 }
 
@@ -412,13 +495,13 @@ pub fn reset() {
 // ---------------------------------------------------------------------
 
 /// An open span; dropping it records the span (duration, parent linkage,
-/// attributes) and feeds the duration histogram named after the span.
+/// attributes) and feeds the span handle's duration histogram.
 /// Constructed by [`span!`](crate::span!) — a disabled guard is inert.
 #[must_use = "a span measures the scope it is alive in"]
 pub struct SpanGuard(Option<ActiveSpan>);
 
 struct ActiveSpan {
-    name: &'static str,
+    span: &'static Span,
     attrs: Vec<(&'static str, u64)>,
     id: u64,
     parent: Option<u64>,
@@ -430,11 +513,11 @@ impl SpanGuard {
     /// Opens a span if tracing is on; the disabled path is one atomic
     /// load and an early return.
     #[inline]
-    pub fn begin(name: &'static str, attrs: &[(&'static str, u64)]) -> SpanGuard {
+    pub fn begin(span: &'static Span, attrs: &[(&'static str, u64)]) -> SpanGuard {
         if !enabled() {
             return SpanGuard(None);
         }
-        SpanGuard(Some(ActiveSpan::start(name, attrs)))
+        SpanGuard(Some(ActiveSpan::start(span, attrs)))
     }
 
     /// An inert guard (what [`begin`](SpanGuard::begin) returns when
@@ -455,7 +538,7 @@ impl SpanGuard {
 }
 
 impl ActiveSpan {
-    fn start(name: &'static str, attrs: &[(&'static str, u64)]) -> ActiveSpan {
+    fn start(span: &'static Span, attrs: &[(&'static str, u64)]) -> ActiveSpan {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let parent = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
@@ -464,7 +547,7 @@ impl ActiveSpan {
             parent
         });
         ActiveSpan {
-            name,
+            span,
             attrs: attrs.to_vec(),
             id,
             parent,
@@ -487,9 +570,9 @@ impl Drop for SpanGuard {
             }
         });
         SPANS_RECORDED.fetch_add(1, Ordering::Relaxed);
-        observe_us(span.name, elapsed_ns / 1_000.0);
+        span.span.hist.observe_us(elapsed_ns / 1_000.0);
         emit(Event::Span(SpanEvent {
-            name: span.name.to_string(),
+            name: span.span.name().to_string(),
             id: span.id,
             parent: span.parent,
             start_us: span.start_us,
@@ -503,8 +586,8 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a [`SpanGuard`] named `$name` with optional `key = value`
-/// attributes (values coerced to `u64`).
+/// Opens a [`SpanGuard`] on a [`Span`] handle from the [`table`], with
+/// optional `key = value` attributes (values coerced to `u64`).
 ///
 /// The enabled check runs **before** any attribute expression is
 /// evaluated: with tracing off the whole call is one `#[inline]` relaxed
@@ -514,13 +597,13 @@ impl Drop for SpanGuard {
 /// atomic-load floor.
 ///
 /// ```
-/// let _span = pmr_rt::span!("exec.device", device = 3u64);
+/// let _span = pmr_rt::span!(pmr_rt::obs::EXEC_DEVICE, device = 3u64);
 /// ```
 #[macro_export]
 macro_rules! span {
-    ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
+    ($span:expr $(, $key:ident = $val:expr)* $(,)?) => {
         if $crate::obs::enabled() {
-            $crate::obs::SpanGuard::begin($name, &[$((stringify!($key), ($val) as u64)),*])
+            $crate::obs::SpanGuard::begin(&$span, &[$((stringify!($key), ($val) as u64)),*])
         } else {
             $crate::obs::SpanGuard::disabled()
         }
@@ -539,17 +622,17 @@ macro_rules! span {
 pub struct TraceSummary {
     /// Spans recorded during the capture.
     pub spans: u64,
-    /// Counter deltas during the capture, name-sorted, zero deltas
+    /// Table counter deltas during the capture, name-sorted, zero deltas
     /// dropped.
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(&'static str, u64)>,
 }
 
 impl TraceSummary {
     /// The delta for one counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub fn counter(&self, counter: &Counter) -> u64 {
         self.counters
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == counter.name)
             .map_or(0, |(_, v)| *v)
     }
 
@@ -565,14 +648,15 @@ impl TraceSummary {
     }
 }
 
-/// A registry snapshot opened by [`capture`]; [`finish`](TraceCapture::finish)
-/// turns it into the delta [`TraceSummary`].
+/// The table's counter totals when [`capture`] opened: one `u64` per
+/// [`TABLE`] slot. [`finish`](TraceCapture::finish) turns it into the
+/// delta [`TraceSummary`].
 pub struct TraceCapture {
     spans_before: u64,
-    counters_before: Vec<(String, u64)>,
+    totals: Vec<u64>,
 }
 
-/// Starts a capture of registry activity, or `None` when tracing is off.
+/// Starts a capture of metric activity, or `None` when tracing is off.
 /// Deltas are process-wide: concurrent instrumented operations fold into
 /// the same capture.
 pub fn capture() -> Option<TraceCapture> {
@@ -581,23 +665,19 @@ pub fn capture() -> Option<TraceCapture> {
     }
     Some(TraceCapture {
         spans_before: spans_recorded(),
-        counters_before: counters_snapshot(),
+        totals: TABLE.iter().map(|m| m.total()).collect(),
     })
 }
 
 impl TraceCapture {
     /// Closes the capture: counter and span-count deltas since it opened.
     pub fn finish(self) -> TraceSummary {
-        let before: HashMap<&str, u64> = self
-            .counters_before
+        let counters = TABLE
             .iter()
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
-        let counters = counters_snapshot()
-            .into_iter()
-            .filter_map(|(name, total)| {
-                let delta = total - before.get(name.as_str()).copied().unwrap_or(0).min(total);
-                (delta > 0).then_some((name, delta))
+            .zip(self.totals)
+            .filter_map(|(m, before)| {
+                let delta = m.total().saturating_sub(before);
+                (delta > 0).then_some((m.name(), delta))
             })
             .collect();
         TraceSummary {
@@ -611,9 +691,9 @@ impl TraceCapture {
 mod tests {
     use super::*;
 
-    /// Global-state tests share one lock so parallel test threads don't
-    /// fight over the sink.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
+    /// Global-state tests (here and in [`super::snapshot`]) share one
+    /// lock so parallel test threads don't fight over the sink.
+    pub(super) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
     }
@@ -622,14 +702,16 @@ mod tests {
     fn disabled_records_nothing() {
         let _l = lock();
         install(TraceConfig::Off).unwrap();
+        reset();
         let spans_before = spans_recorded();
         {
-            let _s = crate::span!("test.noop", x = 1u64);
-            counter_add("test.noop.counter", 5);
-            observe_us("test.noop.hist", 50.0);
+            let _s = crate::span!(BENCH_OBS, x = 1u64);
+            BENCH_OBS_COUNTER.add(5);
+            EXEC_RECONSTRUCT_US.observe_us(50.0);
         }
         assert_eq!(spans_recorded(), spans_before);
-        assert_eq!(counter_total("test.noop.counter"), 0);
+        assert_eq!(BENCH_OBS_COUNTER.total(), 0);
+        assert_eq!(EXEC_RECONSTRUCT_US.counts(), [0; HIST_BUCKETS]);
         assert!(capture().is_none());
         assert!(drain_events().is_empty());
     }
@@ -642,13 +724,13 @@ mod tests {
         drain_events();
         let cap = capture().expect("tracing on");
         {
-            let outer = crate::span!("test.outer");
+            let outer = crate::span!(CLI_EXPERIMENT);
             let outer_id = outer.id().unwrap();
             {
-                let _inner = crate::span!("test.inner", device = 7u64);
-                counter_add("test.hits", 2);
+                let _inner = crate::span!(EXEC_DEVICE, device = 7u64);
+                BENCH_OBS_COUNTER.add(2);
             }
-            counter_add("test.hits", 1);
+            BENCH_OBS_COUNTER.add(1);
             drop(outer);
             let events = drain_events();
             let spans: Vec<&SpanEvent> = events
@@ -660,18 +742,21 @@ mod tests {
                 .collect();
             assert_eq!(spans.len(), 2, "{events:?}");
             // Inner closes first and links to the outer span.
-            assert_eq!(spans[0].name, "test.inner");
+            assert_eq!(spans[0].name, "exec.device");
             assert_eq!(spans[0].parent, Some(outer_id));
             assert_eq!(spans[0].attrs, vec![("device".to_string(), 7)]);
-            assert_eq!(spans[1].name, "test.outer");
+            assert_eq!(spans[1].name, "cli.experiment");
             assert_eq!(spans[1].parent, None);
             assert!(spans[1].elapsed_ns >= spans[0].elapsed_ns);
         }
         let summary = cap.finish();
         assert_eq!(summary.spans, 2);
-        assert_eq!(summary.counter("test.hits"), 3);
-        assert_eq!(summary.counter("test.absent"), 0);
-        assert!(summary.to_json().contains("\"test.hits\":3"));
+        assert_eq!(summary.counter(&BENCH_OBS_COUNTER), 3);
+        assert_eq!(summary.counter(&EXEC_FAILOVER), 0);
+        assert!(summary.to_json().contains("\"bench.obs.counter\":3"));
+        // Each closed span fed its handle's duration histogram.
+        let (_, durations) = histogram_counts("exec.device").unwrap();
+        assert_eq!(durations.iter().sum::<u64>(), 1);
         install(TraceConfig::Off).unwrap();
     }
 
@@ -681,35 +766,69 @@ mod tests {
         install(TraceConfig::Memory).unwrap();
         reset();
         drain_events();
-        counter_add("test.flush.count", 4);
-        observe_us("test.flush.lat", 5.0); // first bucket
-        observe_us("test.flush.lat", 1e9); // overflow bucket
+        BENCH_OBS_COUNTER.add(4);
+        EXEC_FAILOVER.add(1);
+        EXEC_RECONSTRUCT_US.observe_us(5.0); // first bucket
+        EXEC_RECONSTRUCT_US.observe_us(1e9); // overflow bucket
+        EXEC_RETRY_DELAY_US.observe_us(50.0);
         flush();
         let events = drain_events();
-        assert!(events.contains(&Event::Counter {
-            name: "test.flush.count".into(),
-            total: 4
-        }));
-        let hist = events
+        let counters: Vec<(&str, u64)> = events
             .iter()
-            .find_map(|e| match e {
-                Event::Hist {
-                    name,
-                    bounds,
-                    counts,
-                } if name == "test.flush.lat" => Some((bounds.clone(), counts.clone())),
+            .filter_map(|e| match e {
+                Event::Counter { name, total } => Some((name.as_str(), *total)),
                 _ => None,
             })
-            .expect("hist flushed");
-        assert_eq!(hist.0, DEFAULT_US_BOUNDS.to_vec());
-        assert_eq!(hist.1[0], 1);
-        assert_eq!(*hist.1.last().unwrap(), 1);
-        assert_eq!(histogram_counts("test.flush.lat").unwrap(), hist);
+            .collect();
+        assert_eq!(counters, [("bench.obs.counter", 4), ("exec.failover", 1)]);
+        let hists: Vec<(&str, &[u64])> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Hist { name, counts } => Some((name.as_str(), counts.as_slice())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            hists.iter().map(|h| h.0).collect::<Vec<_>>(),
+            ["exec.reconstruct_us", "exec.retry_delay_us"],
+            "only touched histograms, name-sorted"
+        );
+        let (_, counts) = hists[0];
+        assert_eq!(counts[0], 1);
+        assert_eq!(*counts.last().unwrap(), 1);
+        assert_eq!(
+            histogram_counts("exec.reconstruct_us"),
+            Some((DEFAULT_US_BOUNDS.to_vec(), counts.to_vec()))
+        );
+        assert_eq!(counter_total("bench.obs.counter"), 4);
+        assert_eq!(counter_total("no.such_counter"), 0);
         // Every event's JSON parses back through the mini parser.
         for e in &events {
             json::parse_object(&e.to_json()).expect("event JSON parses");
         }
         install(TraceConfig::Off).unwrap();
+    }
+
+    /// The in-memory sink keeps the first [`MEMORY_SINK_CAP`] events and
+    /// counts the rest instead of storing them; draining makes room.
+    #[test]
+    fn memory_sink_is_capped_and_counts_what_it_drops() {
+        let _l = lock();
+        install(TraceConfig::Memory).unwrap();
+        reset();
+        drain_events();
+        for _ in 0..MEMORY_SINK_CAP + 3 {
+            let _s = crate::span!(BENCH_OBS);
+        }
+        assert_eq!(OBS_MEMORY_SINK_DROPPED.total(), 3);
+        assert_eq!(spans_recorded(), MEMORY_SINK_CAP as u64 + 3);
+        assert_eq!(drain_events().len(), MEMORY_SINK_CAP);
+        {
+            let _s = crate::span!(BENCH_OBS);
+        }
+        assert_eq!(drain_events().len(), 1, "a drained sink records again");
+        install(TraceConfig::Off).unwrap();
+        reset();
     }
 
     #[test]

@@ -1,18 +1,28 @@
-//! Mergeable registry snapshots — the cluster-telemetry building block.
+//! Mergeable metric snapshots — the cluster-telemetry building block.
 //!
 //! A [`MetricsSnapshot`] is a plain-data copy of counter totals and
-//! histogram bucket counts. Because every registry histogram shares the
+//! histogram bucket counts. Because every histogram shares the
 //! [`super::DEFAULT_US_BOUNDS`] shape, merging two snapshots (or folding
-//! one into the live registry with [`absorb`]) is per-name, per-bucket
+//! one into the absorbed store with [`absorb`]) is per-name, per-bucket
 //! **addition** — no interpolation, no reshaping, no allocation beyond
 //! the name strings. Cluster nodes ship per-request delta snapshots over
 //! the wire; the frontend [`absorb`]s them under `node{N}.`-prefixed
-//! names so one registry holds the whole cluster's state.
+//! names into one plain-data snapshot beside the metric table, so
+//! [`snapshot`], [`super::flush`] and [`super::counter_total`] see the
+//! whole cluster's state.
 
-use super::{registry, DEFAULT_US_BOUNDS};
-use std::sync::atomic::Ordering;
+use super::{bucket_of, DEFAULT_US_BOUNDS, TABLE};
+use crate::sync::Mutex;
 
-/// Fixed bucket count of every registry histogram:
+/// Node telemetry absorbed from the wire: names the table cannot know.
+/// Bounded per node by the wire's telemetry caps (names per snapshot and
+/// bytes per name).
+pub(super) static ABSORBED: Mutex<MetricsSnapshot> = Mutex::new(MetricsSnapshot {
+    counters: Vec::new(),
+    hists: Vec::new(),
+});
+
+/// Fixed bucket count of every histogram:
 /// `DEFAULT_US_BOUNDS.len()` bounded buckets plus the overflow bucket.
 pub const HIST_BUCKETS: usize = DEFAULT_US_BOUNDS.len() + 1;
 
@@ -71,12 +81,9 @@ impl MetricsSnapshot {
 
     /// Buckets one microsecond observation into the named histogram,
     /// creating it with [`HIST_BUCKETS`] zeroed buckets on first use —
-    /// the same bucketing rule as [`super::observe_us`].
+    /// the same bucketing rule as [`super::Histogram::observe_us`].
     pub fn observe_us(&mut self, name: &str, us: f64) {
-        let bucket = DEFAULT_US_BOUNDS
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(DEFAULT_US_BOUNDS.len());
+        let bucket = bucket_of(us);
         match self.hists.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
             Ok(i) => self.hists[i].1[bucket] += 1,
             Err(i) => {
@@ -89,7 +96,7 @@ impl MetricsSnapshot {
 
     /// The change since `earlier`: per-name saturating subtraction, with
     /// zero counters and all-zero histograms dropped. `self` must be the
-    /// *later* snapshot of the same registry — counters only grow, so a
+    /// *later* snapshot of the same metrics — counters only grow, so a
     /// name that shrank is clamped to 0 rather than wrapping.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let counters = self
@@ -120,8 +127,8 @@ impl MetricsSnapshot {
 
     /// Folds `other` into `self`: counters add per name; histograms add
     /// per bucket **when the bucket counts have the same length** (same
-    /// bounds — the registry invariant). A histogram with a mismatched
-    /// shape is skipped rather than misinterpreted.
+    /// bounds — true of every histogram here). A histogram with a
+    /// mismatched shape is skipped rather than misinterpreted.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, delta) in &other.counters {
             self.add_counter(name, *delta);
@@ -145,90 +152,88 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshots the live registry: every counter with a non-zero total and
-/// every histogram's bucket counts, name-sorted. Pair with
-/// [`MetricsSnapshot::delta_since`] to scope a measurement.
+/// Snapshots the metric table and the absorbed node telemetry: every
+/// counter with a non-zero total and every histogram with a non-zero
+/// bucket, name-sorted. Pair with [`MetricsSnapshot::delta_since`] to
+/// scope a measurement.
 pub fn snapshot() -> MetricsSnapshot {
-    let counters = super::counters_snapshot();
-    let mut hists: Vec<(String, Vec<u64>)> = registry()
-        .hists
-        .read()
-        .iter()
-        .map(|(name, h)| {
-            (
-                name.clone(),
-                h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            )
-        })
-        .collect();
-    hists.sort();
-    MetricsSnapshot { counters, hists }
+    let mut snap = MetricsSnapshot::default();
+    // TABLE is name-sorted, so pushing keeps both lists sorted.
+    for m in TABLE {
+        match m.hist() {
+            Some(h) => {
+                let counts = h.counts();
+                if counts.iter().any(|&c| c > 0) {
+                    snap.hists.push((m.name().to_string(), counts.to_vec()));
+                }
+            }
+            None if m.total() > 0 => snap.counters.push((m.name().to_string(), m.total())),
+            None => {}
+        }
+    }
+    snap.merge(&ABSORBED.lock());
+    snap
 }
 
-/// Folds a delta snapshot into the **live registry** under
+/// Folds a delta snapshot into the absorbed store under
 /// `{prefix}{name}` — the frontend's merge step: node telemetry arrives
 /// as a [`MetricsSnapshot`] and lands as `node{N}.requests`,
 /// `node{N}.busy_us`, … next to the frontend's own metrics. Histogram
-/// deltas add per bucket (same-bounds merge); a delta whose bucket count
-/// does not match the registry shape is skipped. No-op when tracing is
-/// off, like every registry write.
+/// deltas add per bucket (same-bounds merge); a histogram whose bucket
+/// count is not [`HIST_BUCKETS`] is skipped. No-op when tracing is off,
+/// like every metric write.
 pub fn absorb(prefix: &str, delta: &MetricsSnapshot) {
     if !super::enabled() {
         return;
     }
-    let mut name = String::with_capacity(prefix.len() + 16);
-    for (n, d) in &delta.counters {
-        name.clear();
-        name.push_str(prefix);
-        name.push_str(n);
-        super::counter_add(&name, *d);
-    }
-    for (n, counts) in &delta.hists {
-        if counts.len() != HIST_BUCKETS {
-            continue;
-        }
-        name.clear();
-        name.push_str(prefix);
-        name.push_str(n);
-        let hist = registry().hist(&name);
-        for (slot, c) in hist.counts.iter().zip(counts) {
-            slot.fetch_add(*c, Ordering::Relaxed);
-        }
-    }
+    // A shared prefix keeps the names sorted.
+    let prefixed = MetricsSnapshot {
+        counters: delta
+            .counters
+            .iter()
+            .map(|(n, d)| (format!("{prefix}{n}"), *d))
+            .collect(),
+        hists: delta
+            .hists
+            .iter()
+            .filter(|(_, counts)| counts.len() == HIST_BUCKETS)
+            .map(|(n, counts)| (format!("{prefix}{n}"), counts.clone()))
+            .collect(),
+    };
+    ABSORBED.lock().merge(&prefixed);
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::lock;
     use super::super::{
-        counter_add, counter_total, histogram_counts, install, observe_us, reset, TraceConfig,
+        counter_total, histogram_counts, install, reset, TraceConfig, BENCH_OBS_COUNTER,
+        EXEC_FAILOVER, EXEC_RECONSTRUCT_US,
     };
     use super::*;
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
-        LOCK.lock()
-    }
 
     #[test]
     fn snapshot_delta_scopes_a_measurement() {
         let _l = lock();
         install(TraceConfig::Memory).unwrap();
         reset();
-        counter_add("snap.before", 3);
-        observe_us("snap.lat", 5.0);
+        BENCH_OBS_COUNTER.add(3);
+        EXEC_RECONSTRUCT_US.observe_us(5.0);
         let before = snapshot();
-        counter_add("snap.before", 2);
-        counter_add("snap.fresh", 7);
-        observe_us("snap.lat", 5.0);
-        observe_us("snap.lat", 1e9);
+        BENCH_OBS_COUNTER.add(2);
+        EXEC_FAILOVER.add(7);
+        EXEC_RECONSTRUCT_US.observe_us(5.0);
+        EXEC_RECONSTRUCT_US.observe_us(1e9);
         let delta = snapshot().delta_since(&before);
         install(TraceConfig::Off).unwrap();
         reset();
 
-        assert_eq!(delta.counter("snap.before"), 2);
-        assert_eq!(delta.counter("snap.fresh"), 7);
-        assert_eq!(delta.counter("snap.absent"), 0);
-        let lat = delta.hist("snap.lat").expect("hist delta present");
+        assert_eq!(delta.counter("bench.obs.counter"), 2);
+        assert_eq!(delta.counter("exec.failover"), 7);
+        assert_eq!(delta.counter("exec.retries"), 0);
+        let lat = delta
+            .hist("exec.reconstruct_us")
+            .expect("hist delta present");
         assert_eq!(lat.len(), HIST_BUCKETS);
         assert_eq!(lat[0], 1, "only the new ≤10µs observation");
         assert_eq!(lat[HIST_BUCKETS - 1], 1, "the overflow observation");
@@ -287,13 +292,17 @@ mod tests {
         absorb("node2.", &delta);
         let total = counter_total("node2.requests");
         let hist = histogram_counts("node2.busy_us");
-        install(TraceConfig::Off).unwrap();
+        let snap = snapshot();
         reset();
+        let cleared = counter_total("node2.requests");
+        install(TraceConfig::Off).unwrap();
 
         assert_eq!(total, 4);
         let (bounds, counts) = hist.expect("prefixed hist created");
         assert_eq!(bounds, DEFAULT_US_BOUNDS.to_vec());
         assert_eq!(counts[2], 1, "500µs lands in the ≤1ms bucket");
+        assert_eq!(snap.counter("node2.requests"), 4, "snapshot sees it");
+        assert_eq!(cleared, 0, "reset drops absorbed telemetry");
     }
 
     #[test]

@@ -121,8 +121,8 @@ impl ResidentPool {
             mailbox.push_back(Box::new(job));
             mailbox.len()
         };
-        crate::obs::counter_add("pool.resident.jobs", 1);
-        crate::obs::observe_us("pool.resident.queue_depth", depth as f64);
+        crate::obs::POOL_RESIDENT_JOBS.add(1);
+        crate::obs::POOL_RESIDENT_QUEUE_DEPTH.observe_us(depth as f64);
         self.handles[worker].thread().unpark();
     }
 
@@ -164,7 +164,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             Some(job) => {
                 executed += 1;
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                    crate::obs::counter_add("pool.resident.job_panics", 1);
+                    crate::obs::POOL_RESIDENT_JOB_PANICS.add(1);
                     let mut slot = shared.panic.lock();
                     if slot.is_none() {
                         *slot = Some(payload);
@@ -182,8 +182,8 @@ fn worker_loop(shared: &Shared, index: usize) {
             }
         }
     }
-    crate::obs::counter_add("pool.resident.jobs_executed", executed);
-    crate::obs::counter_add("pool.resident.parks", parks);
+    crate::obs::POOL_RESIDENT_JOBS_EXECUTED.add(executed);
+    crate::obs::POOL_RESIDENT_PARKS.add(parks);
 }
 
 #[cfg(test)]

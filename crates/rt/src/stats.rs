@@ -8,7 +8,7 @@
 //!
 //! [`percentile_from_hist`] answers the same question from a
 //! fixed-bucket histogram (the [`crate::obs::DEFAULT_US_BOUNDS`]
-//! registry shape): it returns the upper bound of the bucket holding the
+//! histogram shape): it returns the upper bound of the bucket holding the
 //! requested rank, which is the tightest claim bucketed counts support.
 
 /// Value at percentile `p` (0–100) of an **unsorted** sample: sorts in
@@ -38,7 +38,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// bound of the bucket containing the rank-`⌈p/100·total⌉` observation.
 ///
 /// `counts` is one longer than `bounds` (overflow bucket last, the
-/// registry convention). Returns `0.0` when the histogram is empty and
+/// obs histogram convention). Returns `0.0` when the histogram is empty and
 /// `f64::INFINITY` when the rank lands in the overflow bucket — bucketed
 /// counts cannot bound an overflow observation.
 pub fn percentile_from_hist(bounds: &[f64], counts: &[u64], p: f64) -> f64 {

@@ -116,11 +116,11 @@ impl PageCache {
             entry.referenced = true;
             let records = entry.records.clone();
             drop(inner);
-            obs::counter_add("cache.hit", 1);
+            obs::CACHE_HIT.add(1);
             return Some(records);
         }
         drop(inner);
-        obs::counter_add("cache.miss", 1);
+        obs::CACHE_MISS.add(1);
         None
     }
 
@@ -173,7 +173,7 @@ impl PageCache {
         };
         drop(inner);
         if evicted {
-            obs::counter_add("cache.evicted", 1);
+            obs::CACHE_EVICTED.add(1);
         }
     }
 
@@ -187,7 +187,7 @@ impl PageCache {
         };
         inner.slots[slot] = None;
         drop(inner);
-        obs::counter_add("cache.invalidated", 1);
+        obs::CACHE_INVALIDATED.add(1);
     }
 
     /// Invalidates every page at once (`clear`/`drain`).
@@ -199,7 +199,7 @@ impl PageCache {
         inner.hand = 0;
         drop(inner);
         if dropped > 0 {
-            obs::counter_add("cache.invalidated", dropped);
+            obs::CACHE_INVALIDATED.add(dropped);
         }
     }
 
@@ -218,7 +218,7 @@ impl PageCache {
         });
         drop(inner);
         if dropped > 0 {
-            obs::counter_add("cache.invalidated", dropped);
+            obs::CACHE_INVALIDATED.add(dropped);
         }
     }
 

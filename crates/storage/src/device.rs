@@ -449,7 +449,7 @@ impl ShareReader<'_> {
             .as_ref()
             .and_then(|plan| plan.decide(self.device.id, code, attempt));
         if decided.is_some() {
-            obs::counter_add("fault.injected", 1);
+            obs::FAULT_INJECTED.add(1);
         }
         let injected_latency_us = match decided {
             Some(FaultKind::Outage) => return Err(ReadFault::Outage),

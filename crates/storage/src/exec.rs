@@ -432,15 +432,12 @@ fn assemble(
         (total_qualified - lost_buckets.len() as u64) as f64 / total_qualified as f64
     };
     if coverage < 1.0 {
-        obs::counter_add("exec.degraded", 1);
+        obs::EXEC_DEGRADED.add(1);
     }
     if obs::enabled() {
-        obs::counter_add(
-            "exec.addresses_computed",
-            per_device.iter().map(|d| d.addresses_computed).sum(),
-        );
-        obs::counter_add("exec.qualified_buckets", total_qualified);
-        obs::observe_us("exec.simulated_response_us", simulated_response_us);
+        obs::EXEC_ADDRESSES_COMPUTED.add(per_device.iter().map(|d| d.addresses_computed).sum());
+        obs::EXEC_QUALIFIED_BUCKETS.add(total_qualified);
+        obs::EXEC_SIMULATED_RESPONSE_US.observe_us(simulated_response_us);
     }
     ExecutionReport {
         per_device,
@@ -541,7 +538,7 @@ fn execute_one<D: DistributionMethod>(
     let capture = obs::capture();
     let planned = [plan_query(sys, file.method(), query)];
     let _span = pmr_rt::span!(
-        "exec.query",
+        obs::EXEC_QUERY,
         devices = m,
         qualified = planned[0].total_qualified
     );
@@ -575,10 +572,10 @@ fn execute_one<D: DistributionMethod>(
 fn count_dispatch(planned: &[PlannedQuery]) {
     let fast = planned.iter().filter(|p| p.fast_path).count() as u64;
     if fast > 0 {
-        obs::counter_add("exec.fast_path.dispatched", fast);
+        obs::EXEC_FAST_PATH_DISPATCHED.add(fast);
     }
     if fast < planned.len() as u64 {
-        obs::counter_add("exec.scan.dispatched", planned.len() as u64 - fast);
+        obs::EXEC_SCAN_DISPATCHED.add(planned.len() as u64 - fast);
     }
 }
 
@@ -747,7 +744,7 @@ fn resilient_device_read<S: PageSink>(
             extra_us += mirror_us + cost.device_time_us(1, 0);
             retries_total += mirror_retries;
             if served {
-                obs::counter_add("exec.failover", 1);
+                obs::EXEC_FAILOVER.add(1);
                 failed_over = true;
                 continue;
             }
@@ -761,8 +758,8 @@ fn resilient_device_read<S: PageSink>(
                     let charge = cost.device_time_us(u64::from(page.shard_reads), 0)
                         + page.injected_latency_us as f64;
                     extra_us += charge;
-                    obs::counter_add("exec.reconstructions", 1);
-                    obs::observe_us("exec.reconstruct_us", charge);
+                    obs::EXEC_RECONSTRUCTIONS.add(1);
+                    obs::EXEC_RECONSTRUCT_US.observe_us(charge);
                     reconstructions += 1;
                     continue;
                 }
@@ -772,7 +769,7 @@ fn resilient_device_read<S: PageSink>(
     }
     let qualified_buckets = codes.len() as u64;
     let simulated_us = cost.device_time_us(qualified_buckets, addresses_computed) + extra_us;
-    obs::observe_us("exec.device.simulated_us", simulated_us);
+    obs::EXEC_DEVICE_SIMULATED_US.observe_us(simulated_us);
     let outcome = if !lost.is_empty() {
         DeviceOutcome::Lost
     } else if reconstructions > 0 {
@@ -832,8 +829,8 @@ where
                 backoff_spent += backoff;
                 charged_us += backoff as f64;
                 retries += 1;
-                obs::counter_add("exec.retries", 1);
-                obs::observe_us("exec.retry_delay_us", backoff as f64);
+                obs::EXEC_RETRIES.add(1);
+                obs::EXEC_RETRY_DELAY_US.observe_us(backoff as f64);
                 attempt = next;
             }
         }
@@ -1199,11 +1196,11 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         }
         let devices = self.workers();
         let _span = pmr_rt::span!(
-            "exec.batch",
+            obs::EXEC_BATCH,
             queries = planned.len() as u64,
             devices = devices
         );
-        obs::counter_add("exec.batch.queries", planned.len() as u64);
+        obs::EXEC_BATCH_QUERIES.add(planned.len() as u64);
         count_dispatch(planned);
         // The range's expected share of the batch's qualified buckets.
         let qualified = planned.iter().map(|p| p.total_qualified).sum::<u64>() * devices
@@ -1309,7 +1306,7 @@ fn run_chunk<D: DistributionMethod, S: PageSink>(
                 .clone()
                 .zip(&codes)
                 .map(|(device, device_codes)| {
-                    let _span = pmr_rt::span!("exec.device", device = device);
+                    let _span = pmr_rt::span!(obs::EXEC_DEVICE, device = device);
                     resilient_device_read::<S>(
                         inputs.devices,
                         device,

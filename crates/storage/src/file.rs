@@ -302,7 +302,7 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
             let n = end - start;
             self.method
                 .device_of_batch(&codes[start..end], &mut devs[..n]);
-            pmr_rt::obs::counter_add("insert.batched_records", n as u64);
+            pmr_rt::obs::INSERT_BATCHED_RECORDS.add(n as u64);
             // Stable counting sort of the chunk's record indices into
             // per-device runs: run `d` is `order[offsets[d]..offsets[d+1]]`,
             // each run in input order.

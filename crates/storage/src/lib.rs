@@ -28,8 +28,6 @@
 //! * [`parity`] — erasure-coded redundancy ([`parity::ParityStore`]):
 //!   `k + r` Reed–Solomon stripes over bucket pages on XOR-coset device
 //!   groups, surviving any `r` simultaneous outages at `~r/k` overhead.
-//! * [`index`] — device-local inverted bucket indexes (the two-stage
-//!   model's data-construction stage).
 //! * [`metrics`] — balance metrics over response histograms.
 //! * [`persist`] — snapshot save/load of declustered files.
 
@@ -44,7 +42,6 @@ pub mod device;
 pub mod encode;
 pub mod exec;
 pub mod file;
-pub mod index;
 pub mod metrics;
 pub mod mirror;
 pub mod parity;

@@ -104,7 +104,7 @@ fn run_workload<D: DistributionMethod>(label: &str, method: D) {
         worst_imbalance = worst_imbalance.max(m.imbalance);
         if let Some(trace) = &report.trace {
             spans += trace.spans;
-            fast += trace.counter("exec.fast_path.dispatched");
+            fast += trace.counter(&pmr::rt::obs::EXEC_FAST_PATH_DISPATCHED);
         }
         println!(
             "  {desc:<42} buckets/device max {:>3} (optimal {:>3}) \

@@ -56,7 +56,7 @@ fn main() {
         (average_largest_response(&dm, &sys, 3) / optimal_average(&sys, 3)).round()
     );
     if pmr::rt::obs::enabled() {
-        // With PMR_TRACE set, leave the final registry totals in the
+        // With PMR_TRACE set, leave the final metric totals in the
         // trace so `pmr stats` can aggregate the sweep.
         println!();
         for (name, total) in pmr::rt::obs::counters_snapshot() {

@@ -124,9 +124,8 @@ fn bench_all_fast_mode_produces_every_group() {
         "packed_vs_vec/vec_scan_all_devices",
         "packed_vs_vec/packed_scan_all_devices",
         "packed_vs_vec/packed_fx_fast_all_devices",
-        "ec/encode_4_2",
-        "ec/decode_4_2",
-        "ec/reconstruct_4_2",
+        "ec/parity_4_2",
+        "ec/interpolate_4_2",
     ];
     let expected_exec = [
         "bulk_insert/fx_auto",
@@ -254,8 +253,8 @@ fn bench_all_fast_mode_produces_every_group() {
     assert_eq!(rp("hot_cached"), rp("cache_off"));
     assert_eq!(rp("cold"), rp("cache_off"));
 
-    // The RS decode fast path and the 2-losses reconstruction both
-    // recover the byte-identical page (same length checksum per iter).
+    // A 4+2 stripe's parity is r = 2 shards, each as long as the one
+    // data shard an interpolation rebuilds.
     let ec = |name: &str| -> u64 {
         files[0]
             .stats
@@ -264,7 +263,7 @@ fn bench_all_fast_mode_produces_every_group() {
             .expect("group present")
             .checksum
     };
-    assert_eq!(ec("decode_4_2"), ec("reconstruct_4_2"));
+    assert_eq!(ec("parity_4_2"), 2 * ec("interpolate_4_2"));
 
     // At each batch size the resident batch, per-query, and serial
     // throughput variants answer the same queries: identical record

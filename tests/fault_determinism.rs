@@ -4,7 +4,7 @@
 //! fault streams — observed here through the `fault.injected` counter.
 //!
 //! Lives in its own integration-test binary: it installs the in-memory
-//! trace sink and resets the global counter registry, which would race
+//! trace sink and resets the global metric table, which would race
 //! with any concurrently running traced test in the same process.
 
 use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
@@ -49,7 +49,7 @@ fn faulted_run(seed: u64) -> u64 {
         let query = PartialMatchQuery::new(&sys, &values).unwrap();
         execute_parallel_with(&file, &query, &cost, &policy).expect("degrades, not errors");
     }
-    obs::counter_total("fault.injected")
+    obs::FAULT_INJECTED.total()
 }
 
 #[test]

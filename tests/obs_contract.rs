@@ -98,8 +98,8 @@ fn batched_insert_counters_record_dispatch_mix() {
         .collect();
     file.insert_all_parallel(records).unwrap();
 
-    let batched = obs::counter_total("insert.batched_records");
-    let calls = obs::counter_total("addr.batch_calls");
+    let batched = obs::INSERT_BATCHED_RECORDS.total();
+    let calls = obs::ADDR_BATCH_CALLS.total();
     obs::install(TraceConfig::Off).unwrap();
     obs::reset();
 
@@ -160,8 +160,8 @@ fn traced_run_emits_one_device_span_per_device() {
         trace.spans >= DEVICES,
         "summary counts at least the device spans"
     );
-    assert_eq!(trace.counter("exec.fast_path.dispatched"), 1);
-    assert!(trace.counter("exec.addresses_computed") > 0);
+    assert_eq!(trace.counter(&obs::EXEC_FAST_PATH_DISPATCHED), 1);
+    assert!(trace.counter(&obs::EXEC_ADDRESSES_COMPUTED) > 0);
 }
 
 #[test]
@@ -198,14 +198,15 @@ fn file_trace_round_trips_through_the_aggregator() {
 
     // Flushed counter totals agree with the report's own summary.
     let trace = report.trace.expect("capture attached while tracing");
-    for name in [
-        "exec.fast_path.dispatched",
-        "exec.addresses_computed",
-        "exec.qualified_buckets",
+    for counter in [
+        &obs::EXEC_FAST_PATH_DISPATCHED,
+        &obs::EXEC_ADDRESSES_COMPUTED,
+        &obs::EXEC_QUALIFIED_BUCKETS,
     ] {
+        let name = counter.name();
         assert_eq!(
             stats.counters.get(name).copied().unwrap_or(0),
-            trace.counter(name),
+            trace.counter(counter),
             "counter {name} must round-trip"
         );
     }
@@ -274,12 +275,12 @@ fn cache_hits_plus_misses_account_for_every_bucket_read() {
     let reads_before: u64 = file.devices().iter().map(|d| d.bucket_reads()).sum();
     let query = file.query(&[("b", Value::Int(7))]).unwrap();
     let cold = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
-    let hits_cold = obs::counter_total("cache.hit");
+    let hits_cold = obs::CACHE_HIT.total();
     let hot = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
 
     let reads: u64 = file.devices().iter().map(|d| d.bucket_reads()).sum::<u64>() - reads_before;
-    let hits = obs::counter_total("cache.hit");
-    let misses = obs::counter_total("cache.miss");
+    let hits = obs::CACHE_HIT.total();
+    let misses = obs::CACHE_MISS.total();
     obs::install(TraceConfig::Off).unwrap();
     obs::reset();
 
@@ -310,7 +311,7 @@ fn append_invalidates_the_cached_page() {
     let file = fixture();
     let query = file.query(&[("b", Value::Int(7))]).unwrap();
     let before = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
-    let invalidated_before = obs::counter_total("cache.invalidated");
+    let invalidated_before = obs::CACHE_INVALIDATED.total();
 
     // Route one matching record through the file: its bucket was just
     // cached by the query above, so the append must drop that page.
@@ -321,7 +322,7 @@ fn append_invalidates_the_cached_page() {
         Value::Int(11),
     ]))
     .unwrap();
-    let invalidated = obs::counter_total("cache.invalidated");
+    let invalidated = obs::CACHE_INVALIDATED.total();
     let after = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
     obs::install(TraceConfig::Off).unwrap();
     obs::reset();
@@ -385,11 +386,11 @@ fn cluster_round_trip_merges_node_telemetry() {
     }
 
     let attribution = cluster.frontend().attribution();
-    let requests = obs::counter_total("net.requests");
-    let responses = obs::counter_total("net.responses");
-    let timeouts = obs::counter_total("net.timeouts");
-    let late = obs::counter_total("net.late_responses");
-    let node_decode_errors = obs::counter_total("net.node.decode_errors");
+    let requests = obs::NET_REQUESTS.total();
+    let responses = obs::NET_RESPONSES.total();
+    let timeouts = obs::NET_TIMEOUTS.total();
+    let late = obs::NET_LATE_RESPONSES.total();
+    let node_decode_errors = obs::NET_NODE_DECODE_ERRORS.total();
     let frontend_rt = obs::histogram_counts("net.node_rt_us").expect("frontend hist exists");
     let merged: Vec<(u64, u64, Option<Vec<u64>>)> = (0..nodes)
         .map(|i| {
@@ -489,8 +490,8 @@ fn request_bytes_follow_targeted_scatter() {
         obs::reset();
         let _ = cluster.frontend().execute_batch(queries, &policy);
         let bytes = (
-            obs::counter_total("net.request_bytes"),
-            obs::counter_total("net.response_bytes"),
+            obs::NET_REQUEST_BYTES.total(),
+            obs::NET_RESPONSE_BYTES.total(),
         );
         obs::install(TraceConfig::Off).unwrap();
         obs::reset();
@@ -553,8 +554,8 @@ fn killed_node_counts_timeouts() {
         .frontend()
         .execute_batch(&queries, &ExecPolicy::default());
 
-    let timeouts = obs::counter_total("net.timeouts");
-    let responses = obs::counter_total("net.responses");
+    let timeouts = obs::NET_TIMEOUTS.total();
+    let responses = obs::NET_RESPONSES.total();
     let merged_dead = obs::counter_total("node1.requests");
     drop(cluster);
     obs::install(TraceConfig::Off).unwrap();
@@ -602,7 +603,7 @@ fn undecodable_frame_counts_a_node_decode_error() {
         .unwrap();
     handle.join().unwrap();
 
-    let decode_errors = obs::counter_total("net.node.decode_errors");
+    let decode_errors = obs::NET_NODE_DECODE_ERRORS.total();
     obs::install(TraceConfig::Off).unwrap();
     obs::reset();
     assert_eq!(
@@ -639,10 +640,10 @@ fn abandoned_responses_count_as_late() {
     // The nodes still execute and answer; give the collectors a moment
     // to route the now-orphaned responses before reading the counter.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let mut late = obs::counter_total("net.late_responses");
+    let mut late = obs::NET_LATE_RESPONSES.total();
     while late == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
-        late = obs::counter_total("net.late_responses");
+        late = obs::NET_LATE_RESPONSES.total();
     }
     drop(cluster);
     obs::install(TraceConfig::Off).unwrap();
