@@ -354,7 +354,7 @@ fn forced<'a, D: DistributionMethod + Clone + Send + Sync + 'static>(
     let policy = ExecPolicy::default();
     move || {
         let yields = exec.execute_planned(&planned, &policy).remove(0);
-        merge_device_yields(yields, policy.effective_redundancy()).largest_response
+        merge_device_yields(yields, policy.redundancy).largest_response
     }
 }
 
@@ -539,7 +539,6 @@ pub fn fault_overhead(opts: &SuiteOpts) -> Group {
     });
     let policy = ExecPolicy {
         retry: RetryPolicy::default(),
-        failover: false,
         redundancy: Redundancy::None,
         seed: 9,
     };
@@ -557,7 +556,6 @@ pub fn fault_overhead(opts: &SuiteOpts) -> Group {
     let parity_query = parity_file.query(&[("b", Value::Int(7))]).unwrap();
     let parity_policy = ExecPolicy {
         retry: RetryPolicy::default(),
-        failover: true,
         redundancy: Redundancy::Parity { k: 4, r: 2 },
         seed: 9,
     };

@@ -9,6 +9,7 @@ use pmr_baselines::ModuloDistribution;
 use pmr_core::method::DistributionMethod;
 use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
 use pmr_rt::fault::{FaultPlan, RetryPolicy};
+use pmr_rt::obs::json::Object;
 use pmr_rt::obs::{self, TraceConfig};
 use pmr_rt::Rng;
 use pmr_storage::exec::{
@@ -30,8 +31,8 @@ fn install_trace(flags: &Flags<'_>) -> Result<bool, String> {
 }
 
 /// The fault-aware policy `simulate` and `chaos` run under: `--retry`
-/// (default [`RetryPolicy::default`]), failover whenever `redundancy` is
-/// on, and fault decisions seeded by `seed`.
+/// (default [`RetryPolicy::default`]), failover through `redundancy`,
+/// and fault decisions seeded by `seed`.
 fn fault_policy(
     flags: &Flags<'_>,
     redundancy: Redundancy,
@@ -41,7 +42,6 @@ fn fault_policy(
         retry: flags
             .get("retry")
             .map_or(Ok(RetryPolicy::default()), RetryPolicy::parse)?,
-        failover: redundancy != Redundancy::None,
         redundancy,
         seed,
     })
@@ -141,10 +141,18 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
     let occupancy = file.record_occupancy();
     let occ = BalanceMetrics::of(&occupancy);
     if json {
+        let balance = Object::new()
+            .fixed("mean", occ.mean, 3)
+            .u64("largest", occ.largest)
+            .fixed("std_dev", occ.std_dev, 3);
         println!(
-            "{{\"system\":\"{sys}\",\"records\":{records},\"seed\":{seed},\
-             \"record_balance\":{{\"mean\":{:.3},\"largest\":{},\"std_dev\":{:.3}}}}}",
-            occ.mean, occ.largest, occ.std_dev
+            "{}",
+            Object::new()
+                .str("system", sys)
+                .u64("records", records)
+                .u64("seed", seed)
+                .json("record_balance", &balance.finish())
+                .finish()
         );
     } else {
         println!("inserted {records} records into {} devices", sys.devices());
@@ -172,10 +180,13 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         let metrics = BalanceMetrics::of(&report.histogram());
         if json {
             println!(
-                "{{\"query\":\"{q}\",\"qualified\":{},\"optimal\":{},\"report\":{}}}",
-                q.qualified_count_in(sys),
-                metrics.optimal,
-                report.to_json()
+                "{}",
+                Object::new()
+                    .str("query", &q)
+                    .u64("qualified", q.qualified_count_in(sys))
+                    .u64("optimal", metrics.optimal)
+                    .json("report", &report.to_json())
+                    .finish()
             );
             continue;
         }
@@ -239,10 +250,15 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         let qps = batch as f64 / elapsed.as_secs_f64().max(f64::EPSILON);
         if json {
             println!(
-                "{{\"batch\":{batch},\"workers\":{},\"records_returned\":{total_records},\
-                 \"mean_coverage\":{mean_coverage:.4},\"wall_us\":{},\"queries_per_sec\":{qps:.0}}}",
-                exec.workers(),
-                elapsed.as_micros()
+                "{}",
+                Object::new()
+                    .u64("batch", batch as u64)
+                    .u64("workers", exec.workers())
+                    .u64("records_returned", total_records)
+                    .fixed("mean_coverage", mean_coverage, 4)
+                    .u64("wall_us", elapsed.as_micros() as u64)
+                    .fixed("queries_per_sec", qps, 0)
+                    .finish()
             );
         } else {
             println!();
@@ -331,11 +347,15 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
     let qps = |secs: f64| batch as f64 / secs;
     if json {
         println!(
-            "{{\"system\":\"{sys}\",\"batch\":{batch},\"records_returned\":{resident_n},\
-             \"resident_qps\":{:.0},\"per_query_qps\":{:.0},\"serial_qps\":{:.0}}}",
-            qps(resident_s),
-            qps(per_query_s),
-            qps(serial_s)
+            "{}",
+            Object::new()
+                .str("system", sys)
+                .u64("batch", batch as u64)
+                .u64("records_returned", resident_n)
+                .fixed("resident_qps", qps(resident_s), 0)
+                .fixed("per_query_qps", qps(per_query_s), 0)
+                .fixed("serial_qps", qps(serial_s), 0)
+                .finish()
         );
     } else {
         println!("{sys}: {batch} queries, {resident_n} records returned by every variant");
@@ -455,9 +475,15 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
 
     if json {
         println!(
-            "{{\"system\":\"{sys}\",\"records\":{records},\"seed\":{seed},\"queries\":{},\
-             \"redundancy\":\"{redundancy}\",\"baseline_us\":{baseline_total:.1}}}",
-            queryset.len()
+            "{}",
+            Object::new()
+                .str("system", sys)
+                .u64("records", records)
+                .u64("seed", seed)
+                .u64("queries", queryset.len() as u64)
+                .str("redundancy", redundancy)
+                .fixed("baseline_us", baseline_total, 1)
+                .finish()
         );
     } else {
         println!(
@@ -513,9 +539,15 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
             let reconstructed = obs::EXEC_RECONSTRUCTIONS.total() - reconstructed0;
             if json {
                 println!(
-                    "{{\"event\":\"survivability\",\"outages\":{count},\
-                     \"coverage\":{coverage:.6},\"failovers\":{failovers},\
-                     \"reconstructed\":{reconstructed},\"lost\":{lost}}}"
+                    "{}",
+                    Object::new()
+                        .str("event", "survivability")
+                        .u64("outages", count as u64)
+                        .fixed("coverage", coverage, 6)
+                        .u64("failovers", failovers)
+                        .u64("reconstructed", reconstructed)
+                        .u64("lost", lost)
+                        .finish()
                 );
             } else {
                 println!(
@@ -606,11 +638,18 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         let reconstructed = obs::EXEC_RECONSTRUCTIONS.total() - reconstructed0;
         if json {
             println!(
-                "{{\"rate\":{rate},\"outages\":{},\"coverage\":{coverage:.6},\
-                 \"rt_inflation\":{inflation:.4},\"injected\":{injected},\
-                 \"retries\":{retries},\"failovers\":{failovers},\
-                 \"reconstructed\":{reconstructed},\"lost\":{lost}}}",
-                dead_devices.len()
+                "{}",
+                Object::new()
+                    .num("rate", rate)
+                    .u64("outages", dead_devices.len() as u64)
+                    .fixed("coverage", coverage, 6)
+                    .fixed("rt_inflation", inflation, 4)
+                    .u64("injected", injected)
+                    .u64("retries", retries)
+                    .u64("failovers", failovers)
+                    .u64("reconstructed", reconstructed)
+                    .u64("lost", lost)
+                    .finish()
             );
         } else {
             println!(
@@ -634,10 +673,19 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
                 let p50 = pmr_rt::stats::percentile(samples, 50.0);
                 let p99 = pmr_rt::stats::percentile(samples, 99.0);
                 println!(
-                    "{{\"event\":\"attribution\",\"device\":{dev},\"critical_queries\":\
-                     {critical},\"critical_share\":{:.4},\"sim_p50_us\":{p50:.3},\
-                     \"sim_p99_us\":{p99:.3}}}",
-                    critical as f64 / attributed_queries as f64
+                    "{}",
+                    Object::new()
+                        .str("event", "attribution")
+                        .u64("device", dev)
+                        .u64("critical_queries", critical)
+                        .fixed(
+                            "critical_share",
+                            critical as f64 / attributed_queries as f64,
+                            4
+                        )
+                        .fixed("sim_p50_us", p50, 3)
+                        .fixed("sim_p99_us", p99, 3)
+                        .finish()
                 );
             }
         } else {
@@ -1048,17 +1096,18 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let stats = cluster.frontend().node_stats();
 
     if json {
-        let nodes = stats
-            .iter()
-            .map(pmr_net::NodeStats::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
         println!(
-            "{{\"system\":\"{sys}\",\"seed\":{seed},\"nodes\":{},\"smoke_queries\":{smoke},\
-             \"records\":{records},\"mean_coverage\":{mean_coverage:.6},\
-             \"wall_us\":{:.1},\"node_stats\":[{nodes}]}}",
-            cluster.nodes(),
-            wall.as_secs_f64() * 1e6,
+            "{}",
+            Object::new()
+                .str("system", &sys)
+                .u64("seed", seed)
+                .u64("nodes", cluster.nodes() as u64)
+                .u64("smoke_queries", smoke as u64)
+                .u64("records", records as u64)
+                .fixed("mean_coverage", mean_coverage, 6)
+                .fixed("wall_us", wall.as_secs_f64() * 1e6, 1)
+                .json_array("node_stats", stats.iter().map(pmr_net::NodeStats::to_json))
+                .finish()
         );
     } else {
         println!(
@@ -1143,7 +1192,7 @@ pub fn loadgen(args: &[String]) -> Result<(), String> {
         }
     }
     let sys = file.system().clone();
-    let queries = pmr_net::loadgen::query_mix(&sys, total, seed, spread);
+    let query = |j| pmr_net::loadgen::mix_query(&sys, seed, spread, j);
     let policy = ExecPolicy::default();
     let opts = pmr_net::LoadgenOpts {
         concurrency,
@@ -1151,15 +1200,24 @@ pub fn loadgen(args: &[String]) -> Result<(), String> {
         kill,
         watch,
     };
-    let summary = pmr_net::loadgen::run(&cluster, &queries, &policy, &opts);
+    let summary = pmr_net::loadgen::run(&cluster, total, query, &policy, &opts);
 
     if flags.has("check") {
         if kill.is_some() || flags.get("drop").is_some() {
             return Err("--check needs a fault-free run (drop --kill-node/--drop)".into());
         }
+        // Batch by batch, so the single-process side holds one batch of
+        // reports at a time.
         let exec = pmr_storage::exec::Executor::new(&file, CostModel::main_memory());
-        let local = exec.execute_batch(&queries, &policy);
-        let expected = pmr_net::loadgen::reports_checksum(local.iter());
+        let mut expected = 0u64;
+        for start in (0..total).step_by(batch) {
+            let queries: Vec<PartialMatchQuery> =
+                (start..(start + batch).min(total)).map(query).collect();
+            for (offset, report) in exec.execute_batch(&queries, &policy).iter().enumerate() {
+                expected = expected
+                    .wrapping_add(pmr_net::loadgen::query_fingerprint(start + offset, report));
+            }
+        }
         if summary.checksum != expected {
             return Err(format!(
                 "checksum mismatch: cluster {:016x}, single-process {expected:016x}",

@@ -12,7 +12,7 @@
 //! [`Cluster::kill_node`] turns a node into a crashed process mid-run:
 //! it keeps consuming requests but never answers, so every query from
 //! then on degrades that node's devices (until the frontend's circuit
-//! breaker stops asking). With the `tcp` feature, [`Cluster::new_tcp`]
+//! breaker stops asking). With the `tcp` feature, `Cluster::new_tcp`
 //! runs the same topology over loopback TCP sockets.
 
 use crate::chaos::NetFaultPlan;

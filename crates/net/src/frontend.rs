@@ -70,6 +70,7 @@ use crate::wire::{self, GatherResponse, Message, TraceContext, WirePolicy, WireQ
 use pmr_core::method::DistributionMethod;
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_rt::obs;
+use pmr_rt::obs::json::Object;
 use pmr_rt::obs::snapshot::{absorb, MetricsSnapshot, HIST_BUCKETS};
 use pmr_storage::cost::CostModel;
 use pmr_storage::exec::{
@@ -124,17 +125,14 @@ impl NodeStats {
     /// One flat JSON object (the workspace's JSON-lines vocabulary), as
     /// `pmr serve --json` and [`crate::LoadgenSummary::to_json`] embed it.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"node\":{},\"devices\":[{},{}],\"requests\":{},\"responses\":{},\
-             \"timeouts\":{},\"down\":{}}}",
-            self.node,
-            self.devices.start,
-            self.devices.end,
-            self.requests,
-            self.responses,
-            self.timeouts,
-            self.down
-        )
+        Object::new()
+            .u64("node", u64::from(self.node))
+            .u64s("devices", &[self.devices.start, self.devices.end])
+            .u64("requests", self.requests)
+            .u64("responses", self.responses)
+            .u64("timeouts", self.timeouts)
+            .bool("down", self.down)
+            .finish()
     }
 }
 
@@ -349,28 +347,23 @@ impl<D> Frontend<D> {
     pub fn watch_json(&self) -> String {
         let batches = self.batches_attributed.load(Ordering::Relaxed);
         let stats = self.node_stats();
-        let nodes = self
-            .attribution()
-            .iter()
-            .zip(&stats)
-            .map(|(a, s)| {
-                format!(
-                    "{{\"node\":{},\"requests\":{},\"responses\":{},\"timeouts\":{},\
-                     \"down\":{},\"recent_share\":{:.3},\"busy_p50_us\":{:.1},\
-                     \"busy_p99_us\":{:.1}}}",
-                    a.node,
-                    s.requests,
-                    s.responses,
-                    s.timeouts,
-                    s.down,
-                    a.recent_critical_share,
-                    a.busy_p50_us,
-                    a.busy_p99_us,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{\"event\":\"watch\",\"batches\":{batches},\"nodes\":[{nodes}]}}")
+        let nodes = self.attribution().into_iter().zip(&stats).map(|(a, s)| {
+            Object::new()
+                .u64("node", u64::from(a.node))
+                .u64("requests", s.requests)
+                .u64("responses", s.responses)
+                .u64("timeouts", s.timeouts)
+                .bool("down", s.down)
+                .fixed("recent_share", a.recent_critical_share, 3)
+                .fixed("busy_p50_us", a.busy_p50_us, 1)
+                .fixed("busy_p99_us", a.busy_p99_us, 1)
+                .finish()
+        });
+        Object::new()
+            .str("event", "watch")
+            .u64("batches", batches)
+            .json_array("nodes", nodes)
+            .finish()
     }
 
     /// Asks every node to exit its serve loop. Idempotent; called by
@@ -670,7 +663,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                         ),
                     }
                 }
-                merge_device_yields(yields, policy.effective_redundancy())
+                merge_device_yields(yields, policy.redundancy)
             })
             .collect()
     }

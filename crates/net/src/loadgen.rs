@@ -1,17 +1,17 @@
 //! Closed-loop load generation against a [`Cluster`].
 //!
-//! `run` drives a pre-generated, seeded query mix through the cluster's
-//! frontend from `concurrency` caller threads, each executing whole
-//! batches back-to-back (closed loop: a worker issues its next batch
-//! only when the previous one returns). It reports throughput
-//! (queries/sec, wall clock), latency percentiles in **both** clocks —
-//! wall-µs per batch and simulated-µs per query — and the degradation
-//! tally, plus an order-independent checksum of every report that can
-//! be compared against a single-process
+//! `run` drives a seeded query mix, generated batch by batch, through
+//! the cluster's frontend from `concurrency` caller threads, each
+//! executing whole batches back-to-back (closed loop: a worker issues
+//! its next batch only when the previous one returns). It reports
+//! throughput (queries/sec, wall clock), latency percentiles in **both**
+//! clocks — wall-µs per batch and simulated-µs per query — and the
+//! degradation tally, plus an order-independent checksum of every report
+//! that can be compared against a single-process
 //! [`Executor::execute_batch`](pmr_storage::exec::Executor::execute_batch)
 //! run over the same queries ([`reports_checksum`]).
 //!
-//! Everything is derived from one seed: the mix ([`query_mix`]), the
+//! Everything is derived from one seed: the mix ([`mix_query`]), the
 //! policy's backoff jitter, any storage [`pmr_rt::fault::FaultPlan`],
 //! and any [`crate::chaos::NetFaultPlan`] — so a full multi-node run,
 //! degradations included, replays from `PMR_SEED`. The optional
@@ -24,6 +24,7 @@ use pmr_core::method::DistributionMethod;
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_rt::obs;
 use pmr_rt::obs::emit::Emitter;
+use pmr_rt::obs::json::Object;
 use pmr_rt::rng::{splitmix64, Rng};
 use pmr_storage::encode::encode_one;
 use pmr_storage::exec::{ExecPolicy, ExecutionReport};
@@ -111,95 +112,83 @@ pub struct LoadgenSummary {
 impl LoadgenSummary {
     /// One flat JSON object (the workspace's JSON-lines vocabulary).
     pub fn to_json(&self) -> String {
-        let nodes = self
-            .node_stats
-            .iter()
-            .map(NodeStats::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        let join_u64 = |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        let attribution = self
-            .attribution
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"node\":{},\"responses\":{},\"busy_p50_us\":{:.1},\
-                     \"busy_p99_us\":{:.1},\"busy_total_us\":{},\"critical_batches\":{},\
-                     \"critical_share\":{:.4},\"recent_critical_share\":{:.4},\
-                     \"busy_hist\":[{}],\"merged_requests\":{},\"merged_queries\":{},\
-                     \"merged_records\":{}}}",
-                    a.node,
-                    a.responses,
-                    a.busy_p50_us,
-                    a.busy_p99_us,
-                    a.busy_total_us,
-                    a.critical_batches,
-                    a.critical_share,
-                    a.recent_critical_share,
-                    join_u64(&a.busy_hist),
-                    a.merged_requests,
-                    a.merged_queries,
-                    a.merged_records,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"queries\":{},\"batches\":{},\"wall_s\":{:.4},\"qps\":{:.1},\
-             \"batch_p50_us\":{:.1},\"batch_p99_us\":{:.1},\"sim_p50_us\":{:.3},\
-             \"sim_p99_us\":{:.3},\"mean_coverage\":{:.6},\"degraded\":{},\
-             \"lost_buckets\":{},\"checksum\":\"{:016x}\",\"timeouts\":{},\
-             \"nodes\":[{nodes}],\"attribution\":[{attribution}],\
-             \"node_rt_us_hist\":[{}]}}",
-            self.queries,
-            self.batches,
-            self.wall_s,
-            self.qps,
-            self.batch_p50_us,
-            self.batch_p99_us,
-            self.sim_p50_us,
-            self.sim_p99_us,
-            self.mean_coverage,
-            self.degraded,
-            self.lost_buckets,
-            self.checksum,
-            self.timeouts,
-            join_u64(&self.node_rt_us_hist),
-        )
+        let attribution = self.attribution.iter().map(|a| {
+            Object::new()
+                .u64("node", u64::from(a.node))
+                .u64("responses", a.responses)
+                .fixed("busy_p50_us", a.busy_p50_us, 1)
+                .fixed("busy_p99_us", a.busy_p99_us, 1)
+                .u64("busy_total_us", a.busy_total_us)
+                .u64("critical_batches", a.critical_batches)
+                .fixed("critical_share", a.critical_share, 4)
+                .fixed("recent_critical_share", a.recent_critical_share, 4)
+                .u64s("busy_hist", &a.busy_hist)
+                .u64("merged_requests", a.merged_requests)
+                .u64("merged_queries", a.merged_queries)
+                .u64("merged_records", a.merged_records)
+                .finish()
+        });
+        Object::new()
+            .u64("queries", self.queries as u64)
+            .u64("batches", self.batches as u64)
+            .fixed("wall_s", self.wall_s, 4)
+            .fixed("qps", self.qps, 1)
+            .fixed("batch_p50_us", self.batch_p50_us, 1)
+            .fixed("batch_p99_us", self.batch_p99_us, 1)
+            .fixed("sim_p50_us", self.sim_p50_us, 3)
+            .fixed("sim_p99_us", self.sim_p99_us, 3)
+            .fixed("mean_coverage", self.mean_coverage, 6)
+            .u64("degraded", self.degraded as u64)
+            .u64("lost_buckets", self.lost_buckets)
+            .str("checksum", format_args!("{:016x}", self.checksum))
+            .u64("timeouts", self.timeouts)
+            .json_array("nodes", self.node_stats.iter().map(NodeStats::to_json))
+            .json_array("attribution", attribution)
+            .u64s("node_rt_us_hist", &self.node_rt_us_hist)
+            .finish()
     }
 }
 
-/// A seeded partial-match mix: query `j` leaves `j % (max_unspecified+1)`
-/// fields unspecified, at seeded positions, with seeded specified
-/// values — the same mix for the same `(sys, count, seed,
-/// max_unspecified)` on every run and every machine.
+/// A seeded partial-match mix: `(0..count)` through [`mix_query`] —
+/// the same mix for the same `(sys, count, seed, max_unspecified)` on
+/// every run and every machine.
 pub fn query_mix(
     sys: &SystemConfig,
     count: usize,
     seed: u64,
     max_unspecified: usize,
 ) -> Vec<PartialMatchQuery> {
-    let fields = sys.num_fields();
-    let max_unspecified = max_unspecified.min(fields);
     (0..count)
-        .map(|j| {
-            let mut rng = Rng::stream(seed, j as u64);
-            let unspecified = j % (max_unspecified + 1);
-            let mut positions: Vec<usize> = (0..fields).collect();
-            // Partial Fisher–Yates: the first `unspecified` slots.
-            for i in 0..unspecified {
-                let pick = i + rng.gen_range(0..(fields - i) as u64) as usize;
-                positions.swap(i, pick);
-            }
-            let mut values: Vec<Option<u64>> = (0..fields)
-                .map(|f| Some(rng.gen_range(0..sys.field_size(f))))
-                .collect();
-            for &p in &positions[..unspecified] {
-                values[p] = None;
-            }
-            PartialMatchQuery::new(sys, &values).expect("generated query is valid")
-        })
+        .map(|j| mix_query(sys, seed, max_unspecified, j))
         .collect()
+}
+
+/// Query `j` of the seeded mix: it leaves `j % (max_unspecified+1)`
+/// fields unspecified, at seeded positions, with seeded specified
+/// values, all drawn from `j`'s own stream — so any slice of the mix can
+/// be generated without the rest.
+pub fn mix_query(
+    sys: &SystemConfig,
+    seed: u64,
+    max_unspecified: usize,
+    j: usize,
+) -> PartialMatchQuery {
+    let fields = sys.num_fields();
+    let mut rng = Rng::stream(seed, j as u64);
+    let unspecified = j % (max_unspecified.min(fields) + 1);
+    let mut positions: Vec<usize> = (0..fields).collect();
+    // Partial Fisher–Yates: the first `unspecified` slots.
+    for i in 0..unspecified {
+        let pick = i + rng.gen_range(0..(fields - i) as u64) as usize;
+        positions.swap(i, pick);
+    }
+    let mut values: Vec<Option<u64>> = (0..fields)
+        .map(|f| Some(rng.gen_range(0..sys.field_size(f))))
+        .collect();
+    for &p in &positions[..unspecified] {
+        values[p] = None;
+    }
+    PartialMatchQuery::new(sys, &values).expect("generated query is valid")
 }
 
 /// Order-independent checksum of a report sequence: each report is
@@ -258,14 +247,16 @@ pub fn report_checksum(report: &ExecutionReport) -> u64 {
 /// tables.
 pub use pmr_rt::stats::percentile;
 
-/// Drives `queries` through `cluster`'s frontend, closed-loop — see the
-/// module docs. Batches are claimed from a shared cursor, so workers
-/// stay busy until the mix is drained; per-query order (and therefore
-/// the checksum) is index-stable regardless of which worker ran which
-/// batch.
+/// Drives queries `0..count` through `cluster`'s frontend, closed-loop —
+/// see the module docs. Batches are claimed from a shared cursor, so
+/// workers stay busy until the mix is drained; a worker builds a batch's
+/// queries with `query(j)` only when it claims the batch, so the mix is
+/// never held whole. Per-query order (and therefore the checksum) is
+/// index-stable regardless of which worker ran which batch.
 pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
     cluster: &Cluster<D>,
-    queries: &[PartialMatchQuery],
+    count: usize,
+    query: impl Fn(usize) -> PartialMatchQuery + Sync,
     policy: &ExecPolicy,
     opts: &LoadgenOpts,
 ) -> LoadgenSummary {
@@ -274,7 +265,7 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
     let concurrency = opts.concurrency.max(1);
     let next_batch = AtomicUsize::new(0);
     let killed = AtomicBool::new(false);
-    let batches_total = queries.len().div_ceil(batch);
+    let batches_total = count.div_ceil(batch);
 
     struct WorkerTally {
         batch_us: Vec<f64>,
@@ -299,6 +290,7 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
             let frontend = Arc::clone(&frontend);
             let next_batch = &next_batch;
             let killed = &killed;
+            let query = &query;
             workers.push(scope.spawn(move || {
                 let mut tally = WorkerTally {
                     batch_us: Vec::new(),
@@ -311,7 +303,7 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
                 loop {
                     let b = next_batch.fetch_add(1, Ordering::Relaxed);
                     let start = b * batch;
-                    if start >= queries.len() {
+                    if start >= count {
                         break;
                     }
                     if let Some(kill) = opts.kill {
@@ -319,9 +311,10 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
                             cluster.kill_node(kill.node);
                         }
                     }
-                    let end = (start + batch).min(queries.len());
+                    let queries: Vec<PartialMatchQuery> =
+                        (start..(start + batch).min(count)).map(query).collect();
                     let t0 = Instant::now();
-                    let reports = frontend.execute_batch(&queries[start..end], policy);
+                    let reports = frontend.execute_batch(&queries, policy);
                     tally.batch_us.push(t0.elapsed().as_secs_f64() * 1e6);
                     for (offset, report) in reports.iter().enumerate() {
                         tally.sim_us.push(report.simulated_response_us);
@@ -368,11 +361,11 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
     let attribution = frontend.attribution();
     let node_rt_us_hist = obs::NET_NODE_RT_US.counts().to_vec();
     LoadgenSummary {
-        queries: queries.len(),
+        queries: count,
         batches: batches_total,
         wall_s,
         qps: if wall_s > 0.0 {
-            queries.len() as f64 / wall_s
+            count as f64 / wall_s
         } else {
             0.0
         },
@@ -380,10 +373,10 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
         batch_p99_us: percentile(&mut batch_us, 99.0),
         sim_p50_us: percentile(&mut sim_us, 50.0),
         sim_p99_us: percentile(&mut sim_us, 99.0),
-        mean_coverage: if queries.is_empty() {
+        mean_coverage: if count == 0 {
             1.0
         } else {
-            coverage_sum / queries.len() as f64
+            coverage_sum / count as f64
         },
         degraded,
         lost_buckets: lost,
@@ -392,5 +385,62 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
         node_stats,
         attribution,
         node_rt_us_hist,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn node_stats(node: u32) -> NodeStats {
+        NodeStats {
+            node,
+            devices: u64::from(node) * 8..u64::from(node + 1) * 8,
+            requests: 40,
+            responses: 39,
+            timeouts: 1,
+            down: node == 1,
+        }
+    }
+
+    #[test]
+    fn node_stats_json_is_pinned() {
+        assert_eq!(node_stats(1).to_json(), "{\"node\":1,\"devices\":[8,16],\"requests\":40,\"responses\":39,\"timeouts\":1,\"down\":true}");
+    }
+
+    #[test]
+    fn loadgen_summary_json_is_pinned() {
+        let summary = LoadgenSummary {
+            queries: 2_000,
+            batches: 8,
+            wall_s: 0.123_456_7,
+            qps: 16_200.04,
+            batch_p50_us: 812.25,
+            batch_p99_us: 1_999.96,
+            sim_p50_us: 33.333_3,
+            sim_p99_us: 66.666_6,
+            mean_coverage: 0.999_999_5,
+            degraded: 3,
+            lost_buckets: 12,
+            checksum: 0x00ab_cdef_0123,
+            timeouts: 1,
+            node_stats: vec![node_stats(0), node_stats(1)],
+            attribution: vec![NodeAttribution {
+                node: 0,
+                responses: 39,
+                busy_p50_us: 101.25,
+                busy_p99_us: 250.75,
+                busy_total_us: 4_000,
+                critical_batches: 5,
+                critical_share: 0.625,
+                recent_critical_share: 0.333_33,
+                busy_hist: vec![0, 3, 36, 0, 0, 0, 0],
+                merged_requests: 40,
+                merged_queries: 1_000,
+                merged_records: 25_000,
+            }],
+            node_rt_us_hist: vec![0, 3, 36, 0, 0, 0, 0],
+        };
+        assert_eq!(summary.to_json(), "{\"queries\":2000,\"batches\":8,\"wall_s\":0.1235,\"qps\":16200.0,\"batch_p50_us\":812.2,\"batch_p99_us\":2000.0,\"sim_p50_us\":33.333,\"sim_p99_us\":66.667,\"mean_coverage\":1.000000,\"degraded\":3,\"lost_buckets\":12,\"checksum\":\"000000abcdef0123\",\"timeouts\":1,\"nodes\":[{\"node\":0,\"devices\":[0,8],\"requests\":40,\"responses\":39,\"timeouts\":1,\"down\":false},{\"node\":1,\"devices\":[8,16],\"requests\":40,\"responses\":39,\"timeouts\":1,\"down\":true}],\"attribution\":[{\"node\":0,\"responses\":39,\"busy_p50_us\":101.2,\"busy_p99_us\":250.8,\"busy_total_us\":4000,\"critical_batches\":5,\"critical_share\":0.6250,\"recent_critical_share\":0.3333,\"busy_hist\":[0,3,36,0,0,0,0],\"merged_requests\":40,\"merged_queries\":1000,\"merged_records\":25000}],\"node_rt_us_hist\":[0,3,36,0,0,0,0]}");
     }
 }

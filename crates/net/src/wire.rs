@@ -31,13 +31,20 @@
 //! ## Protocol v2 — redundancy tier and reconstruction counts
 //!
 //! v2 ships the policy's redundancy tier (none / mirror / parity with
-//! its `k`,`r` geometry) inline after the failover byte, and full-shape
+//! its `k`,`r` geometry) inline after the retry fields, and full-shape
 //! device yields carry a `reconstructions` count (buckets served by
 //! parity rebuild) plus the `reconstructed` outcome discriminant. These
 //! are fixed-offset layout changes, so the version byte bumped — v1
 //! frames are refused with [`WireError::BadVersion`] instead of being
 //! misparsed. The v1.1 trailing-section mechanism carries over
 //! unchanged.
+//!
+//! ## Protocol v3 — no failover byte
+//!
+//! v3 drops the policy's failover byte: the redundancy tier is the only
+//! failover setting ([`Redundancy::None`] fails over nowhere). The policy
+//! block shrinks by one byte, so v2 frames are refused with
+//! [`WireError::BadVersion`].
 
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_rt::buf::BufMut;
@@ -53,7 +60,7 @@ use std::io::{self, Read, Write};
 /// Frame payload magic: `"PMRN"` little-endian.
 pub const MAGIC: u32 = 0x4e52_4d50;
 /// Protocol version; bumped on any layout change.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Protocol revision within [`VERSION`]: 1 = the optional trailing
 /// trace-context / telemetry sections (see the module docs). Revisions
 /// never change the version byte — they only append sections a v1
@@ -264,8 +271,6 @@ pub struct WirePolicy {
     pub cap_us: u64,
     /// `RetryPolicy::budget_us`.
     pub budget_us: u64,
-    /// `ExecPolicy::failover`.
-    pub failover: bool,
     /// `ExecPolicy::redundancy`.
     pub redundancy: Redundancy,
     /// `ExecPolicy::seed`.
@@ -280,7 +285,6 @@ impl WirePolicy {
             base_us: p.retry.base_us,
             cap_us: p.retry.cap_us,
             budget_us: p.retry.budget_us,
-            failover: p.failover,
             redundancy: p.redundancy,
             seed: p.seed,
         }
@@ -295,7 +299,6 @@ impl WirePolicy {
                 cap_us: self.cap_us,
                 budget_us: self.budget_us,
             },
-            failover: self.failover,
             redundancy: self.redundancy,
             seed: self.seed,
         }
@@ -386,7 +389,6 @@ pub fn encode_scatter<'a>(
     buf.put_u64_le(policy.base_us);
     buf.put_u64_le(policy.cap_us);
     buf.put_u64_le(policy.budget_us);
-    buf.put_u8(policy.failover as u8);
     match policy.redundancy {
         Redundancy::None => {
             buf.put_u8(0);
@@ -732,7 +734,6 @@ fn decode_request(r: &mut Reader<'_>) -> Result<ScatterRequest, WireError> {
         base_us: r.u64("policy.base_us")?,
         cap_us: r.u64("policy.cap_us")?,
         budget_us: r.u64("policy.budget_us")?,
-        failover: r.u8("policy.failover")? != 0,
         redundancy: {
             let disc = r.u8("policy.redundancy")?;
             let k = r.u8("policy.parity_k")?;

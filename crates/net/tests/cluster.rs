@@ -132,8 +132,7 @@ rt_proptest! {
             (0..batch_size).map(|_| gen_query(src, &sys, max_open)).collect();
         let policy = ExecPolicy {
             retry: RetryPolicy { max_attempts: 4, base_us: 10, cap_us: 1_000, budget_us: 100_000 },
-            failover: src.weighted(0.8),
-            redundancy: Redundancy::Mirror,
+            redundancy: if src.weighted(0.8) { Redundancy::Mirror } else { Redundancy::None },
             seed: src.any_u64(),
         };
         // Random cache capacity, including disabled and left as it was:
@@ -203,7 +202,6 @@ fn double_outage_with_parity_on_cluster_is_invisible() {
     let cluster = Cluster::new(&file, CostModel::main_memory(), ClusterConfig::default());
     let policy = ExecPolicy {
         retry: RetryPolicy::none(),
-        failover: true,
         redundancy: Redundancy::Parity { k: 4, r: 2 },
         seed: SEED,
     };
@@ -263,7 +261,8 @@ fn loadgen_checksum_matches_single_process() {
 
     let summary = loadgen::run(
         &fx.cluster,
-        &queries,
+        queries.len(),
+        |j| queries[j].clone(),
         &policy,
         &loadgen::LoadgenOpts {
             concurrency: 2,

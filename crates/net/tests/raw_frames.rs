@@ -122,8 +122,7 @@ rt_proptest! {
             .collect();
         let policy = ExecPolicy {
             retry: RetryPolicy { max_attempts: 3, base_us: 10, cap_us: 1_000, budget_us: 100_000 },
-            failover: src.weighted(0.8),
-            redundancy,
+            redundancy: if src.weighted(0.8) { redundancy } else { Redundancy::None },
             seed: src.any_u64(),
         };
         let telemetry = src.weighted(0.3).then(|| {

@@ -23,7 +23,6 @@ fn sample_request() -> Message {
             base_us: 100,
             cap_us: 10_000,
             budget_us: 1_000_000,
-            failover: true,
             redundancy: Redundancy::Parity { k: 4, r: 2 },
             seed: 42,
         },
@@ -326,6 +325,17 @@ fn header_errors_are_typed() {
     assert_eq!(decode_message(&bad), Err(WireError::BadKind(99)));
 }
 
+/// A v2 request (the policy's failover byte between the retry fields
+/// and the redundancy tier) is refused by version, never misparsed.
+#[test]
+fn v2_request_frame_is_refused() {
+    let mut v2 = encode_message(&sample_request());
+    // header (6) + request_id (8) + retry fields (4+8+8+8)
+    v2.insert(6 + 8 + 28, 1);
+    v2[4] = 2;
+    assert_eq!(decode_message(&v2), Err(WireError::BadVersion(2)));
+}
+
 #[test]
 fn trailing_bytes_are_rejected() {
     // A stray byte after a v1 request/response body is read as a v1.1
@@ -365,8 +375,8 @@ fn bad_outcome_discriminant_is_typed() {
 fn query_count_over_cap_is_refused() {
     let full = encode_message(&sample_request());
     // Query count is the u32 right after header (6) and the request_id +
-    // v2 policy block (8 + 4+8+8+8+1+3+8 = 48).
-    let offset = 6 + 48;
+    // policy block (8 + 4+8+8+8+3+8 = 47).
+    let offset = 6 + 47;
     let mut bad = full.clone();
     bad[offset..offset + 4].copy_from_slice(&(MAX_QUERIES + 1).to_le_bytes());
     assert_eq!(
@@ -384,7 +394,7 @@ fn query_count_over_cap_is_refused() {
 #[test]
 fn query_count_beyond_payload_is_truncation() {
     let full = encode_message(&sample_request());
-    let offset = 6 + 48;
+    let offset = 6 + 47;
     let mut bad = full.clone();
     bad[offset..offset + 4].copy_from_slice(&10_000u32.to_le_bytes());
     assert_eq!(

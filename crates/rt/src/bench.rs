@@ -39,6 +39,7 @@
 //! either way, and residual noise is still visible in `outliers`.
 //! `reruns(0)` / `PMR_BENCH_RERUNS=0` disables the pass.
 
+use crate::obs::json::Object;
 use std::hint::black_box as std_black_box;
 use std::time::Instant;
 
@@ -78,20 +79,17 @@ pub struct Stats {
 impl Stats {
     /// The JSON-lines rendering.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\":\"{}\",\"iters\":{},\"median_ns\":{:.1},\"p95_ns\":{:.1},\
-             \"mean_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\"outliers\":{},\
-             \"checksum\":{}}}",
-            self.bench,
-            self.iters,
-            self.median_ns,
-            self.p95_ns,
-            self.mean_ns,
-            self.min_ns,
-            self.max_ns,
-            self.outliers,
-            self.checksum
-        )
+        Object::new()
+            .str("bench", &self.bench)
+            .u64("iters", self.iters as u64)
+            .fixed("median_ns", self.median_ns, 1)
+            .fixed("p95_ns", self.p95_ns, 1)
+            .fixed("mean_ns", self.mean_ns, 1)
+            .fixed("min_ns", self.min_ns, 1)
+            .fixed("max_ns", self.max_ns, 1)
+            .u64("outliers", self.outliers as u64)
+            .u64("checksum", self.checksum)
+            .finish()
     }
 }
 
@@ -209,6 +207,22 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stats_json_is_pinned() {
+        let stats = Stats {
+            bench: "query_exec/fx_fast_executor".into(),
+            iters: 60,
+            median_ns: 1_234.56,
+            p95_ns: 2_000.04,
+            mean_ns: 1_300.0,
+            min_ns: 999.95,
+            max_ns: 5_000.0,
+            outliers: 2,
+            checksum: 0xdead_beef,
+        };
+        assert_eq!(stats.to_json(), "{\"bench\":\"query_exec/fx_fast_executor\",\"iters\":60,\"median_ns\":1234.6,\"p95_ns\":2000.0,\"mean_ns\":1300.0,\"min_ns\":1000.0,\"max_ns\":5000.0,\"outliers\":2,\"checksum\":3735928559}");
+    }
 
     #[test]
     fn percentile_interpolates() {

@@ -16,8 +16,8 @@
 //! * [`check`] — a property-testing harness: seeded case generation,
 //!   shrinking by halving, failure-seed replay. See
 //!   [`rt_proptest!`].
-//! * [`bench`] — micro-benchmark harness (warmup, timed iterations,
-//!   median/p95, JSON-lines output, checksums for run-to-run
+//! * [`bench`](mod@bench) — micro-benchmark harness (warmup, timed
+//!   iterations, median/p95, JSON-lines output, checksums for run-to-run
 //!   comparability).
 //! * [`sync`] — poison-free one-word aliases over `std::sync` locks.
 //! * [`ec`] — GF(2^8) Reed–Solomon erasure coding (const-built log/exp

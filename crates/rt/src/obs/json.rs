@@ -1,10 +1,192 @@
-//! A minimal flat-JSON reader for trace lines.
+//! The workspace's one JSON writer, and a minimal flat-JSON reader.
+//!
+//! Every JSON line the workspace emits — trace events, bench rows,
+//! execution reports, cluster and loadgen summaries, the CLI's `--json`
+//! output — is built by [`Object`], so key quoting, string escaping,
+//! `null` and float formatting are decided here once. A non-finite float
+//! renders as `null`.
 //!
 //! The observability sinks emit one flat JSON object per line (the same
 //! vocabulary [`crate::bench`] uses for its baselines): string keys,
-//! values that are strings, numbers, `null`, or arrays of numbers. This
-//! parser reads exactly that subset back — enough for the `cli stats`
-//! aggregator and the round-trip contract tests, with zero dependencies.
+//! values that are strings, numbers, booleans, `null`, or arrays of
+//! numbers. [`parse_object`] reads exactly that subset back — enough for
+//! the `cli stats` aggregator and the round-trip contract tests, with
+//! zero dependencies.
+
+use std::fmt::{self, Write as _};
+
+/// One JSON object under construction; fields render in call order.
+///
+/// ```
+/// use pmr_rt::obs::json::Object;
+/// let line = Object::new()
+///     .str("bench", "a\"b")
+///     .u64("iters", 3)
+///     .fixed("median_ns", 12.345, 1)
+///     .num("rate", 0.25)
+///     .null("parent")
+///     .finish();
+/// assert_eq!(line, r#"{"bench":"a\"b","iters":3,"median_ns":12.3,"rate":0.25,"parent":null}"#);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Object {
+    out: String,
+}
+
+impl Default for Object {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Object {
+    /// An empty object.
+    pub fn new() -> Self {
+        Object {
+            out: String::from("{"),
+        }
+    }
+
+    /// Opens `key`'s slot: the separator, the quoted key and the colon.
+    fn key(&mut self, key: &str) -> &mut String {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        push_str(&mut self.out, key);
+        self.out.push(':');
+        &mut self.out
+    }
+
+    /// A string value: `value`'s `Display`, quoted and escaped.
+    pub fn str(mut self, key: &str, value: impl fmt::Display) -> Self {
+        let out = self.key(key);
+        out.push('"');
+        let _ = write!(Escaped(out), "{value}");
+        out.push('"');
+        self
+    }
+
+    /// An integer value.
+    pub fn u64(mut self, key: &str, value: u64) -> Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// `true` or `false`.
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// A float with exactly `decimals` digits after the point.
+    pub fn fixed(mut self, key: &str, value: f64, decimals: usize) -> Self {
+        push_num(self.key(key), value, Some(decimals));
+        self
+    }
+
+    /// A float in its shortest round-tripping form (`10`, `0.25`).
+    pub fn num(mut self, key: &str, value: f64) -> Self {
+        push_num(self.key(key), value, None);
+        self
+    }
+
+    /// `null`.
+    pub fn null(mut self, key: &str) -> Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// An array of integers.
+    pub fn u64s(mut self, key: &str, values: &[u64]) -> Self {
+        push_array(self.key(key), values, |out, v| {
+            let _ = write!(out, "{v}");
+        });
+        self
+    }
+
+    /// An array of floats, each in its shortest form.
+    pub fn nums(mut self, key: &str, values: &[f64]) -> Self {
+        push_array(self.key(key), values, |out, &v| push_num(out, v, None));
+        self
+    }
+
+    /// A value this writer already rendered: a nested [`Object`]'s
+    /// [`finish`](Object::finish), or another type's `to_json`.
+    pub fn json(mut self, key: &str, rendered: &str) -> Self {
+        self.key(key).push_str(rendered);
+        self
+    }
+
+    /// An array of values this writer already rendered.
+    pub fn json_array<S: AsRef<str>>(
+        mut self,
+        key: &str,
+        rendered: impl IntoIterator<Item = S>,
+    ) -> Self {
+        push_array(self.key(key), rendered, |out, item| {
+            out.push_str(item.as_ref())
+        });
+        self
+    }
+
+    /// Closes the object and returns its text.
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
+}
+
+/// `value` as a JSON number: `{:.N}` with `decimals`, else shortest
+/// `Display`; `null` when it is not finite.
+fn push_num(out: &mut String, value: f64, decimals: Option<usize>) {
+    let _ = match decimals {
+        _ if !value.is_finite() => out.write_str("null"),
+        Some(d) => write!(out, "{value:.d$}"),
+        None => write!(out, "{value}"),
+    };
+}
+
+fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(']');
+}
+
+/// `s` quoted and escaped.
+fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    let _ = Escaped(out).write_str(s);
+    out.push('"');
+}
+
+/// Escapes what it is written: `"`, `\` and control characters.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                '\n' => self.0.push_str("\\n"),
+                '\r' => self.0.push_str("\\r"),
+                '\t' => self.0.push_str("\\t"),
+                c if c < ' ' => write!(self.0, "\\u{:04x}", c as u32)?,
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
+    }
+}
 
 /// One value of a flat trace object.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,6 +195,8 @@ pub enum JsonValue {
     Null,
     /// Any JSON number (integers are exact up to 2⁵³).
     Num(f64),
+    /// `true` or `false`.
+    Bool(bool),
     /// A string (escapes decoded).
     Str(String),
     /// An array of numbers (trace events never nest further).
@@ -122,22 +306,37 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Vec::new();
         loop {
-            match self.next() {
+            let escaped = match self.next() {
                 None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
+                Some(b'"') => return String::from_utf8(out).map_err(|e| e.to_string()),
                 Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b't') => '\t',
+                    Some(b'r') => '\r',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'u') => {
+                        let hex = self.bytes.get(self.pos..self.pos + 4).unwrap_or_default();
+                        self.pos += 4;
+                        std::str::from_utf8(hex)
+                            .ok()
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("bad \\u escape {hex:?}"))?
+                    }
                     other => return Err(format!("unsupported escape {other:?}")),
                 },
-                Some(b) => out.push(b as char),
-            }
+                Some(b) => {
+                    out.push(b);
+                    continue;
+                }
+            };
+            out.extend_from_slice(escaped.encode_utf8(&mut [0; 4]).as_bytes());
         }
     }
 
@@ -184,6 +383,15 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
+            Some(b't' | b'f') => {
+                let rest = &self.bytes[self.pos..];
+                let value = rest.starts_with(b"true");
+                if !value && !rest.starts_with(b"false") {
+                    return Err("expected true or false".into());
+                }
+                self.pos += if value { 4 } else { 5 };
+                Ok(JsonValue::Bool(value))
+            }
             Some(b'0'..=b'9' | b'-') => Ok(JsonValue::Num(self.number()?)),
             other => Err(format!("unexpected value start {other:?}")),
         }
@@ -193,6 +401,98 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Source;
+
+    /// A string mixing quotes, backslashes, control characters, ASCII
+    /// and multi-byte characters.
+    fn any_text(src: &mut Source) -> String {
+        let n = src.usize_in(0..=12);
+        (0..n)
+            .map(|_| match src.arm(5) {
+                0 => *b"\"\\".get(src.usize_in(0..=1)).unwrap() as char,
+                1 => src.string_of('\0'..='\u{1f}', 1..=1).remove(0),
+                2 => src.string_of(' '..='~', 1..=1).remove(0),
+                3 => src.string_of('\u{a0}'..='\u{17f}', 1..=1).remove(0),
+                _ => src.string_of('\u{4e00}'..='\u{4e20}', 1..=1).remove(0),
+            })
+            .collect()
+    }
+
+    crate::rt_proptest! {
+        /// Any flat object the writer emits parses back to the same pairs.
+        fn written_objects_parse_back(src) {
+            let mut object = Object::new();
+            let mut want = Vec::new();
+            for _ in 0..src.usize_in(0..=8) {
+                let key = any_text(src);
+                let value = match src.arm(7) {
+                    0 => {
+                        let text = any_text(src);
+                        object = object.str(&key, &text);
+                        JsonValue::Str(text)
+                    }
+                    1 => {
+                        let v = src.any_u64();
+                        object = object.u64(&key, v);
+                        JsonValue::Num(v as f64)
+                    }
+                    2 => {
+                        let (v, d) = (src.f64_in(-1e6, 1e6), src.usize_in(0..=6));
+                        object = object.fixed(&key, v, d);
+                        JsonValue::Num(format!("{v:.d$}").parse().unwrap())
+                    }
+                    3 => {
+                        let v = src.f64_in(-1e9, 1e9);
+                        object = object.num(&key, v);
+                        JsonValue::Num(v)
+                    }
+                    4 => {
+                        let v = src.weighted(0.5);
+                        object = object.bool(&key, v);
+                        JsonValue::Bool(v)
+                    }
+                    5 => {
+                        object = object.null(&key);
+                        JsonValue::Null
+                    }
+                    _ => {
+                        let v = src.vec_of(0..=5, |s| s.int_in(0, 1 << 40));
+                        object = object.u64s(&key, &v);
+                        JsonValue::Arr(v.iter().map(|&x| x as f64).collect())
+                    }
+                };
+                want.push((key, value));
+            }
+            let line = object.finish();
+            assert_eq!(parse_object(&line), Ok(want), "{line}");
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_render_as_null() {
+        let line = Object::new()
+            .fixed("a", f64::NAN, 3)
+            .num("b", f64::INFINITY)
+            .fixed("c", f64::NEG_INFINITY, 1)
+            .nums("d", &[1.5, f64::NAN, 10.0])
+            .finish();
+        assert_eq!(line, r#"{"a":null,"b":null,"c":null,"d":[1.5,null,10]}"#);
+    }
+
+    #[test]
+    fn nests_rendered_values() {
+        let inner = Object::new().u64("x", 1).finish();
+        let line = Object::new()
+            .json("one", &inner)
+            .json_array("many", [&inner, &inner])
+            .json_array("none", Vec::<String>::new())
+            .finish();
+        assert_eq!(
+            line,
+            r#"{"one":{"x":1},"many":[{"x":1},{"x":1}],"none":[]}"#
+        );
+        assert_eq!(Object::new().finish(), "{}");
+    }
 
     #[test]
     fn parses_span_line() {

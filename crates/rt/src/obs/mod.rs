@@ -41,6 +41,7 @@ pub mod table;
 pub use table::*;
 
 use crate::sync::{Mutex, RwLock};
+use json::Object;
 use snapshot::HIST_BUCKETS;
 use std::io::Write;
 use std::path::PathBuf;
@@ -192,37 +193,35 @@ pub struct SpanEvent {
 
 impl Event {
     /// The JSON-lines rendering: one flat object, `event` first — the
-    /// same hand-formatted vocabulary [`crate::bench::Stats::to_json`]
-    /// uses, so one parser reads both.
+    /// same vocabulary [`crate::bench::Stats::to_json`] uses, so one
+    /// parser reads both.
     pub fn to_json(&self) -> String {
         match self {
             Event::Span(s) => {
-                let mut out = format!(
-                    "{{\"event\":\"span\",\"name\":\"{}\",\"id\":{},\"parent\":{},\
-                     \"start_us\":{},\"elapsed_ns\":{:.1}",
-                    s.name,
-                    s.id,
-                    s.parent.map_or("null".to_string(), |p| p.to_string()),
-                    s.start_us,
-                    s.elapsed_ns
-                );
-                for (k, v) in &s.attrs {
-                    out.push_str(&format!(",\"{k}\":{v}"));
-                }
-                out.push('}');
-                out
+                let o = Object::new()
+                    .str("event", "span")
+                    .str("name", &s.name)
+                    .u64("id", s.id);
+                let o = match s.parent {
+                    Some(p) => o.u64("parent", p),
+                    None => o.null("parent"),
+                };
+                let o = o
+                    .u64("start_us", s.start_us)
+                    .fixed("elapsed_ns", s.elapsed_ns, 1);
+                s.attrs.iter().fold(o, |o, (k, v)| o.u64(k, *v)).finish()
             }
-            Event::Counter { name, total } => {
-                format!("{{\"event\":\"counter\",\"name\":\"{name}\",\"total\":{total}}}")
-            }
-            Event::Hist { name, counts } => {
-                let join = |xs: &[String]| xs.join(",");
-                format!(
-                    "{{\"event\":\"hist\",\"name\":\"{name}\",\"bounds\":[{}],\"counts\":[{}]}}",
-                    join(&DEFAULT_US_BOUNDS.map(|b| format!("{b}"))),
-                    join(&counts.iter().map(|c| c.to_string()).collect::<Vec<_>>()),
-                )
-            }
+            Event::Counter { name, total } => Object::new()
+                .str("event", "counter")
+                .str("name", name)
+                .u64("total", *total)
+                .finish(),
+            Event::Hist { name, counts } => Object::new()
+                .str("event", "hist")
+                .str("name", name)
+                .nums("bounds", &DEFAULT_US_BOUNDS)
+                .u64s("counts", counts)
+                .finish(),
         }
     }
 }
@@ -638,13 +637,14 @@ impl TraceSummary {
 
     /// Flat JSON rendering (`{"spans":N,"counters":{...}}`).
     pub fn to_json(&self) -> String {
-        let body = self
+        let counters = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{\"spans\":{},\"counters\":{{{body}}}}}", self.spans)
+            .fold(Object::new(), |o, (k, v)| o.u64(k, *v));
+        Object::new()
+            .u64("spans", self.spans)
+            .json("counters", &counters.finish())
+            .finish()
     }
 }
 
@@ -696,6 +696,54 @@ mod tests {
     pub(super) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
+    }
+
+    #[test]
+    fn event_and_summary_json_are_pinned() {
+        let span = Event::Span(SpanEvent {
+            name: "exec.device".into(),
+            id: 7,
+            parent: Some(3),
+            start_us: 1_234,
+            elapsed_ns: 4_567.25,
+            attrs: vec![("device".into(), 5), ("codes".into(), 64)],
+        });
+        assert_eq!(span.to_json(), "{\"event\":\"span\",\"name\":\"exec.device\",\"id\":7,\"parent\":3,\"start_us\":1234,\"elapsed_ns\":4567.2,\"device\":5,\"codes\":64}");
+        let root = Event::Span(SpanEvent {
+            name: "exec.query".into(),
+            id: 1,
+            parent: None,
+            start_us: 0,
+            elapsed_ns: 0.04,
+            attrs: vec![],
+        });
+        assert_eq!(root.to_json(), "{\"event\":\"span\",\"name\":\"exec.query\",\"id\":1,\"parent\":null,\"start_us\":0,\"elapsed_ns\":0.0}");
+        let counter = Event::Counter {
+            name: "exec.failover".into(),
+            total: 42,
+        };
+        assert_eq!(
+            counter.to_json(),
+            "{\"event\":\"counter\",\"name\":\"exec.failover\",\"total\":42}"
+        );
+        let hist = Event::Hist {
+            name: "exec.reconstruct_us".into(),
+            counts: vec![1, 2, 3, 0, 0, 0, 9],
+        };
+        assert_eq!(hist.to_json(), "{\"event\":\"hist\",\"name\":\"exec.reconstruct_us\",\"bounds\":[10,100,1000,10000,100000,1000000],\"counts\":[1,2,3,0,0,0,9]}");
+        let summary = TraceSummary {
+            spans: 12,
+            counters: vec![("exec.failover", 2), ("fault.injected", 5)],
+        };
+        assert_eq!(
+            summary.to_json(),
+            "{\"spans\":12,\"counters\":{\"exec.failover\":2,\"fault.injected\":5}}"
+        );
+        let empty = TraceSummary {
+            spans: 0,
+            counters: vec![],
+        };
+        assert_eq!(empty.to_json(), "{\"spans\":0,\"counters\":{}}");
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   worker. Each queue has a single consumer (its worker); producers
 //!   push through [`ResidentPool::submit`]. The lock is held only to
 //!   push/pop, never while a job runs.
-//! * **Signalling** — [`std::thread::park`] / [`Thread::unpark`]. A
-//!   worker that finds its mailbox empty parks; `submit` unparks after
+//! * **Signalling** — [`std::thread::park`] /
+//!   [`Thread::unpark`](std::thread::Thread::unpark). A worker that
+//!   finds its mailbox empty parks; `submit` unparks after
 //!   pushing. `unpark` on a not-yet-parked thread stores a token that
 //!   makes the next `park` return immediately, so the push→park race is
 //!   benign; spurious wakeups just re-check the queue.

@@ -3,7 +3,7 @@
 //! Each device owns three page stores — primary bucket pages, the mirror
 //! pages it holds for its buddy, and the parity shards it holds for other
 //! devices' stripes — plus access counters. Each store is a map keyed by
-//! packed code under the keyed [`CodeHash`](crate::code_hash) and guarded
+//! packed code under the keyed `CodeHash` and guarded
 //! by its own [`pmr_rt::sync::RwLock`], so the executor's device workers
 //! and concurrent writers coexist without a global lock.
 //!

@@ -45,6 +45,7 @@ use pmr_core::method::DistributionMethod;
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_mkh::Record;
 use pmr_rt::fault::RetryPolicy;
+use pmr_rt::obs::json::Object;
 use pmr_rt::obs::{self, TraceSummary};
 use pmr_rt::pool::resident::ResidentPool;
 use std::fmt;
@@ -152,17 +153,15 @@ impl Redundancy {
 }
 
 /// Execution policy for the fault-aware path
-/// ([`execute_parallel_with`]): how hard to retry, whether to fail over
-/// to buddy mirrors, and the seed for backoff jitter.
+/// ([`execute_parallel_with`]): how hard to retry, which redundancy tier
+/// to fail over through, and the seed for backoff jitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPolicy {
     /// Per-copy retry policy (backoff in simulated µs).
     pub retry: RetryPolicy,
-    /// Master failover switch: `false` disables every redundancy tier
-    /// (the effective [`Redundancy`] becomes [`Redundancy::None`]).
-    pub failover: bool,
     /// Which redundancy tier serves buckets the primary cannot
-    /// (gated by `failover`; the tier must be enabled on the file).
+    /// ([`Redundancy::None`]: no failover; the tier must be enabled on
+    /// the file).
     pub redundancy: Redundancy,
     /// Seed for backoff jitter — conventionally the run's `PMR_SEED`, so
     /// retry schedules replay with the fault decisions.
@@ -170,11 +169,10 @@ pub struct ExecPolicy {
 }
 
 impl Default for ExecPolicy {
-    /// Default retry policy, failover on through buddy mirroring, seed 0.
+    /// Default retry policy, failover through buddy mirroring, seed 0.
     fn default() -> Self {
         ExecPolicy {
             retry: RetryPolicy::default(),
-            failover: true,
             redundancy: Redundancy::Mirror,
             seed: 0,
         }
@@ -182,14 +180,11 @@ impl Default for ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// The redundancy tier actually in effect: `redundancy` with the
-    /// `failover` kill-switch applied.
+    /// `redundancy`. Kept only because the benchmark crate (`perfbench/`)
+    /// calls it; remove it when the benchmark is next rebuilt (ROADMAP
+    /// item 1).
     pub fn effective_redundancy(&self) -> Redundancy {
-        if self.failover {
-            self.redundancy
-        } else {
-            Redundancy::None
-        }
+        self.redundancy
     }
 }
 
@@ -243,7 +238,7 @@ pub struct ExecutionReport {
     /// Packed codes of the qualified buckets that could not be served
     /// from any copy, sorted. Empty on a fully-covered execution.
     pub lost_buckets: Vec<u64>,
-    /// The effective redundancy tier this execution failed over through
+    /// The policy's redundancy tier this execution failed over through
     /// ([`Redundancy::None`] on the strict paths).
     pub redundancy: Redundancy,
     /// What the observability layer recorded during this execution
@@ -295,49 +290,33 @@ impl ExecutionReport {
     /// [`TraceSummary`] when tracing was on. Retrieved records are
     /// summarised by count, not serialised.
     pub fn to_json(&self) -> String {
-        let devices = self
-            .per_device
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"device\":{},\"qualified_buckets\":{},\"records\":{},\
-                     \"addresses_computed\":{},\"simulated_us\":{:.3},\
-                     \"reconstructions\":{},\"outcome\":\"{}\"}}",
-                    d.device,
-                    d.qualified_buckets,
-                    d.records,
-                    d.addresses_computed,
-                    d.simulated_us,
-                    d.reconstructions,
-                    d.outcome
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let lost = self
-            .lost_buckets
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"largest_response\":{},\"records\":{},\"simulated_response_us\":{:.3},\
-             \"simulated_serial_us\":{:.3},\"speedup\":{:.4},\"coverage\":{:.6},\
-             \"redundancy\":\"{}\",\"reconstructions\":{},\
-             \"lost_buckets\":[{lost}],\"per_device\":[{devices}],\
-             \"trace\":{}}}",
-            self.largest_response,
-            self.records.len(),
-            self.simulated_response_us,
-            self.simulated_serial_us,
-            self.speedup(),
-            self.coverage,
-            self.redundancy,
-            self.reconstructions(),
-            self.trace
-                .as_ref()
-                .map_or("null".to_string(), TraceSummary::to_json)
-        )
+        let devices = self.per_device.iter().map(|d| {
+            Object::new()
+                .u64("device", d.device)
+                .u64("qualified_buckets", d.qualified_buckets)
+                .u64("records", d.records)
+                .u64("addresses_computed", d.addresses_computed)
+                .fixed("simulated_us", d.simulated_us, 3)
+                .u64("reconstructions", u64::from(d.reconstructions))
+                .str("outcome", d.outcome)
+                .finish()
+        });
+        let o = Object::new()
+            .u64("largest_response", self.largest_response)
+            .u64("records", self.records.len() as u64)
+            .fixed("simulated_response_us", self.simulated_response_us, 3)
+            .fixed("simulated_serial_us", self.simulated_serial_us, 3)
+            .fixed("speedup", self.speedup(), 4)
+            .fixed("coverage", self.coverage, 6)
+            .str("redundancy", self.redundancy)
+            .u64("reconstructions", self.reconstructions())
+            .u64s("lost_buckets", &self.lost_buckets)
+            .json_array("per_device", devices);
+        match &self.trace {
+            Some(trace) => o.json("trace", &trace.to_json()),
+            None => o.null("trace"),
+        }
+        .finish()
     }
 }
 
@@ -378,13 +357,14 @@ pub struct RawYield {
 }
 
 /// Merges per-device yields into a full [`ExecutionReport`] — the public
-/// face of [`assemble`] for callers that gathered the yields themselves
-/// (the `pmr-net` frontend, after collecting each node's subrange).
+/// face of the executor's merge, for callers that gathered the yields
+/// themselves (the `pmr-net` frontend, after collecting each node's
+/// subrange).
 /// Yields may arrive in any order and from any partition of the device
 /// set; the merge orders them by device, so the result is bit-equal to a
 /// single-process execution over the same devices. The `trace` slot is
 /// always `None` (gathered yields carry no capture). `redundancy` must
-/// be the effective redundancy of the policy the yields ran under, so
+/// be the redundancy tier of the policy the yields ran under, so
 /// the merged report stays bit-equal to the local one.
 pub fn merge_device_yields(yields: Vec<DeviceYield>, redundancy: Redundancy) -> ExecutionReport {
     assemble(yields, redundancy, None)
@@ -466,7 +446,6 @@ const FAST_PATH_SETUP_ADDR: u64 = 96;
 /// is lost only when its page is corrupt at rest.
 const STRICT: ExecPolicy = ExecPolicy {
     retry: RetryPolicy::none(),
-    failover: false,
     redundancy: Redundancy::None,
     seed: 0,
 };
@@ -498,8 +477,8 @@ pub fn execute_parallel<D: DistributionMethod>(
 /// the devices' installed [`pmr_rt::fault::FaultPlan`] (none installed →
 /// clean reads). Transient faults are retried per `policy.retry`, with
 /// capped exponential backoff charged to the *simulated* clock. When the
-/// primary copy is exhausted and `policy.failover` is on, the read fails
-/// over to the buddy's mirror copy (requires
+/// primary copy is exhausted and `policy.redundancy` names a tier, the
+/// read fails over to the buddy's mirror copy (requires
 /// [`DeclusteredFile::enable_mirroring`]) or rebuilds the page from its
 /// parity stripe (requires [`DeclusteredFile::enable_parity`]). Buckets
 /// no copy can serve degrade the report — `coverage < 1.0` and their
@@ -565,7 +544,7 @@ fn execute_one<D: DistributionMethod>(
             }
         }
     }
-    Ok(assemble(yields, policy.effective_redundancy(), capture))
+    Ok(assemble(yields, policy.redundancy, capture))
 }
 
 /// Counts each planned query under the inverse mapping it dispatches.
@@ -580,7 +559,7 @@ fn count_dispatch(planned: &[PlannedQuery]) {
 }
 
 /// The failover targets one device's degraded read may fall back to,
-/// per the effective [`Redundancy`]: a mirror buddy, a parity store,
+/// per the policy's [`Redundancy`]: a mirror buddy, a parity store,
 /// or neither.
 #[derive(Clone, Copy)]
 struct FailoverPath<'a> {
@@ -695,7 +674,7 @@ impl PageSink for Copied {
 }
 
 /// Reads every code on one device under the policy: retry → failover
-/// (mirror buddy *or* parity reconstruction, per the effective
+/// (mirror buddy *or* parity reconstruction, per the policy's
 /// redundancy) → lose. Returns the device's yield in the sink's form.
 ///
 /// The primary pass reads through one [`ShareReader`] for the share. It
@@ -1135,10 +1114,9 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
             .iter()
             .map(|q| plan_query(&self.shared.sys, &self.shared.method, q))
             .collect();
-        let effective = policy.effective_redundancy();
         self.execute_planned(&planned, policy)
             .into_iter()
-            .map(|yields| merge_device_yields(yields, effective))
+            .map(|yields| merge_device_yields(yields, policy.redundancy))
             .collect()
     }
 
@@ -1292,11 +1270,12 @@ fn run_chunk<D: DistributionMethod, S: PageSink>(
     planned: &[PlannedQuery],
     devices: Range<u64>,
 ) -> Vec<Vec<S::Yield>> {
-    let effective = policy.effective_redundancy();
-    let buddies = inputs.mirroring.filter(|_| effective == Redundancy::Mirror);
+    let buddies = inputs
+        .mirroring
+        .filter(|_| policy.redundancy == Redundancy::Mirror);
     let parity = inputs
         .parity
-        .filter(|_| matches!(effective, Redundancy::Parity { .. }));
+        .filter(|_| matches!(policy.redundancy, Redundancy::Parity { .. }));
     let mut codes = vec![Vec::new(); (devices.end - devices.start) as usize];
     planned
         .iter()
@@ -1330,6 +1309,49 @@ mod tests {
     use super::*;
     use pmr_core::FxDistribution;
     use pmr_mkh::{FieldType, Record, Schema, Value};
+
+    #[test]
+    fn execution_report_json_is_pinned() {
+        let device = |device, outcome| DeviceReport {
+            device,
+            qualified_buckets: 4,
+            records: 9,
+            addresses_computed: 16,
+            simulated_us: 123.456_7,
+            reconstructions: 1,
+            outcome,
+        };
+        let traced = ExecutionReport {
+            per_device: vec![
+                device(0, DeviceOutcome::Ok),
+                device(1, DeviceOutcome::Retried(2)),
+            ],
+            records: vec![],
+            largest_response: 4,
+            simulated_response_us: 123.456_7,
+            simulated_serial_us: 246.913_4,
+            coverage: 0.987_654_32,
+            lost_buckets: vec![17, 40],
+            redundancy: Redundancy::Parity { k: 4, r: 2 },
+            trace: Some(TraceSummary {
+                spans: 3,
+                counters: vec![("exec.retries", 2)],
+            }),
+        };
+        assert_eq!(traced.to_json(), "{\"largest_response\":4,\"records\":0,\"simulated_response_us\":123.457,\"simulated_serial_us\":246.913,\"speedup\":2.0000,\"coverage\":0.987654,\"redundancy\":\"parity(4,2)\",\"reconstructions\":2,\"lost_buckets\":[17,40],\"per_device\":[{\"device\":0,\"qualified_buckets\":4,\"records\":9,\"addresses_computed\":16,\"simulated_us\":123.457,\"reconstructions\":1,\"outcome\":\"ok\"},{\"device\":1,\"qualified_buckets\":4,\"records\":9,\"addresses_computed\":16,\"simulated_us\":123.457,\"reconstructions\":1,\"outcome\":\"retried(2)\"}],\"trace\":{\"spans\":3,\"counters\":{\"exec.retries\":2}}}");
+        let bare = ExecutionReport {
+            per_device: vec![device(3, DeviceOutcome::FailedOver)],
+            records: vec![],
+            largest_response: 0,
+            simulated_response_us: 0.0,
+            simulated_serial_us: 0.0,
+            coverage: 1.0,
+            lost_buckets: vec![],
+            redundancy: Redundancy::Mirror,
+            trace: None,
+        };
+        assert_eq!(bare.to_json(), "{\"largest_response\":0,\"records\":0,\"simulated_response_us\":0.000,\"simulated_serial_us\":0.000,\"speedup\":1.0000,\"coverage\":1.000000,\"redundancy\":\"mirror\",\"reconstructions\":1,\"lost_buckets\":[],\"per_device\":[{\"device\":3,\"qualified_buckets\":4,\"records\":9,\"addresses_computed\":16,\"simulated_us\":123.457,\"reconstructions\":1,\"outcome\":\"failed_over\"}],\"trace\":null}");
+    }
 
     fn build_file(records: i64) -> DeclusteredFile<FxDistribution> {
         let schema = Schema::builder()
@@ -1811,7 +1833,6 @@ mod tests {
                 cap_us: 10_000,
                 budget_us: 10_000_000,
             },
-            failover: false,
             redundancy: Redundancy::None,
             seed: 42,
         };
@@ -1923,7 +1944,7 @@ mod tests {
         );
         // Without failover, the bucket is lost but the execution completes.
         let no_failover = ExecPolicy {
-            failover: false,
+            redundancy: Redundancy::None,
             ..ExecPolicy::default()
         };
         let degraded =
@@ -2060,14 +2081,13 @@ mod tests {
 
     /// A parity policy on a file with no parity enabled degrades
     /// honestly — the dead device's buckets are lost, never an error.
-    /// The `failover: false` kill-switch does the same even with parity
+    /// A `Redundancy::None` policy does the same even with parity
     /// materialised.
     #[test]
     fn parity_policy_without_parity_data_degrades_honestly() {
         let file = build_file(300);
         let policy = ExecPolicy {
             retry: RetryPolicy::none(),
-            failover: true,
             redundancy: Redundancy::Parity { k: 2, r: 1 },
             seed: 0,
         };
@@ -2083,14 +2103,14 @@ mod tests {
         let mut file = file;
         assert!(file.enable_parity(2, 1));
         let killed = ExecPolicy {
-            failover: false,
+            redundancy: Redundancy::None,
             ..policy
         };
         let report = execute_parallel_with(&file, &q, &CostModel::main_memory(), &killed).unwrap();
         file.install_fault_plan(None);
         assert!(
             report.coverage < 1.0,
-            "failover:false must disable parity too"
+            "Redundancy::None must disable parity too"
         );
         assert_eq!(
             report.redundancy,

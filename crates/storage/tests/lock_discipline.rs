@@ -69,7 +69,6 @@ fn failover_under_a_concurrent_writer_finishes_and_matches_one_shot() {
                 max_attempts: 2,
                 ..RetryPolicy::default()
             },
-            failover: true,
             redundancy,
             seed: 5,
         };

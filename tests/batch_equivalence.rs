@@ -143,8 +143,7 @@ rt_proptest! {
             (0..batch_size).map(|_| gen_query(src, &sys)).collect();
         let policy = ExecPolicy {
             retry: RetryPolicy { max_attempts: 4, base_us: 10, cap_us: 1_000, budget_us: 100_000 },
-            failover: src.weighted(0.8),
-            redundancy: Redundancy::Mirror,
+            redundancy: if src.weighted(0.8) { Redundancy::Mirror } else { Redundancy::None },
             seed: src.any_u64(),
         };
         // Random cache capacity, including disabled and left as it was:
@@ -214,7 +213,6 @@ rt_proptest! {
         let capacity = src.int_in(1, 256) as usize;
         let policy = ExecPolicy {
             retry: RetryPolicy { max_attempts: 4, base_us: 10, cap_us: 1_000, budget_us: 100_000 },
-            failover: true,
             redundancy: if parity {
                 Redundancy::Parity { k: 4, r: 2 }
             } else {

@@ -46,11 +46,32 @@ fn loadgen_replay_checksum_is_cache_invariant() {
 
     // Cluster nodes share the devices by `Arc`, so one device-level
     // toggle covers all four nodes at once.
-    let on = loadgen::run(&cluster, &queries, &policy, &opts).checksum;
+    let on = loadgen::run(
+        &cluster,
+        queries.len(),
+        |j| queries[j].clone(),
+        &policy,
+        &opts,
+    )
+    .checksum;
     file.set_cache_capacity(0);
-    let off = loadgen::run(&cluster, &queries, &policy, &opts).checksum;
+    let off = loadgen::run(
+        &cluster,
+        queries.len(),
+        |j| queries[j].clone(),
+        &policy,
+        &opts,
+    )
+    .checksum;
     file.set_cache_capacity(64);
-    let re_enabled = loadgen::run(&cluster, &queries, &policy, &opts).checksum;
+    let re_enabled = loadgen::run(
+        &cluster,
+        queries.len(),
+        |j| queries[j].clone(),
+        &policy,
+        &opts,
+    )
+    .checksum;
 
     let local = exec.execute_batch(&queries, &policy);
     let expected = loadgen::reports_checksum(local.iter());

@@ -33,7 +33,6 @@ fn faulted_run(seed: u64) -> u64 {
     file.install_fault_plan(Some(Arc::new(plan)));
     let policy = ExecPolicy {
         retry: RetryPolicy::default(),
-        failover: true,
         redundancy: Redundancy::Mirror,
         seed,
     };

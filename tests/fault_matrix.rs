@@ -79,8 +79,11 @@ fn run_matrix<D: DistributionMethod>(sys: &SystemConfig, make: impl Fn() -> D, l
         let file = build_file(sys, make(), 400, mirror);
         let policy = ExecPolicy {
             retry: patient_retry(),
-            failover: mirror,
-            redundancy: Redundancy::Mirror,
+            redundancy: if mirror {
+                Redundancy::Mirror
+            } else {
+                Redundancy::None
+            },
             seed: SEED,
         };
         let reference =
@@ -185,8 +188,11 @@ fn at_rest_corruption_round_trip() {
         );
         let policy = ExecPolicy {
             retry: patient_retry(),
-            failover: mirror,
-            redundancy: Redundancy::Mirror,
+            redundancy: if mirror {
+                Redundancy::Mirror
+            } else {
+                Redundancy::None
+            },
             seed: SEED,
         };
         let reference = execute_parallel_with(&file, &query, &cost, &policy).unwrap();
@@ -306,7 +312,6 @@ rt_proptest! {
         let cost = CostModel::main_memory();
         let policy = ExecPolicy {
             retry: RetryPolicy::none(),
-            failover: true,
             redundancy: Redundancy::Mirror,
             seed: SEED,
         };
@@ -345,7 +350,6 @@ rt_proptest! {
         let cost = CostModel::main_memory();
         let policy = ExecPolicy {
             retry: RetryPolicy::none(),
-            failover: true,
             redundancy: Redundancy::Mirror,
             seed: SEED,
         };
@@ -392,7 +396,6 @@ rt_proptest! {
         let cost = CostModel::main_memory();
         let policy = ExecPolicy {
             retry: RetryPolicy::none(),
-            failover: true,
             redundancy: Redundancy::Parity { k: 4, r: 2 },
             seed: SEED,
         };
