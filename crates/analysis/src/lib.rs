@@ -17,8 +17,6 @@
 //!   Tables 8–9 first-row phenomenon).
 //! * [`paper`] — the published Tables 7–9 embedded cell by cell (with OCR
 //!   legibility flags) and automated paper-vs-measured diffing.
-//! * [`workload`] — random query workloads under the paper's §5
-//!   independence model, with Monte-Carlo balance summaries.
 //! * [`optimize`] — simulated annealing over generalized-FX tables (the
 //!   paper's future-work direction), beating the closed-form assignments
 //!   on systems with four or more small fields.
@@ -42,7 +40,6 @@ pub mod paper;
 pub mod probability;
 pub mod response;
 pub mod tables;
-pub mod workload;
 
 pub use experiments::{figure, table_response, Experiment};
 pub use probability::{FigureConfig, FigureCurves};

@@ -145,15 +145,13 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
             .fixed("mean", occ.mean, 3)
             .u64("largest", occ.largest)
             .fixed("std_dev", occ.std_dev, 3);
-        println!(
-            "{}",
-            Object::new()
-                .str("system", sys)
-                .u64("records", records)
-                .u64("seed", seed)
-                .json("record_balance", &balance.finish())
-                .finish()
-        );
+        let line = Object::new()
+            .str("system", &sys.to_string())
+            .u64("records", records)
+            .u64("seed", seed)
+            .json("record_balance", &balance.finish())
+            .finish();
+        println!("{line}");
     } else {
         println!("inserted {records} records into {} devices", sys.devices());
         println!(
@@ -179,15 +177,13 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         };
         let metrics = BalanceMetrics::of(&report.histogram());
         if json {
-            println!(
-                "{}",
-                Object::new()
-                    .str("query", &q)
-                    .u64("qualified", q.qualified_count_in(sys))
-                    .u64("optimal", metrics.optimal)
-                    .json("report", &report.to_json())
-                    .finish()
-            );
+            let line = Object::new()
+                .str("query", &q.to_string())
+                .u64("qualified", q.qualified_count_in(sys))
+                .u64("optimal", metrics.optimal)
+                .json("report", &report.to_json())
+                .finish();
+            println!("{line}");
             continue;
         }
         // FX files take the fast inverse path, so this stays O(|R|)
@@ -249,17 +245,15 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         let mean_coverage = reports.iter().map(|r| r.coverage).sum::<f64>() / reports.len() as f64;
         let qps = batch as f64 / elapsed.as_secs_f64().max(f64::EPSILON);
         if json {
-            println!(
-                "{}",
-                Object::new()
-                    .u64("batch", batch as u64)
-                    .u64("workers", exec.workers())
-                    .u64("records_returned", total_records)
-                    .fixed("mean_coverage", mean_coverage, 4)
-                    .u64("wall_us", elapsed.as_micros() as u64)
-                    .fixed("queries_per_sec", qps, 0)
-                    .finish()
-            );
+            let line = Object::new()
+                .u64("batch", batch as u64)
+                .u64("workers", exec.workers())
+                .u64("records_returned", total_records)
+                .fixed("mean_coverage", mean_coverage, 4)
+                .u64("wall_us", elapsed.as_micros() as u64)
+                .fixed("queries_per_sec", qps, 0)
+                .finish();
+            println!("{line}");
         } else {
             println!();
             println!(
@@ -346,17 +340,15 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
 
     let qps = |secs: f64| batch as f64 / secs;
     if json {
-        println!(
-            "{}",
-            Object::new()
-                .str("system", sys)
-                .u64("batch", batch as u64)
-                .u64("records_returned", resident_n)
-                .fixed("resident_qps", qps(resident_s), 0)
-                .fixed("per_query_qps", qps(per_query_s), 0)
-                .fixed("serial_qps", qps(serial_s), 0)
-                .finish()
-        );
+        let line = Object::new()
+            .str("system", &sys.to_string())
+            .u64("batch", batch as u64)
+            .u64("records_returned", resident_n)
+            .fixed("resident_qps", qps(resident_s), 0)
+            .fixed("per_query_qps", qps(per_query_s), 0)
+            .fixed("serial_qps", qps(serial_s), 0)
+            .finish();
+        println!("{line}");
     } else {
         println!("{sys}: {batch} queries, {resident_n} records returned by every variant");
         println!(
@@ -474,17 +466,15 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
     };
 
     if json {
-        println!(
-            "{}",
-            Object::new()
-                .str("system", sys)
-                .u64("records", records)
-                .u64("seed", seed)
-                .u64("queries", queryset.len() as u64)
-                .str("redundancy", redundancy)
-                .fixed("baseline_us", baseline_total, 1)
-                .finish()
-        );
+        let line = Object::new()
+            .str("system", &sys.to_string())
+            .u64("records", records)
+            .u64("seed", seed)
+            .u64("queries", queryset.len() as u64)
+            .str("redundancy", &redundancy.to_string())
+            .fixed("baseline_us", baseline_total, 1)
+            .finish();
+        println!("{line}");
     } else {
         println!(
             "chaos sweep over {sys}: {records} records, {} queries/rate, redundancy {}",
@@ -538,17 +528,15 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
             let failovers = obs::EXEC_FAILOVER.total() - failovers0;
             let reconstructed = obs::EXEC_RECONSTRUCTIONS.total() - reconstructed0;
             if json {
-                println!(
-                    "{}",
-                    Object::new()
-                        .str("event", "survivability")
-                        .u64("outages", count as u64)
-                        .fixed("coverage", coverage, 6)
-                        .u64("failovers", failovers)
-                        .u64("reconstructed", reconstructed)
-                        .u64("lost", lost)
-                        .finish()
-                );
+                let line = Object::new()
+                    .str("event", "survivability")
+                    .u64("outages", count as u64)
+                    .fixed("coverage", coverage, 6)
+                    .u64("failovers", failovers)
+                    .u64("reconstructed", reconstructed)
+                    .u64("lost", lost)
+                    .finish();
+                println!("{line}");
             } else {
                 println!(
                     "{count:>8}  {coverage:>9.4}  {failovers:>10}  {reconstructed:>14}  \
@@ -637,20 +625,18 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         let failovers = obs::EXEC_FAILOVER.total() - failovers0;
         let reconstructed = obs::EXEC_RECONSTRUCTIONS.total() - reconstructed0;
         if json {
-            println!(
-                "{}",
-                Object::new()
-                    .num("rate", rate)
-                    .u64("outages", dead_devices.len() as u64)
-                    .fixed("coverage", coverage, 6)
-                    .fixed("rt_inflation", inflation, 4)
-                    .u64("injected", injected)
-                    .u64("retries", retries)
-                    .u64("failovers", failovers)
-                    .u64("reconstructed", reconstructed)
-                    .u64("lost", lost)
-                    .finish()
-            );
+            let line = Object::new()
+                .num("rate", rate)
+                .u64("outages", dead_devices.len() as u64)
+                .fixed("coverage", coverage, 6)
+                .fixed("rt_inflation", inflation, 4)
+                .u64("injected", injected)
+                .u64("retries", retries)
+                .u64("failovers", failovers)
+                .u64("reconstructed", reconstructed)
+                .u64("lost", lost)
+                .finish();
+            println!("{line}");
         } else {
             println!(
                 "{rate:>8.4}  {coverage:>9.4}  {inflation:>11.2}x  {injected:>9}  {retries:>8}  \
@@ -672,21 +658,19 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
                     .expect("critical device sampled");
                 let p50 = pmr_rt::stats::percentile(samples, 50.0);
                 let p99 = pmr_rt::stats::percentile(samples, 99.0);
-                println!(
-                    "{}",
-                    Object::new()
-                        .str("event", "attribution")
-                        .u64("device", dev)
-                        .u64("critical_queries", critical)
-                        .fixed(
-                            "critical_share",
-                            critical as f64 / attributed_queries as f64,
-                            4
-                        )
-                        .fixed("sim_p50_us", p50, 3)
-                        .fixed("sim_p99_us", p99, 3)
-                        .finish()
-                );
+                let line = Object::new()
+                    .str("event", "attribution")
+                    .u64("device", dev)
+                    .u64("critical_queries", critical)
+                    .fixed(
+                        "critical_share",
+                        critical as f64 / attributed_queries as f64,
+                        4,
+                    )
+                    .fixed("sim_p50_us", p50, 3)
+                    .fixed("sim_p99_us", p99, 3)
+                    .finish();
+                println!("{line}");
             }
         } else {
             println!();
@@ -1096,19 +1080,17 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let stats = cluster.frontend().node_stats();
 
     if json {
-        println!(
-            "{}",
-            Object::new()
-                .str("system", &sys)
-                .u64("seed", seed)
-                .u64("nodes", cluster.nodes() as u64)
-                .u64("smoke_queries", smoke as u64)
-                .u64("records", records as u64)
-                .fixed("mean_coverage", mean_coverage, 6)
-                .fixed("wall_us", wall.as_secs_f64() * 1e6, 1)
-                .json_array("node_stats", stats.iter().map(pmr_net::NodeStats::to_json))
-                .finish()
-        );
+        let line = Object::new()
+            .str("system", &sys.to_string())
+            .u64("seed", seed)
+            .u64("nodes", cluster.nodes() as u64)
+            .u64("smoke_queries", smoke as u64)
+            .u64("records", records as u64)
+            .fixed("mean_coverage", mean_coverage, 6)
+            .fixed("wall_us", wall.as_secs_f64() * 1e6, 1)
+            .json_array("node_stats", stats.iter().map(pmr_net::NodeStats::to_json))
+            .finish();
+        println!("{line}");
     } else {
         println!(
             "{sys}: {} nodes over the pmr-net wire protocol (seed {seed})",
@@ -1213,10 +1195,8 @@ pub fn loadgen(args: &[String]) -> Result<(), String> {
         for start in (0..total).step_by(batch) {
             let queries: Vec<PartialMatchQuery> =
                 (start..(start + batch).min(total)).map(query).collect();
-            for (offset, report) in exec.execute_batch(&queries, &policy).iter().enumerate() {
-                expected = expected
-                    .wrapping_add(pmr_net::loadgen::query_fingerprint(start + offset, report));
-            }
+            let local = exec.execute_batch(&queries, &policy);
+            expected = expected.wrapping_add(pmr_net::loadgen::reports_checksum(start, &local));
         }
         if summary.checksum != expected {
             return Err(format!(

@@ -5,7 +5,7 @@
 //! power of two) together with the number of parallel devices `M` (also a
 //! power of two). [`SystemConfig`] validates and carries exactly that.
 
-use crate::bits::{is_power_of_two, log2_exact, PackedLayout};
+use crate::bits::{log2_exact, PackedLayout};
 use crate::error::{Error, Result};
 use std::fmt;
 use std::sync::Arc;
@@ -292,12 +292,6 @@ impl fmt::Display for SystemConfig {
         }
         write!(f, "), M = {}", self.inner.devices)
     }
-}
-
-/// Convenience: `true` when `x >= 1` and a power of two. Re-exported here
-/// because configuration call-sites often want to pre-validate user input.
-pub fn valid_size(x: u64) -> bool {
-    is_power_of_two(x)
 }
 
 #[cfg(test)]

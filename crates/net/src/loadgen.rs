@@ -26,6 +26,7 @@ use pmr_rt::obs;
 use pmr_rt::obs::emit::Emitter;
 use pmr_rt::obs::json::Object;
 use pmr_rt::rng::{splitmix64, Rng};
+use pmr_rt::stats::percentile;
 use pmr_storage::encode::encode_one;
 use pmr_storage::exec::{ExecPolicy, ExecutionReport};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -140,7 +141,7 @@ impl LoadgenSummary {
             .fixed("mean_coverage", self.mean_coverage, 6)
             .u64("degraded", self.degraded as u64)
             .u64("lost_buckets", self.lost_buckets)
-            .str("checksum", format_args!("{:016x}", self.checksum))
+            .str("checksum", &format!("{:016x}", self.checksum))
             .u64("timeouts", self.timeouts)
             .json_array("nodes", self.node_stats.iter().map(NodeStats::to_json))
             .json_array("attribution", attribution)
@@ -191,20 +192,16 @@ pub fn mix_query(
     PartialMatchQuery::new(sys, &values).expect("generated query is valid")
 }
 
-/// Order-independent checksum of a report sequence: each report is
-/// fingerprinted (records, lost codes, response sizes, simulated times —
-/// all bit-exact) and folded in with its query index, so two runs match
-/// iff every query's report matches, regardless of batch boundaries or
-/// completion order.
-pub fn reports_checksum<'a, I>(reports: I) -> u64
-where
-    I: IntoIterator<Item = &'a ExecutionReport>,
-{
-    let mut total = 0u64;
-    for (i, report) in reports.into_iter().enumerate() {
-        total = total.wrapping_add(query_fingerprint(i, report));
-    }
-    total
+/// Order-independent checksum of the reports of queries `first..`: each
+/// report is fingerprinted (records, lost codes, response sizes,
+/// simulated times — all bit-exact) and folded in with its query index,
+/// so two runs match iff every query's report matches, regardless of
+/// batch boundaries or completion order — checksums of consecutive
+/// slices add up (wrapping) to the whole run's.
+pub fn reports_checksum(first: usize, reports: &[ExecutionReport]) -> u64 {
+    (first..)
+        .zip(reports)
+        .fold(0, |sum, (i, r)| sum.wrapping_add(query_fingerprint(i, r)))
 }
 
 /// One query's slot in [`reports_checksum`].
@@ -241,12 +238,6 @@ pub fn report_checksum(report: &ExecutionReport) -> u64 {
     h
 }
 
-/// The workspace's shared percentile ([`pmr_rt::stats::percentile`]):
-/// sorts in place, interpolates between order statistics, `0.0` for an
-/// empty sample — the same math as the bench harness and the attribution
-/// tables.
-pub use pmr_rt::stats::percentile;
-
 /// Drives queries `0..count` through `cluster`'s frontend, closed-loop —
 /// see the module docs. Batches are claimed from a shared cursor, so
 /// workers stay busy until the mix is drained; a worker builds a batch's
@@ -267,7 +258,8 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
     let killed = AtomicBool::new(false);
     let batches_total = count.div_ceil(batch);
 
-    struct WorkerTally {
+    #[derive(Default)]
+    struct Tally {
         batch_us: Vec<f64>,
         sim_us: Vec<f64>,
         coverage_sum: f64,
@@ -284,7 +276,7 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
     });
 
     let started = Instant::now();
-    let tallies: Vec<WorkerTally> = std::thread::scope(|scope| {
+    let tallies: Vec<Tally> = std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(concurrency);
         for _ in 0..concurrency {
             let frontend = Arc::clone(&frontend);
@@ -292,14 +284,7 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
             let killed = &killed;
             let query = &query;
             workers.push(scope.spawn(move || {
-                let mut tally = WorkerTally {
-                    batch_us: Vec::new(),
-                    sim_us: Vec::new(),
-                    coverage_sum: 0.0,
-                    degraded: 0,
-                    lost: 0,
-                    checksum: 0u64,
-                };
+                let mut tally = Tally::default();
                 loop {
                     let b = next_batch.fetch_add(1, Ordering::Relaxed);
                     let start = b * batch;
@@ -316,17 +301,17 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
                     let t0 = Instant::now();
                     let reports = frontend.execute_batch(&queries, policy);
                     tally.batch_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                    for (offset, report) in reports.iter().enumerate() {
+                    for report in &reports {
                         tally.sim_us.push(report.simulated_response_us);
                         tally.coverage_sum += report.coverage;
                         if report.coverage < 1.0 {
                             tally.degraded += 1;
                         }
                         tally.lost += report.lost_buckets.len() as u64;
-                        tally.checksum = tally
-                            .checksum
-                            .wrapping_add(query_fingerprint(start + offset, report));
                     }
+                    tally.checksum = tally
+                        .checksum
+                        .wrapping_add(reports_checksum(start, &reports));
                 }
                 tally
             }));
@@ -343,19 +328,14 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
         watcher.stop();
     }
 
-    let mut batch_us = Vec::new();
-    let mut sim_us = Vec::new();
-    let mut coverage_sum = 0.0;
-    let mut degraded = 0;
-    let mut lost = 0u64;
-    let mut checksum = 0u64;
+    let mut all = Tally::default();
     for mut t in tallies {
-        batch_us.append(&mut t.batch_us);
-        sim_us.append(&mut t.sim_us);
-        coverage_sum += t.coverage_sum;
-        degraded += t.degraded;
-        lost += t.lost;
-        checksum = checksum.wrapping_add(t.checksum);
+        all.batch_us.append(&mut t.batch_us);
+        all.sim_us.append(&mut t.sim_us);
+        all.coverage_sum += t.coverage_sum;
+        all.degraded += t.degraded;
+        all.lost += t.lost;
+        all.checksum = all.checksum.wrapping_add(t.checksum);
     }
     let node_stats = frontend.node_stats();
     let attribution = frontend.attribution();
@@ -369,18 +349,18 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
         } else {
             0.0
         },
-        batch_p50_us: percentile(&mut batch_us, 50.0),
-        batch_p99_us: percentile(&mut batch_us, 99.0),
-        sim_p50_us: percentile(&mut sim_us, 50.0),
-        sim_p99_us: percentile(&mut sim_us, 99.0),
+        batch_p50_us: percentile(&mut all.batch_us, 50.0),
+        batch_p99_us: percentile(&mut all.batch_us, 99.0),
+        sim_p50_us: percentile(&mut all.sim_us, 50.0),
+        sim_p99_us: percentile(&mut all.sim_us, 99.0),
         mean_coverage: if count == 0 {
             1.0
         } else {
-            coverage_sum / count as f64
+            all.coverage_sum / count as f64
         },
-        degraded,
-        lost_buckets: lost,
-        checksum,
+        degraded: all.degraded,
+        lost_buckets: all.lost,
+        checksum: all.checksum,
         timeouts: node_stats.iter().map(|s| s.timeouts).sum(),
         node_stats,
         attribution,

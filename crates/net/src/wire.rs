@@ -31,7 +31,7 @@
 //! ## Protocol v2 — redundancy tier and reconstruction counts
 //!
 //! v2 ships the policy's redundancy tier (none / mirror / parity with
-//! its `k`,`r` geometry) inline after the retry fields, and full-shape
+//! its `k`,`r` geometry) inline after the failover byte, and full-shape
 //! device yields carry a `reconstructions` count (buckets served by
 //! parity rebuild) plus the `reconstructed` outcome discriminant. These
 //! are fixed-offset layout changes, so the version byte bumped — v1
@@ -41,10 +41,8 @@
 //!
 //! ## Protocol v3 — no failover byte
 //!
-//! v3 drops the policy's failover byte: the redundancy tier is the only
-//! failover setting ([`Redundancy::None`] fails over nowhere). The policy
-//! block shrinks by one byte, so v2 frames are refused with
-//! [`WireError::BadVersion`].
+//! v3 drops that failover byte: the redundancy tier is the only failover
+//! setting, and v2 frames are refused with [`WireError::BadVersion`].
 
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_rt::buf::BufMut;

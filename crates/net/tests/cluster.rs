@@ -272,7 +272,7 @@ fn loadgen_checksum_matches_single_process() {
         },
     );
     let local = fx.exec.execute_batch(&queries, &policy);
-    let expected = loadgen::reports_checksum(local.iter());
+    let expected = loadgen::reports_checksum(0, &local);
 
     assert_eq!(
         summary.checksum, expected,

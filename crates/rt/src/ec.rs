@@ -226,11 +226,6 @@ impl ReedSolomon {
         Ok(ReedSolomon { k, r, parity_rows })
     }
 
-    /// Data-shard count `k`.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
     /// Parity-shard count `r`.
     pub fn parity_shards(&self) -> usize {
         self.r

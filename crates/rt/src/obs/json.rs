@@ -28,164 +28,129 @@ use std::fmt::{self, Write as _};
 ///     .finish();
 /// assert_eq!(line, r#"{"bench":"a\"b","iters":3,"median_ns":12.3,"rate":0.25,"parent":null}"#);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Object {
     out: String,
-}
-
-impl Default for Object {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Object {
     /// An empty object.
     pub fn new() -> Self {
-        Object {
-            out: String::from("{"),
-        }
+        Self::default()
     }
 
-    /// Opens `key`'s slot: the separator, the quoted key and the colon.
-    fn key(&mut self, key: &str) -> &mut String {
-        if self.out.len() > 1 {
-            self.out.push(',');
-        }
-        push_str(&mut self.out, key);
+    /// Appends `key` and the value `value` writes.
+    fn with(mut self, key: &str, value: impl FnOnce(&mut String) -> fmt::Result) -> Self {
+        self.out.push(if self.out.is_empty() { '{' } else { ',' });
+        let _ = quoted(&mut self.out, key);
         self.out.push(':');
-        &mut self.out
+        let _ = value(&mut self.out);
+        self
     }
 
-    /// A string value: `value`'s `Display`, quoted and escaped.
-    pub fn str(mut self, key: &str, value: impl fmt::Display) -> Self {
-        let out = self.key(key);
-        out.push('"');
-        let _ = write!(Escaped(out), "{value}");
-        out.push('"');
-        self
+    /// A string value, quoted and escaped.
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.with(key, |out| quoted(out, value))
     }
 
     /// An integer value.
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        let _ = write!(self.key(key), "{value}");
-        self
+    pub fn u64(self, key: &str, value: u64) -> Self {
+        self.with(key, |out| write!(out, "{value}"))
     }
 
     /// `true` or `false`.
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        let _ = write!(self.key(key), "{value}");
-        self
+    pub fn bool(self, key: &str, value: bool) -> Self {
+        self.with(key, |out| write!(out, "{value}"))
     }
 
     /// A float with exactly `decimals` digits after the point.
-    pub fn fixed(mut self, key: &str, value: f64, decimals: usize) -> Self {
-        push_num(self.key(key), value, Some(decimals));
-        self
+    pub fn fixed(self, key: &str, value: f64, decimals: usize) -> Self {
+        self.with(key, |out| number(out, value, Some(decimals)))
     }
 
     /// A float in its shortest round-tripping form (`10`, `0.25`).
-    pub fn num(mut self, key: &str, value: f64) -> Self {
-        push_num(self.key(key), value, None);
-        self
+    pub fn num(self, key: &str, value: f64) -> Self {
+        self.with(key, |out| number(out, value, None))
     }
 
     /// `null`.
-    pub fn null(mut self, key: &str) -> Self {
-        self.key(key).push_str("null");
-        self
+    pub fn null(self, key: &str) -> Self {
+        self.with(key, |out| out.write_str("null"))
     }
 
     /// An array of integers.
-    pub fn u64s(mut self, key: &str, values: &[u64]) -> Self {
-        push_array(self.key(key), values, |out, v| {
-            let _ = write!(out, "{v}");
-        });
-        self
+    pub fn u64s(self, key: &str, values: &[u64]) -> Self {
+        self.with(key, |out| array(out, values, |out, v| write!(out, "{v}")))
     }
 
     /// An array of floats, each in its shortest form.
-    pub fn nums(mut self, key: &str, values: &[f64]) -> Self {
-        push_array(self.key(key), values, |out, &v| push_num(out, v, None));
-        self
+    pub fn nums(self, key: &str, values: &[f64]) -> Self {
+        self.with(key, |out| {
+            array(out, values, |out, &v| number(out, v, None))
+        })
     }
 
     /// A value this writer already rendered: a nested [`Object`]'s
     /// [`finish`](Object::finish), or another type's `to_json`.
-    pub fn json(mut self, key: &str, rendered: &str) -> Self {
-        self.key(key).push_str(rendered);
-        self
+    pub fn json(self, key: &str, rendered: &str) -> Self {
+        self.with(key, |out| out.write_str(rendered))
     }
 
     /// An array of values this writer already rendered.
-    pub fn json_array<S: AsRef<str>>(
-        mut self,
-        key: &str,
-        rendered: impl IntoIterator<Item = S>,
-    ) -> Self {
-        push_array(self.key(key), rendered, |out, item| {
-            out.push_str(item.as_ref())
-        });
-        self
+    pub fn json_array<S: AsRef<str>>(self, key: &str, items: impl IntoIterator<Item = S>) -> Self {
+        self.with(key, |out| {
+            array(out, items, |out, s| out.write_str(s.as_ref()))
+        })
     }
 
     /// Closes the object and returns its text.
     pub fn finish(mut self) -> String {
+        if self.out.is_empty() {
+            self.out.push('{');
+        }
         self.out.push('}');
         self.out
     }
 }
 
-/// `value` as a JSON number: `{:.N}` with `decimals`, else shortest
-/// `Display`; `null` when it is not finite.
-fn push_num(out: &mut String, value: f64, decimals: Option<usize>) {
-    let _ = match decimals {
+/// `value` with `decimals` digits after the point, else in its shortest
+/// form; `null` when it is not finite.
+fn number(out: &mut String, value: f64, decimals: Option<usize>) -> fmt::Result {
+    match decimals {
         _ if !value.is_finite() => out.write_str("null"),
         Some(d) => write!(out, "{value:.d$}"),
         None => write!(out, "{value}"),
-    };
+    }
 }
 
-fn push_array<T>(
+fn array<T>(
     out: &mut String,
     items: impl IntoIterator<Item = T>,
-    mut each: impl FnMut(&mut String, T),
-) {
+    mut each: impl FnMut(&mut String, T) -> fmt::Result,
+) -> fmt::Result {
     out.push('[');
     for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        each(out, item);
+        each(out, item)?;
     }
     out.push(']');
+    Ok(())
 }
 
-/// `s` quoted and escaped.
-fn push_str(out: &mut String, s: &str) {
+/// `s` in quotes, with `"`, `\` and control characters escaped.
+fn quoted(out: &mut String, s: &str) -> fmt::Result {
     out.push('"');
-    let _ = Escaped(out).write_str(s);
-    out.push('"');
-}
-
-/// Escapes what it is written: `"`, `\` and control characters.
-struct Escaped<'a>(&'a mut String);
-
-impl fmt::Write for Escaped<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for c in s.chars() {
-            match c {
-                '"' => self.0.push_str("\\\""),
-                '\\' => self.0.push_str("\\\\"),
-                '\n' => self.0.push_str("\\n"),
-                '\r' => self.0.push_str("\\r"),
-                '\t' => self.0.push_str("\\t"),
-                c if c < ' ' => write!(self.0, "\\u{:04x}", c as u32)?,
-                c => self.0.push(c),
-            }
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => write!(out, "\\{c}")?,
+            c if c < ' ' => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.push(c),
         }
-        Ok(())
     }
+    out.push('"');
+    Ok(())
 }
 
 /// One value of a flat trace object.
@@ -318,16 +283,13 @@ impl<'a> Parser<'a> {
                     Some(b'n') => '\n',
                     Some(b't') => '\t',
                     Some(b'r') => '\r',
-                    Some(b'b') => '\u{8}',
-                    Some(b'f') => '\u{c}',
                     Some(b'u') => {
-                        let hex = self.bytes.get(self.pos..self.pos + 4).unwrap_or_default();
+                        let hex = self.bytes.get(self.pos..self.pos + 4);
                         self.pos += 4;
-                        std::str::from_utf8(hex)
-                            .ok()
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| format!("bad \\u escape {hex:?}"))?
+                        let code = hex.and_then(|h| {
+                            u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
+                        });
+                        code.and_then(char::from_u32).ok_or("bad \\u escape")?
                     }
                     other => return Err(format!("unsupported escape {other:?}")),
                 },
@@ -353,17 +315,20 @@ impl<'a> Parser<'a> {
             .map_err(|e| format!("bad number {text:?}: {e}"))
     }
 
+    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
+        if !self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            return Err(format!("expected {word}"));
+        }
+        self.pos += word.len();
+        Ok(value)
+    }
+
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(JsonValue::Null)
-                } else {
-                    Err("expected null".into())
-                }
-            }
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'[') => {
                 self.pos += 1;
                 let mut arr = Vec::new();
@@ -382,15 +347,6 @@ impl<'a> Parser<'a> {
                         other => return Err(format!("expected ',' or ']', found {other:?}")),
                     }
                 }
-            }
-            Some(b't' | b'f') => {
-                let rest = &self.bytes[self.pos..];
-                let value = rest.starts_with(b"true");
-                if !value && !rest.starts_with(b"false") {
-                    return Err("expected true or false".into());
-                }
-                self.pos += if value { 4 } else { 5 };
-                Ok(JsonValue::Bool(value))
             }
             Some(b'0'..=b'9' | b'-') => Ok(JsonValue::Num(self.number()?)),
             other => Err(format!("unexpected value start {other:?}")),

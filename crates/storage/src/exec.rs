@@ -159,9 +159,8 @@ impl Redundancy {
 pub struct ExecPolicy {
     /// Per-copy retry policy (backoff in simulated µs).
     pub retry: RetryPolicy,
-    /// Which redundancy tier serves buckets the primary cannot
-    /// ([`Redundancy::None`]: no failover; the tier must be enabled on
-    /// the file).
+    /// The tier that serves buckets the primary cannot (`None`: no
+    /// failover); it must also be enabled on the file.
     pub redundancy: Redundancy,
     /// Seed for backoff jitter — conventionally the run's `PMR_SEED`, so
     /// retry schedules replay with the fault decisions.
@@ -180,9 +179,8 @@ impl Default for ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// `redundancy`. Kept only because the benchmark crate (`perfbench/`)
-    /// calls it; remove it when the benchmark is next rebuilt (ROADMAP
-    /// item 1).
+    /// `redundancy`. Kept only for `perfbench/`, which calls it; remove it
+    /// when the benchmark is next rebuilt (ROADMAP item 1).
     pub fn effective_redundancy(&self) -> Redundancy {
         self.redundancy
     }
@@ -298,7 +296,7 @@ impl ExecutionReport {
                 .u64("addresses_computed", d.addresses_computed)
                 .fixed("simulated_us", d.simulated_us, 3)
                 .u64("reconstructions", u64::from(d.reconstructions))
-                .str("outcome", d.outcome)
+                .str("outcome", &d.outcome.to_string())
                 .finish()
         });
         let o = Object::new()
@@ -308,7 +306,7 @@ impl ExecutionReport {
             .fixed("simulated_serial_us", self.simulated_serial_us, 3)
             .fixed("speedup", self.speedup(), 4)
             .fixed("coverage", self.coverage, 6)
-            .str("redundancy", self.redundancy)
+            .str("redundancy", &self.redundancy.to_string())
             .u64("reconstructions", self.reconstructions())
             .u64s("lost_buckets", &self.lost_buckets)
             .json_array("per_device", devices);
@@ -1085,11 +1083,6 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
     /// carry them.
     pub fn workers(&self) -> u64 {
         self.range.end - self.range.start
-    }
-
-    /// The contiguous device subrange this executor serves.
-    pub fn device_range(&self) -> Range<u64> {
-        self.range.clone()
     }
 
     /// Executes a batch of queries, pipelined: each chunk of devices

@@ -74,7 +74,7 @@ fn loadgen_replay_checksum_is_cache_invariant() {
     .checksum;
 
     let local = exec.execute_batch(&queries, &policy);
-    let expected = loadgen::reports_checksum(local.iter());
+    let expected = loadgen::reports_checksum(0, &local);
     assert_eq!(
         on, expected,
         "cache-on cluster run diverged from single-process"
