@@ -420,6 +420,7 @@ mod tests {
                 want.push((key, value));
             }
             let line = object.finish();
+            assert!(!line.contains(|c: char| c < ' '), "raw control character: {line:?}");
             assert_eq!(parse_object(&line), Ok(want), "{line}");
         }
     }
