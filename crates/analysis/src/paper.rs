@@ -175,13 +175,26 @@ pub fn render_comparison(exp: Experiment, comparisons: &[CellComparison]) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// [`compare`] over Tables 7–9, computed once per test binary: each
+    /// table takes seconds in the test profile, and three tests read it.
+    fn compared() -> &'static [(Experiment, Vec<CellComparison>)] {
+        static CELLS: OnceLock<Vec<(Experiment, Vec<CellComparison>)>> = OnceLock::new();
+        CELLS.get_or_init(|| {
+            [Experiment::Table7, Experiment::Table8, Experiment::Table9]
+                .into_iter()
+                .map(|exp| (exp, compare(exp).unwrap()))
+                .collect()
+        })
+    }
 
     /// The headline fidelity claim: every *legible* published cell of
     /// Tables 7–9 matches our computation to the printed decimal.
     #[test]
     fn all_legible_cells_match() {
-        for exp in [Experiment::Table7, Experiment::Table8, Experiment::Table9] {
-            for c in compare(exp).unwrap() {
+        for (exp, comparisons) in compared() {
+            for c in comparisons {
                 if c.status == CellStatus::Legible {
                     assert!(
                         c.matches_printed(),
@@ -200,8 +213,7 @@ mod tests {
     /// Fidelity statistics: at most a handful of suspect cells per table.
     #[test]
     fn suspect_cells_are_the_minority() {
-        for exp in [Experiment::Table7, Experiment::Table8, Experiment::Table9] {
-            let comparisons = compare(exp).unwrap();
+        for (exp, comparisons) in compared() {
             let suspect = comparisons
                 .iter()
                 .filter(|c| c.status == CellStatus::OcrSuspect)
@@ -213,8 +225,11 @@ mod tests {
 
     #[test]
     fn render_flags_notes() {
-        let comparisons = compare(Experiment::Table9).unwrap();
-        let text = render_comparison(Experiment::Table9, &comparisons);
+        let (exp, comparisons) = compared()
+            .iter()
+            .find(|(exp, _)| *exp == Experiment::Table9)
+            .expect("Table 9 is compared");
+        let text = render_comparison(*exp, comparisons);
         assert!(text.contains("Table 9"));
         assert!(text.contains("ocr-suspect"));
         assert!(

@@ -220,16 +220,6 @@ mod tests {
         assert!(!gated("fault_overhead/policy_no_faults"));
     }
 
-    /// All three decoded-page-cache benches ride the `read_path/` prefix
-    /// into the gate: the hot-cached win and the cache-off baseline both
-    /// regress loudly if the cache or the single-copy decode backslides.
-    #[test]
-    fn read_path_cache_benches_are_gated() {
-        assert!(gated("read_path/hot_cached"));
-        assert!(gated("read_path/cold"));
-        assert!(gated("read_path/cache_off"));
-    }
-
     #[test]
     fn vanished_gated_bench_fails_added_is_informational() {
         let base = parse_baseline(&line("exec_fast_path/dispatch_wide", 100.0)).unwrap();

@@ -583,15 +583,10 @@ pub fn fault_overhead(opts: &SuiteOpts) -> Group {
     group
 }
 
-/// The decoded-page cache on the bucket-read hot path: one device's
-/// resident buckets read repeatedly with the cache warm (every read an
-/// `Arc` clone out of the map), thrashing (capacity 1 — every read a
-/// miss, decode, and eviction), and disabled (capacity 0 — the
-/// pre-cache behaviour, a full page decode per read). All three benches
-/// return the identical record-count checksum — the cache is purely a
-/// wall-clock optimisation — and the `read_path/` gate in `bench_diff`
-/// holds the hot-over-off win (≥3x). `raw_share` times the undecoded
-/// node read path: one scan batch's share read through
+/// The bucket-read hot path. `decode` reads one device's resident
+/// buckets, each page decoded under the store's read guard (the
+/// single-process read, one copy per payload); `raw_share` times the
+/// undecoded node read path: one scan batch's share read through
 /// [`Executor::execute_planned_raw`].
 pub fn read_path(opts: &SuiteOpts) -> Group {
     let records = opts.scaled(20_000, 1000) as i64;
@@ -601,13 +596,7 @@ pub fn read_path(opts: &SuiteOpts) -> Group {
     let codes = dev.resident_buckets();
 
     let mut group = opts.group("read_path");
-
-    dev.set_cache_capacity(codes.len().max(1));
-    for &c in &codes {
-        // Pre-warm so every timed hot read is a hit.
-        let _ = dev.read_bucket(c);
-    }
-    group.bench("hot_cached", || {
+    group.bench("decode", || {
         let mut n = 0u64;
         for &c in &codes {
             n += dev
@@ -617,32 +606,6 @@ pub fn read_path(opts: &SuiteOpts) -> Group {
         }
         n
     });
-
-    dev.set_cache_capacity(1);
-    group.bench("cold", || {
-        let mut n = 0u64;
-        for &c in &codes {
-            n += dev
-                .read_bucket(black_box(c))
-                .map(|r| r.len() as u64)
-                .unwrap_or(0);
-        }
-        n
-    });
-
-    dev.set_cache_capacity(0);
-    group.bench("cache_off", || {
-        let mut n = 0u64;
-        for &c in &codes {
-            n += dev
-                .read_bucket(black_box(c))
-                .map(|r| r.len() as u64)
-                .unwrap_or(0);
-        }
-        n
-    });
-
-    dev.set_cache_capacity(pmr_storage::cache::DEFAULT_CAPACITY);
 
     // One pmr-net node's share of a scan batch: 16 queries with 2–4
     // open fields on the Table 7 file, read as stored page bytes over a

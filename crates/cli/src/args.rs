@@ -15,7 +15,7 @@ USAGE:
 
   pmr simulate --fields F1,F2,... --devices M --records N [--seed K]
                [--trace T] [--json] [--faults SPEC] [--retry POLICY]
-               [--redundancy R] [--batch B] [--cache P]
+               [--redundancy R] [--batch B]
       Build a synthetic declustered file and execute sample queries in
       parallel, reporting balance and simulated speedup. With --faults /
       --retry / --redundancy the fault-aware executor runs instead:
@@ -25,7 +25,7 @@ USAGE:
       one resident executor batch and reports throughput.
 
   pmr throughput [--fields F1,F2,... --devices M] [--records N]
-                 [--batch B] [--seed K] [--cache P] [--json]
+                 [--batch B] [--seed K] [--json]
       Time one query batch (default: the paper's Table 7 system, 64
       queries) through the resident batch executor, one-query-at-a-time
       execution, and the serial reference; all variants must return the
@@ -33,7 +33,7 @@ USAGE:
 
   pmr chaos [--fields F1,F2,... --devices M] [--records N] [--seed K]
             [--rates R1,R2,...] [--queries Q] [--retry POLICY]
-            [--outage D] [--redundancy R] [--cache P] [--json]
+            [--outage D] [--redundancy R] [--json]
       Sweep fault-injection rates over a system (default: the paper's
       Table 7 system, F = 8^6, M = 32) and print a coverage /
       response-time-inflation table. Mirroring + failover are on unless
@@ -120,11 +120,6 @@ OPTIONS:
   --kill-node loadgen: node index to kill mid-run
   --kill-at   loadgen: query index at which the kill fires (default half)
   --watch     loadgen: stream per-node telemetry JSON to stderr every MS
-  --cache     simulate/throughput/chaos: decoded-page cache capacity
-              per device, in pages (0 disables; default 1024). Purely a
-              wall-clock knob — results are bit-equal at any setting.
-              serve/loadgen refuse it: nodes ship stored page bytes and
-              never read the cache
   --check     loadgen: verify the checksum against a single-process run
   --csv       experiment: print a figure's curves as CSV
   --empirical experiment: add a figure's exhaustively measured curves
@@ -349,7 +344,6 @@ mod tests {
             "kill-node",
             "kill-at",
             "watch",
-            "cache",
             "outage",
             "redundancy",
             "max-fields",

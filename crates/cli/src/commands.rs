@@ -1002,14 +1002,6 @@ fn build_cluster(
     ),
     String,
 > {
-    if flags.get("cache").is_some() {
-        return Err(
-            "--cache does not apply to serve/loadgen: nodes ship stored page \
-                    bytes and never read the decoded-page cache (use it with \
-                    simulate, throughput or chaos)"
-                .into(),
-        );
-    }
     let spec = Synthetic::from_flags(flags, true, 5_000, pmr_rt::seed_from_env_or(42))?;
     let (sys, seed) = (&spec.sys, spec.seed);
     let nodes = flags.u64_or("nodes", 4)? as usize;

@@ -50,12 +50,11 @@ impl Synthetic {
         })
     }
 
-    /// Builds the file under `--strategy`, sizes its page cache from
-    /// `--cache`, and loads it under `redundancy`: mirroring is enabled
-    /// before the load (every append lands on both copies), parity after
-    /// it (each stripe encodes once). Returns the file and the record
-    /// generator, advanced past the load, for the command's sample
-    /// queries.
+    /// Builds the file under `--strategy` and loads it under
+    /// `redundancy`: mirroring is enabled before the load (every append
+    /// lands on both copies), parity after it (each stripe encodes
+    /// once). Returns the file and the record generator, advanced past
+    /// the load, for the command's sample queries.
     pub fn build(
         &self,
         flags: &Flags<'_>,
@@ -66,12 +65,6 @@ impl Synthetic {
             .map_err(|e| e.to_string())?;
         let mut file =
             DeclusteredFile::new(Schema::ints(sys), fx, self.seed).map_err(|e| e.to_string())?;
-        if let Some(pages) = flags.get("cache") {
-            let capacity = pages
-                .parse()
-                .map_err(|e| format!("bad --cache {pages:?}: {e}"))?;
-            file.set_cache_capacity(capacity);
-        }
         if redundancy == Redundancy::Mirror && !file.enable_mirroring() {
             return Err("mirroring needs at least 2 devices (pass --redundancy none)".into());
         }

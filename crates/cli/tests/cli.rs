@@ -41,16 +41,32 @@ fn unknown_command_fails() {
     assert!(stderr(&out).contains("unknown command"));
 }
 
-/// Nodes never read the decoded-page cache, so the cluster commands
-/// refuse the flag instead of silently resizing only the reference.
+/// The decoded-page cache is gone, and so is its flag: every command
+/// rejects `--cache`. `stats` parses no flags but `--cluster`, so it
+/// names the stray argument instead.
 #[test]
-fn serve_and_loadgen_refuse_cache() {
-    for command in ["serve", "loadgen"] {
-        let out = pmr(&[command, "--cache", "0"]);
-        assert!(!out.status.success(), "{command} accepted --cache");
+fn cache_flag_is_unknown_everywhere() {
+    let unknown = "unknown flag --cache";
+    let cases: [(&[&str], &str); 12] = [
+        (&["distribute"], unknown),
+        (&["analyze"], unknown),
+        (&["simulate"], unknown),
+        (&["throughput"], unknown),
+        (&["chaos"], unknown),
+        (&["serve"], unknown),
+        (&["loadgen"], unknown),
+        (&["experiment", "table1"], unknown),
+        (&["stats", "trace.jsonl"], "unexpected argument \"--cache\""),
+        (&["optimize"], unknown),
+        (&["design"], unknown),
+        (&["verify"], unknown),
+    ];
+    for (command, message) in cases {
+        let out = pmr(&[command, &["--cache", "0"]].concat());
+        assert!(!out.status.success(), "{command:?} accepted --cache");
         assert!(
-            stderr(&out).contains("--cache does not apply"),
-            "{command}: {}",
+            stderr(&out).contains(message),
+            "{command:?}: {}",
             stderr(&out)
         );
     }

@@ -24,8 +24,8 @@ const SEED: u64 = 0xBA7C;
 
 /// Table 7 (6 fields of 8, M = 32), mirrored, 2000 records — the same
 /// fixture as the repo's batch-equivalence suite, plus a 4-node cluster
-/// over the same file. The mutex serialises fault-plan installs and
-/// cache-capacity changes against every test that reads the file.
+/// over the same file. The mutex serialises fault-plan installs against
+/// every test that reads the file.
 struct Fixture {
     file: DeclusteredFile<FxDistribution>,
     exec: Executor<FxDistribution>,
@@ -135,13 +135,6 @@ rt_proptest! {
             redundancy: if src.weighted(0.8) { Redundancy::Mirror } else { Redundancy::None },
             seed: src.any_u64(),
         };
-        // Random cache capacity, including disabled and left as it was:
-        // gathered reports must be bit-equal at any setting.
-        let capacity = match src.arm(3) {
-            0 => None,
-            1 => Some(0),
-            _ => Some(src.int_in(1, 128) as usize),
-        };
         let plan = if src.weighted(0.5) {
             let mut plan = FaultPlan::new(src.any_u64());
             if src.weighted(0.6) {
@@ -156,9 +149,6 @@ rt_proptest! {
         };
 
         let _gate = fx.plan_gate.lock().unwrap();
-        if let Some(capacity) = capacity {
-            fx.file.set_cache_capacity(capacity);
-        }
         fx.file.install_fault_plan(plan.clone());
         let gathered = cluster.frontend().execute_batch(&queries, &policy);
         let local = fx.exec.execute_batch(&queries, &policy);

@@ -31,10 +31,6 @@ metric_table! {
     Counter ADDR_BATCH_CALLS = "addr.batch_calls";
     Span BENCH_OBS = "bench.obs";
     Counter BENCH_OBS_COUNTER = "bench.obs.counter";
-    Counter CACHE_EVICTED = "cache.evicted";
-    Counter CACHE_HIT = "cache.hit";
-    Counter CACHE_INVALIDATED = "cache.invalidated";
-    Counter CACHE_MISS = "cache.miss";
     Span CLI_EXPERIMENT = "cli.experiment";
     Span CLI_INSERT = "cli.insert";
     Counter EXEC_ADDRESSES_COMPUTED = "exec.addresses_computed";

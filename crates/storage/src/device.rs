@@ -15,8 +15,10 @@
 //! store's read guard lazily on the first admitted read that needs the
 //! bytes (a dead device never locks), holds it for the rest of the
 //! share, and adds its `bucket_reads` to the device once, on drop. A
-//! read therefore costs the page's own hash probe and cache misses, not
-//! a lock round trip and two atomic read-modify-writes.
+//! read therefore costs the page's own hash probe, not a lock round
+//! trip and two atomic read-modify-writes. Nothing is cached: a read
+//! copies the validated stored bytes ([`ShareReader::copy_attempt`], the
+//! executor's path) or decodes them ([`ShareReader::decode_attempt`]).
 //!
 //! A thread holds **at most one** reader guard at a time: a reader must
 //! be dropped before its thread opens another (the executor drops the
@@ -25,7 +27,6 @@
 //! store the thread already reads — or a cross-device cycle between two
 //! threads — would deadlock against an appender.
 
-use crate::cache::{PageCache, PageKey};
 use crate::code_hash::CodeMap;
 use crate::encode::{self, DecodeError};
 use pmr_mkh::Record;
@@ -63,10 +64,8 @@ impl std::error::Error for ReadFault {}
 /// simulated clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BucketRead {
-    /// The bucket's records (empty when the bucket holds no data),
-    /// shared with the device's decoded-page cache: a cache hit is an
-    /// `Arc` clone, never a re-decode.
-    pub records: Arc<[Record]>,
+    /// The bucket's records (empty when the bucket holds no data).
+    pub records: Vec<Record>,
     /// Simulated microseconds of injected latency spike (0 when none).
     pub injected_latency_us: u64,
 }
@@ -94,18 +93,6 @@ pub enum PageStore {
     Parity,
 }
 
-impl PageStore {
-    /// The decoded-page cache line of `code` in this store; parity
-    /// shards have none.
-    fn cache_key(self, code: u64) -> Option<PageKey> {
-        match self {
-            PageStore::Primary => Some(PageKey::Primary(code)),
-            PageStore::Mirror => Some(PageKey::Mirror(code)),
-            PageStore::Parity => None,
-        }
-    }
-}
-
 /// Pages keyed by code: a bucket index, or a stripe id for parity.
 type Pages = CodeMap<Vec<u8>>;
 
@@ -116,8 +103,7 @@ pub struct Device {
     /// Bucket index → encoded records. Hashed: every read is a point
     /// lookup, and the listings that need address order
     /// ([`Device::resident_buckets`], [`Device::drain`]) sort on the way
-    /// out. (An ordered map made the node's raw page read a tree walk
-    /// that cost more than the decoded-page cache hit it replaced.)
+    /// out. (An ordered map made every page read a tree walk.)
     store: RwLock<Pages>,
     /// Mirror pages this device holds *for its buddy* — kept apart from
     /// `store` so occupancy counts, persistence snapshots, and
@@ -137,9 +123,6 @@ pub struct Device {
     faults_on: AtomicBool,
     /// The installed fault plan, if any.
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
-    /// Decoded bucket pages keyed by (store, bucket), kept coherent by
-    /// the store locks. See [`crate::cache`].
-    cache: PageCache,
 }
 
 impl Device {
@@ -154,7 +137,6 @@ impl Device {
             records_written: AtomicU64::new(0),
             faults_on: AtomicBool::new(false),
             fault_plan: RwLock::new(None),
-            cache: PageCache::new(crate::cache::DEFAULT_CAPACITY),
         }
     }
 
@@ -163,32 +145,12 @@ impl Device {
         self.id
     }
 
-    /// Resizes the decoded-page cache (0 disables it). An unchanged
-    /// capacity is a no-op that keeps the cache warm.
-    pub fn set_cache_capacity(&self, capacity: usize) {
-        self.cache.set_capacity(capacity);
-    }
-
-    /// Current decoded-page cache capacity (0 = off).
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// Number of decoded pages resident in the cache.
-    pub fn cached_pages(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Appends a record to a resident bucket (creating the bucket page on
     /// first write).
     pub fn append(&self, bucket_index: u64, record: &Record) {
         let mut store = self.store.write();
         let region = store.entry(bucket_index).or_default();
         encode::encode_record(record, region);
-        // Inside the write-lock critical section: a reader installs its
-        // decode under the read lock, so no decode of the old bytes can
-        // land after this drop.
-        self.cache.invalidate(PageKey::Primary(bucket_index));
         self.records_written.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -221,11 +183,10 @@ impl Device {
 
     /// Reads one bucket's records (empty when the bucket has no region —
     /// an empty bucket still counts as one access, matching the paper's
-    /// bucket-access cost model), ignoring any fault plan. A cache hit
-    /// skips the store lock and the decode entirely; a miss decodes the
-    /// page borrowed under the read lock (one copy per payload, none for
-    /// the page) and installs it before releasing that lock.
-    pub fn read_bucket(&self, bucket_index: u64) -> Result<Arc<[Record]>, DecodeError> {
+    /// bucket-access cost model), ignoring any fault plan. The page is
+    /// decoded borrowed under the read lock: one copy per payload, none
+    /// for the page.
+    pub fn read_bucket(&self, bucket_index: u64) -> Result<Vec<Record>, DecodeError> {
         ShareReader {
             device: self,
             store: PageStore::Primary,
@@ -263,18 +224,6 @@ impl Device {
             .decode_attempt(bucket_index, attempt)
     }
 
-    /// One fault-aware read attempt against the **mirror** store — the
-    /// failover path, called on the buddy of a failed home device. The
-    /// same fault plan applies (the buddy can be out too).
-    pub fn read_mirror_attempt(
-        &self,
-        bucket_index: u64,
-        attempt: u32,
-    ) -> Result<BucketRead, ReadFault> {
-        self.reader(PageStore::Mirror)
-            .decode_attempt(bucket_index, attempt)
-    }
-
     /// Installs (replacing) the parity shard this device holds for
     /// stripe `stripe_id`. Parity writes, like mirror writes, do not
     /// count toward `records_written`.
@@ -305,15 +254,14 @@ impl Device {
         let mut store = self.mirror_store.write();
         let region = store.entry(bucket_index).or_default();
         encode::encode_record(record, region);
-        self.cache.invalidate(PageKey::Mirror(bucket_index));
     }
 
     /// Installs a pre-encoded page into the mirror store (bulk
     /// re-mirroring path), replacing any previous mirror page.
     pub fn install_mirror_page(&self, bucket_index: u64, page: &[u8]) {
-        let mut store = self.mirror_store.write();
-        store.insert(bucket_index, page.to_vec());
-        self.cache.invalidate(PageKey::Mirror(bucket_index));
+        self.mirror_store
+            .write()
+            .insert(bucket_index, page.to_vec());
     }
 
     /// Indices of the mirror buckets this device holds, in address order.
@@ -328,9 +276,7 @@ impl Device {
 
     /// Drops all mirror pages (primary data untouched).
     pub fn clear_mirror(&self) {
-        let mut store = self.mirror_store.write();
-        store.clear();
-        self.cache.invalidate_mirrors();
+        self.mirror_store.write().clear();
     }
 
     /// Indices of the buckets with resident data, in address order.
@@ -364,7 +310,6 @@ impl Device {
     pub fn install_page(&self, bucket_index: u64, page: &[u8], records: u64) {
         let mut store = self.store.write();
         store.insert(bucket_index, page.to_vec());
-        self.cache.invalidate(PageKey::Primary(bucket_index));
         self.records_written.fetch_add(records, Ordering::Relaxed);
     }
 
@@ -374,11 +319,7 @@ impl Device {
     /// real hardware produces (torn writes, bit rot); readers must surface
     /// [`DecodeError`] rather than panic or silently drop records.
     pub fn inject_corruption(&self, bucket_index: u64, bytes: &[u8]) {
-        let mut store = self.store.write();
-        store.insert(bucket_index, bytes.to_vec());
-        // At-rest corruption is a write like any other: invalidate so the
-        // next read surfaces the DecodeError instead of a stale hit.
-        self.cache.invalidate(PageKey::Primary(bucket_index));
+        self.store.write().insert(bucket_index, bytes.to_vec());
     }
 
     /// Drops all resident data (primary and mirror) and resets counters
@@ -388,7 +329,6 @@ impl Device {
         store.clear();
         self.mirror_store.write().clear();
         self.parity_store.write().clear();
-        self.cache.invalidate_all();
         self.bucket_reads.store(0, Ordering::Relaxed);
         self.records_written.store(0, Ordering::Relaxed);
     }
@@ -402,7 +342,6 @@ impl Device {
         self.parity_store.write().clear();
         let mut store = self.store.write();
         let mut drained: Vec<(u64, Vec<u8>)> = std::mem::take(&mut *store).into_iter().collect();
-        self.cache.invalidate_all();
         drained.sort_unstable_by_key(|&(idx, _)| idx);
         drained
             .into_iter()
@@ -480,7 +419,7 @@ impl ShareReader<'_> {
     /// bytes checked, and a page corrupt at rest fails with the error a
     /// decode would raise. Fails exactly when
     /// [`ShareReader::decode_attempt`] does, with the same fault, and
-    /// then appends nothing. Never touches the decoded-page cache.
+    /// then appends nothing.
     pub fn copy_attempt(
         &mut self,
         code: u64,
@@ -502,8 +441,7 @@ impl ShareReader<'_> {
         })
     }
 
-    /// One read attempt that returns the page's decoded records through
-    /// the device's page cache.
+    /// One read attempt that returns the page's decoded records.
     pub fn decode_attempt(&mut self, code: u64, attempt: u32) -> Result<BucketRead, ReadFault> {
         let injected_latency_us = self.admit(code, attempt)?;
         let records = self.decode(code).map_err(ReadFault::Decode)?;
@@ -513,23 +451,13 @@ impl ShareReader<'_> {
         })
     }
 
-    /// The decoded page: a cache hit, or a decode of the bytes borrowed
-    /// under the guard, installed in the cache while the guard still
-    /// pins them (a writer waits for the guard, then drops the entry).
-    /// Counts no read.
-    fn decode(&mut self, code: u64) -> Result<Arc<[Record]>, DecodeError> {
-        let (cache, key) = (&self.device.cache, self.store.cache_key(code));
-        if let Some(records) = key.and_then(|key| cache.get(key)) {
-            return Ok(records);
+    /// The page decoded from the bytes borrowed under the guard. Counts
+    /// no read.
+    fn decode(&mut self, code: u64) -> Result<Vec<Record>, DecodeError> {
+        match self.pages().get(&code) {
+            None => Ok(Vec::new()),
+            Some(region) => encode::decode_all_bytes(region),
         }
-        let records: Arc<[Record]> = match self.pages().get(&code) {
-            None => Vec::new().into(),
-            Some(region) => encode::decode_all_bytes(region)?.into(),
-        };
-        if let Some(key) = key {
-            cache.insert(key, records.clone());
-        }
-        Ok(records)
     }
 
     /// One read attempt that lends the stored bytes (`None` when nothing
@@ -638,7 +566,10 @@ mod tests {
         d.append(1, &rec(1));
         d.set_fault_plan(Some(Arc::new(FaultPlan::new(1).with_dead_device(0))));
         assert_eq!(d.read_bucket_attempt(1, 0), Err(ReadFault::Outage));
-        assert_eq!(d.read_mirror_attempt(1, 0), Err(ReadFault::Outage));
+        assert_eq!(
+            d.reader(PageStore::Mirror).decode_attempt(1, 0),
+            Err(ReadFault::Outage)
+        );
         // Removing the plan restores clean reads.
         d.set_fault_plan(None);
         assert_eq!(
@@ -676,19 +607,13 @@ mod tests {
         assert_eq!(d.mirror_bucket_count(), 1);
         // Mirror writes don't count toward primary occupancy.
         assert_eq!(d.records_written(), 1);
-        assert_eq!(
-            &*d.read_mirror_attempt(5, 0).unwrap().records,
-            &[rec(2), rec(3)][..]
-        );
-        assert!(d.read_mirror_attempt(4, 0).unwrap().records.is_empty());
-        // install_mirror_page replaces, append_mirror appends — and both
-        // invalidate the mirror cache line just read above.
+        let mirror = |bucket| d.reader(PageStore::Mirror).decode_attempt(bucket, 0);
+        assert_eq!(mirror(5).unwrap().records, [rec(2), rec(3)]);
+        assert!(mirror(4).unwrap().records.is_empty());
+        // install_mirror_page replaces, append_mirror appends.
         let page = d.raw_page(4).unwrap();
         d.install_mirror_page(5, &page);
-        assert_eq!(
-            &*d.read_mirror_attempt(5, 0).unwrap().records,
-            &[rec(1)][..]
-        );
+        assert_eq!(mirror(5).unwrap().records, [rec(1)]);
         d.clear_mirror();
         assert_eq!(d.mirror_bucket_count(), 0);
         assert_eq!(d.resident_buckets(), vec![4]);
@@ -710,75 +635,8 @@ mod tests {
     }
 
     #[test]
-    fn hot_reads_share_one_decode() {
-        let d = Device::new(0);
-        d.append(6, &rec(1));
-        let first = d.read_bucket(6).unwrap();
-        let second = d.read_bucket(6).unwrap();
-        // Hit path: the same decoded page, not a re-decode.
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(d.bucket_reads(), 2, "hits still charge bucket accesses");
-        assert_eq!(d.cached_pages(), 1);
-        // Any append invalidates; the next read re-decodes fresh data.
-        d.append(6, &rec(2));
-        let third = d.read_bucket(6).unwrap();
-        assert!(!Arc::ptr_eq(&first, &third));
-        assert_eq!(&*third, &[rec(1), rec(2)][..]);
-    }
-
-    #[test]
-    fn cache_off_reads_stay_correct() {
-        let d = Device::new(0);
-        d.set_cache_capacity(0);
-        assert_eq!(d.cache_capacity(), 0);
-        d.append(6, &rec(1));
-        assert_eq!(&*d.read_bucket(6).unwrap(), &[rec(1)][..]);
-        assert_eq!(d.cached_pages(), 0);
-        d.append(6, &rec(2));
-        assert_eq!(&*d.read_bucket(6).unwrap(), &[rec(1), rec(2)][..]);
-        // Re-enabling starts cold but coherent.
-        d.set_cache_capacity(64);
-        assert_eq!(&*d.read_bucket(6).unwrap(), &[rec(1), rec(2)][..]);
-        assert_eq!(d.cached_pages(), 1);
-    }
-
-    #[test]
-    fn clear_and_drain_invalidate_cached_pages() {
-        let d = Device::new(0);
-        d.append(1, &rec(1));
-        d.read_bucket(1).unwrap();
-        assert_eq!(d.cached_pages(), 1);
-        d.drain().unwrap();
-        assert_eq!(d.cached_pages(), 0);
-        assert!(d.read_bucket(1).unwrap().is_empty());
-        d.append(1, &rec(2));
-        d.read_bucket(1).unwrap();
-        d.clear();
-        assert_eq!(d.cached_pages(), 0);
-        assert!(d.read_bucket(1).unwrap().is_empty());
-    }
-
-    #[test]
-    fn injected_faults_never_touch_the_cache() {
-        let d = Device::new(0);
-        d.append(2, &rec(1));
-        // Read-error faults at rate 1.0: every attempt errors before the
-        // store (or cache) is consulted — nothing gets cached.
-        d.set_fault_plan(Some(Arc::new(FaultPlan::new(5).with_read_error(1.0))));
-        assert_eq!(d.read_bucket_attempt(2, 0), Err(ReadFault::Io));
-        assert_eq!(d.cached_pages(), 0);
-        d.set_fault_plan(None);
-        assert_eq!(
-            &*d.read_bucket_attempt(2, 0).unwrap().records,
-            &[rec(1)][..]
-        );
-        assert_eq!(d.cached_pages(), 1);
-    }
-
-    #[test]
     fn copied_reads_ship_the_stored_bytes_or_the_decode_fault() {
         let d = Device::new(0);
-        d.set_cache_capacity(0);
         d.append(3, &rec(1));
         d.append(3, &rec(2));
         d.append_mirror(4, &rec(5));
@@ -862,8 +720,11 @@ mod tests {
         assert_eq!(&*d.read_bucket(1).unwrap(), &[rec(1), rec(2)][..]);
     }
 
+    /// A read decodes under the store's read guard, so it sees whole
+    /// appends only: each read is a prefix of the appends, at least as
+    /// long as the appends finished before it began.
     #[test]
-    fn cached_reads_stay_coherent_with_a_concurrent_writer() {
+    fn reads_see_a_growing_prefix_of_concurrent_appends() {
         const APPENDS: u64 = 3_000;
         let d = Device::new(0);
         let finished = AtomicU64::new(0);

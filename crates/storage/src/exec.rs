@@ -6,10 +6,12 @@
 //! reads its codes through one policy path (retry → mirror or parity
 //! failover → lose), and the per-device yields merge into an
 //! [`ExecutionReport`]. A device's share of a query is read through one
-//! [`ShareReader`]: one fault-plan snapshot and one store guard for the
-//! whole share instead of a lock round trip per bucket, dropped before
-//! any failover step so a thread never holds two device guards. The
-//! simulated response time is the maximum
+//! [`ShareReader`](crate::ShareReader): one fault-plan snapshot and one
+//! store guard for the whole share instead of a lock round trip per
+//! bucket, dropped before any failover step so a thread never holds two
+//! device guards. Every served page's stored bytes are copied into one
+//! region per share; single-process callers decode it once, a node
+//! ships it as is. The simulated response time is the maximum
 //! per-device time — the paper's symmetric-topology assumption (§5.2.1):
 //! "the response time for a partial match query is determined by the
 //! device which has the largest number of qualified buckets". The
@@ -35,8 +37,8 @@
 //! subrange in a scatter/gather deployment.
 
 use crate::cost::CostModel;
-use crate::device::{Device, PageStore, ReadFault, ShareReader};
-use crate::encode::{self, DecodeError};
+use crate::device::{Device, PageStore, ReadFault};
+use crate::encode;
 use crate::file::{DeclusteredFile, FileError};
 use crate::mirror::Mirroring;
 use crate::parity::ParityStore;
@@ -337,11 +339,11 @@ pub struct DeviceYield {
     pub lost: Vec<u64>,
 }
 
-/// One device's yield with its records left as stored bytes: the
-/// node-side twin of [`DeviceYield`], produced by
-/// [`Executor::execute_planned_raw`]. `region` is the served pages'
-/// bytes exactly as stored, concatenated in bucket-enumeration order —
-/// the [`crate::encode`] format a response frame carries — and
+/// One device's yield with its records left as stored bytes — what the
+/// executor's read path produces for every device share, returned as
+/// is by [`Executor::execute_planned_raw`]. `region` is the served
+/// pages' bytes exactly as stored, concatenated in bucket-enumeration
+/// order — the [`crate::encode`] format a response frame carries — and
 /// `report.records` counts the records in it. Decoding `region` gives
 /// the `records` of the matching [`DeviceYield`].
 #[derive(Debug, Clone, PartialEq)]
@@ -528,7 +530,7 @@ fn execute_one<D: DistributionMethod>(
         parity: file.parity().map(|p| p.as_ref()),
         cost,
     };
-    let yields = run_chunk::<D, Decoded>(&inputs, policy, &planned, 0..m)
+    let yields = run_chunk(&inputs, policy, &planned, 0..m, decoded)
         .pop()
         .expect("one share per query");
     if strict {
@@ -567,120 +569,20 @@ struct FailoverPath<'a> {
     parity: Option<&'a ParityStore>,
 }
 
-/// Where a device worker puts the pages it serves: decoded records for
-/// single-process reports ([`Decoded`]), or the stored bytes themselves
-/// for a node's response frame ([`Copied`]). Both take the same pages
-/// through the same retry → mirror → parity chain
-/// ([`resilient_device_read`]) and fail on exactly the same pages, so
-/// the two paths' reports are identical.
-trait PageSink: Default {
-    /// What one device's share of one query becomes.
-    type Yield: Send + 'static;
-    /// One read attempt of page `code` through `reader` (a primary or
-    /// mirror store) into the sink; the injected latency on success. A
-    /// failed attempt leaves the sink untouched.
-    fn read(
-        &mut self,
-        reader: &mut ShareReader<'_>,
-        code: u64,
-        attempt: u32,
-    ) -> Result<u64, ReadFault>;
-    /// A page rebuilt from its parity stripe; on error the sink is
-    /// untouched.
-    fn rebuilt(&mut self, page: &[u8]) -> Result<(), DecodeError>;
-    /// Records taken in so far.
-    fn records(&self) -> u64;
-    /// Closes the device's share into its yield.
-    fn finish(self, report: DeviceReport, lost: Vec<u64>) -> Self::Yield;
-}
-
-/// The decoded sink: records through the device's page cache.
-#[derive(Default)]
-struct Decoded(Vec<Record>);
-
-impl PageSink for Decoded {
-    type Yield = DeviceYield;
-
-    fn read(
-        &mut self,
-        reader: &mut ShareReader<'_>,
-        code: u64,
-        attempt: u32,
-    ) -> Result<u64, ReadFault> {
-        let read = reader.decode_attempt(code, attempt)?;
-        self.0.extend_from_slice(&read.records);
-        Ok(read.injected_latency_us)
-    }
-
-    fn rebuilt(&mut self, page: &[u8]) -> Result<(), DecodeError> {
-        self.0.extend(encode::decode_all_bytes(page)?);
-        Ok(())
-    }
-
-    fn records(&self) -> u64 {
-        self.0.len() as u64
-    }
-
-    fn finish(self, report: DeviceReport, lost: Vec<u64>) -> DeviceYield {
-        DeviceYield {
-            report,
-            records: self.0,
-            lost,
-        }
-    }
-}
-
-/// The raw sink: validated stored bytes appended to one region, never
-/// decoded and never through the page cache.
-#[derive(Default)]
-struct Copied {
-    region: Vec<u8>,
-    records: u64,
-}
-
-impl PageSink for Copied {
-    type Yield = RawYield;
-
-    fn read(
-        &mut self,
-        reader: &mut ShareReader<'_>,
-        code: u64,
-        attempt: u32,
-    ) -> Result<u64, ReadFault> {
-        let read = reader.copy_attempt(code, attempt, &mut self.region)?;
-        self.records += read.records;
-        Ok(read.injected_latency_us)
-    }
-
-    fn rebuilt(&mut self, page: &[u8]) -> Result<(), DecodeError> {
-        self.records += encode::validate_region(page)?;
-        self.region.extend_from_slice(page);
-        Ok(())
-    }
-
-    fn records(&self) -> u64 {
-        self.records
-    }
-
-    fn finish(self, report: DeviceReport, lost: Vec<u64>) -> RawYield {
-        RawYield {
-            report,
-            region: self.region,
-            lost,
-        }
-    }
-}
-
 /// Reads every code on one device under the policy: retry → failover
 /// (mirror buddy *or* parity reconstruction, per the policy's
-/// redundancy) → lose. Returns the device's yield in the sink's form.
+/// redundancy) → lose. Every page served — read from a primary or
+/// mirror store ([`crate::ShareReader::copy_attempt`]) or rebuilt from
+/// its stripe — has passed a validation walk and is appended, as
+/// stored, to the yield's one region, so a page corrupt at rest fails
+/// over exactly as a failed decode would.
 ///
-/// The primary pass reads through one [`ShareReader`] for the share. It
-/// is dropped before any failover step and re-opened after, so this
-/// thread never holds two device guards at once: a parity rebuild reads
+/// The primary pass reads through one share reader. It is dropped
+/// before any failover step and re-opened after, so this thread never
+/// holds two device guards at once: a parity rebuild reads
 /// the home device's own store too, and re-entering a read lock this
 /// thread holds would deadlock behind a queued writer.
-fn resilient_device_read<S: PageSink>(
+fn resilient_device_read(
     devices: &[Arc<Device>],
     device: u64,
     codes: &[u64],
@@ -688,10 +590,11 @@ fn resilient_device_read<S: PageSink>(
     cost: &CostModel,
     policy: &ExecPolicy,
     addresses_computed: u64,
-) -> S::Yield {
+) -> RawYield {
     let FailoverPath { buddy, parity } = failover;
     let dev = &devices[device as usize];
-    let mut sink = S::default();
+    let mut region = Vec::new();
+    let mut records = 0u64;
     let mut lost = Vec::new();
     let mut extra_us = 0.0f64;
     let mut retries_total = 0u32;
@@ -702,7 +605,9 @@ fn resilient_device_read<S: PageSink>(
         let reader = primary.get_or_insert_with(|| dev.reader(PageStore::Primary));
         let (served, primary_us, primary_retries) =
             read_with_retry(policy, device, code, |attempt| {
-                sink.read(reader, code, attempt)
+                let read = reader.copy_attempt(code, attempt, &mut region)?;
+                records += read.records;
+                Ok(read.injected_latency_us)
             });
         extra_us += primary_us;
         retries_total += primary_retries;
@@ -714,7 +619,9 @@ fn resilient_device_read<S: PageSink>(
             let mut mirror = devices[buddy_id as usize].reader(PageStore::Mirror);
             let (served, mirror_us, mirror_retries) =
                 read_with_retry(policy, buddy_id, code, |attempt| {
-                    sink.read(&mut mirror, code, attempt)
+                    let read = mirror.copy_attempt(code, attempt, &mut region)?;
+                    records += read.records;
+                    Ok(read.injected_latency_us)
                 });
             // The failover read and its backoff are charged to the home
             // worker — it is the one waiting on the bucket.
@@ -731,7 +638,9 @@ fn resilient_device_read<S: PageSink>(
             // shards. The shard reads and their injected latency are
             // charged to the home worker, like the mirror failover.
             if let Ok(page) = store.rebuild(devices, code, 0) {
-                if sink.rebuilt(&page.bytes).is_ok() {
+                if let Ok(rebuilt) = encode::validate_region(&page.bytes) {
+                    records += rebuilt;
+                    region.extend_from_slice(&page.bytes);
                     let charge = cost.device_time_us(u64::from(page.shard_reads), 0)
                         + page.injected_latency_us as f64;
                     extra_us += charge;
@@ -761,13 +670,37 @@ fn resilient_device_read<S: PageSink>(
     let report = DeviceReport {
         device,
         qualified_buckets,
-        records: sink.records(),
+        records,
         addresses_computed,
         simulated_us,
         reconstructions,
         outcome,
     };
-    sink.finish(report, lost)
+    RawYield {
+        report,
+        region,
+        lost,
+    }
+}
+
+/// Decodes a yield's region into its records — one decode per device
+/// share, on the thread that read it. The report already counts the
+/// region's records, so the output is allocated once, at its final
+/// size: growing it from empty cost as much as the cache hits the
+/// decode replaced.
+fn decoded(raw: RawYield) -> DeviceYield {
+    let mut records = Vec::with_capacity(raw.report.records as usize);
+    let mut cursor = raw.region.as_slice();
+    while !cursor.is_empty() {
+        records.push(
+            encode::decode_record_from(&mut cursor).expect("a region of validated pages decodes"),
+        );
+    }
+    DeviceYield {
+        report: raw.report,
+        records,
+        lost: raw.lost,
+    }
 }
 
 /// One copy's retry loop: attempts `read(attempt)` up to
@@ -1133,15 +1066,13 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         planned: &[PlannedQuery],
         policy: &ExecPolicy,
     ) -> Vec<Vec<DeviceYield>> {
-        self.run_planned::<Decoded>(planned, policy)
+        self.run_planned(planned, policy, decoded)
     }
 
     /// [`Executor::execute_planned`] with each yield's records left as
     /// the stored page bytes ([`RawYield`]): the same reads, retries,
-    /// failovers and reconstructions, the same reports, but no decode,
-    /// no record clone and no page cache. Every page shipped passed a
-    /// validation walk, so a page corrupt at rest fails over exactly as
-    /// on the decoded path. A node serves its response frames from this.
+    /// failovers, reconstructions and reports, without the decode.
+    /// A node serves its response frames from this.
     ///
     /// # Panics
     ///
@@ -1151,17 +1082,19 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         planned: &[PlannedQuery],
         policy: &ExecPolicy,
     ) -> Vec<Vec<RawYield>> {
-        self.run_planned::<Copied>(planned, policy)
+        self.run_planned(planned, policy, std::convert::identity)
     }
 
-    /// The one batch pipeline behind both sinks: split the range into
-    /// chunks, run chunk 0 here and the rest on resident workers, and
-    /// stitch each query's yields back together in device order.
-    fn run_planned<S: PageSink>(
+    /// The one batch pipeline: split the range into chunks, run chunk 0
+    /// here and the rest on resident workers, each passing every device
+    /// yield through `finish` on its own thread, and stitch each query's
+    /// yields back together in device order.
+    fn run_planned<Y: Send + 'static>(
         &self,
         planned: &[PlannedQuery],
         policy: &ExecPolicy,
-    ) -> Vec<Vec<S::Yield>> {
+        finish: fn(RawYield) -> Y,
+    ) -> Vec<Vec<Y>> {
         if planned.is_empty() {
             return Vec::new();
         }
@@ -1179,14 +1112,14 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         let inputs = self.shared.inputs();
         let pool = match &self.pool {
             Some(pool) if qualified >= self.break_even => pool,
-            _ => return run_chunk::<D, S>(&inputs, policy, planned, self.range.clone()),
+            _ => return run_chunk(&inputs, policy, planned, self.range.clone(), finish),
         };
         let chunk = |i: usize| {
             let at = |i: usize| self.range.start + devices * i as u64 / self.chunks as u64;
             at(i)..at(i + 1)
         };
         let batch = Arc::new((policy.clone(), planned.to_vec()));
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Vec<S::Yield>>)>();
+        let (tx, rx) = mpsc::channel::<(usize, Vec<Vec<Y>>)>();
         for i in 1..self.chunks {
             let (shared, batch, tx, range) = (
                 Arc::clone(&self.shared),
@@ -1195,15 +1128,14 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
                 chunk(i),
             );
             pool.submit(i - 1, move || {
-                let yields = run_chunk::<D, S>(&shared.inputs(), &batch.0, &batch.1, range);
+                let yields = run_chunk(&shared.inputs(), &batch.0, &batch.1, range, finish);
                 // Collector gone (batch abandoned) is fine to ignore.
                 let _ = tx.send((i, yields));
             });
         }
         drop(tx);
-        let mut by_chunk: Vec<Option<Vec<Vec<S::Yield>>>> =
-            (0..self.chunks).map(|_| None).collect();
-        by_chunk[0] = Some(run_chunk::<D, S>(&inputs, policy, planned, chunk(0)));
+        let mut by_chunk: Vec<Option<Vec<Vec<Y>>>> = (0..self.chunks).map(|_| None).collect();
+        by_chunk[0] = Some(run_chunk(&inputs, policy, planned, chunk(0), finish));
         for (i, yields) in rx {
             by_chunk[i] = Some(yields);
         }
@@ -1255,14 +1187,16 @@ impl<D> Shared<D> {
 
 /// One chunk's share of a batch: for each query, enumerate its qualified
 /// buckets once for the whole chunk ([`route_planned`]), then read each
-/// device's codes under the policy. Returns, per query, the chunk's
-/// yields in device order. The code buffers live for the whole batch.
-fn run_chunk<D: DistributionMethod, S: PageSink>(
+/// device's codes under the policy and pass its yield through `finish`.
+/// Returns, per query, the chunk's yields in device order. The code
+/// buffers live for the whole batch.
+fn run_chunk<D: DistributionMethod, Y>(
     inputs: &Inputs<'_, D>,
     policy: &ExecPolicy,
     planned: &[PlannedQuery],
     devices: Range<u64>,
-) -> Vec<Vec<S::Yield>> {
+    finish: fn(RawYield) -> Y,
+) -> Vec<Vec<Y>> {
     let buddies = inputs
         .mirroring
         .filter(|_| policy.redundancy == Redundancy::Mirror);
@@ -1279,7 +1213,7 @@ fn run_chunk<D: DistributionMethod, S: PageSink>(
                 .zip(&codes)
                 .map(|(device, device_codes)| {
                     let _span = pmr_rt::span!(obs::EXEC_DEVICE, device = device);
-                    resilient_device_read::<S>(
+                    finish(resilient_device_read(
                         inputs.devices,
                         device,
                         device_codes,
@@ -1290,7 +1224,7 @@ fn run_chunk<D: DistributionMethod, S: PageSink>(
                         inputs.cost,
                         policy,
                         p.addresses_computed(device_codes.len() as u64),
-                    )
+                    ))
                 })
                 .collect()
         })
@@ -1590,7 +1524,7 @@ mod tests {
     /// Share readers count bucket reads locally and add them on drop:
     /// after a batch, every device's `bucket_reads` has grown exactly as
     /// much as reading the same codes one `read_bucket_attempt` at a time
-    /// grows it — on both sinks, with a dead device's outages (no read)
+    /// grows it — decoded and raw, with a dead device's outages (no read)
     /// and its buddy's mirror reads in the count.
     #[test]
     fn share_readers_count_bucket_reads_like_per_bucket_reads() {
@@ -1630,7 +1564,10 @@ mod tests {
                 for &code in device_codes {
                     if devices[device].read_bucket_attempt(code, 0).is_err() {
                         let buddy = buddies.buddy_of(device as u64) as usize;
-                        devices[buddy].read_mirror_attempt(code, 0).unwrap();
+                        devices[buddy]
+                            .reader(PageStore::Mirror)
+                            .decode_attempt(code, 0)
+                            .unwrap();
                     }
                 }
             }

@@ -178,14 +178,10 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
         }
     }
 
-    /// Sets the decoded-page cache capacity (in pages, 0 disables) on
-    /// every device. Purely a wall-clock knob: query results and
-    /// simulated costs are identical at any setting.
-    pub fn set_cache_capacity(&self, capacity: usize) {
-        for device in &self.devices {
-            device.set_cache_capacity(capacity);
-        }
-    }
+    /// Does nothing: the decoded-page cache it sized is gone. Kept only
+    /// for `perfbench/`, which calls it; remove it when the benchmark is
+    /// next rebuilt (ROADMAP item 1).
+    pub fn set_cache_capacity(&self, _capacity: usize) {}
 
     /// The schema.
     pub fn schema(&self) -> &Schema {
@@ -331,16 +327,7 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
                 }
                 let Some(pool) = &pool else {
                     // Single-core host: same run-grouped appends, inline.
-                    let (offsets, order) = &*runs;
-                    for &i in &order[offsets[d]..offsets[d + 1]] {
-                        device.append(codes[i as usize], &records[i as usize]);
-                    }
-                    if let Some(pairing) = mirroring {
-                        let b = pairing.buddy_of(d as u64) as usize;
-                        for &i in &order[offsets[b]..offsets[b + 1]] {
-                            device.append_mirror(codes[i as usize], &records[i as usize]);
-                        }
-                    }
+                    append_runs(device, d, &runs, &codes, &records, mirroring);
                     continue;
                 };
                 let device = Arc::clone(device);
@@ -349,16 +336,7 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
                 let runs = Arc::clone(&runs);
                 let tx = tx.clone();
                 pool.submit(d % workers, move || {
-                    let (offsets, order) = &*runs;
-                    for &i in &order[offsets[d]..offsets[d + 1]] {
-                        device.append(codes[i as usize], &records[i as usize]);
-                    }
-                    if let Some(pairing) = mirroring {
-                        let b = pairing.buddy_of(d as u64) as usize;
-                        for &i in &order[offsets[b]..offsets[b + 1]] {
-                            device.append_mirror(codes[i as usize], &records[i as usize]);
-                        }
-                    }
+                    append_runs(&device, d, &runs, &codes, &records, mirroring);
                     let _ = tx.send(());
                 });
                 jobs += 1;
@@ -488,9 +466,34 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
         let mut it = query.qualified_buckets(sys);
         while let Some(code) = it.next_code() {
             let device = self.method.device_of_packed(code);
-            out.extend_from_slice(&self.devices[device as usize].read_bucket(code)?);
+            out.extend(self.devices[device as usize].read_bucket(code)?);
         }
         Ok(out)
+    }
+}
+
+/// One chunk's appends for device `d` in
+/// [`DeclusteredFile::insert_all_parallel`], inline or on a worker: its
+/// own run (`order[offsets[d]..offsets[d + 1]]` of `runs = (offsets,
+/// order)`) to its primary store, then, under mirroring, its buddy's run
+/// to its mirror store — each run in input order.
+fn append_runs(
+    device: &Device,
+    d: usize,
+    runs: &(Vec<usize>, Vec<u32>),
+    codes: &[u64],
+    records: &[Record],
+    mirroring: Option<Mirroring>,
+) {
+    let (offsets, order) = runs;
+    for &i in &order[offsets[d]..offsets[d + 1]] {
+        device.append(codes[i as usize], &records[i as usize]);
+    }
+    if let Some(pairing) = mirroring {
+        let b = pairing.buddy_of(d as u64) as usize;
+        for &i in &order[offsets[b]..offsets[b + 1]] {
+            device.append_mirror(codes[i as usize], &records[i as usize]);
+        }
     }
 }
 
@@ -507,6 +510,14 @@ mod tests {
             .devices(4)
             .build()
             .unwrap()
+    }
+
+    fn mirror_page(device: &Device, bucket: u64) -> Vec<Record> {
+        device
+            .reader(crate::device::PageStore::Mirror)
+            .decode_attempt(bucket, 0)
+            .unwrap()
+            .records
     }
 
     fn sample_records(n: i64) -> Vec<Record> {
@@ -663,8 +674,8 @@ mod tests {
             let buddy = &file.devices()[pairing.buddy_of(device.id()) as usize];
             for bucket in device.resident_buckets() {
                 assert_eq!(
-                    &*device.read_bucket(bucket).unwrap(),
-                    &*buddy.read_mirror_attempt(bucket, 0).unwrap().records,
+                    device.read_bucket(bucket).unwrap(),
+                    mirror_page(buddy, bucket),
                     "mirror mismatch on bucket {bucket}"
                 );
             }
@@ -687,10 +698,7 @@ mod tests {
         for (a, b) in serial.devices().iter().zip(parallel.devices()) {
             assert_eq!(a.mirror_buckets(), b.mirror_buckets());
             for bucket in a.mirror_buckets() {
-                assert_eq!(
-                    a.read_mirror_attempt(bucket, 0).unwrap().records,
-                    b.read_mirror_attempt(bucket, 0).unwrap().records
-                );
+                assert_eq!(mirror_page(a, bucket), mirror_page(b, bucket));
             }
         }
     }

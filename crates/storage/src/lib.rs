@@ -15,9 +15,6 @@
 //!   decode from borrowed slices.
 //! * [`device`] — a simulated device: bucket-addressed store plus access
 //!   accounting, guarded by a [`pmr_rt::sync`] lock for parallel workers.
-//! * [`cache`] — the per-device decoded-page cache: `Arc`-shared hot
-//!   reads, kept coherent by the device's store lock, with CLOCK
-//!   eviction.
 //! * [`mod@file`] — [`DeclusteredFile`]: schema + multi-key hash + distribution
 //!   method + `M` devices; insertion and querying.
 //! * [`exec`] — the parallel query executor (one [`pmr_rt::pool`] worker
@@ -30,6 +27,8 @@
 //!   groups, surviving any `r` simultaneous outages at `~r/k` overhead.
 //! * [`metrics`] — balance metrics over response histograms.
 //! * [`persist`] — snapshot save/load of declustered files.
+//! * [`cache`] — one constant left from the removed decoded-page cache,
+//!   kept for `perfbench/` only.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -87,6 +87,14 @@ mod tests {
         Record::new(vec![Value::Int(i)])
     }
 
+    fn mirror_page(device: &Device, bucket: u64) -> Vec<Record> {
+        device
+            .reader(crate::device::PageStore::Mirror)
+            .decode_attempt(bucket, 0)
+            .unwrap()
+            .records
+    }
+
     #[test]
     fn pairing_is_an_involution_without_fixed_points() {
         for m in [2u64, 4, 8, 32] {
@@ -110,14 +118,8 @@ mod tests {
         let pairing = Mirroring::new(4).unwrap();
         pairing.mirror_resident(&devices);
         // Buddy of 0 is 2, buddy of 3 is 1.
-        assert_eq!(
-            &*devices[2].read_mirror_attempt(10, 0).unwrap().records,
-            &[rec(1), rec(2)][..]
-        );
-        assert_eq!(
-            &*devices[1].read_mirror_attempt(7, 0).unwrap().records,
-            &[rec(3)][..]
-        );
+        assert_eq!(mirror_page(&devices[2], 10), [rec(1), rec(2)]);
+        assert_eq!(mirror_page(&devices[1], 7), [rec(3)]);
         // Primary stores untouched; no phantom occupancy on buddies.
         assert_eq!(devices[2].resident_bucket_count(), 0);
         assert_eq!(devices[1].records_written(), 0);
@@ -129,13 +131,10 @@ mod tests {
         let pairing = Mirroring::new(2).unwrap();
         devices[0].append(5, &rec(9));
         pairing.mirror_record(&devices, 0, 5, &rec(9));
-        assert_eq!(
-            &*devices[1].read_mirror_attempt(5, 0).unwrap().records,
-            &[rec(9)][..]
-        );
+        assert_eq!(mirror_page(&devices[1], 5), [rec(9)]);
         assert_eq!(
             devices[0].read_bucket(5).unwrap(),
-            devices[1].read_mirror_attempt(5, 0).unwrap().records
+            mirror_page(&devices[1], 5)
         );
     }
 }

@@ -7,13 +7,10 @@
 use pmr_bench::suite::{run_all, write_baselines, SuiteOpts};
 
 /// The `pmr loadgen --check` replay contract, in-process: a 4-node
-/// cluster answers a seeded query mix with the identical
-/// order-independent checksum whether the devices' decoded-page cache is
-/// at its default, disabled, or re-enabled at a small capacity (nodes
-/// ship stored page bytes and never read it) — and every variant
-/// matches the single-process batch executor over the same queries.
+/// cluster answers a seeded query mix with the same order-independent
+/// checksum as the single-process batch executor over the same queries.
 #[test]
-fn loadgen_replay_checksum_is_cache_invariant() {
+fn loadgen_replay_checksum_matches_single_process() {
     use pmr_core::{FxDistribution, SystemConfig};
     use pmr_mkh::{Record, Schema, Value};
     use pmr_net::loadgen::{self, LoadgenOpts};
@@ -43,10 +40,7 @@ fn loadgen_replay_checksum_is_cache_invariant() {
         kill: None,
         watch: None,
     };
-
-    // Cluster nodes share the devices by `Arc`, so one device-level
-    // toggle covers all four nodes at once.
-    let on = loadgen::run(
+    let gathered = loadgen::run(
         &cluster,
         queries.len(),
         |j| queries[j].clone(),
@@ -54,38 +48,11 @@ fn loadgen_replay_checksum_is_cache_invariant() {
         &opts,
     )
     .checksum;
-    file.set_cache_capacity(0);
-    let off = loadgen::run(
-        &cluster,
-        queries.len(),
-        |j| queries[j].clone(),
-        &policy,
-        &opts,
-    )
-    .checksum;
-    file.set_cache_capacity(64);
-    let re_enabled = loadgen::run(
-        &cluster,
-        queries.len(),
-        |j| queries[j].clone(),
-        &policy,
-        &opts,
-    )
-    .checksum;
-
     let local = exec.execute_batch(&queries, &policy);
-    let expected = loadgen::reports_checksum(0, &local);
     assert_eq!(
-        on, expected,
-        "cache-on cluster run diverged from single-process"
-    );
-    assert_eq!(
-        off, expected,
-        "cache-off cluster run diverged from single-process"
-    );
-    assert_eq!(
-        re_enabled, expected,
-        "re-enabled cache diverged from single-process"
+        gathered,
+        loadgen::reports_checksum(0, &local),
+        "cluster run diverged from single-process"
     );
 }
 
@@ -172,9 +139,7 @@ fn bench_all_fast_mode_produces_every_group() {
         "fault_overhead/policy_no_faults",
         "fault_overhead/read_parity_no_fault",
         "fault_overhead/read_parity_degraded",
-        "read_path/hot_cached",
-        "read_path/cold",
-        "read_path/cache_off",
+        "read_path/decode",
         "read_path/raw_share",
         "throughput/resident_batch_1",
         "throughput/per_query_1",
@@ -258,21 +223,6 @@ fn bench_all_fast_mode_produces_every_group() {
     // A parity-protected file without faults answers identically to the
     // unprotected one (ISSUE: parity never changes fault-free results).
     assert_eq!(fo("policy_no_faults"), fo("read_parity_no_fault"));
-
-    // The decoded-page cache never changes what a read returns: hot
-    // (all hits), thrashing (capacity 1), and disabled reads of the same
-    // buckets count the identical records (ISSUE: the cache is purely a
-    // wall-clock optimisation).
-    let rp = |name: &str| -> u64 {
-        files[1]
-            .stats
-            .iter()
-            .find(|s| s.bench == format!("read_path/{name}"))
-            .expect("group present")
-            .checksum
-    };
-    assert_eq!(rp("hot_cached"), rp("cache_off"));
-    assert_eq!(rp("cold"), rp("cache_off"));
 
     // A 4+2 stripe's parity is r = 2 shards, each as long as the one
     // data shard an interpolation rebuilds.

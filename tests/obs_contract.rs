@@ -221,124 +221,6 @@ fn file_trace_round_trips_through_the_aggregator() {
 }
 
 // -----------------------------------------------------------------
-// Decoded-page cache contract: the `cache.*` counters account for
-// every bucket read when the cache is on, and stay silent when it is
-// disabled.
-// -----------------------------------------------------------------
-
-/// Capacity 0 means OFF and *silent*: a full traced run records no
-/// `cache.hit`, `cache.miss`, `cache.evicted`, or `cache.invalidated`
-/// events at all — disabled is inert, not merely cold.
-#[test]
-fn disabled_cache_records_zero_cache_events() {
-    let _guard = lock();
-    obs::install(TraceConfig::Memory).unwrap();
-    obs::reset();
-    obs::drain_events();
-
-    let mut file = fixture();
-    file.set_cache_capacity(0);
-    let query = file.query(&[("b", Value::Int(7))]).unwrap();
-    let _ = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
-    let _ = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
-    file.insert(Record::new(vec![
-        Value::Int(1),
-        Value::Int(2),
-        Value::Int(3),
-    ]))
-    .unwrap();
-
-    let counters = obs::counters_snapshot();
-    obs::install(TraceConfig::Off).unwrap();
-    obs::reset();
-
-    for (name, total) in counters {
-        assert!(
-            !name.starts_with("cache."),
-            "cache counter {name} = {total} fired with the cache disabled"
-        );
-    }
-}
-
-/// With the cache enabled and no faults, every bucket read is accounted
-/// exactly once: `cache.hit + cache.miss` equals the devices' own
-/// bucket-read tally, a repeat query hits, and the simulated report is
-/// identical hot and cold (the clock still charges full accesses).
-#[test]
-fn cache_hits_plus_misses_account_for_every_bucket_read() {
-    let _guard = lock();
-    obs::install(TraceConfig::Memory).unwrap();
-    obs::reset();
-    obs::drain_events();
-
-    let file = fixture();
-    let reads_before: u64 = file.devices().iter().map(|d| d.bucket_reads()).sum();
-    let query = file.query(&[("b", Value::Int(7))]).unwrap();
-    let cold = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
-    let hits_cold = obs::CACHE_HIT.total();
-    let hot = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
-
-    let reads: u64 = file.devices().iter().map(|d| d.bucket_reads()).sum::<u64>() - reads_before;
-    let hits = obs::CACHE_HIT.total();
-    let misses = obs::CACHE_MISS.total();
-    obs::install(TraceConfig::Off).unwrap();
-    obs::reset();
-
-    assert_eq!(hits + misses, reads, "every bucket read is a hit or a miss");
-    assert_eq!(hits_cold, 0, "first pass over a fresh fixture cannot hit");
-    assert!(hits > 0, "the repeat query reads through the warm cache");
-    assert_eq!(
-        cold.histogram(),
-        hot.histogram(),
-        "hot and cold answer identically"
-    );
-    assert_eq!(
-        cold.simulated_response_us, hot.simulated_response_us,
-        "cache hits still charge full simulated bucket accesses"
-    );
-}
-
-/// An append to a cached bucket invalidates its page: the write counts
-/// `cache.invalidated`, and the next read of that bucket is a miss that
-/// sees the new record.
-#[test]
-fn append_invalidates_the_cached_page() {
-    let _guard = lock();
-    obs::install(TraceConfig::Memory).unwrap();
-    obs::reset();
-    obs::drain_events();
-
-    let file = fixture();
-    let query = file.query(&[("b", Value::Int(7))]).unwrap();
-    let before = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
-    let invalidated_before = obs::CACHE_INVALIDATED.total();
-
-    // Route one matching record through the file: its bucket was just
-    // cached by the query above, so the append must drop that page.
-    let mut file = file;
-    file.insert(Record::new(vec![
-        Value::Int(3),
-        Value::Int(7),
-        Value::Int(11),
-    ]))
-    .unwrap();
-    let invalidated = obs::CACHE_INVALIDATED.total();
-    let after = execute_parallel(&file, &query, &CostModel::main_memory()).unwrap();
-    obs::install(TraceConfig::Off).unwrap();
-    obs::reset();
-
-    assert!(
-        invalidated > invalidated_before,
-        "appending to a cached bucket must count an invalidation"
-    );
-    assert_eq!(
-        after.records.len(),
-        before.records.len() + 1,
-        "the re-read sees the appended record, not the stale page"
-    );
-}
-
-// -----------------------------------------------------------------
 // Cluster telemetry contract: the `net.*` counters and the merged
 // `node{N}.*` names, end to end through the v1.1 wire protocol.
 // -----------------------------------------------------------------
