@@ -130,8 +130,8 @@ rt_proptest! {
             Telemetry { span_id: src.any_u64(), metrics }
         });
 
-        // Decoded path twice, raw path in between: all three see the
-        // same faults.
+        // The decoded path twice, the raw path in between: all three see
+        // the same faults.
         let decoded = exec.execute_planned(&planned, &policy);
         let raw = exec.execute_planned_raw(&planned, &policy);
         let again = exec.execute_planned(&planned, &policy);
