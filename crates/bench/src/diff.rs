@@ -216,7 +216,7 @@ mod tests {
         assert!(gated("ec/parity_4_2"));
         assert!(gated("ec/interpolate_4_2"));
         assert!(gated("fault_overhead/read_parity_no_fault"));
-        assert!(!gated("fault_overhead/read_bucket_baseline"));
+        assert!(!gated("fault_overhead/read_attempt_no_plan"));
         assert!(!gated("fault_overhead/policy_no_faults"));
     }
 

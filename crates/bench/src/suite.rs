@@ -483,9 +483,10 @@ pub fn obs_overhead(opts: &SuiteOpts) -> Group {
 /// Fault-hook overhead on the bucket-read hot path. A reader opened on
 /// a device with no plan installed snapshots none (one atomic load per
 /// reader, not per read), so an attempt read costs what the plain
-/// `read_bucket` does, and the fault-aware executor without faults
-/// tracks the strict dispatcher. `read_parity_degraded` times the
-/// parity failover path itself: stripe rebuilds behind one dead device.
+/// `read_bucket` loop of `read_path/decode` does (same fixture and
+/// device), and the fault-aware executor without faults tracks the
+/// strict dispatcher. `read_parity_degraded` times the parity failover
+/// path itself: stripe rebuilds behind one dead device.
 pub fn fault_overhead(opts: &SuiteOpts) -> Group {
     use pmr_rt::fault::{FaultPlan, RetryPolicy};
     use std::sync::Arc;
@@ -499,16 +500,6 @@ pub fn fault_overhead(opts: &SuiteOpts) -> Group {
     let codes = dev.resident_buckets();
 
     let mut group = opts.group("fault_overhead");
-    group.bench("read_bucket_baseline", || {
-        let mut n = 0u64;
-        for &c in &codes {
-            n += dev
-                .read_bucket(black_box(c))
-                .map(|r| r.len() as u64)
-                .unwrap_or(0);
-        }
-        n
-    });
     group.bench("read_attempt_no_plan", || {
         let mut n = 0u64;
         for &c in &codes {

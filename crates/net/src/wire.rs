@@ -944,7 +944,7 @@ fn decode_yield(r: &mut Reader<'_>) -> Result<DeviceYield, WireError> {
         });
     }
     let region = r.take(region_len as usize, "yield.record_region")?;
-    let records = decode_all_bytes(region).map_err(WireError::Record)?;
+    let records = decode_all_bytes(region, nrecords as usize).map_err(WireError::Record)?;
     for want in [nrecords as u64, records_count] {
         if records.len() as u64 != want {
             return Err(WireError::RecordCount {

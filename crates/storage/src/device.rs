@@ -345,7 +345,7 @@ impl Device {
         drained.sort_unstable_by_key(|&(idx, _)| idx);
         drained
             .into_iter()
-            .map(|(idx, region)| Ok((idx, encode::decode_all_bytes(&region)?)))
+            .map(|(idx, region)| Ok((idx, encode::decode_all_bytes(&region, 0)?)))
             .collect()
     }
 }
@@ -456,7 +456,7 @@ impl ShareReader<'_> {
     fn decode(&mut self, code: u64) -> Result<Vec<Record>, DecodeError> {
         match self.pages().get(&code) {
             None => Ok(Vec::new()),
-            Some(region) => encode::decode_all_bytes(region),
+            Some(region) => encode::decode_all_bytes(region, 0),
         }
     }
 
@@ -649,7 +649,7 @@ mod tests {
         assert_eq!(primary.copy_attempt(9, 0, &mut out).unwrap().records, 0);
         let mut mirror = d.reader(PageStore::Mirror);
         assert_eq!(mirror.copy_attempt(4, 0, &mut out).unwrap().records, 1);
-        assert_eq!(encode::decode_all_bytes(&out).unwrap(), vec![rec(5)]);
+        assert_eq!(encode::decode_all_bytes(&out, 0).unwrap(), vec![rec(5)]);
         drop(mirror);
         // Reads are counted on the reader and added when it drops.
         assert_eq!(d.bucket_reads(), 1);

@@ -689,13 +689,8 @@ fn resilient_device_read(
 /// size: growing it from empty cost as much as the cache hits the
 /// decode replaced.
 fn decoded(raw: RawYield) -> DeviceYield {
-    let mut records = Vec::with_capacity(raw.report.records as usize);
-    let mut cursor = raw.region.as_slice();
-    while !cursor.is_empty() {
-        records.push(
-            encode::decode_record_from(&mut cursor).expect("a region of validated pages decodes"),
-        );
-    }
+    let records = encode::decode_all_bytes(&raw.region, raw.report.records as usize)
+        .expect("a region of validated pages decodes");
     DeviceYield {
         report: raw.report,
         records,

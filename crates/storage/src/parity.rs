@@ -268,7 +268,7 @@ impl ParityStore {
         attempt: u32,
     ) -> Result<ReconstructedPage, ReconstructError> {
         let page = self.rebuild(devices, code, attempt)?;
-        let records = encode::decode_all_bytes(&page.bytes).map_err(ReconstructError::Decode)?;
+        let records = encode::decode_all_bytes(&page.bytes, 0).map_err(ReconstructError::Decode)?;
         Ok(ReconstructedPage {
             records,
             shard_reads: page.shard_reads,

@@ -37,35 +37,36 @@ fn gen_bulky_record(src: &mut Source) -> Record {
 
 rt_proptest! {
     /// Record encoding round-trips arbitrary values, including empty
-    /// records and empty payloads.
+    /// records and empty payloads. The expected-count hint only sizes the
+    /// allocation: exact, arbitrary or far too large, the result is the same.
     fn encode_round_trip(src) {
         let records = src.vec_of(0..=19, gen_record);
         let mut buf = Vec::new();
         for r in &records {
             encode::encode_record(r, &mut buf);
         }
-        let decoded = encode::decode_all_bytes(&buf).unwrap();
+        let decoded = encode::decode_all_bytes(&buf, 0).unwrap();
         assert_eq!(decoded, records);
+        for expected in [records.len(), src.usize_in(0..=64)] {
+            let hinted = encode::decode_all_bytes(&buf, expected).unwrap();
+            assert_eq!(hinted, records, "expected = {expected}");
+        }
+        // A count no region could hold is clamped to 4 bytes per record.
+        let hinted = encode::decode_all_bytes(&buf, 1 << 24).unwrap();
+        assert_eq!(hinted, records);
+        assert!(hinted.capacity() <= (buf.len() / 4).max(records.len()));
     }
 
     /// Round trip survives bulky shapes — random arity, empty strings
-    /// and blobs, multi-KiB payloads — through both the whole-region
-    /// decode and the one-record-at-a-time cursor decode.
+    /// and blobs, multi-KiB payloads — through the region decode.
     fn encode_round_trip_bulky_payloads(src) {
         let records = src.vec_of(0..=6, gen_bulky_record);
         let mut buf = Vec::new();
         for r in &records {
             encode::encode_record(r, &mut buf);
         }
-        assert_eq!(encode::decode_all_bytes(&buf).unwrap(), records);
-
-        // Streaming decode consumes the same region record-by-record.
-        let mut cursor = &buf[..];
-        let mut streamed = Vec::new();
-        while !cursor.is_empty() {
-            streamed.push(encode::decode_record_from(&mut cursor).unwrap());
-        }
-        assert_eq!(streamed, records);
+        assert_eq!(encode::decode_all_bytes(&buf, 0).unwrap(), records);
+        assert_eq!(encode::decode_all_bytes(&buf, records.len()).unwrap(), records);
     }
 
     /// Decode is lossless for the encoder: re-encoding the decoded
@@ -81,7 +82,7 @@ rt_proptest! {
         for r in &records {
             encode::encode_record(r, &mut buf);
         }
-        let decoded = encode::decode_all_bytes(&buf).unwrap();
+        let decoded = encode::decode_all_bytes(&buf, 0).unwrap();
         let mut again = Vec::new();
         for r in &decoded {
             encode::encode_record(r, &mut again);
@@ -99,7 +100,7 @@ rt_proptest! {
                 // Zero bytes decode to zero records — allowed.
                 continue;
             }
-            assert!(encode::decode_all_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(encode::decode_all_bytes(&bytes[..cut], 0).is_err(), "cut {cut}");
         }
     }
 
@@ -107,7 +108,7 @@ rt_proptest! {
     /// error (fuzz-shaped robustness for the page format).
     fn decode_never_panics(src) {
         let bytes = src.vec_of(0..=255, |s| s.any_u8());
-        let _ = encode::decode_all_bytes(&bytes);
+        let _ = encode::decode_all_bytes(&bytes, 0);
     }
 
     /// The validation walk a node runs before shipping a stored page
@@ -149,7 +150,7 @@ rt_proptest! {
         let check = |bytes: &[u8]| {
             assert_eq!(
                 encode::validate_region(bytes),
-                encode::decode_all_bytes(bytes).map(|r| r.len() as u64),
+                encode::decode_all_bytes(bytes, 0).map(|r| r.len() as u64),
                 "validator and decode disagree on {bytes:02x?}"
             );
         };
