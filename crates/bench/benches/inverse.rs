@@ -1,5 +1,5 @@
 //! Inverse-mapping cost: FX's residue-indexed fast path vs the generic
-//! per-device scan, plus the packed-vs-tuple comparison.
+//! per-device scan, each over packed codes, beside the tuple-`Vec` scan.
 //!
 //! The paper (§4.2) argues inverse mapping must be cheap in main-memory
 //! databases because every device repeats it per query. The generic scan
@@ -7,10 +7,9 @@
 //! (`M·|R(q)|` total); `FxInverse` enumerates only the owned buckets
 //! (`|R(q)|` total). Run with `cargo bench -p pmr-bench --bench inverse`.
 
-use pmr_bench::suite::{inverse_mapping, packed_vs_vec, SuiteOpts};
+use pmr_bench::suite::{packed_vs_vec, SuiteOpts};
 
 fn main() {
     let opts = SuiteOpts::standard();
-    inverse_mapping(&opts);
     packed_vs_vec(&opts);
 }

@@ -178,36 +178,6 @@ pub fn transforms(opts: &SuiteOpts) -> Vec<Group> {
     vec![apply, invert]
 }
 
-/// Inverse-mapping cost on the paper's 6-field system: FX's
-/// residue-indexed fast path vs the generic per-device scan.
-pub fn inverse_mapping(opts: &SuiteOpts) -> Group {
-    let sys = cpu_time_system();
-    let fx = FxDistribution::with_strategy(sys.clone(), AssignmentStrategy::CycleIu1).unwrap();
-    // Three unspecified fields: |R(q)| = 512 over 32 devices.
-    let query =
-        PartialMatchQuery::new(&sys, &[Some(3), None, Some(1), None, Some(7), None]).unwrap();
-
-    let mut group = opts.group("inverse_mapping");
-
-    group.bench("fx_fast_all_devices", || {
-        let inv = FxInverse::new(&fx, &query);
-        let mut total = 0u64;
-        for device in 0..sys.devices() {
-            total += inv.response_size(black_box(device));
-        }
-        total
-    });
-
-    group.bench("generic_scan_all_devices", || {
-        let mut total = 0u64;
-        for device in 0..sys.devices() {
-            total += scan_device_buckets(&fx, &sys, &query, black_box(device)).len() as u64;
-        }
-        total
-    });
-    group
-}
-
 /// Packed codes vs tuple `Vec`s on the acceptance system
 /// (`F = (8,…,8)`, `M = 32`): the legacy allocating scan, the
 /// allocation-free packed scan, and FX's packed fast inverse, all
@@ -885,7 +855,6 @@ pub fn run_all(opts: &SuiteOpts) -> Vec<BaselineFile> {
     for g in transforms(opts) {
         core_stats.extend_from_slice(g.results());
     }
-    core_stats.extend_from_slice(inverse_mapping(opts).results());
     core_stats.extend_from_slice(packed_vs_vec(opts).results());
     core_stats.extend_from_slice(ec_codec(opts).results());
 

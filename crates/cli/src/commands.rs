@@ -221,10 +221,8 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         }
         if let Some(trace) = &report.trace {
             println!(
-                "  trace: {} spans, plan cache {} hit / {} miss, {} codes enumerated",
+                "  trace: {} spans, {} codes enumerated",
                 trace.spans,
-                trace.counter(&obs::INVERSE_PLAN_CACHE_HIT),
-                trace.counter(&obs::INVERSE_PLAN_CACHE_MISS),
                 trace.counter(&obs::INVERSE_CODES_ENUMERATED),
             );
         }
@@ -300,7 +298,7 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
     let exec = Executor::new(&file, cost);
 
     let time = |f: &dyn Fn() -> u64| -> Result<(f64, u64), String> {
-        let warm = f(); // one unwarmed pass populates plan caches
+        let warm = f(); // one unwarmed pass faults in buffers and CPU caches
         let start = Instant::now();
         let total = f();
         let secs = start.elapsed().as_secs_f64().max(f64::EPSILON);

@@ -220,6 +220,24 @@ fn distribute_rejects_bad_sizes() {
     assert!(stderr(&out).contains("power of two"));
 }
 
+/// A pattern has one bit per field of a `u32`, so a 33rd field is
+/// refused rather than aliased onto field 0.
+#[test]
+fn simulate_rejects_more_than_32_fields() {
+    let fields = vec!["2"; 33].join(",");
+    let out = pmr(&[
+        "simulate",
+        "--fields",
+        &fields,
+        "--devices",
+        "4",
+        "--records",
+        "10",
+    ]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("at most 32"), "{}", stderr(&out));
+}
+
 #[test]
 fn distribute_rejects_huge_spaces() {
     let out = pmr(&["distribute", "--fields", "1024,1024", "--devices", "4"]);
@@ -406,7 +424,7 @@ fn simulate_trace_round_trips_through_stats() {
     let text = stdout(&stats);
     assert!(text.contains("exec.device"), "{text}");
     assert!(text.contains("device"), "{text}");
-    assert!(text.contains("inverse.plan_cache.miss"), "{text}");
+    assert!(text.contains("inverse.codes_scanned"), "{text}");
     // The one query this 2-field run executes is narrow (|R(q)| = 8 on
     // M = 4), so the cost heuristic dispatches it onto the generic scan.
     assert!(text.contains("exec.scan.dispatched"), "{text}");

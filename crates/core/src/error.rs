@@ -22,6 +22,16 @@ pub enum Error {
     },
     /// A system was declared with zero fields.
     NoFields,
+    /// A system was declared with more fields than a [`Pattern`] can
+    /// address (one bit per field of a `u32`).
+    ///
+    /// [`Pattern`]: crate::Pattern
+    TooManyFields {
+        /// The number of fields supplied.
+        fields: usize,
+        /// The largest supported field count.
+        max: usize,
+    },
     /// A field index was out of range for the system.
     FieldOutOfRange {
         /// The requested field index.
@@ -91,6 +101,9 @@ impl fmt::Display for Error {
                 write!(f, "{value} is not a power of two")
             }
             Error::NoFields => write!(f, "a system must have at least one field"),
+            Error::TooManyFields { fields, max } => {
+                write!(f, "{fields} fields given, a system has at most {max}")
+            }
             Error::FieldOutOfRange { field, num_fields } => {
                 write!(
                     f,

@@ -20,14 +20,10 @@ use crate::assign::{Assignment, AssignmentStrategy};
 use crate::bits::t_m;
 use crate::device_set::DeviceSet;
 use crate::error::Result;
-use crate::inverse::InversePlan;
 use crate::method::DistributionMethod;
-use crate::query::{PartialMatchQuery, Pattern};
+use crate::query::PartialMatchQuery;
 use crate::system::SystemConfig;
 use crate::transform::Transform;
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::Arc;
 
 /// The FX distribution method.
 ///
@@ -52,44 +48,24 @@ pub struct FxDistribution {
     assignment: Assignment,
     /// Precomputed address kernel (see [`Kernel`]).
     kernel: Kernel,
-    /// Per-pattern inverse-mapping plans, built lazily and shared across
-    /// clones (see [`FxDistribution::inverse_plan`]).
-    plans: PlanCache,
+    /// Residue classes `T_M(X_i(J)) = c` of every field, for the fast
+    /// inverse. A field with `F < M` maps injectively, so `Some(slots)`
+    /// holds an `M`-entry table: `slots[c]` is the packed-position code
+    /// `J << shift_i` of the one `J` in class `c`, or [`NO_CODE`]. A field
+    /// with `F ≥ M` is the identity, so class `c` is `c, c + M, c + 2M, …`
+    /// below `F` and needs no table (`None`). Past [`MAX_TABLE_SIZE`]
+    /// devices no table is built either; the inverse then inverts the
+    /// small field's closed form per lookup.
+    classes: Vec<Option<Box<[u64]>>>,
 }
 
-/// Lazily-built per-[`Pattern`] inverse plans. Shared across clones of the
-/// distribution (an `Arc`), so a plan is built once per (distribution,
-/// pattern) no matter how many queries or executor runs reuse it. Lock
-/// poisoning is ignored — plans are insert-only and a panicking builder
-/// leaves the map in a consistent state.
-#[derive(Clone, Default)]
-struct PlanCache(Arc<std::sync::RwLock<HashMap<Pattern, Arc<InversePlan>>>>);
+/// An empty slot of a residue-class table (no code is all ones: packed
+/// codes use at most 63 bits).
+pub(crate) const NO_CODE: u64 = u64::MAX;
 
-impl PlanCache {
-    fn get(&self, pattern: Pattern) -> Option<Arc<InversePlan>> {
-        self.0
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&pattern)
-            .cloned()
-    }
-
-    fn insert(&self, pattern: Pattern, plan: Arc<InversePlan>) -> Arc<InversePlan> {
-        // First writer wins so concurrent builders share one plan.
-        let mut map = self.0.write().unwrap_or_else(|e| e.into_inner());
-        map.entry(pattern).or_insert(plan).clone()
-    }
-}
-
-impl fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let len = self.0.read().unwrap_or_else(|e| e.into_inner()).len();
-        write!(f, "PlanCache({len} patterns)")
-    }
-}
-
-/// Field sizes above this threshold make a materialised per-field table
-/// unreasonable (64 KiB of `u64` per field at most).
+/// Field sizes (for image tables) and device counts (for residue-class
+/// tables) above this threshold make a materialised per-field table
+/// unreasonable (512 KiB of `u64` per field at most).
 const MAX_TABLE_SIZE: u64 = 1 << 16;
 
 /// Width of the batched address-computation lanes: 8 independent XOR
@@ -107,109 +83,58 @@ const BATCH_LANES: usize = 8;
 /// six. Fields too large to merge get a segment of their own.
 const SEGMENT_CAP: u64 = 1 << 11;
 
-/// Precomputed address kernel.
-///
-/// Transform images of small fields are tiny (`F < M` entries), so a real
-/// deployment materialises them once and the hot path becomes one load +
-/// one XOR per field with no per-kind branching. Identity fields of
-/// moderate size get an identity table to keep the loop uniform; systems
-/// with huge fields fall back to shift computation.
+/// FX's address kernel: the table kernel for every experimental system,
+/// shift-computed transforms for systems with fields over
+/// [`MAX_TABLE_SIZE`].
 #[derive(Debug, Clone)]
 enum Kernel {
-    /// One lookup table per field (covers every experimental system),
-    /// alongside the packed layout's shift/mask pairs so the packed hot
-    /// path is extract → load → XOR per field.
-    Tables {
-        /// Transform image per field (`tables[i][J] = X_i(J)`).
-        tables: Vec<Box<[u64]>>,
-        /// Bit offset of each field within a packed code.
-        shifts: Box<[u32]>,
-        /// In-field mask `F_i − 1` of each field.
-        masks: Box<[u64]>,
-        /// The flat segment LUT the batched lanes index: one contiguous
-        /// allocation holding, per *segment* (a run of consecutive fields
-        /// whose combined bucket-bit span stays under [`SEGMENT_CAP`]
-        /// entries), the XOR of the member fields' images over every
-        /// combination of their bucket bits. A segment lookup is
-        /// `flat[seg_bases[s] + ((code >> seg_shifts[s]) & seg_masks[s])]`
-        /// — one load per segment replaces one load per field (on the
-        /// paper's Table 7 system, six per-field loads collapse to two),
-        /// with no per-field `Box` indirection.
-        flat: Box<[u64]>,
-        /// Start of each segment's entries within `flat`.
-        seg_bases: Box<[u32]>,
-        /// Bit offset of each segment's first field within a packed code.
-        seg_shifts: Box<[u32]>,
-        /// Combined in-segment mask (`∏ F_i − 1` over member fields).
-        seg_masks: Box<[u64]>,
-    },
-    /// Shift-computed transforms for systems with fields over
-    /// [`MAX_TABLE_SIZE`].
+    Tables(TableKernel),
     Computed(Vec<Transform>),
+}
+
+/// The table-XOR address kernel, shared by FX and
+/// [`GeneralFxDistribution`](crate::general::GeneralFxDistribution).
+///
+/// Per-field images are tiny (`F < M` entries for the fields that need a
+/// transform), so they are materialised once and the hot path becomes one
+/// load + one XOR per field with no per-kind branching. Identity fields
+/// get an identity table to keep the loop uniform.
+#[derive(Debug, Clone)]
+pub(crate) struct TableKernel {
+    /// Image per field (`tables[i][J] = X_i(J)`).
+    tables: Vec<Box<[u64]>>,
+    /// Bit offset of each field within a packed code.
+    shifts: Box<[u32]>,
+    /// In-field mask `F_i − 1` of each field.
+    masks: Box<[u64]>,
+    /// The flat segment LUT the batched lanes index: one contiguous
+    /// allocation holding, per *segment* (a run of consecutive fields
+    /// whose combined bucket-bit span stays under [`SEGMENT_CAP`]
+    /// entries), the XOR of the member fields' images over every
+    /// combination of their bucket bits. A segment lookup is
+    /// `flat[seg_bases[s] + ((code >> seg_shifts[s]) & seg_masks[s])]`
+    /// — one load per segment replaces one load per field (on the
+    /// paper's Table 7 system, six per-field loads collapse to two),
+    /// with no per-field `Box` indirection.
+    flat: Box<[u64]>,
+    /// Start of each segment's entries within `flat`.
+    seg_bases: Box<[u32]>,
+    /// Bit offset of each segment's first field within a packed code.
+    seg_shifts: Box<[u32]>,
+    /// Combined in-segment mask (`∏ F_i − 1` over member fields).
+    seg_masks: Box<[u64]>,
 }
 
 impl Kernel {
     fn for_assignment(assignment: &Assignment) -> Kernel {
         let sys = assignment.system();
-        let _span = pmr_rt::span!(
-            pmr_rt::obs::FX_KERNEL_BUILD,
-            fields = sys.num_fields() as u64
-        );
         if (0..sys.num_fields()).all(|i| sys.field_size(i) <= MAX_TABLE_SIZE) {
-            pmr_rt::obs::FX_KERNEL_TABLES_BUILT.add(sys.num_fields() as u64);
-            let layout = sys.packed_layout();
-            let tables: Vec<Box<[u64]>> = assignment
+            let images = assignment
                 .transforms()
                 .iter()
                 .map(|t| t.image().into_boxed_slice())
                 .collect();
-            // Fold runs of consecutive fields into combined segments: a
-            // segment over fields i..j stores, for every combination `v`
-            // of their packed bits, the XOR of the member images. Valid
-            // because the packed layout is contiguous LSB-first and every
-            // field size is a power of two, so fields i..j occupy exactly
-            // the bit range the segment mask extracts.
-            let n = sys.num_fields();
-            let mut flat = Vec::new();
-            let mut seg_bases = Vec::new();
-            let mut seg_shifts = Vec::new();
-            let mut seg_masks = Vec::new();
-            let mut i = 0;
-            while i < n {
-                let seg_shift = layout.shift(i);
-                let mut entries = sys.field_size(i);
-                let mut j = i + 1;
-                while j < n && entries * sys.field_size(j) <= SEGMENT_CAP {
-                    debug_assert_eq!(
-                        u64::from(layout.shift(j)),
-                        u64::from(seg_shift) + u64::from(entries.trailing_zeros()),
-                        "segment folding needs contiguous packed fields"
-                    );
-                    entries *= sys.field_size(j);
-                    j += 1;
-                }
-                seg_bases.push(flat.len() as u32);
-                seg_shifts.push(seg_shift);
-                seg_masks.push(entries - 1);
-                for v in 0..entries {
-                    let mut acc = 0u64;
-                    for k in i..j {
-                        let rel = layout.shift(k) - seg_shift;
-                        acc ^= tables[k][((v >> rel) & layout.mask(k)) as usize];
-                    }
-                    flat.push(acc);
-                }
-                i = j;
-            }
-            Kernel::Tables {
-                tables,
-                shifts: (0..n).map(|i| layout.shift(i)).collect(),
-                masks: (0..n).map(|i| layout.mask(i)).collect(),
-                flat: flat.into_boxed_slice(),
-                seg_bases: seg_bases.into_boxed_slice(),
-                seg_shifts: seg_shifts.into_boxed_slice(),
-                seg_masks: seg_masks.into_boxed_slice(),
-            }
+            Kernel::Tables(TableKernel::new(sys, images))
         } else {
             Kernel::Computed(assignment.transforms().to_vec())
         }
@@ -218,13 +143,7 @@ impl Kernel {
     #[inline]
     fn xor_all(&self, bucket: &[u64]) -> u64 {
         match self {
-            Kernel::Tables { tables, .. } => {
-                let mut acc = 0u64;
-                for (table, &v) in tables.iter().zip(bucket) {
-                    acc ^= table[v as usize];
-                }
-                acc
-            }
+            Kernel::Tables(k) => k.xor_all(bucket),
             Kernel::Computed(transforms) => {
                 let mut acc = 0u64;
                 for (t, &v) in transforms.iter().zip(bucket) {
@@ -235,23 +154,10 @@ impl Kernel {
         }
     }
 
-    /// XOR of all transformed fields of a packed code — the packed
-    /// counterpart of [`Kernel::xor_all`], needing no tuple at all.
     #[inline]
     fn xor_packed(&self, code: u64, sys: &SystemConfig) -> u64 {
         match self {
-            Kernel::Tables {
-                tables,
-                shifts,
-                masks,
-                ..
-            } => {
-                let mut acc = 0u64;
-                for ((table, &shift), &mask) in tables.iter().zip(shifts.iter()).zip(masks.iter()) {
-                    acc ^= table[((code >> shift) & mask) as usize];
-                }
-                acc
-            }
+            Kernel::Tables(k) => k.xor_packed(code),
             Kernel::Computed(transforms) => {
                 let layout = sys.packed_layout();
                 let mut acc = 0u64;
@@ -268,60 +174,144 @@ impl Kernel {
     #[inline]
     fn apply_field(&self, field: usize, value: u64) -> u64 {
         match self {
-            Kernel::Tables { tables, .. } => tables[field][value as usize],
+            Kernel::Tables(k) => k.tables[field][value as usize],
             Kernel::Computed(transforms) => transforms[field].apply(value),
         }
     }
 
-    /// Batched device computation: `out[i] = T_M(xor_packed(codes[i]))`.
-    ///
-    /// The materialised kernel runs [`BATCH_LANES`] codes per step against
-    /// the flat segment LUT — per segment, each lane does extract → one
-    /// load off a shared base → XOR, with no branches and no per-field
-    /// pointer chase, so the lanes' accumulator chains are independent and
-    /// pipeline. Segment folding (see [`SEGMENT_CAP`]) makes the step
-    /// count the *segment* count, not the field count. The computed kernel
-    /// (huge fields) falls back to the scalar loop.
     fn device_of_batch(&self, codes: &[u64], out: &mut [u64], sys: &SystemConfig) {
-        let m1 = sys.devices() - 1;
-        if let Kernel::Tables {
-            flat,
-            seg_bases,
-            seg_shifts,
-            seg_masks,
-            ..
-        } = self
-        {
-            let flat = &flat[..];
-            let mut code_chunks = codes.chunks_exact(BATCH_LANES);
-            let mut out_chunks = out.chunks_exact_mut(BATCH_LANES);
-            for (chunk, slot) in (&mut code_chunks).zip(&mut out_chunks) {
-                let mut acc = [0u64; BATCH_LANES];
-                for ((&base, &shift), &mask) in seg_bases
-                    .iter()
-                    .zip(seg_shifts.iter())
-                    .zip(seg_masks.iter())
-                {
-                    for lane in 0..BATCH_LANES {
-                        let idx = base as u64 + ((chunk[lane] >> shift) & mask);
-                        acc[lane] ^= flat[idx as usize];
-                    }
-                }
-                for lane in 0..BATCH_LANES {
-                    slot[lane] = acc[lane] & m1;
+        match self {
+            Kernel::Tables(k) => k.device_of_batch(codes, out, sys.devices()),
+            Kernel::Computed(_) => {
+                for (&code, slot) in codes.iter().zip(out.iter_mut()) {
+                    *slot = t_m(self.xor_packed(code, sys), sys.devices());
                 }
             }
-            for (&code, slot) in code_chunks
-                .remainder()
+        }
+    }
+}
+
+impl TableKernel {
+    /// Builds the kernel from explicit per-field images
+    /// (`images[i].len() == F_i`).
+    pub(crate) fn new(sys: &SystemConfig, images: Vec<Box<[u64]>>) -> TableKernel {
+        let n = sys.num_fields();
+        debug_assert_eq!(images.len(), n);
+        let _span = pmr_rt::span!(pmr_rt::obs::FX_KERNEL_BUILD, fields = n as u64);
+        pmr_rt::obs::FX_KERNEL_TABLES_BUILT.add(n as u64);
+        let layout = sys.packed_layout();
+        // Fold runs of consecutive fields into combined segments: a
+        // segment over fields i..j stores, for every combination `v`
+        // of their packed bits, the XOR of the member images. Valid
+        // because the packed layout is contiguous LSB-first and every
+        // field size is a power of two, so fields i..j occupy exactly
+        // the bit range the segment mask extracts.
+        let mut flat = Vec::new();
+        let mut seg_bases = Vec::new();
+        let mut seg_shifts = Vec::new();
+        let mut seg_masks = Vec::new();
+        let mut i = 0;
+        while i < n {
+            let seg_shift = layout.shift(i);
+            let mut entries = sys.field_size(i);
+            let mut j = i + 1;
+            while j < n && entries * sys.field_size(j) <= SEGMENT_CAP {
+                debug_assert_eq!(
+                    u64::from(layout.shift(j)),
+                    u64::from(seg_shift) + u64::from(entries.trailing_zeros()),
+                    "segment folding needs contiguous packed fields"
+                );
+                entries *= sys.field_size(j);
+                j += 1;
+            }
+            seg_bases.push(flat.len() as u32);
+            seg_shifts.push(seg_shift);
+            seg_masks.push(entries - 1);
+            for v in 0..entries {
+                let mut acc = 0u64;
+                for k in i..j {
+                    let rel = layout.shift(k) - seg_shift;
+                    acc ^= images[k][((v >> rel) & layout.mask(k)) as usize];
+                }
+                flat.push(acc);
+            }
+            i = j;
+        }
+        TableKernel {
+            tables: images,
+            shifts: (0..n).map(|i| layout.shift(i)).collect(),
+            masks: (0..n).map(|i| layout.mask(i)).collect(),
+            flat: flat.into_boxed_slice(),
+            seg_bases: seg_bases.into_boxed_slice(),
+            seg_shifts: seg_shifts.into_boxed_slice(),
+            seg_masks: seg_masks.into_boxed_slice(),
+        }
+    }
+
+    /// The per-field images the kernel was built from.
+    pub(crate) fn tables(&self) -> &[Box<[u64]>] {
+        &self.tables
+    }
+
+    /// XOR of every field's image of a bucket tuple.
+    #[inline]
+    pub(crate) fn xor_all(&self, bucket: &[u64]) -> u64 {
+        let mut acc = 0u64;
+        for (table, &v) in self.tables.iter().zip(bucket) {
+            acc ^= table[v as usize];
+        }
+        acc
+    }
+
+    /// XOR of every field's image of a packed code — the packed
+    /// counterpart of [`TableKernel::xor_all`]: extract → load → XOR per
+    /// field, needing no tuple at all.
+    #[inline]
+    pub(crate) fn xor_packed(&self, code: u64) -> u64 {
+        let mut acc = 0u64;
+        for ((table, &shift), &mask) in self.tables.iter().zip(&*self.shifts).zip(&*self.masks) {
+            acc ^= table[((code >> shift) & mask) as usize];
+        }
+        acc
+    }
+
+    /// Batched device computation: `out[i] = T_M(xor_packed(codes[i]))`
+    /// on `devices` devices.
+    ///
+    /// Runs [`BATCH_LANES`] codes per step against the flat segment LUT —
+    /// per segment, each lane does extract → one load off a shared base →
+    /// XOR, with no branches and no per-field pointer chase, so the lanes'
+    /// accumulator chains are independent and pipeline. Segment folding
+    /// (see [`SEGMENT_CAP`]) makes the step count the *segment* count, not
+    /// the field count.
+    pub(crate) fn device_of_batch(&self, codes: &[u64], out: &mut [u64], devices: u64) {
+        let m1 = devices - 1;
+        let flat = &self.flat[..];
+        let mut code_chunks = codes.chunks_exact(BATCH_LANES);
+        let mut out_chunks = out.chunks_exact_mut(BATCH_LANES);
+        for (chunk, slot) in (&mut code_chunks).zip(&mut out_chunks) {
+            let mut acc = [0u64; BATCH_LANES];
+            for ((&base, &shift), &mask) in self
+                .seg_bases
                 .iter()
-                .zip(out_chunks.into_remainder())
+                .zip(self.seg_shifts.iter())
+                .zip(self.seg_masks.iter())
             {
-                *slot = self.xor_packed(code, sys) & m1;
+                for lane in 0..BATCH_LANES {
+                    let idx = base as u64 + ((chunk[lane] >> shift) & mask);
+                    acc[lane] ^= flat[idx as usize];
+                }
             }
-        } else {
-            for (&code, slot) in codes.iter().zip(out.iter_mut()) {
-                *slot = self.xor_packed(code, sys) & m1;
+            for lane in 0..BATCH_LANES {
+                slot[lane] = acc[lane] & m1;
             }
+        }
+        for (&code, slot) in code_chunks
+            .remainder()
+            .iter()
+            .zip(out_chunks.into_remainder())
+        {
+            *slot = self.xor_packed(code) & m1;
         }
     }
 }
@@ -348,10 +338,27 @@ impl FxDistribution {
     /// Extended FX from an explicit assignment.
     pub fn with_assignment(assignment: Assignment) -> Self {
         let kernel = Kernel::for_assignment(&assignment);
+        let sys = assignment.system();
+        let m = sys.devices();
+        let classes = (0..sys.num_fields())
+            .map(|i| {
+                if !sys.is_small_field(i) || m > MAX_TABLE_SIZE {
+                    return None;
+                }
+                let shift = sys.packed_layout().shift(i);
+                let mut slots = vec![NO_CODE; m as usize];
+                for j in 0..sys.field_size(i) {
+                    let slot = &mut slots[t_m(kernel.apply_field(i, j), m) as usize];
+                    debug_assert_eq!(*slot, NO_CODE, "small-field transforms are injective");
+                    *slot = j << shift;
+                }
+                Some(slots.into_boxed_slice())
+            })
+            .collect();
         FxDistribution {
             assignment,
             kernel,
-            plans: PlanCache::default(),
+            classes,
         }
     }
 
@@ -419,23 +426,14 @@ impl FxDistribution {
         self.kernel.apply_field(field, value)
     }
 
-    /// The inverse-mapping plan for a query pattern, built on first use
-    /// and cached (shared across clones of this distribution).
-    ///
-    /// The plan — pivot choice and pivot residue classes — depends only on
-    /// the *pattern*, not on the specified values (those enter through
-    /// [`FxDistribution::specified_xor`], which merely rotates the residue
-    /// lookup by Lemma 1.1). Caching it makes repeated queries of the same
-    /// shape pay the `O(F_pivot)` class construction once.
-    pub fn inverse_plan(&self, pattern: Pattern) -> Arc<InversePlan> {
-        if let Some(plan) = self.plans.get(pattern) {
-            pmr_rt::obs::INVERSE_PLAN_CACHE_HIT.add(1);
-            return plan;
-        }
-        pmr_rt::obs::INVERSE_PLAN_CACHE_MISS.add(1);
-        let _span = pmr_rt::span!(pmr_rt::obs::INVERSE_PLAN_BUILD, pattern = pattern.0 as u64);
-        let plan = Arc::new(InversePlan::build(self, pattern));
-        self.plans.insert(pattern, plan)
+    /// Field `i`'s residue-class table for the fast inverse: `Some(slots)`
+    /// when `F_i < M` (`slots[c]` is the pre-shifted code of the one value
+    /// in class `c`, or [`NO_CODE`]); `None` when `F_i ≥ M` (class `c` is
+    /// the identity stride `c, c + M, …`) or `M` is past
+    /// [`MAX_TABLE_SIZE`].
+    #[inline]
+    pub(crate) fn class_codes(&self, field: usize) -> Option<&[u64]> {
+        self.classes[field].as_deref()
     }
 }
 
@@ -751,20 +749,5 @@ mod tests {
                 assert_eq!(fx.apply_field(i, v), t.apply(v), "field {i} value {v}");
             }
         }
-    }
-
-    /// Plans are cached per pattern and shared across clones.
-    #[test]
-    fn inverse_plans_are_cached_and_shared() {
-        let sys = SystemConfig::new(&[2, 8], 4).unwrap();
-        let fx = FxDistribution::basic(sys).unwrap();
-        let p = crate::query::Pattern::from_unspecified(&[1]);
-        let a = fx.inverse_plan(p);
-        let b = fx.inverse_plan(p);
-        assert!(Arc::ptr_eq(&a, &b), "same pattern must reuse the plan");
-        let clone = fx.clone();
-        let c = clone.inverse_plan(p);
-        assert!(Arc::ptr_eq(&a, &c), "clones share the plan cache");
-        assert_ne!(format!("{:?}", fx), "", "debug impl renders");
     }
 }

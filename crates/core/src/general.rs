@@ -27,10 +27,16 @@
 use crate::assign::Assignment;
 use crate::bits::t_m;
 use crate::error::{Error, Result};
+use crate::fx::TableKernel;
 use crate::method::DistributionMethod;
 use crate::system::SystemConfig;
 
-/// FX with arbitrary (validated) per-field transformation tables.
+/// FX with arbitrary (validated) per-field transformation tables, run on
+/// FX's table-XOR address kernel.
+///
+/// It keeps [`DistributionMethod::as_fx`] at `None`: its tables need not
+/// be GF(2)-linear, so neither FX's closed-form device sets nor the fast
+/// inverse's identity-stride classes apply to it.
 ///
 /// # Examples
 ///
@@ -50,7 +56,7 @@ use crate::system::SystemConfig;
 #[derive(Debug, Clone)]
 pub struct GeneralFxDistribution {
     sys: SystemConfig,
-    tables: Vec<Box<[u64]>>,
+    kernel: TableKernel,
 }
 
 impl GeneralFxDistribution {
@@ -110,10 +116,11 @@ impl GeneralFxDistribution {
                 }
             }
         }
-        Ok(GeneralFxDistribution {
-            sys,
-            tables: tables.into_iter().map(Vec::into_boxed_slice).collect(),
-        })
+        let kernel = TableKernel::new(
+            &sys,
+            tables.into_iter().map(Vec::into_boxed_slice).collect(),
+        );
+        Ok(GeneralFxDistribution { sys, kernel })
     }
 
     /// Embeds a classic FX assignment (its transform images become the
@@ -125,17 +132,18 @@ impl GeneralFxDistribution {
             .iter()
             .map(|t| t.image().into_boxed_slice())
             .collect();
-        GeneralFxDistribution { sys, tables }
+        let kernel = TableKernel::new(&sys, tables);
+        GeneralFxDistribution { sys, kernel }
     }
 
     /// The per-field tables.
     pub fn tables(&self) -> &[Box<[u64]>] {
-        &self.tables
+        self.kernel.tables()
     }
 
     /// Returns a copy with field `field`'s table replaced (revalidated).
     pub fn with_table(&self, field: usize, table: Vec<u64>) -> Result<Self> {
-        let mut tables: Vec<Vec<u64>> = self.tables.iter().map(|t| t.to_vec()).collect();
+        let mut tables: Vec<Vec<u64>> = self.tables().iter().map(|t| t.to_vec()).collect();
         if field >= tables.len() {
             return Err(Error::FieldOutOfRange {
                 field,
@@ -151,57 +159,18 @@ impl DistributionMethod for GeneralFxDistribution {
     #[inline]
     fn device_of(&self, bucket: &[u64]) -> u64 {
         debug_assert_eq!(bucket.len(), self.sys.num_fields());
-        let mut acc = 0u64;
-        for (table, &v) in self.tables.iter().zip(bucket) {
-            acc ^= table[v as usize];
-        }
-        t_m(acc, self.sys.devices())
+        t_m(self.kernel.xor_all(bucket), self.sys.devices())
     }
 
-    /// Table lookups straight off the packed bits — no tuple needed.
     #[inline]
     fn device_of_packed(&self, code: u64) -> u64 {
-        let layout = self.sys.packed_layout();
-        let mut acc = 0u64;
-        for (i, table) in self.tables.iter().enumerate() {
-            acc ^= table[layout.field(code, i) as usize];
-        }
-        t_m(acc, self.sys.devices())
+        t_m(self.kernel.xor_packed(code), self.sys.devices())
     }
 
-    /// Eight-lane batched gather: per field, the table slice and the
-    /// shift/mask pair are hoisted out of the per-code loop, so each lane
-    /// is extract → load → XOR with independent accumulator chains (see
-    /// DESIGN "Batched address computation").
     fn device_of_batch(&self, codes: &[u64], out: &mut [u64]) {
         assert_eq!(codes.len(), out.len(), "device_of_batch buffers must match");
         pmr_rt::obs::ADDR_BATCH_CALLS.add(1);
-        const LANES: usize = 8;
-        let layout = self.sys.packed_layout();
-        let m1 = self.sys.devices() - 1;
-        let mut code_chunks = codes.chunks_exact(LANES);
-        let mut out_chunks = out.chunks_exact_mut(LANES);
-        for (chunk, slot) in (&mut code_chunks).zip(&mut out_chunks) {
-            let mut acc = [0u64; LANES];
-            for (i, table) in self.tables.iter().enumerate() {
-                let table = &table[..];
-                let shift = layout.shift(i);
-                let mask = layout.mask(i);
-                for lane in 0..LANES {
-                    acc[lane] ^= table[((chunk[lane] >> shift) & mask) as usize];
-                }
-            }
-            for lane in 0..LANES {
-                slot[lane] = acc[lane] & m1;
-            }
-        }
-        for (&code, slot) in code_chunks
-            .remainder()
-            .iter()
-            .zip(out_chunks.into_remainder())
-        {
-            *slot = self.device_of_packed(code);
-        }
+        self.kernel.device_of_batch(codes, out, self.sys.devices());
     }
 
     fn system(&self) -> &SystemConfig {

@@ -26,12 +26,11 @@
 //! thread carrying several devices scans `R(q)` once, not once per
 //! device. The per-device forms are the one-device case.
 
-use crate::fx::FxDistribution;
+use crate::fx::{FxDistribution, NO_CODE};
 use crate::method::DistributionMethod;
 use crate::query::{PartialMatchQuery, Pattern};
 use crate::system::SystemConfig;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Generic inverse mapping: qualified buckets of `query` on `device`,
 /// found by scanning `R(q)`.
@@ -147,9 +146,22 @@ pub fn for_each_routed_code<D, F>(
     pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(owned);
 }
 
-/// One free (non-pivot unspecified) field of an [`InversePlan`]: its index
-/// plus the packed shift/mask needed to run the odometer directly on a
-/// code.
+/// The fast inverse's pivot for `pattern`: the open field with the
+/// largest size, ties going to the lowest index, or `None` for an
+/// exact-match pattern.
+///
+/// Any open field would be correct; the largest carries the most pruning
+/// power, leaving `|R(q)| / F_pivot` free-field settings to enumerate.
+/// Depends only on the system and the pattern, so a planner can read it
+/// without building an [`FxInverse`].
+pub fn pivot_field(sys: &SystemConfig, pattern: Pattern) -> Option<usize> {
+    (0..sys.num_fields())
+        .filter(|&i| pattern.is_unspecified(i))
+        .max_by_key(|&i| (sys.field_size(i), std::cmp::Reverse(i)))
+}
+
+/// One free (non-pivot open) field of an [`FxInverse`]: its index plus the
+/// packed shift/mask needed to run the odometer directly on a code.
 #[derive(Debug, Clone, Copy)]
 struct FreeField {
     field: usize,
@@ -158,104 +170,15 @@ struct FreeField {
     mask: u64,
 }
 
-/// The pattern-level part of FX's fast inverse mapping: pivot choice and
-/// pivot residue classes.
-///
-/// Everything here depends only on the (distribution, [`Pattern`]) pair —
-/// the specified *values* of a concrete query enter later as the XOR
-/// constant `h`, which by Lemma 1.1 merely rotates the residue lookup.
-/// Plans are therefore built once per pattern and cached on the
-/// distribution ([`FxDistribution::inverse_plan`]).
-#[derive(Debug)]
-pub struct InversePlan {
-    pattern: Pattern,
-    /// The pivot unspecified field, if any.
-    pivot: Option<usize>,
-    /// Unspecified fields other than the pivot, in field order.
-    free_fields: Vec<FreeField>,
-    /// For the pivot: residue class `T_M(X(J))` → values `J` in that class.
-    pivot_classes: Vec<Vec<u64>>,
-    /// The same classes with each value pre-shifted into packed position
-    /// (`J << pivot_shift`), so emitting a code is a single OR.
-    pivot_class_codes: Vec<Vec<u64>>,
-}
-
-impl InversePlan {
-    /// Builds the plan for a pattern under `fx`. Exposed for
-    /// [`FxDistribution::inverse_plan`]; use that accessor to get caching.
-    pub fn build(fx: &FxDistribution, pattern: Pattern) -> InversePlan {
-        let sys = fx.system();
-        let layout = sys.packed_layout();
-        let mut unspecified = pattern.unspecified_fields(sys.num_fields());
-        // Pivot choice: the unspecified field with the largest size, so the
-        // residue index carries the most pruning power (any choice is
-        // correct; this one minimises the enumerated remainder).
-        let pivot = unspecified
-            .iter()
-            .copied()
-            .max_by_key(|&i| (sys.field_size(i), std::cmp::Reverse(i)));
-        if let Some(p) = pivot {
-            unspecified.retain(|&i| i != p);
-        }
-        let m = sys.devices();
-        let (pivot_classes, pivot_class_codes) = match pivot {
-            None => (Vec::new(), Vec::new()),
-            Some(p) => {
-                let shift = layout.shift(p);
-                let mut classes = vec![Vec::new(); m as usize];
-                let mut codes = vec![Vec::new(); m as usize];
-                for j in 0..sys.field_size(p) {
-                    let class = crate::bits::t_m(fx.apply_field(p, j), m) as usize;
-                    classes[class].push(j);
-                    codes[class].push(j << shift);
-                }
-                (classes, codes)
-            }
-        };
-        let free_fields = unspecified
-            .iter()
-            .map(|&i| FreeField {
-                field: i,
-                shift: layout.shift(i),
-                mask: layout.mask(i),
-            })
-            .collect();
-        InversePlan {
-            pattern,
-            pivot,
-            free_fields,
-            pivot_classes,
-            pivot_class_codes,
-        }
-    }
-
-    /// The pattern this plan serves.
-    #[inline]
-    pub fn pattern(&self) -> Pattern {
-        self.pattern
-    }
-
-    /// The pivot field, if the pattern has any unspecified field.
-    #[inline]
-    pub fn pivot(&self) -> Option<usize> {
-        self.pivot
-    }
-
-    /// Pivot values in residue class `class` (empty for exact-match
-    /// patterns). Class `c` holds exactly the `J` with `T_M(X_p(J)) = c`.
-    #[inline]
-    pub fn pivot_class(&self, class: u64) -> &[u64] {
-        &self.pivot_classes[class as usize]
-    }
-}
-
 /// FX-specific fast inverse mapping for one query.
 ///
 /// Built once per (distribution, query) pair and then queried per device.
-/// The *pivot* is the unspecified field whose transformed values are
-/// indexed by residue class `T_M(X(J))`; all other unspecified fields are
-/// enumerated by odometer and the pivot values completing the target device
-/// are looked up in O(1).
+/// The *pivot* ([`pivot_field`]) is the open field whose values are looked
+/// up by residue class `T_M(X(J))`; all other open fields are enumerated
+/// by odometer and the pivot values completing the target device are
+/// looked up in O(1). The residue classes depend only on the pivot's
+/// transform, so they come from tables the distribution builds once at
+/// construction; nothing here is shared or locked.
 ///
 /// # Examples
 ///
@@ -277,17 +200,15 @@ pub struct FxInverse<'a> {
     h: u64,
     /// Packed code of the query's specified values (unspecified bits 0).
     base_code: u64,
-    /// The pattern-level plan (pivot + residue classes), from the
-    /// distribution's per-pattern cache.
-    plan: Arc<InversePlan>,
+    /// The pivot open field, if any.
+    pivot: Option<usize>,
+    /// Open fields other than the pivot, in field order.
+    free_fields: Vec<FreeField>,
 }
 
 impl<'a> FxInverse<'a> {
-    /// Prepares the inverse mapping for `query` under `fx`.
-    ///
-    /// The pattern-level work (pivot choice, residue classes) comes from
-    /// the distribution's plan cache; only the query-specific XOR constant
-    /// `h` and the packed base code are computed here.
+    /// Prepares the inverse mapping for `query` under `fx`: the XOR
+    /// constant `h`, the packed base code, the pivot and the free fields.
     pub fn new(fx: &'a FxDistribution, query: &'a PartialMatchQuery) -> Self {
         let sys = fx.system();
         debug_assert_eq!(query.values().len(), sys.num_fields());
@@ -296,12 +217,21 @@ impl<'a> FxInverse<'a> {
         let base_code = query.values().iter().enumerate().fold(0u64, |acc, (i, v)| {
             acc | (v.unwrap_or(0) << layout.shift(i))
         });
-        let plan = fx.inverse_plan(query.pattern());
+        let pivot = pivot_field(sys, query.pattern());
+        let free_fields = (0..sys.num_fields())
+            .filter(|&i| query.pattern().is_unspecified(i) && Some(i) != pivot)
+            .map(|i| FreeField {
+                field: i,
+                shift: layout.shift(i),
+                mask: layout.mask(i),
+            })
+            .collect();
         FxInverse {
             fx,
             h,
             base_code,
-            plan,
+            pivot,
+            free_fields,
         }
     }
 
@@ -353,9 +283,8 @@ impl<'a> FxInverse<'a> {
         let sys = self.fx.system();
         let m = sys.devices();
         debug_assert!(devices.end <= m);
-        let plan = &*self.plan;
 
-        if plan.pivot.is_none() {
+        let Some(pivot) = self.pivot else {
             // Exact-match query: single bucket, on the device its
             // address names.
             let device = crate::bits::t_m(self.h, m);
@@ -364,34 +293,92 @@ impl<'a> FxInverse<'a> {
                 pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(1);
             }
             return;
-        }
-        let mut emitted = 0u64;
-
-        // Odometer over the non-pivot unspecified fields, run directly on
-        // the packed code; for each setting, the pivot's transformed value
-        // must satisfy
+        };
+        // For each free-field setting, the pivot's transformed value must
+        // satisfy
         //   T_M(h ⊕ acc ⊕ X_p(J_p)) = device
         // ⇔ T_M(X_p(J_p)) = device ⊕ T_M(h ⊕ acc),
-        // so each device's candidates are exactly one residue class,
-        // pre-shifted into packed position.
+        // so each device's candidates are exactly one residue class, in
+        // increasing J_p. The class lookup is chosen once, outside the
+        // odometer.
+        let (first, last) = (devices.start, devices.end);
+        let emitted = match self.fx.class_codes(pivot) {
+            Some(slots) => self.for_each_setting(|code, rotation| {
+                let mut emitted = 0;
+                for device in first..last {
+                    let jcode = slots[(device ^ rotation) as usize];
+                    if jcode != NO_CODE {
+                        debug_assert_eq!(self.fx.device_of_packed(code | jcode), device);
+                        f(device, code | jcode);
+                        emitted += 1;
+                    }
+                }
+                emitted
+            }),
+            None if sys.is_small_field(pivot) => {
+                // Too many devices for a class table: invert the closed form.
+                let transform = self.fx.assignment().transform(pivot);
+                let shift = sys.packed_layout().shift(pivot);
+                self.for_each_setting(|code, rotation| {
+                    let mut emitted = 0;
+                    for device in first..last {
+                        if let Some(j) = transform.invert(device ^ rotation) {
+                            f(device, code | j << shift);
+                            emitted += 1;
+                        }
+                    }
+                    emitted
+                })
+            }
+            None => {
+                // F_p ≥ M: the identity's class c is c, c + M, … below F_p.
+                let shift = sys.packed_layout().shift(pivot);
+                let per_class = sys.field_size(pivot) / m;
+                let stride = m << shift;
+                self.for_each_setting(|code, rotation| {
+                    for device in first..last {
+                        let mut jcode = (device ^ rotation) << shift;
+                        for _ in 0..per_class {
+                            debug_assert_eq!(self.fx.device_of_packed(code | jcode), device);
+                            f(device, code | jcode);
+                            jcode += stride;
+                        }
+                    }
+                    (last - first) * per_class
+                })
+            }
+        };
+        pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(emitted);
+    }
+
+    /// Runs the odometer over the free fields directly on the packed code
+    /// (last field fastest), calling `visit(code, T_M(h ⊕ acc))` for each
+    /// setting, where `acc` is the XOR of the free fields' images. Returns
+    /// the sum of `visit`'s results (the codes it emitted).
+    ///
+    /// The last free field runs as an inner loop, so a setting costs one
+    /// image lookup; the other free fields' XOR is recomputed only when
+    /// the outer odometer advances.
+    #[inline]
+    fn for_each_setting(&self, mut visit: impl FnMut(u64, u64) -> u64) -> u64 {
+        let m = self.fx.system().devices();
+        let Some((inner, outer)) = self.free_fields.split_last() else {
+            return visit(self.base_code, crate::bits::t_m(self.h, m));
+        };
+        let mut emitted = 0;
         let mut code = self.base_code;
         loop {
             let mut acc = self.h;
-            for ff in &plan.free_fields {
+            for ff in outer {
                 acc ^= self.fx.apply_field(ff.field, (code >> ff.shift) & ff.mask);
             }
-            let rotation = crate::bits::t_m(acc, m);
-            for device in devices.clone() {
-                let class_codes = &plan.pivot_class_codes[(device ^ rotation) as usize];
-                emitted += class_codes.len() as u64;
-                for &jcode in class_codes {
-                    debug_assert_eq!(self.fx.device_of_packed(code | jcode), device);
-                    f(device, code | jcode);
-                }
+            for v in 0..=inner.mask {
+                let rotation = crate::bits::t_m(acc ^ self.fx.apply_field(inner.field, v), m);
+                emitted += visit(code | (v << inner.shift), rotation);
             }
-            // Advance the free-field odometer (last field fastest).
+            // Advance the outer odometer (its last field fastest).
             let mut advanced = false;
-            for ff in plan.free_fields.iter().rev() {
+            for ff in outer.iter().rev() {
                 if (code >> ff.shift) & ff.mask < ff.mask {
                     code += 1u64 << ff.shift;
                     advanced = true;
@@ -400,16 +387,9 @@ impl<'a> FxInverse<'a> {
                 code &= !(ff.mask << ff.shift);
             }
             if !advanced {
-                pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(emitted);
-                return;
+                return emitted;
             }
         }
-    }
-
-    /// The pattern-level plan backing this inverse mapping.
-    #[inline]
-    pub fn plan(&self) -> &InversePlan {
-        &self.plan
     }
 }
 
@@ -490,6 +470,31 @@ mod tests {
         assert_eq!(total, q.qualified_count_in(&sys));
     }
 
+    /// Past the class-table device bound the fast inverse inverts the
+    /// pivot's closed form instead, and still routes every qualified code
+    /// to its device, once.
+    #[test]
+    fn inverse_without_class_tables_routes_every_code() {
+        let sys = SystemConfig::new(&[4, 8, 2], 1 << 17).unwrap();
+        let fx = FxDistribution::auto(sys.clone()).unwrap();
+        assert!(fx.class_codes(1).is_none());
+        for q in all_queries(&sys) {
+            let mut routed = Vec::new();
+            FxInverse::new(&fx, &q).for_each_routed_code(0..sys.devices(), |d, code| {
+                assert_eq!(fx.device_of_packed(code), d, "{q}");
+                routed.push(code);
+            });
+            let mut want = Vec::new();
+            let mut it = q.qualified_buckets(&sys);
+            while let Some(code) = it.next_code() {
+                want.push(code);
+            }
+            routed.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(routed, want, "{q}");
+        }
+    }
+
     /// Exact-match queries: the single bucket appears on exactly one device.
     #[test]
     fn exact_match_single_device() {
@@ -567,24 +572,35 @@ mod tests {
         }
     }
 
-    /// Two queries sharing a pattern reuse the cached plan; the plan's
-    /// residue classes partition the pivot's value range.
+    /// The pivot is the largest open field, ties to the lowest index, and
+    /// its residue classes partition its values: every device's share of
+    /// a one-open query is one class.
     #[test]
-    fn plan_is_shared_across_queries_of_a_pattern() {
-        let sys = SystemConfig::new(&[4, 8], 8).unwrap();
+    fn pivot_is_largest_open_field_and_classes_partition_it() {
+        let sys = SystemConfig::new(&[4, 8, 8, 16], 8).unwrap();
+        let pivot = |open: &[usize]| pivot_field(&sys, Pattern::from_unspecified(open));
+        assert_eq!(pivot(&[]), None);
+        assert_eq!(pivot(&[0, 1]), Some(1));
+        assert_eq!(pivot(&[1, 2]), Some(1));
+        assert_eq!(pivot(&[0, 2, 3]), Some(3));
         let fx = FxDistribution::auto(sys.clone()).unwrap();
-        let q1 = PartialMatchQuery::new(&sys, &[Some(1), None]).unwrap();
-        let q2 = PartialMatchQuery::new(&sys, &[Some(3), None]).unwrap();
-        let i1 = FxInverse::new(&fx, &q1);
-        let i2 = FxInverse::new(&fx, &q2);
-        assert!(
-            std::ptr::eq(i1.plan(), i2.plan()),
-            "same pattern, same plan"
-        );
-        let plan = i1.plan();
-        assert_eq!(plan.pivot(), Some(1));
-        let total: usize = (0..sys.devices()).map(|c| plan.pivot_class(c).len()).sum();
-        assert_eq!(total as u64, sys.field_size(1));
+        for field in 0..sys.num_fields() {
+            let mut values = vec![Some(0); sys.num_fields()];
+            values[field] = None;
+            let q = PartialMatchQuery::new(&sys, &values).unwrap();
+            let inv = FxInverse::new(&fx, &q);
+            let layout = sys.packed_layout();
+            let mut seen = Vec::new();
+            for device in 0..sys.devices() {
+                inv.for_each_code_on(device, |code| seen.push(layout.field(code, field)));
+            }
+            seen.sort_unstable();
+            assert_eq!(
+                seen,
+                (0..sys.field_size(field)).collect::<Vec<_>>(),
+                "field {field}"
+            );
+        }
     }
 
     #[test]

@@ -55,10 +55,13 @@ impl Pattern {
             .collect()
     }
 
-    /// Iterates over all `2^n` patterns of an `n`-field system.
-    pub fn all(num_fields: usize) -> impl Iterator<Item = Pattern> {
+    /// Iterates over all `2^n` patterns of an `n`-field system, in
+    /// increasing bitmask order.
+    pub fn all(num_fields: usize) -> impl DoubleEndedIterator<Item = Pattern> {
         assert!(num_fields <= 32, "patterns are limited to 32 fields");
-        (0u32..(1u32 << num_fields)).map(Pattern)
+        // The last pattern, computed in u64 so that n = 32 cannot overflow.
+        let last = ((1u64 << num_fields) - 1) as u32;
+        (0..=last).map(Pattern)
     }
 
     /// Iterates over the patterns with exactly `k` unspecified fields.
@@ -385,6 +388,11 @@ mod tests {
     #[test]
     fn pattern_enumeration() {
         assert_eq!(Pattern::all(3).count(), 8);
+        assert_eq!(Pattern::all(0).collect::<Vec<_>>(), vec![Pattern::EXACT]);
+        // 32 fields: the bound itself must not overflow `1u32 << 32`.
+        let mut all_32 = Pattern::all(32);
+        assert_eq!(all_32.next(), Some(Pattern::EXACT));
+        assert_eq!(all_32.next_back(), Some(Pattern(u32::MAX)));
         assert_eq!(Pattern::with_unspecified_count(4, 2).count(), 6);
         assert_eq!(Pattern::with_unspecified_count(6, 3).count(), 20);
     }

@@ -52,17 +52,28 @@ struct Inner {
 }
 
 impl SystemConfig {
+    /// The largest field count: a [`Pattern`](crate::Pattern) marks each
+    /// open field with one bit of a `u32`.
+    pub const MAX_FIELDS: usize = 32;
+
     /// Builds a configuration, validating every invariant the paper assumes.
     ///
     /// # Errors
     ///
     /// * [`Error::NoFields`] when `field_sizes` is empty.
+    /// * [`Error::TooManyFields`] past [`SystemConfig::MAX_FIELDS`] fields.
     /// * [`Error::NotPowerOfTwo`] when any `F_i` or `M` is not a power of
     ///   two.
     /// * [`Error::Overflow`] when `∏ F_i` does not fit in `u64`.
     pub fn new(field_sizes: &[u64], devices: u64) -> Result<Self> {
         if field_sizes.is_empty() {
             return Err(Error::NoFields);
+        }
+        if field_sizes.len() > Self::MAX_FIELDS {
+            return Err(Error::TooManyFields {
+                fields: field_sizes.len(),
+                max: Self::MAX_FIELDS,
+            });
         }
         let device_bits = log2_exact(devices)?;
         let mut field_bits = Vec::with_capacity(field_sizes.len());
@@ -314,6 +325,27 @@ mod tests {
             SystemConfig::new(&[1 << 40, 1 << 40], 4).unwrap_err(),
             Error::Overflow
         ));
+    }
+
+    /// A pattern has one bit per field of a `u32`: 32 binary fields fit,
+    /// a 33rd is refused instead of aliasing field 0's bit.
+    #[test]
+    fn refuses_more_fields_than_a_pattern_addresses() {
+        let sys = SystemConfig::new(&[2; 32], 4).unwrap();
+        assert_eq!(sys.num_fields(), SystemConfig::MAX_FIELDS);
+        assert_eq!(
+            SystemConfig::new(&[2; 33], 4).unwrap_err(),
+            Error::TooManyFields {
+                fields: 33,
+                max: 32
+            }
+        );
+        // Field 31, the last one a pattern can name, stays distinct.
+        let mut values = vec![Some(0); 32];
+        values[31] = None;
+        let q = crate::PartialMatchQuery::new(&sys, &values).unwrap();
+        assert_eq!(q.pattern(), crate::Pattern(1 << 31));
+        assert_eq!(q.qualified_count_in(&sys), 2);
     }
 
     #[test]

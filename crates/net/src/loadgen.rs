@@ -26,9 +26,10 @@ use pmr_rt::obs;
 use pmr_rt::obs::emit::Emitter;
 use pmr_rt::obs::json::Object;
 use pmr_rt::rng::{splitmix64, Rng};
-use pmr_rt::stats::percentile;
+use pmr_rt::stats::{percentile, percentile_counted};
 use pmr_storage::encode::encode_one;
 use pmr_storage::exec::{ExecPolicy, ExecutionReport};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -261,7 +262,10 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
     #[derive(Default)]
     struct Tally {
         batch_us: Vec<f64>,
-        sim_us: Vec<f64>,
+        /// Simulated response µs → query count, keyed by `f64::to_bits`:
+        /// a run has a handful of distinct simulated times, so this stays
+        /// small however many queries it runs.
+        sim_us: BTreeMap<u64, u64>,
         coverage_sum: f64,
         degraded: usize,
         lost: u64,
@@ -302,7 +306,10 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
                     let reports = frontend.execute_batch(&queries, policy);
                     tally.batch_us.push(t0.elapsed().as_secs_f64() * 1e6);
                     for report in &reports {
-                        tally.sim_us.push(report.simulated_response_us);
+                        *tally
+                            .sim_us
+                            .entry(report.simulated_response_us.to_bits())
+                            .or_insert(0) += 1;
                         tally.coverage_sum += report.coverage;
                         if report.coverage < 1.0 {
                             tally.degraded += 1;
@@ -331,7 +338,9 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
     let mut all = Tally::default();
     for mut t in tallies {
         all.batch_us.append(&mut t.batch_us);
-        all.sim_us.append(&mut t.sim_us);
+        for (bits, n) in t.sim_us {
+            *all.sim_us.entry(bits).or_insert(0) += n;
+        }
         all.coverage_sum += t.coverage_sum;
         all.degraded += t.degraded;
         all.lost += t.lost;
@@ -351,8 +360,8 @@ pub fn run<D: DistributionMethod + Clone + Send + Sync + 'static>(
         },
         batch_p50_us: percentile(&mut all.batch_us, 50.0),
         batch_p99_us: percentile(&mut all.batch_us, 99.0),
-        sim_p50_us: percentile(&mut all.sim_us, 50.0),
-        sim_p99_us: percentile(&mut all.sim_us, 99.0),
+        sim_p50_us: percentile_counted(&all.sim_us, 50.0),
+        sim_p99_us: percentile_counted(&all.sim_us, 99.0),
         mean_coverage: if count == 0 {
             1.0
         } else {

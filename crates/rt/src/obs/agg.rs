@@ -196,8 +196,8 @@ mod tests {
 {\"event\":\"span\",\"name\":\"exec.device\",\"id\":2,\"parent\":null,\"start_us\":11,\"elapsed_ns\":4000,\"device\":1}
 {\"event\":\"span\",\"name\":\"exec.device\",\"id\":3,\"parent\":null,\"start_us\":12,\"elapsed_ns\":6000,\"device\":1}
 
-{\"event\":\"counter\",\"name\":\"inverse.plan_cache.hit\",\"total\":2}
-{\"event\":\"counter\",\"name\":\"inverse.plan_cache.hit\",\"total\":5}
+{\"event\":\"counter\",\"name\":\"inverse.codes_enumerated\",\"total\":2}
+{\"event\":\"counter\",\"name\":\"inverse.codes_enumerated\",\"total\":5}
 {\"event\":\"hist\",\"name\":\"exec.device\",\"bounds\":[10,100],\"counts\":[3,0,0]}
 ";
 
@@ -213,7 +213,7 @@ mod tests {
         assert_eq!(stats.by_device[&("exec.device".into(), 1)].count, 2);
         assert_eq!(stats.by_device[&("exec.device".into(), 0)].total_ns, 2000.0);
         // Last total wins.
-        assert_eq!(stats.counters["inverse.plan_cache.hit"], 5);
+        assert_eq!(stats.counters["inverse.codes_enumerated"], 5);
         assert_eq!(
             stats.hists["exec.device"],
             (vec![10.0, 100.0], vec![3, 0, 0])
@@ -226,7 +226,7 @@ mod tests {
         let text = stats.render();
         assert!(text.contains("6 events"));
         assert!(text.contains("exec.device"));
-        assert!(text.contains("inverse.plan_cache.hit"));
+        assert!(text.contains("inverse.codes_enumerated"));
         assert!(text.contains("device"));
         assert!(text.contains("overflow"));
     }

@@ -55,9 +55,6 @@ metric_table! {
     Counter INSERT_BATCHED_RECORDS = "insert.batched_records";
     Counter INVERSE_CODES_ENUMERATED = "inverse.codes_enumerated";
     Counter INVERSE_CODES_SCANNED = "inverse.codes_scanned";
-    Span INVERSE_PLAN_BUILD = "inverse.plan.build";
-    Counter INVERSE_PLAN_CACHE_HIT = "inverse.plan_cache.hit";
-    Counter INVERSE_PLAN_CACHE_MISS = "inverse.plan_cache.miss";
     Counter NET_DECODE_ERRORS = "net.decode_errors";
     Span NET_GATHER = "net.gather";
     Span NET_GATHER_LINK = "net.gather.link";

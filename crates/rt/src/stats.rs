@@ -11,6 +11,8 @@
 //! histogram shape): it returns the upper bound of the bucket holding the
 //! requested rank, which is the tightest claim bucketed counts support.
 
+use std::collections::BTreeMap;
+
 /// Value at percentile `p` (0–100) of an **unsorted** sample: sorts in
 /// place, then interpolates between adjacent order statistics.
 /// `0.0` for an empty sample; `p` is clamped to `[0, 100]`.
@@ -32,6 +34,43 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+}
+
+/// [`percentile`] over a sample held as value → count, keyed by
+/// [`f64::to_bits`]. Non-negative values sort by their bits, so the map's
+/// key order is the sample's sorted order and the result is bit-identical
+/// to [`percentile`] over the expanded sample. Memory grows with the
+/// distinct values, not the sample size.
+pub fn percentile_counted(counts: &BTreeMap<u64, u64>, p: f64) -> f64 {
+    debug_assert!(
+        counts
+            .keys()
+            .all(|&bits| f64::from_bits(bits).is_sign_positive()),
+        "keys sort as values only for non-negative samples"
+    );
+    let n: u64 = counts.values().sum();
+    // The value of 0-based order statistic `k`.
+    let nth = |k: u64| {
+        let mut seen = 0u64;
+        for (&bits, &c) in counts {
+            seen += c;
+            if seen > k {
+                return f64::from_bits(bits);
+            }
+        }
+        unreachable!("k < n")
+    };
+    match n {
+        0 => 0.0,
+        1 => nth(0),
+        _ => {
+            let rank = p.clamp(0.0, 100.0) / 100.0 * (n - 1) as f64;
+            let lo = rank.floor() as u64;
+            let hi = rank.ceil() as u64;
+            let frac = rank - lo as f64;
+            nth(lo) + (nth(hi) - nth(lo)) * frac
+        }
+    }
 }
 
 /// Percentile `p` (0–100) read off a fixed-bucket histogram: the upper
@@ -97,6 +136,24 @@ mod tests {
         let s = [10.0, 20.0, 30.0, 40.0];
         assert_eq!(percentile_sorted(&s, 25.0), 17.5);
         assert_eq!(percentile_sorted(&s, 75.0), 32.5);
+    }
+
+    crate::rt_proptest! {
+        /// The counted form equals `percentile` bit for bit on samples
+        /// with repeats, at every percentile.
+        fn counted_percentile_matches_sorted_sample(src) {
+            let distinct = src.vec_of(1..=6, |s| s.f64_in(0.0, 1e6));
+            let mut sample = src.vec_of(0..=40, |s| distinct[s.usize_in(0..=distinct.len() - 1)]);
+            let mut counts = BTreeMap::new();
+            for &v in &sample {
+                *counts.entry(f64::to_bits(v)).or_insert(0u64) += 1;
+            }
+            for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0, src.f64_in(0.0, 100.0)] {
+                let want = percentile(&mut sample, p);
+                let got = percentile_counted(&counts, p);
+                assert_eq!(got.to_bits(), want.to_bits(), "p {p}: {got} vs {want} over {sample:?}");
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::encode;
 use crate::file::{DeclusteredFile, FileError};
 use crate::mirror::Mirroring;
 use crate::parity::ParityStore;
-use pmr_core::inverse::{for_each_routed_code, FxInverse};
+use pmr_core::inverse::{for_each_routed_code, pivot_field, FxInverse};
 use pmr_core::method::DistributionMethod;
 use pmr_core::{PartialMatchQuery, SystemConfig};
 use pmr_mkh::Record;
@@ -433,9 +433,9 @@ fn assemble(
 }
 
 /// Estimated fixed overhead of the FX fast path, in address-computation
-/// units: looking up (or building) the per-`Pattern`
-/// [`pmr_core::inverse::InversePlan`] and setting up the residue-class
-/// walk costs roughly this many `device_of_packed` evaluations.
+/// units: preparing the [`FxInverse`] (the XOR constant, the pivot and
+/// the free fields) and setting up the residue-class walk costs roughly
+/// this many `device_of_packed` evaluations.
 /// Calibrated against the recorded `exec_fast_path` bench group, where
 /// narrow queries (`|R(q)| = 8` on an `M = 8` system) measured faster
 /// under the brute scan and wide ones under the fast inverse.
@@ -885,27 +885,25 @@ pub fn idle_yield(planned: &PlannedQuery, device: u64, cost: &CostModel) -> Devi
 /// |R(q)| / F_pivot`), plus a fixed setup charge
 /// (`FAST_PATH_SETUP_ADDR`). On narrow queries the setup dominates and
 /// the scan wins — dispatching those onto the fast path anyway was the
-/// `exec_fast_path/dispatch_narrow` regression. Cheap on repeated
-/// patterns: the inverse built for the decision hits the per-`Pattern`
-/// plan cache on the [`FxDistribution`](pmr_core::FxDistribution).
+/// `exec_fast_path/dispatch_narrow` regression. The pivot comes from
+/// [`pivot_field`], a pure function of the system and the pattern, so
+/// planning builds no inverse and touches no shared state.
 pub fn plan_query<D: DistributionMethod>(
     sys: &SystemConfig,
     method: &D,
     query: &PartialMatchQuery,
 ) -> PlannedQuery {
     let total_qualified = query.qualified_count_in(sys);
-    let (fast_path, free_combos) = match method.as_fx() {
-        Some(fx) => {
-            let free_combos = match FxInverse::new(fx, query).plan().pivot() {
-                Some(p) => total_qualified / sys.field_size(p),
-                None => 1,
-            };
-            let m = sys.devices();
-            let fast =
-                FAST_PATH_SETUP_ADDR + total_qualified + m * free_combos < m * total_qualified;
-            (fast, free_combos)
-        }
-        None => (false, 1),
+    let (fast_path, free_combos) = if method.as_fx().is_some() {
+        let free_combos = match pivot_field(sys, query.pattern()) {
+            Some(p) => total_qualified / sys.field_size(p),
+            None => 1,
+        };
+        let m = sys.devices();
+        let fast = FAST_PATH_SETUP_ADDR + total_qualified + m * free_combos < m * total_qualified;
+        (fast, free_combos)
+    } else {
+        (false, 1)
     };
     PlannedQuery {
         query: query.clone(),

@@ -107,8 +107,6 @@ fn bench_all_fast_mode_produces_every_group() {
         "transform_invert/u",
         "transform_invert/iu1",
         "transform_invert/iu2",
-        "inverse_mapping/fx_fast_all_devices",
-        "inverse_mapping/generic_scan_all_devices",
         "packed_vs_vec/vec_scan_all_devices",
         "packed_vs_vec/packed_scan_all_devices",
         "packed_vs_vec/packed_fx_fast_all_devices",
