@@ -107,12 +107,7 @@ pub fn distribution_setup(exp: Experiment) -> Result<(SystemConfig, Assignment)>
 pub fn table_distribution(exp: Experiment) -> Result<String> {
     let (sys, assignment) = distribution_setup(exp)?;
     let fx = FxDistribution::with_assignment(assignment);
-    let title = format!(
-        "{} — {} with FX({})\n",
-        exp.label(),
-        sys,
-        fx.assignment().describe()
-    );
+    let title = format!("{} — {} with FX({})\n", exp.label(), sys, fx.describe());
     let body = if exp == Experiment::Table2 {
         let dm = ModuloDistribution::new(sys.clone());
         let methods: [(&str, &dyn DistributionMethod); 2] = [("FX", &fx), ("Modulo", &dm)];

@@ -17,9 +17,9 @@
 //!   Tables 8–9 first-row phenomenon).
 //! * [`paper`] — the published Tables 7–9 embedded cell by cell (with OCR
 //!   legibility flags) and automated paper-vs-measured diffing.
-//! * [`optimize`] — simulated annealing over generalized-FX tables (the
-//!   paper's future-work direction), beating the closed-form assignments
-//!   on systems with four or more small fields.
+//! * [`optimize`] — a seeded search over linear FX maps (the paper's
+//!   future-work direction), scored by rank, beating the closed-form
+//!   assignments on systems with four or more small fields.
 //! * [`experiments`] — one driver per table/figure, used by the
 //!   `pmr-bench` regenerator binaries and the integration tests.
 //!

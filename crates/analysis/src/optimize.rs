@@ -1,330 +1,208 @@
-//! Searching the generalized-FX table space.
+//! Searching linear FX maps beyond the paper's closed forms.
 //!
 //! The paper's future-work direction made concrete: when four or more
-//! fields are smaller than `M`, no method is perfect optimal (\[Sung87\])
-//! and the closed-form `I/U/IU1/IU2` assignments leave some query
-//! patterns unbalanced. The table space of
-//! [`pmr_core::GeneralFxDistribution`] is much richer — this module
-//! searches it with simulated annealing.
+//! fields are smaller than `M`, some systems admit no perfect-optimal
+//! method (\[Sung87\]) and the closed-form `I/U/IU1/IU2` assignments leave
+//! some query patterns unbalanced. Any injective GF(2)-linear map per
+//! small field is an FX distribution too
+//! ([`FxDistribution::from_images`]), and it keeps the fast inverse and
+//! targeted scatter. This module searches those maps.
 //!
-//! **Objective.** Lexicographic: primarily the summed largest response
-//! size over every specification pattern, with the number of
-//! non-strict-optimal patterns as tiebreaker (encoded into one scalar so
-//! annealing acceptance stays simple). Both components are exact, via the
-//! XOR shift invariance — one histogram per pattern per candidate.
+//! **Score.** Lexicographic: the summed largest response over every
+//! specification pattern, then the number of non-strict-optimal patterns.
+//! Both come from ranks
+//! ([`FxDistribution::largest_response_by_rank`]), so scoring a candidate
+//! allocates nothing per device and enumerates no bucket. [`objective`]
+//! is the exhaustive referee.
 //!
-//! **Moves.** Pick a small field; either swap two of its table entries or
-//! retarget one entry to an unused residue of `Z_M`. Both moves preserve
-//! the injectivity invariant, so every visited state is a valid
-//! distribution.
+//! **Search.** Seeded random sampling from Theorem 9's map: every try
+//! draws fresh random injective images for every small field (a field with
+//! `F ≥ M` keeps the identity, since a pattern that leaves it open already
+//! spreads over every device) and keeps the best, stopping at the analytic
+//! bound.
 
+use pmr_core::bits::ceil_div;
 use pmr_core::method::DistributionMethod;
-use pmr_core::optimality::{pattern_largest_response, pattern_strict_optimal};
+use pmr_core::optimality::pattern_largest_response;
 use pmr_core::query::Pattern;
 use pmr_core::system::SystemConfig;
-use pmr_core::{Assignment, AssignmentStrategy, GeneralFxDistribution, Result};
+use pmr_core::{DeviceSet, FxDistribution, Result};
 use pmr_rt::Rng;
+use std::cmp::Reverse;
 
-/// Options for the annealing run.
-#[derive(Debug, Clone)]
-pub struct AnnealOptions {
-    /// Proposal steps per restart.
-    pub steps: usize,
-    /// Initial acceptance temperature (in objective units).
-    pub initial_temperature: f64,
-    /// RNG seed (runs are deterministic per seed).
-    pub seed: u64,
-    /// Independent restarts (seeds `seed`, `seed+1`, …); the best outcome
-    /// wins and the run stops early once the analytic bound is reached.
-    pub restarts: usize,
-}
-
-impl Default for AnnealOptions {
-    fn default() -> Self {
-        AnnealOptions {
-            steps: 2_000,
-            initial_temperature: 4.0,
-            seed: 0x5eed,
-            restarts: 4,
-        }
-    }
-}
-
-/// Outcome of an annealing run.
+/// Outcome of a search.
 #[derive(Debug)]
-pub struct AnnealResult {
-    /// The best distribution found.
-    pub distribution: GeneralFxDistribution,
-    /// Its objective value (summed largest response over all patterns).
+pub struct SearchResult {
+    /// The best map found.
+    pub distribution: FxDistribution,
+    /// Its score: the summed largest response over all patterns.
     pub score: u64,
-    /// The score of the starting point (the Theorem-9 classic assignment).
+    /// The score of the starting point (Theorem 9's map).
     pub initial_score: u64,
-    /// The analytic lower bound on the objective.
+    /// The analytic lower bound on the score.
     pub lower_bound: u64,
     /// Number of strict-optimal patterns at the end.
     pub optimal_patterns: usize,
     /// Number of strict-optimal patterns at the start.
     pub initial_optimal_patterns: usize,
-    /// Accepted moves.
-    pub accepted: usize,
+    /// Tries drawn before the search stopped (at the bound or the budget).
+    pub tries: usize,
 }
 
-/// The search objective: summed largest response size across every
-/// specification pattern (exact, via shift invariance).
+/// The exhaustive objective: summed largest response size across every
+/// specification pattern, from one histogram per pattern (exact, via
+/// shift invariance).
 pub fn objective<D: DistributionMethod + ?Sized>(method: &D, sys: &SystemConfig) -> u64 {
-    objective_detail(method, sys).0
-}
-
-/// One-pass computation of `(summed largest response, non-strict-optimal
-/// pattern count)` — the two components of the lexicographic objective.
-pub fn objective_detail<D: DistributionMethod + ?Sized>(
-    method: &D,
-    sys: &SystemConfig,
-) -> (u64, u64) {
-    let mut sum = 0u64;
-    let mut non_optimal = 0u64;
-    for p in Pattern::all(sys.num_fields()) {
-        let largest = pattern_largest_response(method, sys, p);
-        let bound = pmr_core::bits::ceil_div(p.qualified_count(sys), sys.devices());
-        sum += largest;
-        if largest > bound {
-            non_optimal += 1;
-        }
-    }
-    (sum, non_optimal)
-}
-
-/// Encodes the lexicographic pair into one scalar: `sum · (P + 1) +
-/// non_optimal`, where `P = 2^n` bounds `non_optimal`.
-fn lexi(sum: u64, non_optimal: u64, patterns: u64) -> u64 {
-    sum * (patterns + 1) + non_optimal
-}
-
-/// Number of strict-optimal patterns (the secondary metric reported).
-pub fn optimal_pattern_count<D: DistributionMethod + ?Sized>(
-    method: &D,
-    sys: &SystemConfig,
-) -> usize {
     Pattern::all(sys.num_fields())
-        .filter(|&p| pattern_strict_optimal(method, sys, p))
-        .count()
+        .map(|p| pattern_largest_response(method, sys, p))
+        .sum()
 }
 
 /// The analytic lower bound on [`objective`]: `Σ ceil(|R| / M)`.
 pub fn objective_lower_bound(sys: &SystemConfig) -> u64 {
     Pattern::all(sys.num_fields())
-        .map(|p| pmr_core::bits::ceil_div(p.qualified_count(sys), sys.devices()))
+        .map(|p| ceil_div(p.qualified_count(sys), sys.devices()))
         .sum()
 }
 
-/// Runs simulated annealing from the Theorem-9 classic assignment.
+/// `(summed largest response, strict-optimal pattern count)` of an FX map,
+/// by rank. The sum equals [`objective`].
+pub fn rank_score(fx: &FxDistribution) -> (u64, usize) {
+    let sys = fx.system();
+    let mut sum = 0;
+    let mut optimal = 0;
+    for p in Pattern::all(sys.num_fields()) {
+        let largest = fx.largest_response_by_rank(p);
+        sum += largest;
+        if largest <= ceil_div(p.qualified_count(sys), sys.devices()) {
+            optimal += 1;
+        }
+    }
+    (sum, optimal)
+}
+
+/// Searches up to `tries` random linear maps for `sys`, from Theorem 9's
+/// map, with a seeded generator (runs are deterministic per seed).
 ///
 /// # Errors
 ///
-/// Propagates configuration errors from assignment construction (none for
+/// Propagates configuration errors from building Theorem 9's map (none for
 /// valid systems).
-pub fn anneal(sys: &SystemConfig, options: &AnnealOptions) -> Result<AnnealResult> {
-    let start = Assignment::from_strategy(sys, AssignmentStrategy::TheoremNine)?;
-    let start = GeneralFxDistribution::from_assignment(&start);
-    let restarts = options.restarts.max(1);
-    let mut best: Option<AnnealResult> = None;
-    for attempt in 0..restarts {
-        let run_options = AnnealOptions {
-            seed: options.seed.wrapping_add(attempt as u64),
-            restarts: 1,
-            ..options.clone()
-        };
-        let result = anneal_from(start.clone(), &run_options)?;
-        let at_bound = result.score == result.lower_bound;
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                (result.score, usize::MAX - result.optimal_patterns)
-                    < (b.score, usize::MAX - b.optimal_patterns)
-            }
-        };
-        if better {
-            best = Some(result);
+pub fn search(sys: &SystemConfig, tries: usize, seed: u64) -> Result<SearchResult> {
+    let start = FxDistribution::auto(sys.clone())?;
+    let lower_bound = objective_lower_bound(sys);
+    let (initial_score, initial_optimal_patterns) = rank_score(&start);
+    let small = sys.small_fields();
+    let mut rng = Rng::seed_from_u64(seed);
+    let (mut best, mut score, mut optimal_patterns) =
+        (start, initial_score, initial_optimal_patterns);
+    let mut used = 0;
+    while score > lower_bound && used < tries && !small.is_empty() {
+        used += 1;
+        let mut images = best.images().to_vec();
+        for &field in &small {
+            images[field] = random_injective(&mut rng, sys.field_bits(field), sys.devices());
         }
-        if at_bound {
-            break;
+        let candidate = FxDistribution::from_images(sys.clone(), images)?;
+        let (s, o) = rank_score(&candidate);
+        if (s, Reverse(o)) < (score, Reverse(optimal_patterns)) {
+            (best, score, optimal_patterns) = (candidate, s, o);
         }
     }
-    Ok(best.expect("at least one restart ran"))
-}
-
-/// Runs simulated annealing from an explicit starting distribution.
-pub fn anneal_from(start: GeneralFxDistribution, options: &AnnealOptions) -> Result<AnnealResult> {
-    let sys = start.system().clone();
-    let m = sys.devices();
-    let small_fields: Vec<usize> = sys.small_fields();
-    let mut rng = Rng::seed_from_u64(options.seed);
-
-    let patterns = 1u64 << sys.num_fields();
-    let (initial_sum, initial_non_optimal) = objective_detail(&start, &sys);
-    let initial_score = lexi(initial_sum, initial_non_optimal, patterns);
-    let initial_optimal = (patterns - initial_non_optimal) as usize;
-    let lower_bound = objective_lower_bound(&sys);
-    let lexi_bound = lexi(lower_bound, 0, patterns);
-
-    let mut current = start;
-    let mut current_score = initial_score;
-    let mut best = current.clone();
-    let mut best_score = current_score;
-    let mut best_sum = initial_sum;
-    let mut accepted = 0usize;
-
-    if small_fields.is_empty() || current_score == lexi_bound {
-        // Nothing to search (no degrees of freedom, or already optimal).
-        let optimal_patterns = optimal_pattern_count(&best, &sys);
-        return Ok(AnnealResult {
-            distribution: best,
-            score: best_sum,
-            initial_score: initial_sum,
-            lower_bound,
-            optimal_patterns,
-            initial_optimal_patterns: initial_optimal,
-            accepted,
-        });
-    }
-
-    for step in 0..options.steps {
-        // Geometric cooling to ~1% of the initial temperature.
-        let progress = step as f64 / options.steps as f64;
-        let temperature = options.initial_temperature * 0.01f64.powf(progress);
-
-        // Propose a move on one small field's table.
-        let field = small_fields[rng.gen_range(0..small_fields.len())];
-        let mut table = current.tables()[field].to_vec();
-        let f = table.len();
-        if rng.gen_bool(0.5) && f >= 2 {
-            // Swap two entries.
-            let a = rng.gen_range(0..f);
-            let b = rng.gen_range(0..f);
-            table.swap(a, b);
-        } else {
-            // Retarget an entry to an unused residue.
-            let mut used = vec![false; m as usize];
-            for &v in &table {
-                used[v as usize] = true;
-            }
-            let free: Vec<u64> = (0..m).filter(|&v| !used[v as usize]).collect();
-            if free.is_empty() {
-                continue; // F == M: permutations only
-            }
-            let slot = rng.gen_range(0..f);
-            table[slot] = free[rng.gen_range(0..free.len())];
-        }
-        let candidate = current
-            .with_table(field, table)
-            .expect("moves preserve the injectivity invariant");
-        let (candidate_sum, candidate_non_optimal) = objective_detail(&candidate, &sys);
-        let candidate_score = lexi(candidate_sum, candidate_non_optimal, patterns);
-
-        // Temperature applies to the primary (response-sum) component;
-        // scale the encoded delta back down so acceptance probabilities
-        // stay in natural units.
-        let delta = (candidate_score as f64 - current_score as f64) / (patterns + 1) as f64;
-        let accept = delta <= 0.0
-            || (temperature > 0.0 && rng.gen_bool((-delta / temperature).exp().min(1.0)));
-        if accept {
-            current = candidate;
-            current_score = candidate_score;
-            accepted += 1;
-            if current_score < best_score {
-                best = current.clone();
-                best_score = current_score;
-                best_sum = candidate_sum;
-                if best_score == lexi_bound {
-                    break;
-                }
-            }
-        }
-    }
-
-    let optimal_patterns = optimal_pattern_count(&best, &sys);
-    Ok(AnnealResult {
+    Ok(SearchResult {
         distribution: best,
-        score: best_sum,
-        initial_score: initial_sum,
+        score,
+        initial_score,
         lower_bound,
         optimal_patterns,
-        initial_optimal_patterns: initial_optimal,
-        accepted,
+        initial_optimal_patterns,
+        tries: used,
     })
+}
+
+/// `bits` uniformly random linearly independent images in `Z_M`
+/// (`bits < log2 M`): each is redrawn until it leaves the span of the
+/// ones before it.
+fn random_injective(rng: &mut Rng, bits: u32, m: u64) -> Vec<u64> {
+    let mut span = DeviceSet::single(0);
+    (0..bits)
+        .map(|_| loop {
+            let v = rng.below(m);
+            if !span.contains(v) {
+                span.insert(v);
+                break v;
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmr_core::AssignmentStrategy;
 
-    fn options(steps: usize, seed: u64) -> AnnealOptions {
-        AnnealOptions {
-            steps,
-            initial_temperature: 4.0,
-            seed,
-            restarts: 2,
-        }
-    }
-
-    /// Annealing never regresses: the result is at least as good as the
-    /// Theorem-9 start, and bounded below by the analytic optimum.
+    /// The search never regresses: the result is at least as good as
+    /// Theorem 9's map, and bounded below by the analytic optimum.
     #[test]
     fn never_regresses() {
         for sizes in [&[4u64, 4, 4, 4][..], &[2, 2, 2, 2, 2][..]] {
             let sys = SystemConfig::new(sizes, 16).unwrap();
-            let result = anneal(&sys, &options(300, 1)).unwrap();
+            let result = search(&sys, 300, 1).unwrap();
             assert!(result.score <= result.initial_score);
             assert!(result.score >= result.lower_bound);
             assert!(result.optimal_patterns >= result.initial_optimal_patterns);
+            assert_eq!(result.score, objective(&result.distribution, &sys));
         }
     }
 
     /// On a system where the closed forms are already perfect (≤ 3 small
-    /// fields), annealing recognises the bound and returns immediately.
+    /// fields), the search recognises the bound and returns immediately.
     #[test]
     fn early_exit_at_bound() {
         let sys = SystemConfig::new(&[4, 2, 8], 16).unwrap();
-        let result = anneal(&sys, &options(5_000, 2)).unwrap();
+        let result = search(&sys, 5_000, 2).unwrap();
         assert_eq!(result.score, result.lower_bound);
-        assert_eq!(result.accepted, 0, "no search needed at the bound");
+        assert_eq!(result.tries, 0, "no search needed at the bound");
     }
 
     /// The headline: on a 4-small-field system the search strictly
-    /// improves on the best closed-form cycle assignment.
+    /// improves on every closed-form assignment, up to the bound.
     #[test]
     fn improves_on_closed_forms_with_four_small_fields() {
         let sys = SystemConfig::new(&[4, 4, 4, 4], 16).unwrap();
-        let mut best_closed = u64::MAX;
-        for strategy in [
+        let best_closed = [
             AssignmentStrategy::Basic,
             AssignmentStrategy::CycleIu1,
             AssignmentStrategy::CycleIu2,
             AssignmentStrategy::TheoremNine,
-        ] {
-            let a = Assignment::from_strategy(&sys, strategy).unwrap();
-            let g = GeneralFxDistribution::from_assignment(&a);
-            best_closed = best_closed.min(objective(&g, &sys));
-        }
-        let result = anneal(&sys, &options(1_500, 42)).unwrap();
+        ]
+        .into_iter()
+        .map(|s| {
+            objective(
+                &FxDistribution::with_strategy(sys.clone(), s).unwrap(),
+                &sys,
+            )
+        })
+        .min()
+        .unwrap();
+        let result = search(&sys, 1_500, 42).unwrap();
         assert!(
-            result.score <= best_closed,
-            "annealed {} vs best closed-form {best_closed}",
+            result.score < best_closed,
+            "searched {} vs best closed-form {best_closed}",
             result.score
         );
+        assert_eq!(result.score, result.lower_bound);
+        assert_eq!(objective(&result.distribution, &sys), result.score);
     }
 
-    /// Determinism: identical options give identical outcomes.
+    /// Determinism: identical budgets and seeds give identical outcomes.
     #[test]
     fn deterministic_per_seed() {
         let sys = SystemConfig::new(&[4, 4, 2, 2], 16).unwrap();
-        let a = anneal(&sys, &options(200, 9)).unwrap();
-        let b = anneal(&sys, &options(200, 9)).unwrap();
+        let a = search(&sys, 200, 9).unwrap();
+        let b = search(&sys, 200, 9).unwrap();
         assert_eq!(a.score, b.score);
-        assert_eq!(a.accepted, b.accepted);
-        assert_eq!(
-            a.distribution.tables().to_vec(),
-            b.distribution.tables().to_vec()
-        );
+        assert_eq!(a.tries, b.tries);
+        assert_eq!(a.distribution.images(), b.distribution.images());
     }
 }

@@ -82,7 +82,7 @@ rt_proptest! {
         assert!((fx_certified_probability(&assignment, 1.0) - 1.0).abs() < 1e-12);
     }
 
-    /// The annealing objective of any FX variant is bounded below by the
+    /// The search objective of any FX variant is bounded below by the
     /// analytic bound, and Basic FX ties the bound exactly when no field
     /// is small.
     fn objective_bounds(src) {

@@ -1,4 +1,4 @@
-//! Microbenches of the four transformation kernels and their inverses.
+//! Microbenches of the four transformation kernels.
 //!
 //! Run with `cargo bench -p pmr-bench --bench transforms`.
 

@@ -53,10 +53,7 @@ fn main() {
         debug_assert_eq!(score(&searched, &sys), result.score);
         let fx = FxDistribution::with_strategy(sys.clone(), AssignmentStrategy::TheoremNine)
             .expect("valid configuration");
-        rows.push((
-            format!("FX ({})", fx.assignment().describe()),
-            score(&fx, &sys),
-        ));
+        rows.push((format!("FX ({})", fx.describe()), score(&fx, &sys)));
         rows.push(("analytic bound".to_owned(), bound));
         for (name, s) in rows {
             println!("{name:<22} {s:>14} {:>13.2}x", s as f64 / bound as f64);

@@ -1,15 +1,15 @@
-//! Future-work demo: searching generalized-FX tables beyond the paper.
+//! Future-work demo: searching linear FX maps beyond the paper.
 //!
-//! For systems with four or more small fields — where \[Sung87\] proves no
-//! method can be perfect optimal and the paper's closed-form
-//! transformations leave patterns unbalanced — simulated annealing over
-//! arbitrary injective per-field tables recovers additional balance.
+//! For systems with four or more small fields — where \[Sung87\] shows
+//! some systems admit no perfect-optimal method and the paper's
+//! closed-form transformations leave patterns unbalanced — a seeded random
+//! search over injective per-field linear maps recovers additional
+//! balance.
 //!
 //! `cargo run --release -p pmr-bench --bin optimize_tables`
 
-use pmr_analysis::optimize::{anneal, objective, AnnealOptions};
-use pmr_core::query::Pattern;
-use pmr_core::{Assignment, AssignmentStrategy, GeneralFxDistribution, SystemConfig};
+use pmr_analysis::optimize::{objective, search};
+use pmr_core::{AssignmentStrategy, FxDistribution, SystemConfig};
 
 fn main() {
     let systems = [
@@ -26,6 +26,7 @@ fn main() {
             SystemConfig::new(&[4; 6], 64).unwrap(),
         ),
     ];
+    let tries = 20_000;
     for (label, sys) in systems {
         let total_patterns = 1usize << sys.num_fields();
         println!("== {label}: {sys} ({total_patterns} query patterns) ==");
@@ -38,9 +39,8 @@ fn main() {
             ("cycle-iu2", AssignmentStrategy::CycleIu2),
             ("theorem-9", AssignmentStrategy::TheoremNine),
         ] {
-            let a = Assignment::from_strategy(&sys, strategy).expect("valid system");
-            let g = GeneralFxDistribution::from_assignment(&a);
-            let score = objective(&g, &sys);
+            let fx = FxDistribution::with_strategy(sys.clone(), strategy).expect("valid system");
+            let score = objective(&fx, &sys);
             println!("  closed form {name:<10} objective {score}");
             if score < best_closed {
                 best_closed = score;
@@ -48,17 +48,13 @@ fn main() {
             }
         }
 
-        let options = AnnealOptions {
-            steps: 4_000,
-            initial_temperature: 4.0,
-            seed: pmr_rt::seed_from_env_or(7),
-            restarts: 6,
-        };
-        let result = anneal(&sys, &options).expect("valid system");
+        let result = search(&sys, tries, pmr_rt::seed_from_env_or(7)).expect("valid system");
+        // The rank score is exact: the exhaustive referee agrees.
+        assert_eq!(objective(&result.distribution, &sys), result.score);
         println!(
-            "  annealed ({} steps)    objective {} (lower bound {}), \
+            "  searched ({} of {tries} tries) objective {} (lower bound {}), \
              strict-optimal patterns {}/{} (was {}/{})",
-            options.steps,
+            result.tries,
             result.score,
             result.lower_bound,
             result.optimal_patterns,
@@ -70,11 +66,6 @@ fn main() {
         println!(
             "  -> improvement over best closed form ({best_closed_name}): \
              {gain} objective units\n"
-        );
-        // Sanity: certified patterns is a subset of what annealing keeps.
-        debug_assert!(
-            Pattern::all(sys.num_fields()).count() == total_patterns,
-            "pattern space mismatch"
         );
     }
 }

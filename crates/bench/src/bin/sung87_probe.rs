@@ -3,13 +3,13 @@
 //! Sung (1987) showed that when four or more fields are smaller than the
 //! device count, *there exist* file systems admitting no perfect-optimal
 //! distribution — but not that every such system is hopeless. This probe
-//! anneals generalized-FX tables on a family of all-small systems and
-//! reports which reach the analytic bound (a *constructive* perfect
-//! distribution, beyond any closed-form method) and which resist.
+//! searches linear FX maps on a family of all-small systems and reports
+//! which reach the analytic bound (a *constructive* perfect distribution,
+//! beyond any closed-form method) and which resist.
 //!
 //! `cargo run --release -p pmr-bench --bin sung87_probe`
 
-use pmr_analysis::optimize::{anneal, AnnealOptions};
+use pmr_analysis::optimize::search;
 use pmr_core::SystemConfig;
 
 fn main() {
@@ -30,13 +30,7 @@ fn main() {
     println!("{}", "-".repeat(64));
     for &(label, sizes, m) in cases {
         let sys = SystemConfig::new(sizes, m).expect("probe systems are valid");
-        let options = AnnealOptions {
-            steps: 20_000,
-            initial_temperature: 3.0,
-            seed: pmr_rt::seed_from_env_or(11),
-            restarts: 4,
-        };
-        let result = anneal(&sys, &options).expect("valid system");
+        let result = search(&sys, 20_000, pmr_rt::seed_from_env_or(11)).expect("valid system");
         let total = 1usize << sys.num_fields();
         let verdict = if result.score == result.lower_bound {
             "PERFECT FOUND"
@@ -56,6 +50,8 @@ fn main() {
         "\"PERFECT FOUND\" rows are constructive existence proofs: a perfect-\n\
          optimal distribution exists for that system even though 4+ fields\n\
          are small — [Sung87]'s impossibility is about SOME systems, not all.\n\
-         \"resists search\" rows are only evidence, not proof, of impossibility."
+         \"resists search\" rows are evidence, not proof, that no map reaches\n\
+         the bound; for binary n=4, M=4 and n=5, M=8 no linear map can\n\
+         (EXPERIMENTS.md)."
     );
 }

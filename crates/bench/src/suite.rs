@@ -137,9 +137,9 @@ pub fn addr_compute(opts: &SuiteOpts) -> Group {
     group
 }
 
-/// Transformation kernels forward (`transform_apply`) and inverse
-/// (`transform_invert`); two groups because the paper discusses the costs
-/// separately (distribution vs inverse mapping).
+/// The four transformation kernels' closed forms (`transform_apply`).
+/// The inverse direction is FX's residue-class lookup, measured by the
+/// `addr_compute` and `packed_vs_vec` groups.
 pub fn transforms(opts: &SuiteOpts) -> Vec<Group> {
     let f: u64 = if opts.fast { 64 } else { 256 };
     const M: u64 = 4096;
@@ -164,18 +164,7 @@ pub fn transforms(opts: &SuiteOpts) -> Vec<Group> {
         });
     }
 
-    let mut invert = opts.group("transform_invert");
-    for (name, t) in &transforms {
-        let images: Vec<u64> = (0..f).map(|l| t.apply(l)).collect();
-        invert.bench(name, || {
-            let mut acc = 0u64;
-            for &v in &images {
-                acc ^= t.invert(black_box(v)).expect("image point inverts");
-            }
-            acc
-        });
-    }
-    vec![apply, invert]
+    vec![apply]
 }
 
 /// Packed codes vs tuple `Vec`s on the acceptance system

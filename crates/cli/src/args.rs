@@ -76,7 +76,7 @@ USAGE:
       table with busy_us percentiles from the merged histograms.
 
   pmr optimize --fields F1,F2,... --devices M [--steps N] [--seed K]
-      Anneal generalized-FX transformation tables beyond the paper's
+      Search linear FX maps (per-field bit images) beyond the paper's
       closed forms (useful when 4+ fields are smaller than M).
 
   pmr design --probs P1,P2,... [--bits B]
@@ -95,7 +95,7 @@ OPTIONS:
               10000, chaos 20000, throughput/serve/loadgen 5000)
   --seed      RNG seed (simulate/optimize: default 42; throughput/chaos/
               serve/loadgen: default PMR_SEED, else 42)
-  --steps     annealing steps (optimize; default 2000)
+  --steps     search tries (optimize; default 2000)
   --probs     comma-separated per-field specification probabilities
   --bits      total directory bits (design; default 12)
   --trace     trace sink: a file path or 'stderr' (records spans/metrics

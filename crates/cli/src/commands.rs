@@ -7,7 +7,7 @@ use pmr_analysis::probability;
 use pmr_analysis::tables::distribution_table;
 use pmr_baselines::ModuloDistribution;
 use pmr_core::method::DistributionMethod;
-use pmr_core::{FxDistribution, PartialMatchQuery, SystemConfig};
+use pmr_core::{Assignment, FxDistribution, PartialMatchQuery, SystemConfig};
 use pmr_rt::fault::{FaultPlan, RetryPolicy};
 use pmr_rt::obs::json::Object;
 use pmr_rt::obs::{self, TraceConfig};
@@ -95,9 +95,9 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
     if sys.num_fields() > 16 {
         return Err("analyze supports up to 16 fields".into());
     }
-    let fx =
-        FxDistribution::with_strategy(sys.clone(), flags.strategy()?).map_err(|e| e.to_string())?;
-    let report = pmr_core::report::OptimalityReport::analyze(fx.assignment());
+    let assignment =
+        Assignment::from_strategy(&sys, flags.strategy()?).map_err(|e| e.to_string())?;
+    let report = pmr_core::report::OptimalityReport::analyze(&assignment);
     print!("{}", report.render());
     if report.measured {
         let dm_measured =
@@ -797,36 +797,30 @@ fn render_cluster_table(stats: &pmr_rt::obs::agg::TraceStats) -> String {
     out
 }
 
-/// `pmr optimize` — anneal generalized-FX tables for a system.
+/// `pmr optimize` — search linear FX maps for a system.
 pub fn optimize(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let sys = flags.system()?;
     if sys.num_fields() > 12 || sys.total_buckets() > 1 << 20 {
         return Err("optimize supports up to 12 fields / 2^20 buckets".into());
     }
-    let steps = flags.u64_or("steps", 2000)? as usize;
+    let tries = flags.u64_or("steps", 2000)? as usize;
     let seed = flags.u64_or("seed", 42)?;
-    let options = pmr_analysis::optimize::AnnealOptions {
-        steps,
-        initial_temperature: 4.0,
-        seed,
-        restarts: 4,
-    };
-    let result = pmr_analysis::optimize::anneal(&sys, &options).map_err(|e| e.to_string())?;
+    let result = pmr_analysis::optimize::search(&sys, tries, seed).map_err(|e| e.to_string())?;
     let total = 1usize << sys.num_fields();
     println!("{sys}");
     println!("objective (sum of largest responses over {total} patterns):");
     println!("  theorem-9 start : {}", result.initial_score);
-    println!("  annealed        : {}", result.score);
+    println!("  searched        : {}", result.score);
     println!("  analytic bound  : {}", result.lower_bound);
     println!(
         "strict-optimal patterns: {} -> {} (of {total})",
         result.initial_optimal_patterns, result.optimal_patterns
     );
-    println!("accepted moves: {}", result.accepted);
+    println!("tries: {} of {tries}", result.tries);
     println!();
-    for (i, table) in result.distribution.tables().iter().enumerate() {
-        println!("field {i} table: {:?}", &table[..]);
+    for (i, images) in result.distribution.images().iter().enumerate() {
+        println!("field {i} images: {images:?}");
     }
     Ok(())
 }

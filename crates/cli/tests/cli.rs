@@ -177,6 +177,24 @@ fn golden_cases() -> Vec<(&'static str, Vec<&'static str>)> {
             with(&chaos, &["--redundancy", "none", "--outage", "3"]),
         ),
         ("chaos_json", with(&chaos, &["--json"])),
+        (
+            "optimize_mixed",
+            vec![
+                "optimize",
+                "--fields",
+                "2,2,4,4,8",
+                "--devices",
+                "16",
+                "--seed",
+                "7",
+            ],
+        ),
+        // No linear map is perfect here (EXPERIMENTS.md): the search runs
+        // its whole budget.
+        (
+            "optimize_binary",
+            vec!["optimize", "--fields", "2,2,2,2", "--devices", "4"],
+        ),
     ]
 }
 
@@ -260,6 +278,27 @@ fn analyze_reports_fractions() {
     let text = stdout(&out);
     assert!(text.contains("FX assignment: I,U,IU1,I,U,IU1"));
     assert!(text.contains("certified strict-optimal patterns"));
+}
+
+/// A system with more devices than memory can hold one histogram slot
+/// for: `analyze` reports the conditions without measuring, and
+/// `optimize` scores by rank, so neither allocates per device.
+#[test]
+fn analyze_and_optimize_handle_huge_device_counts() {
+    let system = ["--fields", "2,2", "--devices", "1099511627776"];
+    let out = pmr(&[&["analyze"][..], &system].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("(skipped)"), "{text}");
+    assert!(text.contains("certified strict-optimal patterns"));
+    let out = pmr(&[&["optimize"][..], &system, &["--steps", "50"]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("strict-optimal patterns: 4 -> 4 (of 4)"),
+        "{text}"
+    );
+    assert!(text.contains("field 1 images"), "{text}");
 }
 
 #[test]
@@ -481,7 +520,7 @@ fn optimize_prints_tables() {
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("analytic bound"));
-    assert!(text.contains("field 0 table"));
+    assert!(text.contains("field 0 images"));
 }
 
 #[test]

@@ -376,13 +376,13 @@ mod tests {
             let sys = SystemConfig::new(fields, m).unwrap();
             let fx = FxDistribution::with_strategy(sys.clone(), strategy).unwrap();
             for pattern in Pattern::all(sys.num_fields()) {
-                let reason = fx_pattern_reason(fx.assignment(), pattern);
+                let reason = fx_pattern_reason(fx.assignment().unwrap(), pattern);
                 if reason.is_guaranteed() {
                     assert!(
                         pattern_strict_optimal(&fx, &sys, pattern),
                         "{sys} [{}] pattern {pattern:?}: condition {reason:?} fired \
                          but distribution is not strict optimal",
-                        fx.assignment().describe()
+                        fx.describe()
                     );
                 }
             }

@@ -42,7 +42,7 @@ pub struct DeviceSet {
 }
 
 /// The highest set bit of a nonzero `v`.
-fn pivot(v: u64) -> u64 {
+pub(crate) fn pivot(v: u64) -> u64 {
     1 << (63 - v.leading_zeros())
 }
 

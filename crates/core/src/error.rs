@@ -92,6 +92,17 @@ pub enum Error {
         /// Actual field size.
         field_size: u64,
     },
+    /// A field's bit images do not span enough of `Z_M`: a field with
+    /// `F < M` must map injectively (rank `log2 F`), a field with `F ≥ M`
+    /// onto `Z_M` (rank `log2 M`).
+    RankDeficient {
+        /// Field index.
+        field: usize,
+        /// The rank of the field's images.
+        rank: u32,
+        /// The rank the field needs.
+        required: u32,
+    },
 }
 
 impl fmt::Display for Error {
@@ -158,6 +169,17 @@ impl fmt::Display for Error {
                     f,
                     "transform for field {field} built for size {transform_size}, \
                      field has size {field_size}"
+                )
+            }
+            Error::RankDeficient {
+                field,
+                rank,
+                required,
+            } => {
+                write!(
+                    f,
+                    "field {field}'s bit images have rank {rank}, it needs {required} \
+                     (injective below M, onto Z_M at or above)"
                 )
             }
         }

@@ -3,29 +3,35 @@
 //! *Basic FX* (§3) allocates bucket `<J_1, …, J_n>` to device
 //! `T_M(J_1 ⊕ … ⊕ J_n)`. *Extended FX* (§4) first passes each field value
 //! through its transformation function:
-//! `T_M(X_1(J_1) ⊕ … ⊕ X_n(J_n))`. When every `X_i` is the identity the
-//! two coincide, so [`FxDistribution`] represents both, parameterised by an
-//! [`Assignment`].
+//! `T_M(X_1(J_1) ⊕ … ⊕ X_n(J_n))`. Every transformation (I, U, IU1, IU2)
+//! is XOR and shift, and `T_M` keeps low bits, so each field's map
+//! `J ↦ T_M(X_i(J))` is GF(2)-linear and fixed by the images of the
+//! field's bits. [`FxDistribution`] stores exactly that: one linear map,
+//! as the device images `T_M(X_i(2^b))` of every field bit. The paper's
+//! closed forms are constructors of those images
+//! ([`FxDistribution::with_assignment`]); [`FxDistribution::from_images`]
+//! takes any other images that are injective on a field with `F < M` and
+//! onto `Z_M` on a field with `F ≥ M`.
 //!
 //! The transformation arithmetic is pure XOR/shift/AND — the paper's
 //! §5.2.2 measures this at roughly a third of GDM's multiply-based cost
 //! on an MC68000 (whose multiplier took ~70 cycles). This implementation
-//! additionally compiles the per-field transforms into lookup tables (the
-//! images are tiny — at most `F` entries each), so the hot path is one
-//! load + one XOR per field; `pmr-bench`'s `addr_compute` bench reproduces
-//! the comparison on the host CPU, where pipelined multipliers make the
-//! kernels much closer than in 1988 (see EXPERIMENTS.md).
+//! additionally compiles the per-field maps into lookup tables, so the hot
+//! path is one load + one XOR per field; `pmr-bench`'s `addr_compute`
+//! bench reproduces the comparison on the host CPU, where pipelined
+//! multipliers make the kernels much closer than in 1988 (see
+//! EXPERIMENTS.md).
 
 use crate::assign::{Assignment, AssignmentStrategy};
 use crate::bits::t_m;
-use crate::device_set::DeviceSet;
-use crate::error::Result;
+use crate::device_set::{pivot, DeviceSet};
+use crate::error::{Error, Result};
 use crate::method::DistributionMethod;
-use crate::query::PartialMatchQuery;
+use crate::query::{PartialMatchQuery, Pattern};
 use crate::system::SystemConfig;
-use crate::transform::Transform;
 
-/// The FX distribution method.
+/// The FX distribution method: one GF(2)-linear map from bucket bits to
+/// device bits.
 ///
 /// # Examples
 ///
@@ -45,28 +51,32 @@ use crate::transform::Transform;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FxDistribution {
-    assignment: Assignment,
-    /// Precomputed address kernel (see [`Kernel`]).
-    kernel: Kernel,
-    /// Residue classes `T_M(X_i(J)) = c` of every field, for the fast
-    /// inverse. A field with `F < M` maps injectively, so `Some(slots)`
-    /// holds an `M`-entry table: `slots[c]` is the packed-position code
-    /// `J << shift_i` of the one `J` in class `c`, or [`NO_CODE`]. A field
-    /// with `F ≥ M` is the identity, so class `c` is `c, c + M, c + 2M, …`
-    /// below `F` and needs no table (`None`). Past [`MAX_TABLE_SIZE`]
-    /// devices no table is built either; the inverse then inverts the
-    /// small field's closed form per lookup.
-    classes: Vec<Option<Box<[u64]>>>,
+    sys: SystemConfig,
+    /// The closed-form assignment the images were built from, if any.
+    assignment: Option<Assignment>,
+    /// `images[i][b] = T_M(X_i(2^b))`, one per bit of field `i`.
+    images: Vec<Vec<u64>>,
+    /// Precomputed address kernel (see [`TableKernel`]).
+    kernel: TableKernel,
+    /// Residue classes of every field, for the fast inverse.
+    classes: Vec<FieldClasses>,
 }
 
 /// An empty slot of a residue-class table (no code is all ones: packed
 /// codes use at most 63 bits).
 pub(crate) const NO_CODE: u64 = u64::MAX;
 
-/// Field sizes (for image tables) and device counts (for residue-class
-/// tables) above this threshold make a materialised per-field table
-/// unreasonable (512 KiB of `u64` per field at most).
+/// Device counts above this threshold make a materialised residue-class
+/// table unreasonable (512 KiB of `u64` per field at most); the inverse
+/// then solves each class by elimination. The same bound caps one kernel
+/// chunk table (see [`CHUNK_BITS`]).
 const MAX_TABLE_SIZE: u64 = 1 << 16;
+
+/// Bits of a field value one kernel chunk table covers. A field of at
+/// most [`MAX_TABLE_SIZE`] values is one chunk (one table load); a wider
+/// field is sliced into chunks whose outputs XOR together, which the
+/// map's linearity allows.
+const CHUNK_BITS: u32 = MAX_TABLE_SIZE.trailing_zeros();
 
 /// Width of the batched address-computation lanes: 8 independent XOR
 /// accumulator chains per inner step, enough instruction-level
@@ -76,41 +86,33 @@ const MAX_TABLE_SIZE: u64 = 1 << 16;
 const BATCH_LANES: usize = 8;
 
 /// Cap on a flat-LUT segment's entry count (the product of its member
-/// fields' sizes). 2¹¹ `u64` entries keep every segment slab (≤ 16 KiB)
+/// chunks' sizes). 2¹¹ `u64` entries keep every segment slab (≤ 16 KiB)
 /// resident in L1 while still folding several fields into one load: the
 /// paper's Table 7 system (six fields of 8) collapses into two 512-entry
 /// segments, so a batched lookup costs two loads per code instead of
-/// six. Fields too large to merge get a segment of their own.
+/// six. Chunks too large to merge get a segment of their own.
 const SEGMENT_CAP: u64 = 1 << 11;
 
-/// FX's address kernel: the table kernel for every experimental system,
-/// shift-computed transforms for systems with fields over
-/// [`MAX_TABLE_SIZE`].
-#[derive(Debug, Clone)]
-enum Kernel {
-    Tables(TableKernel),
-    Computed(Vec<Transform>),
-}
-
-/// The table-XOR address kernel, shared by FX and
-/// [`GeneralFxDistribution`](crate::general::GeneralFxDistribution).
+/// FX's table-XOR address kernel.
 ///
-/// Per-field images are tiny (`F < M` entries for the fields that need a
-/// transform), so they are materialised once and the hot path becomes one
-/// load + one XOR per field with no per-kind branching. Identity fields
-/// get an identity table to keep the loop uniform.
+/// Each field's map is materialised once, as one table per chunk of at
+/// most [`CHUNK_BITS`] value bits, so the hot path is one load + one XOR
+/// per field (per chunk of a wider field) with no per-kind branching.
 #[derive(Debug, Clone)]
-pub(crate) struct TableKernel {
-    /// Image per field (`tables[i][J] = X_i(J)`).
-    tables: Vec<Box<[u64]>>,
-    /// Bit offset of each field within a packed code.
+struct TableKernel {
+    /// One table per chunk, in packed-bit order: `chunks[c][v]` is the
+    /// XOR of the images of `v`'s bits.
+    chunks: Vec<Box<[u64]>>,
+    /// Field `i` owns `chunks[field_chunks[i]..field_chunks[i + 1]]`.
+    field_chunks: Box<[usize]>,
+    /// Bit offset of each chunk within a packed code.
     shifts: Box<[u32]>,
-    /// In-field mask `F_i − 1` of each field.
+    /// In-chunk mask of each chunk.
     masks: Box<[u64]>,
     /// The flat segment LUT the batched lanes index: one contiguous
-    /// allocation holding, per *segment* (a run of consecutive fields
+    /// allocation holding, per *segment* (a run of consecutive chunks
     /// whose combined bucket-bit span stays under [`SEGMENT_CAP`]
-    /// entries), the XOR of the member fields' images over every
+    /// entries), the XOR of the member chunks' tables over every
     /// combination of their bucket bits. A segment lookup is
     /// `flat[seg_bases[s] + ((code >> seg_shifts[s]) & seg_masks[s])]`
     /// — one load per segment replaces one load per field (on the
@@ -119,109 +121,55 @@ pub(crate) struct TableKernel {
     flat: Box<[u64]>,
     /// Start of each segment's entries within `flat`.
     seg_bases: Box<[u32]>,
-    /// Bit offset of each segment's first field within a packed code.
+    /// Bit offset of each segment's first chunk within a packed code.
     seg_shifts: Box<[u32]>,
-    /// Combined in-segment mask (`∏ F_i − 1` over member fields).
+    /// Combined in-segment mask (`∏ entries − 1` over member chunks).
     seg_masks: Box<[u64]>,
 }
 
-impl Kernel {
-    fn for_assignment(assignment: &Assignment) -> Kernel {
-        let sys = assignment.system();
-        if (0..sys.num_fields()).all(|i| sys.field_size(i) <= MAX_TABLE_SIZE) {
-            let images = assignment
-                .transforms()
-                .iter()
-                .map(|t| t.image().into_boxed_slice())
-                .collect();
-            Kernel::Tables(TableKernel::new(sys, images))
-        } else {
-            Kernel::Computed(assignment.transforms().to_vec())
-        }
-    }
-
-    #[inline]
-    fn xor_all(&self, bucket: &[u64]) -> u64 {
-        match self {
-            Kernel::Tables(k) => k.xor_all(bucket),
-            Kernel::Computed(transforms) => {
-                let mut acc = 0u64;
-                for (t, &v) in transforms.iter().zip(bucket) {
-                    acc ^= t.apply(v);
-                }
-                acc
-            }
-        }
-    }
-
-    #[inline]
-    fn xor_packed(&self, code: u64, sys: &SystemConfig) -> u64 {
-        match self {
-            Kernel::Tables(k) => k.xor_packed(code),
-            Kernel::Computed(transforms) => {
-                let layout = sys.packed_layout();
-                let mut acc = 0u64;
-                for (i, t) in transforms.iter().enumerate() {
-                    acc ^= t.apply(layout.field(code, i));
-                }
-                acc
-            }
-        }
-    }
-
-    /// Applies field `i`'s transform to one value: a table index when the
-    /// kernel is materialised, the closed form otherwise.
-    #[inline]
-    fn apply_field(&self, field: usize, value: u64) -> u64 {
-        match self {
-            Kernel::Tables(k) => k.tables[field][value as usize],
-            Kernel::Computed(transforms) => transforms[field].apply(value),
-        }
-    }
-
-    fn device_of_batch(&self, codes: &[u64], out: &mut [u64], sys: &SystemConfig) {
-        match self {
-            Kernel::Tables(k) => k.device_of_batch(codes, out, sys.devices()),
-            Kernel::Computed(_) => {
-                for (&code, slot) in codes.iter().zip(out.iter_mut()) {
-                    *slot = t_m(self.xor_packed(code, sys), sys.devices());
-                }
-            }
-        }
-    }
-}
-
 impl TableKernel {
-    /// Builds the kernel from explicit per-field images
-    /// (`images[i].len() == F_i`).
-    pub(crate) fn new(sys: &SystemConfig, images: Vec<Box<[u64]>>) -> TableKernel {
-        let n = sys.num_fields();
-        debug_assert_eq!(images.len(), n);
-        let _span = pmr_rt::span!(pmr_rt::obs::FX_KERNEL_BUILD, fields = n as u64);
-        pmr_rt::obs::FX_KERNEL_TABLES_BUILT.add(n as u64);
+    /// Builds the kernel from per-field bit images
+    /// (`images[i].len() == log2 F_i`).
+    fn new(sys: &SystemConfig, images: &[Vec<u64>]) -> TableKernel {
+        let _span = pmr_rt::span!(pmr_rt::obs::FX_KERNEL_BUILD, fields = images.len() as u64);
         let layout = sys.packed_layout();
-        // Fold runs of consecutive fields into combined segments: a
-        // segment over fields i..j stores, for every combination `v`
-        // of their packed bits, the XOR of the member images. Valid
-        // because the packed layout is contiguous LSB-first and every
-        // field size is a power of two, so fields i..j occupy exactly
-        // the bit range the segment mask extracts.
+        let mut chunks = Vec::new();
+        let mut field_chunks = vec![0];
+        let mut shifts = Vec::new();
+        let mut masks = Vec::new();
+        for (i, field) in images.iter().enumerate() {
+            // Every field gets at least one chunk (a one-value field's
+            // table is `[0]`).
+            for low in (0..field.len().max(1)).step_by(CHUNK_BITS as usize) {
+                let bits = &field[low..field.len().min(low + CHUNK_BITS as usize)];
+                chunks.push(span_table(bits));
+                shifts.push(layout.shift(i) + low as u32);
+                masks.push((1u64 << bits.len()) - 1);
+            }
+            field_chunks.push(chunks.len());
+        }
+        pmr_rt::obs::FX_KERNEL_TABLES_BUILT.add(chunks.len() as u64);
+        // Fold runs of consecutive chunks into combined segments: a
+        // segment over chunks i..j stores, for every combination `v` of
+        // their packed bits, the XOR of the member tables. Valid because
+        // chunks tile the packed code contiguously, LSB first, so chunks
+        // i..j occupy exactly the bit range the segment mask extracts.
         let mut flat = Vec::new();
         let mut seg_bases = Vec::new();
         let mut seg_shifts = Vec::new();
         let mut seg_masks = Vec::new();
         let mut i = 0;
-        while i < n {
-            let seg_shift = layout.shift(i);
-            let mut entries = sys.field_size(i);
+        while i < chunks.len() {
+            let seg_shift = shifts[i];
+            let mut entries = chunks[i].len() as u64;
             let mut j = i + 1;
-            while j < n && entries * sys.field_size(j) <= SEGMENT_CAP {
+            while j < chunks.len() && entries * chunks[j].len() as u64 <= SEGMENT_CAP {
                 debug_assert_eq!(
-                    u64::from(layout.shift(j)),
+                    u64::from(shifts[j]),
                     u64::from(seg_shift) + u64::from(entries.trailing_zeros()),
-                    "segment folding needs contiguous packed fields"
+                    "segment folding needs contiguous chunks"
                 );
-                entries *= sys.field_size(j);
+                entries *= chunks[j].len() as u64;
                 j += 1;
             }
             seg_bases.push(flat.len() as u32);
@@ -230,17 +178,18 @@ impl TableKernel {
             for v in 0..entries {
                 let mut acc = 0u64;
                 for k in i..j {
-                    let rel = layout.shift(k) - seg_shift;
-                    acc ^= images[k][((v >> rel) & layout.mask(k)) as usize];
+                    let rel = shifts[k] - seg_shift;
+                    acc ^= chunks[k][((v >> rel) & masks[k]) as usize];
                 }
                 flat.push(acc);
             }
             i = j;
         }
         TableKernel {
-            tables: images,
-            shifts: (0..n).map(|i| layout.shift(i)).collect(),
-            masks: (0..n).map(|i| layout.mask(i)).collect(),
+            chunks,
+            field_chunks: field_chunks.into_boxed_slice(),
+            shifts: shifts.into_boxed_slice(),
+            masks: masks.into_boxed_slice(),
             flat: flat.into_boxed_slice(),
             seg_bases: seg_bases.into_boxed_slice(),
             seg_shifts: seg_shifts.into_boxed_slice(),
@@ -248,28 +197,35 @@ impl TableKernel {
         }
     }
 
-    /// The per-field images the kernel was built from.
-    pub(crate) fn tables(&self) -> &[Box<[u64]>] {
-        &self.tables
+    /// Field `field`'s map at `value`: one table load per chunk, so one
+    /// for every field of at most [`MAX_TABLE_SIZE`] values.
+    #[inline]
+    fn apply_field(&self, field: usize, mut value: u64) -> u64 {
+        let mut acc = 0u64;
+        for table in &self.chunks[self.field_chunks[field]..self.field_chunks[field + 1]] {
+            acc ^= table[(value & (MAX_TABLE_SIZE - 1)) as usize];
+            value >>= CHUNK_BITS;
+        }
+        acc
     }
 
     /// XOR of every field's image of a bucket tuple.
     #[inline]
-    pub(crate) fn xor_all(&self, bucket: &[u64]) -> u64 {
+    fn xor_all(&self, bucket: &[u64]) -> u64 {
         let mut acc = 0u64;
-        for (table, &v) in self.tables.iter().zip(bucket) {
-            acc ^= table[v as usize];
+        for (field, &v) in bucket.iter().enumerate() {
+            acc ^= self.apply_field(field, v);
         }
         acc
     }
 
     /// XOR of every field's image of a packed code — the packed
     /// counterpart of [`TableKernel::xor_all`]: extract → load → XOR per
-    /// field, needing no tuple at all.
+    /// chunk, needing no tuple at all.
     #[inline]
-    pub(crate) fn xor_packed(&self, code: u64) -> u64 {
+    fn xor_packed(&self, code: u64) -> u64 {
         let mut acc = 0u64;
-        for ((table, &shift), &mask) in self.tables.iter().zip(&*self.shifts).zip(&*self.masks) {
+        for ((table, &shift), &mask) in self.chunks.iter().zip(&*self.shifts).zip(&*self.masks) {
             acc ^= table[((code >> shift) & mask) as usize];
         }
         acc
@@ -284,7 +240,7 @@ impl TableKernel {
     /// accumulator chains are independent and pipeline. Segment folding
     /// (see [`SEGMENT_CAP`]) makes the step count the *segment* count, not
     /// the field count.
-    pub(crate) fn device_of_batch(&self, codes: &[u64], out: &mut [u64], devices: u64) {
+    fn device_of_batch(&self, codes: &[u64], out: &mut [u64], devices: u64) {
         let m1 = devices - 1;
         let flat = &self.flat[..];
         let mut code_chunks = codes.chunks_exact(BATCH_LANES);
@@ -316,6 +272,132 @@ impl TableKernel {
     }
 }
 
+/// The table of a linear map over `bits.len()` value bits:
+/// `table[v]` is the XOR of `bits[b]` over the set bits `b` of `v`.
+fn span_table(bits: &[u64]) -> Box<[u64]> {
+    let mut table = vec![0u64; 1 << bits.len()];
+    for v in 1..table.len() {
+        table[v] = table[v & (v - 1)] ^ bits[v.trailing_zeros() as usize];
+    }
+    table.into_boxed_slice()
+}
+
+/// One field's residue classes `{J : T_M(X_i(J)) = c}`, solved from its
+/// bit images by Gaussian elimination over GF(2).
+///
+/// The map is linear, so a class is empty or one coset of the field's
+/// kernel: its smallest member plus every combination of a reduced kernel
+/// basis. An injective field (`F < M`) has a trivial kernel and at most
+/// one member per class; the identity on a field with `F ≥ M` has the
+/// classes `c, c + M, c + 2M, …`.
+#[derive(Debug, Clone)]
+pub(crate) struct FieldClasses {
+    /// Reduced echelon rows `(image, code)`: each image owns a pivot (its
+    /// highest set bit) that no other row's image has set; `code` is the
+    /// pre-shifted field value mapped to that image, zero at every kernel
+    /// pivot.
+    rows: Vec<(u64, u64)>,
+    /// `steps[t]`: the XOR of the kernel basis vectors `0..=t`
+    /// (pre-shifted, by pivot ascending) — the change from a class's
+    /// `k`-th smallest member to its `(k + 1)`-th, for `t` the trailing
+    /// zeros of `k + 1`. Empty for an injective field.
+    pub(crate) steps: Box<[u64]>,
+    /// `table[c]`: the smallest pre-shifted code of class `c`, or
+    /// [`NO_CODE`]; built when `M ≤` [`MAX_TABLE_SIZE`].
+    pub(crate) table: Option<Box<[u64]>>,
+}
+
+impl FieldClasses {
+    fn new(images: &[u64], shift: u32, m: u64) -> FieldClasses {
+        let mut rows: Vec<(u64, u64)> = Vec::new();
+        let mut kernel: Vec<u64> = Vec::new();
+        for (b, &image) in images.iter().enumerate() {
+            let (mut v, mut code) = (image, 1u64 << b);
+            for &(rv, rc) in &rows {
+                if v & pivot(rv) != 0 {
+                    v ^= rv;
+                    code ^= rc;
+                }
+            }
+            if v == 0 {
+                // `code` maps to zero: a kernel vector. Its pivot is bit
+                // `b`, which no earlier vector has, so clearing the earlier
+                // pivots from it keeps the kernel basis reduced.
+                for &k in &kernel {
+                    if code & pivot(k) != 0 {
+                        code ^= k;
+                    }
+                }
+                kernel.push(code);
+                continue;
+            }
+            for row in &mut rows {
+                if row.0 & pivot(v) != 0 {
+                    row.0 ^= v;
+                    row.1 ^= code;
+                }
+            }
+            rows.push((v, code));
+        }
+        // Kernel vectors map to zero, so clearing the kernel pivots from a
+        // row's code keeps its image and makes each solution the smallest
+        // member of its class.
+        for &k in &kernel {
+            for row in &mut rows {
+                if row.1 & pivot(k) != 0 {
+                    row.1 ^= k;
+                }
+            }
+        }
+        for row in &mut rows {
+            row.1 <<= shift;
+        }
+        let steps = kernel
+            .iter()
+            .scan(0u64, |acc, &k| {
+                *acc ^= k << shift;
+                Some(*acc)
+            })
+            .collect();
+        let mut classes = FieldClasses {
+            rows,
+            steps,
+            table: None,
+        };
+        if m <= MAX_TABLE_SIZE {
+            classes.table = Some((0..m).map(|c| classes.solve(c)).collect());
+        }
+        classes
+    }
+
+    /// The smallest pre-shifted code in class `class`, or [`NO_CODE`] when
+    /// the class is empty: a table load when `M ≤` [`MAX_TABLE_SIZE`], an
+    /// elimination over the field's images otherwise.
+    #[inline]
+    pub(crate) fn first(&self, class: u64) -> u64 {
+        match &self.table {
+            Some(table) => table[class as usize],
+            None => self.solve(class),
+        }
+    }
+
+    /// [`FieldClasses::first`] by elimination over the rows.
+    fn solve(&self, mut class: u64) -> u64 {
+        let mut code = 0;
+        for &(image, c) in &self.rows {
+            if class & pivot(image) != 0 {
+                class ^= image;
+                code ^= c;
+            }
+        }
+        if class == 0 {
+            code
+        } else {
+            NO_CODE
+        }
+    }
+}
+
 impl FxDistribution {
     /// Basic FX: identity transforms everywhere.
     pub fn basic(sys: SystemConfig) -> Result<Self> {
@@ -335,54 +417,134 @@ impl FxDistribution {
         FxDistribution::with_strategy(sys, AssignmentStrategy::TheoremNine)
     }
 
-    /// Extended FX from an explicit assignment.
+    /// Extended FX from an explicit assignment: each transform's bit
+    /// images become the field's map.
     pub fn with_assignment(assignment: Assignment) -> Self {
-        let kernel = Kernel::for_assignment(&assignment);
-        let sys = assignment.system();
-        let m = sys.devices();
-        let classes = (0..sys.num_fields())
-            .map(|i| {
-                if !sys.is_small_field(i) || m > MAX_TABLE_SIZE {
-                    return None;
-                }
-                let shift = sys.packed_layout().shift(i);
-                let mut slots = vec![NO_CODE; m as usize];
-                for j in 0..sys.field_size(i) {
-                    let slot = &mut slots[t_m(kernel.apply_field(i, j), m) as usize];
-                    debug_assert_eq!(*slot, NO_CODE, "small-field transforms are injective");
-                    *slot = j << shift;
-                }
-                Some(slots.into_boxed_slice())
-            })
+        let sys = assignment.system().clone();
+        let images = assignment
+            .transforms()
+            .iter()
+            .map(|t| t.bit_images())
             .collect();
-        FxDistribution {
-            assignment,
-            kernel,
-            classes,
+        FxDistribution::build(sys, Some(assignment), images).expect("closed forms are valid maps")
+    }
+
+    /// FX from explicit bit images: `images[i][b]` is the device image
+    /// `T_M(X_i(2^b))` of bit `b` of field `i`, and a value's image is the
+    /// XOR of its set bits' images.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::TransformArityMismatch`] when there is not one image
+    ///   list per field, or a field's list does not hold one image per
+    ///   field bit.
+    /// * [`Error::ValueOutOfRange`] when an image is not below `M`.
+    /// * [`Error::RankDeficient`] when a field with `F < M` does not map
+    ///   injectively, or a field with `F ≥ M` does not map onto `Z_M`.
+    ///
+    /// # Examples
+    ///
+    /// Field 0's one bit sent to device 3, field 1 (`F ≥ M`) mapped onto
+    /// `Z_4` by the images 1, 2 and 0:
+    ///
+    /// ```
+    /// use pmr_core::{FxDistribution, SystemConfig};
+    /// use pmr_core::method::DistributionMethod;
+    ///
+    /// let sys = SystemConfig::new(&[2, 8], 4).unwrap();
+    /// let fx = FxDistribution::from_images(sys, vec![vec![3], vec![1, 2, 0]]).unwrap();
+    /// assert_eq!(fx.device_of(&[1, 1]), 2); // T_4(3 ⊕ 1)
+    /// assert!(fx.as_fx().is_some());
+    /// ```
+    pub fn from_images(sys: SystemConfig, images: Vec<Vec<u64>>) -> Result<Self> {
+        if images.len() != sys.num_fields() {
+            return Err(Error::TransformArityMismatch {
+                expected: sys.num_fields(),
+                got: images.len(),
+            });
         }
+        for (field, bits) in images.iter().enumerate() {
+            if bits.len() != sys.field_bits(field) as usize {
+                return Err(Error::TransformArityMismatch {
+                    expected: sys.field_bits(field) as usize,
+                    got: bits.len(),
+                });
+            }
+            if let Some(&value) = bits.iter().find(|&&v| v >= sys.devices()) {
+                return Err(Error::ValueOutOfRange {
+                    field,
+                    value,
+                    field_size: sys.devices(),
+                });
+            }
+        }
+        FxDistribution::build(sys, None, images)
     }
 
-    /// The per-field transformation assignment.
+    /// Solves every field's classes and checks its rank (`log2 F_i`,
+    /// injective, below `M`; `log2 M`, onto, at or above it), then
+    /// compiles the kernel.
+    fn build(
+        sys: SystemConfig,
+        assignment: Option<Assignment>,
+        images: Vec<Vec<u64>>,
+    ) -> Result<Self> {
+        let mut classes = Vec::with_capacity(images.len());
+        for (field, bits) in images.iter().enumerate() {
+            let solved = FieldClasses::new(bits, sys.packed_layout().shift(field), sys.devices());
+            let (rank, required) = (
+                solved.rows.len() as u32,
+                sys.field_bits(field).min(sys.device_bits()),
+            );
+            if rank != required {
+                return Err(Error::RankDeficient {
+                    field,
+                    rank,
+                    required,
+                });
+            }
+            classes.push(solved);
+        }
+        Ok(FxDistribution {
+            kernel: TableKernel::new(&sys, &images),
+            sys,
+            assignment,
+            images,
+            classes,
+        })
+    }
+
+    /// The closed-form assignment the map was built from, or `None` for
+    /// a map built [`from_images`](FxDistribution::from_images). The
+    /// paper's sufficient conditions reason over it.
     #[inline]
-    pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+    pub fn assignment(&self) -> Option<&Assignment> {
+        self.assignment.as_ref()
     }
 
-    /// The per-field transforms in field order.
+    /// The bit images: `images()[i][b] = T_M(X_i(2^b))`.
     #[inline]
-    pub fn transforms(&self) -> &[Transform] {
-        self.assignment.transforms()
+    pub fn images(&self) -> &[Vec<u64>] {
+        &self.images
     }
 
-    /// The XOR of the transformed *specified* values of a query — `h` in
-    /// the paper's proofs. Unspecified fields contribute nothing.
+    /// The assignment's description (e.g. `"I,U,IU1"`), or `"linear"`
+    /// for a map built from explicit images.
+    pub fn describe(&self) -> String {
+        self.assignment
+            .as_ref()
+            .map_or_else(|| "linear".to_owned(), Assignment::describe)
+    }
+
+    /// The XOR of the mapped *specified* values of a query — `h` in the
+    /// paper's proofs. Unspecified fields contribute nothing.
     ///
     /// The qualified buckets of the query land on devices
     /// `T_M(h ⊕ ⨁ X_i(J_i))` with `i` ranging over the unspecified fields —
     /// the identity that powers both the optimality proofs and the fast
     /// inverse mapping.
     pub fn specified_xor(&self, values: &[Option<u64>]) -> u64 {
-        debug_assert_eq!(values.len(), self.assignment.system().num_fields());
+        debug_assert_eq!(values.len(), self.sys.num_fields());
         values
             .iter()
             .enumerate()
@@ -391,71 +553,73 @@ impl FxDistribution {
     }
 
     /// The devices `query`'s qualified buckets land on, in closed form:
-    /// `T_M(h)` ([`FxDistribution::specified_xor`]) XOR the span of
-    /// `T_M(X_i(2^b))` over every bit `b` of every unspecified field `i`.
-    /// Every transform is GF(2)-linear, so that span is exactly the set of
-    /// `T_M(⨁ X_i(J_i))` over all free values (see [`DeviceSet`]). Costs
-    /// one transform per free bit, never a bucket enumeration; it equals
-    /// the set of devices the inverse mapping routes at least one code to
-    /// (property-tested in `tests/packed_equivalence.rs`).
+    /// `T_M(h)` ([`FxDistribution::specified_xor`]) XOR the span of the
+    /// bit images of every unspecified field. The map is linear, so that
+    /// span is exactly the set of `T_M(⨁ X_i(J_i))` over all free values
+    /// (see [`DeviceSet`]). Costs one insert per free bit, never a bucket
+    /// enumeration; it equals the set of devices the inverse mapping
+    /// routes at least one code to (property-tested in
+    /// `tests/packed_equivalence.rs`).
     pub fn device_set(&self, query: &PartialMatchQuery) -> DeviceSet {
-        let sys = self.assignment.system();
-        let m = sys.devices();
+        let m = self.sys.devices();
         let mut set = DeviceSet::single(t_m(self.specified_xor(query.values()), m));
         for (i, value) in query.values().iter().enumerate() {
             if value.is_some() {
                 continue;
             }
-            for b in 0..sys.field_bits(i) {
-                if set.dim() == sys.device_bits() {
+            for &image in &self.images[i] {
+                if set.dim() == self.sys.device_bits() {
                     return set;
                 }
-                set.insert(t_m(self.kernel.apply_field(i, 1 << b), m));
+                set.insert(image);
             }
         }
         set
     }
 
-    /// Applies field `i`'s transformation `X_i` to one value through the
-    /// precomputed kernel: a single table load for every experimental
-    /// system (fields ≤ 2¹⁶), the closed form otherwise. Equals
-    /// `self.assignment().transform(i).apply(value)` by construction —
-    /// property-tested against the closed forms.
+    /// The largest response of every query with `pattern`, by rank: the
+    /// qualified buckets fall evenly on the `2^d` devices of the query's
+    /// [`device_set`](FxDistribution::device_set), so the largest response
+    /// is `|R(q)| >> d`. Equals the exhaustive
+    /// [`pattern_largest_response`](crate::optimality::pattern_largest_response)
+    /// (property-tested) and enumerates no bucket and no device.
+    pub fn largest_response_by_rank(&self, pattern: Pattern) -> u64 {
+        let q = PartialMatchQuery::zero_representative(&self.sys, pattern);
+        q.qualified_count_in(&self.sys) >> self.device_set(&q).dim()
+    }
+
+    /// Applies field `i`'s map `T_M(X_i(·))` to one value through the
+    /// precomputed kernel: a single table load for every field of at most
+    /// 2¹⁶ values.
     #[inline]
     pub fn apply_field(&self, field: usize, value: u64) -> u64 {
         self.kernel.apply_field(field, value)
     }
 
-    /// Field `i`'s residue-class table for the fast inverse: `Some(slots)`
-    /// when `F_i < M` (`slots[c]` is the pre-shifted code of the one value
-    /// in class `c`, or [`NO_CODE`]); `None` when `F_i ≥ M` (class `c` is
-    /// the identity stride `c, c + M, …`) or `M` is past
-    /// [`MAX_TABLE_SIZE`].
+    /// Field `i`'s residue classes `{J : T_M(X_i(J)) = c}`, for the fast
+    /// inverse.
     #[inline]
-    pub(crate) fn class_codes(&self, field: usize) -> Option<&[u64]> {
-        self.classes[field].as_deref()
+    pub(crate) fn classes(&self, field: usize) -> &FieldClasses {
+        &self.classes[field]
     }
 }
 
 impl DistributionMethod for FxDistribution {
     #[inline]
     fn device_of(&self, bucket: &[u64]) -> u64 {
-        let sys = self.assignment.system();
-        debug_assert_eq!(bucket.len(), sys.num_fields());
-        t_m(self.kernel.xor_all(bucket), sys.devices())
+        debug_assert_eq!(bucket.len(), self.sys.num_fields());
+        t_m(self.kernel.xor_all(bucket), self.sys.devices())
     }
 
     #[inline]
     fn device_of_packed(&self, code: u64) -> u64 {
-        let sys = self.assignment.system();
-        t_m(self.kernel.xor_packed(code, sys), sys.devices())
+        t_m(self.kernel.xor_packed(code), self.sys.devices())
     }
 
     fn device_of_batch(&self, codes: &[u64], out: &mut [u64]) {
         assert_eq!(codes.len(), out.len(), "device_of_batch buffers must match");
         pmr_rt::obs::ADDR_BATCH_CALLS.add(1);
-        self.kernel
-            .device_of_batch(codes, out, self.assignment.system());
+        self.kernel.device_of_batch(codes, out, self.sys.devices());
     }
 
     fn as_fx(&self) -> Option<&FxDistribution> {
@@ -463,14 +627,13 @@ impl DistributionMethod for FxDistribution {
     }
 
     fn system(&self) -> &SystemConfig {
-        self.assignment.system()
+        &self.sys
     }
 
     fn name(&self) -> String {
-        if self.assignment.is_basic() {
-            "FX(basic)".to_owned()
-        } else {
-            format!("FX({})", self.assignment.describe())
+        match &self.assignment {
+            Some(a) if a.is_basic() => "FX(basic)".to_owned(),
+            _ => format!("FX({})", self.describe()),
         }
     }
 
@@ -484,8 +647,8 @@ impl DistributionMethod for FxDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assign::Assignment;
-    use crate::transform::TransformKind;
+    use crate::optimality::{is_k_optimal, pattern_strict_optimal, response_histogram};
+    use crate::transform::{Transform, TransformKind};
 
     /// Table 1, complete: Basic FX on F = (2, 8), M = 4.
     #[test]
@@ -648,8 +811,9 @@ mod tests {
         .unwrap();
         let fx = FxDistribution::with_assignment(a);
         let h = fx.specified_xor(&[Some(2), None, Some(3)]);
-        let t0 = fx.transforms()[0].apply(2);
-        let t2 = fx.transforms()[2].apply(3);
+        let a = fx.assignment().unwrap();
+        let t0 = a.transform(0).apply(2);
+        let t2 = a.transform(2).apply(3);
         assert_eq!(h, t0 ^ t2);
         // Fully unspecified: h = 0.
         assert_eq!(fx.specified_xor(&[None, None, None]), 0);
@@ -663,8 +827,12 @@ mod tests {
             "FX(basic)"
         );
         let sys16 = SystemConfig::new(&[4, 4], 16).unwrap();
-        let fx = FxDistribution::with_strategy(sys16, AssignmentStrategy::CycleIu1).unwrap();
+        let fx =
+            FxDistribution::with_strategy(sys16.clone(), AssignmentStrategy::CycleIu1).unwrap();
         assert_eq!(fx.name(), "FX(I,U)");
+        let linear = FxDistribution::from_images(sys16, fx.images().to_vec()).unwrap();
+        assert_eq!(linear.name(), "FX(linear)");
+        assert!(linear.assignment().is_none());
     }
 
     #[test]
@@ -686,7 +854,7 @@ mod tests {
     }
 
     /// The packed override agrees with the tuple path on every bucket,
-    /// under both kernels (tables and computed).
+    /// also when a field is wider than one kernel chunk.
     #[test]
     fn device_of_packed_matches_tuple_path() {
         let sys = SystemConfig::new(&[4, 8, 2], 8).unwrap();
@@ -696,7 +864,7 @@ mod tests {
             sys.decode_index(code, &mut buf);
             assert_eq!(fx.device_of_packed(code), fx.device_of(&buf), "code {code}");
         }
-        // Force the computed kernel with a field over the table threshold.
+        // A field over the chunk cap is sliced into two chunk tables.
         let big = SystemConfig::new(&[1 << 17, 4], 8).unwrap();
         let fx_big = FxDistribution::auto(big.clone()).unwrap();
         let layout = big.packed_layout();
@@ -710,20 +878,26 @@ mod tests {
 
     /// The batched lanes (flat LUT) agree with the scalar packed path on
     /// every bucket, at every batch length (exercising full lanes and the
-    /// scalar tail), under both kernels.
+    /// scalar tail), for closed-form and explicit images and for a field
+    /// sliced into chunks.
     #[test]
     fn device_of_batch_matches_scalar() {
         let sys = SystemConfig::new(&[4, 8, 2], 8).unwrap();
         let fx = FxDistribution::auto(sys.clone()).unwrap();
+        let explicit =
+            FxDistribution::from_images(sys.clone(), vec![vec![5, 2], vec![3, 4, 6], vec![6]])
+                .unwrap();
         let codes: Vec<u64> = sys.all_indices().collect();
-        for len in [0, 1, 7, 8, 9, 16, codes.len()] {
-            let mut out = vec![u64::MAX; len];
-            fx.device_of_batch(&codes[..len], &mut out);
-            for (&code, &dev) in codes[..len].iter().zip(&out) {
-                assert_eq!(dev, fx.device_of_packed(code), "len {len} code {code}");
+        for fx in [&fx, &explicit] {
+            for len in [0, 1, 7, 8, 9, 16, codes.len()] {
+                let mut out = vec![u64::MAX; len];
+                fx.device_of_batch(&codes[..len], &mut out);
+                for (&code, &dev) in codes[..len].iter().zip(&out) {
+                    assert_eq!(dev, fx.device_of_packed(code), "len {len} code {code}");
+                }
             }
         }
-        // Computed kernel (field over the table threshold): scalar fallback.
+        // A field over the chunk cap.
         let big = SystemConfig::new(&[1 << 17, 4], 8).unwrap();
         let fx_big = FxDistribution::auto(big.clone()).unwrap();
         let layout = big.packed_layout();
@@ -741,13 +915,150 @@ mod tests {
     /// `apply_field` (kernel table) equals the closed-form transform.
     #[test]
     fn apply_field_matches_closed_form() {
-        let sys = SystemConfig::new(&[2, 4, 8], 32).unwrap();
+        let sys = SystemConfig::new(&[2, 4, 8, 64], 32).unwrap();
         let fx = FxDistribution::auto(sys.clone()).unwrap();
         for i in 0..sys.num_fields() {
-            let t = fx.assignment().transform(i);
+            let t = fx.assignment().unwrap().transform(i);
             for v in 0..sys.field_size(i) {
-                assert_eq!(fx.apply_field(i, v), t.apply(v), "field {i} value {v}");
+                assert_eq!(
+                    fx.apply_field(i, v),
+                    t_m(t.apply(v), 32),
+                    "field {i} value {v}"
+                );
             }
+        }
+    }
+
+    /// A field wider than one chunk table maps each value to the XOR of
+    /// its bits' images, like every other field.
+    #[test]
+    fn wide_fields_xor_their_chunks() {
+        let sys = SystemConfig::new(&[1 << 18, 2], 8).unwrap();
+        let mut wide: Vec<u64> = (0..18).map(|b| [1, 2, 4, 3, 5, 6, 7][b % 7]).collect();
+        wide[17] = 0;
+        let fx = FxDistribution::from_images(sys.clone(), vec![wide.clone(), vec![7]]).unwrap();
+        for v in [0u64, 1, 0xffff, 1 << 16, (1 << 18) - 1, 0x2_a5a5] {
+            let want = (0..18)
+                .filter(|b| v >> b & 1 == 1)
+                .fold(0, |acc, b| acc ^ wide[b]);
+            assert_eq!(fx.apply_field(0, v), want, "value {v:#x}");
+            let code = sys.packed_layout().pack(&[v, 1]);
+            assert_eq!(fx.device_of_packed(code), want ^ 7);
+            assert_eq!(fx.device_of(&[v, 1]), want ^ 7);
+        }
+    }
+
+    #[test]
+    fn validation_rejects_bad_images() {
+        let sys = SystemConfig::new(&[2, 8], 4).unwrap();
+        let build = |images: Vec<Vec<u64>>| FxDistribution::from_images(sys.clone(), images);
+        // Wrong list count, wrong image count per field.
+        assert!(matches!(
+            build(vec![vec![1]]).unwrap_err(),
+            Error::TransformArityMismatch {
+                expected: 2,
+                got: 1
+            }
+        ));
+        assert!(matches!(
+            build(vec![vec![1], vec![1, 2]]).unwrap_err(),
+            Error::TransformArityMismatch {
+                expected: 3,
+                got: 2
+            }
+        ));
+        // An image outside Z_M.
+        assert!(matches!(
+            build(vec![vec![4], vec![1, 2, 0]]).unwrap_err(),
+            Error::ValueOutOfRange {
+                field: 0,
+                value: 4,
+                ..
+            }
+        ));
+        // A small field that is not injective (its one bit maps to 0).
+        assert_eq!(
+            build(vec![vec![0], vec![1, 2, 0]]).unwrap_err(),
+            Error::RankDeficient {
+                field: 0,
+                rank: 0,
+                required: 1
+            }
+        );
+        // A large field that is not onto.
+        assert_eq!(
+            build(vec![vec![1], vec![1, 1, 0]]).unwrap_err(),
+            Error::RankDeficient {
+                field: 1,
+                rank: 1,
+                required: 2
+            }
+        );
+        // Valid: a non-identity onto map on the large field.
+        assert!(build(vec![vec![1], vec![3, 0, 1]]).is_ok());
+    }
+
+    /// Rebuilding a closed-form map from its images gives the identical
+    /// distribution.
+    #[test]
+    fn from_images_matches_assignment() {
+        for strategy in [
+            AssignmentStrategy::Basic,
+            AssignmentStrategy::CycleIu1,
+            AssignmentStrategy::CycleIu2,
+            AssignmentStrategy::TheoremNine,
+        ] {
+            let sys = SystemConfig::new(&[4, 2, 8, 32], 16).unwrap();
+            let fx = FxDistribution::with_strategy(sys.clone(), strategy).unwrap();
+            let linear = FxDistribution::from_images(sys.clone(), fx.images().to_vec()).unwrap();
+            let mut buf = Vec::new();
+            for idx in sys.all_indices() {
+                sys.decode_index(idx, &mut buf);
+                assert_eq!(
+                    fx.device_of(&buf),
+                    linear.device_of(&buf),
+                    "{strategy:?} {buf:?}"
+                );
+            }
+        }
+    }
+
+    /// Theorems 1 and 2 hold for any valid images: 0/1-optimality always;
+    /// ≥2-unspecified patterns with a large unspecified field.
+    #[test]
+    fn theorems_1_2_hold_for_explicit_images() {
+        let sys = SystemConfig::new(&[2, 8, 4], 4).unwrap();
+        let fx = FxDistribution::from_images(sys.clone(), vec![vec![3], vec![3, 1, 2], vec![2, 1]])
+            .unwrap();
+        assert!(is_k_optimal(&fx, &sys, 0));
+        assert!(is_k_optimal(&fx, &sys, 1));
+        for pattern in Pattern::all(3) {
+            let unspec = pattern.unspecified_fields(3);
+            if unspec.len() >= 2 && unspec.iter().any(|&i| sys.field_covers_devices(i)) {
+                assert!(pattern_strict_optimal(&fx, &sys, pattern), "{pattern:?}");
+            }
+        }
+    }
+
+    /// Shift invariance holds for explicit images (Lemma 1.1): every query
+    /// of a pattern has the zero representative's histogram, permuted.
+    #[test]
+    fn shift_invariance_holds_for_explicit_images() {
+        let sys = SystemConfig::new(&[4, 4], 8).unwrap();
+        let fx = FxDistribution::from_images(sys.clone(), vec![vec![5, 2], vec![1, 6]]).unwrap();
+        for pattern in Pattern::all(2) {
+            let mut reference = response_histogram(
+                &fx,
+                &sys,
+                &PartialMatchQuery::zero_representative(&sys, pattern),
+            );
+            reference.sort_unstable();
+            let ok = crate::optimality::for_each_query(&sys, pattern, |q| {
+                let mut h = response_histogram(&fx, &sys, q);
+                h.sort_unstable();
+                h == reference
+            });
+            assert!(ok, "{pattern:?}");
         }
     }
 }

@@ -177,7 +177,7 @@ struct FreeField {
 /// up by residue class `T_M(X(J))`; all other open fields are enumerated
 /// by odometer and the pivot values completing the target device are
 /// looked up in O(1). The residue classes depend only on the pivot's
-/// transform, so they come from tables the distribution builds once at
+/// map, so they come from tables the distribution builds once at
 /// construction; nothing here is shared or locked.
 ///
 /// # Examples
@@ -302,8 +302,9 @@ impl<'a> FxInverse<'a> {
         // increasing J_p. The class lookup is chosen once, outside the
         // odometer.
         let (first, last) = (devices.start, devices.end);
-        let emitted = match self.fx.class_codes(pivot) {
-            Some(slots) => self.for_each_setting(|code, rotation| {
+        let classes = self.fx.classes(pivot);
+        let emitted = match &classes.table {
+            Some(slots) if classes.steps.is_empty() => self.for_each_setting(|code, rotation| {
                 let mut emitted = 0;
                 for device in first..last {
                     let jcode = slots[(device ^ rotation) as usize];
@@ -315,36 +316,30 @@ impl<'a> FxInverse<'a> {
                 }
                 emitted
             }),
-            None if sys.is_small_field(pivot) => {
-                // Too many devices for a class table: invert the closed form.
-                let transform = self.fx.assignment().transform(pivot);
-                let shift = sys.packed_layout().shift(pivot);
+            _ => {
+                // The pivot's class is a coset of its map's kernel (one
+                // code for an injective map): the smallest member, from
+                // the class table or by elimination, then the kernel walk
+                // in increasing J_p — c, c + M, c + 2M, … for the identity.
+                let steps = &classes.steps;
+                let per_class = 1u64 << steps.len();
                 self.for_each_setting(|code, rotation| {
                     let mut emitted = 0;
                     for device in first..last {
-                        if let Some(j) = transform.invert(device ^ rotation) {
-                            f(device, code | j << shift);
-                            emitted += 1;
+                        let mut jcode = classes.first(device ^ rotation);
+                        if jcode == NO_CODE {
+                            continue;
                         }
-                    }
-                    emitted
-                })
-            }
-            None => {
-                // F_p ≥ M: the identity's class c is c, c + M, … below F_p.
-                let shift = sys.packed_layout().shift(pivot);
-                let per_class = sys.field_size(pivot) / m;
-                let stride = m << shift;
-                self.for_each_setting(|code, rotation| {
-                    for device in first..last {
-                        let mut jcode = (device ^ rotation) << shift;
-                        for _ in 0..per_class {
+                        for k in 0..per_class {
+                            if k > 0 {
+                                jcode ^= steps[k.trailing_zeros() as usize];
+                            }
                             debug_assert_eq!(self.fx.device_of_packed(code | jcode), device);
                             f(device, code | jcode);
-                            jcode += stride;
                         }
+                        emitted += per_class;
                     }
-                    (last - first) * per_class
+                    emitted
                 })
             }
         };
@@ -470,14 +465,14 @@ mod tests {
         assert_eq!(total, q.qualified_count_in(&sys));
     }
 
-    /// Past the class-table device bound the fast inverse inverts the
-    /// pivot's closed form instead, and still routes every qualified code
-    /// to its device, once.
+    /// Past the class-table device bound the fast inverse solves the
+    /// pivot's class by elimination over its images instead, and still
+    /// routes every qualified code to its device, once.
     #[test]
     fn inverse_without_class_tables_routes_every_code() {
         let sys = SystemConfig::new(&[4, 8, 2], 1 << 17).unwrap();
         let fx = FxDistribution::auto(sys.clone()).unwrap();
-        assert!(fx.class_codes(1).is_none());
+        assert!(fx.classes(1).table.is_none());
         for q in all_queries(&sys) {
             let mut routed = Vec::new();
             FxInverse::new(&fx, &q).for_each_routed_code(0..sys.devices(), |d, code| {
@@ -492,6 +487,49 @@ mod tests {
             routed.sort_unstable();
             want.sort_unstable();
             assert_eq!(routed, want, "{q}");
+        }
+    }
+
+    /// Explicit maps — non-identity onto maps on fields with `F ≥ M`
+    /// among them — route every qualified code to its device, once, with
+    /// class tables and past them.
+    #[test]
+    fn explicit_maps_route_every_code() {
+        let cases = [
+            (
+                &[16u64, 4, 8][..],
+                4,
+                vec![vec![3, 1, 0, 2], vec![1, 3], vec![2, 2, 1]],
+            ),
+            (
+                &[8, 2, 32][..],
+                8,
+                vec![vec![6, 3, 1], vec![5], vec![7, 0, 1, 2, 7]],
+            ),
+            (
+                &[64, 2][..],
+                1 << 17,
+                vec![(0..6).map(|b| 3 << (2 * b)).collect(), vec![1 << 16]],
+            ),
+        ];
+        for (fields, m, images) in cases {
+            let sys = SystemConfig::new(fields, m).unwrap();
+            let fx = FxDistribution::from_images(sys.clone(), images).unwrap();
+            for q in all_queries(&sys) {
+                let mut seen = Vec::new();
+                FxInverse::new(&fx, &q).for_each_routed_code(0..m, |d, code| {
+                    assert_eq!(fx.device_of_packed(code), d, "{q}");
+                    seen.push(code);
+                });
+                let mut want = Vec::new();
+                let mut it = q.qualified_buckets(&sys);
+                while let Some(code) = it.next_code() {
+                    want.push(code);
+                }
+                seen.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(seen, want, "{sys} {q}");
+            }
         }
     }
 

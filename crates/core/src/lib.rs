@@ -24,9 +24,10 @@
 //! * [`assign`] — strategies that pick a transform per field (including the
 //!   Theorem 9 construction that is perfect optimal whenever at most three
 //!   fields are smaller than `M`).
-//! * [`fx`] — the [`FxDistribution`] method itself.
-//! * [`general`] — generalized FX with arbitrary per-field tables (the
-//!   paper's stated future-work direction; searchable via
+//! * [`fx`] — the [`FxDistribution`] method itself: one GF(2)-linear map,
+//!   stored as the device images of every field bit. The closed forms
+//!   build those images; [`FxDistribution::from_images`] takes any valid
+//!   ones (the paper's stated future-work direction, searched by
 //!   `pmr-analysis`'s optimizer).
 //! * [`method`] — the [`DistributionMethod`] abstraction shared with the
 //!   baselines crate.
@@ -72,7 +73,6 @@ pub mod conditions;
 pub mod device_set;
 pub mod error;
 pub mod fx;
-pub mod general;
 pub mod inverse;
 pub mod method;
 pub mod optimality;
@@ -86,7 +86,6 @@ pub use assign::{Assignment, AssignmentStrategy};
 pub use device_set::DeviceSet;
 pub use error::{Error, Result};
 pub use fx::FxDistribution;
-pub use general::GeneralFxDistribution;
 pub use method::DistributionMethod;
 pub use query::{PartialMatchQuery, Pattern, QualifiedBuckets};
 pub use system::SystemConfig;

@@ -55,7 +55,7 @@ pub trait DistributionMethod: Send + Sync {
     /// `out[i] = device_of_packed(codes[i])` for every `i`.
     ///
     /// The default implementation is the scalar loop; methods whose
-    /// address arithmetic is branch-free (FX, GeneralFx, Modulo, GDM, the
+    /// address arithmetic is branch-free (FX, Modulo, GDM, the
     /// binary-CPF allocators) override it with fixed-width lane kernels
     /// that the compiler can autovectorize. Overrides must stay bit-equal
     /// to the scalar path — the batched-equivalence property suite

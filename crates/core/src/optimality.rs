@@ -322,7 +322,7 @@ mod tests {
             assert!(
                 is_perfect_optimal(&fx, &sys),
                 "auto FX on {sys} ({})",
-                fx.assignment().describe()
+                fx.describe()
             );
         }
     }

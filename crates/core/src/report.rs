@@ -41,17 +41,20 @@ pub struct OptimalityReport {
     pub measured: bool,
 }
 
-/// Bucket-space size above which [`OptimalityReport::analyze`] skips the
-/// exhaustive measurement and reports conditions only.
+/// Bucket-space size (and device count) above which
+/// [`OptimalityReport::analyze`] skips the exhaustive measurement and
+/// reports conditions only. Measuring holds one `M`-entry histogram per
+/// query, so the device count is bounded too.
 pub const MEASUREMENT_LIMIT: u64 = 1 << 22;
 
 impl OptimalityReport {
-    /// Builds the report; measures ground truth when the bucket space is
-    /// within [`MEASUREMENT_LIMIT`].
+    /// Builds the report; measures ground truth when both the bucket
+    /// space and `M` are within [`MEASUREMENT_LIMIT`].
     pub fn analyze(assignment: &Assignment) -> Self {
         let sys = assignment.system().clone();
         let n = sys.num_fields();
-        let measure = sys.total_buckets() <= MEASUREMENT_LIMIT;
+        let measure =
+            sys.total_buckets() <= MEASUREMENT_LIMIT && sys.devices() <= MEASUREMENT_LIMIT;
         let fx = FxDistribution::with_assignment(assignment.clone());
 
         let mut rows = Vec::with_capacity(n + 1);
@@ -195,6 +198,17 @@ mod tests {
             .reasons
             .iter()
             .any(|&(r, _)| r == FxOptimalityReason::NotGuaranteed));
+    }
+
+    /// Four buckets on 2^40 devices: measuring would allocate 2^40
+    /// histogram slots, so only the conditions are reported.
+    #[test]
+    fn measurement_skipped_for_huge_device_counts() {
+        let sys = SystemConfig::new(&[2, 2], 1 << 40).unwrap();
+        let a = Assignment::from_strategy(&sys, AssignmentStrategy::TheoremNine).unwrap();
+        let report = OptimalityReport::analyze(&a);
+        assert!(!report.measured);
+        assert_eq!(report.total_patterns(), 4);
     }
 
     #[test]

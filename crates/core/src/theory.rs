@@ -209,7 +209,7 @@ pub fn verify(claim: Claim, grid: &[SystemConfig]) -> ClaimReport {
                     instances += 1;
                     if !pattern_strict_optimal(&fx, sys, pattern) {
                         fail(
-                            format!("{sys} [{}] pattern {pattern:?}", fx.assignment().describe()),
+                            format!("{sys} [{}] pattern {pattern:?}", fx.describe()),
                             &mut counterexamples,
                         );
                     }

@@ -17,7 +17,7 @@
 //! Because `d` and `d₂` are powers of two, every transform compiles to
 //! XOR + shift — the basis of the paper's §5.2.2 CPU-time claim.
 
-use crate::bits::{is_power_of_two, log2_exact};
+use crate::bits::{is_power_of_two, log2_exact, t_m};
 use crate::error::{Error, Result};
 use std::fmt;
 
@@ -225,51 +225,14 @@ impl Transform {
         (0..self.field_size).map(|l| self.apply(l)).collect()
     }
 
-    /// Inverts the transform: returns the `l` with `apply(l) == t`, or
-    /// `None` when `t` is outside the image.
-    ///
-    /// All four families invert in O(1):
-    /// * `I` — `l = t` (when `t < F`);
-    /// * `U` — `l = t >> shift1` (when the low bits are zero);
-    /// * `IU1`/`IU2` — the low `log2 F` bits of the image are `l` itself
-    ///   (the `l·d` terms only touch higher bits because `d ≥ F` … see
-    ///   `invert` tests for the exhaustive check), so recover `l` from the
-    ///   low bits and verify.
-    pub fn invert(&self, t: u64) -> Option<u64> {
-        let candidate = match self.kind {
-            TransformKind::Identity => t,
-            TransformKind::U => {
-                if t & (self.d1() - 1) != 0 {
-                    return None;
-                }
-                t >> self.shift1
-            }
-            TransformKind::Iu1 | TransformKind::Iu2 => {
-                // `t = l ⊕ (l << s₁) [⊕ (l << s₂)]` is multiplication by the
-                // GF(2) polynomial `1 + x^{s₁} [+ x^{s₂}]`, inverted by the
-                // fixed-point iteration `l ← t ⊕ (l << s₁) [⊕ (l << s₂)]`:
-                // each round fixes at least `min(s₁, s₂) ≥ 1` more low bits,
-                // so 64 rounds always converge. The final verification below
-                // rejects values outside the image.
-                let mut l = t;
-                for _ in 0..64 {
-                    let mut next = t ^ (l << self.shift1);
-                    if self.shift2 != NO_SHIFT {
-                        next ^= l << self.shift2;
-                    }
-                    if next == l {
-                        break;
-                    }
-                    l = next;
-                }
-                l
-            }
-        };
-        if candidate < self.field_size && self.apply(candidate) == t {
-            Some(candidate)
-        } else {
-            None
-        }
+    /// The device images `T_M(X(2^b))` of the field's bits. Every family
+    /// is XOR and shift, so these fix the whole map: `T_M(X(l))` is the
+    /// XOR of the images of `l`'s set bits. They are what
+    /// [`FxDistribution`](crate::FxDistribution) stores.
+    pub fn bit_images(&self) -> Vec<u64> {
+        (0..self.field_size.trailing_zeros())
+            .map(|b| t_m(self.apply(1 << b), self.devices))
+            .collect()
     }
 }
 
@@ -389,6 +352,31 @@ mod tests {
         }
     }
 
+    /// Every family is GF(2)-linear: the bit images fix the whole map,
+    /// for small fields and for the identity on large ones.
+    #[test]
+    fn bit_images_fix_the_map() {
+        for m_bits in 1..=8u32 {
+            let m = 1u64 << m_bits;
+            for f_bits in 0..=m_bits + 2 {
+                let f = 1u64 << f_bits;
+                for kind in TransformKind::ALL {
+                    let Ok(t) = Transform::new(kind, f, m) else {
+                        continue;
+                    };
+                    let images = t.bit_images();
+                    assert_eq!(images.len() as u32, f_bits);
+                    for l in 0..f {
+                        let xor = (0..f_bits)
+                            .filter(|b| l >> b & 1 == 1)
+                            .fold(0, |acc, b| acc ^ images[b as usize]);
+                        assert_eq!(xor, t_m(t.apply(l), m), "{t} at l={l}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Lemma 5.4 / 7.2: IU1 and (genuine) IU2 place exactly one element in
     /// each interval `[j·d, (j+1)·d)`.
     #[test]
@@ -427,33 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn invert_round_trips_exhaustive() {
-        for m_bits in 1..=9u32 {
-            let m = 1u64 << m_bits;
-            for f_bits in 0..=m_bits {
-                let f = 1u64 << f_bits;
-                for kind in TransformKind::ALL {
-                    if kind != TransformKind::Identity && f >= m {
-                        continue;
-                    }
-                    let t = Transform::new(kind, f, m).unwrap();
-                    // Every image point inverts to its preimage…
-                    for l in 0..f {
-                        assert_eq!(t.invert(t.apply(l)), Some(l), "{t} at l={l}");
-                    }
-                    // …and every non-image point inverts to None.
-                    let image: HashSet<u64> = t.image().into_iter().collect();
-                    for v in 0..m {
-                        if !image.contains(&v) {
-                            assert_eq!(t.invert(v), None, "{t} at non-image {v}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn display_matches_paper_notation() {
         let t = Transform::new(TransformKind::Iu1, 4, 16).unwrap();
         assert_eq!(t.to_string(), "IU1^{16,4}");
@@ -466,7 +427,7 @@ mod tests {
         for kind in TransformKind::ALL {
             let t = Transform::new(kind, 1, 8).unwrap();
             assert_eq!(t.apply(0), 0);
-            assert_eq!(t.invert(0), Some(0));
+            assert!(t.bit_images().is_empty());
         }
     }
 }

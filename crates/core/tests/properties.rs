@@ -11,11 +11,13 @@ use pmr_core::bits;
 use pmr_core::conditions::fx_pattern_reason;
 use pmr_core::inverse::{scan_device_buckets, FxInverse};
 use pmr_core::method::DistributionMethod;
-use pmr_core::optimality::{is_k_optimal, pattern_strict_optimal, response_histogram};
+use pmr_core::optimality::{
+    is_k_optimal, pattern_largest_response, pattern_strict_optimal, response_histogram,
+};
 use pmr_core::query::{PartialMatchQuery, Pattern};
 use pmr_core::system::SystemConfig;
 use pmr_core::transform::{Transform, TransformKind};
-use pmr_core::{FxDistribution, GeneralFxDistribution};
+use pmr_core::{DeviceSet, FxDistribution};
 use pmr_rt::check::Source;
 use pmr_rt::{rt_assume, rt_proptest};
 
@@ -53,6 +55,23 @@ fn gen_fx(src: &mut Source) -> FxDistribution {
         .collect();
     let a = Assignment::from_kinds(&sys, &kinds).expect("kinds respect smallness");
     FxDistribution::with_assignment(a)
+}
+
+/// Random valid bit images for `sys`: uniform images, redrawn until each
+/// field's map is injective (`F < M`) or onto `Z_M` (`F ≥ M`).
+fn gen_images(src: &mut Source, sys: &SystemConfig) -> Vec<Vec<u64>> {
+    (0..sys.num_fields())
+        .map(|i| loop {
+            let images: Vec<u64> = (0..sys.field_bits(i))
+                .map(|_| src.rng().below(sys.devices()))
+                .collect();
+            let mut span = DeviceSet::single(0);
+            images.iter().for_each(|&v| span.insert(v));
+            if span.dim() == sys.field_bits(i).min(sys.device_bits()) {
+                break images;
+            }
+        })
+        .collect()
 }
 
 /// Random valid query for a system.
@@ -113,7 +132,9 @@ rt_proptest! {
         assert_eq!(image.len() as u64, f.min(4096));
     }
 
-    /// Transform inversion round-trips on random values.
+    /// A transform's residue classes invert it: on a one-field system the
+    /// one-open query puts exactly `l` on device `T_M(X(l))`, from the
+    /// class table up to 2^16 devices and by elimination past it.
     fn transform_invert_roundtrip(src) {
         let m_bits = src.u32_in(1..=19).max(1);
         let f_bits = src.u32_in(0..=18);
@@ -123,9 +144,14 @@ rt_proptest! {
         let m = 1u64 << m_bits;
         let f = 1u64 << f_bits;
         let l = l & (f - 1);
+        let sys = SystemConfig::new(&[f], m).unwrap();
         let kind = TransformKind::ALL[kind_idx];
-        let t = Transform::new(kind, f, m).unwrap();
-        assert_eq!(t.invert(t.apply(l)), Some(l));
+        let fx = FxDistribution::with_assignment(Assignment::from_kinds(&sys, &[kind]).unwrap());
+        let query = PartialMatchQuery::new(&sys, &[None]).unwrap();
+        let mut codes = Vec::new();
+        let device = Transform::new(kind, f, m).unwrap().apply(l);
+        FxInverse::new(&fx, &query).for_each_code_on(device, |c| codes.push(c));
+        assert_eq!(codes, vec![l]);
     }
 
     /// Theorem 1: every FX distribution (any assignment) is 0- and
@@ -161,13 +187,13 @@ rt_proptest! {
         let fx = gen_fx(src);
         let sys = fx.system().clone();
         for pattern in Pattern::all(sys.num_fields()) {
-            let reason = fx_pattern_reason(fx.assignment(), pattern);
+            let reason = fx_pattern_reason(fx.assignment().unwrap(), pattern);
             if reason.is_guaranteed() {
                 assert!(
                     pattern_strict_optimal(&fx, &sys, pattern),
                     "{} [{}] pattern {:?} reason {:?}",
                     sys,
-                    fx.assignment().describe(),
+                    fx.describe(),
                     pattern,
                     reason
                 );
@@ -185,7 +211,7 @@ rt_proptest! {
             pmr_core::optimality::is_perfect_optimal(&fx, &sys),
             "{} [{}]",
             sys,
-            fx.assignment().describe()
+            fx.describe()
         );
     }
 
@@ -231,42 +257,41 @@ rt_proptest! {
         assert_eq!(total, query.qualified_count_in(&sys));
     }
 
-    /// Generalized FX with random valid tables keeps Theorems 1–2:
-    /// 0/1-optimality always, and strict optimality for patterns with a
-    /// large unspecified field.
+    /// FX with random valid bit images (any linear map, not only the
+    /// closed forms) keeps Theorems 1–2: 0/1-optimality always, and strict
+    /// optimality for patterns with a large unspecified field.
     fn general_fx_keeps_theorems_1_2(src) {
         let sys = gen_system(src);
-        let m = sys.devices();
-        let tables: Vec<Vec<u64>> = (0..sys.num_fields())
-            .map(|i| {
-                let f = sys.field_size(i);
-                if f < m {
-                    // Random injective map into Z_M.
-                    let mut pool: Vec<u64> = (0..m).collect();
-                    src.rng().shuffle(&mut pool);
-                    pool.truncate(f as usize);
-                    pool
-                } else {
-                    // Random M-regular table: the identity is M-regular and
-                    // shuffling the whole thing preserves the residue
-                    // multiset.
-                    let mut t: Vec<u64> = (0..f).collect();
-                    src.rng().shuffle(&mut t);
-                    t
-                }
-            })
-            .collect();
-        let g = GeneralFxDistribution::new(sys.clone(), tables).expect("constructed valid");
-        assert!(is_k_optimal(&g, &sys, 0));
-        assert!(is_k_optimal(&g, &sys, 1));
+        let fx = FxDistribution::from_images(sys.clone(), gen_images(src, &sys))
+            .expect("generated valid");
+        assert!(fx.as_fx().is_some());
+        assert!(is_k_optimal(&fx, &sys, 0));
+        assert!(is_k_optimal(&fx, &sys, 1));
         for pattern in Pattern::all(sys.num_fields()) {
             let unspec = pattern.unspecified_fields(sys.num_fields());
             if unspec.len() >= 2 && unspec.iter().any(|&i| sys.field_covers_devices(i)) {
                 assert!(
-                    pattern_strict_optimal(&g, &sys, pattern),
+                    pattern_strict_optimal(&fx, &sys, pattern),
                     "{sys} pattern {pattern:?}"
                 );
             }
+        }
+    }
+
+    /// The rank form of the largest response (`|R| >> dim device_set`)
+    /// equals the exhaustive one on every pattern, over random systems and
+    /// random valid images.
+    fn rank_largest_response_matches_exhaustive(src) {
+        let sys = gen_system(src);
+        let fx = FxDistribution::from_images(sys.clone(), gen_images(src, &sys))
+            .expect("generated valid");
+        for pattern in Pattern::all(sys.num_fields()) {
+            assert_eq!(
+                fx.largest_response_by_rank(pattern),
+                pattern_largest_response(&fx, &sys, pattern),
+                "{sys} {:?} pattern {pattern:?}",
+                fx.images()
+            );
         }
     }
 
@@ -278,9 +303,10 @@ rt_proptest! {
         let fx = gen_fx(src);
         let sys = fx.system().clone();
         for i in 0..sys.num_fields() {
-            let t = fx.assignment().transform(i);
+            let t = fx.assignment().unwrap().transform(i);
             for v in 0..sys.field_size(i) {
-                assert_eq!(fx.apply_field(i, v), t.apply(v), "{sys} field {i} value {v}");
+                let want = bits::t_m(t.apply(v), sys.devices());
+                assert_eq!(fx.apply_field(i, v), want, "{sys} field {i} value {v}");
             }
         }
         let mut buf = Vec::new();

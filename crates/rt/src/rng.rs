@@ -6,7 +6,7 @@
 //! Everything in the workspace that needs randomness draws from this one
 //! generator, so every experiment is replayable from its seed: the paper's
 //! declustering constructions are deterministic, and the surrounding
-//! harnesses (workloads, annealing, synthetic files) must be too.
+//! harnesses (workloads, map searches, synthetic files) must be too.
 //!
 //! Streams: [`Rng::split`] forks a statistically independent child
 //! generator, and [`Rng::stream`] derives the `i`-th child of a seed

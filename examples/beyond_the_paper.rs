@@ -4,18 +4,20 @@
 //! The paper's closing line — "We are developing more general
 //! transformation functions to achieve optimal data distribution for much
 //! larger class of partial match queries" — is implemented here: FX's
-//! four closed-form transforms generalise to arbitrary injective tables
-//! (`pmr::core::GeneralFxDistribution`), and simulated annealing searches
-//! that space (`pmr::analysis::optimize`).
+//! four closed-form transforms are GF(2)-linear maps, and any injective
+//! linear map per field is an FX distribution too
+//! (`pmr::core::FxDistribution::from_images`); a seeded random search
+//! explores that space (`pmr::analysis::optimize`).
 //!
 //! The demo takes a system where the paper's own machinery provably hits
 //! a wall (four small fields — Theorem 9 no longer applies) and finds a
-//! *perfect optimal* table set, then verifies it with the exhaustive
+//! *perfect optimal* map, then verifies it with the exhaustive
 //! ground-truth checker.
 //!
 //! Run with `cargo run --release --example beyond_the_paper`.
 
-use pmr::analysis::optimize::{anneal, AnnealOptions};
+use pmr::analysis::optimize::search;
+use pmr::core::method::DistributionMethod;
 use pmr::core::optimality::is_perfect_optimal;
 use pmr::core::{AssignmentStrategy, FxDistribution, SystemConfig};
 
@@ -42,26 +44,25 @@ fn main() {
         );
     }
 
-    println!("\nannealing generalized tables…");
-    let options = AnnealOptions {
-        steps: 4_000,
-        initial_temperature: 4.0,
-        seed: 7,
-        restarts: 6,
-    };
-    let result = anneal(&sys, &options).expect("valid configuration");
+    println!("\nsearching linear maps…");
+    let result = search(&sys, 4_000, 7).expect("valid configuration");
     println!(
-        "objective {} (analytic bound {}), strict-optimal patterns {}/{}",
+        "objective {} (analytic bound {}) after {} tries, strict-optimal patterns {}/{}",
         result.score,
         result.lower_bound,
+        result.tries,
         result.optimal_patterns,
         1 << sys.num_fields()
     );
     let perfect = is_perfect_optimal(&result.distribution, &sys);
     println!("ground-truth verification: perfect optimal = {perfect}");
-    println!("\ndiscovered tables:");
-    for (i, table) in result.distribution.tables().iter().enumerate() {
-        println!("  field {i}: {:?}", &table[..]);
+    println!(
+        "fast inverse and targeted scatter apply: {}",
+        result.distribution.as_fx().is_some()
+    );
+    println!("\ndiscovered bit images:");
+    for (i, images) in result.distribution.images().iter().enumerate() {
+        println!("  field {i}: {images:?}");
     }
     println!(
         "\nNote: [Sung87] proves SOME systems with 4+ small fields admit no \

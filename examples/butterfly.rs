@@ -27,7 +27,7 @@ fn main() {
     let fx = FxDistribution::auto(sys.clone()).expect("valid configuration");
     let dm = ModuloDistribution::new(sys.clone());
     println!("machine: {} nodes, file: {sys}", sys.devices());
-    println!("FX transforms: {}\n", fx.assignment().describe());
+    println!("FX transforms: {}\n", fx.describe());
 
     let queries: Vec<(&str, Vec<Option<u64>>)> = vec![
         ("one field free ", vec![Some(3), Some(7), Some(2), None]),

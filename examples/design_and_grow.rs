@@ -56,7 +56,7 @@ fn main() {
         println!(
             "step {step}: sizes {:?} -> FX({}) perfect optimal: {perfect}",
             sys.field_sizes(),
-            fx.assignment().describe(),
+            fx.describe(),
         );
         let doubled = dir.expand().expect("expansion fits the index budget");
         println!("        doubling field {} ({})", doubled, names[doubled]);

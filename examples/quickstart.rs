@@ -18,11 +18,7 @@ fn main() {
     // PERFECT optimal — every partial match query is spread as evenly as
     // arithmetic allows.
     let fx = FxDistribution::auto(sys.clone()).expect("valid configuration");
-    println!(
-        "method: {} (transforms {})",
-        fx.name(),
-        fx.assignment().describe()
-    );
+    println!("method: {} (transforms {})", fx.name(), fx.describe());
 
     // Where does bucket <3, 5, 1> live?
     let bucket = [3, 5, 1];

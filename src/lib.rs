@@ -8,7 +8,7 @@
 //!   distribution method, its `I`/`U`/`IU1`/`IU2` field transformations,
 //!   the optimality theory (ground-truth checkers, sufficient
 //!   conditions, machine-checked theorems), fast inverse mapping, and
-//!   the generalized-table extension.
+//!   explicit linear maps beyond the closed forms.
 //! * [`baselines`] — Disk Modulo, GDM (with automated parameter search),
 //!   random allocation, spanning-path and binary-CPF heuristics.
 //! * [`mkh`] — the multi-key hashing substrate: schemas, records,
@@ -16,7 +16,7 @@
 //! * [`storage`] — the simulated parallel testbed: devices with a cost
 //!   model, declustered files, parallel executors, persistence.
 //! * [`analysis`] — the experiment engine regenerating every table and
-//!   figure of the paper's evaluation, plus the annealing optimizer.
+//!   figure of the paper's evaluation, plus the linear-map search.
 //! * [`rt`] — the hermetic runtime: seedable PRNG, resident worker pool,
 //!   zero-copy buffers, property-test and micro-benchmark harnesses. The
 //!   workspace has **zero external dependencies**; everything that would

@@ -103,10 +103,6 @@ fn bench_all_fast_mode_produces_every_group() {
         "transform_apply/u",
         "transform_apply/iu1",
         "transform_apply/iu2",
-        "transform_invert/identity",
-        "transform_invert/u",
-        "transform_invert/iu1",
-        "transform_invert/iu2",
         "packed_vs_vec/vec_scan_all_devices",
         "packed_vs_vec/packed_scan_all_devices",
         "packed_vs_vec/packed_fx_fast_all_devices",

@@ -8,9 +8,7 @@ use pmr::baselines::{
 use pmr::core::method::DistributionMethod;
 use pmr::core::optimality::{is_k_optimal, response_histogram};
 use pmr::core::query::{PartialMatchQuery, Pattern};
-use pmr::core::{
-    Assignment, AssignmentStrategy, FxDistribution, GeneralFxDistribution, SystemConfig,
-};
+use pmr::core::{AssignmentStrategy, FxDistribution, SystemConfig};
 
 /// Builds every method applicable to a system.
 fn all_methods(sys: &SystemConfig) -> Vec<(String, Box<dyn DistributionMethod>)> {
@@ -24,10 +22,10 @@ fn all_methods(sys: &SystemConfig) -> Vec<(String, Box<dyn DistributionMethod>)>
         let fx = FxDistribution::with_strategy(sys.clone(), strategy).unwrap();
         out.push((format!("fx/{strategy}"), Box::new(fx)));
     }
-    let a = Assignment::from_strategy(sys, AssignmentStrategy::TheoremNine).unwrap();
+    let auto = FxDistribution::auto(sys.clone()).unwrap();
     out.push((
-        "general-fx".into(),
-        Box::new(GeneralFxDistribution::from_assignment(&a)),
+        "fx/images".into(),
+        Box::new(FxDistribution::from_images(sys.clone(), auto.images().to_vec()).unwrap()),
     ));
     out.push((
         "modulo".into(),
@@ -106,7 +104,6 @@ fn zero_and_one_optimality_matrix() {
                 "{name} on {sys} not 0-optimal"
             );
             let one_optimal_guaranteed = name.starts_with("fx/")
-                || name == "general-fx"
                 || name == "modulo"
                 || name == "gdm(3,5,7,...)"
                 || name == "binary-weighted";

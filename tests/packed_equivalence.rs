@@ -22,8 +22,7 @@ use pmr_core::inverse::{
 use pmr_core::method::DistributionMethod;
 use pmr_core::optimality::response_histogram;
 use pmr_core::{
-    Assignment, AssignmentStrategy, FxDistribution, GeneralFxDistribution, PartialMatchQuery,
-    SystemConfig, TransformKind,
+    Assignment, AssignmentStrategy, FxDistribution, PartialMatchQuery, SystemConfig, TransformKind,
 };
 use pmr_mkh::{Record, Schema, Value};
 use pmr_rt::check::Source;
@@ -68,7 +67,7 @@ fn all_methods(src: &mut Source, sys: &SystemConfig) -> Vec<Box<dyn Distribution
     let fx = FxDistribution::with_strategy(sys.clone(), strategy)
         .unwrap_or_else(|_| FxDistribution::auto(sys.clone()).expect("auto always assigns"));
     let mut methods: Vec<Box<dyn DistributionMethod>> = vec![
-        Box::new(GeneralFxDistribution::from_assignment(fx.assignment())),
+        Box::new(FxDistribution::from_images(sys.clone(), fx.images().to_vec()).expect("valid")),
         Box::new(fx),
         Box::new(ModuloDistribution::new(sys.clone())),
         Box::new(GdmDistribution::paper_set(sys.clone(), PaperGdmSet::Gdm1)),
