@@ -876,27 +876,27 @@ mod tests {
         }
     }
 
-    /// The batched lanes (flat LUT) agree with the scalar packed path on
-    /// every bucket, at every batch length (exercising full lanes and the
-    /// scalar tail), for closed-form and explicit images and for a field
-    /// sliced into chunks.
+    /// Asserts that the batched lanes agree with the scalar packed path on
+    /// every bucket of `sys`, at every batch length (full lanes and the
+    /// scalar tail).
+    fn assert_batch_matches_scalar(fx: &FxDistribution, sys: &SystemConfig) {
+        let codes: Vec<u64> = sys.all_indices().collect();
+        for len in [0, 1, 7, 8, 9, 16, codes.len()] {
+            let mut out = vec![u64::MAX; len];
+            fx.device_of_batch(&codes[..len], &mut out);
+            for (&code, &dev) in codes[..len].iter().zip(&out) {
+                assert_eq!(dev, fx.device_of_packed(code), "len {len} code {code}");
+            }
+        }
+    }
+
+    /// The batched lanes (flat LUT) agree with the scalar packed path for
+    /// closed-form images and for a field sliced into chunks.
     #[test]
     fn device_of_batch_matches_scalar() {
         let sys = SystemConfig::new(&[4, 8, 2], 8).unwrap();
         let fx = FxDistribution::auto(sys.clone()).unwrap();
-        let explicit =
-            FxDistribution::from_images(sys.clone(), vec![vec![5, 2], vec![3, 4, 6], vec![6]])
-                .unwrap();
-        let codes: Vec<u64> = sys.all_indices().collect();
-        for fx in [&fx, &explicit] {
-            for len in [0, 1, 7, 8, 9, 16, codes.len()] {
-                let mut out = vec![u64::MAX; len];
-                fx.device_of_batch(&codes[..len], &mut out);
-                for (&code, &dev) in codes[..len].iter().zip(&out) {
-                    assert_eq!(dev, fx.device_of_packed(code), "len {len} code {code}");
-                }
-            }
-        }
+        assert_batch_matches_scalar(&fx, &sys);
         // A field over the chunk cap.
         let big = SystemConfig::new(&[1 << 17, 4], 8).unwrap();
         let fx_big = FxDistribution::auto(big.clone()).unwrap();
@@ -910,6 +910,17 @@ mod tests {
         for (&code, &dev) in big_codes.iter().zip(&out) {
             assert_eq!(dev, fx_big.device_of_packed(code));
         }
+    }
+
+    /// The batched lanes agree with the scalar packed path for an explicit,
+    /// non-closed-form linear map built from bit images.
+    #[test]
+    fn explicit_images_batch_matches_scalar() {
+        let sys = SystemConfig::new(&[4, 8, 2], 8).unwrap();
+        let explicit =
+            FxDistribution::from_images(sys.clone(), vec![vec![5, 2], vec![3, 4, 6], vec![6]])
+                .unwrap();
+        assert_batch_matches_scalar(&explicit, &sys);
     }
 
     /// `apply_field` (kernel table) equals the closed-form transform.
