@@ -234,16 +234,14 @@ fn bench_insert<D: DistributionMethod + Clone>(
 /// Bulk distribution throughput: inserting a record batch into a
 /// declustered file (hash → transform → device → append), per method.
 pub fn bulk_insert(opts: &SuiteOpts) -> Group {
-    let batch = opts.scaled(2000, 100) as i64;
-    let recs: Vec<Record> = (0..batch)
-        .map(|i| {
-            Record::new(vec![
-                format!("author{}", i % 97).into(),
-                Value::Int(1900 + i % 100),
-                Value::Int(i % 23),
-            ])
-        })
-        .collect();
+    let record = |i: i64| {
+        Record::new(vec![
+            format!("author{}", i % 97).into(),
+            Value::Int(1900 + i % 100),
+            Value::Int(i % 23),
+        ])
+    };
+    let recs: Vec<Record> = (0..opts.scaled(2000, 100) as i64).map(record).collect();
     let sys = insert_schema().system().clone();
 
     let mut group = opts.group("bulk_insert");
@@ -268,6 +266,15 @@ pub fn bulk_insert(opts: &SuiteOpts) -> Group {
         let mut file = DeclusteredFile::new(insert_schema(), fx.clone(), 11).unwrap();
         file.insert_all_parallel(recs.to_vec()).unwrap();
         file.record_occupancy().iter().sum()
+    });
+    // One 256-record streaming insert into a fresh file under 4 + 2
+    // Reed–Solomon parity: the appends plus one parity fold per touched
+    // stripe. Checksum: records inserted (256), pinned by `bench_smoke`.
+    let parity_recs: Vec<Record> = (0..256).map(record).collect();
+    group.bench("parity_4_2", || {
+        let mut file = DeclusteredFile::new(insert_schema(), fx.clone(), 11).unwrap();
+        assert!(file.enable_parity(4, 2), "4 + 2 fits 32 devices");
+        file.insert_all_parallel(parity_recs.clone()).unwrap()
     });
     group
 }
@@ -579,12 +586,14 @@ pub fn read_path(opts: &SuiteOpts) -> Group {
 }
 
 /// Reed–Solomon kernels (`pmr_rt::ec`) at the parity tier's default
-/// `k = 4, r = 2` geometry, on the calls the storage tier runs: the
-/// parity of one stripe (`parity_of`, what every parity re-encode pays)
-/// and the rebuild of one lost data shard from `k` survivors
-/// (`interpolate_into`, what a degraded read pays). One timed iteration
-/// processes one stripe, so stripe-size / median-ns is the kernel's
-/// throughput in bytes/ns (GB/s).
+/// `k = 4, r = 2` geometry: the parity of one whole stripe (`parity_of`,
+/// the multiply-accumulates a stripe's folds add up to once every byte
+/// has been appended) and the rebuild of one lost data shard from `k`
+/// survivors (`interpolate_into`, what a degraded read pays). One timed
+/// iteration processes one stripe, so stripe-size / median-ns is the
+/// kernel's throughput in bytes/ns (GB/s). Then the CRC-32 the store
+/// checks every shard with: over one 55-byte page (`crc32_page`, a
+/// small bucket page) and over 4 KiB (`crc32_4k`); checksum: the CRC.
 pub fn ec_codec(opts: &SuiteOpts) -> Group {
     use pmr_rt::ec::ReedSolomon;
 
@@ -613,6 +622,12 @@ pub fn ec_codec(opts: &SuiteOpts) -> Group {
         rs.interpolate_into(black_box(&sources), 0, &mut rebuilt)
             .expect("k sources");
         rebuilt.len() as u64
+    });
+    group.bench("crc32_page", || {
+        pmr_rt::ec::crc32(black_box(&stripe[..55])).into()
+    });
+    group.bench("crc32_4k", || {
+        pmr_rt::ec::crc32(black_box(&stripe[..4096])).into()
     });
     group
 }

@@ -14,11 +14,44 @@
 //! pmr stats      <trace.jsonl>
 //! ```
 
+/// The CLI's one output boundary: every `print!` in this crate is this
+/// macro (a `macro_rules!` shadows the std prelude's for every module
+/// declared after it) and writes through [`write_stdout`].
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// [`print!`] plus a newline, through [`write_stdout`].
+macro_rules! println {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod commands;
 mod fixture;
 
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// Writes to stdout. A closed stdout (the reader of a pipe exited, as in
+/// `pmr experiment all | head -1`) ends the process quietly with exit 0:
+/// no one is left to read the rest. Any other write error panics, as
+/// std's `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();

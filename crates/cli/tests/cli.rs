@@ -26,6 +26,34 @@ fn help_prints_usage() {
     assert!(stdout(&out).contains("distribute"));
 }
 
+/// A reader that closes the pipe early (`pmr … | head -1`) ends every
+/// subcommand quietly: exit 0 and nothing on stderr, not a panic.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::process::Stdio;
+    let cases: [&[&str]; 3] = [
+        &["experiment", "all"],
+        &["optimize", "--fields", "2,2,2,2", "--devices", "4"],
+        &["help"],
+    ];
+    for args in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pmr"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // Close the read end before the child writes: its first write
+        // fails with a broken pipe.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("child exits");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+        assert!(err.is_empty(), "{args:?} wrote to stderr: {err}");
+        assert!(out.status.success(), "{args:?} exited {:?}", out.status);
+    }
+}
+
 #[test]
 fn missing_command_fails_with_usage() {
     let out = pmr(&[]);

@@ -18,11 +18,14 @@
 //!
 //! The API works on raw equal-length payloads, no framing:
 //! [`ReedSolomon::parity_of`] derives a stripe's parity shards,
-//! [`ReedSolomon::interpolate_into`] rebuilds one shard from any `k`
-//! survivors, and [`ReedSolomon::reconstruct`] fills every missing one.
-//! The storage layer's `ParityStore` stripes bucket *pages* through
-//! these, rebuilding one page with `interpolate_into`, and keeps its own
-//! per-member lengths and CRCs ([`crc32`]).
+//! [`ReedSolomon::fold_into`] folds one data shard's change into one
+//! parity shard, [`ReedSolomon::interpolate_into`] rebuilds one shard
+//! from any `k` survivors, and [`ReedSolomon::reconstruct`] fills every
+//! missing one. The storage layer's `ParityStore` keeps its stripes'
+//! parity current by folding each appended page tail with `fold_into`,
+//! rebuilds one page with `interpolate_into`, and keeps its own
+//! per-member lengths and CRCs ([`crc32`], extended over appends by
+//! [`crc32_extend`]).
 //!
 //! ```
 //! use pmr_rt::ec::ReedSolomon;
@@ -91,11 +94,14 @@ fn gf_div(a: u8, b: u8) -> u8 {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table.
-static CRC_TABLE: [u32; 256] = build_crc_table();
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) slicing-by-8
+/// tables: `CRC_TABLES[0]` is the bytewise table, and `CRC_TABLES[t][b]`
+/// is the CRC state contribution of byte `b` followed by `t` zero bytes,
+/// so one 8-byte step is eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -108,22 +114,60 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE) of `bytes` — the shard and stripe-member checksum.
+/// CRC-32 (IEEE) of `bytes` — the shard and stripe-member checksum:
+/// [`crc32_extend`] from the empty message's CRC, 0.
 ///
 /// ```
 /// assert_eq!(pmr_rt::ec::crc32(b"123456789"), 0xCBF4_3926);
 /// assert_eq!(pmr_rt::ec::crc32(b""), 0);
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    crc32_extend(0, bytes)
+}
+
+/// The CRC-32 of `a ++ bytes`, given `crc = crc32(a)`: CRC-32 streams,
+/// so a page's checksum follows its appends without rereading the
+/// bytes it already covered. Eight bytes per step (slicing-by-8), then
+/// a bytewise remainder.
+///
+/// ```
+/// use pmr_rt::ec::{crc32, crc32_extend};
+/// assert_eq!(crc32_extend(crc32(b"12345"), b"6789"), crc32(b"123456789"));
+/// ```
+pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -273,6 +317,36 @@ impl ReedSolomon {
                 out
             })
             .collect())
+    }
+
+    /// Folds a change of data shard `data` into parity shard `parity`:
+    /// `out[b] ^= g · delta[b]`, where `g` is the data shard's coefficient
+    /// in that parity shard. The code is linear, so XOR-ing a data
+    /// shard's old-to-new difference into every parity shard at the same
+    /// offsets leaves exactly the parity [`ReedSolomon::parity_of`] would
+    /// derive from the new data. Bytes past `delta.len()` (or
+    /// `out.len()`) are untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`EcError::ShardIndex`] unless `parity < r` and `data < k`.
+    pub fn fold_into(
+        &self,
+        parity: usize,
+        data: usize,
+        out: &mut [u8],
+        delta: &[u8],
+    ) -> Result<(), EcError> {
+        if parity >= self.r {
+            return Err(EcError::ShardIndex {
+                index: self.k + parity,
+            });
+        }
+        if data >= self.k {
+            return Err(EcError::ShardIndex { index: data });
+        }
+        mul_acc(out, delta, self.parity_rows[parity][data]);
+        Ok(())
     }
 
     /// Fills in every missing shard of a `k + r` stripe in place, given
@@ -460,6 +534,105 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The one-byte-per-step CRC-32 the sliced loop replaced: the
+    /// reference it must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    rt_proptest! {
+        /// Slicing-by-8 equals the bytewise loop on every length up to
+        /// 1 KiB, whatever the buffer's start offset modulo 8.
+        fn crc32_matches_bytewise_reference(src) {
+            let len = src.int_in(0, 1024) as usize;
+            let offset = src.int_in(0, 7) as usize;
+            let mut buf = vec![0u8; offset + len];
+            Rng::seed_from_u64(src.int_in(0, u32::MAX as u64)).fill_bytes(&mut buf);
+            let bytes = &buf[offset..];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len={len} offset={offset}");
+        }
+
+        /// CRC-32 streams: extending the CRC of a prefix over the rest
+        /// gives the CRC of the whole, at every split point.
+        fn crc32_extend_composes(src) {
+            let len = src.int_in(0, 300) as usize;
+            let mut buf = vec![0u8; len];
+            Rng::seed_from_u64(src.int_in(0, u32::MAX as u64)).fill_bytes(&mut buf);
+            let cut = src.int_in(0, len as u64) as usize;
+            let (a, b) = buf.split_at(cut);
+            assert_eq!(crc32_extend(crc32(a), b), crc32(&buf), "len={len} cut={cut}");
+            assert_eq!(crc32_extend(0, &buf), crc32(&buf));
+        }
+
+        /// Folding each data shard's appended tail into zero-extended
+        /// parity reproduces `parity_of` over the zero-padded new data.
+        fn fold_into_matches_parity_of(src) {
+            let k = src.int_in(1, 6) as usize;
+            let r = src.int_in(1, 3) as usize;
+            let rs = ReedSolomon::new(k, r).unwrap();
+            let mut rng = Rng::seed_from_u64(src.int_in(0, u32::MAX as u64));
+            let random = |rng: &mut Rng, len: usize| {
+                let mut d = vec![0u8; len];
+                rng.fill_bytes(&mut d);
+                d
+            };
+            let old: Vec<Vec<u8>> = (0..k)
+                .map(|_| random(&mut rng, src.int_in(0, 64) as usize))
+                .collect();
+            let tails: Vec<Vec<u8>> = (0..k)
+                .map(|_| random(&mut rng, src.int_in(0, 64) as usize))
+                .collect();
+            let padded = |pages: &[Vec<u8>]| {
+                let len = pages.iter().map(Vec::len).max().unwrap_or(0);
+                let pages: Vec<Vec<u8>> = pages
+                    .iter()
+                    .map(|p| {
+                        let mut p = p.clone();
+                        p.resize(len, 0);
+                        p
+                    })
+                    .collect();
+                let views: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+                rs.parity_of(&views).unwrap()
+            };
+            let mut parity = padded(&old);
+            let new: Vec<Vec<u8>> = old
+                .iter()
+                .zip(&tails)
+                .map(|(o, t)| [&o[..], &t[..]].concat())
+                .collect();
+            let new_len = new.iter().map(Vec::len).max().unwrap_or(0);
+            for (i, shard) in parity.iter_mut().enumerate() {
+                shard.resize(new_len, 0);
+                for (j, (o, t)) in old.iter().zip(&tails).enumerate() {
+                    rs.fold_into(i, j, &mut shard[o.len()..o.len() + t.len()], t)
+                        .unwrap();
+                }
+            }
+            assert_eq!(parity, padded(&new), "k={k} r={r}");
+        }
+    }
+
+    #[test]
+    fn fold_into_rejects_out_of_range_shards() {
+        let rs = ReedSolomon::new(2, 1).unwrap();
+        let mut out = [0u8; 2];
+        assert_eq!(
+            rs.fold_into(1, 0, &mut out, &[1, 2]),
+            Err(EcError::ShardIndex { index: 3 })
+        );
+        assert_eq!(
+            rs.fold_into(0, 2, &mut out, &[1, 2]),
+            Err(EcError::ShardIndex { index: 2 })
+        );
+        rs.fold_into(0, 1, &mut out, &[1, 2]).unwrap();
     }
 
     #[test]

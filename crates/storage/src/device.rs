@@ -231,6 +231,17 @@ impl Device {
         self.parity_store.write().insert(stripe_id, shard.to_vec());
     }
 
+    /// Lends parity shard `stripe_id` (created empty when absent) to
+    /// `update` under the parity store's write lock, so a stripe's
+    /// parity is changed in place rather than rebuilt and copied in.
+    pub fn update_parity_page<R>(
+        &self,
+        stripe_id: u64,
+        update: impl FnOnce(&mut Vec<u8>) -> R,
+    ) -> R {
+        update(self.parity_store.write().entry(stripe_id).or_default())
+    }
+
     /// Number of resident parity shards.
     pub fn parity_shard_count(&self) -> usize {
         self.parity_store.read().len()
@@ -303,6 +314,13 @@ impl Device {
     /// `None` when the bucket holds no data.
     pub fn raw_page(&self, bucket_index: u64) -> Option<Vec<u8>> {
         self.store.read().get(&bucket_index).cloned()
+    }
+
+    /// Lends a resident bucket's page bytes (`None` when the bucket
+    /// holds no data) to `read` under the primary store's read lock,
+    /// ignoring any fault plan — [`Device::raw_page`] without the copy.
+    pub fn with_raw_page<R>(&self, bucket_index: u64, read: impl FnOnce(Option<&[u8]>) -> R) -> R {
+        read(self.store.read().get(&bucket_index).map(Vec::as_slice))
     }
 
     /// Installs a pre-encoded page (persistence load path). `records` is

@@ -149,7 +149,7 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
     /// Enables erasure-coded parity: resident buckets are grouped into
     /// `k`-data + `r`-parity Reed–Solomon stripes over distinct devices
     /// (see [`crate::parity::ParityStore`]) and every future insert
-    /// re-encodes its stripe. Returns `false` when the geometry does not
+    /// folds its appended bytes into its stripe. Returns `false` when the geometry does not
     /// fit (`k + r > M`). Idempotent — re-enabling with the same or a new
     /// geometry re-protects the resident data from scratch.
     pub fn enable_parity(&mut self, k: usize, r: usize) -> bool {
@@ -354,7 +354,7 @@ impl<D: DistributionMethod> DeclusteredFile<D> {
             panic!("resident worker stopped without reporting a panic");
         }
         if let Some(parity) = &self.parity {
-            // After the append barrier: every touched stripe re-encodes
+            // After the append barrier: every touched stripe folds
             // exactly once, however many records it received.
             let mut homes = vec![0u64; codes.len()];
             self.method.device_of_batch(&codes, &mut homes);

@@ -20,15 +20,27 @@
 //! # Consistency
 //!
 //! The store keeps an explicit directory — stripe membership plus each
-//! member's page length and CRC-32 at encode time — as control-plane
-//! metadata that survives device outages by construction (like the
-//! fault plan itself, it lives with the file, not on a device). Parity
-//! is re-encoded **eagerly** on every insert (the bulk-insert path
-//! batches one re-encode per touched stripe), so the degraded read path
-//! can always treat the directory as ground truth: shards that are
-//! unreadable *or fail their recorded CRC* are erasures, absent members
-//! are known-zero payloads, and a reconstructed page is CRC-verified
-//! before it is decoded into records.
+//! member's page length and CRC-32 as last folded into parity — as
+//! control-plane metadata that survives device outages by construction
+//! (like the fault plan itself, it lives with the file, not on a device).
+//! Every insert **folds** its stripe before it returns (the bulk-insert
+//! path folds each touched stripe once): only each member's bytes past
+//! its recorded length are read, its CRC is extended over them, and
+//! `g_ij · tail` is XOR-ed into each parity shard in place
+//! ([`ReedSolomon::fold_into`]). The code is linear and shorter members
+//! are zero-padded, so the shards stay bit-identical to a from-scratch
+//! encode of the current pages, and the degraded read path can treat
+//! the directory as ground truth: shards that are unreadable *or fail
+//! their recorded length and CRC* are erasures, absent members are
+//! known-zero payloads, and a reconstructed page is CRC-verified before
+//! it is decoded into records.
+//!
+//! The fold relies on pages being **append-only**: the bytes below a
+//! member's recorded length are never reread. A page that is rewritten
+//! instead (at-rest corruption) no longer matches its recorded CRC and
+//! reads as an erasure; one cut shorter than its recorded length folds
+//! nothing until it is re-protected. Its stripe-mates keep rebuilding
+//! byte-exactly, and the member itself rebuilds to its last folded bytes.
 //!
 //! Like mirror pages, parity shards are derived data: they are never
 //! persisted, are dropped by clear/drain, and are rebuilt wholesale by
@@ -38,7 +50,7 @@ use crate::code_hash::CodeMap;
 use crate::device::{Device, PageStore};
 use crate::encode::{self, DecodeError};
 use pmr_mkh::Record;
-use pmr_rt::ec::{crc32, ReedSolomon};
+use pmr_rt::ec::{crc32, crc32_extend, ReedSolomon};
 use pmr_rt::sync::RwLock;
 use std::sync::Arc;
 
@@ -47,9 +59,9 @@ use std::sync::Arc;
 struct Member {
     /// The bucket's packed address code (its page key on the device).
     code: u64,
-    /// Page length in bytes at last encode (0 = no page yet).
+    /// Page bytes folded into parity so far (0 = no page yet).
     len: u32,
-    /// CRC-32 of the page bytes at last encode.
+    /// CRC-32 of the page's first `len` bytes.
     crc: u32,
 }
 
@@ -62,10 +74,10 @@ struct Stripe {
     /// Member slots (`None` = open). Slot `j`'s bucket is homed on
     /// `anchor ^ j`, so a stripe holds at most one bucket per device.
     members: Vec<Option<Member>>,
-    /// Shard payload length at last encode: the longest member page,
-    /// shorter members zero-padded.
+    /// Shard payload length: the longest folded member page, shorter
+    /// members zero-padded.
     shard_len: usize,
-    /// CRC-32 of each parity shard at last encode.
+    /// CRC-32 of each parity shard as last folded.
     parity_crcs: Vec<u32>,
 }
 
@@ -116,7 +128,7 @@ impl std::error::Error for ReconstructError {}
 /// A page served from parity instead of its home device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconstructedPage {
-    /// The bucket's records, bit-equal to the last-encoded page.
+    /// The bucket's records, bit-equal to the last-folded page.
     pub records: Vec<Record>,
     /// Stripe-mate and parity reads issued (cost-model accounting).
     pub shard_reads: u32,
@@ -128,7 +140,7 @@ pub struct ReconstructedPage {
 /// directory but not decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebuiltPage {
-    /// The bucket's page bytes, bit-equal to the last-encoded page.
+    /// The bucket's page bytes, bit-equal to the last-folded page.
     pub bytes: Vec<u8>,
     /// Stripe-mate and parity reads issued (cost-model accounting).
     pub shard_reads: u32,
@@ -199,8 +211,8 @@ impl ParityStore {
     }
 
     /// Records that `code` (homed on device `home`) was appended to and
-    /// re-encodes its stripe's parity eagerly. Enrolls the code in a
-    /// stripe on first sight.
+    /// folds the appended bytes into its stripe's parity. Enrolls the
+    /// code in a stripe on first sight.
     pub fn note_append(&self, devices: &[Arc<Device>], code: u64, home: u64) {
         let mut dir = self.dir.write();
         let (s, _) = self.enroll(&mut dir, code, home);
@@ -208,7 +220,7 @@ impl ParityStore {
     }
 
     /// Bulk form of [`ParityStore::note_append`]: enrolls every
-    /// `(code, home)` pair, then re-encodes each touched stripe once —
+    /// `(code, home)` pair, then folds each touched stripe once —
     /// the `insert_all_parallel` streaming path calls this after its
     /// append barrier.
     pub fn note_appends(
@@ -229,7 +241,8 @@ impl ParityStore {
     }
 
     /// Drops the whole directory and every device's parity shards, then
-    /// re-enrolls and re-encodes every resident primary bucket. Used
+    /// re-enrolls every resident primary bucket and folds each stripe
+    /// from length 0 — the full encode. Used
     /// when parity is enabled on a populated file, after a
     /// redistribution drain, and after a persistence load (parity is
     /// derived data and is not persisted).
@@ -437,41 +450,64 @@ impl ParityStore {
         (s, slot)
     }
 
-    /// Re-reads stripe `s`'s member pages, refreshes their metadata, and
-    /// installs freshly encoded parity shards on the parity devices.
+    /// Folds what was appended to stripe `s`'s members since its last
+    /// encode into the stripe. Each member page is read borrowed under
+    /// its device's read lock and only its tail past the recorded length
+    /// is taken: the member's CRC is extended over the tail and its
+    /// length advanced. Each parity shard is then zero-extended to the
+    /// new `shard_len` and has every tail folded in at its offset
+    /// ([`ReedSolomon::fold_into`]) under its device's write lock, and its
+    /// CRC is recomputed. One device lock is held at a time. A fresh
+    /// stripe records every member at length 0, so its first fold is the
+    /// full encode.
     fn encode_stripe(&self, dir: &mut Directory, devices: &[Arc<Device>], s: usize) {
         let stripe = &mut dir.stripes[s];
-        let pages: Vec<Option<Vec<u8>>> = stripe
-            .members
-            .iter()
-            .enumerate()
-            .map(|(j, member)| {
-                member.and_then(|m| devices[(stripe.anchor ^ j as u64) as usize].raw_page(m.code))
-            })
-            .collect();
-        let shard_len = pages.iter().flatten().map(Vec::len).max().unwrap_or(0);
-        let payloads: Vec<Vec<u8>> = pages
-            .iter()
-            .map(|page| {
-                let mut p = page.clone().unwrap_or_default();
-                p.resize(shard_len, 0);
-                p
-            })
-            .collect();
-        for (member, page) in stripe.members.iter_mut().zip(&pages) {
-            if let Some(m) = member {
-                let bytes = page.as_deref().unwrap_or(&[]);
-                m.len = bytes.len() as u32;
-                m.crc = crc32(bytes);
-            }
+        // The appended bytes of every member, back to back, and per
+        // member (slot, offset in its page, range in `tails`).
+        let mut tails = Vec::new();
+        let mut folds = Vec::new();
+        let old_len = stripe.shard_len;
+        let mut shard_len = old_len;
+        for (j, member) in stripe.members.iter_mut().enumerate() {
+            let Some(m) = member else { continue };
+            let device = &devices[(stripe.anchor ^ j as u64) as usize];
+            device.with_raw_page(m.code, |page| {
+                // A page shorter than its recorded length broke the
+                // append-only contract: nothing of it is folded, so it
+                // fails its recorded length and reads as an erasure.
+                let Some(tail) = page.unwrap_or_default().get(m.len as usize..) else {
+                    return;
+                };
+                if !tail.is_empty() {
+                    folds.push((j, m.len as usize, tails.len()..tails.len() + tail.len()));
+                    tails.extend_from_slice(tail);
+                    m.crc = crc32_extend(m.crc, tail);
+                    m.len += tail.len() as u32;
+                }
+            });
+            shard_len = shard_len.max(m.len as usize);
         }
-        let views: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-        let parity = self.rs.parity_of(&views).expect("payloads match geometry");
         stripe.shard_len = shard_len;
-        for (i, shard) in parity.iter().enumerate() {
-            stripe.parity_crcs[i] = crc32(shard);
-            devices[(stripe.anchor ^ (self.k + i) as u64) as usize]
-                .install_parity_page(s as u64, shard);
+        for (i, parity_crc) in stripe.parity_crcs.iter_mut().enumerate() {
+            let device = &devices[(stripe.anchor ^ (self.k + i) as u64) as usize];
+            *parity_crc = device.update_parity_page(s as u64, |shard| {
+                if shard.len() != old_len {
+                    // Not the shard this store last wrote (dropped or
+                    // replaced behind its back): left empty, it fails
+                    // `shard_len` and stays an erasure until
+                    // `reprotect_resident`.
+                    shard.clear();
+                    return crc32(shard);
+                }
+                shard.resize(shard_len, 0);
+                for (j, at, range) in &folds {
+                    let tail = &tails[range.clone()];
+                    self.rs
+                        .fold_into(i, *j, &mut shard[*at..*at + tail.len()], tail)
+                        .expect("stripe slots match the code's geometry");
+                }
+                crc32(shard)
+            });
         }
     }
 }
@@ -749,6 +785,140 @@ mod tests {
                 bytes,
                 "code {code}"
             );
+        }
+    }
+
+    /// A member page cut below its recorded length and then appended to
+    /// (still shorter than that length) folds nothing: it reads as an
+    /// erasure, and its stripe-mates still rebuild byte-exactly.
+    #[test]
+    fn a_page_shorter_than_its_recorded_length_is_an_erasure() {
+        let (devices, store) = ragged(8, 4, 2);
+        let ds = store.stripe_devices_of(0).unwrap();
+        let stored: Vec<Vec<u8>> = ds[..4]
+            .iter()
+            .map(|&d| devices[d as usize].raw_page(d).unwrap())
+            .collect();
+        devices[ds[1] as usize].inject_corruption(ds[1], b"\x00bitrot");
+        put(&store, &devices, ds[1], ds[1], &rec(99));
+        let cut = devices[ds[1] as usize].raw_page(ds[1]).unwrap();
+        assert!(
+            cut.len() < stored[1].len(),
+            "the appended page must stay short"
+        );
+        // A stripe-mate's later append still folds.
+        put(&store, &devices, ds[2], ds[2], &rec(98));
+        let grown = devices[ds[2] as usize].raw_page(ds[2]).unwrap();
+        kill(&devices, &[ds[0]]);
+        assert_eq!(store.rebuild(&devices, ds[0], 0).unwrap().bytes, stored[0]);
+        // The short member is the second erasure: one more is too many.
+        kill(&devices, &[ds[0], ds[4]]);
+        assert!(matches!(
+            store.rebuild(&devices, ds[0], 0),
+            Err(ReconstructError::TooFewShards { have: 3, needed: 4 })
+        ));
+        kill(&devices, &[ds[2]]);
+        assert_eq!(store.rebuild(&devices, ds[2], 0).unwrap().bytes, grown);
+        // The short member itself rebuilds to the bytes last folded.
+        kill(&devices, &[]);
+        assert_eq!(store.rebuild(&devices, ds[1], 0).unwrap().bytes, stored[1]);
+    }
+
+    /// A parity shard dropped behind the store's back is not folded into
+    /// as if it were whole: it stays an erasure, and the stripe's other
+    /// parity shard serves the rebuild.
+    #[test]
+    fn a_parity_shard_dropped_behind_the_store_is_an_erasure() {
+        let (devices, store) = ragged(8, 4, 2);
+        let ds = store.stripe_devices_of(0).unwrap();
+        devices[ds[4] as usize].clear_parity();
+        put(&store, &devices, ds[1], ds[1], &rec(97));
+        let stored = devices[ds[0] as usize].raw_page(ds[0]).unwrap();
+        kill(&devices, &[ds[0]]);
+        assert_eq!(store.rebuild(&devices, ds[0], 0).unwrap().bytes, stored);
+    }
+
+    /// Every stripe equals a from-scratch encode of the current member
+    /// pages: each parity shard's bytes and CRC, `shard_len`, and each
+    /// member's length and CRC.
+    fn assert_matches_fresh_encode(store: &ParityStore, devices: &[Arc<Device>]) {
+        let dir = store.dir.read();
+        for (s, stripe) in dir.stripes.iter().enumerate() {
+            let pages: Vec<Vec<u8>> = stripe
+                .members
+                .iter()
+                .enumerate()
+                .map(|(j, member)| {
+                    member
+                        .and_then(|m| devices[(stripe.anchor ^ j as u64) as usize].raw_page(m.code))
+                        .unwrap_or_default()
+                })
+                .collect();
+            let shard_len = pages.iter().map(Vec::len).max().unwrap_or(0);
+            assert_eq!(stripe.shard_len, shard_len, "stripe {s} shard_len");
+            for (j, (member, page)) in stripe.members.iter().zip(&pages).enumerate() {
+                if let Some(m) = member {
+                    assert_eq!(
+                        (m.len, m.crc),
+                        (page.len() as u32, crc32(page)),
+                        "stripe {s} member {j}"
+                    );
+                }
+            }
+            let padded: Vec<Vec<u8>> = pages
+                .into_iter()
+                .map(|mut p| {
+                    p.resize(shard_len, 0);
+                    p
+                })
+                .collect();
+            let views: Vec<&[u8]> = padded.iter().map(Vec::as_slice).collect();
+            for (i, shard) in store.rs.parity_of(&views).unwrap().iter().enumerate() {
+                let device = &devices[(stripe.anchor ^ (store.k + i) as u64) as usize];
+                let (held, _) = device
+                    .reader(PageStore::Parity)
+                    .with_page(s as u64, 0, |bytes| bytes.map(<[u8]>::to_vec))
+                    .unwrap();
+                assert_eq!(held.as_deref(), Some(&shard[..]), "stripe {s} parity {i}");
+                assert_eq!(stripe.parity_crcs[i], crc32(shard), "stripe {s} parity {i}");
+            }
+        }
+    }
+
+    pmr_rt::rt_proptest! {
+        /// Folding appends into parity is bit-identical to re-encoding
+        /// every stripe from scratch, after every step of a random mix
+        /// of single appends, bulk appends and full re-protections.
+        fn folded_parity_matches_a_fresh_encode(src) {
+            let (k, r) = [(1, 1), (2, 1), (4, 2), (6, 3)][src.usize_in(0..=3)];
+            // 6 + 3 shards need 9 distinct devices: M = 8 is too few.
+            let m = if k + r > 8 { 32 } else { [8u64, 32][src.usize_in(0..=1)] };
+            let devices = array(m);
+            let store = ParityStore::new(k, r, m).unwrap();
+            // Code `c` is homed on device `c % m`; a few codes per device.
+            let append = |src: &mut pmr_rt::check::Source| {
+                let code = src.int_in(0, 3 * m - 1);
+                let home = code % m;
+                let text = src.string_of('a'..='z', 0..=40);
+                let record = Record::new(vec![Value::Int(code as i64), text.into()]);
+                devices[home as usize].append(code, &record);
+                (code, home)
+            };
+            for _ in 0..src.usize_in(1..=12) {
+                match src.arm(3) {
+                    0 => {
+                        let (code, home) = append(src);
+                        store.note_append(&devices, code, home);
+                    }
+                    1 => {
+                        let codes: Vec<(u64, u64)> =
+                            (0..src.usize_in(1..=16)).map(|_| append(src)).collect();
+                        store.note_appends(&devices, codes);
+                    }
+                    _ => store.reprotect_resident(&devices),
+                }
+                assert_matches_fresh_encode(&store, &devices);
+            }
         }
     }
 

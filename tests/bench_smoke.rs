@@ -108,11 +108,14 @@ fn bench_all_fast_mode_produces_every_group() {
         "packed_vs_vec/packed_fx_fast_all_devices",
         "ec/parity_4_2",
         "ec/interpolate_4_2",
+        "ec/crc32_page",
+        "ec/crc32_4k",
     ];
     let expected_exec = [
         "bulk_insert/fx_auto",
         "bulk_insert/modulo",
         "bulk_insert/batched",
+        "bulk_insert/parity_4_2",
         "query_exec/fx_generic_executor",
         "query_exec/fx_fast_executor",
         "query_exec/modulo_generic_executor",
@@ -190,6 +193,8 @@ fn bench_all_fast_mode_produces_every_group() {
             .checksum
     };
     assert_eq!(bi("batched"), bi("fx_auto"));
+    // The parity ingest row inserts its 256 records, none lost.
+    assert_eq!(bi("parity_4_2"), 256);
 
     // All three packed_vs_vec variants count the same qualified buckets.
     let pvv: Vec<u64> = files[0]
@@ -234,6 +239,13 @@ fn bench_all_fast_mode_produces_every_group() {
             .checksum
     };
     assert_eq!(ec("parity_4_2"), 2 * ec("interpolate_4_2"));
+    // The CRC rows checksum the CRC of the bytes they hash.
+    let stripe: Vec<u8> = (0..4096).map(|i| (i * 31 % 251) as u8).collect();
+    assert_eq!(
+        ec("crc32_page"),
+        u64::from(pmr_rt::ec::crc32(&stripe[..55]))
+    );
+    assert_eq!(ec("crc32_4k"), u64::from(pmr_rt::ec::crc32(&stripe)));
 
     // At each batch size the resident batch, per-query, and serial
     // throughput variants answer the same queries: identical record
