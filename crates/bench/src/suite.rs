@@ -21,8 +21,8 @@ use pmr_core::{AssignmentStrategy, FxDistribution, PartialMatchQuery};
 use pmr_mkh::{FieldType, Record, Schema, Value};
 use pmr_rt::bench::{black_box, Group, Stats};
 use pmr_storage::exec::{
-    execute_parallel, execute_parallel_with, merge_device_yields, plan_query, ExecPolicy, Executor,
-    PlannedQuery, Redundancy,
+    execute_parallel, execute_parallel_with, merge_raw_yields, plan_query, DeviceYield, ExecPolicy,
+    Executor, PlannedQuery, Redundancy,
 };
 use pmr_storage::{CostModel, DeclusteredFile};
 use std::io::Write as _;
@@ -319,8 +319,8 @@ fn forced<'a, D: DistributionMethod + Clone + Send + Sync + 'static>(
     }];
     let policy = ExecPolicy::default();
     move || {
-        let yields = exec.execute_planned(&planned, &policy).remove(0);
-        merge_device_yields(yields, policy.redundancy).largest_response
+        let yields = exec.execute_planned_raw(&planned, &policy).remove(0);
+        merge_raw_yields(yields, policy.redundancy).largest_response
     }
 }
 
@@ -746,7 +746,7 @@ pub fn throughput(opts: &SuiteOpts) -> Group {
 /// so the `serve/` gate pins both the service's throughput and its
 /// bit-equality overhead story.
 pub fn serve(opts: &SuiteOpts) -> Group {
-    use pmr_net::wire::{decode_message, encode_message, GatherResponse, Message};
+    use pmr_net::wire::{decode_gather, decode_message, encode_message, GatherResponse, Message};
     use pmr_net::{loadgen, Cluster, ClusterConfig};
 
     let mut file = cpu_time_file(opts);
@@ -761,14 +761,18 @@ pub fn serve(opts: &SuiteOpts) -> Group {
     let frontend = cluster.frontend();
 
     // One canned node response for the wire micro-benches: what node 0
-    // actually ships back for this batch.
-    let yields = exec.execute_planned(
+    // actually ships back for this batch, and the same yields decoded.
+    let raw = exec.execute_planned_raw(
         &queries
             .iter()
             .map(|q| pmr_storage::exec::plan_query(&sys, file.method(), q))
             .collect::<Vec<_>>(),
         &policy,
     );
+    let yields = raw
+        .into_iter()
+        .map(|q| q.into_iter().map(DeviceYield::from).collect())
+        .collect();
     let response = Message::Response(GatherResponse {
         request_id: 1,
         node: 0,
@@ -808,6 +812,11 @@ pub fn serve(opts: &SuiteOpts) -> Group {
             _ => unreachable!(),
         },
     );
+    // The frontend's own decode of the same frame: each region validated
+    // and indexed once, no record built.
+    group.bench(&format!("wire_gather_response_{batch}"), || {
+        decode_gather(black_box(&frame)).unwrap().queries.len() as u64
+    });
     // Cluster-telemetry overhead pin: the same scatter/gather batch with
     // tracing off (the production default — telemetry sections absent,
     // frames byte-identical to v1) versus fully on (Memory sink: spans

@@ -249,6 +249,24 @@ fn simulate_and_chaos_match_golden_output() {
     }
 }
 
+/// `loadgen --check` at a fixed `PMR_SEED` prints a checksum recorded
+/// before reports held their records as one byte region: the gathered
+/// and the single-process reports both stayed bit-identical.
+#[test]
+fn loadgen_check_checksum_is_pinned() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pmr"))
+        .args(["loadgen", "--queries", "2000", "--batch", "256", "--check"])
+        .env("PMR_SEED", "41")
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("checksum    ea612b7aa5e31a2f  (verified"),
+        "{}",
+        stdout(&out)
+    );
+}
+
 #[test]
 fn distribute_prints_table_1_system() {
     let out = pmr(&["distribute", "--fields", "2,8", "--devices", "4"]);

@@ -4,9 +4,12 @@
 //! — the same cost heuristic the single-process executor uses) and sends
 //! each live node one request frame holding only the queries that touch
 //! the node's device subrange, in batch order; each node executes its
-//! subrange and ships raw per-device yields back. Gathering merges the
-//! yields with [`pmr_storage::exec::merge_device_yields`], so a
-//! fully-answered request is bit-equal to a single-process
+//! subrange and ships raw per-device yields back. Gathering validates
+//! each yield's record region as it arrives ([`wire::decode_gather`]:
+//! no record built) and merges the yields with
+//! [`pmr_storage::exec::merge_raw_yields`], which copies their bytes
+//! into the report's record region; so a fully-answered request is
+//! bit-equal to a single-process
 //! [`Executor::execute_batch`](pmr_storage::exec::Executor::execute_batch)
 //! over the same file.
 //!
@@ -42,8 +45,9 @@
 //! node's `Lost` devices report `simulated_us = 0`. A query that touches
 //! no dead or down node is unaffected by it, bit for bit.
 //!
-//! Responses are routed by one collector thread per node into a shared
-//! pending table keyed by request id, so any number of callers may have
+//! Responses are decoded ([`wire::decode_gather`]) and routed by one
+//! collector thread per node into a shared pending table keyed by
+//! request id, so any number of callers may have
 //! requests in flight concurrently (the closed-loop `loadgen` drives
 //! this). A response that arrives after its deadline is counted
 //! (`net.late_responses`) and discarded. `net.request_bytes` and
@@ -74,8 +78,8 @@ use pmr_rt::obs::json::Object;
 use pmr_rt::obs::snapshot::{absorb, MetricsSnapshot, HIST_BUCKETS};
 use pmr_storage::cost::CostModel;
 use pmr_storage::exec::{
-    idle_yield, merge_device_yields, plan_query, route_planned, DeviceOutcome, DeviceReport,
-    DeviceYield, ExecPolicy, ExecutionReport, PlannedQuery,
+    idle_yield, merge_raw_yields, plan_query, route_planned, DeviceOutcome, DeviceReport,
+    ExecPolicy, ExecutionReport, PlannedQuery, RawYield,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -211,7 +215,7 @@ struct NodeLink {
 /// Response routing table: request id → one slot per node, filled by the
 /// collectors, awaited under the condvar by `execute_planned`.
 struct Pending {
-    slots: Mutex<HashMap<u64, Vec<Option<GatherResponse>>>>,
+    slots: Mutex<HashMap<u64, Vec<Option<GatherResponse<RawYield>>>>>,
     ready: Condvar,
 }
 
@@ -539,7 +543,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
             obs::NET_GATHER,
             nodes = scattered.iter().filter(|&&s| s).count() as u64
         );
-        let responses: Vec<Option<GatherResponse>> = {
+        let responses: Vec<Option<GatherResponse<RawYield>>> = {
             let mut slots = self.pending.slots.lock().unwrap();
             loop {
                 let filled = slots.get(&id).expect("pending entry lives until removal");
@@ -637,7 +641,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
         // Merge: a node a query does not touch contributes idle yields;
         // an answering node contributes its next query's yields, and a
         // missing one degrades to synthesized Lost yields.
-        let mut per_node: Vec<Option<std::vec::IntoIter<Vec<DeviceYield>>>> = responses
+        let mut per_node: Vec<Option<std::vec::IntoIter<Vec<RawYield>>>> = responses
             .into_iter()
             .map(|r| r.map(|resp| resp.queries.into_iter()))
             .collect();
@@ -663,7 +667,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Frontend<D> {
                         ),
                     }
                 }
-                merge_device_yields(yields, policy.redundancy)
+                merge_raw_yields(yields, policy.redundancy)
             })
             .collect()
     }
@@ -708,8 +712,8 @@ fn spawn_collector(
         .name(format!("pmr-net-gather-{node}"))
         .spawn(move || {
             while let Ok(frame) = rx.recv_frame() {
-                match wire::decode_message(&frame) {
-                    Ok(Message::Response(resp)) => {
+                match wire::decode_gather(&frame) {
+                    Ok(resp) => {
                         let mut slots = pending.slots.lock().unwrap();
                         let (request_id, slot) = (resp.request_id, resp.node as usize);
                         match slots.get_mut(&request_id) {
@@ -723,7 +727,7 @@ fn spawn_collector(
                             _ => obs::NET_LATE_RESPONSES.add(1),
                         }
                     }
-                    _ => obs::NET_DECODE_ERRORS.add(1),
+                    Err(_) => obs::NET_DECODE_ERRORS.add(1),
                 }
             }
         })
@@ -742,7 +746,7 @@ fn lost_yields<D: DistributionMethod>(
     cost: &CostModel,
     planned: &PlannedQuery,
     range: Range<u64>,
-    out: &mut Vec<DeviceYield>,
+    out: &mut Vec<RawYield>,
 ) {
     let mut codes = vec![Vec::new(); (range.end - range.start) as usize];
     route_planned(sys, method, planned, range.clone(), &mut codes);
@@ -751,7 +755,7 @@ fn lost_yields<D: DistributionMethod>(
             return idle_yield(planned, device, cost);
         }
         let qualified_buckets = lost.len() as u64;
-        DeviceYield {
+        RawYield {
             report: DeviceReport {
                 device,
                 qualified_buckets,
@@ -761,7 +765,7 @@ fn lost_yields<D: DistributionMethod>(
                 reconstructions: 0,
                 outcome: DeviceOutcome::Lost,
             },
-            records: Vec::new(),
+            region: Vec::new(),
             lost,
         }
     }));

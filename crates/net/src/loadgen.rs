@@ -27,7 +27,6 @@ use pmr_rt::obs::emit::Emitter;
 use pmr_rt::obs::json::Object;
 use pmr_rt::rng::{splitmix64, Rng};
 use pmr_rt::stats::{percentile, percentile_counted};
-use pmr_storage::encode::encode_one;
 use pmr_storage::exec::{ExecPolicy, ExecutionReport};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -227,7 +226,7 @@ pub fn report_checksum(report: &ExecutionReport) -> u64 {
         mix(d.simulated_us.to_bits());
     }
     for record in &report.records {
-        for chunk in encode_one(record).chunks(8) {
+        for chunk in record.bytes().chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
             mix(u64::from_le_bytes(word));

@@ -8,8 +8,9 @@
 //! per-device yields back. A node never decodes a page: each served
 //! page's stored bytes pass a validation walk and are copied into the
 //! response frame as they lie
-//! ([`Executor::execute_planned_raw`](pmr_storage::exec::Executor::execute_planned_raw)),
-//! so the frontend's decode is the only one. A node never merges —
+//! ([`Executor::execute_planned_raw`](pmr_storage::exec::Executor::execute_planned_raw));
+//! the frontend validates each region once on arrival and never decodes
+//! it either. A node never merges —
 //! merging is the frontend's job, which is what keeps gathered reports
 //! bit-equal to a single-process execution.
 //!
@@ -86,7 +87,7 @@ pub fn serve<D: DistributionMethod + Clone + Send + Sync + 'static>(
         };
         let policy = req.policy.to_policy();
         // Raw yields: the validated stored bytes of every served page,
-        // never decoded here — the frontend's decode is the only one.
+        // shipped as they lie.
         let queries = exec.execute_planned_raw(&planned, &policy);
         let busy_us = started.elapsed().as_micros() as u64;
         obs::NET_NODE_BUSY_US.observe_us(busy_us as f64);

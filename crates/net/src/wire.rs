@@ -11,9 +11,17 @@
 //! Decoding is total: every byte boundary returns a typed [`WireError`]
 //! instead of panicking, every collection length is capped and checked
 //! against the remaining payload before allocation, and trailing bytes
-//! are an error. The truncation suite in `crates/net/tests/wire.rs`
-//! decodes every prefix of valid messages to pin this down (the same
-//! hardening style as `pmr-storage::persist`).
+//! are an error. The mutation suite in `crates/net/tests/wire.rs`
+//! decodes every prefix, byte corruption, bit flip and length edit of
+//! valid messages to pin this down (the same hardening style as
+//! `pmr-storage::persist`).
+//!
+//! One reader parses a response into either yield form
+//! ([`YieldFrame`]): [`decode_gather`] checks each record region by the
+//! allocation-free validation walk ([`validate_region`]) and copies it
+//! as it lies, building no record — the [`RawYield`]s the frontend
+//! gathers and merges — and [`decode_message`] decodes each region into
+//! [`DeviceYield`] records. Both fail alike on every input.
 //!
 //! ## Protocol revision v1.1 — optional trailing telemetry sections
 //!
@@ -45,10 +53,13 @@
 //! setting, and v2 frames are refused with [`WireError::BadVersion`].
 
 use pmr_core::{PartialMatchQuery, SystemConfig};
+use pmr_mkh::Record;
 use pmr_rt::buf::BufMut;
 use pmr_rt::fault::RetryPolicy;
 use pmr_rt::obs::snapshot::MetricsSnapshot;
-use pmr_storage::encode::{decode_all_bytes, encode_record, encoded_len, DecodeError};
+use pmr_storage::encode::{
+    decode_all_bytes, encode_record, encoded_len, validate_region, DecodeError,
+};
 use pmr_storage::exec::{
     DeviceOutcome, DeviceReport, DeviceYield, ExecPolicy, PlannedQuery, RawYield, Redundancy,
 };
@@ -304,9 +315,11 @@ impl WirePolicy {
 }
 
 /// One node's gathered partial results: per query, the device yields for
-/// the node's subrange, sorted by device.
+/// the node's subrange, sorted by device. The yields are decoded
+/// [`DeviceYield`]s in a [`Message`], or the [`RawYield`]s of
+/// [`decode_gather`], whose records stay as validated bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GatherResponse {
+pub struct GatherResponse<Y = DeviceYield> {
     /// Echo of the scatter's `request_id`.
     pub request_id: u64,
     /// Responding node's index.
@@ -315,7 +328,7 @@ pub struct GatherResponse {
     /// only — never merged into simulated times).
     pub busy_us: u64,
     /// Per-query yields, in the request's query order.
-    pub queries: Vec<Vec<DeviceYield>>,
+    pub queries: Vec<Vec<Y>>,
     /// v1.1: the node's span id + metric deltas, if the node is tracing.
     pub telemetry: Option<Telemetry>,
 }
@@ -431,10 +444,19 @@ pub fn encode_scatter<'a>(
 
 /// A device yield as a response frame carries it: a report, lost codes,
 /// and the records as one encoded region. The decoded [`DeviceYield`]
-/// encodes its records as it is framed; a node's [`RawYield`] already
-/// holds the region as stored and is copied verbatim. Both frame to the
-/// same bytes through [`encode_response`].
-pub trait YieldFrame {
+/// encodes its records as it is framed and decodes them as it is read;
+/// a node's [`RawYield`] already holds the region as stored, is copied
+/// verbatim and read back by the validation walk. Both frame to the same
+/// bytes through [`encode_response`], and one reader parses both.
+pub trait YieldFrame: Sized {
+    /// How the yield holds its records.
+    type Records: Default;
+    /// Reads a frame's record region, given the record count its header
+    /// declares: the records and how many there are, or exactly the
+    /// error [`pmr_storage::encode::decode_all_bytes`] raises on it.
+    fn read_region(region: &[u8], declared: usize) -> Result<(Self::Records, u64), DecodeError>;
+    /// The yield a frame describes.
+    fn from_parts(report: DeviceReport, records: Self::Records, lost: Vec<u64>) -> Self;
     /// The per-device report.
     fn report(&self) -> &DeviceReport;
     /// Packed codes of the buckets the device could not serve.
@@ -465,6 +487,20 @@ impl YieldFrame for DeviceYield {
             encode_record(rec, buf);
         }
     }
+
+    type Records = Vec<Record>;
+    fn read_region(region: &[u8], declared: usize) -> Result<(Vec<Record>, u64), DecodeError> {
+        let records = decode_all_bytes(region, declared)?;
+        let count = records.len() as u64;
+        Ok((records, count))
+    }
+    fn from_parts(report: DeviceReport, records: Vec<Record>, lost: Vec<u64>) -> DeviceYield {
+        DeviceYield {
+            report,
+            records,
+            lost,
+        }
+    }
 }
 
 impl YieldFrame for RawYield {
@@ -482,6 +518,19 @@ impl YieldFrame for RawYield {
     }
     fn put_region(&self, buf: &mut Vec<u8>) {
         buf.put_slice(&self.region);
+    }
+
+    type Records = Vec<u8>;
+    fn read_region(region: &[u8], _declared: usize) -> Result<(Vec<u8>, u64), DecodeError> {
+        let count = validate_region(region)?;
+        Ok((region.to_vec(), count))
+    }
+    fn from_parts(report: DeviceReport, region: Vec<u8>, lost: Vec<u64>) -> RawYield {
+        RawYield {
+            report,
+            region,
+            lost,
+        }
     }
 }
 
@@ -701,9 +750,39 @@ impl<'a> Reader<'a> {
 }
 
 /// Decodes one frame payload. Total: typed errors on every malformed
-/// input, trailing bytes rejected.
+/// input, trailing bytes rejected. A response's regions are decoded
+/// into records.
 pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
     let mut r = Reader::new(payload);
+    let msg = match decode_header(&mut r)? {
+        KIND_REQUEST => Message::Request(decode_request(&mut r)?),
+        KIND_RESPONSE => Message::Response(decode_response(&mut r)?),
+        KIND_SHUTDOWN => Message::Shutdown,
+        other => return Err(WireError::BadKind(other)),
+    };
+    finish(&r)?;
+    Ok(msg)
+}
+
+/// Decodes a response frame with its record regions left as validated
+/// bytes: each region gets one validation walk and one copy, and no
+/// record is built. Accepts exactly the frames [`decode_message`]
+/// decodes to a [`Message::Response`], with the same yields once
+/// decoded (the same reader parses both forms), and fails with the same
+/// error on every other payload — a request or shutdown frame is
+/// [`WireError::BadKind`].
+pub fn decode_gather(payload: &[u8]) -> Result<GatherResponse<RawYield>, WireError> {
+    let mut r = Reader::new(payload);
+    let resp = match decode_header(&mut r)? {
+        KIND_RESPONSE => decode_response(&mut r)?,
+        other => return Err(WireError::BadKind(other)),
+    };
+    finish(&r)?;
+    Ok(resp)
+}
+
+/// Checks the magic and version and returns the message kind.
+fn decode_header(r: &mut Reader<'_>) -> Result<u8, WireError> {
     let magic = r.u32("magic")?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
@@ -712,17 +791,15 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
     if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let kind = r.u8("kind")?;
-    let msg = match kind {
-        KIND_REQUEST => Message::Request(decode_request(&mut r)?),
-        KIND_RESPONSE => Message::Response(decode_response(&mut r)?),
-        KIND_SHUTDOWN => Message::Shutdown,
-        other => return Err(WireError::BadKind(other)),
-    };
-    if r.remaining() != 0 {
-        return Err(WireError::TrailingBytes(r.remaining()));
+    r.u8("kind")
+}
+
+/// Refuses bytes left over after a complete message.
+fn finish(r: &Reader<'_>) -> Result<(), WireError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(WireError::TrailingBytes(n)),
     }
-    Ok(msg)
 }
 
 fn decode_request(r: &mut Reader<'_>) -> Result<ScatterRequest, WireError> {
@@ -851,7 +928,7 @@ fn decode_telemetry(r: &mut Reader<'_>) -> Result<Telemetry, WireError> {
     })
 }
 
-fn decode_response(r: &mut Reader<'_>) -> Result<GatherResponse, WireError> {
+fn decode_response<Y: YieldFrame>(r: &mut Reader<'_>) -> Result<GatherResponse<Y>, WireError> {
     let request_id = r.u64("request_id")?;
     let node = r.u32("node")?;
     let busy_us = r.u64("busy_us")?;
@@ -885,25 +962,22 @@ fn decode_response(r: &mut Reader<'_>) -> Result<GatherResponse, WireError> {
     })
 }
 
-fn decode_yield(r: &mut Reader<'_>) -> Result<DeviceYield, WireError> {
+fn decode_yield<Y: YieldFrame>(r: &mut Reader<'_>) -> Result<Y, WireError> {
     match r.u8("yield.shape")? {
         SHAPE_TRIVIAL => {
             let device = r.u64("yield.device")?;
             let addresses_computed = r.u64("yield.addresses_computed")?;
             let simulated_us = f64::from_bits(r.u64("yield.simulated_us")?);
-            return Ok(DeviceYield {
-                report: DeviceReport {
-                    device,
-                    qualified_buckets: 0,
-                    records: 0,
-                    addresses_computed,
-                    simulated_us,
-                    reconstructions: 0,
-                    outcome: DeviceOutcome::Ok,
-                },
-                records: Vec::new(),
-                lost: Vec::new(),
-            });
+            let report = DeviceReport {
+                device,
+                qualified_buckets: 0,
+                records: 0,
+                addresses_computed,
+                simulated_us,
+                reconstructions: 0,
+                outcome: DeviceOutcome::Ok,
+            };
+            return Ok(Y::from_parts(report, Y::Records::default(), Vec::new()));
         }
         SHAPE_FULL => {}
         other => return Err(WireError::BadShape(other)),
@@ -944,12 +1018,12 @@ fn decode_yield(r: &mut Reader<'_>) -> Result<DeviceYield, WireError> {
         });
     }
     let region = r.take(region_len as usize, "yield.record_region")?;
-    let records = decode_all_bytes(region, nrecords as usize).map_err(WireError::Record)?;
+    let (records, got) = Y::read_region(region, nrecords as usize).map_err(WireError::Record)?;
     for want in [nrecords as u64, records_count] {
-        if records.len() as u64 != want {
+        if got != want {
             return Err(WireError::RecordCount {
                 want,
-                got: records.len(),
+                got: got as usize,
             });
         }
     }
@@ -958,19 +1032,16 @@ fn decode_yield(r: &mut Reader<'_>) -> Result<DeviceYield, WireError> {
     for _ in 0..nlost {
         lost.push(r.u64("yield.lost_code")?);
     }
-    Ok(DeviceYield {
-        report: DeviceReport {
-            device,
-            qualified_buckets,
-            records: records_count,
-            addresses_computed,
-            simulated_us,
-            reconstructions,
-            outcome,
-        },
-        records,
-        lost,
-    })
+    let report = DeviceReport {
+        device,
+        qualified_buckets,
+        records: records_count,
+        addresses_computed,
+        simulated_us,
+        reconstructions,
+        outcome,
+    };
+    Ok(Y::from_parts(report, records, lost))
 }
 
 // ---------------------------------------------------------------------

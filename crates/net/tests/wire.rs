@@ -5,15 +5,25 @@
 //! a panic and never a silent partial decode; hostile length prefixes
 //! are refused before any allocation; stray bytes after a message are an
 //! error.
+//!
+//! The frontend's raw decode ([`decode_gather`]) goes through the same
+//! mutations — truncation, single-byte corruption, multi-bit flips and
+//! length-field edits — and must agree with [`decode_message`] on every
+//! input: the same typed error, or yields that merge into the same
+//! reports.
 
 use pmr_mkh::{Record, Value};
 use pmr_net::wire::{
-    self, decode_message, encode_message, GatherResponse, Message, ScatterRequest, Telemetry,
-    TraceContext, WireError, WirePolicy, WireQuery, MAGIC, MAX_FRAME_BYTES, MAX_QUERIES,
-    MAX_TELEMETRY_COUNTERS, VERSION,
+    self, decode_gather, decode_message, encode_message, GatherResponse, Message, ScatterRequest,
+    Telemetry, TraceContext, WireError, WirePolicy, WireQuery, MAGIC, MAX_FRAME_BYTES, MAX_LOST,
+    MAX_QUERIES, MAX_RECORDS, MAX_RECORD_BYTES, MAX_TELEMETRY_COUNTERS, MAX_YIELDS, VERSION,
 };
 use pmr_rt::obs::snapshot::MetricsSnapshot;
-use pmr_storage::exec::{DeviceOutcome, DeviceReport, DeviceYield, Redundancy};
+use pmr_rt::rng::Rng;
+use pmr_storage::exec::{
+    merge_device_yields, merge_raw_yields, DeviceOutcome, DeviceReport, DeviceYield, RawYield,
+    Redundancy,
+};
 
 fn sample_request() -> Message {
     Message::Request(ScatterRequest {
@@ -631,4 +641,194 @@ fn oversized_payload_is_refused_at_the_sender() {
 #[test]
 fn magic_spells_pmrn() {
     assert_eq!(&MAGIC.to_le_bytes(), b"PMRN");
+}
+
+// -----------------------------------------------------------------
+// The frontend's raw decode under mutation
+// -----------------------------------------------------------------
+
+/// `decode_gather` agrees with `decode_message` on `bytes`: the same
+/// error, `BadKind` where the header names another message kind, or the
+/// same yields — equal once decoded, merging into equal reports, and
+/// re-framing to the same bytes. Returns whether the bytes decoded.
+fn raw_agrees(bytes: &[u8]) -> bool {
+    let decoded = decode_message(bytes);
+    match decode_gather(bytes) {
+        Ok(gathered) => {
+            let Ok(Message::Response(resp)) = decoded else {
+                panic!("the raw decode took bytes the decoder gave {decoded:?}");
+            };
+            assert_eq!(
+                (gathered.request_id, gathered.node, gathered.busy_us),
+                (resp.request_id, resp.node, resp.busy_us)
+            );
+            assert_eq!(gathered.telemetry, resp.telemetry);
+            assert_eq!(gathered.queries.len(), resp.queries.len());
+            for (raw_yields, yields) in gathered.queries.iter().zip(&resp.queries) {
+                let back: Vec<DeviceYield> =
+                    raw_yields.iter().cloned().map(DeviceYield::from).collect();
+                assert_eq!(&back, yields);
+                for redundancy in [Redundancy::None, Redundancy::Mirror] {
+                    assert_eq!(
+                        merge_raw_yields(raw_yields.clone(), redundancy),
+                        merge_device_yields(yields.clone(), redundancy)
+                    );
+                }
+            }
+            assert_eq!(
+                wire::encode_response(
+                    gathered.request_id,
+                    gathered.node,
+                    gathered.busy_us,
+                    &gathered.queries,
+                    gathered.telemetry.as_ref()
+                ),
+                encode_message(&Message::Response(resp))
+            );
+            true
+        }
+        // A valid header of another kind: the decoder reads that kind's
+        // body, the raw decode refuses the frame.
+        Err(WireError::BadKind(kind)) if kind == 1 || kind == 3 => {
+            assert_eq!(bytes[5], kind);
+            assert!(!matches!(decoded, Ok(Message::Response(_))));
+            false
+        }
+        Err(e) => {
+            assert_eq!(decoded, Err(e), "the raw decode diverged on an error");
+            false
+        }
+    }
+}
+
+/// Responses whose regions cover every value tag, with and without a
+/// telemetry section.
+fn sample_responses() -> Vec<Message> {
+    let Message::Response(mut bytes_too) = sample_response() else {
+        unreachable!()
+    };
+    bytes_too.queries[0][1].records.push(Record::new(vec![
+        Value::Bytes(vec![0, 0xff, 7]),
+        Value::Str("ünï".into()),
+    ]));
+    bytes_too.queries[0][1].report.records += 1;
+    vec![
+        sample_response(),
+        sample_response_with_telemetry(),
+        Message::Response(bytes_too),
+    ]
+}
+
+#[test]
+fn raw_decode_reads_back_what_the_decoder_reads() {
+    for msg in sample_responses() {
+        let frame = encode_message(&msg);
+        assert!(raw_agrees(&frame));
+        let Message::Response(resp) = msg else {
+            unreachable!()
+        };
+        let gathered = decode_gather(&frame).unwrap();
+        let raw: Vec<Vec<RawYield>> = resp
+            .queries
+            .into_iter()
+            .map(|q| q.into_iter().map(RawYield::from).collect())
+            .collect();
+        assert_eq!(gathered.queries, raw);
+    }
+    for msg in [sample_request(), Message::Shutdown] {
+        assert!(!raw_agrees(&encode_message(&msg)));
+    }
+}
+
+#[test]
+fn raw_decode_agrees_on_every_truncation() {
+    for msg in sample_responses() {
+        let full = encode_message(&msg);
+        let base_len = encode_message(&strip_optional_sections(&msg)).len();
+        for keep in 0..full.len() {
+            assert_eq!(
+                raw_agrees(&full[..keep]),
+                keep == base_len && keep < full.len(),
+                "truncation to {keep} bytes"
+            );
+        }
+    }
+}
+
+#[test]
+fn raw_decode_agrees_on_every_single_byte_corruption() {
+    for msg in sample_responses() {
+        let full = encode_message(&msg);
+        for i in 0..full.len() {
+            for value in [full[i] ^ 0xff, full[i] ^ 0x01, 0x00, 0x7f, 0x80] {
+                let mut bad = full.clone();
+                bad[i] = value;
+                raw_agrees(&bad);
+            }
+        }
+    }
+}
+
+#[test]
+fn raw_decode_agrees_under_multi_bit_flips() {
+    let mut rng = Rng::seed_from_u64(0xF11B);
+    for msg in sample_responses() {
+        let full = encode_message(&msg);
+        let bits = full.len() as u64 * 8;
+        for _ in 0..3_000 {
+            let mut bad = full.clone();
+            for _ in 0..rng.gen_range(2..=8u64) {
+                let bit = rng.below(bits);
+                bad[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+            raw_agrees(&bad);
+        }
+    }
+}
+
+/// Every length field of the first yield and of its query, set to the
+/// edges of its range: zero, off by one either way, the cap and past it.
+#[test]
+fn raw_decode_agrees_on_length_field_edits() {
+    // header(6) + request_id(8) + node(4) + busy(8), then the query count.
+    let nqueries = 26;
+    let nyields = nqueries + 4;
+    // The first yield's shape, five u64s, outcome, retries and
+    // reconstructions come before its record count.
+    let nrecords = nyields + 4 + 1 + 40 + 1 + 4 + 4;
+    let region_len = nrecords + 4;
+    for msg in sample_responses() {
+        let full = encode_message(&msg);
+        let read = |at: usize| u32::from_le_bytes(full[at..at + 4].try_into().unwrap());
+        let nlost = region_len + 4 + read(region_len) as usize;
+        let fields = [
+            (nqueries, MAX_QUERIES),
+            (nyields, MAX_YIELDS),
+            (nrecords, MAX_RECORDS),
+            (region_len, MAX_RECORD_BYTES),
+            (nlost, MAX_LOST),
+        ];
+        for (at, cap) in fields {
+            let was = read(at);
+            let edits = [
+                0,
+                1,
+                was.wrapping_sub(1),
+                was + 1,
+                was + 9,
+                cap,
+                cap + 1,
+                u32::MAX,
+            ];
+            for value in edits {
+                let mut bad = full.clone();
+                bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                assert_eq!(
+                    raw_agrees(&bad),
+                    value == was,
+                    "field at {at} set to {value}"
+                );
+            }
+        }
+    }
 }

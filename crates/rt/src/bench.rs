@@ -1,4 +1,4 @@
-//! A micro-benchmark harness: warmup, N timed iterations, robust summary
+//! A micro-benchmark harness: warmup, N timed samples, robust summary
 //! statistics, JSON-lines output.
 //!
 //! Each benchmark is a closure returning a `u64` checksum. The checksum
@@ -20,6 +20,14 @@
 //! `PMR_BENCH_WARMUP` (warmup iterations, default 10), `PMR_BENCH_RERUNS`
 //! (outlier rerun budget, default 8). Smoke-testing a bench binary
 //! offline: `PMR_BENCH_ITERS=2 PMR_BENCH_WARMUP=0`.
+//!
+//! **Calibrated samples:** a sample times enough back-to-back calls to
+//! span at least [`MIN_SAMPLE_NS`] and records the mean per call, so a
+//! call far shorter than the clock's own cost (two `Instant::now` reads,
+//! ~25 ns) is not dominated by it. The inner count is calibrated once
+//! per bench, after warmup: a call that already takes `MIN_SAMPLE_NS` is
+//! timed alone, as before; a shorter one is repeated, doubling the count
+//! until one batch spans it. Every statistic is nanoseconds per call.
 //!
 //! **Warmup floor:** at least one untimed iteration always runs, even
 //! with `warmup(0)` / `PMR_BENCH_WARMUP=0` — the first pass over a fresh
@@ -43,6 +51,13 @@ use crate::obs::json::Object;
 use std::hint::black_box as std_black_box;
 use std::time::Instant;
 
+/// The shortest span one timed sample covers, in nanoseconds: calls
+/// shorter than this are batched until a batch reaches it.
+pub const MIN_SAMPLE_NS: f64 = 10_000.0;
+
+/// The most calls one sample batches, whatever the call costs.
+const MAX_INNER: usize = 1 << 24;
+
 /// Opaque value barrier preventing the optimizer from deleting benchmarked
 /// work (re-export shape benches import).
 #[inline]
@@ -57,15 +72,15 @@ pub struct Stats {
     pub bench: String,
     /// Timed iterations.
     pub iters: usize,
-    /// Median nanoseconds per iteration.
+    /// Median nanoseconds per call.
     pub median_ns: f64,
-    /// 95th-percentile nanoseconds per iteration.
+    /// 95th-percentile nanoseconds per call.
     pub p95_ns: f64,
-    /// Mean nanoseconds per iteration.
+    /// Mean nanoseconds per call.
     pub mean_ns: f64,
-    /// Fastest iteration.
+    /// Fastest sample, per call.
     pub min_ns: f64,
-    /// Slowest iteration.
+    /// Slowest sample, per call.
     pub max_ns: f64,
     /// Timed samples above 2× the median — one-off interference (page
     /// faults, scheduler preemption) that the robust statistics already
@@ -143,19 +158,20 @@ impl Group {
         self
     }
 
-    /// Runs one benchmark: `max(warmup, 1)` untimed iterations, `iters`
-    /// timed ones, then the rerun-on-outlier pass (see the module docs).
-    /// `f` returns a checksum; see the module docs.
+    /// Runs one benchmark: `max(warmup, 1)` untimed iterations, the
+    /// inner-count calibration, `iters` timed samples, then the
+    /// rerun-on-outlier pass (see the module docs). `f` returns a
+    /// checksum; see the module docs.
     pub fn bench<F: FnMut() -> u64>(&mut self, name: &str, mut f: F) -> &Stats {
-        for _ in 0..self.warmup.max(1) {
-            std_black_box(f());
-        }
-        let mut samples_ns = Vec::with_capacity(self.iters);
+        let mut fastest_ns = f64::INFINITY;
         let mut checksum = 0u64;
+        for _ in 0..self.warmup.max(1) {
+            fastest_ns = fastest_ns.min(timed(1, &mut f, &mut checksum));
+        }
+        let inner = calibrate(fastest_ns, &mut f, &mut checksum);
+        let mut samples_ns = Vec::with_capacity(self.iters);
         for _ in 0..self.iters {
-            let start = Instant::now();
-            checksum = std_black_box(f());
-            samples_ns.push(start.elapsed().as_nanos() as f64);
+            samples_ns.push(timed(inner, &mut f, &mut checksum) / inner as f64);
         }
         samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("durations are not NaN"));
         // Rerun-on-outlier: replace the worst sample with a fresh
@@ -166,9 +182,7 @@ impl Group {
             && *samples_ns.last().expect("iters >= 1") > 2.0 * percentile(&samples_ns, 50.0)
         {
             samples_ns.pop();
-            let start = Instant::now();
-            checksum = std_black_box(f());
-            let fresh = start.elapsed().as_nanos() as f64;
+            let fresh = timed(inner, &mut f, &mut checksum) / inner as f64;
             let at = samples_ns.partition_point(|&s| s < fresh);
             samples_ns.insert(at, fresh);
             budget -= 1;
@@ -194,6 +208,30 @@ impl Group {
     pub fn results(&self) -> &[Stats] {
         &self.results
     }
+}
+
+/// Nanoseconds `inner` back-to-back calls of `f` take; the last call's
+/// checksum lands in `checksum`.
+fn timed<F: FnMut() -> u64>(inner: usize, f: &mut F, checksum: &mut u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..inner {
+        *checksum = std_black_box(f());
+    }
+    start.elapsed().as_nanos() as f64
+}
+
+/// The calls one sample batches: 1 when a call (its fastest warmup,
+/// `fastest_ns`) already spans [`MIN_SAMPLE_NS`], else the first power
+/// of two whose batch does.
+fn calibrate<F: FnMut() -> u64>(fastest_ns: f64, f: &mut F, checksum: &mut u64) -> usize {
+    if fastest_ns >= MIN_SAMPLE_NS {
+        return 1;
+    }
+    let mut inner = 2;
+    while inner < MAX_INNER && timed(inner, f, checksum) < MIN_SAMPLE_NS {
+        inner *= 2;
+    }
+    inner
 }
 
 /// Percentile of an ascending-sorted sample set — the shared
@@ -250,11 +288,18 @@ mod tests {
         assert_eq!(group.results().len(), 1);
     }
 
+    /// A call that takes longer than one sample's floor: sleeping never
+    /// returns early, so such a closure always runs one call per sample.
+    fn slow_call() {
+        std::thread::sleep(std::time::Duration::from_micros(50));
+    }
+
     #[test]
     fn warmup_override_is_respected() {
         let mut calls = 0u64;
         let mut group = Group::new("warmup").iters(3).warmup(0).reruns(0);
         group.bench("count", || {
+            slow_call();
             calls += 1;
             calls
         });
@@ -265,6 +310,7 @@ mod tests {
         let mut calls = 0u64;
         let mut group = Group::new("warmup").iters(3).warmup(5).reruns(0);
         group.bench("count", || {
+            slow_call();
             calls += 1;
             calls
         });
@@ -280,11 +326,13 @@ mod tests {
         let stats = group.bench("spike", || {
             timed += 1;
             // Call 2 is the first *timed* iteration (call 1 is the warmup
-            // floor): sleep only there, so exactly one sample spikes.
+            // floor, and a slow call needs no calibration): sleep only
+            // there, so exactly one sample spikes.
             if timed == 2 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
-            std::hint::black_box((0..2000u64).sum::<u64>())
+            slow_call();
+            timed
         });
         assert!(
             stats.max_ns < 10_000_000.0,
@@ -304,7 +352,8 @@ mod tests {
             if timed == 2 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
-            std::hint::black_box((0..2000u64).sum::<u64>())
+            slow_call();
+            timed
         });
         assert!(
             stats.max_ns >= 10_000_000.0,
@@ -334,6 +383,45 @@ mod tests {
         } else {
             assert!(stats.outliers >= 1);
         }
+    }
+
+    /// A call far shorter than the clock's own cost reads what a tight
+    /// loop over the same call reads, within 2x: the sample batches calls
+    /// instead of timing each one between two clock reads.
+    #[test]
+    fn sub_100ns_closure_reads_like_a_tight_loop() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut call = move || {
+            for _ in 0..4 {
+                x = crate::rng::splitmix64(std::hint::black_box(x));
+            }
+            x
+        };
+        // The tight loop: one clock span over many calls, best of five.
+        let tight_ns = (0..5)
+            .map(|_| {
+                let calls = 200_000;
+                let start = Instant::now();
+                for _ in 0..calls {
+                    std::hint::black_box(call());
+                }
+                start.elapsed().as_nanos() as f64 / calls as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            tight_ns < 100.0,
+            "the closure is not sub-100 ns: {tight_ns}"
+        );
+        let stats = Group::new("calibrated")
+            .iters(31)
+            .warmup(3)
+            .bench("splitmix4", call)
+            .clone();
+        assert!(
+            stats.median_ns < 2.0 * tight_ns && stats.median_ns > 0.5 * tight_ns,
+            "bench read {} ns per call against a tight loop's {tight_ns}",
+            stats.median_ns
+        );
     }
 
     #[test]

@@ -104,19 +104,219 @@ pub fn decode_all_bytes(region: &[u8], expected: usize) -> Result<Vec<Record>, D
 /// Checks a region produced by repeated [`encode_record`] calls without
 /// decoding it: the walk allocates nothing and returns the record count,
 /// or exactly the error [`decode_all_bytes`] would return on the same
-/// bytes. A node uses it to ship a stored page verbatim while still
-/// failing a page that is corrupt at rest the way a decode would.
+/// bytes. [`RecordRegion::extend_validated`] runs the same walk and
+/// indexes the records as it goes.
 pub fn validate_region(region: &[u8]) -> Result<u64, DecodeError> {
     let mut cursor = region;
     let mut records = 0u64;
     while !cursor.is_empty() {
-        let arity = take_u32(&mut cursor)?;
-        for _ in 0..arity {
-            next_value(&mut cursor)?;
-        }
+        skip_record(&mut cursor)?;
         records += 1;
     }
     Ok(records)
+}
+
+/// The validate-and-index walk: checks `bytes` as [`validate_region`]
+/// does and appends each record's end offset, shifted by `base`, to
+/// `ends`. On an error, the offsets of the records before it stay
+/// pushed.
+///
+/// # Panics
+///
+/// When `base + bytes.len()` passes 4 GiB.
+fn index(bytes: &[u8], base: usize, ends: &mut Vec<u32>) -> Result<(), DecodeError> {
+    let total = u32::try_from(base + bytes.len()).expect("record region past 4 GiB");
+    let mut cursor = bytes;
+    while !cursor.is_empty() {
+        skip_record(&mut cursor)?;
+        ends.push(total - cursor.len() as u32);
+    }
+    Ok(())
+}
+
+/// Checks one record at the front of `cursor` and moves past it.
+fn skip_record(cursor: &mut &[u8]) -> Result<(), DecodeError> {
+    let arity = take_u32(cursor)? as usize;
+    // An all-`Int` record is `arity` 9-byte values, each opening with
+    // its tag: one length check and a strided tag scan accept it, about
+    // twice as fast as the value walk on such pages. Any other record
+    // takes the value-by-value walk, which also finds the error of a
+    // malformed one.
+    if let Some(values) = arity.checked_mul(9).and_then(|n| cursor.get(..n)) {
+        if values.chunks_exact(9).all(|v| v[0] == TAG_INT) {
+            *cursor = &cursor[values.len()..];
+            return Ok(());
+        }
+    }
+    for _ in 0..arity {
+        next_value(cursor)?;
+    }
+    Ok(())
+}
+
+/// Records held as their encoded bytes: one region of concatenated
+/// [`encode_record`] outputs plus each record's end offset, validated
+/// and indexed once, when the bytes come in, and read in place after
+/// that.
+///
+/// The encoding is canonical — a validated record re-encodes to exactly
+/// its bytes — so two regions are equal exactly when their decoded
+/// records are. Callers read records through borrowed [`RecordRef`]
+/// views and decode to [`Record`] only on request
+/// ([`RecordRegion::to_records`], [`RecordRef::to_record`]). A record
+/// costs its encoded bytes plus a 4-byte offset; a region holds at most
+/// 4 GiB.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecordRegion {
+    bytes: Vec<u8>,
+    /// End offset of each record in `bytes`; record `i` starts where
+    /// record `i - 1` ends.
+    ends: Vec<u32>,
+}
+
+impl RecordRegion {
+    /// An empty region.
+    pub fn new() -> RecordRegion {
+        RecordRegion::default()
+    }
+
+    /// Takes `bytes` as a region after one validate-and-index walk (see
+    /// [`RecordRegion::extend_validated`]), without copying them.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<RecordRegion, DecodeError> {
+        let mut ends = Vec::new();
+        index(&bytes, 0, &mut ends)?;
+        Ok(RecordRegion { bytes, ends })
+    }
+
+    /// Grows the region's room to `bytes` bytes and `records` records in
+    /// all.
+    pub fn reserve(&mut self, bytes: usize, records: usize) {
+        self.bytes.reserve(bytes.saturating_sub(self.bytes.len()));
+        self.ends.reserve(records.saturating_sub(self.ends.len()));
+    }
+
+    /// Validates `bytes` — a region of repeated [`encode_record`]
+    /// outputs — indexing each record as the walk passes it, and appends
+    /// them. The walk allocates nothing but the offsets it records and
+    /// returns the record count, or exactly the error
+    /// [`decode_all_bytes`] would return on the same bytes; on an error
+    /// nothing is appended.
+    ///
+    /// # Panics
+    ///
+    /// When the region would grow past 4 GiB.
+    pub fn extend_validated(&mut self, bytes: &[u8]) -> Result<u64, DecodeError> {
+        let before = self.ends.len();
+        if let Err(e) = index(bytes, self.bytes.len(), &mut self.ends) {
+            self.ends.truncate(before);
+            return Err(e);
+        }
+        self.bytes.extend_from_slice(bytes);
+        Ok((self.ends.len() - before) as u64)
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the region holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The encoded bytes of every record, in order: what a response
+    /// frame carries.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Record `index`, if there is one.
+    pub fn get(&self, index: usize) -> Option<RecordRef<'_>> {
+        let end = *self.ends.get(index)? as usize;
+        let start = match index {
+            0 => 0,
+            i => self.ends[i - 1] as usize,
+        };
+        Some(RecordRef {
+            bytes: &self.bytes[start..end],
+        })
+    }
+
+    /// Every record, in order, as a borrowed view.
+    pub fn iter(&self) -> Records<'_> {
+        Records {
+            bytes: &self.bytes,
+            ends: self.ends.iter(),
+            start: 0,
+        }
+    }
+
+    /// Every record, decoded.
+    pub fn to_records(&self) -> Vec<Record> {
+        decode_all_bytes(&self.bytes, self.len()).expect("a validated region decodes")
+    }
+}
+
+impl<'a> IntoIterator for &'a RecordRegion {
+    type Item = RecordRef<'a>;
+    type IntoIter = Records<'a>;
+
+    fn into_iter(self) -> Records<'a> {
+        self.iter()
+    }
+}
+
+/// The records of a [`RecordRegion`], in order ([`RecordRegion::iter`]).
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    bytes: &'a [u8],
+    ends: std::slice::Iter<'a, u32>,
+    start: usize,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = RecordRef<'a>;
+
+    fn next(&mut self) -> Option<RecordRef<'a>> {
+        let end = *self.ends.next()? as usize;
+        let bytes = &self.bytes[self.start..end];
+        self.start = end;
+        Some(RecordRef { bytes })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
+
+/// One record of a [`RecordRegion`]: its validated encoded bytes,
+/// borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> RecordRef<'a> {
+    /// The record's encoded bytes ([`encode_record`]'s output for it).
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The record, decoded.
+    pub fn to_record(&self) -> Record {
+        let mut records = decode_all_bytes(self.bytes, 1).expect("a validated record decodes");
+        records.pop().expect("a record view holds one record")
+    }
+}
+
+impl fmt::Display for RecordRef<'_> {
+    /// The decoded record's rendering.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_record().fmt(f)
+    }
 }
 
 /// Bytes [`encode_record`] appends for `record`.
@@ -246,6 +446,44 @@ mod tests {
     fn empty_region_is_empty() {
         assert_eq!(decode_all_bytes(&[], 0).unwrap(), vec![]);
         assert_eq!(validate_region(&[]), Ok(0));
+    }
+
+    #[test]
+    fn regions_index_records_and_extend_all_or_nothing() {
+        let records = vec![
+            sample(),
+            Record::new(vec![]),
+            Record::new(vec![Value::Int(1)]),
+        ];
+        let mut bytes = Vec::new();
+        for r in &records {
+            encode_record(r, &mut bytes);
+        }
+        let region = RecordRegion::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(region.bytes(), &bytes[..]);
+        assert_eq!(region.len(), 3);
+        assert_eq!(region.iter().len(), 3);
+        for (i, (view, record)) in region.iter().zip(&records).enumerate() {
+            assert_eq!(region.get(i), Some(view));
+            assert_eq!(view.bytes(), &encode_one(record)[..]);
+            assert_eq!(view.to_record(), *record);
+            assert_eq!(view.to_string(), record.to_string());
+        }
+        assert_eq!(region.get(3), None);
+        assert_eq!(region.to_records(), records);
+
+        let empty = encode_one(&Record::new(vec![]));
+        let mut grown = RecordRegion::new();
+        assert!(grown.is_empty());
+        assert_eq!(grown.extend_validated(&empty), Ok(1));
+        let cut = &bytes[..bytes.len() - 1];
+        assert_eq!(grown.extend_validated(cut), Err(DecodeError::Truncated));
+        assert_eq!(grown.bytes(), &empty[..], "a failed extend appends nothing");
+        assert_eq!(grown.len(), 1);
+        assert_eq!(
+            RecordRegion::from_bytes(cut.to_vec()),
+            Err(DecodeError::Truncated)
+        );
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! [`ShareReader`](crate::ShareReader): one fault-plan snapshot and one
 //! store guard for the whole share instead of a lock round trip per
 //! bucket, dropped before any failover step so a thread never holds two
-//! device guards. Every served page's stored bytes are copied into one
-//! region per share; single-process callers decode it once, a node
-//! ships it as is. The simulated response time is the maximum
+//! device guards. Every served page's stored bytes are validated and
+//! copied into one region per share; a node ships that region as is,
+//! and the merge copies the regions into the report's [`RecordRegion`],
+//! indexing each record as it passes, so no path decodes a record
+//! unless its caller asks. The simulated response time is the maximum
 //! per-device time — the paper's symmetric-topology assumption (§5.2.1):
 //! "the response time for a partial match query is determined by the
 //! device which has the largest number of qualified buckets". The
@@ -26,7 +28,7 @@
 //! pays. Results are identical either way — only `addresses_computed`
 //! differs. Benches and tests that measure one mapping override
 //! [`PlannedQuery::fast_path`] and run the plan through
-//! [`Executor::execute_planned`].
+//! [`Executor::execute_planned_raw`].
 //!
 //! [`execute_parallel`] (strict: a lost bucket is an error) and
 //! [`execute_parallel_with`] (under an [`ExecPolicy`]: faults degrade
@@ -38,7 +40,7 @@
 
 use crate::cost::CostModel;
 use crate::device::{Device, PageStore, ReadFault};
-use crate::encode;
+use crate::encode::{self, RecordRegion};
 use crate::file::{DeclusteredFile, FileError};
 use crate::mirror::Mirroring;
 use crate::parity::ParityStore;
@@ -222,8 +224,11 @@ pub struct DeviceReport {
 pub struct ExecutionReport {
     /// Per-device breakdown, indexed by device id.
     pub per_device: Vec<DeviceReport>,
-    /// All retrieved records (concatenated in device order).
-    pub records: Vec<Record>,
+    /// All retrieved records, concatenated in device order, as their
+    /// validated stored bytes: read them through
+    /// [`RecordRegion::iter`] and decode with
+    /// [`RecordRegion::to_records`].
+    pub records: RecordRegion,
     /// The largest response size `MAX(r_i(q))`.
     pub largest_response: u64,
     /// Simulated parallel response time: `max_i` device time.
@@ -320,15 +325,11 @@ impl ExecutionReport {
     }
 }
 
-/// One device's yield from one query: its report, its records, and the
-/// packed codes of any buckets it could not serve (always empty on the
-/// strict paths).
-///
-/// This is the partial-result unit of the executor: a full
-/// [`ExecutionReport`] is exactly [`merge_device_yields`] over the
-/// per-device yields, so yields can cross process or wire boundaries
-/// (the `pmr-net` scatter/gather frontend ships them per node) and merge
-/// back bit-equal to a single-process execution.
+/// One device's yield from one query with its records decoded: the
+/// decoded form of a [`RawYield`] (`From` converts either way, exactly,
+/// because the record encoding is canonical). The executor, the wire
+/// and the frontend all run on [`RawYield`]; this form remains for
+/// callers that build or read yields as records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceYield {
     /// The per-device report that lands in `ExecutionReport::per_device`.
@@ -339,21 +340,56 @@ pub struct DeviceYield {
     pub lost: Vec<u64>,
 }
 
-/// One device's yield with its records left as stored bytes — what the
-/// executor's read path produces for every device share, returned as
-/// is by [`Executor::execute_planned_raw`]. `region` is the served
-/// pages' bytes exactly as stored, concatenated in bucket-enumeration
-/// order — the [`crate::encode`] format a response frame carries — and
-/// `report.records` counts the records in it. Decoding `region` gives
-/// the `records` of the matching [`DeviceYield`].
+/// One device's yield from one query: its report, its records as the
+/// served pages' stored bytes, and the packed codes of any buckets it
+/// could not serve (always empty on the strict paths).
+///
+/// This is the partial-result unit of the executor: a full
+/// [`ExecutionReport`] is exactly [`merge_raw_yields`] over the
+/// per-device yields, so yields can cross process or wire boundaries
+/// (a `pmr-net` node ships its region as it lies, the frontend
+/// validates it on arrival) and merge back bit-equal to a
+/// single-process execution. `region` is the served pages' bytes
+/// exactly as stored, concatenated in bucket-enumeration order — the
+/// [`crate::encode`] format a response frame carries — and
+/// `report.records` counts the records in it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawYield {
-    /// The per-device report, identical to the decoded path's.
+    /// The per-device report that lands in `ExecutionReport::per_device`.
     pub report: DeviceReport,
     /// The served pages' stored bytes, validated.
     pub region: Vec<u8>,
     /// Packed codes of qualified buckets this device could not serve.
     pub lost: Vec<u64>,
+}
+
+impl From<DeviceYield> for RawYield {
+    fn from(y: DeviceYield) -> RawYield {
+        let mut region = Vec::with_capacity(y.records.iter().map(encode::encoded_len).sum());
+        for record in &y.records {
+            encode::encode_record(record, &mut region);
+        }
+        RawYield {
+            report: y.report,
+            region,
+            lost: y.lost,
+        }
+    }
+}
+
+impl From<RawYield> for DeviceYield {
+    /// # Panics
+    ///
+    /// When the region does not decode: a `RawYield`'s region is
+    /// validated.
+    fn from(y: RawYield) -> DeviceYield {
+        DeviceYield {
+            records: encode::decode_all_bytes(&y.region, y.report.records as usize)
+                .expect("a yield's region is validated"),
+            report: y.report,
+            lost: y.lost,
+        }
+    }
 }
 
 /// Merges per-device yields into a full [`ExecutionReport`] — the public
@@ -366,32 +402,63 @@ pub struct RawYield {
 /// always `None` (gathered yields carry no capture). `redundancy` must
 /// be the redundancy tier of the policy the yields ran under, so
 /// the merged report stays bit-equal to the local one.
-pub fn merge_device_yields(yields: Vec<DeviceYield>, redundancy: Redundancy) -> ExecutionReport {
+///
+/// # Panics
+///
+/// When a yield's region is not a valid record region; every
+/// [`RawYield`] the executor and the wire decoder produce is validated.
+pub fn merge_raw_yields(yields: Vec<RawYield>, redundancy: Redundancy) -> ExecutionReport {
     assemble(yields, redundancy, None)
 }
 
+/// [`merge_raw_yields`] over decoded yields: each yield's records are
+/// encoded back into a region first.
+pub fn merge_device_yields(yields: Vec<DeviceYield>, redundancy: Redundancy) -> ExecutionReport {
+    merge_raw_yields(yields.into_iter().map(RawYield::from).collect(), redundancy)
+}
+
 /// Core aggregation shared by the one-shot entry points and the batch
-/// executor: orders yields by device, concatenates records in device order (so every path reports
-/// records in the same order), and derives the report-level aggregates.
-/// The `f64` folds run in device order — part of the bit-equality
-/// contract between the executors.
+/// executor: orders yields by device, concatenates their regions in
+/// device order into the report's [`RecordRegion`] (so every path
+/// reports records in the same order) — the first region holding
+/// records is taken over without a copy, the rest are copied, each
+/// indexed by one validate-and-index walk and none decoded — and
+/// derives the report-level aggregates. The `f64` folds run in device
+/// order — part of the bit-equality contract between the executors.
 fn assemble(
-    mut yields: Vec<DeviceYield>,
+    mut yields: Vec<RawYield>,
     redundancy: Redundancy,
     capture: Option<obs::TraceCapture>,
 ) -> ExecutionReport {
     yields.sort_by_key(|y| y.report.device);
+    let (bytes, count, lost) = yields.iter().fold((0, 0, 0), |(b, n, l), y| {
+        (
+            b + y.region.len(),
+            n + y.report.records as usize,
+            l + y.lost.len(),
+        )
+    });
     let mut per_device = Vec::with_capacity(yields.len());
-    let mut records = Vec::with_capacity(yields.iter().map(|y| y.records.len()).sum());
-    let mut lost_buckets = Vec::with_capacity(yields.iter().map(|y| y.lost.len()).sum());
-    for DeviceYield {
+    let mut records = RecordRegion::new();
+    let mut lost_buckets = Vec::with_capacity(lost);
+    let invalid = "a yield's region is validated";
+    for RawYield {
         report,
-        records: mut recs,
+        region,
         lost: mut lost_codes,
     } in yields
     {
         per_device.push(report);
-        records.append(&mut recs);
+        if records.is_empty() {
+            // The first region holding records becomes the report's,
+            // grown in place for the rest.
+            if !region.is_empty() {
+                records = RecordRegion::from_bytes(region).expect(invalid);
+                records.reserve(bytes, count);
+            }
+        } else {
+            records.extend_validated(&region).expect(invalid);
+        }
         lost_buckets.append(&mut lost_codes);
     }
     lost_buckets.sort_unstable();
@@ -530,7 +597,7 @@ fn execute_one<D: DistributionMethod>(
         parity: file.parity().map(|p| p.as_ref()),
         cost,
     };
-    let yields = run_chunk(&inputs, policy, &planned, 0..m, decoded)
+    let yields = run_chunk(&inputs, policy, &planned, 0..m)
         .pop()
         .expect("one share per query");
     if strict {
@@ -683,21 +750,6 @@ fn resilient_device_read(
     }
 }
 
-/// Decodes a yield's region into its records — one decode per device
-/// share, on the thread that read it. The report already counts the
-/// region's records, so the output is allocated once, at its final
-/// size: growing it from empty cost as much as the cache hits the
-/// decode replaced.
-fn decoded(raw: RawYield) -> DeviceYield {
-    let records = encode::decode_all_bytes(&raw.region, raw.report.records as usize)
-        .expect("a region of validated pages decodes");
-    DeviceYield {
-        report: raw.report,
-        records,
-        lost: raw.lost,
-    }
-}
-
 /// One copy's retry loop: attempts `read(attempt)` up to
 /// `policy.retry.max_attempts` times, charging jittered backoff between
 /// attempts to the simulated clock, bounded by the policy's backoff
@@ -789,8 +841,8 @@ const FAN_OUT_BREAK_EVEN: u64 = 2048;
 /// An executor can also serve a contiguous *subrange* of the device set
 /// ([`Executor::for_device_range`]) — one node's share of a
 /// scatter/gather deployment. Planning ([`plan_query`]), subrange
-/// execution ([`Executor::execute_planned`]), and merging
-/// ([`merge_device_yields`]) are exposed separately so the split-out
+/// execution ([`Executor::execute_planned_raw`]), and merging
+/// ([`merge_raw_yields`]) are exposed separately so the split-out
 /// pipeline reproduces `execute_batch` bit-for-bit.
 pub struct Executor<D> {
     shared: Arc<Shared<D>>,
@@ -858,9 +910,9 @@ impl PlannedQuery {
 /// owner of nothing. Exactly what the executor's read path returns for an
 /// empty code list, so a scatter/gather frontend can fill in the devices
 /// it never asked without changing a bit of the merged report.
-pub fn idle_yield(planned: &PlannedQuery, device: u64, cost: &CostModel) -> DeviceYield {
+pub fn idle_yield(planned: &PlannedQuery, device: u64, cost: &CostModel) -> RawYield {
     let addresses_computed = planned.addresses_computed(0);
-    DeviceYield {
+    RawYield {
         report: DeviceReport {
             device,
             qualified_buckets: 0,
@@ -870,7 +922,7 @@ pub fn idle_yield(planned: &PlannedQuery, device: u64, cost: &CostModel) -> Devi
             reconstructions: 0,
             outcome: DeviceOutcome::Ok,
         },
-        records: Vec::new(),
+        region: Vec::new(),
         lost: Vec::new(),
     }
 }
@@ -951,7 +1003,7 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
     /// share of a scatter/gather deployment. The executor still
     /// snapshots every device (buddy failover reads mirror pages that may
     /// live outside the range), but only `range`'s devices execute, so
-    /// [`Executor::execute_planned`] yields exactly that subrange.
+    /// [`Executor::execute_planned_raw`] yields exactly that subrange.
     ///
     /// # Panics
     ///
@@ -1033,9 +1085,9 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
             .iter()
             .map(|q| plan_query(&self.shared.sys, &self.shared.method, q))
             .collect();
-        self.execute_planned(&planned, policy)
+        self.execute_planned_raw(&planned, policy)
             .into_iter()
-            .map(|yields| merge_device_yields(yields, policy.redundancy))
+            .map(|yields| merge_raw_yields(yields, policy.redundancy))
             .collect()
     }
 
@@ -1043,51 +1095,24 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
     /// returns the unmerged per-device yields: one `Vec` per query, in query
     /// order, each sorted by device.
     ///
-    /// This is the node half of the scatter/gather split: a frontend
-    /// plans once ([`plan_query`]), every node executes its subrange, and
-    /// the gathered yields merge ([`merge_device_yields`]) into reports
-    /// bit-equal to a full-range [`Executor::execute_batch`] — same
-    /// records in the same order, same per-device reports, same simulated
-    /// times.
+    /// This is the node half of the scatter/gather split and the one
+    /// batch pipeline: a frontend plans once ([`plan_query`]), every
+    /// node executes its subrange, and the gathered yields merge
+    /// ([`merge_raw_yields`]) into reports bit-equal to a full-range
+    /// [`Executor::execute_batch`] — same records in the same order, same
+    /// per-device reports, same simulated times. The range splits into
+    /// chunks: chunk 0 runs here, the rest on resident workers, and each
+    /// query's yields are stitched back together in device order.
     ///
     /// # Panics
     ///
     /// Re-raises a worker panic on the calling thread, like
     /// [`Executor::execute_batch`].
-    pub fn execute_planned(
-        &self,
-        planned: &[PlannedQuery],
-        policy: &ExecPolicy,
-    ) -> Vec<Vec<DeviceYield>> {
-        self.run_planned(planned, policy, decoded)
-    }
-
-    /// [`Executor::execute_planned`] with each yield's records left as
-    /// the stored page bytes ([`RawYield`]): the same reads, retries,
-    /// failovers, reconstructions and reports, without the decode.
-    /// A node serves its response frames from this.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker panic on the calling thread.
     pub fn execute_planned_raw(
         &self,
         planned: &[PlannedQuery],
         policy: &ExecPolicy,
     ) -> Vec<Vec<RawYield>> {
-        self.run_planned(planned, policy, std::convert::identity)
-    }
-
-    /// The one batch pipeline: split the range into chunks, run chunk 0
-    /// here and the rest on resident workers, each passing every device
-    /// yield through `finish` on its own thread, and stitch each query's
-    /// yields back together in device order.
-    fn run_planned<Y: Send + 'static>(
-        &self,
-        planned: &[PlannedQuery],
-        policy: &ExecPolicy,
-        finish: fn(RawYield) -> Y,
-    ) -> Vec<Vec<Y>> {
         if planned.is_empty() {
             return Vec::new();
         }
@@ -1105,14 +1130,14 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
         let inputs = self.shared.inputs();
         let pool = match &self.pool {
             Some(pool) if qualified >= self.break_even => pool,
-            _ => return run_chunk(&inputs, policy, planned, self.range.clone(), finish),
+            _ => return run_chunk(&inputs, policy, planned, self.range.clone()),
         };
         let chunk = |i: usize| {
             let at = |i: usize| self.range.start + devices * i as u64 / self.chunks as u64;
             at(i)..at(i + 1)
         };
         let batch = Arc::new((policy.clone(), planned.to_vec()));
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Vec<Y>>)>();
+        let (tx, rx) = mpsc::channel::<(usize, Vec<Vec<RawYield>>)>();
         for i in 1..self.chunks {
             let (shared, batch, tx, range) = (
                 Arc::clone(&self.shared),
@@ -1121,14 +1146,15 @@ impl<D: DistributionMethod + Clone + Send + Sync + 'static> Executor<D> {
                 chunk(i),
             );
             pool.submit(i - 1, move || {
-                let yields = run_chunk(&shared.inputs(), &batch.0, &batch.1, range, finish);
+                let yields = run_chunk(&shared.inputs(), &batch.0, &batch.1, range);
                 // Collector gone (batch abandoned) is fine to ignore.
                 let _ = tx.send((i, yields));
             });
         }
         drop(tx);
-        let mut by_chunk: Vec<Option<Vec<Vec<Y>>>> = (0..self.chunks).map(|_| None).collect();
-        by_chunk[0] = Some(run_chunk(&inputs, policy, planned, chunk(0), finish));
+        let mut by_chunk: Vec<Option<Vec<Vec<RawYield>>>> =
+            (0..self.chunks).map(|_| None).collect();
+        by_chunk[0] = Some(run_chunk(&inputs, policy, planned, chunk(0)));
         for (i, yields) in rx {
             by_chunk[i] = Some(yields);
         }
@@ -1180,16 +1206,14 @@ impl<D> Shared<D> {
 
 /// One chunk's share of a batch: for each query, enumerate its qualified
 /// buckets once for the whole chunk ([`route_planned`]), then read each
-/// device's codes under the policy and pass its yield through `finish`.
-/// Returns, per query, the chunk's yields in device order. The code
-/// buffers live for the whole batch.
-fn run_chunk<D: DistributionMethod, Y>(
+/// device's codes under the policy. Returns, per query, the chunk's
+/// yields in device order. The code buffers live for the whole batch.
+fn run_chunk<D: DistributionMethod>(
     inputs: &Inputs<'_, D>,
     policy: &ExecPolicy,
     planned: &[PlannedQuery],
     devices: Range<u64>,
-    finish: fn(RawYield) -> Y,
-) -> Vec<Vec<Y>> {
+) -> Vec<Vec<RawYield>> {
     let buddies = inputs
         .mirroring
         .filter(|_| policy.redundancy == Redundancy::Mirror);
@@ -1206,7 +1230,7 @@ fn run_chunk<D: DistributionMethod, Y>(
                 .zip(&codes)
                 .map(|(device, device_codes)| {
                     let _span = pmr_rt::span!(obs::EXEC_DEVICE, device = device);
-                    finish(resilient_device_read(
+                    resilient_device_read(
                         inputs.devices,
                         device,
                         device_codes,
@@ -1217,7 +1241,7 @@ fn run_chunk<D: DistributionMethod, Y>(
                         inputs.cost,
                         policy,
                         p.addresses_computed(device_codes.len() as u64),
-                    ))
+                    )
                 })
                 .collect()
         })
@@ -1246,7 +1270,7 @@ mod tests {
                 device(0, DeviceOutcome::Ok),
                 device(1, DeviceOutcome::Retried(2)),
             ],
-            records: vec![],
+            records: RecordRegion::new(),
             largest_response: 4,
             simulated_response_us: 123.456_7,
             simulated_serial_us: 246.913_4,
@@ -1261,7 +1285,7 @@ mod tests {
         assert_eq!(traced.to_json(), "{\"largest_response\":4,\"records\":0,\"simulated_response_us\":123.457,\"simulated_serial_us\":246.913,\"speedup\":2.0000,\"coverage\":0.987654,\"redundancy\":\"parity(4,2)\",\"reconstructions\":2,\"lost_buckets\":[17,40],\"per_device\":[{\"device\":0,\"qualified_buckets\":4,\"records\":9,\"addresses_computed\":16,\"simulated_us\":123.457,\"reconstructions\":1,\"outcome\":\"ok\"},{\"device\":1,\"qualified_buckets\":4,\"records\":9,\"addresses_computed\":16,\"simulated_us\":123.457,\"reconstructions\":1,\"outcome\":\"retried(2)\"}],\"trace\":{\"spans\":3,\"counters\":{\"exec.retries\":2}}}");
         let bare = ExecutionReport {
             per_device: vec![device(3, DeviceOutcome::FailedOver)],
-            records: vec![],
+            records: RecordRegion::new(),
             largest_response: 0,
             simulated_response_us: 0.0,
             simulated_serial_us: 0.0,
@@ -1301,8 +1325,8 @@ mod tests {
             ..plan_query(file.system(), file.method(), q)
         };
         let exec = Executor::new(file, CostModel::main_memory());
-        let yields = exec.execute_planned(&[planned], &STRICT).remove(0);
-        merge_device_yields(yields, Redundancy::None)
+        let yields = exec.execute_planned_raw(&[planned], &STRICT).remove(0);
+        merge_raw_yields(yields, Redundancy::None)
     }
 
     #[test]
@@ -1311,7 +1335,7 @@ mod tests {
         let q = file.query(&[("cat", Value::Int(3))]).unwrap();
         let report = execute_parallel(&file, &q, &CostModel::main_memory()).unwrap();
         let mut serial = file.retrieve_serial(&q).unwrap();
-        let mut parallel = report.records.clone();
+        let mut parallel = report.records.to_records();
         serial.sort_by_key(|r| format!("{r}"));
         parallel.sort_by_key(|r| format!("{r}"));
         assert_eq!(serial, parallel);
@@ -1362,7 +1386,7 @@ mod tests {
     fn speedup_degenerate_times() {
         let empty = ExecutionReport {
             per_device: Vec::new(),
-            records: Vec::new(),
+            records: RecordRegion::new(),
             largest_response: 0,
             simulated_response_us: 0.0,
             simulated_serial_us: 0.0,
@@ -1400,8 +1424,8 @@ mod tests {
             let fx_exec = forced(&file, &q, true);
             assert_eq!(generic.histogram(), fx_exec.histogram());
             assert_eq!(generic.largest_response, fx_exec.largest_response);
-            let mut a = generic.records.clone();
-            let mut b = fx_exec.records.clone();
+            let mut a = generic.records.to_records();
+            let mut b = fx_exec.records.to_records();
             a.sort_by_key(|r| format!("{r}"));
             b.sort_by_key(|r| format!("{r}"));
             assert_eq!(a, b);
@@ -1517,8 +1541,8 @@ mod tests {
     /// Share readers count bucket reads locally and add them on drop:
     /// after a batch, every device's `bucket_reads` has grown exactly as
     /// much as reading the same codes one `read_bucket_attempt` at a time
-    /// grows it — decoded and raw, with a dead device's outages (no read)
-    /// and its buddy's mirror reads in the count.
+    /// grows it, with a dead device's outages (no read) and its buddy's
+    /// mirror reads in the count.
     #[test]
     fn share_readers_count_bucket_reads_like_per_bucket_reads() {
         let mut file = build_file(500);
@@ -1541,9 +1565,6 @@ mod tests {
                 .collect()
         };
 
-        let before = reads();
-        exec.execute_planned(&planned, &ExecPolicy::default());
-        let decoded = grown(before);
         let before = reads();
         exec.execute_planned_raw(&planned, &ExecPolicy::default());
         let raw = grown(before);
@@ -1570,7 +1591,6 @@ mod tests {
 
         assert_eq!(per_bucket[2], 0, "a dead device issues no read");
         assert!(per_bucket.iter().sum::<u64>() > 0);
-        assert_eq!(decoded, per_bucket);
         assert_eq!(raw, per_bucket);
     }
 
@@ -1593,7 +1613,7 @@ mod tests {
                 fast_path,
                 ..planned.clone()
             };
-            let clean = exec.execute_planned(std::slice::from_ref(&p), &policy);
+            let clean = exec.execute_planned_raw(std::slice::from_ref(&p), &policy);
             let home = clean[0]
                 .iter()
                 .find(|y| y.report.qualified_buckets > 0)
@@ -1604,7 +1624,7 @@ mod tests {
             file.install_fault_plan(Some(Arc::new(
                 pmr_rt::fault::FaultPlan::new(3).with_dead_device(idle),
             )));
-            let degraded = exec.execute_planned(std::slice::from_ref(&p), &policy);
+            let degraded = exec.execute_planned_raw(std::slice::from_ref(&p), &policy);
             file.install_fault_plan(None);
             for yields in [&clean[0], &degraded[0]] {
                 for y in yields.iter().filter(|y| y.report.device != home) {
@@ -1723,8 +1743,8 @@ mod tests {
                 .per_device
                 .iter()
                 .all(|d| d.outcome == DeviceOutcome::Ok));
-            let mut a = strict.records.clone();
-            let mut b = policied.records.clone();
+            let mut a = strict.records.to_records();
+            let mut b = policied.records.to_records();
             a.sort_by_key(|r| format!("{r}"));
             b.sort_by_key(|r| format!("{r}"));
             assert_eq!(a, b);
@@ -1761,8 +1781,8 @@ mod tests {
         };
         let faulted = execute_parallel_with(&file, &q, &CostModel::main_memory(), &policy).unwrap();
         assert_eq!(faulted.coverage, 1.0, "lost {:?}", faulted.lost_buckets);
-        let mut a = clean.records.clone();
-        let mut b = faulted.records.clone();
+        let mut a = clean.records.to_records();
+        let mut b = faulted.records.to_records();
         a.sort_by_key(|r| format!("{r}"));
         b.sort_by_key(|r| format!("{r}"));
         assert_eq!(a, b, "retried run must retrieve the same records");
@@ -1806,8 +1826,8 @@ mod tests {
         assert_eq!(faulted.coverage, 1.0);
         assert!(faulted.lost_buckets.is_empty());
         assert_eq!(faulted.per_device[1].outcome, DeviceOutcome::FailedOver);
-        let mut a = clean.records.clone();
-        let mut b = faulted.records.clone();
+        let mut a = clean.records.to_records();
+        let mut b = faulted.records.to_records();
         a.sort_by_key(|r| format!("{r}"));
         b.sort_by_key(|r| format!("{r}"));
         assert_eq!(a, b, "failover must retrieve the same records");
@@ -1860,7 +1880,7 @@ mod tests {
             report.coverage, 1.0,
             "mirror copy must serve the corrupted bucket"
         );
-        assert!(report.records.contains(&r));
+        assert!(report.records.to_records().contains(&r));
         assert_eq!(
             report.per_device[device as usize].outcome,
             DeviceOutcome::FailedOver
@@ -1915,7 +1935,7 @@ mod tests {
             execute_parallel_with(&file, &q, &CostModel::main_memory(), &ExecPolicy::default())
                 .unwrap();
         assert_eq!(report.coverage, 1.0);
-        let mut got = report.records.clone();
+        let mut got = report.records.to_records();
         file.install_fault_plan(None);
         let mut want = file.retrieve_serial(&q).unwrap();
         got.sort_by_key(|r| format!("{r}"));
@@ -1993,8 +2013,8 @@ mod tests {
             u64::from(report.per_device[1].reconstructions)
         );
         assert_eq!(report.redundancy, Redundancy::Parity { k: 2, r: 1 });
-        let mut got = report.records.clone();
-        let mut want = clean.records.clone();
+        let mut got = report.records.to_records();
+        let mut want = clean.records.to_records();
         got.sort_by_key(|r| format!("{r}"));
         want.sort_by_key(|r| format!("{r}"));
         assert_eq!(got, want);

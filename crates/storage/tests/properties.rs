@@ -7,8 +7,7 @@ use pmr_rt::check::Source;
 use pmr_rt::rt_proptest;
 use pmr_storage::encode;
 use pmr_storage::exec::{
-    execute_parallel, merge_device_yields, plan_query, ExecPolicy, Executor, PlannedQuery,
-    Redundancy,
+    execute_parallel, merge_raw_yields, plan_query, ExecPolicy, Executor, PlannedQuery, Redundancy,
 };
 use pmr_storage::{CostModel, DeclusteredFile};
 
@@ -148,11 +147,39 @@ rt_proptest! {
             page.extend_from_slice(&buf);
         }
         let check = |bytes: &[u8]| {
+            let decoded = encode::decode_all_bytes(bytes, 0);
             assert_eq!(
                 encode::validate_region(bytes),
-                encode::decode_all_bytes(bytes, 0).map(|r| r.len() as u64),
+                decoded.as_ref().map(|r| r.len() as u64).map_err(|e| e.clone()),
                 "validator and decode disagree on {bytes:02x?}"
             );
+            // The validate-and-index walk agrees too, its views
+            // re-encode the decoded records byte for byte, and extending
+            // a region appends exactly those records or nothing.
+            let region = encode::RecordRegion::from_bytes(bytes.to_vec());
+            assert_eq!(region.as_ref().map(|r| r.to_records()), decoded.as_ref().cloned());
+            let first = Record::new(vec![Value::Int(7)]);
+            let mut grown = encode::RecordRegion::from_bytes(encode::encode_one(&first)).unwrap();
+            let extended = grown.extend_validated(bytes);
+            match (region, decoded) {
+                (Ok(region), Ok(records)) => {
+                    assert_eq!(region.bytes(), bytes);
+                    assert_eq!(region.len(), records.len());
+                    for (i, (view, record)) in region.iter().zip(&records).enumerate() {
+                        assert_eq!(view.bytes(), encode::encode_one(record));
+                        assert_eq!(view.to_record(), *record);
+                        assert_eq!(region.get(i), Some(view));
+                    }
+                    assert_eq!(extended, Ok(records.len() as u64));
+                    assert_eq!(grown.to_records(), [vec![first], records].concat());
+                }
+                (Err(_), Err(e)) => {
+                    assert_eq!(extended, Err(e));
+                    assert_eq!(grown.to_records(), vec![first]);
+                    assert_eq!(grown.len(), 1);
+                }
+                _ => unreachable!("compared above"),
+            }
         };
         check(&page);
         assert_eq!(encode::validate_region(&page), Ok(records.len() as u64));
@@ -229,9 +256,9 @@ rt_proptest! {
             ..plan_query(file.system(), file.method(), &q)
         };
         let fx_exec = Executor::new(&file, CostModel::main_memory())
-            .execute_planned(&[fast], &ExecPolicy::default())
+            .execute_planned_raw(&[fast], &ExecPolicy::default())
             .remove(0);
-        let fx_exec = merge_device_yields(fx_exec, Redundancy::Mirror);
+        let fx_exec = merge_raw_yields(fx_exec, Redundancy::Mirror);
         assert_eq!(generic.records.len(), keys.len());
         assert_eq!(fx_exec.records.len(), keys.len());
         assert_eq!(generic.histogram(), fx_exec.histogram());

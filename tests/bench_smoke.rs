@@ -151,6 +151,7 @@ fn bench_all_fast_mode_produces_every_group() {
         "serve/single_process_batch_8",
         "serve/wire_encode_response_8",
         "serve/wire_decode_response_8",
+        "serve/wire_gather_response_8",
         "serve/obs_overhead_off_8",
         "serve/obs_overhead_on_8",
     ];

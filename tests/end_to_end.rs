@@ -65,7 +65,7 @@ fn pipeline_roundtrip<D: DistributionMethod>(method: D) {
     let q = file.query(&[("action", "buy".into())]).unwrap();
     let mut serial = file.retrieve_serial(&q).unwrap();
     let report = execute_parallel(&file, &q, &CostModel::main_memory()).unwrap();
-    let mut parallel = report.records.clone();
+    let mut parallel = report.records.to_records();
     serial.sort_by_key(|r| format!("{r}"));
     parallel.sort_by_key(|r| format!("{r}"));
     assert_eq!(

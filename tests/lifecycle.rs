@@ -5,8 +5,7 @@ use pmr::core::FxDistribution;
 use pmr::mkh::directory::DynamicDirectory;
 use pmr::mkh::{FieldType, Record, Schema, Value};
 use pmr::storage::exec::{
-    execute_parallel, merge_device_yields, plan_query, ExecPolicy, Executor, PlannedQuery,
-    Redundancy,
+    execute_parallel, merge_raw_yields, plan_query, ExecPolicy, Executor, PlannedQuery, Redundancy,
 };
 use pmr::storage::persist;
 use pmr::storage::{CostModel, DeclusteredFile};
@@ -54,9 +53,9 @@ fn full_lifecycle() {
         ..plan_query(file.system(), file.method(), &q)
     };
     let fast = Executor::new(&file, CostModel::main_memory())
-        .execute_planned(&[fast], &ExecPolicy::default())
+        .execute_planned_raw(&[fast], &ExecPolicy::default())
         .remove(0);
-    let fast = merge_device_yields(fast, Redundancy::Mirror);
+    let fast = merge_raw_yields(fast, Redundancy::Mirror);
     assert_eq!(generic.histogram(), fast.histogram());
     let err_count = file
         .retrieve_exact(&[("status", "err".into())])

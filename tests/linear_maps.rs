@@ -16,8 +16,7 @@ use pmr_core::optimality::is_perfect_optimal;
 use pmr_core::{FxDistribution, PartialMatchQuery, Pattern, SystemConfig};
 use pmr_mkh::{Record, Schema, Value};
 use pmr_storage::exec::{
-    merge_device_yields, plan_query, ExecPolicy, ExecutionReport, Executor, PlannedQuery,
-    Redundancy,
+    merge_raw_yields, plan_query, ExecPolicy, ExecutionReport, Executor, PlannedQuery, Redundancy,
 };
 use pmr_storage::{CostModel, DeclusteredFile};
 
@@ -87,9 +86,9 @@ fn table_7_map_serves_the_same_records_by_fast_inverse_and_scan() {
     let exec = Executor::new(&file, cost);
     let run = |plan: PlannedQuery| -> ExecutionReport {
         let yields = exec
-            .execute_planned(&[plan], &ExecPolicy::default())
+            .execute_planned_raw(&[plan], &ExecPolicy::default())
             .remove(0);
-        merge_device_yields(yields, Redundancy::Mirror)
+        merge_raw_yields(yields, Redundancy::Mirror)
     };
     let sorted = |report: &ExecutionReport| {
         let mut records: Vec<String> = report.records.iter().map(|r| format!("{r}")).collect();

@@ -27,8 +27,9 @@ use pmr_core::{
 use pmr_mkh::{Record, Schema, Value};
 use pmr_rt::check::Source;
 use pmr_rt::rt_proptest;
+use pmr_storage::encode::RecordRegion;
 use pmr_storage::exec::{
-    execute_parallel, merge_device_yields, plan_query, route_planned, ExecPolicy, Executor,
+    execute_parallel, merge_raw_yields, plan_query, route_planned, ExecPolicy, Executor,
     PlannedQuery, Redundancy,
 };
 use pmr_storage::{CostModel, DeclusteredFile};
@@ -261,8 +262,8 @@ rt_proptest! {
         let exec = Executor::new(&file, cost);
         let forced = |fast_path: bool| {
             let plan = PlannedQuery { fast_path, ..planned.clone() };
-            let yields = exec.execute_planned(&[plan], &ExecPolicy::default()).remove(0);
-            merge_device_yields(yields, Redundancy::Mirror)
+            let yields = exec.execute_planned_raw(&[plan], &ExecPolicy::default()).remove(0);
+            merge_raw_yields(yields, Redundancy::Mirror)
         };
         let scan = forced(false);
         let fx_exec = forced(true);
@@ -271,7 +272,7 @@ rt_proptest! {
             assert_eq!(auto.histogram(), other.histogram(), "{sys} query {query}");
             assert_eq!(auto.largest_response, other.largest_response);
         }
-        let sorted = |r: &[Record]| {
+        let sorted = |r: &RecordRegion| {
             let mut v: Vec<String> = r.iter().map(|x| format!("{x}")).collect();
             v.sort_unstable();
             v
