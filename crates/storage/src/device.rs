@@ -17,8 +17,18 @@
 //! share, and adds its `bucket_reads` to the device once, on drop. A
 //! read therefore costs the page's own hash probe, not a lock round
 //! trip and two atomic read-modify-writes. Nothing is cached: a read
-//! copies the validated stored bytes ([`ShareReader::copy_attempt`], the
-//! executor's path) or decodes them ([`ShareReader::decode_attempt`]).
+//! copies the validated stored bytes ([`ShareReader::copy_attempt`]) or
+//! decodes them ([`ShareReader::decode_attempt`]).
+//!
+//! The executor reads a share in runs ([`ShareReader::copy_run`]): it
+//! probes a chunk of codes first, then walks and copies their pages in
+//! code order, so the probes' cache misses overlap instead of each
+//! waiting behind the previous page's walk (on a 200,000-record Table 7
+//! file a scan share's read fell to ~0.65x). A run stops before the
+//! first code whose first attempt the fault plan would fault (a latency
+//! spike included) or whose page fails its walk; that code alone takes
+//! `copy_attempt` with its retries and failover. Every served page is
+//! still walked under the guard.
 //!
 //! A thread holds **at most one** reader guard at a time: a reader must
 //! be dropped before its thread opens another (the executor drops the
@@ -375,6 +385,20 @@ fn sorted_keys(store: &Pages) -> Vec<u64> {
     keys
 }
 
+/// Codes a [`ShareReader::copy_run`] probes before it walks and copies
+/// their pages. The probed pages wait in a stack buffer of this many
+/// `Option<&Vec<u8>>` slots (8 B each), so a one-code share pays only
+/// for zeroing 512 bytes; filling the slots with a non-null "no page"
+/// reference instead took one store per slot and cost a narrow point mix
+/// ~5%. Calibrated on a 2-core x86-64 host, one pinned core, on the
+/// Table 7 file with 200,000 records (mirrored) and a seeded 2–4-open
+/// scan mix: an 8-device share read 20.5 µs per query before runs, and
+/// 16.2, 15.6, 14.4, 14.0 and 13.5 µs with chunks of 8, 16, 32, 64 and
+/// 128 codes; the whole 32-device range read 103 µs, then 75, 69, 68,
+/// 64 and 61 µs. A point mix's shares (mostly one code) read the same at
+/// every size tried. Past 64 the gain is within a few percent.
+const RUN_CHUNK: usize = 64;
+
 /// One device share's reads from one page store ([`Device::reader`]).
 ///
 /// Each read is first admitted against the fault plan snapshotted when
@@ -457,6 +481,70 @@ impl ShareReader<'_> {
             records,
             injected_latency_us,
         })
+    }
+
+    /// Reads the longest prefix of `codes` that first attempts serve
+    /// cleanly, appending each page's validated stored bytes to `out` in
+    /// code order, and returns `(codes served, records appended)`.
+    ///
+    /// The run stops before the first code that needs the per-code path
+    /// ([`ShareReader::copy_attempt`] with retries and failover): one
+    /// whose first attempt the fault plan faults in any way, a latency
+    /// spike included (the plan's decision is pure, so peeking at it
+    /// injects and counts nothing), or one whose page fails its walk.
+    /// Each served code is exactly a `copy_attempt(code, 0)` that
+    /// succeeded with no injected latency: the same bytes, records and
+    /// one read. The guard is taken only once a code passes the plan, so
+    /// a run on a dead device stops at once without locking the store.
+    ///
+    /// Codes go in chunks of `RUN_CHUNK`: a chunk's hash probes all
+    /// issue before any page is walked, so their cache misses overlap
+    /// instead of waiting behind the previous page's walk, and the
+    /// region grows once per chunk.
+    pub fn copy_run(&mut self, codes: &[u64], out: &mut Vec<u8>) -> (usize, u64) {
+        let (device, store) = (self.device, self.store);
+        let mut served = 0;
+        let mut records = 0;
+        while served < codes.len() {
+            let chunk = &codes[served..codes.len().min(served + RUN_CHUNK)];
+            let clean = match &self.plan {
+                Some(plan) => chunk
+                    .iter()
+                    .position(|&code| plan.decide(device.id, code, 0).is_some())
+                    .unwrap_or(chunk.len()),
+                None => chunk.len(),
+            };
+            if clean == 0 {
+                break;
+            }
+            let pages = self
+                .pages
+                .get_or_insert_with(|| device.pages_of(store).read());
+            let mut probed: [Option<&Vec<u8>>; RUN_CHUNK] = [None; RUN_CHUNK];
+            let mut bytes = 0;
+            for (slot, code) in probed.iter_mut().zip(&chunk[..clean]) {
+                *slot = pages.get(code);
+                bytes += slot.map_or(0, |page| page.len());
+            }
+            out.reserve(bytes);
+            let mut copied = 0;
+            for page in &probed[..clean] {
+                // An absent page serves no bytes, like an empty one.
+                let page = page.map_or(&[][..], Vec::as_slice);
+                let Ok(n) = encode::validate_region(page) else {
+                    break;
+                };
+                out.extend_from_slice(page);
+                records += n;
+                copied += 1;
+            }
+            served += copied;
+            if copied < chunk.len() {
+                break;
+            }
+        }
+        self.reads += served as u64;
+        (served, records)
     }
 
     /// One read attempt that returns the page's decoded records.
@@ -736,6 +824,77 @@ mod tests {
         drop(reader);
         d.set_fault_plan(None);
         assert_eq!(&*d.read_bucket(1).unwrap(), &[rec(1), rec(2)][..]);
+    }
+
+    pmr_rt::rt_proptest! {
+        /// A run serves exactly the longest prefix of its codes that
+        /// per-code first attempts serve cleanly with no injected
+        /// latency — over absent codes, pages corrupt at rest and plans
+        /// mixing read errors, transient corruption, latency spikes and
+        /// outages — appending the same bytes and records and counting
+        /// one read per served code. Code lists run past one chunk.
+        fn runs_serve_the_clean_prefix_of_per_code_reads(src) {
+            let d = Device::new(src.int_in(0, 3));
+            const CODES: u64 = 40;
+            // Half the cases have no corrupt page and half no plan, so
+            // some runs serve whole chunks.
+            let corrupt = if src.weighted(0.5) { 0.1 } else { 0.0 };
+            for code in 0..CODES {
+                match src.arm(4) {
+                    0 => {}
+                    _ if src.weighted(corrupt) => {
+                        if src.weighted(0.5) {
+                            d.inject_corruption(code, &[0x01, 0, 0, 0, 0x7f]);
+                        } else {
+                            let junk = src.vec_of(0..=12, |s| s.any_u8());
+                            d.inject_corruption(code, &junk);
+                        }
+                    }
+                    _ => {
+                        for i in 0..src.int_in(1, 3) {
+                            d.append(code, &rec((code * 10 + i) as i64));
+                        }
+                    }
+                }
+            }
+            if src.weighted(0.5) {
+                let mut plan = FaultPlan::new(src.any_u64())
+                    .with_read_error(src.f64_in(0.0, 0.02))
+                    .with_corruption(src.f64_in(0.0, 0.02))
+                    .with_latency(src.f64_in(0.0, 0.02), 1, 50);
+                if src.weighted(0.1) {
+                    plan = plan.with_dead_device(d.id());
+                }
+                d.set_fault_plan(Some(Arc::new(plan)));
+            }
+            let codes = src.vec_of(0..=200, |s| s.int_in(0, CODES - 1));
+            let prefix = src.vec_of(0..=4, |s| s.any_u8());
+
+            let before = d.bucket_reads();
+            let mut out = prefix.clone();
+            let (served, records) = d.reader(PageStore::Primary).copy_run(&codes, &mut out);
+            assert_eq!(d.bucket_reads() - before, served as u64);
+
+            let mut expected = prefix;
+            let (mut want_served, mut want_records) = (0, 0);
+            let mut reference = d.reader(PageStore::Primary);
+            for &code in &codes {
+                let len = expected.len();
+                match reference.copy_attempt(code, 0, &mut expected) {
+                    Ok(read) if read.injected_latency_us == 0 => {
+                        want_served += 1;
+                        want_records += read.records;
+                    }
+                    Ok(_) => {
+                        expected.truncate(len);
+                        break;
+                    }
+                    Err(_) => break,
+                }
+            }
+            assert_eq!((served, records), (want_served, want_records), "codes {codes:?}");
+            assert_eq!(out, expected);
+        }
     }
 
     /// A read decodes under the store's read guard, so it sees whole

@@ -644,6 +644,12 @@ struct FailoverPath<'a> {
 /// stored, to the yield's one region, so a page corrupt at rest fails
 /// over exactly as a failed decode would.
 ///
+/// The primary pass reads runs ([`crate::ShareReader::copy_run`]): each
+/// serves codes up to the first one whose first attempt would fault or
+/// fail its walk, and that code alone takes the per-code path before
+/// the next run resumes. With no fault plan and no corrupt page a share
+/// is one run; on a dead device every run stops at once.
+///
 /// The primary pass reads through one share reader. It is dropped
 /// before any failover step and re-opened after, so this thread never
 /// holds two device guards at once: a parity rebuild reads
@@ -668,8 +674,17 @@ fn resilient_device_read(
     let mut failed_over = false;
     let mut reconstructions = 0u32;
     let mut primary = None;
-    for &code in codes {
+    let mut next = 0;
+    while next < codes.len() {
         let reader = primary.get_or_insert_with(|| dev.reader(PageStore::Primary));
+        let (run, run_records) = reader.copy_run(&codes[next..], &mut region);
+        records += run_records;
+        next += run;
+        // The run stopped before `code`: it takes the per-code path.
+        let Some(&code) = codes.get(next) else {
+            break;
+        };
+        next += 1;
         let (served, primary_us, primary_retries) =
             read_with_retry(policy, device, code, |attempt| {
                 let read = reader.copy_attempt(code, attempt, &mut region)?;
@@ -1894,6 +1909,74 @@ mod tests {
             execute_parallel_with(&file, &q, &CostModel::main_memory(), &no_failover).unwrap();
         assert_eq!(degraded.lost_buckets, vec![index]);
         assert!(degraded.coverage < 1.0);
+    }
+
+    /// A page corrupt at rest stops a run and takes the per-code path
+    /// alone: wherever it sits in a mirrored 12-code share, the share's
+    /// yield equals a reference built from one `copy_attempt` per code,
+    /// with the buddy's mirror page standing in for the corrupt one, and
+    /// every code is read once (the corrupt one on both copies).
+    #[test]
+    fn a_corrupt_page_anywhere_in_a_share_fails_over_alone() {
+        let mut file = build_file(500);
+        assert!(file.enable_mirroring());
+        let (device, cost, addresses) = (1u64, CostModel::main_memory(), 40);
+        let buddy = file.mirroring().unwrap().buddy_of(device);
+        let devices = file.devices();
+        let home = &devices[device as usize];
+        let planned = plan_query(file.system(), file.method(), &file.query(&[]).unwrap());
+        let mut routed = vec![Vec::new(); 4];
+        route_planned(file.system(), file.method(), &planned, 0..4, &mut routed);
+        let codes = &routed[device as usize][..12];
+        let failover = FailoverPath {
+            buddy: Some(buddy),
+            parity: None,
+        };
+        let policy = ExecPolicy {
+            retry: RetryPolicy::none(),
+            ..ExecPolicy::default()
+        };
+        let reads = || (home.bucket_reads(), devices[buddy as usize].bucket_reads());
+        for bad in 0..codes.len() {
+            let page = home
+                .raw_page(codes[bad])
+                .expect("every bucket holds records");
+            home.inject_corruption(codes[bad], &[0xff; 7]);
+            let mut region = Vec::new();
+            let mut records = 0;
+            for (i, &code) in codes.iter().enumerate() {
+                let (from, store) = if i == bad {
+                    (buddy, PageStore::Mirror)
+                } else {
+                    (device, PageStore::Primary)
+                };
+                let mut reader = devices[from as usize].reader(store);
+                records += reader.copy_attempt(code, 0, &mut region).unwrap().records;
+            }
+            let expected = RawYield {
+                report: DeviceReport {
+                    device,
+                    qualified_buckets: 12,
+                    records,
+                    addresses_computed: addresses,
+                    simulated_us: cost.device_time_us(12, addresses) + cost.device_time_us(1, 0),
+                    reconstructions: 0,
+                    outcome: DeviceOutcome::FailedOver,
+                },
+                region,
+                lost: Vec::new(),
+            };
+            let (home_before, buddy_before) = reads();
+            let got =
+                resilient_device_read(devices, device, codes, failover, &cost, &policy, addresses);
+            let (home_after, buddy_after) = reads();
+            assert_eq!(got, expected, "corrupt page at position {bad}");
+            assert_eq!(
+                (home_after - home_before, buddy_after - buddy_before),
+                (12, 1)
+            );
+            home.install_page(codes[bad], &page, 0);
+        }
     }
 
     /// Policy path on a non-FX method exercises the generic enumeration.
