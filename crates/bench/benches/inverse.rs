@@ -1,4 +1,4 @@
-//! Inverse-mapping cost: FX's residue-indexed fast path vs the generic
+//! Inverse-mapping cost: FX's coset-walk fast path vs the generic
 //! per-device scan, each over packed codes, beside the tuple-`Vec` scan.
 //!
 //! The paper (§4.2) argues inverse mapping must be cheap in main-memory

@@ -138,8 +138,9 @@ pub fn addr_compute(opts: &SuiteOpts) -> Group {
 }
 
 /// The four transformation kernels' closed forms (`transform_apply`).
-/// The inverse direction is FX's residue-class lookup, measured by the
-/// `addr_compute` and `packed_vs_vec` groups.
+/// The inverse direction is FX's coset walk (one elimination per query,
+/// then one XOR per owning device and one per owned code), measured by
+/// the `addr_compute` and `packed_vs_vec` groups.
 pub fn transforms(opts: &SuiteOpts) -> Vec<Group> {
     let f: u64 = if opts.fast { 64 } else { 256 };
     const M: u64 = 4096;

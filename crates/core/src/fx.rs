@@ -24,7 +24,7 @@
 
 use crate::assign::{Assignment, AssignmentStrategy};
 use crate::bits::t_m;
-use crate::device_set::{pivot, DeviceSet};
+use crate::device_set::DeviceSet;
 use crate::error::{Error, Result};
 use crate::method::DistributionMethod;
 use crate::query::{PartialMatchQuery, Pattern};
@@ -58,18 +58,11 @@ pub struct FxDistribution {
     images: Vec<Vec<u64>>,
     /// Precomputed address kernel (see [`TableKernel`]).
     kernel: TableKernel,
-    /// Residue classes of every field, for the fast inverse.
-    classes: Vec<FieldClasses>,
 }
 
-/// An empty slot of a residue-class table (no code is all ones: packed
-/// codes use at most 63 bits).
-pub(crate) const NO_CODE: u64 = u64::MAX;
-
-/// Device counts above this threshold make a materialised residue-class
-/// table unreasonable (512 KiB of `u64` per field at most); the inverse
-/// then solves each class by elimination. The same bound caps one kernel
-/// chunk table (see [`CHUNK_BITS`]).
+/// Entries of one kernel chunk table (512 KiB of `u64` at most; see
+/// [`CHUNK_BITS`]). It caps the address kernel only: the fast inverse
+/// builds no table (see [`crate::inverse::FxInverse`]).
 const MAX_TABLE_SIZE: u64 = 1 << 16;
 
 /// Bits of a field value one kernel chunk table covers. A field of at
@@ -282,122 +275,6 @@ fn span_table(bits: &[u64]) -> Box<[u64]> {
     table.into_boxed_slice()
 }
 
-/// One field's residue classes `{J : T_M(X_i(J)) = c}`, solved from its
-/// bit images by Gaussian elimination over GF(2).
-///
-/// The map is linear, so a class is empty or one coset of the field's
-/// kernel: its smallest member plus every combination of a reduced kernel
-/// basis. An injective field (`F < M`) has a trivial kernel and at most
-/// one member per class; the identity on a field with `F ≥ M` has the
-/// classes `c, c + M, c + 2M, …`.
-#[derive(Debug, Clone)]
-pub(crate) struct FieldClasses {
-    /// Reduced echelon rows `(image, code)`: each image owns a pivot (its
-    /// highest set bit) that no other row's image has set; `code` is the
-    /// pre-shifted field value mapped to that image, zero at every kernel
-    /// pivot.
-    rows: Vec<(u64, u64)>,
-    /// `steps[t]`: the XOR of the kernel basis vectors `0..=t`
-    /// (pre-shifted, by pivot ascending) — the change from a class's
-    /// `k`-th smallest member to its `(k + 1)`-th, for `t` the trailing
-    /// zeros of `k + 1`. Empty for an injective field.
-    pub(crate) steps: Box<[u64]>,
-    /// `table[c]`: the smallest pre-shifted code of class `c`, or
-    /// [`NO_CODE`]; built when `M ≤` [`MAX_TABLE_SIZE`].
-    pub(crate) table: Option<Box<[u64]>>,
-}
-
-impl FieldClasses {
-    fn new(images: &[u64], shift: u32, m: u64) -> FieldClasses {
-        let mut rows: Vec<(u64, u64)> = Vec::new();
-        let mut kernel: Vec<u64> = Vec::new();
-        for (b, &image) in images.iter().enumerate() {
-            let (mut v, mut code) = (image, 1u64 << b);
-            for &(rv, rc) in &rows {
-                if v & pivot(rv) != 0 {
-                    v ^= rv;
-                    code ^= rc;
-                }
-            }
-            if v == 0 {
-                // `code` maps to zero: a kernel vector. Its pivot is bit
-                // `b`, which no earlier vector has, so clearing the earlier
-                // pivots from it keeps the kernel basis reduced.
-                for &k in &kernel {
-                    if code & pivot(k) != 0 {
-                        code ^= k;
-                    }
-                }
-                kernel.push(code);
-                continue;
-            }
-            for row in &mut rows {
-                if row.0 & pivot(v) != 0 {
-                    row.0 ^= v;
-                    row.1 ^= code;
-                }
-            }
-            rows.push((v, code));
-        }
-        // Kernel vectors map to zero, so clearing the kernel pivots from a
-        // row's code keeps its image and makes each solution the smallest
-        // member of its class.
-        for &k in &kernel {
-            for row in &mut rows {
-                if row.1 & pivot(k) != 0 {
-                    row.1 ^= k;
-                }
-            }
-        }
-        for row in &mut rows {
-            row.1 <<= shift;
-        }
-        let steps = kernel
-            .iter()
-            .scan(0u64, |acc, &k| {
-                *acc ^= k << shift;
-                Some(*acc)
-            })
-            .collect();
-        let mut classes = FieldClasses {
-            rows,
-            steps,
-            table: None,
-        };
-        if m <= MAX_TABLE_SIZE {
-            classes.table = Some((0..m).map(|c| classes.solve(c)).collect());
-        }
-        classes
-    }
-
-    /// The smallest pre-shifted code in class `class`, or [`NO_CODE`] when
-    /// the class is empty: a table load when `M ≤` [`MAX_TABLE_SIZE`], an
-    /// elimination over the field's images otherwise.
-    #[inline]
-    pub(crate) fn first(&self, class: u64) -> u64 {
-        match &self.table {
-            Some(table) => table[class as usize],
-            None => self.solve(class),
-        }
-    }
-
-    /// [`FieldClasses::first`] by elimination over the rows.
-    fn solve(&self, mut class: u64) -> u64 {
-        let mut code = 0;
-        for &(image, c) in &self.rows {
-            if class & pivot(image) != 0 {
-                class ^= image;
-                code ^= c;
-            }
-        }
-        if class == 0 {
-            code
-        } else {
-            NO_CODE
-        }
-    }
-}
-
 impl FxDistribution {
     /// Basic FX: identity transforms everywhere.
     pub fn basic(sys: SystemConfig) -> Result<Self> {
@@ -481,21 +358,20 @@ impl FxDistribution {
         FxDistribution::build(sys, None, images)
     }
 
-    /// Solves every field's classes and checks its rank (`log2 F_i`,
-    /// injective, below `M`; `log2 M`, onto, at or above it), then
-    /// compiles the kernel.
+    /// Checks every field's rank — the dimension of its images' span:
+    /// `log2 F_i` (injective) below `M`, `log2 M` (onto) at or above it —
+    /// then compiles the kernel.
     fn build(
         sys: SystemConfig,
         assignment: Option<Assignment>,
         images: Vec<Vec<u64>>,
     ) -> Result<Self> {
-        let mut classes = Vec::with_capacity(images.len());
         for (field, bits) in images.iter().enumerate() {
-            let solved = FieldClasses::new(bits, sys.packed_layout().shift(field), sys.devices());
-            let (rank, required) = (
-                solved.rows.len() as u32,
-                sys.field_bits(field).min(sys.device_bits()),
-            );
+            let mut span = DeviceSet::single(0);
+            for &image in bits {
+                span.insert(image);
+            }
+            let (rank, required) = (span.dim(), sys.field_bits(field).min(sys.device_bits()));
             if rank != required {
                 return Err(Error::RankDeficient {
                     field,
@@ -503,14 +379,12 @@ impl FxDistribution {
                     required,
                 });
             }
-            classes.push(solved);
         }
         Ok(FxDistribution {
             kernel: TableKernel::new(&sys, &images),
             sys,
             assignment,
             images,
-            classes,
         })
     }
 
@@ -594,13 +468,6 @@ impl FxDistribution {
     #[inline]
     pub fn apply_field(&self, field: usize, value: u64) -> u64 {
         self.kernel.apply_field(field, value)
-    }
-
-    /// Field `i`'s residue classes `{J : T_M(X_i(J)) = c}`, for the fast
-    /// inverse.
-    #[inline]
-    pub(crate) fn classes(&self, field: usize) -> &FieldClasses {
-        &self.classes[field]
     }
 }
 

@@ -12,21 +12,32 @@
 //!   `device_of`. Works for any [`DistributionMethod`]; cost
 //!   `O(|R(q)| · n)` per device, i.e. `M` times more total work than
 //!   necessary when every device runs it.
-//! * [`FxInverse`] — FX-specific: exploits
-//!   `device = T_M(h ⊕ X_{i₁}(J_{i₁}) ⊕ … ⊕ X_{i_k}(J_{i_k}))` by indexing
-//!   one unspecified field's values by their device-residue class and
-//!   enumerating only the combinations of the *other* unspecified fields.
-//!   Cost `O(|R(q)| / M)` amortised per device (output-sensitive): each
-//!   device enumerates only what it owns, so the `M` devices collectively
-//!   do `O(|R(q)|)` work.
+//! * [`FxInverse`] — FX-specific: one coset walk. A qualified bucket
+//!   lands on `T_M(h ⊕ X_{i₁}(J_{i₁}) ⊕ … ⊕ X_{i_k}(J_{i_k})) = T_M(h) ⊕
+//!   L(x)`, `L` a GF(2)-linear map of the query's open bits `x`, so a
+//!   device's qualified buckets are empty or one coset of `L`'s kernel.
+//!   One elimination of the open bits, in *key order* (the
+//!   [`pivot_field`]'s bits least significant, then the other open
+//!   fields from last to first), gives at most `log2 M` rows, which step
+//!   from one owning device to the next larger, and a kernel basis,
+//!   which steps through each device's codes in ascending key order:
+//!   one XOR per owning device and one per code. Cost `O(|R(q)| / M)`
+//!   per device on a balanced query (output-sensitive): each device
+//!   enumerates only what it owns, so the `M` devices collectively do
+//!   `O(|R(q)|)` work. Only XOR, shift and AND — the paper's case for FX.
 //!
 //! Both also come **routed** ([`for_each_routed_code`],
-//! [`FxInverse::for_each_routed_code`]): one enumeration serves a whole
+//! [`FxInverse::for_each_routed_code`]): one call serves a whole
 //! contiguous device range and hands each code to its device, so a
 //! thread carrying several devices scans `R(q)` once, not once per
-//! device. The per-device forms are the one-device case.
+//! device. The scan's routed output is in query-odometer order; the FX
+//! walk's is device-major (each device's codes contiguous, devices
+//! ascending). Either way each device receives exactly its per-device
+//! sequence, in order; the per-device forms are the one-device case.
 
-use crate::fx::{FxDistribution, NO_CODE};
+use crate::bits::t_m;
+use crate::device_set::pivot as pivot_bit;
+use crate::fx::FxDistribution;
 use crate::method::DistributionMethod;
 use crate::query::{PartialMatchQuery, Pattern};
 use crate::system::SystemConfig;
@@ -150,35 +161,39 @@ pub fn for_each_routed_code<D, F>(
 /// largest size, ties going to the lowest index, or `None` for an
 /// exact-match pattern.
 ///
-/// Any open field would be correct; the largest carries the most pruning
-/// power, leaving `|R(q)| / F_pivot` free-field settings to enumerate.
-/// Depends only on the system and the pattern, so a planner can read it
-/// without building an [`FxInverse`].
+/// The pivot's bits are the least significant of [`FxInverse`]'s key
+/// order. The paper's cost model charges one lookup per setting of the
+/// *other* open fields, `|R(q)| / F_pivot` per device, and the largest
+/// pivot makes that fewest. Depends only on the system and the pattern,
+/// so a planner can read it without building an [`FxInverse`].
 pub fn pivot_field(sys: &SystemConfig, pattern: Pattern) -> Option<usize> {
     (0..sys.num_fields())
         .filter(|&i| pattern.is_unspecified(i))
         .max_by_key(|&i| (sys.field_size(i), std::cmp::Reverse(i)))
 }
 
-/// One free (non-pivot open) field of an [`FxInverse`]: its index plus the
-/// packed shift/mask needed to run the odometer directly on a code.
-#[derive(Debug, Clone, Copy)]
-struct FreeField {
-    field: usize,
-    shift: u32,
-    /// `F − 1` (pre-shift).
-    mask: u64,
-}
+/// Capacity of an [`FxInverse`]'s rows and kernel steps: a packed code
+/// has at most 63 bits, so a query has at most 63 open bits.
+const MAX_OPEN_BITS: usize = 64;
 
-/// FX-specific fast inverse mapping for one query.
+/// FX-specific fast inverse mapping for one query: one coset walk.
 ///
-/// Built once per (distribution, query) pair and then queried per device.
-/// The *pivot* ([`pivot_field`]) is the open field whose values are looked
-/// up by residue class `T_M(X(J))`; all other open fields are enumerated
-/// by odometer and the pivot values completing the target device are
-/// looked up in O(1). The residue classes depend only on the pivot's
-/// map, so they come from tables the distribution builds once at
-/// construction; nothing here is shared or locked.
+/// The qualified buckets on device `d` are the settings `x` of the
+/// query's open bits with `L(x) = d ⊕ T_M(h)`, where `L` is the linear
+/// map from open bits to devices. That set is empty or one coset of
+/// `L`'s kernel. [`FxInverse::new`] eliminates the `(device image, code
+/// bit)` pairs of every open bit over GF(2), in *key order*: the pivot
+/// field's ([`pivot_field`]) bits least significant, then the other open
+/// fields from last to first, each field's bits low to high. That yields
+/// reduced rows and a reduced kernel basis. The rows span the devices
+/// that own codes, `T_M(h) ⊕ span(L)`, and each row carries the smallest
+/// setting that moves a device's solution by its image; the kernel
+/// basis steps from one member of a device's coset to the next larger.
+/// Both walks count in binary over a basis sorted by pivot, so devices
+/// come in ascending order and each device's codes in ascending key
+/// order, one XOR per device and one per code. A device that owns
+/// nothing costs nothing. Nothing is tabled, shared, locked or
+/// allocated.
 ///
 /// # Examples
 ///
@@ -196,43 +211,119 @@ struct FreeField {
 /// ```
 pub struct FxInverse<'a> {
     fx: &'a FxDistribution,
-    /// XOR of transformed specified values.
-    h: u64,
-    /// Packed code of the query's specified values (unspecified bits 0).
-    base_code: u64,
-    /// The pivot open field, if any.
-    pivot: Option<usize>,
-    /// Open fields other than the pivot, in field order.
-    free_fields: Vec<FreeField>,
+    /// The smallest device that owns codes, and its smallest code.
+    first: (u64, u64),
+    /// `rows[t]`: the XOR of the rows `0..=t` as `(image, code)`, rows by
+    /// pivot (highest image bit) ascending — the change from the `k`-th
+    /// owning device and its smallest code to the `(k + 1)`-th, for `t`
+    /// the trailing zeros of `k + 1`. Each row's image owns its pivot (no
+    /// other row's image, nor the first device, has it set), and its code
+    /// is zero at every kernel pivot.
+    rows: [(u64, u64); MAX_OPEN_BITS],
+    rank: usize,
+    /// `steps[t]`: the XOR of the kernel basis vectors `0..=t` (by key
+    /// pivot ascending) — the change from a coset's `k`-th smallest member
+    /// to its `(k + 1)`-th, for `t` the trailing zeros of `k + 1`.
+    steps: [u64; MAX_OPEN_BITS],
+    dim: usize,
 }
 
 impl<'a> FxInverse<'a> {
-    /// Prepares the inverse mapping for `query` under `fx`: the XOR
-    /// constant `h`, the packed base code, the pivot and the free fields.
+    /// Prepares the inverse mapping for `query` under `fx`: the
+    /// elimination of the open bits in key order, and the smallest device
+    /// that owns codes.
     pub fn new(fx: &'a FxDistribution, query: &'a PartialMatchQuery) -> Self {
         let sys = fx.system();
         debug_assert_eq!(query.values().len(), sys.num_fields());
-        let h = fx.specified_xor(query.values());
         let layout = sys.packed_layout();
         let base_code = query.values().iter().enumerate().fold(0u64, |acc, (i, v)| {
             acc | (v.unwrap_or(0) << layout.shift(i))
         });
-        let pivot = pivot_field(sys, query.pattern());
-        let free_fields = (0..sys.num_fields())
-            .filter(|&i| query.pattern().is_unspecified(i) && Some(i) != pivot)
-            .map(|i| FreeField {
-                field: i,
-                shift: layout.shift(i),
-                mask: layout.mask(i),
-            })
-            .collect();
-        FxInverse {
+        let pattern = query.pattern();
+        let pivot = pivot_field(sys, pattern);
+        let others = (0..sys.num_fields())
+            .rev()
+            .filter(|&i| pattern.is_unspecified(i) && Some(i) != pivot);
+        let mut inv = FxInverse {
             fx,
-            h,
-            base_code,
-            pivot,
-            free_fields,
+            first: (0, 0),
+            rows: [(0, 0); MAX_OPEN_BITS],
+            rank: 0,
+            steps: [0; MAX_OPEN_BITS],
+            dim: 0,
+        };
+        // `steps` holds the kernel vectors until the end; `key_pivots[t]`
+        // is the code bit of the open bit that produced vector `t`, its
+        // highest in key order.
+        let mut key_pivots = [0u8; MAX_OPEN_BITS];
+        for field in pivot.into_iter().chain(others) {
+            for (b, &image) in fx.images()[field].iter().enumerate() {
+                let bit = layout.shift(field) + b as u32;
+                let (mut v, mut code) = (image, 1u64 << bit);
+                for &(rv, rc) in &inv.rows[..inv.rank] {
+                    if v & pivot_bit(rv) != 0 {
+                        v ^= rv;
+                        code ^= rc;
+                    }
+                }
+                if v == 0 {
+                    // `code` maps to zero. It holds only bits eliminated so
+                    // far, so `bit` is its key pivot, which no earlier
+                    // vector has; clearing the earlier pivots from it
+                    // keeps the kernel basis reduced.
+                    for (&k, &kp) in inv.steps[..inv.dim].iter().zip(&key_pivots) {
+                        if (code >> kp) & 1 != 0 {
+                            code ^= k;
+                        }
+                    }
+                    inv.steps[inv.dim] = code;
+                    key_pivots[inv.dim] = bit as u8;
+                    inv.dim += 1;
+                    continue;
+                }
+                for row in &mut inv.rows[..inv.rank] {
+                    if row.0 & pivot_bit(v) != 0 {
+                        row.0 ^= v;
+                        row.1 ^= code;
+                    }
+                }
+                inv.rows[inv.rank] = (v, code);
+                inv.rank += 1;
+            }
         }
+        // Kernel vectors map to zero, so clearing the kernel pivots from a
+        // row's code keeps its image and makes every solution the smallest
+        // member of its coset.
+        let rows = &mut inv.rows[..inv.rank];
+        for (&k, &kp) in inv.steps[..inv.dim].iter().zip(&key_pivots) {
+            for row in rows.iter_mut() {
+                if (row.1 >> kp) & 1 != 0 {
+                    row.1 ^= k;
+                }
+            }
+        }
+        // Sorted by value is sorted by pivot (the pivots are distinct), so
+        // owning devices ascend with their index. Reducing `T_M(h)` by the
+        // rows gives the smallest owning device and the setting reaching it.
+        rows.sort_unstable();
+        let mut first = (
+            t_m(fx.specified_xor(query.values()), sys.devices()),
+            base_code,
+        );
+        for &(image, code) in rows.iter() {
+            if first.0 & pivot_bit(image) != 0 {
+                first.0 ^= image;
+                first.1 ^= code;
+            }
+        }
+        inv.first = first;
+        prefix_xor(rows);
+        let mut acc = 0;
+        for step in &mut inv.steps[..inv.dim] {
+            acc ^= *step;
+            *step = acc;
+        }
+        inv
     }
 
     /// All qualified buckets of the query residing on `device`.
@@ -263,128 +354,86 @@ impl<'a> FxInverse<'a> {
     }
 
     /// Visits the packed code of every qualified bucket on `device` —
-    /// the allocation-free hot path. Codes are linear indices, directly
-    /// usable as device-store keys. The one-device case of
+    /// the allocation-free hot path — in ascending key order (see
+    /// [`FxInverse`]). Codes are linear indices, directly usable as
+    /// device-store keys. The one-device case of
     /// [`FxInverse::for_each_routed_code`].
     ///
-    /// Cost: `O(|R(q)| / F_pivot)` free-field odometer settings, each
-    /// emitting exactly its share of owned buckets — `O(|R(q)| / M)`
-    /// amortised per device, `O(|R(q)|)` across all `M` devices, versus
-    /// `O(M · |R(q)|)` for the generic per-device scan.
+    /// Cost: one pass over at most `log2 M` rows, then one XOR per owned
+    /// bucket — `O(|R(q)| / M)` per device on a balanced query, versus
+    /// `O(|R(q)|)` for the generic per-device scan.
     pub fn for_each_code_on<F: FnMut(u64)>(&self, device: u64, mut f: F) {
         self.for_each_routed_code(device..device + 1, |_, code| f(code));
     }
 
     /// Visits every qualified bucket on the devices in `devices` as
-    /// `f(device, code)`, walking the free-field odometer **once** for
-    /// the whole range. Each device receives exactly the codes
-    /// [`FxInverse::for_each_code_on`] visits for it, in the same order.
+    /// `f(device, code)`. The output is device-major: devices go in
+    /// ascending order, and each device's codes come contiguously, in the
+    /// order [`FxInverse::for_each_code_on`] visits them. Finding the
+    /// range's first owning device is one pass over the rows; then each
+    /// owning device costs one XOR, and a device that owns nothing is
+    /// never visited.
     pub fn for_each_routed_code<F: FnMut(u64, u64)>(&self, devices: Range<u64>, mut f: F) {
-        let sys = self.fx.system();
-        let m = sys.devices();
-        debug_assert!(devices.end <= m);
-
-        let Some(pivot) = self.pivot else {
-            // Exact-match query: single bucket, on the device its
-            // address names.
-            let device = crate::bits::t_m(self.h, m);
-            if devices.contains(&device) {
-                f(device, self.base_code);
-                pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(1);
-            }
-            return;
-        };
-        // For each free-field setting, the pivot's transformed value must
-        // satisfy
-        //   T_M(h ⊕ acc ⊕ X_p(J_p)) = device
-        // ⇔ T_M(X_p(J_p)) = device ⊕ T_M(h ⊕ acc),
-        // so each device's candidates are exactly one residue class, in
-        // increasing J_p. The class lookup is chosen once, outside the
-        // odometer.
-        let (first, last) = (devices.start, devices.end);
-        let classes = self.fx.classes(pivot);
-        let emitted = match &classes.table {
-            Some(slots) if classes.steps.is_empty() => self.for_each_setting(|code, rotation| {
-                let mut emitted = 0;
-                for device in first..last {
-                    let jcode = slots[(device ^ rotation) as usize];
-                    if jcode != NO_CODE {
-                        debug_assert_eq!(self.fx.device_of_packed(code | jcode), device);
-                        f(device, code | jcode);
-                        emitted += 1;
-                    }
+        debug_assert!(devices.end <= self.fx.system().devices());
+        let rows = &self.rows[..self.rank];
+        let steps = &self.steps[..self.dim];
+        let owners = 1u64 << self.rank;
+        let per_device = 1u64 << self.dim;
+        // Owning devices ascend with their index `k`, so the first at or
+        // past the range is one past the last below it, found greedily
+        // from the highest pivot (see `DeviceSet`).
+        let (mut k, (mut device, mut code)) = (0, self.first);
+        if device < devices.start {
+            for t in (0..self.rank).rev() {
+                let row = row_at(rows, t);
+                if device ^ row.0 < devices.start {
+                    device ^= row.0;
+                    code ^= row.1;
+                    k |= 1 << t;
                 }
-                emitted
-            }),
-            _ => {
-                // The pivot's class is a coset of its map's kernel (one
-                // code for an injective map): the smallest member, from
-                // the class table or by elimination, then the kernel walk
-                // in increasing J_p — c, c + M, c + 2M, … for the identity.
-                let steps = &classes.steps;
-                let per_class = 1u64 << steps.len();
-                self.for_each_setting(|code, rotation| {
-                    let mut emitted = 0;
-                    for device in first..last {
-                        let mut jcode = classes.first(device ^ rotation);
-                        if jcode == NO_CODE {
-                            continue;
-                        }
-                        for k in 0..per_class {
-                            if k > 0 {
-                                jcode ^= steps[k.trailing_zeros() as usize];
-                            }
-                            debug_assert_eq!(self.fx.device_of_packed(code | jcode), device);
-                            f(device, code | jcode);
-                        }
-                        emitted += per_class;
-                    }
-                    emitted
-                })
             }
-        };
-        pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(emitted);
-    }
-
-    /// Runs the odometer over the free fields directly on the packed code
-    /// (last field fastest), calling `visit(code, T_M(h ⊕ acc))` for each
-    /// setting, where `acc` is the XOR of the free fields' images. Returns
-    /// the sum of `visit`'s results (the codes it emitted).
-    ///
-    /// The last free field runs as an inner loop, so a setting costs one
-    /// image lookup; the other free fields' XOR is recomputed only when
-    /// the outer odometer advances.
-    #[inline]
-    fn for_each_setting(&self, mut visit: impl FnMut(u64, u64) -> u64) -> u64 {
-        let m = self.fx.system().devices();
-        let Some((inner, outer)) = self.free_fields.split_last() else {
-            return visit(self.base_code, crate::bits::t_m(self.h, m));
-        };
-        let mut emitted = 0;
-        let mut code = self.base_code;
-        loop {
-            let mut acc = self.h;
-            for ff in outer {
-                acc ^= self.fx.apply_field(ff.field, (code >> ff.shift) & ff.mask);
-            }
-            for v in 0..=inner.mask {
-                let rotation = crate::bits::t_m(acc ^ self.fx.apply_field(inner.field, v), m);
-                emitted += visit(code | (v << inner.shift), rotation);
-            }
-            // Advance the outer odometer (its last field fastest).
-            let mut advanced = false;
-            for ff in outer.iter().rev() {
-                if (code >> ff.shift) & ff.mask < ff.mask {
-                    code += 1u64 << ff.shift;
-                    advanced = true;
-                    break;
-                }
-                code &= !(ff.mask << ff.shift);
-            }
-            if !advanced {
-                return emitted;
+            k += 1;
+            if k < owners {
+                let (d, c) = rows[k.trailing_zeros() as usize];
+                device ^= d;
+                code ^= c;
             }
         }
+        let mut emitted = 0;
+        while k < owners && device < devices.end {
+            let mut member = code;
+            for j in 0..per_device {
+                if j > 0 {
+                    member ^= steps[j.trailing_zeros() as usize];
+                }
+                debug_assert_eq!(self.fx.device_of_packed(member), device);
+                f(device, member);
+            }
+            emitted += per_device;
+            k += 1;
+            if k < owners {
+                let (d, c) = rows[k.trailing_zeros() as usize];
+                device ^= d;
+                code ^= c;
+            }
+        }
+        pmr_rt::obs::INVERSE_CODES_ENUMERATED.add(emitted);
+    }
+}
+
+/// Turns `rows` into its prefix XORs, in place.
+fn prefix_xor(rows: &mut [(u64, u64)]) {
+    for t in 1..rows.len() {
+        rows[t].0 ^= rows[t - 1].0;
+        rows[t].1 ^= rows[t - 1].1;
+    }
+}
+
+/// Row `t` of prefix XORs `rows`.
+fn row_at(rows: &[(u64, u64)], t: usize) -> (u64, u64) {
+    match t {
+        0 => rows[0],
+        _ => (rows[t].0 ^ rows[t - 1].0, rows[t].1 ^ rows[t - 1].1),
     }
 }
 
@@ -465,14 +514,12 @@ mod tests {
         assert_eq!(total, q.qualified_count_in(&sys));
     }
 
-    /// Past the class-table device bound the fast inverse solves the
-    /// pivot's class by elimination over its images instead, and still
-    /// routes every qualified code to its device, once.
+    /// With `M = 2^17` devices the fast inverse still routes every
+    /// qualified code to its device, once.
     #[test]
     fn inverse_without_class_tables_routes_every_code() {
         let sys = SystemConfig::new(&[4, 8, 2], 1 << 17).unwrap();
         let fx = FxDistribution::auto(sys.clone()).unwrap();
-        assert!(fx.classes(1).table.is_none());
         for q in all_queries(&sys) {
             let mut routed = Vec::new();
             FxInverse::new(&fx, &q).for_each_routed_code(0..sys.devices(), |d, code| {
@@ -491,8 +538,8 @@ mod tests {
     }
 
     /// Explicit maps — non-identity onto maps on fields with `F ≥ M`
-    /// among them — route every qualified code to its device, once, with
-    /// class tables and past them.
+    /// among them — route every qualified code to its device, once, on
+    /// small `M` and on `M = 2^17`.
     #[test]
     fn explicit_maps_route_every_code() {
         let cases = [
@@ -611,8 +658,7 @@ mod tests {
     }
 
     /// The pivot is the largest open field, ties to the lowest index, and
-    /// its residue classes partition its values: every device's share of
-    /// a one-open query is one class.
+    /// the devices' cosets partition a one-open query's values.
     #[test]
     fn pivot_is_largest_open_field_and_classes_partition_it() {
         let sys = SystemConfig::new(&[4, 8, 8, 16], 8).unwrap();

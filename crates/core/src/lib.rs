@@ -32,7 +32,7 @@
 //! * [`method`] — the [`DistributionMethod`] abstraction shared with the
 //!   baselines crate.
 //! * [`inverse`] — inverse mapping: per-device enumeration of qualified
-//!   buckets (generic scan + FX-specific residue-indexed fast path).
+//!   buckets (generic scan + FX-specific coset-walk fast path).
 //! * [`optimality`] — ground-truth response histograms and
 //!   strict/k/perfect-optimality checkers.
 //! * [`conditions`] — the paper's *sufficient* optimality conditions

@@ -74,7 +74,7 @@ pub trait DistributionMethod: Send + Sync {
 
     /// Downcast hook: `Some(self)` when this method is an
     /// [`FxDistribution`], letting generic executors dispatch onto the
-    /// residue-indexed fast inverse mapping without knowing the concrete
+    /// coset-walk fast inverse mapping without knowing the concrete
     /// type. The default is `None`; wrappers forward it.
     fn as_fx(&self) -> Option<&FxDistribution> {
         None

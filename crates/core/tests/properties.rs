@@ -132,9 +132,9 @@ rt_proptest! {
         assert_eq!(image.len() as u64, f.min(4096));
     }
 
-    /// A transform's residue classes invert it: on a one-field system the
-    /// one-open query puts exactly `l` on device `T_M(X(l))`, from the
-    /// class table up to 2^16 devices and by elimination past it.
+    /// The fast inverse inverts a transform: on a one-field system the
+    /// one-open query puts exactly `l` on device `T_M(X(l))`, for `M` up
+    /// to 2^19.
     fn transform_invert_roundtrip(src) {
         let m_bits = src.u32_in(1..=19).max(1);
         let f_bits = src.u32_in(0..=18);

@@ -196,7 +196,8 @@ pub struct WireQuery {
     pub values: Vec<Option<u64>>,
     /// `true` → FX fast inverse; `false` → generic scan.
     pub fast_path: bool,
-    /// Fast-path residue-lookup charge per device.
+    /// Fast-path lookup charge per device, as the paper's cost model counts
+    /// it.
     pub free_combos: u64,
     /// `|R(q)|`.
     pub total_qualified: u64,

@@ -31,8 +31,9 @@
 //! still walked under the guard.
 //!
 //! A thread holds **at most one** reader guard at a time: a reader must
-//! be dropped before its thread opens another (the executor drops the
-//! share's reader before any failover step). std's `RwLock` queues new
+//! be dropped, or its guard released ([`ShareReader::release`]), before
+//! its thread opens another (the executor releases the share's primary
+//! guard before any failover step). std's `RwLock` queues new
 //! readers behind a waiting writer, so a second read guard taken on a
 //! store the thread already reads — or a cross-device cycle between two
 //! threads — would deadlock against an appender.
@@ -407,8 +408,8 @@ const RUN_CHUNK: usize = 64;
 /// the read proceeds and carries the injected latency (0 when none). An
 /// admitted read that needs the stored bytes takes the store's read
 /// guard if this reader does not hold it yet, and keeps it until the
-/// reader drops. Reads are counted here and added to the device's
-/// `bucket_reads` on drop.
+/// reader drops or [releases](ShareReader::release) it. Reads are
+/// counted here and added to the device's `bucket_reads` on drop.
 pub struct ShareReader<'a> {
     device: &'a Device,
     store: PageStore,
@@ -545,6 +546,14 @@ impl ShareReader<'_> {
         }
         self.reads += served as u64;
         (served, records)
+    }
+
+    /// Releases the store's read guard, if this reader holds it. The
+    /// reader stays open, with its fault plan and its read count; its
+    /// next read that needs the bytes takes the guard again. Call it
+    /// before this thread opens another reader (see the module docs).
+    pub fn release(&mut self) {
+        self.pages = None;
     }
 
     /// One read attempt that returns the page's decoded records.

@@ -8,27 +8,30 @@
 //! [`ExecutionReport`]. A device's share of a query is read through one
 //! [`ShareReader`](crate::ShareReader): one fault-plan snapshot and one
 //! store guard for the whole share instead of a lock round trip per
-//! bucket, dropped before any failover step so a thread never holds two
-//! device guards. Every served page's stored bytes are validated and
-//! copied into one region per share; a node ships that region as is,
-//! and the merge copies the regions into the report's [`RecordRegion`],
-//! indexing each record as it passes, so no path decodes a record
-//! unless its caller asks. The simulated response time is the maximum
-//! per-device time — the paper's symmetric-topology assumption (§5.2.1):
-//! "the response time for a partial match query is determined by the
-//! device which has the largest number of qualified buckets". The
-//! [`CostModel`] computes it, so a device needs no thread of its own.
+//! bucket, the guard released before any failover step so a thread
+//! never holds two device guards. Every served page's stored bytes are
+//! validated and copied into one region per share; a node ships that
+//! region as is, and the merge copies the regions into the report's
+//! [`RecordRegion`], indexing each record as it passes, so no path
+//! decodes a record unless its caller asks. The simulated response time
+//! is the maximum per-device time — the paper's symmetric-topology
+//! assumption (§5.2.1): "the response time for a partial match query is
+//! determined by the device which has the largest number of qualified
+//! buckets". The [`CostModel`] computes it, so a device needs no thread
+//! of its own.
 //!
 //! Two inverse mappings back the pipeline: the **generic scan** charges
 //! every device `|R(q)|` address computations (`O(M · |R(q)|)` in total)
 //! and works for any [`DistributionMethod`]; the **FX fast path**
 //! ([`FxInverse`]) walks only the codes each device owns, `O(|R(q)|)` in
-//! total. [`plan_query`] takes the fast path on FX files (detected via
-//! [`DistributionMethod::as_fx`]) when the cost heuristic says its setup
-//! pays. Results are identical either way — only `addresses_computed`
-//! differs. Benches and tests that measure one mapping override
-//! [`PlannedQuery::fast_path`] and run the plan through
-//! [`Executor::execute_planned_raw`].
+//! total: per device, one coset of the query's open-bit map, solved by
+//! elimination and walked by one XOR per code. [`plan_query`] takes the
+//! fast path on FX files (detected via [`DistributionMethod::as_fx`])
+//! when the cost heuristic says its setup pays. Results are identical
+//! either way — only `addresses_computed` differs, and it is the paper's
+//! cost model, not the walk's own cost. Benches and tests that measure
+//! one mapping override [`PlannedQuery::fast_path`] and run the plan
+//! through [`Executor::execute_planned_raw`].
 //!
 //! [`execute_parallel`] (strict: a lost bucket is an error) and
 //! [`execute_parallel_with`] (under an [`ExecPolicy`]: faults degrade
@@ -500,12 +503,14 @@ fn assemble(
 }
 
 /// Estimated fixed overhead of the FX fast path, in address-computation
-/// units: preparing the [`FxInverse`] (the XOR constant, the pivot and
-/// the free fields) and setting up the residue-class walk costs roughly
-/// this many `device_of_packed` evaluations.
+/// units: preparing the [`FxInverse`] (the XOR constant and the
+/// elimination of the open bits) costs roughly this many
+/// `device_of_packed` evaluations.
 /// Calibrated against the recorded `exec_fast_path` bench group, where
 /// narrow queries (`|R(q)| = 8` on an `M = 8` system) measured faster
-/// under the brute scan and wide ones under the fast inverse.
+/// under the brute scan and wide ones under the fast inverse. It feeds
+/// only the dispatch decision; the address charge stays the paper's
+/// (see [`PlannedQuery::addresses_computed`]).
 const FAST_PATH_SETUP_ADDR: u64 = 96;
 
 /// The strict contract as a policy: one attempt per bucket, no failover.
@@ -646,15 +651,18 @@ struct FailoverPath<'a> {
 ///
 /// The primary pass reads runs ([`crate::ShareReader::copy_run`]): each
 /// serves codes up to the first one whose first attempt would fault or
-/// fail its walk, and that code alone takes the per-code path before
-/// the next run resumes. With no fault plan and no corrupt page a share
-/// is one run; on a dead device every run stops at once.
+/// fail its walk, and that code alone takes the per-code path. The next
+/// run starts after a code the primary served; after one it failed, the
+/// next code takes the per-code path too, so a dead device pays no run
+/// that would stop at once. With no fault plan and no corrupt page a
+/// share is one run.
 ///
-/// The primary pass reads through one share reader. It is dropped
-/// before any failover step and re-opened after, so this thread never
-/// holds two device guards at once: a parity rebuild reads
-/// the home device's own store too, and re-entering a read lock this
-/// thread holds would deadlock behind a queued writer.
+/// The whole share reads through one primary share reader, opened on
+/// its first code. It releases its store guard before any failover step
+/// and takes it again on its next admitted read, so this thread never
+/// holds two device guards at once: a parity rebuild reads the home
+/// device's own store too, and re-entering a read lock this thread
+/// holds would deadlock behind a queued writer.
 fn resilient_device_read(
     devices: &[Arc<Device>],
     device: u64,
@@ -675,28 +683,33 @@ fn resilient_device_read(
     let mut reconstructions = 0u32;
     let mut primary = None;
     let mut next = 0;
+    let mut run_first = true;
     while next < codes.len() {
-        let reader = primary.get_or_insert_with(|| dev.reader(PageStore::Primary));
-        let (run, run_records) = reader.copy_run(&codes[next..], &mut region);
-        records += run_records;
-        next += run;
-        // The run stopped before `code`: it takes the per-code path.
+        let primary = primary.get_or_insert_with(|| dev.reader(PageStore::Primary));
+        if run_first {
+            let (run, run_records) = primary.copy_run(&codes[next..], &mut region);
+            records += run_records;
+            next += run;
+        }
+        // The run stopped before `code`, or the previous code failed: it
+        // takes the per-code path.
         let Some(&code) = codes.get(next) else {
             break;
         };
         next += 1;
         let (served, primary_us, primary_retries) =
             read_with_retry(policy, device, code, |attempt| {
-                let read = reader.copy_attempt(code, attempt, &mut region)?;
+                let read = primary.copy_attempt(code, attempt, &mut region)?;
                 records += read.records;
                 Ok(read.injected_latency_us)
             });
         extra_us += primary_us;
         retries_total += primary_retries;
+        run_first = served;
         if served {
             continue;
         }
-        primary = None;
+        primary.release();
         if let Some(buddy_id) = buddy {
             let mut mirror = devices[buddy_id as usize].reader(PageStore::Mirror);
             let (served, mirror_us, mirror_retries) =
@@ -900,8 +913,9 @@ pub struct PlannedQuery {
     pub query: PartialMatchQuery,
     /// `true` → dispatch the FX fast inverse; `false` → generic scan.
     pub fast_path: bool,
-    /// Per-device residue-lookup charge on the fast path (`|R(q)| /
-    /// F_pivot`); `1` when there is no pivot.
+    /// Per-device lookup charge on the fast path (`|R(q)| / F_pivot`,
+    /// one per setting of the non-pivot open fields, as the paper's
+    /// inverse counts it); `1` when there is no pivot.
     pub free_combos: u64,
     /// `|R(q)|` — the generic scan's per-device address charge.
     pub total_qualified: u64,
@@ -909,8 +923,12 @@ pub struct PlannedQuery {
 
 impl PlannedQuery {
     /// `addresses_computed` charged to a device that owns `owned` of the
-    /// query's qualified buckets: the fast inverse's residue lookups plus
-    /// its owned buckets, or the generic scan's full `|R(q)|`.
+    /// query's qualified buckets: one lookup per free-field setting plus
+    /// its owned buckets on the fast path, or the generic scan's full
+    /// `|R(q)|`. This is the paper's cost model, kept fixed so
+    /// simulated times do not move with the walk: the coset walk itself
+    /// costs one pass over the rows per device range, then one XOR per
+    /// owning device and one per owned bucket.
     pub fn addresses_computed(&self, owned: u64) -> u64 {
         if self.fast_path {
             self.free_combos + owned
@@ -947,11 +965,14 @@ pub fn idle_yield(planned: &PlannedQuery, device: u64, cost: &CostModel) -> RawY
 ///
 /// The FX fast inverse is taken only when its estimated address work
 /// undercuts the generic scan's `M · |R(q)|`: `|R(q)|` (each qualified
-/// bucket enumerated exactly once across all devices) plus `M`
-/// residue-class lookups per free-field combination (`free_combos =
-/// |R(q)| / F_pivot`), plus a fixed setup charge
-/// (`FAST_PATH_SETUP_ADDR`). On narrow queries the setup dominates and
-/// the scan wins — dispatching those onto the fast path anyway was the
+/// bucket enumerated exactly once across all devices) plus `M` lookups
+/// per free-field combination (`free_combos = |R(q)| / F_pivot`), plus a
+/// fixed setup charge (`FAST_PATH_SETUP_ADDR`). That estimate is the
+/// paper's cost model, not the coset walk's cost (one elimination, then
+/// one XOR per owning device and one per owned code); it stays fixed so
+/// the dispatch and `addresses_computed` — hence every simulated time —
+/// do not move with the implementation. On narrow queries the setup
+/// dominates and the scan wins — dispatching those onto the fast path anyway was the
 /// `exec_fast_path/dispatch_narrow` regression. The pivot comes from
 /// [`pivot_field`], a pure function of the system and the pattern, so
 /// planning builds no inverse and touches no shared state.

@@ -1,20 +1,24 @@
 //! Golden digests of the FX fast inverse.
 //!
 //! The other inverse-mapping tests compare implementations with each
-//! other (fast inverse sorted against the scan, routed against
-//! per-device), so an order change or a bug both sides share passes them.
-//! These digests pin the exact output instead. Per system and assignment,
-//! one 64-bit value folds, for every covered pattern and for two sets of
-//! specified values (all zero, and seeded):
+//! other (fast inverse against the scan, routed against per-device), so
+//! an order change or a bug both sides share passes them. These digests
+//! pin the exact output instead. Per system and assignment, one 64-bit
+//! value folds, for every covered pattern and for two sets of specified
+//! values (all zero, and seeded):
 //!
 //! * the `(device, code)` sequence of `FxInverse::for_each_routed_code`
-//!   over every device;
+//!   over every device, which is device-major;
 //! * the code sequence of `FxInverse::for_each_code_on(d)` for each
 //!   device `d` in turn;
 //! * `plan_query`'s `(fast_path, free_combos)`.
 //!
-//! The values were recorded from the per-pattern plan-cache inverse; a
-//! refactor of the inverse must reproduce them without editing them.
+//! The values were recorded from the per-pattern plan-cache inverse and
+//! re-derived once, when the routed walk became device-major: from the
+//! residue-class inverse it replaced, whose routed output, regrouped
+//! stably by device, was folded beside its unchanged per-device
+//! sequences and plans. A refactor of the inverse must reproduce them
+//! without editing them.
 
 use pmr_core::inverse::FxInverse;
 use pmr_core::{AssignmentStrategy, FxDistribution, PartialMatchQuery, Pattern, SystemConfig};
@@ -90,7 +94,7 @@ fn table_7_inverse_digests() {
         &[8; 6],
         32,
         6,
-        [0x35bc_8762_0cd7_f108, 0xce80_6a57_2305_b6ad],
+        [0xb62b_a6b3_cf35_bfeb, 0xeb55_77a2_8770_58d4],
     );
 }
 
@@ -101,7 +105,7 @@ fn table_8_inverse_digests() {
         &[8; 6],
         64,
         6,
-        [0x8d2a_8314_bbff_0050, 0x0c93_c62a_8c1c_990b],
+        [0x03a2_709e_94a7_9da9, 0x5a2e_351e_e303_7723],
     );
 }
 
@@ -113,18 +117,18 @@ fn table_9_inverse_digests() {
         &[8, 8, 8, 16, 16, 16],
         512,
         3,
-        [0xd759_8a37_5249_d424, 0xc3e2_5d2f_49f1_593f],
+        [0x477c_ce00_21a5_f3c6, 0x30bf_4712_a16f_426f],
     );
 }
 
 /// Fields on both sides of M: the F ≥ M fields take the identity, so a
-/// pivot among them walks its residue class by stride M.
+/// pivot among them walks its coset by stride M.
 #[test]
 fn mixed_field_sizes_inverse_digests() {
     check(
         &[2, 4, 64, 16],
         16,
         4,
-        [0xeac3_64b5_b28c_c0c6, 0xbfa2_5a5a_885e_69a9],
+        [0xeda7_0080_0556_0d87, 0x2605_195c_c515_1db5],
     );
 }
